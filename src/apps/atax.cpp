@@ -69,64 +69,6 @@ AtaxResult<T> atax_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
 }
 
 template <typename T>
-AtaxResult<T> atax_split(const sim::DeviceSpec& dev, stream::Mode mode,
-                         int width, std::int64_t tile, MatrixView<const T> A,
-                         VectorView<const T> x) {
-  const std::int64_t n = A.rows(), m = A.cols();
-  FBLAS_REQUIRE(x.size() == m, "atax: shape mismatch");
-  const auto cfg_n = atax_cfg<T>(Transpose::None, width, tile);
-  const auto cfg_t = atax_cfg<T>(Transpose::Trans, width, tile);
-  stream::Graph g(mode);
-  const auto f = sim::composition_frequency(2, PrecisionTraits<T>::value, dev);
-  const double bpc = dev.bank_bandwidth_gbs * 1e9 / (f.mhz * 1e6);
-  auto& bank_a = g.bank("ddr0", bpc);
-  auto& bank_vec = g.bank("ddr1", bpc);
-  const std::size_t cap = static_cast<std::size_t>(std::max(64, 4 * width));
-  auto& ca1 = g.channel<T>("A_gemv", cap);
-  auto& ca2 = g.channel<T>("A_gemvT", cap);
-  auto& cx = g.channel<T>("x", cap);
-  auto& cq0 = g.channel<T>("q0", cap);
-  auto& cy0 = g.channel<T>("y0", cap);
-  auto& cq = g.channel<T>("q", cap);
-  auto& cy = g.channel<T>("y", cap);
-  AtaxResult<T> result;
-  const auto sched = core::gemv_a_schedule(cfg_n);
-  // Each GEMV reads A on its own: same I/O as the non-streamed version,
-  // but the two matrix-vector products still overlap in a pipeline.
-  g.spawn("read_A1", stream::read_matrix<T>(A, sched, 1, width, ca1, &bank_a));
-  g.spawn("read_A2", stream::read_matrix<T>(A, sched, 1, width, ca2, &bank_a));
-  g.spawn("read_x", stream::read_vector<T>(x, core::gemv_x_repeat(cfg_n, n, m),
-                                           width, cx, &bank_vec));
-  g.spawn("zero_q", stream::generate<T>(n, T(0), width, cq0));
-  g.spawn("zero_y", stream::generate<T>(m, T(0), width, cy0));
-  g.spawn("gemv", core::gemv<T>(cfg_n, n, m, T(1), T(0), ca1, cx, cq0, cq));
-  g.spawn("gemv_T", core::gemv<T>(cfg_t, n, m, T(1), T(0), ca2, cq, cy0, cy));
-  g.spawn("collect_y", stream::collect<T>(m, cy, result.y));
-  g.run();
-  result.cycles = g.cycles();
-  return result;
-}
-
-template <typename T>
-AtaxResult<T> atax_auto(const sim::DeviceSpec& dev, stream::Mode mode,
-                        int width, std::int64_t tile,
-                        std::int64_t max_channel_depth,
-                        MatrixView<const T> A, VectorView<const T> x) {
-  const std::int64_t n = A.rows(), m = A.cols();
-  const auto g = atax_mdag(n, m, tile);
-  mdag::PlanOptions opt;
-  opt.max_channel_depth = max_channel_depth;
-  const auto plan = mdag::derive_plan(g, opt);
-  if (plan.components.size() == 1 && !plan.sizings.empty()) {
-    // Fully streaming with the planner's channel depth (plus fan-out
-    // slack, which the analysis bound does not include).
-    return atax_streaming<T>(dev, mode, width, tile,
-                             plan.sizings[0].min_depth + 4 * width, A, x);
-  }
-  return atax_split<T>(dev, mode, width, tile, A, x);
-}
-
-template <typename T>
 AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
                               VectorView<const T> x) {
   const std::int64_t n = A.rows(), m = A.cols();
@@ -164,7 +106,7 @@ host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
   // A-paths into the transposed GEMV and sizes the direct channel to one
   // full row of tiles (the atax_min_channel_depth analysis), synthesizes
   // the A fan-out and the zero q0/y0 inputs, and derives the per-FIFO
-  // checksum plan the hand-wired path used to spell out.
+  // checksum plan.
   const host::RoutineConfig& rc = ctx.config();
   const auto cfg = atax_cfg<T>(Transpose::None, rc.width, rc.tile_rows);
   host::Composition<T> c("atax");
@@ -181,17 +123,6 @@ host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
   c.connect(g1, g2, mdag::StreamSig::vec(n));
   c.connect(g2, wy, mdag::StreamSig::vec(m));
   return ctx.run_composition_async(c);
-}
-
-template <typename T>
-host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x, host::Buffer<T>& y,
-                                const verify::Options& vo) {
-  host::RoutineConfig rc = ctx.config();
-  rc.verification = vo;
-  host::ConfigGuard guard = ctx.with(rc);
-  return atax_composed_async(ctx, n, m, a, x, y);
 }
 
 template <typename T>
@@ -228,21 +159,12 @@ mdag::Mdag atax_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
   template AtaxResult<T> atax_streaming<T>(                                  \
       const sim::DeviceSpec&, stream::Mode, int, std::int64_t, std::int64_t, \
       MatrixView<const T>, VectorView<const T>);                             \
-  template AtaxResult<T> atax_auto<T>(                                       \
-      const sim::DeviceSpec&, stream::Mode, int, std::int64_t, std::int64_t, \
-      MatrixView<const T>, VectorView<const T>);                             \
-  template AtaxResult<T> atax_split<T>(                                      \
-      const sim::DeviceSpec&, stream::Mode, int, std::int64_t,               \
-      MatrixView<const T>, VectorView<const T>);                             \
   template AtaxResult<T> atax_host_layer<T>(host::Context&,                  \
                                             MatrixView<const T>,             \
                                             VectorView<const T>);            \
   template host::Event atax_composed_async<T>(                               \
       host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
       const host::Buffer<T>&, host::Buffer<T>&);                             \
-  template host::Event atax_composed_async<T>(                               \
-      host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
-      const host::Buffer<T>&, host::Buffer<T>&, const verify::Options&);     \
   template std::vector<T> atax_cpu<T>(MatrixView<const T>,                   \
                                       VectorView<const T>);
 

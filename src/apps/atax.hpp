@@ -41,23 +41,6 @@ AtaxResult<T> atax_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
 std::int64_t atax_min_channel_depth(std::int64_t m, std::int64_t tile,
                                     int width);
 
-/// Split composition: the two GEMVs read A independently and the
-/// intermediate vector round-trips DRAM.
-template <typename T>
-AtaxResult<T> atax_split(const sim::DeviceSpec& dev, stream::Mode mode,
-                         int width, std::int64_t tile, MatrixView<const T> A,
-                         VectorView<const T> x);
-
-/// Plan-driven execution: consults the automatic MDAG planner
-/// (mdag/auto_partition) and runs either the fully-streaming composition
-/// with the planner's channel sizing (when the lag fits
-/// `max_channel_depth`) or the split schedule.
-template <typename T>
-AtaxResult<T> atax_auto(const sim::DeviceSpec& dev, stream::Mode mode,
-                        int width, std::int64_t tile,
-                        std::int64_t max_channel_depth,
-                        MatrixView<const T> A, VectorView<const T> x);
-
 /// Host-layer baseline: two GEMV launches through the Context.
 template <typename T>
 AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
@@ -75,13 +58,6 @@ template <typename T>
 host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
                                 std::int64_t m, const host::Buffer<T>& a,
                                 const host::Buffer<T>& x, host::Buffer<T>& y);
-/// Same, with a per-call verification override (scoped via ConfigGuard —
-/// knobs are captured at enqueue, so only this command is affected).
-template <typename T>
-host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x, host::Buffer<T>& y,
-                                const verify::Options& vo);
 template <typename T>
 void atax_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& x,

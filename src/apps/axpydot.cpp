@@ -2,48 +2,10 @@
 
 #include <vector>
 
-#include "fblas/level1.hpp"
 #include "host/composition.hpp"
 #include "refblas/level1.hpp"
-#include "sim/frequency_model.hpp"
-#include "stream/graph.hpp"
-#include "stream/streamers.hpp"
 
 namespace fblas::apps {
-
-template <typename T>
-AxpydotResult<T> axpydot_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   VectorView<const T> w,
-                                   VectorView<const T> v,
-                                   VectorView<const T> u, T alpha) {
-  const std::int64_t n = w.size();
-  FBLAS_REQUIRE(v.size() == n && u.size() == n, "axpydot: length mismatch");
-  stream::Graph g(mode);
-  // The three input vectors live on separate DDR banks (Sec. VI-A: no
-  // automatic interleaving, manual placement).
-  const auto f = sim::composition_frequency(0, PrecisionTraits<T>::value, dev);
-  const double bpc = dev.bank_bandwidth_gbs * 1e9 / (f.mhz * 1e6);
-  auto& bank_w = g.bank("ddr0", bpc);
-  auto& bank_v = g.bank("ddr1", bpc);
-  auto& bank_u = g.bank(dev.ddr_banks >= 3 ? "ddr2" : "ddr0_u", bpc);
-  const std::size_t cap = static_cast<std::size_t>(std::max(64, 2 * width));
-  auto& cw = g.channel<T>("w", cap);
-  auto& cv = g.channel<T>("v", cap);
-  auto& cu = g.channel<T>("u", cap);
-  auto& cz = g.channel<T>("z", cap);
-  auto& cres = g.channel<T>("beta", 2);
-  std::vector<T> out;
-  g.spawn("read_w", stream::read_vector<T>(w, 1, width, cw, &bank_w));
-  g.spawn("read_v", stream::read_vector<T>(v, 1, width, cv, &bank_v));
-  g.spawn("read_u", stream::read_vector<T>(u, 1, width, cu, &bank_u));
-  // z = (-alpha) * v + w, streamed straight into the DOT module.
-  g.spawn("axpy", core::axpy<T>({width}, n, -alpha, cv, cw, cz));
-  g.spawn("dot", core::dot<T>({width}, n, cz, cu, cres));
-  g.spawn("collect", stream::collect<T>(1, cres, out));
-  g.run();
-  return {out.at(0), g.cycles()};
-}
 
 template <typename T>
 AxpydotResult<T> axpydot_host_layer(host::Context& ctx,
@@ -84,8 +46,7 @@ host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
                                    const host::Buffer<T>& u, T alpha,
                                    T* beta) {
   // A pure description: the compiler derives the channels, the checksum
-  // taps on every FIFO, and the refblas fallback the old hand-wired path
-  // spelled out module by module.
+  // taps on every FIFO, and the refblas fallback.
   host::Composition<T> c("axpydot");
   const int rv = c.input("read_v", v);
   const int rw = c.input("read_w", w);
@@ -99,18 +60,6 @@ host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
   c.connect(ru, dt, mdag::StreamSig::vec(n));
   c.connect(dt, wb, mdag::StreamSig::vec(1));
   return ctx.run_composition_async(c);
-}
-
-template <typename T>
-host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
-                                   const host::Buffer<T>& w,
-                                   const host::Buffer<T>& v,
-                                   const host::Buffer<T>& u, T alpha, T* beta,
-                                   const verify::Options& vo) {
-  host::RoutineConfig rc = ctx.config();
-  rc.verification = vo;
-  host::ConfigGuard guard = ctx.with(rc);
-  return axpydot_composed_async(ctx, n, w, v, u, alpha, beta);
 }
 
 template <typename T>
@@ -140,19 +89,12 @@ mdag::Mdag axpydot_mdag(std::int64_t n) {
 }
 
 #define FBLAS_APP_AXPYDOT_INSTANTIATE(T)                                     \
-  template AxpydotResult<T> axpydot_streaming<T>(                            \
-      const sim::DeviceSpec&, stream::Mode, int, VectorView<const T>,        \
-      VectorView<const T>, VectorView<const T>, T);                          \
   template AxpydotResult<T> axpydot_host_layer<T>(                           \
       host::Context&, VectorView<const T>, VectorView<const T>,              \
       VectorView<const T>, T);                                               \
   template host::Event axpydot_composed_async<T>(                            \
       host::Context&, std::int64_t, const host::Buffer<T>&,                  \
       const host::Buffer<T>&, const host::Buffer<T>&, T, T*);                \
-  template host::Event axpydot_composed_async<T>(                            \
-      host::Context&, std::int64_t, const host::Buffer<T>&,                  \
-      const host::Buffer<T>&, const host::Buffer<T>&, T, T*,                 \
-      const verify::Options&);                                               \
   template T axpydot_cpu<T>(VectorView<const T>, VectorView<const T>,        \
                             VectorView<const T>, T);
 

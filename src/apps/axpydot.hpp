@@ -12,8 +12,6 @@
 #include "common/view.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -22,14 +20,6 @@ struct AxpydotResult {
   T beta = T(0);
   std::uint64_t cycles = 0;  ///< simulated cycles (cycle mode only)
 };
-
-/// Fully-streaming composition on a fresh graph.
-template <typename T>
-AxpydotResult<T> axpydot_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   VectorView<const T> w,
-                                   VectorView<const T> v,
-                                   VectorView<const T> u, T alpha);
 
 /// Host-layer baseline: COPY + AXPY + DOT through the Context queue.
 /// Returns the summed cycle count of the three launches.
@@ -52,13 +42,6 @@ host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
                                    const host::Buffer<T>& v,
                                    const host::Buffer<T>& u, T alpha,
                                    T* beta);
-/// Same, with a per-call verification override (scoped via ConfigGuard).
-template <typename T>
-host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
-                                   const host::Buffer<T>& w,
-                                   const host::Buffer<T>& v,
-                                   const host::Buffer<T>& u, T alpha, T* beta,
-                                   const verify::Options& vo);
 template <typename T>
 T axpydot_composed(host::Context& ctx, std::int64_t n,
                    const host::Buffer<T>& w, const host::Buffer<T>& v,

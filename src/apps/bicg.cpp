@@ -3,63 +3,8 @@
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level2.hpp"
-#include "sim/frequency_model.hpp"
-#include "stream/graph.hpp"
-#include "stream/streamers.hpp"
 
 namespace fblas::apps {
-
-template <typename T>
-BicgResult<T> bicg_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
-                             int width, std::int64_t tile,
-                             MatrixView<const T> A, VectorView<const T> p,
-                             VectorView<const T> r) {
-  const std::int64_t n = A.rows(), m = A.cols();
-  FBLAS_REQUIRE(p.size() == m && r.size() == n, "bicg: shape mismatch");
-  const core::GemvConfig cfg_n{Transpose::None,
-                               core::MatrixTiling::TilesByRows, width, tile,
-                               tile};
-  const core::GemvConfig cfg_t{Transpose::Trans,
-                               core::MatrixTiling::TilesByRows, width, tile,
-                               tile};
-  // Both modules consume A in the identical schedule, so one interface
-  // module reads A once and duplicates it on chip (Fig. 7).
-  FBLAS_REQUIRE(core::gemv_a_schedule(cfg_n) == core::gemv_a_schedule(cfg_t),
-                "bicg: the two GEMVs must share one tiling schedule");
-  stream::Graph g(mode);
-  const auto f = sim::composition_frequency(2, PrecisionTraits<T>::value, dev);
-  const double bpc = dev.bank_bandwidth_gbs * 1e9 / (f.mhz * 1e6);
-  auto& bank_a = g.bank("ddr0", bpc);
-  auto& bank_vec = g.bank("ddr1", bpc);
-  const std::size_t cap = static_cast<std::size_t>(std::max(64, 4 * width));
-  auto& ca = g.channel<T>("A", cap);
-  auto& ca1 = g.channel<T>("A_gemv", cap);
-  auto& ca2 = g.channel<T>("A_gemvT", cap);
-  auto& cp = g.channel<T>("p", cap);
-  auto& cr = g.channel<T>("r", cap);
-  auto& cq0 = g.channel<T>("q0", cap);
-  auto& cs0 = g.channel<T>("s0", cap);
-  auto& cq = g.channel<T>("q", cap);
-  auto& cs = g.channel<T>("s", cap);
-  BicgResult<T> result;
-  g.spawn("read_A", stream::read_matrix<T>(A, core::gemv_a_schedule(cfg_n), 1,
-                                           width, ca, &bank_a));
-  g.spawn("fanout_A", stream::fanout2<T>(n * m, width, ca, ca1, ca2));
-  g.spawn("read_p", stream::read_vector<T>(p, core::gemv_x_repeat(cfg_n, n, m),
-                                           width, cp, &bank_vec));
-  g.spawn("read_r", stream::read_vector<T>(r, core::gemv_x_repeat(cfg_t, n, m),
-                                           width, cr, &bank_vec));
-  // beta = 0: the y inputs are zero streams generated on chip.
-  g.spawn("zero_q", stream::generate<T>(n, T(0), width, cq0));
-  g.spawn("zero_s", stream::generate<T>(m, T(0), width, cs0));
-  g.spawn("gemv", core::gemv<T>(cfg_n, n, m, T(1), T(0), ca1, cp, cq0, cq));
-  g.spawn("gemv_T", core::gemv<T>(cfg_t, n, m, T(1), T(0), ca2, cr, cs0, cs));
-  g.spawn("collect_q", stream::collect<T>(n, cq, result.q));
-  g.spawn("collect_s", stream::collect<T>(m, cs, result.s));
-  g.run();
-  result.cycles = g.cycles();
-  return result;
-}
 
 template <typename T>
 BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
@@ -103,7 +48,7 @@ host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
   // A pure description. The two GEMVs consume A in the identical tiling
   // schedule, so the compiler reads A once and synthesizes the on-chip
   // fan-out (Fig. 7), plus the zero q0/s0 streams and the per-FIFO
-  // checksum taps the hand-wired path used to spell out.
+  // checksum taps.
   const host::RoutineConfig& rc = ctx.config();
   const core::GemvConfig cfg_n{Transpose::None,
                                core::MatrixTiling::TilesByRows, rc.width,
@@ -129,19 +74,6 @@ host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
   c.connect(g1, wq, mdag::StreamSig::vec(n));
   c.connect(g2, ws, mdag::StreamSig::vec(m));
   return ctx.run_composition_async(c);
-}
-
-template <typename T>
-host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& p,
-                                const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s,
-                                const verify::Options& vo) {
-  host::RoutineConfig rc = ctx.config();
-  rc.verification = vo;
-  host::ConfigGuard guard = ctx.with(rc);
-  return bicg_composed_async(ctx, n, m, a, p, r, q, s);
 }
 
 template <typename T>
@@ -180,9 +112,6 @@ mdag::Mdag bicg_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
 }
 
 #define FBLAS_APP_BICG_INSTANTIATE(T)                                        \
-  template BicgResult<T> bicg_streaming<T>(                                  \
-      const sim::DeviceSpec&, stream::Mode, int, std::int64_t,               \
-      MatrixView<const T>, VectorView<const T>, VectorView<const T>);        \
   template BicgResult<T> bicg_host_layer<T>(                                 \
       host::Context&, MatrixView<const T>, VectorView<const T>,              \
       VectorView<const T>);                                                  \
@@ -190,10 +119,6 @@ mdag::Mdag bicg_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
       host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
       const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,      \
       host::Buffer<T>&);                                                     \
-  template host::Event bicg_composed_async<T>(                               \
-      host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
-      const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,      \
-      host::Buffer<T>&, const verify::Options&);                             \
   template BicgResult<T> bicg_cpu<T>(MatrixView<const T>,                    \
                                      VectorView<const T>,                    \
                                      VectorView<const T>);

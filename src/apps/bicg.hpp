@@ -11,8 +11,6 @@
 #include "common/view.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -22,13 +20,6 @@ struct BicgResult {
   std::vector<T> s;  ///< A^T r (m elements)
   std::uint64_t cycles = 0;
 };
-
-/// Fully-streaming composition: one A reader feeding both GEMVs.
-template <typename T>
-BicgResult<T> bicg_streaming(const sim::DeviceSpec& dev, stream::Mode mode,
-                             int width, std::int64_t tile,
-                             MatrixView<const T> A, VectorView<const T> p,
-                             VectorView<const T> r);
 
 /// Host-layer baseline: two independent GEMV launches (A read twice).
 template <typename T>
@@ -48,13 +39,6 @@ host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
                                 const host::Buffer<T>& p,
                                 const host::Buffer<T>& r, host::Buffer<T>& q,
                                 host::Buffer<T>& s);
-/// Same, with a per-call verification override (scoped via ConfigGuard).
-template <typename T>
-host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& p,
-                                const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s, const verify::Options& vo);
 template <typename T>
 void bicg_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& p,

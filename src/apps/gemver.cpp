@@ -3,120 +3,8 @@
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level2.hpp"
-#include "sim/frequency_model.hpp"
-#include "stream/graph.hpp"
-#include "stream/streamers.hpp"
 
 namespace fblas::apps {
-
-template <typename T>
-GemverResult<T> gemver_streaming(const sim::DeviceSpec& dev,
-                                 stream::Mode mode, int width,
-                                 std::int64_t tile, T alpha, T beta,
-                                 MatrixView<const T> A,
-                                 VectorView<const T> u1,
-                                 VectorView<const T> v1,
-                                 VectorView<const T> u2,
-                                 VectorView<const T> v2,
-                                 VectorView<const T> y,
-                                 VectorView<const T> z) {
-  const std::int64_t n = A.rows();
-  FBLAS_REQUIRE(A.cols() == n, "gemver: A must be square");
-  const core::GerConfig gcfg{core::MatrixTiling::TilesByRows, width, tile,
-                             tile};
-  const core::GemvConfig tcfg{Transpose::Trans,
-                              core::MatrixTiling::TilesByRows, width, tile,
-                              tile};
-  const core::GemvConfig ncfg{Transpose::None,
-                              core::MatrixTiling::TilesByRows, width, tile,
-                              tile};
-  const auto f = sim::composition_frequency(3, PrecisionTraits<T>::value, dev);
-  const double bpc = dev.bank_bandwidth_gbs * 1e9 / (f.mhz * 1e6);
-  const auto sched = core::ger_a_schedule(gcfg);
-  GemverResult<T> result;
-  result.b.assign(static_cast<std::size_t>(n * n), T(0));
-  result.x.assign(static_cast<std::size_t>(n), T(0));
-  result.w.assign(static_cast<std::size_t>(n), T(0));
-  const std::size_t cap = static_cast<std::size_t>(std::max(64, 4 * width));
-
-  // ---- Component 1: B = A + u1 v1^T + u2 v2^T streamed through two GER
-  // modules; B fans out to DRAM and to the GEMV^T computing x.
-  {
-    stream::Graph g(mode);
-    auto& bank_a = g.bank("ddr0", bpc);
-    auto& bank_b = g.bank("ddr1", bpc);
-    auto& bank_vec = g.bank("ddr2", bpc);
-    auto& ca = g.channel<T>("A", cap);
-    auto& cb1 = g.channel<T>("B_partial", cap);
-    auto& cb = g.channel<T>("B", cap);
-    auto& cb_dram = g.channel<T>("B_to_dram", cap);
-    auto& cb_gemv = g.channel<T>("B_to_gemvT", cap);
-    auto& cu1 = g.channel<T>("u1", cap);
-    auto& cv1 = g.channel<T>("v1", cap);
-    auto& cu2 = g.channel<T>("u2", cap);
-    auto& cv2 = g.channel<T>("v2", cap);
-    auto& cy = g.channel<T>("y", cap);
-    auto& cz = g.channel<T>("z", cap);
-    auto& cx = g.channel<T>("x", cap);
-    g.spawn("read_A", stream::read_matrix<T>(A, sched, 1, width, ca, &bank_a));
-    g.spawn("read_u1", stream::read_vector<T>(
-                           u1, core::ger_x_repeat(gcfg, n, n), width, cu1,
-                           &bank_vec));
-    g.spawn("read_v1", stream::read_vector<T>(
-                           v1, core::ger_y_repeat(gcfg, n, n), width, cv1,
-                           &bank_vec));
-    g.spawn("read_u2", stream::read_vector<T>(
-                           u2, core::ger_x_repeat(gcfg, n, n), width, cu2,
-                           &bank_vec));
-    g.spawn("read_v2", stream::read_vector<T>(
-                           v2, core::ger_y_repeat(gcfg, n, n), width, cv2,
-                           &bank_vec));
-    g.spawn("ger1", core::ger<T>(gcfg, n, n, T(1), ca, cu1, cv1, cb1));
-    g.spawn("ger2", core::ger<T>(gcfg, n, n, T(1), cb1, cu2, cv2, cb));
-    g.spawn("fanout_B", stream::fanout2<T>(n * n, width, cb, cb_dram,
-                                           cb_gemv));
-    g.spawn("store_B",
-            stream::write_matrix<T>(MatrixView<T>(result.b.data(), n, n),
-                                    sched, width, cb_dram, &bank_b));
-    g.spawn("read_y", stream::read_vector<T>(y, 1, width, cy, &bank_vec));
-    g.spawn("read_z", stream::read_vector<T>(z, 1, width, cz, &bank_vec));
-    // x = beta * B^T y + z.
-    g.spawn("gemv_T",
-            core::gemv<T>(tcfg, n, n, beta, T(1), cb_gemv, cy, cz, cx));
-    g.spawn("store_x",
-            stream::write_vector<T>(VectorView<T>(result.x.data(), n), 1,
-                                    width, cx, &bank_vec));
-    g.run();
-    result.cycles += g.cycles();
-  }
-
-  // ---- Component 2: w = alpha B x, with B and x back from DRAM.
-  {
-    stream::Graph g(mode);
-    auto& bank_b = g.bank("ddr1", bpc);
-    auto& bank_vec = g.bank("ddr2", bpc);
-    auto& cb = g.channel<T>("B", cap);
-    auto& cx = g.channel<T>("x", cap);
-    auto& cw0 = g.channel<T>("w0", cap);
-    auto& cw = g.channel<T>("w", cap);
-    g.spawn("read_B",
-            stream::read_matrix<T>(
-                MatrixView<const T>(result.b.data(), n, n),
-                core::gemv_a_schedule(ncfg), 1, width, cb, &bank_b));
-    g.spawn("read_x", stream::read_vector<T>(
-                          VectorView<const T>(result.x.data(), n),
-                          core::gemv_x_repeat(ncfg, n, n), width, cx,
-                          &bank_vec));
-    g.spawn("zero_w", stream::generate<T>(n, T(0), width, cw0));
-    g.spawn("gemv", core::gemv<T>(ncfg, n, n, alpha, T(0), cb, cx, cw0, cw));
-    g.spawn("store_w",
-            stream::write_vector<T>(VectorView<T>(result.w.data(), n), 1,
-                                    width, cw, &bank_vec));
-    g.run();
-    result.cycles += g.cycles();
-  }
-  return result;
-}
 
 template <typename T>
 GemverResult<T> gemver_host_layer(host::Context& ctx, T alpha, T beta,
@@ -243,21 +131,6 @@ host::Event gemver_composed_async(
 }
 
 template <typename T>
-host::Event gemver_composed_async(
-    host::Context& ctx, std::int64_t n, T alpha, T beta,
-    const host::Buffer<T>& a, const host::Buffer<T>& u1,
-    const host::Buffer<T>& v1, const host::Buffer<T>& u2,
-    const host::Buffer<T>& v2, const host::Buffer<T>& y,
-    const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
-    host::Buffer<T>& w, const verify::Options& vo) {
-  host::RoutineConfig rc = ctx.config();
-  rc.verification = vo;
-  host::ConfigGuard guard = ctx.with(rc);
-  return gemver_composed_async(ctx, n, alpha, beta, a, u1, v1, u2, v2, y, z,
-                               b, x, w);
-}
-
-template <typename T>
 GemverResult<T> gemver_cpu(T alpha, T beta, MatrixView<const T> A,
                            VectorView<const T> u1, VectorView<const T> v1,
                            VectorView<const T> u2, VectorView<const T> v2,
@@ -314,11 +187,6 @@ mdag::Mdag gemver_mdag(std::int64_t n, std::int64_t tile) {
 }
 
 #define FBLAS_APP_GEMVER_INSTANTIATE(T)                                      \
-  template GemverResult<T> gemver_streaming<T>(                              \
-      const sim::DeviceSpec&, stream::Mode, int, std::int64_t, T, T,         \
-      MatrixView<const T>, VectorView<const T>, VectorView<const T>,         \
-      VectorView<const T>, VectorView<const T>, VectorView<const T>,         \
-      VectorView<const T>);                                                  \
   template GemverResult<T> gemver_host_layer<T>(                             \
       host::Context&, T, T, MatrixView<const T>, VectorView<const T>,        \
       VectorView<const T>, VectorView<const T>, VectorView<const T>,         \
@@ -329,12 +197,6 @@ mdag::Mdag gemver_mdag(std::int64_t n, std::int64_t tile) {
       const host::Buffer<T>&, const host::Buffer<T>&,                        \
       const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,     \
       host::Buffer<T>&, host::Buffer<T>&);                                   \
-  template host::Event gemver_composed_async<T>(                             \
-      host::Context&, std::int64_t, T, T, const host::Buffer<T>&,            \
-      const host::Buffer<T>&, const host::Buffer<T>&,                        \
-      const host::Buffer<T>&, const host::Buffer<T>&,                        \
-      const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,     \
-      host::Buffer<T>&, host::Buffer<T>&, const verify::Options&);           \
   template GemverResult<T> gemver_cpu<T>(                                    \
       T, T, MatrixView<const T>, VectorView<const T>, VectorView<const T>,   \
       VectorView<const T>, VectorView<const T>, VectorView<const T>,         \

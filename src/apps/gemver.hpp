@@ -13,8 +13,6 @@
 #include "common/view.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -25,23 +23,6 @@ struct GemverResult {
   std::vector<T> w;  ///< n
   std::uint64_t cycles = 0;  ///< sum over the two components
 };
-
-struct GemverInputs {
-  // All operands are length-n vectors except A (n x n), alpha and beta.
-};
-
-/// Two-component streaming schedule.
-template <typename T>
-GemverResult<T> gemver_streaming(const sim::DeviceSpec& dev,
-                                 stream::Mode mode, int width,
-                                 std::int64_t tile, T alpha, T beta,
-                                 MatrixView<const T> A,
-                                 VectorView<const T> u1,
-                                 VectorView<const T> v1,
-                                 VectorView<const T> u2,
-                                 VectorView<const T> v2,
-                                 VectorView<const T> y,
-                                 VectorView<const T> z);
 
 /// Host-layer baseline: COPY + GER + GER + GEMV^T + GEMV, one by one.
 template <typename T>
@@ -68,15 +49,6 @@ host::Event gemver_composed_async(
     const host::Buffer<T>& v2, const host::Buffer<T>& y,
     const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
     host::Buffer<T>& w);
-/// Same, with a per-call verification override.
-template <typename T>
-host::Event gemver_composed_async(
-    host::Context& ctx, std::int64_t n, T alpha, T beta,
-    const host::Buffer<T>& a, const host::Buffer<T>& u1,
-    const host::Buffer<T>& v1, const host::Buffer<T>& u2,
-    const host::Buffer<T>& v2, const host::Buffer<T>& y,
-    const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
-    host::Buffer<T>& w, const verify::Options& vo);
 template <typename T>
 void gemver_composed(host::Context& ctx, std::int64_t n, T alpha, T beta,
                      const host::Buffer<T>& a, const host::Buffer<T>& u1,

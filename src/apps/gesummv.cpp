@@ -1,71 +1,11 @@
 #include "apps/gesummv.hpp"
 
-#include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
-#include "sim/frequency_model.hpp"
-#include "stream/graph.hpp"
-#include "stream/streamers.hpp"
 
 namespace fblas::apps {
-
-template <typename T>
-GesummvResult<T> gesummv_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   std::int64_t tile, T alpha, T beta,
-                                   MatrixView<const T> A,
-                                   MatrixView<const T> B,
-                                   VectorView<const T> x) {
-  const std::int64_t n = A.rows(), m = A.cols();
-  FBLAS_REQUIRE(B.rows() == n && B.cols() == m && x.size() == m,
-                "gesummv: shape mismatch");
-  const core::GemvConfig cfg{Transpose::None,
-                             core::MatrixTiling::TilesByRows, width, tile,
-                             tile};
-  stream::Graph g(mode);
-  const auto f = sim::composition_frequency(2, PrecisionTraits<T>::value, dev);
-  const double bpc = dev.bank_bandwidth_gbs * 1e9 / (f.mhz * 1e6);
-  auto& bank_a = g.bank("ddr0", bpc);
-  auto& bank_b = g.bank("ddr1", bpc);
-  auto& bank_vec = g.bank("ddr2", bpc);
-  const std::size_t cap = static_cast<std::size_t>(std::max(64, 4 * width));
-  auto& ca = g.channel<T>("A", cap);
-  auto& cb = g.channel<T>("B", cap);
-  auto& cx = g.channel<T>("x", cap);
-  auto& cx1 = g.channel<T>("x_A", cap);
-  auto& cx2 = g.channel<T>("x_B", cap);
-  auto& cy0a = g.channel<T>("y0a", cap);
-  auto& cy0b = g.channel<T>("y0b", cap);
-  auto& cq = g.channel<T>("q", cap);
-  auto& cs = g.channel<T>("s", cap);
-  auto& cy = g.channel<T>("y", cap);
-  GesummvResult<T> result;
-  result.y.assign(static_cast<std::size_t>(n), T(0));
-  const std::int64_t x_repeat = core::gemv_x_repeat(cfg, n, m);
-  g.spawn("read_A", stream::read_matrix<T>(A, core::gemv_a_schedule(cfg), 1,
-                                           width, ca, &bank_a));
-  g.spawn("read_B", stream::read_matrix<T>(B, core::gemv_a_schedule(cfg), 1,
-                                           width, cb, &bank_b));
-  // x is read (and replayed) once from DRAM and broadcast on chip to both
-  // modules — the shared-interface pattern of Fig. 7.
-  g.spawn("read_x", stream::read_vector<T>(x, x_repeat, width, cx,
-                                           &bank_vec));
-  g.spawn("fanout_x", stream::fanout2<T>(m * x_repeat, width, cx, cx1, cx2));
-  g.spawn("zero_qa", stream::generate<T>(n, T(0), width, cy0a));
-  g.spawn("zero_qb", stream::generate<T>(n, T(0), width, cy0b));
-  g.spawn("gemv_A", core::gemv<T>(cfg, n, m, alpha, T(0), ca, cx1, cy0a, cq));
-  g.spawn("gemv_B", core::gemv<T>(cfg, n, m, beta, T(0), cb, cx2, cy0b, cs));
-  // On-chip fusion: y = q + s (AXPY with alpha = 1).
-  g.spawn("add", core::axpy<T>({width}, n, T(1), cq, cs, cy));
-  g.spawn("store_y", stream::write_vector<T>(
-                         VectorView<T>(result.y.data(), n), 1, width, cy,
-                         &bank_vec));
-  g.run();
-  result.cycles = g.cycles();
-  return result;
-}
 
 template <typename T>
 GesummvResult<T> gesummv_host_layer(host::Context& ctx, T alpha, T beta,
@@ -146,20 +86,6 @@ host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
 }
 
 template <typename T>
-host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
-                                   std::int64_t m, T alpha, T beta,
-                                   const host::Buffer<T>& a,
-                                   const host::Buffer<T>& b,
-                                   const host::Buffer<T>& x,
-                                   host::Buffer<T>& y,
-                                   const verify::Options& vo) {
-  host::RoutineConfig rc = ctx.config();
-  rc.verification = vo;
-  host::ConfigGuard guard = ctx.with(rc);
-  return gesummv_composed_async(ctx, n, m, alpha, beta, a, b, x, y);
-}
-
-template <typename T>
 std::vector<T> gesummv_cpu(T alpha, T beta, MatrixView<const T> A,
                            MatrixView<const T> B, VectorView<const T> x) {
   const std::int64_t n = A.rows();
@@ -195,9 +121,6 @@ mdag::Mdag gesummv_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
 }
 
 #define FBLAS_APP_GESUMMV_INSTANTIATE(T)                                     \
-  template GesummvResult<T> gesummv_streaming<T>(                            \
-      const sim::DeviceSpec&, stream::Mode, int, std::int64_t, T, T,         \
-      MatrixView<const T>, MatrixView<const T>, VectorView<const T>);        \
   template GesummvResult<T> gesummv_host_layer<T>(                           \
       host::Context&, T, T, MatrixView<const T>, MatrixView<const T>,        \
       VectorView<const T>);                                                  \
@@ -205,10 +128,6 @@ mdag::Mdag gesummv_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
       host::Context&, std::int64_t, std::int64_t, T, T,                      \
       const host::Buffer<T>&, const host::Buffer<T>&,                        \
       const host::Buffer<T>&, host::Buffer<T>&);                             \
-  template host::Event gesummv_composed_async<T>(                            \
-      host::Context&, std::int64_t, std::int64_t, T, T,                      \
-      const host::Buffer<T>&, const host::Buffer<T>&,                        \
-      const host::Buffer<T>&, host::Buffer<T>&, const verify::Options&);     \
   template std::vector<T> gesummv_cpu<T>(T, T, MatrixView<const T>,          \
                                          MatrixView<const T>,                \
                                          VectorView<const T>);

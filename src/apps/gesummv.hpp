@@ -22,8 +22,6 @@
 #include "common/view.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
-#include "sim/device.hpp"
-#include "stream/scheduler.hpp"
 
 namespace fblas::apps {
 
@@ -32,15 +30,6 @@ struct GesummvResult {
   std::vector<T> y;
   std::uint64_t cycles = 0;
 };
-
-/// Fully-streaming composition (two GEMVs + on-chip ADD).
-template <typename T>
-GesummvResult<T> gesummv_streaming(const sim::DeviceSpec& dev,
-                                   stream::Mode mode, int width,
-                                   std::int64_t tile, T alpha, T beta,
-                                   MatrixView<const T> A,
-                                   MatrixView<const T> B,
-                                   VectorView<const T> x);
 
 /// Host-layer baseline: GEMV, GEMV, AXPY through the Context.
 template <typename T>
@@ -61,15 +50,6 @@ host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
                                    const host::Buffer<T>& b,
                                    const host::Buffer<T>& x,
                                    host::Buffer<T>& y);
-/// Same, with a per-call verification override.
-template <typename T>
-host::Event gesummv_composed_async(host::Context& ctx, std::int64_t n,
-                                   std::int64_t m, T alpha, T beta,
-                                   const host::Buffer<T>& a,
-                                   const host::Buffer<T>& b,
-                                   const host::Buffer<T>& x,
-                                   host::Buffer<T>& y,
-                                   const verify::Options& vo);
 template <typename T>
 void gesummv_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                       T alpha, T beta, const host::Buffer<T>& a,

@@ -2,10 +2,11 @@
 // the in-grid ABFT path: when the captured verification Options enable
 // .in_grid(), the grid's own checksum rank detects / localizes /
 // corrects PE faults as each tile drains, and the command's verify_check
-// only has to inspect the engine's report — an uncorrectable (multi-
-// fault) tile rejects with VerificationError and falls onto the standard
-// rollback -> retry -> CPU-fallback ladder. Without .in_grid() the
-// command uses the same host-side Huang–Abraham checkers as gemm_async.
+// first inspects the engine's report — an uncorrectable (multi-fault)
+// tile rejects with VerificationError and falls onto the standard
+// rollback -> retry -> CPU-fallback ladder. In both modes the command
+// also runs the host-side Huang–Abraham checkers of gemm_async, which
+// audit the C write-back the grid never sees.
 //
 // PE-targeted fault injection: wrap_work draws FaultKind::PeFault per
 // attempt; this lowering derives the deterministic (tile, r, c, mac)
@@ -138,36 +139,37 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
     ref::gemm(Transpose::None, Transpose::None, T(1), a.cmat(m, k),
               b.cmat(k, n), T(0), c.mat(m, n));
   };
-  if (in_grid) {
-    // The checksum rank already checked every tile inside the engine;
-    // accept/reject on its report. An uncorrectable tile (multi-fault or
-    // inconsistent residuals) — or any localized fault left in place
-    // because correction is disabled — rejects like a host-side checksum
-    // mismatch would, feeding the rollback -> retry -> fallback ladder.
-    command.verify_check = [st] {
-      const systolic::AbftReport& report = st->report;
-      if (report.uncorrectable_tiles > 0) {
-        throw VerificationError("systolic in-grid ABFT: " +
-                                report.first_uncorrectable);
-      }
-      for (const systolic::LocalizedFault& f : report.faults) {
-        if (f.corrected) continue;
-        std::ostringstream os;
-        os << "systolic in-grid ABFT: tile (" << f.tile_row << ", "
-           << f.tile_col << "): fault localized to PE (" << f.r << ", "
-           << f.c << ") left uncorrected";
-        throw VerificationError(os.str());
-      }
-    };
-  } else if (cfg_.verification.enabled()) {
+  if (cfg_.verification.enabled()) {
+    // With .in_grid() the checksum rank already checked every tile inside
+    // the engine; an uncorrectable tile (multi-fault or inconsistent
+    // residuals) — or any localized fault left in place because
+    // correction is disabled — rejects like a host-side checksum mismatch
+    // would, feeding the rollback -> retry -> fallback ladder. The grid
+    // never sees C after it drains, so the host-side Huang–Abraham check
+    // still audits the write-back in both modes.
     auto chk = std::make_shared<verify::GemmCheck<T>>();
     command.verify_prepare = [chk, m, n, k, &a, &b, &c] {
       *chk = verify::gemm_prepare<T>(Transpose::None, Transpose::None, m, n,
                                      k, T(1), a.cmat(m, k), b.cmat(k, n),
                                      T(0), c.cmat(m, n));
     };
-    command.verify_check = [chk, m, n, &c,
+    command.verify_check = [st, in_grid, chk, m, n, &c,
                             scale = cfg_.verification.tolerance_scale()] {
+      if (in_grid) {
+        const systolic::AbftReport& report = st->report;
+        if (report.uncorrectable_tiles > 0) {
+          throw VerificationError("systolic in-grid ABFT: " +
+                                  report.first_uncorrectable);
+        }
+        for (const systolic::LocalizedFault& f : report.faults) {
+          if (f.corrected) continue;
+          std::ostringstream os;
+          os << "systolic in-grid ABFT: tile (" << f.tile_row << ", "
+             << f.tile_col << "): fault localized to PE (" << f.r << ", "
+             << f.c << ") left uncorrected";
+          throw VerificationError(os.str());
+        }
+      }
       verify::gemm_check<T>(*chk, c.cmat(m, n), scale);
     };
   }

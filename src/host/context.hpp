@@ -64,41 +64,6 @@ namespace fblas::host {
 
 /// Tunable non-functional parameters applied to subsequent calls.
 struct RoutineConfig {
-  // The constructors and the shim declarations below necessarily touch
-  // the deprecated members (their default member initializers bind the
-  // references); that is the shim mechanism itself, not legacy usage, so
-  // the diagnostic is silenced for this block only.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  RoutineConfig() = default;
-  // The deprecated legacy verification fields below are references into
-  // `verification`, so copying must copy the value members and let each
-  // object's shims rebind to its *own* Options (the default member
-  // initializers do exactly that when the references are left out of the
-  // mem-init list).
-  RoutineConfig(const RoutineConfig& o)
-      : width(o.width),
-        tile_rows(o.tile_rows),
-        tile_cols(o.tile_cols),
-        tiling(o.tiling),
-        pe_rows(o.pe_rows),
-        pe_cols(o.pe_cols),
-        gemm_tile_rows(o.gemm_tile_rows),
-        gemm_tile_cols(o.gemm_tile_cols),
-        verification(o.verification) {}
-  RoutineConfig& operator=(const RoutineConfig& o) {
-    width = o.width;
-    tile_rows = o.tile_rows;
-    tile_cols = o.tile_cols;
-    tiling = o.tiling;
-    pe_rows = o.pe_rows;
-    pe_cols = o.pe_cols;
-    gemm_tile_rows = o.gemm_tile_rows;
-    gemm_tile_cols = o.gemm_tile_cols;
-    verification = o.verification;
-    return *this;
-  }
-
   int width = 16;                   ///< vectorization width W
   std::int64_t tile_rows = 256;     ///< TN (Level 2)
   std::int64_t tile_cols = 256;     ///< TM (Level 2)
@@ -119,21 +84,6 @@ struct RoutineConfig {
   /// rollback, retry, CPU fallback — under the RetryPolicy. The same
   /// Options value configures composed app commands (apps/*_composed).
   verify::Options verification;
-
-  // Legacy spellings of the verification knobs, kept as deprecated
-  // reference shims into `verification` so existing code compiles
-  // unchanged and both spellings always agree.
-  [[deprecated("use RoutineConfig::verification.policy()")]]
-  verify::VerifyPolicy& verify = verification.policy_;
-  [[deprecated("use RoutineConfig::verification.sample_rate()")]]
-  double& verify_sample_rate = verification.sample_rate_;
-  [[deprecated("use RoutineConfig::verification.tolerance_scale()")]]
-  double& verify_tolerance_scale = verification.tolerance_scale_;
-  [[deprecated("use RoutineConfig::verification.seed()")]]
-  std::uint64_t& verify_seed = verification.seed_;
-  [[deprecated("use RoutineConfig::verification.trap_nonfinite()")]]
-  bool& trap_nonfinite = verification.trap_nonfinite_;
-#pragma GCC diagnostic pop
 
   /// Rejects nonsensical knobs (width <= 0, tile sizes <= 0, empty
   /// systolic grid, out-of-range verification rates) with a ConfigError

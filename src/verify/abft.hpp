@@ -24,7 +24,7 @@
 //    NaN/Inf, or the true magnitudes overflow the checksum) marks the
 //    checker `skip`: non-finite data is the taint channel's job
 //    (stream::Scheduler taint), not the checksum's.
-//  * `tol_scale` is RoutineConfig.verify_tolerance_scale; the acceptance
+//  * `tol_scale` is verify::Options::tolerance_scale(); the acceptance
 //    bound is rel_bound<T>(terms, tol_scale) * magnitude (see
 //    verify/policy.hpp).
 #pragma once

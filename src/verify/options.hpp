@@ -16,22 +16,11 @@
 // argument to true so `.trap_nonfinite()` reads naturally in a builder
 // chain; read those knobs through a *const* Options (or const reference)
 // so overload resolution picks the getter.
-//
-// The legacy RoutineConfig fields (`verify`, `verify_sample_rate`,
-// `verify_tolerance_scale`, `verify_seed`, `trap_nonfinite`) survive as
-// deprecated reference shims bound to this struct's storage, so code
-// written against the scattered knobs keeps compiling (with a
-// -Wdeprecated-declarations diagnostic) and stays in sync with the new
-// API.
 #pragma once
 
 #include <cstdint>
 
 #include "verify/policy.hpp"
-
-namespace fblas::host {
-struct RoutineConfig;  // befriended: binds the deprecated field shims
-}  // namespace fblas::host
 
 namespace fblas::verify {
 
@@ -161,10 +150,6 @@ class Options {
   friend bool operator==(const Options&, const Options&) = default;
 
  private:
-  // RoutineConfig's deprecated legacy fields are references into this
-  // storage, so writes through either spelling land in the same place.
-  friend struct fblas::host::RoutineConfig;
-
   VerifyPolicy policy_ = VerifyPolicy::Off;
   double sample_rate_ = 0.25;
   double tolerance_scale_ = 32.0;

@@ -53,7 +53,7 @@ inline bool sampled(std::uint64_t seed, std::uint64_t seq, double rate) {
 /// Relative acceptance bound for a checksum accumulated over `terms`
 /// products in precision T: scale * (terms + 8) * u, the standard
 /// gamma_n ~ n*u forward-error growth with a small constant floor and a
-/// user-tunable safety factor (RoutineConfig.verify_tolerance_scale).
+/// user-tunable safety factor (verify::Options::tolerance_scale).
 /// Checkers compare |got - predicted| against this bound times a
 /// magnitude checksum (the same sum over absolute values), so the test
 /// is relative to the data that actually flowed through the routine.

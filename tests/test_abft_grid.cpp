@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -311,6 +312,54 @@ TEST(AbftGrid, ConcurrentFaultedBatchAllCorrected) {
   EXPECT_EQ(stats.pe_faults_localized, static_cast<std::uint64_t>(batch));
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.degraded, 0u);
+}
+
+// --- The write-back the grid never sees -----------------------------------
+// In-grid ABFT checks every tile as it drains, but a silent fault on the
+// C write-back happens after the grid: the host-side checker must still
+// catch it, so no corrupted C completes Ok.
+
+void silent_write_back_caught(int workers) {
+  const std::int64_t m = 32, n = 32, k = 32;
+  const int commands = 20;
+  Workload wl(508);
+  const auto ha = wl.matrix<float>(m, k);
+  const auto hb = wl.matrix<float>(k, n);
+  const auto expect = gemm_ref<float>(m, n, k, ha, hb);
+
+  host::Device dev;
+  host::Context ctx(dev, stream::Mode::Functional, workers);
+  host::FaultConfig fc;
+  fc.seed = 19;
+  fc.silent_corrupt_rate = 0.5;
+  dev.inject_faults(fc);
+  ctx.set_retry_policy(fast_retry(3, true));
+  ctx.config().verification = verify::Options::always().in_grid();
+
+  host::Buffer<float> a(dev, m * k, 0), b(dev, k * n, 1);
+  a.write(ha);
+  b.write(hb);
+  std::vector<std::unique_ptr<host::Buffer<float>>> outs;
+  for (int i = 0; i < commands; ++i) {
+    outs.push_back(std::make_unique<host::Buffer<float>>(
+        dev, m * n, i % dev.bank_count()));
+    ctx.gemm_systolic_async<float>(m, n, k, a, b, *outs.back());
+  }
+  ctx.finish();
+  int wrong = 0;
+  for (const auto& c : outs) wrong += c->to_host() != expect ? 1 : 0;
+  EXPECT_EQ(wrong, 0);
+  const auto stats = ctx.exec_stats();
+  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_EQ(stats.sdc_caught, stats.faults_injected);
+}
+
+TEST(AbftGrid, SilentWriteBackCorruptionCaughtSerial) {
+  silent_write_back_caught(0);
+}
+
+TEST(AbftGrid, SilentWriteBackCorruptionCaughtWorkerPool) {
+  silent_write_back_caught(4);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include "apps/gemver.hpp"
 #include "common/error.hpp"
 #include "common/workload.hpp"
+#include "host/buffer.hpp"
+#include "host/context.hpp"
 #include "mdag/auto_partition.hpp"
 #include "mdag/io_volume.hpp"
 #include "mdag/validity.hpp"
@@ -146,24 +148,28 @@ TEST(AutoPlan, FirstOutputLagFormulas) {
 }
 
 TEST(AutoPlan, PlannedSizingActuallyRunsAtax) {
-  // End-to-end: feed the planner's channel depth into the real streaming
-  // composition and watch it complete.
+  // End-to-end: the compiled ATAX takes the planner's channel depth (plus
+  // fan-out slack) for its direct A channel and completes.
   const std::int64_t n = 40, m = 24, tile = 8;
   const auto g = apps::atax_mdag(n, m, tile);
   const auto sizings = required_channel_depths(g);
   ASSERT_EQ(sizings.size(), 1u);
+  ASSERT_EQ(derive_plan(g).components.size(), 1u);
   Workload wl(808);
   auto a = wl.matrix<float>(n, m);
   auto x = wl.vector<float>(m);
-  const auto got = apps::atax_streaming<float>(
-      sim::stratix10(), stream::Mode::Functional, 4, tile,
-      sizings[0].min_depth + 4 * 4,  // planner depth + fan-out slack
-      MatrixView<const float>(a.data(), n, m),
-      VectorView<const float>(x.data(), m));
+  host::Device dev;
+  host::Context ctx(dev);
+  ctx.config().width = 4;
+  ctx.config().tile_rows = ctx.config().tile_cols = tile;
+  host::Buffer<float> ba(dev, n * m, 0), bx(dev, m, 1), by(dev, m, 2);
+  ba.write(a);
+  bx.write(x);
+  apps::atax_composed<float>(ctx, n, m, ba, bx, by);
   const auto expect = apps::atax_cpu<float>(
       MatrixView<const float>(a.data(), n, m),
       VectorView<const float>(x.data(), m));
-  EXPECT_LT(rel_error(got.y, expect), 1e-3);
+  EXPECT_LT(rel_error(by.to_host(), expect), 1e-3);
 }
 
 }  // namespace

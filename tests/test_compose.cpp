@@ -1,12 +1,14 @@
 // The generic MDAG composition compiler, end to end: descriptions are
-// rejected at enqueue with the validity diagnostic, the compiled
-// AXPYDOT/ATAX/BICG pipelines are bit-identical to the hand-wired
-// streaming graphs they replaced, the new composed GEMVER/GESUMMV match
-// refblas (serially and on the worker pool), and in-flight corruption is
-// caught on every compiled composition (sdc_caught == faults_injected)
-// with the divergence localized to the injector's ground-truth channel.
+// rejected at enqueue with the validity diagnostic, every compiled app is
+// bit-identical to its host-layer baseline (and AXPYDOT/ATAX/BICG to
+// hand-wired stream graphs of the same modules), the composed
+// GEMVER/GESUMMV match refblas (serially and on the worker pool), and
+// in-flight corruption is caught on every compiled composition
+// (sdc_caught == faults_injected) with the divergence localized to the
+// injector's ground-truth channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -20,10 +22,13 @@
 #include "apps/gesummv.hpp"
 #include "common/error.hpp"
 #include "common/workload.hpp"
+#include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
 #include "host/buffer.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
+#include "stream/graph.hpp"
+#include "stream/streamers.hpp"
 #include "verify/options.hpp"
 
 namespace fblas {
@@ -101,9 +106,94 @@ TEST(ComposeCompiler, NonMultitreeRejectionSurfacesValidityDiagnostic) {
   EXPECT_NO_THROW(ctx.run_composition(c));
 }
 
-// --- Bit-identity with the hand-wired streaming graphs --------------------
+// --- Bit-identity with the host layer and hand-wired stream graphs --------
+
+TEST(ComposeCompiler, CompiledAppsBitIdenticalToHostLayer) {
+  // Each compiled *_composed command streams the same routine modules the
+  // host layer launches one by one, in the same summation order, so the
+  // outputs agree bit for bit — in both simulation modes.
+  const std::int64_t n = 40, m = 28, gn = 32;
+  Workload wl(42);
+  const auto hw = wl.vector<float>(n), hv = wl.vector<float>(n),
+             hu = wl.vector<float>(n);
+  const auto ha = wl.matrix<float>(n, m), hb = wl.matrix<float>(n, m);
+  const auto hxm = wl.vector<float>(m), hxn = wl.vector<float>(n);
+  const auto hg = wl.matrix<float>(gn, gn);
+  std::vector<std::vector<float>> hgv;
+  for (int i = 0; i < 6; ++i) hgv.push_back(wl.vector<float>(gn));
+  const float alpha = 0.37f, beta = -0.8f;
+  const auto vec = [](const std::vector<float>& v) {
+    return VectorView<const float>(v.data(),
+                                   static_cast<std::int64_t>(v.size()));
+  };
+  const MatrixView<const float> A(ha.data(), n, m), B(hb.data(), n, m),
+      G(hg.data(), gn, gn);
+
+  for (const auto mode : {stream::Mode::Functional, stream::Mode::Cycle}) {
+    SCOPED_TRACE(mode == stream::Mode::Cycle ? "cycle" : "functional");
+    host::Device dev;
+    host::Context ctx(dev, mode);
+    host::RoutineConfig rc;
+    rc.width = 4;
+    rc.tile_rows = rc.tile_cols = 8;
+    const host::ConfigGuard scoped = ctx.with(rc);
+    const auto upload = [&dev](const std::vector<float>& h, int bank) {
+      host::Buffer<float> buf(dev, static_cast<std::int64_t>(h.size()), bank);
+      buf.write(h);
+      return buf;
+    };
+
+    {  // AXPYDOT
+      const auto w = upload(hw, 0), v = upload(hv, 1), u = upload(hu, 2);
+      EXPECT_EQ(apps::axpydot_composed<float>(ctx, n, w, v, u, alpha),
+                apps::axpydot_host_layer<float>(ctx, vec(hw), vec(hv),
+                                                vec(hu), alpha)
+                    .beta);
+    }
+    {  // ATAX
+      const auto a = upload(ha, 0), x = upload(hxm, 1);
+      host::Buffer<float> y(dev, m, 2);
+      apps::atax_composed<float>(ctx, n, m, a, x, y);
+      EXPECT_EQ(y.to_host(), apps::atax_host_layer<float>(ctx, A, vec(hxm)).y);
+    }
+    {  // BICG
+      const auto a = upload(ha, 0), p = upload(hxm, 1), r = upload(hxn, 2);
+      host::Buffer<float> q(dev, n, 3), s(dev, m, 3);
+      apps::bicg_composed<float>(ctx, n, m, a, p, r, q, s);
+      const auto host =
+          apps::bicg_host_layer<float>(ctx, A, vec(hxm), vec(hxn));
+      EXPECT_EQ(q.to_host(), host.q);
+      EXPECT_EQ(s.to_host(), host.s);
+    }
+    {  // GESUMMV
+      const auto a = upload(ha, 0), b = upload(hb, 1), x = upload(hxm, 2);
+      host::Buffer<float> y(dev, n, 3);
+      apps::gesummv_composed<float>(ctx, n, m, alpha, beta, a, b, x, y);
+      EXPECT_EQ(y.to_host(), apps::gesummv_host_layer<float>(
+                                 ctx, alpha, beta, A, B, vec(hxm))
+                                 .y);
+    }
+    {  // GEMVER
+      const auto a = upload(hg, 0);
+      const auto u1 = upload(hgv[0], 1), v1 = upload(hgv[1], 2),
+                 u2 = upload(hgv[2], 3), v2 = upload(hgv[3], 1),
+                 y = upload(hgv[4], 2), z = upload(hgv[5], 3);
+      host::Buffer<float> b(dev, gn * gn, 1), x(dev, gn, 2), w(dev, gn, 3);
+      apps::gemver_composed<float>(ctx, gn, alpha, beta, a, u1, v1, u2, v2, y,
+                                   z, b, x, w);
+      const auto host = apps::gemver_host_layer<float>(
+          ctx, alpha, beta, G, vec(hgv[0]), vec(hgv[1]), vec(hgv[2]),
+          vec(hgv[3]), vec(hgv[4]), vec(hgv[5]));
+      EXPECT_EQ(b.to_host(), host.b);
+      EXPECT_EQ(x.to_host(), host.x);
+      EXPECT_EQ(w.to_host(), host.w);
+    }
+  }
+}
 
 TEST(ComposeCompiler, CompiledAxpydotBitIdenticalToHandWired) {
+  // The reference wires the AXPY -> DOT pipeline by hand: three readers,
+  // z = w - alpha v streamed straight into the DOT module.
   const std::int64_t n = 300;
   const float alpha = 0.37f;
   Workload wl(42);
@@ -119,12 +209,27 @@ TEST(ComposeCompiler, CompiledAxpydotBitIdenticalToHandWired) {
   u.write(hu);
   const float beta = apps::axpydot_composed<float>(ctx, n, w, v, u, alpha);
 
-  const auto hand = apps::axpydot_streaming<float>(
-      dev.spec(), stream::Mode::Functional, ctx.config().width,
-      VectorView<const float>(hw.data(), n),
-      VectorView<const float>(hv.data(), n),
-      VectorView<const float>(hu.data(), n), alpha);
-  EXPECT_EQ(beta, hand.beta);  // bit-identical, not just close
+  const int width = ctx.config().width;
+  stream::Graph g(stream::Mode::Functional);
+  const std::size_t cap = static_cast<std::size_t>(std::max(64, 2 * width));
+  auto& cw = g.channel<float>("w", cap);
+  auto& cv = g.channel<float>("v", cap);
+  auto& cu = g.channel<float>("u", cap);
+  auto& cz = g.channel<float>("z", cap);
+  auto& cres = g.channel<float>("beta", 2);
+  std::vector<float> hand;
+  g.spawn("read_w", stream::read_vector<float>(
+                        VectorView<const float>(hw.data(), n), 1, width, cw));
+  g.spawn("read_v", stream::read_vector<float>(
+                        VectorView<const float>(hv.data(), n), 1, width, cv));
+  g.spawn("read_u", stream::read_vector<float>(
+                        VectorView<const float>(hu.data(), n), 1, width, cu));
+  g.spawn("axpy", core::axpy<float>({width}, n, -alpha, cv, cw, cz));
+  g.spawn("dot", core::dot<float>({width}, n, cz, cu, cres));
+  g.spawn("collect", stream::collect<float>(1, cres, hand));
+  g.run();
+  ASSERT_EQ(hand.size(), 1u);
+  EXPECT_EQ(beta, hand[0]);  // bit-identical, not just close
 }
 
 TEST(ComposeCompiler, CompiledAtaxBitIdenticalToHandWired) {
@@ -151,6 +256,8 @@ TEST(ComposeCompiler, CompiledAtaxBitIdenticalToHandWired) {
 }
 
 TEST(ComposeCompiler, CompiledBicgBitIdenticalToHandWired) {
+  // The reference wires Fig. 7 by hand: A read once and duplicated on chip
+  // into both GEMVs, zero y streams generated on chip (beta = 0).
   const std::int64_t n = 36, m = 24;
   Workload wl(44);
   const auto ha = wl.matrix<float>(n, m);
@@ -169,13 +276,47 @@ TEST(ComposeCompiler, CompiledBicgBitIdenticalToHandWired) {
   apps::bicg_composed<float>(ctx, n, m, a, p, r, q, s);
 
   const auto& rc = ctx.config();
-  const auto hand = apps::bicg_streaming<float>(
-      dev.spec(), stream::Mode::Functional, rc.width, rc.tile_rows,
-      MatrixView<const float>(ha.data(), n, m),
-      VectorView<const float>(hp.data(), m),
-      VectorView<const float>(hr.data(), n));
-  EXPECT_EQ(q.to_host(), hand.q);
-  EXPECT_EQ(s.to_host(), hand.s);
+  const int width = rc.width;
+  const core::GemvConfig cfg_n{Transpose::None,
+                               core::MatrixTiling::TilesByRows, width,
+                               rc.tile_rows, rc.tile_rows};
+  const core::GemvConfig cfg_t{Transpose::Trans,
+                               core::MatrixTiling::TilesByRows, width,
+                               rc.tile_rows, rc.tile_rows};
+  ASSERT_EQ(core::gemv_a_schedule(cfg_n), core::gemv_a_schedule(cfg_t));
+  stream::Graph g(stream::Mode::Functional);
+  const std::size_t cap = static_cast<std::size_t>(std::max(64, 4 * width));
+  auto& ca = g.channel<float>("A", cap);
+  auto& ca1 = g.channel<float>("A_gemv", cap);
+  auto& ca2 = g.channel<float>("A_gemvT", cap);
+  auto& cp = g.channel<float>("p", cap);
+  auto& cr = g.channel<float>("r", cap);
+  auto& cq0 = g.channel<float>("q0", cap);
+  auto& cs0 = g.channel<float>("s0", cap);
+  auto& cq = g.channel<float>("q", cap);
+  auto& cs = g.channel<float>("s", cap);
+  std::vector<float> hand_q, hand_s;
+  g.spawn("read_A", stream::read_matrix<float>(
+                        MatrixView<const float>(ha.data(), n, m),
+                        core::gemv_a_schedule(cfg_n), 1, width, ca));
+  g.spawn("fanout_A", stream::fanout2<float>(n * m, width, ca, ca1, ca2));
+  g.spawn("read_p", stream::read_vector<float>(
+                        VectorView<const float>(hp.data(), m),
+                        core::gemv_x_repeat(cfg_n, n, m), width, cp));
+  g.spawn("read_r", stream::read_vector<float>(
+                        VectorView<const float>(hr.data(), n),
+                        core::gemv_x_repeat(cfg_t, n, m), width, cr));
+  g.spawn("zero_q", stream::generate<float>(n, 0.0f, width, cq0));
+  g.spawn("zero_s", stream::generate<float>(m, 0.0f, width, cs0));
+  g.spawn("gemv",
+          core::gemv<float>(cfg_n, n, m, 1.0f, 0.0f, ca1, cp, cq0, cq));
+  g.spawn("gemv_T",
+          core::gemv<float>(cfg_t, n, m, 1.0f, 0.0f, ca2, cr, cs0, cs));
+  g.spawn("collect_q", stream::collect<float>(n, cq, hand_q));
+  g.spawn("collect_s", stream::collect<float>(m, cs, hand_s));
+  g.run();
+  EXPECT_EQ(q.to_host(), hand_q);
+  EXPECT_EQ(s.to_host(), hand_s);
 }
 
 // --- Composed GEMVER / GESUMMV against refblas ---------------------------

@@ -24,7 +24,7 @@ TileSchedule tiles_by_rows(std::int64_t t = 64) {
 
 // ---- AXPYDOT (Fig. 6) -------------------------------------------------
 
-Mdag build_axpydot_streaming() {
+Mdag build_axpydot() {
   Mdag g;
   const int rv = g.add_interface("read_v");
   const int rw = g.add_interface("read_w");
@@ -41,7 +41,7 @@ Mdag build_axpydot_streaming() {
 }
 
 TEST(Axpydot, StreamingIsValidMultitree) {
-  const auto g = build_axpydot_streaming();
+  const auto g = build_axpydot();
   EXPECT_TRUE(validate_edges(g).empty());
   EXPECT_TRUE(is_multitree(g));
   const auto v = validate(g);
@@ -50,12 +50,12 @@ TEST(Axpydot, StreamingIsValidMultitree) {
 }
 
 TEST(Axpydot, StreamingIoIs3NPlus1) {
-  const auto g = build_axpydot_streaming();
+  const auto g = build_axpydot();
   EXPECT_EQ(total_io_ops(g), 3 * N + 1);
 }
 
 TEST(Axpydot, StreamingCyclesAreOnePassPlusLatencies) {
-  const auto g = build_axpydot_streaming();
+  const auto g = build_axpydot();
   // L_axpy + L_dot + N (W = 1).
   EXPECT_DOUBLE_EQ(streaming_cycles(g, 1), 12 + 30 + N);
   // Sequential host-layer execution: each module pays its own pass.
@@ -146,7 +146,7 @@ TEST(Bicg, MismatchedSchedulesAreInvalidEdges) {
 
 // ---- ATAX (Fig. 8) ----------------------------------------------------
 
-Mdag build_atax_streaming() {
+Mdag build_atax() {
   Mdag g;
   const int ra = g.add_interface("read_A");
   const int rx = g.add_interface("read_x");
@@ -163,7 +163,7 @@ Mdag build_atax_streaming() {
 }
 
 TEST(Atax, FullStreamingIsInvalidNonMultitree) {
-  const auto g = build_atax_streaming();
+  const auto g = build_atax();
   EXPECT_FALSE(is_multitree(g));
   // Two vertex-disjoint paths from read_A to gemv_T.
   EXPECT_EQ(vertex_disjoint_paths(g, 0, 4), 2);
@@ -177,7 +177,7 @@ TEST(Atax, FullStreamingIsInvalidNonMultitree) {
 
 TEST(Atax, SplitIntoComponentsIsValid) {
   // The paper's fallback (b): let the two GEMVs read A independently.
-  const auto g = build_atax_streaming();
+  const auto g = build_atax();
   // Partition: {read_A, read_x, gemv} then {gemv_T, write_y} with the cut
   // edges (A -> gemv_T, gemv -> gemv_T) round-tripping DRAM.
   std::vector<Component> parts{{{0, 1, 3}}, {{4, 2}}};
@@ -191,7 +191,7 @@ TEST(Atax, SplitIntoComponentsIsValid) {
 }
 
 TEST(Atax, PathCounting) {
-  const auto g = build_atax_streaming();
+  const auto g = build_atax();
   EXPECT_EQ(count_paths(g, 0, 4), 2);  // read_A to gemv_T
   EXPECT_EQ(count_paths(g, 0, 2), 2);  // both continue to write_y
   EXPECT_EQ(count_paths(g, 1, 2), 1);  // read_x has a single path

@@ -75,47 +75,6 @@ TEST(VerifyOptions, BuilderRoundTripAndValidation) {
                ConfigError);
 }
 
-TEST(VerifyOptions, DeprecatedShimsAliasUnifiedStorage) {
-  host::RoutineConfig rc;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // Writes through the legacy spellings land in the unified Options...
-  rc.verify = verify::VerifyPolicy::Always;
-  rc.verify_sample_rate = 0.75;
-  rc.verify_tolerance_scale = 4.0;
-  rc.verify_seed = 99;
-  rc.trap_nonfinite = true;
-  const verify::Options& ro = rc.verification;
-  EXPECT_EQ(ro.policy(), verify::VerifyPolicy::Always);
-  EXPECT_DOUBLE_EQ(ro.sample_rate(), 0.75);
-  EXPECT_DOUBLE_EQ(ro.tolerance_scale(), 4.0);
-  EXPECT_EQ(ro.seed(), 99u);
-  EXPECT_TRUE(ro.trap_nonfinite());
-
-  // ...and writes through the new API are visible via the old fields.
-  rc.verification.sample_rate(0.125);
-  EXPECT_DOUBLE_EQ(rc.verify_sample_rate, 0.125);
-
-  // Copies rebind the shims: each RoutineConfig's legacy references alias
-  // its *own* verification storage, never the source's.
-  host::RoutineConfig copy = rc;
-  copy.verify = verify::VerifyPolicy::Off;
-  copy.verify_tolerance_scale = 64.0;
-  EXPECT_EQ(rc.verification.policy(), verify::VerifyPolicy::Always);
-  EXPECT_DOUBLE_EQ(rc.verification.tolerance_scale(), 4.0);
-  EXPECT_EQ(copy.verification.policy(), verify::VerifyPolicy::Off);
-  EXPECT_DOUBLE_EQ(copy.verification.tolerance_scale(), 64.0);
-
-  // Assignment copies the values, and the shims keep following the
-  // assigned-to object's own storage afterwards.
-  rc = copy;
-  EXPECT_EQ(rc.verification.policy(), verify::VerifyPolicy::Off);
-  rc.verify = verify::VerifyPolicy::Sampled;
-  EXPECT_EQ(rc.verification.policy(), verify::VerifyPolicy::Sampled);
-  EXPECT_EQ(copy.verification.policy(), verify::VerifyPolicy::Off);
-#pragma GCC diagnostic pop
-}
-
 // --- Checksum-propagation rules (mdag/checksum) ---------------------------
 
 TEST(VerifyChecksum, GemvPullbackPredictsDownstreamChecksum) {
@@ -1042,8 +1001,9 @@ TEST(VerifyComposed, CleanCompositionsMatchCpuReferences) {
 }
 
 TEST(VerifyComposed, PerCallOptionsOverrideOnlyThatCommand) {
-  // The verify::Options overload scopes its override to the one enqueue:
-  // the context's own (Off) policy is untouched before and after.
+  // A ConfigGuard scopes the override to the one enqueue (knobs are
+  // captured there): the context's own (Off) policy is untouched before
+  // and after.
   const std::int64_t n = 12, m = 8;
   Workload wl(97);
   host::Device dev;
@@ -1054,9 +1014,12 @@ TEST(VerifyComposed, PerCallOptionsOverrideOnlyThatCommand) {
   a.write(wl.matrix<double>(n, m));
   x.write(wl.vector<double>(m));
   y.write(std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  apps::atax_composed_async<double>(ctx, n, m, a, x, y,
-                                    verify::Options::always())
-      .wait();
+  {
+    host::RoutineConfig rc = ctx.config();
+    rc.verification = verify::Options::always();
+    const host::ConfigGuard scoped = ctx.with(rc);
+    apps::atax_composed_async<double>(ctx, n, m, a, x, y).wait();
+  }
   EXPECT_FALSE(ctx.config().verification.enabled());  // guard restored
   EXPECT_EQ(ctx.exec_stats().verified, 1u);
 
