@@ -33,9 +33,9 @@ AxpydotResult<T> axpydot_host_layer(host::Context& ctx,
 /// chip (z never materializes) and the result lands in `*beta`. The
 /// command gets the executor's fault-tolerance ladder and — when the
 /// captured verify::Options enable it — per-edge checksum verification
-/// (verify::GraphChecker): the z edge is predicted by the AXPY linearity
-/// rule, the beta edge by recomputing the bilinear DOT in double over the
-/// host operands. All vectors have length n.
+/// (verify::GraphChecker): the z and beta edges are predicted by
+/// replaying AXPY and DOT in double over the host operands. All vectors
+/// have length n.
 template <typename T>
 host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,
                                    const host::Buffer<T>& w,

@@ -9,7 +9,9 @@
 // ladder: retries roll the write set back, verification compares every
 // FIFO of every component against host-side predictions (localizing a
 // divergence to the first corrupted edge), and the CPU fallback replays
-// the MDAG node by node over refblas.
+// the MDAG node by node over refblas. The predictions are that same
+// replay run in double: one interpreter of the node semantics, two
+// precisions.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,7 +32,6 @@
 #include "host/composition.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
-#include "mdag/checksum.hpp"
 #include "mdag/compile.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
@@ -70,7 +72,7 @@ struct ComposedState {
   std::vector<verify::GraphChecker> chk;
   /// Buffer-writer audits: node -> predicted checksum of the material-
   /// ized output (catches corruption past the last FIFO tap).
-  std::vector<std::pair<int, mdag::EdgeChecksum>> audits;
+  std::vector<std::pair<int, verify::EdgeChecksum>> audits;
 };
 
 /// The trsv dimension: rows of the solve, read off the output stream.
@@ -79,16 +81,16 @@ std::int64_t trsv_dim(const mdag::Mdag& g, const mdag::Compiled& cp, int u) {
   return per_pass(g.edge(outs[0]).produced);
 }
 
-/// True when edge `e` feeds the b port (port 1) of a TRSV node, whose
-/// stream must arrive in solve order rather than natural order.
-bool is_trsv_b(const mdag::Mdag& g, const mdag::Compiled& cp, int e) {
+/// The TRSV node whose b port (port 1) edge `e` feeds, or -1. That stream
+/// must arrive in solve order rather than natural order.
+int trsv_b_consumer(const mdag::Mdag& g, const mdag::Compiled& cp, int e) {
   const mdag::Edge& edge = g.edge(e);
   const mdag::Node& to = g.node(edge.to);
   if (to.type != mdag::NodeType::Compute || to.kind != RoutineKind::Trsv) {
-    return false;
+    return -1;
   }
   const auto ins = cp.in_edges(g, edge.to);
-  return ins.size() == 2 && ins[1] == e;
+  return ins.size() == 2 && ins[1] == e ? edge.to : -1;
 }
 
 /// Out-edges of `u` that stream in u's own component (everything except
@@ -143,6 +145,53 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     }
     return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
   };
+  const auto in_channel = [&](int e) -> stream::Channel<T>& {
+    if (cp.edge_cut[static_cast<std::size_t>(e)]) {
+      return chan(st.readback_name.at(e));
+    }
+    return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
+  };
+
+  // DRAM <-> FIFO movers, shared by interface nodes and cut edges. A
+  // vector feeding (or produced by) TRSV node `trsv` >= 0 moves in solve
+  // order instead of natural order.
+  const auto spawn_read = [&](const std::string& name, const Buffer<T>& buf,
+                              const mdag::StreamSig& sig, int trsv,
+                              stream::Channel<T>& dst) {
+    stream::DramBank* bank = banks.at(buf.bank());
+    if (sig.is_matrix) {
+      sg.spawn(name, stream::read_matrix<T>(buf.cmat(sig.rows, sig.cols),
+                                            sig.sched, sig.repeat, width, dst,
+                                            bank));
+    } else if (trsv >= 0) {
+      FBLAS_REQUIRE(sig.repeat == 1,
+                    "composition: a TRSV b stream cannot be replayed");
+      sg.spawn(name, detail::read_vector_solve_order<T>(
+                         buf.cvec(per_pass(sig)),
+                         op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
+                         width, dst, bank));
+    } else {
+      sg.spawn(name, stream::read_vector<T>(buf.cvec(per_pass(sig)),
+                                            sig.repeat, width, dst, bank));
+    }
+  };
+  const auto spawn_write = [&](const std::string& name, Buffer<T>& buf,
+                               const mdag::StreamSig& sig, int trsv,
+                               stream::Channel<T>& src) {
+    stream::DramBank* bank = banks.at(buf.bank());
+    if (sig.is_matrix) {
+      sg.spawn(name, stream::write_matrix<T>(buf.mat(sig.rows, sig.cols),
+                                             sig.sched, width, src, bank));
+    } else if (trsv >= 0) {
+      sg.spawn(name, detail::write_vector_solve_order<T>(
+                         buf.vec(per_pass(sig)),
+                         op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
+                         width, src, bank));
+    } else {
+      sg.spawn(name, stream::write_vector<T>(buf.vec(per_pass(sig)),
+                                             sig.repeat, width, src, bank));
+    }
+  };
 
   // Scalar collect targets must outlive run_graph.
   std::vector<std::unique_ptr<std::vector<T>>> held;
@@ -157,26 +206,9 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     // Consumer side of cut in-edges: re-read the materialized stream.
     for (int e : ins) {
       if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-      const mdag::StreamSig& sig = g.edge(e).consumed;
-      const Buffer<T>* src = cut_source(st, e);
-      stream::DramBank* bank = banks.at(src->bank());
       const std::string& name = st.readback_name.at(e);
-      if (sig.is_matrix) {
-        sg.spawn(name,
-                 stream::read_matrix<T>(src->cmat(sig.rows, sig.cols),
-                                        sig.sched, sig.repeat, width,
-                                        chan(name), bank));
-      } else if (is_trsv_b(g, cp, e)) {
-        FBLAS_REQUIRE(sig.repeat == 1,
-                      "composition: a TRSV b stream cannot be replayed");
-        sg.spawn(name, detail::read_vector_solve_order<T>(
-                           src->cvec(per_pass(sig)), op_uplo_of(s), width,
-                           chan(name), bank));
-      } else {
-        sg.spawn(name,
-                 stream::read_vector<T>(src->cvec(per_pass(sig)), sig.repeat,
-                                        width, chan(name), bank));
-      }
+      spawn_read(name, *cut_source(st, e), g.edge(e).consumed,
+                 trsv_b_consumer(g, cp, e), chan(name));
     }
 
     if (cp.has_zero(u)) {
@@ -191,73 +223,38 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
       if (br.empty()) continue;
       stream::Channel<T>& dst =
           cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
-      const mdag::StreamSig& sig = g.edge(br[0]).produced;
       const Buffer<T>& buf = *st.comp.binding(u).in;
-      stream::DramBank* bank = banks.at(buf.bank());
       if (s.triangular) {
         const std::int64_t n = trsv_dim(g, cp, g.edge(br[0]).to);
         sg.spawn(node.name,
                  core::read_triangular<T>(buf.cmat(n, n), op_uplo_of(s), width,
-                                          dst, bank, s.trans));
-      } else if (sig.is_matrix) {
-        sg.spawn(node.name,
-                 stream::read_matrix<T>(buf.cmat(sig.rows, sig.cols), sig.sched,
-                                        sig.repeat, width, dst, bank));
-      } else if (br.size() == 1 && is_trsv_b(g, cp, br[0])) {
-        FBLAS_REQUIRE(sig.repeat == 1,
-                      "composition: a TRSV b stream cannot be replayed");
-        sg.spawn(node.name,
-                 detail::read_vector_solve_order<T>(
-                     buf.cvec(per_pass(sig)),
-                     op_uplo_of(sem[static_cast<std::size_t>(g.edge(br[0]).to)]),
-                     width, dst, bank));
+                                          dst, banks.at(buf.bank()), s.trans));
       } else {
-        sg.spawn(node.name,
-                 stream::read_vector<T>(buf.cvec(per_pass(sig)), sig.repeat,
-                                        width, dst, bank));
+        spawn_read(node.name, buf, g.edge(br[0]).produced,
+                   br.size() == 1 ? trsv_b_consumer(g, cp, br[0]) : -1, dst);
       }
     } else if (node.type == mdag::NodeType::Interface) {
       // Writer: drain the in-stream into its binding.
       const int e = ins[0];
       const mdag::StreamSig& sig = g.edge(e).consumed;
-      stream::Channel<T>& src =
-          cp.edge_cut[static_cast<std::size_t>(e)]
-              ? chan(st.readback_name.at(e))
-              : chan(cp.edge_channel[static_cast<std::size_t>(e)]);
       const auto& b = st.comp.binding(u);
       if (b.scalar != nullptr) {
         held.emplace_back(new std::vector<T>());
         scalars.emplace_back(b.scalar, held.back().get());
-        sg.spawn(node.name, stream::collect<T>(sig.count, src, *held.back()));
+        sg.spawn(node.name,
+                 stream::collect<T>(sig.count, in_channel(e), *held.back()));
       } else {
-        Buffer<T>& buf = *b.out;
-        stream::DramBank* bank = banks.at(buf.bank());
-        const mdag::Node& prod = g.node(g.edge(e).from);
-        if (sig.is_matrix) {
-          sg.spawn(node.name,
-                   stream::write_matrix<T>(buf.mat(sig.rows, sig.cols),
-                                           sig.sched, width, src, bank));
-        } else if (prod.type == mdag::NodeType::Compute &&
-                   prod.kind == RoutineKind::Trsv) {
-          sg.spawn(node.name,
-                   detail::write_vector_solve_order<T>(
-                       buf.vec(per_pass(sig)),
-                       op_uplo_of(sem[static_cast<std::size_t>(g.edge(e).from)]),
-                       width, src, bank));
-        } else {
-          sg.spawn(node.name,
-                   stream::write_vector<T>(buf.vec(per_pass(sig)), sig.repeat,
-                                           width, src, bank));
-        }
+        const int from = g.edge(e).from;
+        const mdag::Node& prod = g.node(from);
+        const bool from_trsv = prod.type == mdag::NodeType::Compute &&
+                               prod.kind == RoutineKind::Trsv;
+        spawn_write(node.name, *b.out, sig, from_trsv ? from : -1,
+                    in_channel(e));
       }
     } else {
       // Compute node.
       std::vector<stream::Channel<T>*> in_ch;
-      for (int e : ins) {
-        in_ch.push_back(cp.edge_cut[static_cast<std::size_t>(e)]
-                            ? &chan(st.readback_name.at(e))
-                            : &chan(cp.edge_channel[static_cast<std::size_t>(e)]));
-      }
+      for (int e : ins) in_ch.push_back(&in_channel(e));
       stream::Channel<T>& dst =
           cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
       const std::int64_t out_n = per_pass(g.edge(br[0]).produced);
@@ -330,25 +327,16 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
                                   branch_channel(br[1])));
     }
 
-    // Producer side of scratch cuts: materialize the spill stream.
+    // Producer side of scratch cuts: materialize the spill stream in
+    // stream order (the readback replays it the same way).
     for (int e : cp.out_edges(g, u)) {
       if (!cp.edge_cut[static_cast<std::size_t>(e)] ||
           cp.cut_of(e).writer >= 0) {
         continue;
       }
-      const mdag::StreamSig& sig = g.edge(e).produced;
-      Buffer<T>& scr = *st.scratch[st.scratch_of.at(e)];
-      stream::DramBank* bank = banks.at(scr.bank());
       const std::string& name = st.spill_name.at(e);
-      if (sig.is_matrix) {
-        sg.spawn(name + ".w",
-                 stream::write_matrix<T>(scr.mat(sig.rows, sig.cols), sig.sched,
-                                         width, chan(name), bank));
-      } else {
-        sg.spawn(name + ".w",
-                 stream::write_vector<T>(scr.vec(per_pass(sig)), sig.repeat,
-                                         width, chan(name), bank));
-      }
+      spawn_write(name + ".w", *st.scratch[st.scratch_of.at(e)],
+                  g.edge(e).produced, -1, chan(name));
     }
   }
 
@@ -360,320 +348,227 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
   for (const auto& [dst, vals] : scalars) *dst = vals->at(0);
 }
 
-// ---- CPU fallback: topological replay over refblas -----------------------
+// ---- Host replay: the CPU fallback and the checksum predictions ----------
 
-template <typename T>
-void run_fallback(ComposedState<T>& st) {
+/// Every edge's per-pass values after a topological replay of the MDAG
+/// over refblas in precision U, with the accumulation length behind each
+/// edge (what a checksum bound over that edge grows with). Matrices are
+/// in row-major storage order.
+template <typename U>
+struct Replay {
+  std::vector<std::vector<U>> vals;
+  std::vector<std::int64_t> terms;
+};
+
+/// `a` in precision U: the view itself when U is T, otherwise a widened
+/// copy held in `store`.
+template <typename U, typename T>
+MatrixView<const U> in_precision(MatrixView<const T> a,
+                                 std::vector<U>& store) {
+  if constexpr (std::is_same_v<U, T>) {
+    return a;
+  } else {
+    store.clear();
+    for (std::int64_t i = 0; i < a.rows(); ++i) {
+      for (std::int64_t j = 0; j < a.cols(); ++j) {
+        store.push_back(static_cast<U>(a(i, j)));
+      }
+    }
+    return MatrixView<const U>(store.data(), a.rows(), a.cols());
+  }
+}
+
+/// One pass of what reader `u` streams on out-edge `e`: the bound operand
+/// in storage order, or op(A)'s triangle for a TRSV A reader.
+template <typename U, typename T>
+std::vector<U> read_pass(const ComposedState<T>& st, int u, int e) {
+  const mdag::Mdag& g = st.comp.graph();
+  const mdag::NodeSemantics& s =
+      st.comp.semantics()[static_cast<std::size_t>(u)];
+  const Buffer<T>& buf = *st.comp.binding(u).in;
+  std::vector<U> v;
+  if (s.triangular) {
+    const std::int64_t n = trsv_dim(g, st.cp, g.edge(e).to);
+    const auto a = buf.cmat(n, n);
+    const Uplo tri = op_uplo_of(s);
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        if (tri == Uplo::Lower ? j > i : j < i) continue;
+        v.push_back(static_cast<U>(s.trans == Transpose::None ? a(i, j)
+                                                              : a(j, i)));
+      }
+    }
+    return v;
+  }
+  const mdag::StreamSig& sig = g.edge(e).produced;
+  const std::int64_t n = sig.is_matrix ? sig.rows * sig.cols : per_pass(sig);
+  const auto view = buf.cvec(n);
+  v.resize(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = static_cast<U>(view[i]);
+  }
+  return v;
+}
+
+template <typename U, typename T>
+Replay<U> replay(const ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const mdag::Compiled& cp = st.cp;
   const auto& sem = st.comp.semantics();
-  std::vector<std::vector<T>> val(g.edges().size());
+  Replay<U> r;
+  r.vals.resize(g.edges().size());
+  r.terms.resize(g.edges().size());
 
   for (int u : g.topo_order()) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
     const auto ins = cp.in_edges(g, u);
     const auto outs = cp.out_edges(g, u);
-    if (node.type == mdag::NodeType::Interface && !s.is_output) {
-      if (s.triangular) continue;  // the TRSV rule reads the binding
-      const Buffer<T>& buf = *st.comp.binding(u).in;
+    if (node.type == mdag::NodeType::Interface) {
+      if (s.is_output) continue;  // writers only consume
       for (int e : outs) {
-        const mdag::StreamSig& sig = g.edge(e).produced;
-        const std::int64_t n =
-            sig.is_matrix ? sig.rows * sig.cols : per_pass(sig);
-        const auto view = buf.cvec(n);
-        auto& v = val[static_cast<std::size_t>(e)];
-        v.resize(static_cast<std::size_t>(n));
-        for (std::int64_t i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = view[i];
+        auto& v = r.vals[static_cast<std::size_t>(e)];
+        v = read_pass<U>(st, u, e);
+        r.terms[static_cast<std::size_t>(e)] =
+            static_cast<std::int64_t>(v.size());
       }
-    } else if (node.type == mdag::NodeType::Interface) {
-      const auto& b = st.comp.binding(u);
-      const auto& v = val[static_cast<std::size_t>(ins[0])];
-      if (b.scalar != nullptr) {
-        *b.scalar = v.at(0);
-      } else {
-        auto view = b.out->vec(static_cast<std::int64_t>(v.size()));
-        for (std::size_t i = 0; i < v.size(); ++i) {
-          view[static_cast<std::int64_t>(i)] = v[i];
+      continue;
+    }
+
+    const auto in = [&](std::size_t port) -> const std::vector<U>& {
+      return r.vals[static_cast<std::size_t>(ins[port])];
+    };
+    const auto in_terms = [&](std::size_t port) {
+      return r.terms[static_cast<std::size_t>(ins[port])];
+    };
+    const auto vec = [](const std::vector<U>& v) {
+      return VectorView<const U>(v.data(), static_cast<std::int64_t>(v.size()));
+    };
+    const U alpha = static_cast<U>(st.comp.alpha_of(u));
+    std::vector<U> out;
+    std::int64_t terms = 0;
+    switch (node.kind) {
+      case RoutineKind::Gemv: {
+        const mdag::StreamSig& a = g.edge(ins[0]).consumed;
+        const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
+        const std::int64_t in_n = s.trans == Transpose::None ? a.cols : a.rows;
+        if (ins.size() == 3) {
+          out = in(2);
+        } else {
+          out.assign(static_cast<std::size_t>(on), U(0));
         }
+        const U beta =
+            cp.has_zero(u) ? U(0) : static_cast<U>(st.comp.beta_of(u));
+        ref::gemv<U>(s.trans, alpha,
+                     MatrixView<const U>(in(0).data(), a.rows, a.cols),
+                     VectorView<const U>(in(1).data(), in_n), beta,
+                     VectorView<U>(out.data(), on));
+        terms = a.rows * a.cols + in_terms(0) + in_terms(1) +
+                (ins.size() == 3 ? in_terms(2) : on);
+        break;
       }
+      case RoutineKind::Ger: {
+        const mdag::StreamSig& a = g.edge(ins[0]).consumed;
+        out = in(0);
+        ref::ger<U>(alpha, VectorView<const U>(in(1).data(), a.rows),
+                    VectorView<const U>(in(2).data(), a.cols),
+                    MatrixView<U>(out.data(), a.rows, a.cols));
+        terms = in_terms(0) + in_terms(1) * in_terms(2);
+        break;
+      }
+      case RoutineKind::Trsv: {
+        // The solve reads the bound matrix; the A edge only carries the
+        // triangle's checksum.
+        const std::int64_t n = trsv_dim(g, cp, u);
+        const Buffer<T>& a = *st.comp.binding(g.edge(ins[0]).from).in;
+        std::vector<U> wide;
+        out = in(1);
+        ref::trsv<U>(s.uplo, s.trans, s.diag,
+                     in_precision<U>(a.cmat(n, n), wide), VectorView<U>(out));
+        terms = n * n + in_terms(1);
+        break;
+      }
+      case RoutineKind::Axpy:
+        out = in(1);
+        ref::axpy<U>(alpha, vec(in(0)), VectorView<U>(out));
+        terms = in_terms(0) + in_terms(1);
+        break;
+      case RoutineKind::Scal:
+        out = in(0);
+        ref::scal<U>(alpha, VectorView<U>(out));
+        terms = in_terms(0);
+        break;
+      case RoutineKind::Dot:
+        out = {ref::dot<U>(vec(in(0)), vec(in(1)))};
+        terms = in_terms(0) + in_terms(1) +
+                static_cast<std::int64_t>(in(0).size());
+        break;
+      default:
+        throw ConfigError("composition: no host replay for node '" +
+                          node.name + "'");
+    }
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      const auto e = static_cast<std::size_t>(outs[i]);
+      r.terms[e] = terms;
+      r.vals[e] = i + 1 == outs.size() ? std::move(out) : out;
+    }
+  }
+  return r;
+}
+
+/// The CPU fallback: the replay in T, written back to every writer.
+template <typename T>
+void run_fallback(ComposedState<T>& st) {
+  const mdag::Mdag& g = st.comp.graph();
+  const Replay<T> r = replay<T>(st);
+  for (int u = 0; u < g.node_count(); ++u) {
+    if (g.node(u).type != mdag::NodeType::Interface ||
+        !st.comp.semantics()[static_cast<std::size_t>(u)].is_output) {
+      continue;
+    }
+    const auto& b = st.comp.binding(u);
+    const auto& v = r.vals[static_cast<std::size_t>(st.cp.in_edges(g, u)[0])];
+    if (b.scalar != nullptr) {
+      *b.scalar = v.at(0);
     } else {
-      std::vector<T> out;
-      switch (node.kind) {
-        case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
-          const std::int64_t in_n = s.trans == Transpose::None ? a.cols : a.rows;
-          if (ins.size() == 3) {
-            out = val[static_cast<std::size_t>(ins[2])];
-          } else {
-            out.assign(static_cast<std::size_t>(on), T(0));
-          }
-          const T beta = cp.has_zero(u) ? T(0) : st.comp.beta_of(u);
-          ref::gemv<T>(s.trans, st.comp.alpha_of(u),
-                       MatrixView<const T>(
-                           val[static_cast<std::size_t>(ins[0])].data(), a.rows,
-                           a.cols),
-                       VectorView<const T>(
-                           val[static_cast<std::size_t>(ins[1])].data(), in_n),
-                       beta, VectorView<T>(out.data(), on));
-          break;
-        }
-        case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          out = val[static_cast<std::size_t>(ins[0])];
-          ref::ger<T>(st.comp.alpha_of(u),
-                      VectorView<const T>(
-                          val[static_cast<std::size_t>(ins[1])].data(), a.rows),
-                      VectorView<const T>(
-                          val[static_cast<std::size_t>(ins[2])].data(), a.cols),
-                      MatrixView<T>(out.data(), a.rows, a.cols));
-          break;
-        }
-        case RoutineKind::Trsv: {
-          const std::int64_t n = trsv_dim(g, cp, u);
-          const Buffer<T>& a = *st.comp.binding(g.edge(ins[0]).from).in;
-          out = val[static_cast<std::size_t>(ins[1])];
-          ref::trsv<T>(s.uplo, s.trans, s.diag, a.cmat(n, n),
-                       VectorView<T>(out.data(), n));
-          break;
-        }
-        case RoutineKind::Axpy: {
-          out = val[static_cast<std::size_t>(ins[1])];
-          ref::axpy<T>(st.comp.alpha_of(u),
-                       VectorView<const T>(
-                           val[static_cast<std::size_t>(ins[0])].data(),
-                           static_cast<std::int64_t>(out.size())),
-                       VectorView<T>(out.data(),
-                                     static_cast<std::int64_t>(out.size())));
-          break;
-        }
-        case RoutineKind::Scal: {
-          out = val[static_cast<std::size_t>(ins[0])];
-          ref::scal<T>(st.comp.alpha_of(u),
-                       VectorView<T>(out.data(),
-                                     static_cast<std::int64_t>(out.size())));
-          break;
-        }
-        case RoutineKind::Dot: {
-          const auto& x = val[static_cast<std::size_t>(ins[0])];
-          const auto& y = val[static_cast<std::size_t>(ins[1])];
-          out = {ref::dot<T>(
-              VectorView<const T>(x.data(), static_cast<std::int64_t>(x.size())),
-              VectorView<const T>(y.data(),
-                                  static_cast<std::int64_t>(y.size())))};
-          break;
-        }
-        default:
-          throw ConfigError("composition: no fallback for node '" + node.name +
-                            "'");
-      }
-      for (std::size_t i = 0; i < outs.size(); ++i) {
-        val[static_cast<std::size_t>(outs[i])] =
-            i + 1 == outs.size() ? std::move(out) : out;
-      }
+      std::copy(v.begin(), v.end(),
+                b.out->vec(static_cast<std::int64_t>(v.size())).data());
     }
   }
 }
 
-// ---- Checksum predictions ------------------------------------------------
-
-/// Per-pass stream values of one edge, evaluated in double over the host
-/// operands (matrices in row-major storage order).
-struct Flow {
-  std::vector<double> vals;
-  double sum = 0.0;
-  double asum = 0.0;
-  std::int64_t terms = 0;
-
-  void finalize() {
-    sum = asum = 0.0;
-    for (double v : vals) {
-      sum += v;
-      asum += std::abs(v);
-    }
-  }
-};
-
-mdag::EdgeChecksum scaled(const Flow& f, std::int64_t repeat) {
-  const double r = static_cast<double>(std::max<std::int64_t>(1, repeat));
-  return {f.sum * r, f.asum * r,
-          f.terms * std::max<std::int64_t>(1, repeat)};
-}
-
+/// The checksum predictions: the replay in double, summed per edge. A
+/// channel carrying `repeat` passes of an edge sees `repeat` copies.
 template <typename T>
 void prepare_predictions(ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const mdag::Compiled& cp = st.cp;
-  const auto& sem = st.comp.semantics();
   const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
-  std::vector<Flow> flow(g.edges().size());
+  const Replay<double> r = replay<double>(st);
+
+  std::vector<verify::EdgeChecksum> pass(g.edges().size());
+  for (std::size_t e = 0; e < pass.size(); ++e) {
+    for (double v : r.vals[e]) {
+      pass[e].pred += v;
+      pass[e].mag += std::abs(v);
+    }
+    pass[e].terms = r.terms[e];
+  }
+  const auto scaled = [&](int e, std::int64_t repeat) {
+    const verify::EdgeChecksum& p = pass[static_cast<std::size_t>(e)];
+    const std::int64_t k = std::max<std::int64_t>(1, repeat);
+    return verify::EdgeChecksum{p.pred * static_cast<double>(k),
+                                p.mag * static_cast<double>(k), p.terms * k};
+  };
+
+  // A writer's buffer holds one pass of its in-edge, however often the
+  // stream replays it.
   st.audits.clear();
-
-  for (int u : g.topo_order()) {
-    const mdag::Node& node = g.node(u);
-    const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
-    const auto ins = cp.in_edges(g, u);
-    const auto outs = cp.out_edges(g, u);
-    const auto in_flow = [&](std::size_t port) -> const Flow& {
-      return flow[static_cast<std::size_t>(ins[port])];
-    };
-
-    if (node.type == mdag::NodeType::Interface && !s.is_output) {
-      const Buffer<T>& buf = *st.comp.binding(u).in;
-      for (int e : outs) {
-        Flow& f = flow[static_cast<std::size_t>(e)];
-        if (s.triangular) {
-          const std::int64_t n = trsv_dim(g, cp, g.edge(e).to);
-          const auto a = buf.cmat(n, n);
-          const Uplo tri = op_uplo_of(s);
-          for (std::int64_t i = 0; i < n; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-              if (tri == Uplo::Lower ? j > i : j < i) continue;
-              f.vals.push_back(static_cast<double>(
-                  s.trans == Transpose::None ? a(i, j) : a(j, i)));
-            }
-          }
-        } else {
-          const mdag::StreamSig& sig = g.edge(e).produced;
-          const std::int64_t n =
-              sig.is_matrix ? sig.rows * sig.cols : per_pass(sig);
-          const auto view = buf.cvec(n);
-          f.vals.resize(static_cast<std::size_t>(n));
-          for (std::int64_t i = 0; i < n; ++i) {
-            f.vals[static_cast<std::size_t>(i)] = static_cast<double>(view[i]);
-          }
-        }
-        f.terms = static_cast<std::int64_t>(f.vals.size());
-        f.finalize();
-      }
-    } else if (node.type == mdag::NodeType::Interface) {
-      if (st.comp.binding(u).out != nullptr) {
-        st.audits.emplace_back(
-            u, scaled(in_flow(0), g.edge(ins[0]).consumed.repeat));
-      }
-    } else {
-      Flow out;
-      switch (node.kind) {
-        case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const std::int64_t on = s.trans == Transpose::None ? a.rows : a.cols;
-          const std::int64_t in_n = s.trans == Transpose::None ? a.cols : a.rows;
-          const Flow& af = in_flow(0);
-          const Flow& xf = in_flow(1);
-          const double beta = cp.has_zero(u) ? 0.0 : s.beta;
-          out.vals.resize(static_cast<std::size_t>(on));
-          for (std::int64_t i = 0; i < on; ++i) {
-            double acc = 0.0;
-            for (std::int64_t j = 0; j < in_n; ++j) {
-              const double av =
-                  s.trans == Transpose::None
-                      ? af.vals[static_cast<std::size_t>(i * a.cols + j)]
-                      : af.vals[static_cast<std::size_t>(j * a.cols + i)];
-              acc += av * xf.vals[static_cast<std::size_t>(j)];
-            }
-            double y0 = 0.0;
-            if (ins.size() == 3) y0 = in_flow(2).vals[static_cast<std::size_t>(i)];
-            out.vals[static_cast<std::size_t>(i)] = s.alpha * acc + beta * y0;
-          }
-          out.terms = a.rows * a.cols + af.terms + xf.terms +
-                      (ins.size() == 3 ? in_flow(2).terms : on);
-          break;
-        }
-        case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
-          const Flow& af = in_flow(0);
-          const Flow& xf = in_flow(1);
-          const Flow& yf = in_flow(2);
-          out.vals.resize(static_cast<std::size_t>(a.rows * a.cols));
-          for (std::int64_t i = 0; i < a.rows; ++i) {
-            for (std::int64_t j = 0; j < a.cols; ++j) {
-              out.vals[static_cast<std::size_t>(i * a.cols + j)] =
-                  af.vals[static_cast<std::size_t>(i * a.cols + j)] +
-                  s.alpha * xf.vals[static_cast<std::size_t>(i)] *
-                      yf.vals[static_cast<std::size_t>(j)];
-            }
-          }
-          out.terms = af.terms + xf.terms * yf.terms;
-          break;
-        }
-        case RoutineKind::Trsv: {
-          // Re-solve in double: the mdag::trsv_propagate rule, with the
-          // b checksum folded into the bound.
-          const std::int64_t n = trsv_dim(g, cp, u);
-          const Buffer<T>& abuf = *st.comp.binding(g.edge(ins[0]).from).in;
-          const auto a = abuf.cmat(n, n);
-          const Flow& bf = in_flow(1);
-          const auto op = [&](std::int64_t i, std::int64_t j) {
-            return static_cast<double>(s.trans == Transpose::None ? a(i, j)
-                                                                  : a(j, i));
-          };
-          const Uplo tri = op_uplo_of(s);
-          out.vals.assign(static_cast<std::size_t>(n), 0.0);
-          for (std::int64_t k = 0; k < n; ++k) {
-            const std::int64_t i = tri == Uplo::Lower ? k : n - 1 - k;
-            const std::int64_t j0 = tri == Uplo::Lower ? 0 : i + 1;
-            const std::int64_t j1 = tri == Uplo::Lower ? i : n;
-            double acc = bf.vals[static_cast<std::size_t>(i)];
-            for (std::int64_t j = j0; j < j1; ++j) {
-              acc -= op(i, j) * out.vals[static_cast<std::size_t>(j)];
-            }
-            out.vals[static_cast<std::size_t>(i)] =
-                s.diag == Diag::Unit ? acc : acc / op(i, i);
-          }
-          out.terms = n * n + bf.terms;
-          out.finalize();
-          // When b is a materialized operand, the satellite rule predicts
-          // the same checksum straight from the bindings — use it.
-          const mdag::Node& bprod = g.node(g.edge(ins[1]).from);
-          if (bprod.type == mdag::NodeType::Interface) {
-            const Buffer<T>& bbuf = *st.comp.binding(g.edge(ins[1]).from).in;
-            const mdag::EdgeChecksum pc = mdag::trsv_propagate<T>(
-                s.uplo, s.trans, s.diag, abuf.cmat(n, n), bbuf.cvec(n));
-            out.sum = pc.pred;
-            out.asum = pc.mag;
-            out.terms = pc.terms + bf.terms;
-          }
-          for (int e : outs) flow[static_cast<std::size_t>(e)] = out;
-          continue;  // finalized above; skip the generic epilogue
-        }
-        case RoutineKind::Axpy: {
-          const Flow& xf = in_flow(0);
-          const Flow& yf = in_flow(1);
-          out.vals.resize(xf.vals.size());
-          for (std::size_t i = 0; i < out.vals.size(); ++i) {
-            out.vals[i] = s.alpha * xf.vals[i] + yf.vals[i];
-          }
-          out.terms = xf.terms + yf.terms;
-          break;
-        }
-        case RoutineKind::Scal: {
-          const Flow& xf = in_flow(0);
-          out.vals.resize(xf.vals.size());
-          for (std::size_t i = 0; i < out.vals.size(); ++i) {
-            out.vals[i] = s.alpha * xf.vals[i];
-          }
-          out.terms = xf.terms;
-          break;
-        }
-        case RoutineKind::Dot: {
-          const Flow& xf = in_flow(0);
-          const Flow& yf = in_flow(1);
-          double acc = 0.0;
-          for (std::size_t i = 0; i < xf.vals.size(); ++i) {
-            acc += xf.vals[i] * yf.vals[i];
-          }
-          out.vals = {acc};
-          out.terms = xf.terms + yf.terms +
-                      static_cast<std::int64_t>(xf.vals.size());
-          break;
-        }
-        default:
-          throw ConfigError("composition: no checksum rule for node '" +
-                            node.name + "'");
-      }
-      out.finalize();
-      for (int e : outs) flow[static_cast<std::size_t>(e)] = out;
+  for (int u = 0; u < g.node_count(); ++u) {
+    if (g.node(u).type == mdag::NodeType::Interface &&
+        st.comp.binding(u).out != nullptr) {
+      st.audits.emplace_back(
+          u, pass[static_cast<std::size_t>(cp.in_edges(g, u)[0])]);
     }
   }
 
@@ -683,26 +578,22 @@ void prepare_predictions(ComposedState<T>& st) {
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
     st.chk[c].reset(st.comp.name());
     for (const CompiledChannel& cc : cp.channels[c]) {
-      mdag::EdgeChecksum pred;
+      verify::EdgeChecksum pred;
       switch (cc.role) {
         case CompiledChannel::Role::Edge:
         case CompiledChannel::Role::Spill:
-          pred = scaled(flow[static_cast<std::size_t>(cc.id)],
-                        g.edge(cc.id).produced.repeat);
+          pred = scaled(cc.id, g.edge(cc.id).produced.repeat);
           break;
         case CompiledChannel::Role::Readback:
-          pred = scaled(flow[static_cast<std::size_t>(cc.id)],
-                        g.edge(cc.id).consumed.repeat);
+          pred = scaled(cc.id, g.edge(cc.id).consumed.repeat);
           break;
         case CompiledChannel::Role::Trunk: {
           const int e0 = stream_branches(g, cp, cc.id)[0];
-          pred = scaled(flow[static_cast<std::size_t>(e0)],
-                        g.edge(e0).produced.repeat);
+          pred = scaled(e0, g.edge(e0).produced.repeat);
           break;
         }
         case CompiledChannel::Role::Zero:
-          pred = mdag::zero_checksum(
-              cp.zero_count[cp.zero_index(cc.id)]);
+          pred = {0.0, 0.0, cp.zero_count[cp.zero_index(cc.id)]};
           break;
       }
       st.chk[c].expect(cc.name, pred, eps);
@@ -727,6 +618,7 @@ void check_results(const ComposedState<T>& st, double scale) {
 }
 
 }  // namespace
+
 
 // ---- Enqueue -------------------------------------------------------------
 
@@ -826,21 +718,8 @@ Event Context::run_composition_async(const Composition<T>& comp) {
   return enqueue(std::move(command));
 }
 
-template <typename T>
-Event Context::run_composition_async(const Composition<T>& comp,
-                                     const verify::Options& vo) {
-  RoutineConfig rc = config();
-  rc.verification = vo;
-  ConfigGuard guard = with(rc);
-  return run_composition_async(comp);
-}
-
 template Event Context::run_composition_async<float>(const Composition<float>&);
 template Event Context::run_composition_async<double>(
     const Composition<double>&);
-template Event Context::run_composition_async<float>(
-    const Composition<float>&, const verify::Options&);
-template Event Context::run_composition_async<double>(
-    const Composition<double>&, const verify::Options&);
 
 }  // namespace fblas::host

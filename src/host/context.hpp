@@ -534,15 +534,6 @@ class Context {
   void run_composition(const Composition<T>& comp) {
     run_composition_async(comp).wait();
   }
-  /// Per-call verification override, scoped to this one enqueue.
-  template <typename T>
-  Event run_composition_async(const Composition<T>& comp,
-                              const verify::Options& vo);
-  template <typename T>
-  void run_composition(const Composition<T>& comp,
-                       const verify::Options& vo) {
-    run_composition_async(comp, vo).wait();
-  }
 
   // --- Specialized matrix routines ---------------------------------------
   // Implemented in terms of the generic routines, as the paper prescribes

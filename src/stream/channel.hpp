@@ -59,14 +59,10 @@ class ChannelBase {
   // --- checksum tap (streaming ABFT) ------------------------------------
   /// Arms a running checksum over every floating-point value pushed into
   /// this channel: sum, magnitude (sum of absolute values) and element
-  /// count. With `weights` set, the k-th pushed value is weighted by
-  /// weights[k % weights.size()] — the Huang–Abraham weighted checksum a
-  /// GEMV propagation rule calls for. The weights vector must outlive
-  /// the run (verify::GraphChecker owns it). Costs nothing unless armed.
-  void arm_tap(const std::vector<double>* weights = nullptr) {
+  /// count — what verify::GraphChecker compares against the host replay's
+  /// prediction for the edge. Costs nothing unless armed.
+  void arm_tap() {
     tap_armed_ = true;
-    tap_weights_ =
-        (weights != nullptr && !weights->empty()) ? weights : nullptr;
     tap_sum_ = tap_mag_ = 0.0;
     tap_count_ = 0;
   }
@@ -79,14 +75,8 @@ class ChannelBase {
   void on_push();
   void on_pop();
   void tap_accumulate(double value) {
-    double w = 1.0;
-    if (tap_weights_ != nullptr) {
-      w = (*tap_weights_)[static_cast<std::size_t>(
-          tap_count_ % tap_weights_->size())];
-    }
-    const double d = w * value;
-    tap_sum_ += d;
-    tap_mag_ += d < 0 ? -d : d;
+    tap_sum_ += value;
+    tap_mag_ += value < 0 ? -value : value;
     ++tap_count_;
   }
 
@@ -103,7 +93,6 @@ class ChannelBase {
   double tap_sum_ = 0.0;
   double tap_mag_ = 0.0;
   std::uint64_t tap_count_ = 0;
-  const std::vector<double>* tap_weights_ = nullptr;
 
   template <typename T>
   friend struct PopAwaiter;

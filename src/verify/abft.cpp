@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "verify/graph_checker.hpp"
 
 namespace fblas::verify {
 namespace {
@@ -127,7 +128,7 @@ void check_sum(const ScalarCheck& chk, const char* routine,
 }
 
 template <typename T>
-void check_output(const mdag::EdgeChecksum& pred, const char* composition,
+void check_output(const EdgeChecksum& pred, const char* composition,
                   VectorView<const T> out, double tol_scale) {
   const ScalarCheck chk{pred.pred, pred.mag, pred.terms, false};
   check_sum<T>(chk, composition, out, tol_scale);
@@ -770,7 +771,7 @@ void iamax_check(VectorView<const T> x, std::int64_t result) {
                                  MatrixView<const T>, double);               \
   template void check_sum<T>(const ScalarCheck&, const char*,                \
                              VectorView<const T>, double);                   \
-  template void check_output<T>(const mdag::EdgeChecksum&, const char*,      \
+  template void check_output<T>(const EdgeChecksum&, const char*,            \
                                 VectorView<const T>, double);
 
 FBLAS_VERIFY_INSTANTIATE(float)

@@ -34,10 +34,11 @@
 
 #include "common/types.hpp"
 #include "common/view.hpp"
-#include "mdag/checksum.hpp"
 #include "verify/policy.hpp"
 
 namespace fblas::verify {
+
+struct EdgeChecksum;  // verify/graph_checker.hpp
 
 // --- Checker state -------------------------------------------------------
 
@@ -195,7 +196,7 @@ void check_sum(const ScalarCheck& chk, const char* routine,
 /// to repeat; the composition compiler's output stage calls it for every
 /// buffer-bound interface writer.
 template <typename T>
-void check_output(const mdag::EdgeChecksum& pred, const char* composition,
+void check_output(const EdgeChecksum& pred, const char* composition,
                   VectorView<const T> out, double tol_scale);
 
 }  // namespace fblas::verify

@@ -25,13 +25,11 @@ void GraphChecker::reset(std::string name) {
   edges_.clear();
 }
 
-void GraphChecker::expect(std::string channel, mdag::EdgeChecksum pred,
-                          double eps, std::vector<double> weights) {
+void GraphChecker::expect(std::string channel, EdgeChecksum pred, double eps) {
   Edge e;
   e.channel = std::move(channel);
   e.pred = pred;
   e.eps = eps;
-  e.weights = std::move(weights);
   edges_.push_back(std::move(e));
 }
 
@@ -40,7 +38,7 @@ void GraphChecker::arm(stream::Graph& g) {
     stream::ChannelBase* ch = find_channel(g, e.channel);
     FBLAS_REQUIRE(ch != nullptr, "GraphChecker: composition '" + name_ +
                                      "' has no channel '" + e.channel + "'");
-    ch->arm_tap(e.weights.empty() ? nullptr : &e.weights);
+    ch->arm_tap();
   }
 }
 

@@ -1,11 +1,12 @@
 // End-to-end checksum verification of a streaming composition.
 //
-// A GraphChecker pairs per-edge *predictions* (computed by the
-// mdag/checksum propagation rules as a few host passes over the
-// composition's materialized DRAM inputs) with per-edge *observations*
-// (the channel taps armed on the graph's channels). No intermediate
-// stream is ever stored for the checker: the taps accumulate in flight
-// and the predictions never need the intermediates' values.
+// A GraphChecker pairs per-edge *predictions* with per-edge
+// *observations* (the channel taps armed on the graph's channels). The
+// composition interpreter predicts every edge by replaying the module DAG
+// forward over the DRAM inputs in double precision — the same node-by-node
+// replay its CPU fallback runs in the stream precision — and summing each
+// edge's values. Nothing the device streams is stored for the checker:
+// the taps accumulate in flight.
 //
 // Lifecycle, matching the executor's two-phase verification hooks (the
 // streaming graph is rebuilt inside the command body on every attempt and
@@ -17,7 +18,7 @@
 //   work body        if (chk->active()) chk->arm(graph);
 //                    graph.run();
 //                    if (chk->active()) chk->capture(graph);
-//   verify_check     chk->check<T>(tol_scale)
+//   verify_check     chk->check(tol_scale)
 //                    -- throws VerificationError naming the composition
 //                       and the FIRST divergent edge in declaration
 //                       (topological) order, so a mismatch is localized
@@ -29,11 +30,19 @@
 #include <string>
 #include <vector>
 
-#include "mdag/checksum.hpp"
 #include "stream/graph.hpp"
 #include "verify/policy.hpp"
 
 namespace fblas::verify {
+
+/// Predicted checksum of one edge: the sum of the values that cross it,
+/// the matching magnitude sum (what the error bound is relative to) and
+/// the accumulation length the bound grows with.
+struct EdgeChecksum {
+  double pred = 0.0;
+  double mag = 0.0;
+  std::int64_t terms = 0;
+};
 
 class GraphChecker {
  public:
@@ -47,10 +56,8 @@ class GraphChecker {
   /// checksum. Declare edges in topological order: check() reports the
   /// first divergent one. `eps` is the unit roundoff of the stream's
   /// element type (std::numeric_limits<T>::epsilon()), which the
-  /// acceptance bound grows from. Optional `weights` switch the edge's
-  /// tap (and its prediction) to a weighted checksum.
-  void expect(std::string channel, mdag::EdgeChecksum pred, double eps,
-              std::vector<double> weights = {});
+  /// acceptance bound grows from.
+  void expect(std::string channel, EdgeChecksum pred, double eps);
 
   /// Arms a checksum tap on every expected channel of `g`. Unknown
   /// channel names are a caller bug and throw ConfigError.
@@ -71,9 +78,8 @@ class GraphChecker {
  private:
   struct Edge {
     std::string channel;
-    mdag::EdgeChecksum pred;
+    EdgeChecksum pred;
     double eps = 0.0;
-    std::vector<double> weights;
     bool captured = false;
     double got = 0.0;
     double got_mag = 0.0;

@@ -5,7 +5,8 @@
 // GEMVER/GESUMMV match refblas (serially and on the worker pool), and
 // in-flight corruption is caught on every compiled composition
 // (sdc_caught == faults_injected) with the divergence localized to the
-// injector's ground-truth channel.
+// injector's ground-truth channel. The CPU fallback is bit-identical to
+// refblas on every compiled node kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "apps/atax.hpp"
@@ -27,6 +29,8 @@
 #include "host/buffer.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
+#include "refblas/level1.hpp"
+#include "refblas/level2.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 #include "verify/options.hpp"
@@ -560,6 +564,180 @@ TEST(ComposeFaults, PersistentCorruptionDegradesToSynthesizedCpuFallback) {
       MatrixView<const float>(hb.data(), n, m),
       VectorView<const float>(hx.data(), m));
   EXPECT_EQ(y.to_host(), ref);  // fallback IS refblas, bit for bit
+}
+
+// Every launch fails, so every command degrades to the host replay in T;
+// it must be refblas bit for bit on each compiled node kind.
+template <typename T>
+void forced_fallback_matches_refblas() {
+  const std::int64_t n = 24, m = 20, len = 96;
+  const T alpha = T(1.1), beta = T(-0.4);
+  Workload wl(49);
+  host::Device dev;
+  host::Context ctx(dev);
+  host::FaultConfig fc;
+  fc.seed = 55;
+  fc.launch_fail_rate = 1.0;
+  dev.inject_faults(fc);
+  ctx.set_retry_policy(fast_retry(1, /*cpu_fallback=*/true));
+  const auto vec = [](const std::vector<T>& v) {
+    return VectorView<const T>(v.data(), static_cast<std::int64_t>(v.size()));
+  };
+  const auto upload = [&dev](const std::vector<T>& h, int bank) {
+    host::Buffer<T> buf(dev, static_cast<std::int64_t>(h.size()), bank);
+    buf.write(h);
+    return buf;
+  };
+  const auto zeros = [&dev](std::int64_t k, int bank) {
+    host::Buffer<T> buf(dev, k, bank);
+    buf.write(std::vector<T>(static_cast<std::size_t>(k), T(0)));
+    return buf;
+  };
+  const auto ha = wl.template matrix<T>(n, m), hb = wl.template matrix<T>(n, m);
+  const auto hxm = wl.template vector<T>(m), hxn = wl.template vector<T>(n);
+  const MatrixView<const T> A(ha.data(), n, m), B(hb.data(), n, m);
+  std::uint64_t commands = 0;
+
+  {  // AXPYDOT
+    const auto hw = wl.template vector<T>(len), hv = wl.template vector<T>(len),
+               hu = wl.template vector<T>(len);
+    const auto w = upload(hw, 0), v = upload(hv, 1), u = upload(hu, 2);
+    EXPECT_EQ(apps::axpydot_composed<T>(ctx, len, w, v, u, alpha),
+              apps::axpydot_cpu<T>(vec(hw), vec(hv), vec(hu), alpha));
+    ++commands;
+  }
+  {  // ATAX
+    const auto a = upload(ha, 0), x = upload(hxm, 1);
+    auto y = zeros(m, 2);
+    apps::atax_composed<T>(ctx, n, m, a, x, y);
+    EXPECT_EQ(y.to_host(), apps::atax_cpu<T>(A, vec(hxm)));
+    ++commands;
+  }
+  {  // BICG
+    const auto a = upload(ha, 0), p = upload(hxm, 1), r = upload(hxn, 2);
+    auto q = zeros(n, 3), s = zeros(m, 3);
+    apps::bicg_composed<T>(ctx, n, m, a, p, r, q, s);
+    const auto ref = apps::bicg_cpu<T>(A, vec(hxm), vec(hxn));
+    EXPECT_EQ(q.to_host(), ref.q);
+    EXPECT_EQ(s.to_host(), ref.s);
+    ++commands;
+  }
+  {  // GESUMMV
+    const auto a = upload(ha, 0), b = upload(hb, 1), x = upload(hxm, 2);
+    auto y = zeros(n, 3);
+    apps::gesummv_composed<T>(ctx, n, m, alpha, beta, a, b, x, y);
+    EXPECT_EQ(y.to_host(), apps::gesummv_cpu<T>(alpha, beta, A, B, vec(hxm)));
+    ++commands;
+  }
+  {  // GEMVER: compiled as two components joined by DRAM cuts
+    const auto hg = wl.template matrix<T>(n, n);
+    std::vector<std::vector<T>> hv;
+    for (int i = 0; i < 6; ++i) hv.push_back(wl.template vector<T>(n));
+    const auto a = upload(hg, 0);
+    const auto u1 = upload(hv[0], 1), v1 = upload(hv[1], 2),
+               u2 = upload(hv[2], 3), v2 = upload(hv[3], 1),
+               y = upload(hv[4], 2), z = upload(hv[5], 3);
+    auto b = zeros(n * n, 1), x = zeros(n, 2), w = zeros(n, 3);
+    apps::gemver_composed<T>(ctx, n, alpha, beta, a, u1, v1, u2, v2, y, z, b,
+                             x, w);
+    const auto ref = apps::gemver_cpu<T>(
+        alpha, beta, MatrixView<const T>(hg.data(), n, n), vec(hv[0]),
+        vec(hv[1]), vec(hv[2]), vec(hv[3]), vec(hv[4]), vec(hv[5]));
+    EXPECT_EQ(b.to_host(), ref.b);
+    EXPECT_EQ(x.to_host(), ref.x);
+    EXPECT_EQ(w.to_host(), ref.w);
+    ++commands;
+  }
+  {  // TRSV whose b is streamed from a GEMV: L x = A v
+    const auto hl = wl.template triangular<T>(n, Uplo::Lower, Diag::NonUnit);
+    const auto l = upload(hl, 0), a = upload(ha, 1), v = upload(hxm, 2);
+    auto x = zeros(n, 3);
+    const host::RoutineConfig& rc = ctx.config();
+    const core::GemvConfig cfg{Transpose::None,
+                               core::MatrixTiling::TilesByRows, rc.width,
+                               rc.tile_rows, rc.tile_rows};
+    host::Composition<T> c("gemv_trsv");
+    const int rl = c.input_triangular("read_L", l, Uplo::Lower);
+    const int ra = c.input("read_A", a);
+    const int rv = c.input("read_v", v);
+    const int wx = c.output("store_x", x);
+    const int gv = c.gemv("gemv", T(1), T(0));
+    const int tr = c.trsv("trsv", Uplo::Lower);
+    c.connect(ra, gv, mdag::StreamSig::mat(n, m, core::gemv_a_schedule(cfg)));
+    c.connect(rv, gv, mdag::StreamSig::vec(m, core::gemv_x_repeat(cfg, n, m)));
+    c.connect(rl, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+    c.connect(gv, tr, mdag::StreamSig::vec(n));
+    c.connect(tr, wx, mdag::StreamSig::vec(n));
+    ctx.run_composition(c);
+    std::vector<T> ref(static_cast<std::size_t>(n), T(0));
+    ref::gemv<T>(Transpose::None, T(1), A, vec(hxm), T(0),
+                 VectorView<T>(ref.data(), n));
+    ref::trsv<T>(Uplo::Lower, Transpose::None, Diag::NonUnit,
+                 MatrixView<const T>(hl.data(), n, n),
+                 VectorView<T>(ref.data(), n));
+    EXPECT_EQ(x.to_host(), ref);
+    ++commands;
+  }
+  {  // SCAL
+    const auto hv = wl.template vector<T>(len);
+    const auto x = upload(hv, 0);
+    auto y = zeros(len, 1);
+    host::Composition<T> c("scal");
+    const int rx = c.input("read_x", x);
+    const int wy = c.output("store_y", y);
+    const int sc = c.scal("scal", alpha);
+    c.connect(rx, sc, mdag::StreamSig::vec(len));
+    c.connect(sc, wy, mdag::StreamSig::vec(len));
+    ctx.run_composition(c);
+    auto ref = hv;
+    ref::scal<T>(alpha, VectorView<T>(ref.data(), len));
+    EXPECT_EQ(y.to_host(), ref);
+    ++commands;
+  }
+
+  EXPECT_EQ(ctx.exec_stats().degraded, commands);
+}
+
+TEST(ComposeFaults, ForcedFallbackBitIdenticalToRefblasOnEveryNodeKind) {
+  {
+    SCOPED_TRACE("float");
+    forced_fallback_matches_refblas<float>();
+  }
+  {
+    SCOPED_TRACE("double");
+    forced_fallback_matches_refblas<double>();
+  }
+}
+
+// --- Output audits of replayed writer streams ----------------------------
+
+TEST(ComposeFaults, WriterOfReplayedStreamAuditsOnePass) {
+  // The writer consumes its in-edge twice (a replay only a DRAM round trip
+  // can serve) and overwrites its buffer with each pass, so the buffer
+  // holds ONE pass: a clean verified run must not be rejected.
+  const std::int64_t n = 64;
+  Workload wl(50);
+  const auto hx = wl.vector<float>(n);
+  host::Device dev;
+  host::Context ctx(dev);
+  ctx.set_retry_policy(fast_retry(0));
+  ctx.config().verification = verify::Options::always();
+  host::Buffer<float> x(dev, n, 0), y(dev, n, 1);
+  x.write(hx);
+  y.write(std::vector<float>(static_cast<std::size_t>(n), 0.0f));
+
+  host::Composition<float> c("scal_replay");
+  const int rx = c.input("read_x", x);
+  const int wy = c.output("store_y", y);
+  const int sc = c.scal("scal", 2.0f);
+  c.connect(rx, sc, mdag::StreamSig::vec(n));
+  c.connect(sc, wy, mdag::StreamSig::vec(n), mdag::StreamSig::vec(n, 2));
+  EXPECT_NO_THROW(ctx.run_composition(c));
+  EXPECT_EQ(ctx.exec_stats().verified, 1u);
+  EXPECT_EQ(ctx.exec_stats().verify_failures, 0u);
+  std::vector<float> ref = hx;
+  for (float& v : ref) v *= 2.0f;
+  EXPECT_EQ(y.to_host(), ref);
 }
 
 }  // namespace

@@ -12,22 +12,23 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "apps/atax.hpp"
 #include "apps/axpydot.hpp"
 #include "apps/bicg.hpp"
+#include "apps/gemver.hpp"
+#include "apps/gesummv.hpp"
 #include "common/error.hpp"
 #include "common/workload.hpp"
 #include "fblas/level2.hpp"
 #include "host/buffer.hpp"
 #include "host/composition.hpp"
 #include "host/context.hpp"
-#include "mdag/checksum.hpp"
 #include "stream/graph.hpp"
-#include "stream/streamers.hpp"
-#include "verify/graph_checker.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
 #include "refblas/level3.hpp"
@@ -73,113 +74,6 @@ TEST(VerifyOptions, BuilderRoundTripAndValidation) {
   EXPECT_THROW(verify::Options::sampled(-0.1).validate(), ConfigError);
   EXPECT_THROW(verify::Options::always().tolerance_scale(0.0).validate(),
                ConfigError);
-}
-
-// --- Checksum-propagation rules (mdag/checksum) ---------------------------
-
-TEST(VerifyChecksum, GemvPullbackPredictsDownstreamChecksum) {
-  const std::int64_t n = 9, m = 7;
-  Workload wl(90);
-  const auto ha = wl.matrix<double>(n, m);
-  const auto hx = wl.vector<double>(m);
-  const MatrixView<const double> A(ha.data(), n, m);
-  const VectorView<const double> x(hx.data(), m);
-
-  // y = A x: sum(y) must equal (A^T 1)^T x — the pullback of unit
-  // weights through the GEMV rule.
-  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
-  ref::gemv(Transpose::None, 1.0, A, x, 0.0, VectorView<double>(y.data(), n));
-  double direct = 0.0;
-  for (double val : y) direct += val;
-  const auto w = mdag::gemv_pullback<double>(Transpose::None, A, mdag::ones(n));
-  ASSERT_EQ(static_cast<std::int64_t>(w.size()), m);
-  const auto pred = mdag::weighted_vec_checksum<double>(x, w);
-  EXPECT_NEAR(pred.pred, direct, 1e-9 * std::max(1.0, std::abs(direct)));
-
-  // Transposed direction: s = A^T r pulls back to (A 1) on the r edge.
-  const auto hr = wl.vector<double>(n);
-  const VectorView<const double> r(hr.data(), n);
-  std::vector<double> s(static_cast<std::size_t>(m), 0.0);
-  ref::gemv(Transpose::Trans, 1.0, A, r, 0.0, VectorView<double>(s.data(), m));
-  double sdirect = 0.0;
-  for (double val : s) sdirect += val;
-  const auto wt = mdag::gemv_pullback<double>(Transpose::Trans, A,
-                                              mdag::ones(m));
-  ASSERT_EQ(static_cast<std::int64_t>(wt.size()), n);
-  const auto spred = mdag::weighted_vec_checksum<double>(r, wt);
-  EXPECT_NEAR(spred.pred, sdirect, 1e-9 * std::max(1.0, std::abs(sdirect)));
-
-  // combine() is the AXPY linearity rule; zero generators are exact.
-  const auto c = mdag::combine(pred, spred, 2.0, -3.0);
-  EXPECT_DOUBLE_EQ(c.pred, 2.0 * pred.pred - 3.0 * spred.pred);
-  EXPECT_EQ(c.terms, pred.terms + spred.terms);
-  EXPECT_EQ(mdag::zero_checksum(5).pred, 0.0);
-}
-
-TEST(VerifyChecksum, GerPropagationRulePredictsOutputChecksum) {
-  // GER rule: for A = alpha x y^T + A0 the unit-weight output checksum is
-  // e^T A0 e + alpha (e^T x)(y^T e) — the first bilinear module-DAG rule
-  // beyond DOT, computed from per-pass input checksums only.
-  const std::int64_t n = 11, m = 8;
-  const double alpha = 0.75;
-  Workload wl(95);
-  auto ha = wl.matrix<double>(n, m);
-  const auto hx = wl.vector<double>(n);
-  const auto hy = wl.vector<double>(m);
-
-  const auto a0 = mdag::mat_checksum<double>(
-      MatrixView<const double>(ha.data(), n, m));
-  const auto cx = mdag::vec_checksum<double>(
-      VectorView<const double>(hx.data(), n));
-  const auto cy = mdag::vec_checksum<double>(
-      VectorView<const double>(hy.data(), m));
-  const auto pred = mdag::ger_propagate(a0, cx, cy, alpha);
-
-  ref::ger(alpha, VectorView<const double>(hx.data(), n),
-           VectorView<const double>(hy.data(), m),
-           MatrixView<double>(ha.data(), n, m));
-  double direct = 0.0;
-  for (double val : ha) direct += val;
-  EXPECT_NEAR(pred.pred, direct, 1e-9 * std::max(1.0, std::abs(direct)));
-  EXPECT_EQ(pred.terms, a0.terms + cx.terms * cy.terms);
-  EXPECT_GE(pred.mag, std::abs(pred.pred));
-}
-
-TEST(VerifyChecksum, TrsvPropagationRulePredictsSolutionChecksum) {
-  // TRSV rule: x = op(A)^{-1} b has no linear pullback onto b (the
-  // inverse is dense), so the rule forward-solves the triangular system
-  // in double and checksums the solution — every uplo/trans/diag variant
-  // must agree with refblas on sum(x).
-  const std::int64_t n = 13;
-  Workload wl(90);
-  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
-      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
-        const auto ha = wl.triangular<double>(n, uplo, diag);
-        const auto hb = wl.vector<double>(n);
-        const MatrixView<const double> A(ha.data(), n, n);
-
-        const auto pred = mdag::trsv_propagate<double>(
-            uplo, trans, diag, A, VectorView<const double>(hb.data(), n));
-
-        std::vector<double> x = hb;  // ref::trsv solves in place
-        ref::trsv<double>(uplo, trans, diag, A, VectorView<double>(x.data(), n));
-        double direct = 0.0, mag = 0.0;
-        for (double v : x) {
-          direct += v;
-          mag += std::abs(v);
-        }
-        EXPECT_NEAR(pred.pred, direct,
-                    1e-9 * std::max(1.0, std::abs(direct)))
-            << "uplo=" << static_cast<int>(uplo)
-            << " trans=" << static_cast<int>(trans)
-            << " diag=" << static_cast<int>(diag);
-        EXPECT_NEAR(pred.mag, mag, 1e-9 * std::max(1.0, mag));
-        // The bound scales with the n^2 multiply-accumulates of the solve.
-        EXPECT_EQ(pred.terms, n * n);
-      }
-    }
-  }
 }
 
 TEST(VerifyComposed, TrsvCompositionChecksumLocalizesCorruption) {
@@ -258,86 +152,73 @@ TEST(VerifyComposed, TrsvCompositionChecksumLocalizesCorruption) {
   EXPECT_EQ(rstats.retries, 1u);
 }
 
-// --- GraphChecker over a GER-shaped module graph ---------------------------
+// --- A compiled one-node GER composition ----------------------------------
 // The rank-1 update partition the mdag planner emits: read_A / read_x /
-// read_y feeding the GER module, writing the updated panel out. The GER
-// propagation rule predicts the out edge from the DRAM operands alone.
+// read_y feeding the GER module, writing the updated panel out. Every
+// edge, including the module's output, is predicted by the host replay.
 
-template <typename T>
-void run_ger_checked(verify::GraphChecker& chk, std::int64_t rows,
-                     std::int64_t cols, T alpha, const std::vector<T>& a,
-                     const std::vector<T>& x, const std::vector<T>& y,
-                     std::vector<T>& out_a, std::uint64_t corrupt_at,
-                     std::string* victim) {
-  const core::GerConfig cfg{core::MatrixTiling::TilesByRows, 4, 16, 16};
-  stream::Graph g(stream::Mode::Functional);
-  auto& ca = g.channel<T>("A", 128);
-  auto& cx = g.channel<T>("x", 128);
-  auto& cy = g.channel<T>("y", 128);
-  auto& out = g.channel<T>("out", 128);
-  const auto sched = core::ger_a_schedule(cfg);
-  g.spawn("read_A",
-          stream::read_matrix<T>(MatrixView<const T>(a.data(), rows, cols),
-                                 sched, 1, cfg.width, ca));
-  g.spawn("read_x",
-          stream::read_vector<T>(VectorView<const T>(x.data(), rows),
-                                 core::ger_x_repeat(cfg, rows, cols),
-                                 cfg.width, cx));
-  g.spawn("read_y",
-          stream::read_vector<T>(VectorView<const T>(y.data(), cols),
-                                 core::ger_y_repeat(cfg, rows, cols),
-                                 cfg.width, cy));
-  g.spawn("ger", core::ger<T>(cfg, rows, cols, alpha, ca, cx, cy, out));
-  g.spawn("write_A",
-          stream::write_matrix<T>(MatrixView<T>(out_a.data(), rows, cols),
-                                  sched, cfg.width, out));
-  if (corrupt_at != 0) g.scheduler().corrupt_push(corrupt_at);
-  chk.arm(g);
-  g.run();
-  chk.capture(g);
-  if (victim != nullptr && g.scheduler().corruption_fired()) {
-    *victim = g.scheduler().corrupted_channel();
-  }
-}
-
-TEST(VerifyChecksum, GerGraphCheckerAcceptsCleanAndLocalizesCorruption) {
+TEST(VerifyComposed, GerCompositionAcceptsCleanAndLocalizesCorruption) {
+  // Large enough that every injected strike point (the k-th pushed
+  // value, k <= 1024) lands inside the run.
   using T = float;
-  const std::int64_t rows = 13, cols = 9;
+  const std::int64_t rows = 40, cols = 36;
   const T alpha = T(0.5);
   Workload wl(96);
   const auto ha = wl.matrix<T>(rows, cols);
   const auto hx = wl.vector<T>(rows);
   const auto hy = wl.vector<T>(cols);
-  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
-  const core::GerConfig cfg{core::MatrixTiling::TilesByRows, 4, 16, 16};
 
-  auto expect_edges = [&](verify::GraphChecker& chk) {
-    chk.reset("ger");
-    const auto a0 = mdag::mat_checksum<T>(
-        MatrixView<const T>(ha.data(), rows, cols));
-    const auto cx1 = mdag::vec_checksum<T>(
-        VectorView<const T>(hx.data(), rows));
-    const auto cy1 = mdag::vec_checksum<T>(
-        VectorView<const T>(hy.data(), cols));
-    // Edges in topological order: operands, then the module's output.
-    chk.expect("A", a0, eps);
-    chk.expect("x",
-               mdag::vec_checksum<T>(VectorView<const T>(hx.data(), rows),
-                                     core::ger_x_repeat(cfg, rows, cols)),
-               eps);
-    chk.expect("y",
-               mdag::vec_checksum<T>(VectorView<const T>(hy.data(), cols),
-                                     core::ger_y_repeat(cfg, rows, cols)),
-               eps);
-    chk.expect("out", mdag::ger_propagate(a0, cx1, cy1, alpha), eps);
+  auto run = [&](bool with_fault) {
+    host::Device dev;
+    host::Context ctx(dev);
+    if (with_fault) {
+      host::FaultConfig fc;
+      fc.seed = 36;
+      fc.channel_corrupt_rate = 1.0;
+      fc.max_faults = 1;
+      dev.inject_faults(fc);
+    }
+    ctx.set_retry_policy(fast_retry(0));
+    ctx.config().verification = verify::Options::always();
+    host::Buffer<T> a(dev, rows * cols, 0), x(dev, rows, 1), y(dev, cols, 2);
+    host::Buffer<T> out(dev, rows * cols, 3);
+    a.write(ha);
+    x.write(hx);
+    y.write(hy);
+    out.write(std::vector<T>(static_cast<std::size_t>(rows * cols), T(0)));
+
+    const host::RoutineConfig& rc = ctx.config();
+    const core::GerConfig cfg{core::MatrixTiling::TilesByRows, rc.width,
+                              rc.tile_rows, rc.tile_rows};
+    host::Composition<T> c("ger");
+    const int ra = c.input("read_A", a);
+    const int rx = c.input("read_x", x);
+    const int ry = c.input("read_y", y);
+    const int wa = c.output("store_A", out);
+    const int g = c.ger("ger", alpha);
+    const auto m_sig =
+        mdag::StreamSig::mat(rows, cols, core::ger_a_schedule(cfg));
+    c.connect(ra, g, m_sig);
+    c.connect(rx, g,
+              mdag::StreamSig::vec(rows, core::ger_x_repeat(cfg, rows, cols)));
+    c.connect(ry, g,
+              mdag::StreamSig::vec(cols, core::ger_y_repeat(cfg, rows, cols)));
+    c.connect(g, wa, m_sig);
+    std::string diagnosis;
+    try {
+      ctx.run_composition(c);
+    } catch (const VerificationError& err) {
+      diagnosis = err.what();
+    }
+    return std::make_tuple(out.to_host(), diagnosis, ctx.exec_stats(),
+                           dev.faults().last_victim());
   };
 
-  {  // Clean run: all four edges match their predictions.
-    verify::GraphChecker chk;
-    expect_edges(chk);
-    std::vector<T> out(static_cast<std::size_t>(rows * cols), T(0));
-    run_ger_checked<T>(chk, rows, cols, alpha, ha, hx, hy, out, 0, nullptr);
-    EXPECT_NO_THROW(chk.check(kScale));
+  {  // Clean run: every edge matches its prediction.
+    const auto [out, diag, stats, victim] = run(false);
+    EXPECT_TRUE(diag.empty()) << diag;
+    EXPECT_EQ(stats.verified, 1u);
+    EXPECT_EQ(stats.verify_failures, 0u);
     // The realized panel is the reference rank-1 update.
     auto aref = ha;
     ref::ger(alpha, VectorView<const T>(hx.data(), rows),
@@ -347,21 +228,13 @@ TEST(VerifyChecksum, GerGraphCheckerAcceptsCleanAndLocalizesCorruption) {
   }
   {  // One in-flight value flipped: the checker rejects and names exactly
      // the channel the corruption crossed.
-    verify::GraphChecker chk;
-    expect_edges(chk);
-    std::vector<T> out(static_cast<std::size_t>(rows * cols), T(0));
-    std::string victim;
-    run_ger_checked<T>(chk, rows, cols, alpha, ha, hx, hy, out, 40, &victim);
+    const auto [out, diag, stats, victim] = run(true);
     ASSERT_FALSE(victim.empty());
-    try {
-      chk.check(kScale);
-      FAIL() << "expected VerificationError";
-    } catch (const VerificationError& err) {
-      const std::string msg = err.what();
-      EXPECT_NE(msg.find("composition 'ger'"), std::string::npos);
-      EXPECT_NE(msg.find("edge '" + victim + "'"), std::string::npos);
-      EXPECT_NE(msg.find("first divergent edge"), std::string::npos);
-    }
+    ASSERT_FALSE(diag.empty());
+    EXPECT_NE(diag.find("composition 'ger'"), std::string::npos);
+    EXPECT_NE(diag.find("edge '" + victim + "'"), std::string::npos);
+    EXPECT_NE(diag.find("first divergent edge"), std::string::npos);
+    EXPECT_EQ(stats.sdc_caught, 1u);
   }
 }
 
@@ -920,84 +793,189 @@ TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
 }
 
 // --- Composed commands: checksum-carrying streaming compositions ----------
-// The three paper applications run as single host commands whose
-// intermediates never touch DRAM; the GraphChecker compares per-channel
-// taps against pullback predictions computed from the DRAM inputs only.
+// The paper applications run as single host commands whose intermediates
+// never touch DRAM; the GraphChecker compares per-channel taps against
+// the host's double-precision replay of the composition.
 
-TEST(VerifyComposed, CleanCompositionsMatchCpuReferences) {
+template <typename T>
+void expect_rel_near(const std::vector<T>& got, const std::vector<T>& want) {
+  const double tol = std::is_same_v<T, float> ? 1e-4 : 1e-9;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const double w = static_cast<double>(want[i]);
+    EXPECT_NEAR(static_cast<double>(got[i]), w,
+                tol * std::max(1.0, std::abs(w)))
+        << "at index " << i;
+  }
+}
+
+// Every compiled node kind, clean and Always-verified: no edge may reject,
+// and every output must match its refblas reference.
+template <typename T>
+void clean_compositions_match_cpu_references() {
   const std::int64_t n = 20, m = 16, len = 96;
+  const T alpha = T(0.6), beta = T(-0.8);
   Workload wl(91);
   host::Device dev;
   host::Context ctx(dev);
   ctx.config().verification = verify::Options::always();
+  const auto vec = [](const std::vector<T>& v) {
+    return VectorView<const T>(v.data(), static_cast<std::int64_t>(v.size()));
+  };
+  const auto zeros = [](std::int64_t k) {
+    return std::vector<T>(static_cast<std::size_t>(k), T(0));
+  };
 
-  const auto ha = wl.matrix<double>(n, m);
-  const auto hx = wl.vector<double>(m);
-  const MatrixView<const double> A(ha.data(), n, m);
+  const auto ha = wl.template matrix<T>(n, m);
+  const auto hx = wl.template vector<T>(m);
+  const MatrixView<const T> A(ha.data(), n, m);
+  std::uint64_t commands = 0;
 
   {  // ATAX: y = A^T (A x)
-    host::Buffer<double> a(dev, n * m, 0), x(dev, m, 1), y(dev, m, 2);
+    host::Buffer<T> a(dev, n * m, 0), x(dev, m, 1), y(dev, m, 2);
     a.write(ha);
     x.write(hx);
-    y.write(std::vector<double>(static_cast<std::size_t>(m), -1.0));
-    apps::atax_composed<double>(ctx, n, m, a, x, y);
-    const auto yref =
-        apps::atax_cpu<double>(A, VectorView<const double>(hx.data(), m));
-    const auto got = y.to_host();
-    for (std::int64_t i = 0; i < m; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      EXPECT_NEAR(got[idx], yref[idx],
-                  1e-9 * std::max(1.0, std::abs(yref[idx])));
-    }
+    y.write(std::vector<T>(static_cast<std::size_t>(m), T(-1)));
+    apps::atax_composed<T>(ctx, n, m, a, x, y);
+    expect_rel_near(y.to_host(), apps::atax_cpu<T>(A, vec(hx)));
+    ++commands;
   }
   {  // BICG: q = A p, s = A^T r
-    const auto hp = wl.vector<double>(m);
-    const auto hr = wl.vector<double>(n);
-    host::Buffer<double> a(dev, n * m, 0), p(dev, m, 1), r(dev, n, 2);
-    host::Buffer<double> q(dev, n, 1), s(dev, m, 2);
+    const auto hp = wl.template vector<T>(m);
+    const auto hr = wl.template vector<T>(n);
+    host::Buffer<T> a(dev, n * m, 0), p(dev, m, 1), r(dev, n, 2);
+    host::Buffer<T> q(dev, n, 1), s(dev, m, 2);
     a.write(ha);
     p.write(hp);
     r.write(hr);
-    q.write(std::vector<double>(static_cast<std::size_t>(n), 0.0));
-    s.write(std::vector<double>(static_cast<std::size_t>(m), 0.0));
-    apps::bicg_composed<double>(ctx, n, m, a, p, r, q, s);
-    const auto ref = apps::bicg_cpu<double>(
-        A, VectorView<const double>(hp.data(), m),
-        VectorView<const double>(hr.data(), n));
-    const auto gq = q.to_host();
-    const auto gs = s.to_host();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      EXPECT_NEAR(gq[idx], ref.q[idx],
-                  1e-9 * std::max(1.0, std::abs(ref.q[idx])));
-    }
-    for (std::int64_t i = 0; i < m; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      EXPECT_NEAR(gs[idx], ref.s[idx],
-                  1e-9 * std::max(1.0, std::abs(ref.s[idx])));
-    }
+    q.write(zeros(n));
+    s.write(zeros(m));
+    apps::bicg_composed<T>(ctx, n, m, a, p, r, q, s);
+    const auto ref = apps::bicg_cpu<T>(A, vec(hp), vec(hr));
+    expect_rel_near(q.to_host(), ref.q);
+    expect_rel_near(s.to_host(), ref.s);
+    ++commands;
   }
   {  // AXPYDOT: beta = (w - alpha v)^T u
-    const auto hw = wl.vector<double>(len);
-    const auto hv = wl.vector<double>(len);
-    const auto hu = wl.vector<double>(len);
-    host::Buffer<double> w(dev, len, 0), v(dev, len, 1), u(dev, len, 2);
+    const auto hw = wl.template vector<T>(len);
+    const auto hv = wl.template vector<T>(len);
+    const auto hu = wl.template vector<T>(len);
+    host::Buffer<T> w(dev, len, 0), v(dev, len, 1), u(dev, len, 2);
     w.write(hw);
     v.write(hv);
     u.write(hu);
-    const double beta = apps::axpydot_composed<double>(ctx, len, w, v, u, 0.3);
-    const double bref = apps::axpydot_cpu<double>(
-        VectorView<const double>(hw.data(), len),
-        VectorView<const double>(hv.data(), len),
-        VectorView<const double>(hu.data(), len), 0.3);
-    EXPECT_NEAR(beta, bref, 1e-9 * std::max(1.0, std::abs(bref)));
+    const T got = apps::axpydot_composed<T>(ctx, len, w, v, u, T(0.3));
+    expect_rel_near(std::vector<T>{got},
+                    {apps::axpydot_cpu<T>(vec(hw), vec(hv), vec(hu), T(0.3))});
+    ++commands;
+  }
+  {  // GESUMMV: y = alpha A x + beta B x
+    const auto hb = wl.template matrix<T>(n, m);
+    host::Buffer<T> a(dev, n * m, 0), b(dev, n * m, 1), x(dev, m, 2),
+        y(dev, n, 3);
+    a.write(ha);
+    b.write(hb);
+    x.write(hx);
+    y.write(zeros(n));
+    apps::gesummv_composed<T>(ctx, n, m, alpha, beta, a, b, x, y);
+    expect_rel_near(y.to_host(),
+                    apps::gesummv_cpu<T>(alpha, beta, A,
+                                         MatrixView<const T>(hb.data(), n, m),
+                                         vec(hx)));
+    ++commands;
+  }
+  {  // GEMVER: the two-component split with DRAM round trips
+    const auto hg = wl.template matrix<T>(n, n);
+    std::vector<std::vector<T>> hv;
+    for (int i = 0; i < 6; ++i) hv.push_back(wl.template vector<T>(n));
+    host::Buffer<T> a(dev, n * n, 0), u1(dev, n, 1), v1(dev, n, 2),
+        u2(dev, n, 3), v2(dev, n, 1), y(dev, n, 2), z(dev, n, 3);
+    host::Buffer<T> b(dev, n * n, 1), x(dev, n, 2), w(dev, n, 3);
+    a.write(hg);
+    u1.write(hv[0]);
+    v1.write(hv[1]);
+    u2.write(hv[2]);
+    v2.write(hv[3]);
+    y.write(hv[4]);
+    z.write(hv[5]);
+    b.write(zeros(n * n));
+    x.write(zeros(n));
+    w.write(zeros(n));
+    apps::gemver_composed<T>(ctx, n, alpha, beta, a, u1, v1, u2, v2, y, z, b,
+                             x, w);
+    const auto ref = apps::gemver_cpu<T>(
+        alpha, beta, MatrixView<const T>(hg.data(), n, n), vec(hv[0]),
+        vec(hv[1]), vec(hv[2]), vec(hv[3]), vec(hv[4]), vec(hv[5]));
+    expect_rel_near(b.to_host(), ref.b);
+    expect_rel_near(x.to_host(), ref.x);
+    expect_rel_near(w.to_host(), ref.w);
+    ++commands;
+  }
+  {  // SCAL: y = alpha x
+    const auto hv = wl.template vector<T>(len);
+    host::Buffer<T> x(dev, len, 0), y(dev, len, 1);
+    x.write(hv);
+    y.write(zeros(len));
+    host::Composition<T> c("scal");
+    const int rx = c.input("read_x", x);
+    const int wy = c.output("store_y", y);
+    const int sc = c.scal("scal", alpha);
+    c.connect(rx, sc, mdag::StreamSig::vec(len));
+    c.connect(sc, wy, mdag::StreamSig::vec(len));
+    ctx.run_composition(c);
+    auto ref = hv;
+    ref::scal<T>(alpha, VectorView<T>(ref.data(), len));
+    expect_rel_near(y.to_host(), ref);
+    ++commands;
+  }
+  // TRSV: op(A) x = b in every uplo/trans/diag variant.
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        SCOPED_TRACE(testing::Message()
+                     << "uplo=" << static_cast<int>(uplo)
+                     << " trans=" << static_cast<int>(trans)
+                     << " diag=" << static_cast<int>(diag));
+        const auto ht = wl.template triangular<T>(n, uplo, diag);
+        const auto hb = wl.template vector<T>(n);
+        host::Buffer<T> a(dev, n * n, 0), b(dev, n, 1), x(dev, n, 2);
+        a.write(ht);
+        b.write(hb);
+        x.write(zeros(n));
+        host::Composition<T> c("trsv");
+        const int ra = c.input_triangular("read_A", a, uplo, trans);
+        const int rb = c.input("read_b", b);
+        const int wx = c.output("store_x", x);
+        const int tr = c.trsv("trsv", uplo, trans, diag);
+        c.connect(ra, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+        c.connect(rb, tr, mdag::StreamSig::vec(n));
+        c.connect(tr, wx, mdag::StreamSig::vec(n));
+        ctx.run_composition(c);
+        auto ref = hb;
+        ref::trsv<T>(uplo, trans, diag, MatrixView<const T>(ht.data(), n, n),
+                     VectorView<T>(ref.data(), n));
+        expect_rel_near(x.to_host(), ref);
+        ++commands;
+      }
+    }
   }
 
   // Every composed command was checked, none rejected.
   const auto stats = ctx.exec_stats();
-  EXPECT_EQ(stats.verified, 3u);
+  EXPECT_EQ(stats.verified, commands);
   EXPECT_EQ(stats.verify_failures, 0u);
   EXPECT_EQ(stats.sdc_caught, 0u);
+}
+
+TEST(VerifyComposed, CleanCompositionsMatchCpuReferences) {
+  {
+    SCOPED_TRACE("float");
+    clean_compositions_match_cpu_references<float>();
+  }
+  {
+    SCOPED_TRACE("double");
+    clean_compositions_match_cpu_references<double>();
+  }
 }
 
 TEST(VerifyComposed, PerCallOptionsOverrideOnlyThatCommand) {
