@@ -46,28 +46,27 @@ Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
                       b.size() >= batch * size * size &&
                       c.size() >= batch * size * size,
                   "gemm_batched: buffers too small for the batch");
-    stream::Graph g(mode_);
-    const auto f = sim::unrolled_frequency(PrecisionTraits<T>::value,
-                                           dev_->spec());
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const core::BatchedConfig cfg{size};
-    const std::int64_t elems = size * size;
-    const std::size_t cap = static_cast<std::size_t>(4 * elems);
-    auto& ca = g.channel<T>("A", cap);
-    auto& cb = g.channel<T>("B", cap);
-    auto& cc = g.channel<T>("C", cap);
-    g.spawn("read_A",
-            core::read_batched<T>(a.cvec(batch * elems).data(), elems,
-                                  batch, ca, banks.at(a.bank())));
-    g.spawn("read_B",
-            core::read_batched<T>(b.cvec(batch * elems).data(), elems,
-                                  batch, cb, banks.at(b.bank())));
-    g.spawn("gemm_batched",
-            core::gemm_batched_unrolled<T>(cfg, batch, alpha, ca, cb, cc));
-    g.spawn("store_C",
-            core::write_batched<T>(c.vec(batch * elems).data(), elems,
-                                   batch, cc, banks.at(c.bank())));
-    run_graph(g);
+    const double mhz =
+        sim::unrolled_frequency(PrecisionTraits<T>::value, dev_->spec()).mhz;
+    detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
+      const core::BatchedConfig cfg{size};
+      const std::int64_t elems = size * size;
+      const std::size_t cap = static_cast<std::size_t>(4 * elems);
+      auto& ca = g.channel<T>("A", cap);
+      auto& cb = g.channel<T>("B", cap);
+      auto& cc = g.channel<T>("C", cap);
+      g.spawn("read_A",
+              core::read_batched<T>(a.cvec(batch * elems).data(), elems,
+                                    batch, ca, banks.at(a.bank())));
+      g.spawn("read_B",
+              core::read_batched<T>(b.cvec(batch * elems).data(), elems,
+                                    batch, cb, banks.at(b.bank())));
+      g.spawn("gemm_batched",
+              core::gemm_batched_unrolled<T>(cfg, batch, alpha, ca, cb, cc));
+      g.spawn("store_C",
+              core::write_batched<T>(c.vec(batch * elems).data(), elems,
+                                     batch, cc, banks.at(c.bank())));
+    });
   };
   return enqueue(std::move(command));
 }
@@ -84,28 +83,27 @@ Event Context::trsm_batched_async(std::int64_t size, std::int64_t batch,
     FBLAS_REQUIRE(a.size() >= batch * size * size &&
                       x.size() >= batch * size * size,
                   "trsm_batched: buffers too small for the batch");
-    stream::Graph g(mode_);
-    const auto f = sim::unrolled_frequency(PrecisionTraits<T>::value,
-                                           dev_->spec());
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const core::BatchedConfig cfg{size};
-    const std::int64_t elems = size * size;
-    const std::size_t cap = static_cast<std::size_t>(4 * elems);
-    auto& ca = g.channel<T>("A", cap);
-    auto& cb = g.channel<T>("B", cap);
-    auto& cx = g.channel<T>("X", cap);
-    g.spawn("read_A",
-            read_batched_triangles<T>(a.cvec(batch * elems).data(), size,
-                                      batch, ca, banks.at(a.bank())));
-    g.spawn("read_B",
-            core::read_batched<T>(x.cvec(batch * elems).data(), elems,
-                                  batch, cb, banks.at(x.bank())));
-    g.spawn("trsm_batched",
-            core::trsm_batched_unrolled<T>(cfg, batch, alpha, ca, cb, cx));
-    g.spawn("store_X",
-            core::write_batched<T>(x.vec(batch * elems).data(), elems,
-                                   batch, cx, banks.at(x.bank())));
-    run_graph(g);
+    const double mhz =
+        sim::unrolled_frequency(PrecisionTraits<T>::value, dev_->spec()).mhz;
+    detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
+      const core::BatchedConfig cfg{size};
+      const std::int64_t elems = size * size;
+      const std::size_t cap = static_cast<std::size_t>(4 * elems);
+      auto& ca = g.channel<T>("A", cap);
+      auto& cb = g.channel<T>("B", cap);
+      auto& cx = g.channel<T>("X", cap);
+      g.spawn("read_A",
+              read_batched_triangles<T>(a.cvec(batch * elems).data(), size,
+                                        batch, ca, banks.at(a.bank())));
+      g.spawn("read_B",
+              core::read_batched<T>(x.cvec(batch * elems).data(), elems,
+                                    batch, cb, banks.at(x.bank())));
+      g.spawn("trsm_batched",
+              core::trsm_batched_unrolled<T>(cfg, batch, alpha, ca, cb, cx));
+      g.spawn("store_X",
+              core::write_batched<T>(x.vec(batch * elems).data(), elems,
+                                     batch, cx, banks.at(x.bank())));
+    });
   };
   return enqueue(std::move(command));
 }

@@ -62,7 +62,6 @@ struct ComposedState {
 
   Composition<T> comp;  ///< the user's description, copied at enqueue
   mdag::Compiled cp;
-  std::string audit_label;
   // DRAM materializations of cut edges without a sibling writer.
   std::vector<std::unique_ptr<Buffer<T>>> scratch;
   std::map<int, std::size_t> scratch_of;     ///< edge -> scratch index
@@ -70,10 +69,11 @@ struct ComposedState {
   std::map<int, std::string> spill_name;     ///< cut edge -> producer FIFO
   // One checker per component: arm() rejects names foreign to a graph.
   std::vector<verify::GraphChecker> chk;
-  /// Buffer-writer audits: node -> predicted checksum of the material-
-  /// ized output (catches corruption past the last FIFO tap).
-  std::vector<std::pair<int, verify::EdgeChecksum>> audits;
 };
+
+/// Buffer-writer audits: writer node -> predicted checksum of the
+/// materialized output (catches corruption past the last FIFO tap).
+using Audits = std::vector<std::pair<int, verify::ScalarCheck>>;
 
 /// The trsv dimension: rows of the solve, read off the output stream.
 std::int64_t trsv_dim(const mdag::Mdag& g, const mdag::Compiled& cp, int u) {
@@ -166,8 +166,8 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     } else if (trsv >= 0) {
       FBLAS_REQUIRE(sig.repeat == 1,
                     "composition: a TRSV b stream cannot be replayed");
-      sg.spawn(name, detail::read_vector_solve_order<T>(
-                         buf.cvec(per_pass(sig)),
+      sg.spawn(name, detail::read_rows_solve_order<T>(
+                         detail::as_column(buf.cvec(per_pass(sig))),
                          op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
                          width, dst, bank));
     } else {
@@ -183,8 +183,8 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
       sg.spawn(name, stream::write_matrix<T>(buf.mat(sig.rows, sig.cols),
                                              sig.sched, width, src, bank));
     } else if (trsv >= 0) {
-      sg.spawn(name, detail::write_vector_solve_order<T>(
-                         buf.vec(per_pass(sig)),
+      sg.spawn(name, detail::write_rows_solve_order<T>(
+                         detail::as_column(buf.vec(per_pass(sig))),
                          op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
                          width, src, bank));
     } else {
@@ -539,36 +539,36 @@ void run_fallback(ComposedState<T>& st) {
 
 /// The checksum predictions: the replay in double, summed per edge. A
 /// channel carrying `repeat` passes of an edge sees `repeat` copies.
+/// Arms the per-component FIFO checkers and returns the writer audits.
 template <typename T>
-void prepare_predictions(ComposedState<T>& st) {
+Audits prepare_predictions(ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const mdag::Compiled& cp = st.cp;
   const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
   const Replay<double> r = replay<double>(st);
 
-  std::vector<verify::EdgeChecksum> pass(g.edges().size());
-  for (std::size_t e = 0; e < pass.size(); ++e) {
+  std::vector<std::pair<double, double>> sums(g.edges().size());
+  for (std::size_t e = 0; e < sums.size(); ++e) {
     for (double v : r.vals[e]) {
-      pass[e].pred += v;
-      pass[e].mag += std::abs(v);
+      sums[e].first += v;
+      sums[e].second += std::abs(v);
     }
-    pass[e].terms = r.terms[e];
   }
   const auto scaled = [&](int e, std::int64_t repeat) {
-    const verify::EdgeChecksum& p = pass[static_cast<std::size_t>(e)];
+    const auto [sum, mag] = sums[static_cast<std::size_t>(e)];
     const std::int64_t k = std::max<std::int64_t>(1, repeat);
-    return verify::EdgeChecksum{p.pred * static_cast<double>(k),
-                                p.mag * static_cast<double>(k), p.terms * k};
+    return verify::scalar_check(sum * static_cast<double>(k),
+                                mag * static_cast<double>(k),
+                                r.terms[static_cast<std::size_t>(e)] * k);
   };
 
   // A writer's buffer holds one pass of its in-edge, however often the
   // stream replays it.
-  st.audits.clear();
+  Audits audits;
   for (int u = 0; u < g.node_count(); ++u) {
     if (g.node(u).type == mdag::NodeType::Interface &&
         st.comp.binding(u).out != nullptr) {
-      st.audits.emplace_back(
-          u, pass[static_cast<std::size_t>(cp.in_edges(g, u)[0])]);
+      audits.emplace_back(u, scaled(cp.in_edges(g, u)[0], 1));
     }
   }
 
@@ -578,7 +578,7 @@ void prepare_predictions(ComposedState<T>& st) {
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
     st.chk[c].reset(st.comp.name());
     for (const CompiledChannel& cc : cp.channels[c]) {
-      verify::EdgeChecksum pred;
+      verify::ScalarCheck pred;
       switch (cc.role) {
         case CompiledChannel::Role::Edge:
         case CompiledChannel::Role::Spill:
@@ -593,27 +593,31 @@ void prepare_predictions(ComposedState<T>& st) {
           break;
         }
         case CompiledChannel::Role::Zero:
-          pred = {0.0, 0.0, cp.zero_count[cp.zero_index(cc.id)]};
+          pred = verify::scalar_check(
+              0.0, 0.0, cp.zero_count[cp.zero_index(cc.id)]);
           break;
       }
       st.chk[c].expect(cc.name, pred, eps);
     }
   }
+  return audits;
 }
 
 template <typename T>
-void check_results(const ComposedState<T>& st, double scale) {
+void check_results(const ComposedState<T>& st, const Audits& audits,
+                   double scale) {
   for (const verify::GraphChecker& chk : st.chk) {
     if (chk.active()) chk.check(scale);
   }
   const mdag::Mdag& g = st.comp.graph();
-  for (const auto& [u, pred] : st.audits) {
+  const std::string label = st.comp.name() + "_composed";
+  for (const auto& [u, pred] : audits) {
     const mdag::Edge& e = g.edge(st.cp.in_edges(g, u)[0]);
     const std::int64_t n = e.consumed.is_matrix
                                ? e.consumed.rows * e.consumed.cols
                                : per_pass(e.consumed);
-    verify::check_output<T>(pred, st.audit_label.c_str(),
-                            st.comp.binding(u).out->cvec(n), scale);
+    verify::check_sum<T>(pred, label.c_str(),
+                         st.comp.binding(u).out->cvec(n), scale);
   }
 }
 
@@ -624,7 +628,10 @@ void check_results(const ComposedState<T>& st, double scale) {
 
 template <typename T>
 Event Context::run_composition_async(const Composition<T>& comp) {
+  // Validate the knobs before the compiler sizes FIFOs with them; a bad
+  // one raises the ConfigError Context::enqueue would, naming the knob.
   const RoutineConfig& rc = config();
+  rc.validate();
   mdag::CompileOptions co;
   co.width = rc.width;
   co.max_channel_depth = comp.max_channel_depth();
@@ -636,7 +643,6 @@ Event Context::run_composition_async(const Composition<T>& comp) {
   // throws ConfigError with the validity diagnostic before any command
   // is queued.
   st->cp = mdag::compile(comp.graph(), comp.semantics(), co);
-  st->audit_label = comp.name() + "_composed";
 
   const mdag::Mdag& g = st->comp.graph();
   const auto& sem = st->comp.semantics();
@@ -708,14 +714,11 @@ Event Context::run_composition_async(const Composition<T>& comp) {
     }
   };
   command.fallback = [st] { run_fallback<T>(*st); };
-  if (rc.verification.enabled()) {
-    command.verify_prepare = [st] { prepare_predictions<T>(*st); };
-    command.verify_check = [st,
-                            scale = rc.verification.tolerance_scale()] {
-      check_results<T>(*st, scale);
+  return enqueue(std::move(command), [st] {
+    return [st, audits = prepare_predictions<T>(*st)](double scale) {
+      check_results<T>(*st, audits, scale);
     };
-  }
-  return enqueue(std::move(command));
+  });
 }
 
 template Event Context::run_composition_async<float>(const Composition<float>&);

@@ -1,8 +1,9 @@
 // Level-1 host API lowerings: reader -> module -> writer graphs.
 //
 // Each async routine enqueues a Command that declares its buffer read and
-// write sets (hazard tracking) and captures the RoutineConfig by value,
-// so commands in flight are unaffected by later config changes. Every
+// write sets (hazard tracking) and captures the RoutineConfig knobs it
+// uses by value, so commands in flight are unaffected by later config
+// changes. Every
 // routine also attaches its refblas CPU reference path as the Command's
 // `fallback`, the graceful-degradation target once the RetryPolicy
 // exhausts device retries, and (when the captured config enables
@@ -11,23 +12,12 @@
 // checksum identity, and sdsdot's mixed-precision accumulation has no
 // tight double-precision bound — both stay covered by fault *detection*
 // (taint, watchdog) rather than result verification.
-#include <memory>
-
 #include "fblas/level1.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
-#include "sim/frequency_model.hpp"
 #include "verify/abft.hpp"
 
 namespace fblas::host {
-namespace {
-
-template <typename T>
-sim::FrequencyEstimate freq_of(RoutineKind kind, const Device& dev) {
-  return sim::module_frequency(kind, PrecisionTraits<T>::value, dev.spec());
-}
-
-}  // namespace
 
 template <typename T>
 ref::Givens<T> Context::rotg(T& a, T& b) {
@@ -68,41 +58,35 @@ Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
   cmd.label = "rot";
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, c, s] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Rot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("rot", core::rot<T>({W}, n, c, s, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, c, s] {
+    detail::launch<T>(*this, RoutineKind::Rot, [&](stream::Graph& g,
+                                                   detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& cy = g.channel<T>("y", detail::chan_cap(W));
+      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
+      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
                                                banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
                                                banks.at(y.bank())));
-    run_graph(g);
+      g.spawn("rot", core::rot<T>({W}, n, c, s, cx, cy, ox, oy));
+      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+                                                 banks.at(x.bank())));
+      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+                                                 banks.at(y.bank())));
+    });
   };
   cmd.fallback = [n, &x, incx, &y, incy, c, s] {
     ref::rot(x.vec(n, incx), y.vec(n, incy), c, s);
   };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::PairCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx, &y, incy, c, s] {
-      *chk = verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c, s);
+  return enqueue(std::move(cmd), [n, &x, incx, &y, incy, c, s] {
+    return [chk = verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c,
+                                         s),
+            n, &x, incx, &y, incy](double scale) {
+      verify::check_sum<T>(chk.x, "rot(x)", x.cvec(n, incx), scale);
+      verify::check_sum<T>(chk.y, "rot(y)", y.cvec(n, incy), scale);
     };
-    cmd.verify_check = [chk, n, &x, incx, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(chk->x, "rot(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk->y, "rot(y)", y.cvec(n, incy), scale);
-    };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -113,25 +97,23 @@ Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
   cmd.label = "rotm";
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, p] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Rotm, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("rotm", core::rotm<T>({W}, n, p, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, p] {
+    detail::launch<T>(*this, RoutineKind::Rotm, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& cy = g.channel<T>("y", detail::chan_cap(W));
+      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
+      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
                                                banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
                                                banks.at(y.bank())));
-    run_graph(g);
+      g.spawn("rotm", core::rotm<T>({W}, n, p, cx, cy, ox, oy));
+      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+                                                 banks.at(x.bank())));
+      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+                                                 banks.at(y.bank())));
+    });
   };
   cmd.fallback = [n, &x, incx, &y, incy, p] {
     ref::rotm(x.vec(n, incx), y.vec(n, incy), p);
@@ -146,41 +128,34 @@ Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
   cmd.label = "swap";
   cmd.reads = {&x, &y};
   cmd.writes = {&x, &y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Swap, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-    auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("swap", core::swap<T>({W}, n, cx, cy, ox, oy));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy] {
+    detail::launch<T>(*this, RoutineKind::Swap, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& cy = g.channel<T>("y", detail::chan_cap(W));
+      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
+      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
                                                banks.at(x.bank())));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
                                                banks.at(y.bank())));
-    run_graph(g);
+      g.spawn("swap", core::swap<T>({W}, n, cx, cy, ox, oy));
+      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
+                                                 banks.at(x.bank())));
+      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
+                                                 banks.at(y.bank())));
+    });
   };
   cmd.fallback = [n, &x, incx, &y, incy] {
     ref::swap(x.vec(n, incx), y.vec(n, incy));
   };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::PairCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx, &y, incy] {
-      *chk = verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy));
+  return enqueue(std::move(cmd), [n, &x, incx, &y, incy] {
+    return [chk = verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy)),
+            n, &x, incx, &y, incy](double scale) {
+      verify::check_sum<T>(chk.x, "swap(x)", x.cvec(n, incx), scale);
+      verify::check_sum<T>(chk.y, "swap(y)", y.cvec(n, incy), scale);
     };
-    cmd.verify_check = [chk, n, &x, incx, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(chk->x, "swap(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk->y, "swap(y)", y.cvec(n, incy), scale);
-    };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -190,32 +165,25 @@ Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
   cmd.label = "scal";
   cmd.reads = {&x};
   cmd.writes = {&x};
-  cmd.work = [this, rc = cfg_, n, alpha, &x, incx] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Scal, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cin = g.channel<T>("x", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                             banks.at(x.bank())));
-    g.spawn("scal", core::scal<T>({W}, n, alpha, cin, cout));
-    g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, cout,
+  cmd.work = [this, W = cfg_.width, n, alpha, &x, incx] {
+    detail::launch<T>(*this, RoutineKind::Scal, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cin = g.channel<T>("x", detail::chan_cap(W));
+      auto& cout = g.channel<T>("out", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
                                                banks.at(x.bank())));
-    run_graph(g);
+      g.spawn("scal", core::scal<T>({W}, n, alpha, cin, cout));
+      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, cout,
+                                                 banks.at(x.bank())));
+    });
   };
   cmd.fallback = [n, alpha, &x, incx] { ref::scal(alpha, x.vec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, alpha, &x, incx] {
-      *chk = verify::scal_prepare<T>(alpha, x.cvec(n, incx));
+  return enqueue(std::move(cmd), [n, alpha, &x, incx] {
+    return [chk = verify::scal_prepare<T>(alpha, x.cvec(n, incx)), n, &x,
+            incx](double scale) {
+      verify::check_sum<T>(chk, "scal", x.cvec(n, incx), scale);
     };
-    cmd.verify_check = [chk, n, &x, incx,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "scal", x.cvec(n, incx), scale);
-    };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -226,34 +194,27 @@ Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
   cmd.label = "copy";
   cmd.reads = {&x};
   cmd.writes = {&y};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Copy, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cin = g.channel<T>("x", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                             banks.at(x.bank())));
-    g.spawn("copy", core::copy<T>({W}, n, cin, cout));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
-                                               banks.at(y.bank())));
-    run_graph(g);
+  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy] {
+    detail::launch<T>(*this, RoutineKind::Copy, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cin = g.channel<T>("x", detail::chan_cap(W));
+      auto& cout = g.channel<T>("out", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
+                                               banks.at(x.bank())));
+      g.spawn("copy", core::copy<T>({W}, n, cin, cout));
+      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
+                                                 banks.at(y.bank())));
+    });
   };
   cmd.fallback = [n, &x, incx, &y, incy] {
     ref::copy(x.cvec(n, incx), y.vec(n, incy));
   };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, &x, incx] {
-      *chk = verify::copy_prepare<T>(x.cvec(n, incx));
+  return enqueue(std::move(cmd), [n, &x, incx, &y, incy] {
+    return [chk = verify::copy_prepare<T>(x.cvec(n, incx)), n, &y,
+            incy](double scale) {
+      verify::check_sum<T>(chk, "copy", y.cvec(n, incy), scale);
     };
-    cmd.verify_check = [chk, n, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "copy", y.cvec(n, incy), scale);
-    };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -264,37 +225,31 @@ Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
   cmd.label = "axpy";
   cmd.reads = {&x, &y};
   cmd.writes = {&y};
-  cmd.work = [this, rc = cfg_, n, alpha, &x, incx, &y, incy] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Axpy, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& cout = g.channel<T>("out", detail::chan_cap(W));
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("axpy", core::axpy<T>({W}, n, alpha, cx, cy, cout));
-    g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
+  cmd.work = [this, W = cfg_.width, n, alpha, &x, incx, &y, incy] {
+    detail::launch<T>(*this, RoutineKind::Axpy, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& cy = g.channel<T>("y", detail::chan_cap(W));
+      auto& cout = g.channel<T>("out", detail::chan_cap(W));
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
+                                               banks.at(x.bank())));
+      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
                                                banks.at(y.bank())));
-    run_graph(g);
+      g.spawn("axpy", core::axpy<T>({W}, n, alpha, cx, cy, cout));
+      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
+                                                 banks.at(y.bank())));
+    });
   };
   cmd.fallback = [n, alpha, &x, incx, &y, incy] {
     ref::axpy(alpha, x.cvec(n, incx), y.vec(n, incy));
   };
-  if (cfg_.verification.enabled()) {
-    auto chk = std::make_shared<verify::ScalarCheck>();
-    cmd.verify_prepare = [chk, n, alpha, &x, incx, &y, incy] {
-      *chk = verify::axpy_prepare<T>(alpha, x.cvec(n, incx), y.cvec(n, incy));
+  return enqueue(std::move(cmd), [n, alpha, &x, incx, &y, incy] {
+    return [chk = verify::axpy_prepare<T>(alpha, x.cvec(n, incx),
+                                          y.cvec(n, incy)),
+            n, &y, incy](double scale) {
+      verify::check_sum<T>(chk, "axpy", y.cvec(n, incy), scale);
     };
-    cmd.verify_check = [chk, n, &y, incy,
-                        scale = cfg_.verification.tolerance_scale()] {
-      verify::check_sum<T>(*chk, "axpy", y.cvec(n, incy), scale);
-    };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -305,36 +260,32 @@ Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
   cmd.label = "dot";
   cmd.reads = {&x, &y};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, &y, incy, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Dot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& cy = g.channel<T>("y", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
+  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, result] {
     std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                             banks.at(y.bank())));
-    g.spawn("dot", core::dot<T>({W}, n, cx, cy, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
+    detail::launch<T>(*this, RoutineKind::Dot, [&](stream::Graph& g,
+                                                   detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& cy = g.channel<T>("y", detail::chan_cap(W));
+      auto& res = g.channel<T>("res", 2);
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
+                                               banks.at(x.bank())));
+      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
+                                               banks.at(y.bank())));
+      g.spawn("dot", core::dot<T>({W}, n, cx, cy, res));
+      g.spawn("collect", stream::collect<T>(1, res, out));
+    });
     *result = out[0];
   };
   cmd.fallback = [n, &x, incx, &y, incy, result] {
     *result = ref::dot(x.cvec(n, incx), y.cvec(n, incy));
   };
-  if (cfg_.verification.enabled()) {
-    // Single-phase: the inputs are untouched, so the checker recomputes
-    // the reduction in double after the fact — no prepare pass needed.
-    cmd.verify_check = [n, &x, incx, &y, incy, result,
-                        scale = cfg_.verification.tolerance_scale()] {
+  // Single-phase: the inputs are untouched, so the check recomputes the
+  // reduction in double after the fact — nothing to capture up front.
+  return enqueue(std::move(cmd), [n, &x, incx, &y, incy, result] {
+    return [n, &x, incx, &y, incy, result](double scale) {
       verify::dot_check<T>(x.cvec(n, incx), y.cvec(n, incy), *result, scale);
     };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
@@ -344,22 +295,20 @@ Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
   cmd.label = "sdsdot";
   cmd.reads = {&x, &y};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, sb, &x, incx, &y, incy, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<float>(RoutineKind::Sdsdot, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<float>("x", detail::chan_cap(W));
-    auto& cy = g.channel<float>("y", detail::chan_cap(W));
-    auto& res = g.channel<float>("res", 2);
+  cmd.work = [this, W = cfg_.width, n, sb, &x, incx, &y, incy, result] {
     std::vector<float> out;
-    g.spawn("read_x", stream::read_vector<float>(x.cvec(n, incx), 1, W, cx,
-                                                 banks.at(x.bank())));
-    g.spawn("read_y", stream::read_vector<float>(y.cvec(n, incy), 1, W, cy,
-                                                 banks.at(y.bank())));
-    g.spawn("sdsdot", core::sdsdot({W}, n, sb, cx, cy, res));
-    g.spawn("collect", stream::collect<float>(1, res, out));
-    run_graph(g);
+    detail::launch<float>(*this, RoutineKind::Sdsdot,
+                          [&](stream::Graph& g, detail::BankSet& banks) {
+      auto& cx = g.channel<float>("x", detail::chan_cap(W));
+      auto& cy = g.channel<float>("y", detail::chan_cap(W));
+      auto& res = g.channel<float>("res", 2);
+      g.spawn("read_x", stream::read_vector<float>(x.cvec(n, incx), 1, W, cx,
+                                                   banks.at(x.bank())));
+      g.spawn("read_y", stream::read_vector<float>(y.cvec(n, incy), 1, W, cy,
+                                                   banks.at(y.bank())));
+      g.spawn("sdsdot", core::sdsdot({W}, n, sb, cx, cy, res));
+      g.spawn("collect", stream::collect<float>(1, res, out));
+    });
     *result = out[0];
   };
   cmd.fallback = [n, sb, &x, incx, &y, incy, result] {
@@ -375,29 +324,25 @@ Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
   cmd.label = "nrm2";
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Nrm2, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
+  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
     std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("nrm2", core::nrm2<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
+    detail::launch<T>(*this, RoutineKind::Nrm2, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& res = g.channel<T>("res", 2);
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
+                                               banks.at(x.bank())));
+      g.spawn("nrm2", core::nrm2<T>({W}, n, cx, res));
+      g.spawn("collect", stream::collect<T>(1, res, out));
+    });
     *result = out[0];
   };
   cmd.fallback = [n, &x, incx, result] { *result = ref::nrm2(x.cvec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result,
-                        scale = cfg_.verification.tolerance_scale()] {
+  return enqueue(std::move(cmd), [n, &x, incx, result] {
+    return [n, &x, incx, result](double scale) {
       verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
     };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -407,29 +352,25 @@ Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
   cmd.label = "asum";
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Asum, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<T>("res", 2);
+  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
     std::vector<T> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("asum", core::asum<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<T>(1, res, out));
-    run_graph(g);
+    detail::launch<T>(*this, RoutineKind::Asum, [&](stream::Graph& g,
+                                                    detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& res = g.channel<T>("res", 2);
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
+                                               banks.at(x.bank())));
+      g.spawn("asum", core::asum<T>({W}, n, cx, res));
+      g.spawn("collect", stream::collect<T>(1, res, out));
+    });
     *result = out[0];
   };
   cmd.fallback = [n, &x, incx, result] { *result = ref::asum(x.cvec(n, incx)); };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result,
-                        scale = cfg_.verification.tolerance_scale()] {
+  return enqueue(std::move(cmd), [n, &x, incx, result] {
+    return [n, &x, incx, result](double scale) {
       verify::asum_check<T>(x.cvec(n, incx), *result, scale);
     };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 template <typename T>
@@ -439,30 +380,27 @@ Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
   cmd.label = "iamax";
   cmd.reads = {&x};
   cmd.writes = {result};
-  cmd.work = [this, rc = cfg_, n, &x, incx, result] {
-    stream::Graph g(mode_);
-    const auto f = freq_of<T>(RoutineKind::Iamax, *dev_);
-    detail::BankSet banks(g, *dev_, f.mhz);
-    const int W = rc.width;
-    auto& cx = g.channel<T>("x", detail::chan_cap(W));
-    auto& res = g.channel<std::int64_t>("res", 2);
+  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
     std::vector<std::int64_t> out;
-    g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                             banks.at(x.bank())));
-    g.spawn("iamax", core::iamax<T>({W}, n, cx, res));
-    g.spawn("collect", stream::collect<std::int64_t>(1, res, out));
-    run_graph(g);
+    detail::launch<T>(*this, RoutineKind::Iamax, [&](stream::Graph& g,
+                                                     detail::BankSet& banks) {
+      auto& cx = g.channel<T>("x", detail::chan_cap(W));
+      auto& res = g.channel<std::int64_t>("res", 2);
+      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
+                                               banks.at(x.bank())));
+      g.spawn("iamax", core::iamax<T>({W}, n, cx, res));
+      g.spawn("collect", stream::collect<std::int64_t>(1, res, out));
+    });
     *result = out[0];
   };
   cmd.fallback = [n, &x, incx, result] {
     *result = ref::iamax(x.cvec(n, incx));
   };
-  if (cfg_.verification.enabled()) {
-    cmd.verify_check = [n, &x, incx, result] {
+  return enqueue(std::move(cmd), [n, &x, incx, result] {
+    return [n, &x, incx, result](double) {
       verify::iamax_check<T>(x.cvec(n, incx), *result);
     };
-  }
-  return enqueue(std::move(cmd));
+  });
 }
 
 // Explicit instantiations for the two supported precisions.

@@ -1,7 +1,7 @@
 // Host lowering for the explicit PE-grid systolic GEMM engine, including
 // the in-grid ABFT path: when the captured verification Options enable
 // .in_grid(), the grid's own checksum rank detects / localizes /
-// corrects PE faults as each tile drains, and the command's verify_check
+// corrects PE faults as each tile drains, and the command's result check
 // first inspects the engine's report — an uncorrectable (multi-fault)
 // tile rejects with VerificationError and falls onto the standard
 // rollback -> retry -> CPU-fallback ladder. In both modes the command
@@ -34,7 +34,7 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
   const verify::Options& vo = cfg_.verification;
   const bool in_grid = vo.enabled() && vo.in_grid();
   // The engine's ABFT report, shared between the work body (which fills
-  // it per attempt) and verify_check (which decides accept/reject on it).
+  // it per attempt) and the result check (which accepts/rejects on it).
   struct GridState {
     systolic::AbftReport report;
   };
@@ -139,22 +139,18 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
     ref::gemm(Transpose::None, Transpose::None, T(1), a.cmat(m, k),
               b.cmat(k, n), T(0), c.mat(m, n));
   };
-  if (cfg_.verification.enabled()) {
-    // With .in_grid() the checksum rank already checked every tile inside
-    // the engine; an uncorrectable tile (multi-fault or inconsistent
-    // residuals) — or any localized fault left in place because
-    // correction is disabled — rejects like a host-side checksum mismatch
-    // would, feeding the rollback -> retry -> fallback ladder. The grid
-    // never sees C after it drains, so the host-side Huang–Abraham check
-    // still audits the write-back in both modes.
-    auto chk = std::make_shared<verify::GemmCheck<T>>();
-    command.verify_prepare = [chk, m, n, k, &a, &b, &c] {
-      *chk = verify::gemm_prepare<T>(Transpose::None, Transpose::None, m, n,
-                                     k, T(1), a.cmat(m, k), b.cmat(k, n),
-                                     T(0), c.cmat(m, n));
-    };
-    command.verify_check = [st, in_grid, chk, m, n, &c,
-                            scale = cfg_.verification.tolerance_scale()] {
+  // With .in_grid() the checksum rank already checked every tile inside
+  // the engine; an uncorrectable tile (multi-fault or inconsistent
+  // residuals) — or any localized fault left in place because correction
+  // is disabled — rejects like a host-side checksum mismatch would,
+  // feeding the rollback -> retry -> fallback ladder. The grid never sees
+  // C after it drains, so the host-side Huang–Abraham check still audits
+  // the write-back in both modes.
+  return enqueue(std::move(command), [st, in_grid, m, n, k, &a, &b, &c] {
+    return [chk = verify::gemm_prepare<T>(Transpose::None, Transpose::None, m,
+                                          n, k, T(1), a.cmat(m, k),
+                                          b.cmat(k, n), T(0), c.cmat(m, n)),
+            st, in_grid, m, n, &c](double scale) {
       if (in_grid) {
         const systolic::AbftReport& report = st->report;
         if (report.uncorrectable_tiles > 0) {
@@ -170,10 +166,9 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
           throw VerificationError(os.str());
         }
       }
-      verify::gemm_check<T>(*chk, c.cmat(m, n), scale);
+      verify::gemm_check<T>(chk, c.cmat(m, n), scale);
     };
-  }
-  return enqueue(std::move(command));
+  });
 }
 
 template Event Context::gemm_systolic_async<float>(std::int64_t, std::int64_t,

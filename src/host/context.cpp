@@ -258,9 +258,9 @@ double Context::effective_sample_rate(const verify::Options& vo) const {
   return live < 0.0 ? vo.sample_rate() : live;
 }
 
-std::function<void()> Context::wrap_verify(std::function<void()> check,
-                                           bool adaptive,
-                                           bool feed_breaker) {
+std::function<std::function<void()>()> Context::wrap_verify(
+    std::function<ResultCheck()> checker, double tol_scale, bool adaptive,
+    bool feed_breaker) {
   // Adaptive controller bounds, frozen at enqueue like every other knob:
   // a rejection quadruples the live rate (towards 1), a clean check
   // decays it by 2% towards a floor a quarter of the configured base.
@@ -283,35 +283,37 @@ std::function<void()> Context::wrap_verify(std::function<void()> check,
       tr->emit(te);
     }
   };
-  return [this, check = std::move(check), feed = std::move(feed),
-          feed_breaker] {
-    try {
-      check();
-      feed(false);
-      // The checker accepted this device-Ok attempt: the command is
-      // complete, and the placed device earns its success sample.
-      if (tl_attempt_device >= 0) {
-        pool_->note_verify(tl_attempt_device, true, feed_breaker);
+  return [this, checker = std::move(checker), feed = std::move(feed),
+          tol_scale, feed_breaker]() -> std::function<void()> {
+    return [this, check = checker(), feed, tol_scale, feed_breaker] {
+      try {
+        check(tol_scale);
+        feed(false);
+        // The checker accepted this device-Ok attempt: the command is
+        // complete, and the placed device earns its success sample.
+        if (tl_attempt_device >= 0) {
+          pool_->note_verify(tl_attempt_device, true, feed_breaker);
+        }
+      } catch (const VerificationError& e) {
+        feed(true);
+        if (tl_attempt_device >= 0) {
+          pool_->note_verify(tl_attempt_device, false, feed_breaker);
+        }
+        // A checksum mismatch on NaN/Inf-poisoned data is a numerical
+        // symptom, not necessarily hardware corruption — attach the taint
+        // provenance recorded during the run so the two are separable.
+        if (tl_last_taint.tainted) {
+          std::ostringstream os;
+          os << e.what() << " [non-finite taint: module '"
+             << tl_last_taint.module << "' first pushed "
+             << tl_last_taint.value << " into channel '"
+             << tl_last_taint.channel << "' at cycle " << tl_last_taint.cycle
+             << "]";
+          throw VerificationError(os.str());
+        }
+        throw;
       }
-    } catch (const VerificationError& e) {
-      feed(true);
-      if (tl_attempt_device >= 0) {
-        pool_->note_verify(tl_attempt_device, false, feed_breaker);
-      }
-      // A checksum mismatch on NaN/Inf-poisoned data is a numerical
-      // symptom, not necessarily hardware corruption — attach the taint
-      // provenance recorded during the run so the two are separable.
-      if (tl_last_taint.tainted) {
-        std::ostringstream os;
-        os << e.what() << " [non-finite taint: module '"
-           << tl_last_taint.module << "' first pushed "
-           << tl_last_taint.value << " into channel '"
-           << tl_last_taint.channel << "' at cycle " << tl_last_taint.cycle
-           << "]";
-        throw VerificationError(os.str());
-      }
-      throw;
-    }
+    };
   };
 }
 
@@ -363,7 +365,7 @@ Event Context::enqueue(Command cmd) {
     // no-arg accessor spellings resolve to the fluent setters.
     const verify::Options& vo = cfg_.verification;
     const bool verify_armed =
-        static_cast<bool>(cmd.verify_check) &&
+        static_cast<bool>(cmd.checker) &&
         (vo.policy() == verify::VerifyPolicy::Always ||
          (vo.policy() == verify::VerifyPolicy::Sampled &&
           verify::sampled(vo.seed(), seq, effective_sample_rate(vo))));
@@ -377,9 +379,9 @@ Event Context::enqueue(Command cmd) {
       hooks = make_hooks(cmd);
     }
     if (verify_armed) {
-      hooks.verify_prepare = std::move(cmd.verify_prepare);
-      hooks.verify_check = wrap_verify(std::move(cmd.verify_check),
-                                       vo.adaptive(), vo.breaker_feedback());
+      hooks.checker =
+          wrap_verify(std::move(cmd.checker), vo.tolerance_scale(),
+                      vo.adaptive(), vo.breaker_feedback());
     }
   }
   exec_->submit(seq, std::move(work), deps, std::move(hooks));
@@ -502,10 +504,6 @@ void Context::stop_tracing() {
 
 Device& Context::attempt_device() {
   return (tl_scope.active && tl_scope.dev != nullptr) ? *tl_scope.dev : *dev_;
-}
-
-double Context::bank_bytes_per_cycle(double freq_mhz) const {
-  return dev_->spec().bank_bandwidth_gbs * 1e9 / (freq_mhz * 1e6);
 }
 
 bool Context::pe_fault_draw(std::uint64_t* seq, int* attempt) {

@@ -93,6 +93,11 @@ struct RoutineConfig {
   void validate() const;
 };
 
+/// A prepared ABFT result check: compares a command's outputs against the
+/// checksums its checker captured and throws VerificationError when they
+/// diverge by more than `tol_scale` times the routine's error bound.
+using ResultCheck = std::function<void(double tol_scale)>;
+
 /// A unit of work for the runtime: the closure plus the declared buffer
 /// read/write sets hazards are derived from (Buffer addresses for device
 /// data, host pointers for scalar results) and optional explicit event
@@ -108,12 +113,14 @@ struct Command {
   std::function<void()> work;
   std::function<void()> fallback;
   /// ABFT result verification, armed per the captured RoutineConfig's
-  /// VerifyPolicy. `verify_prepare` captures input checksums before the
-  /// first attempt; `verify_check` re-derives them from the outputs
-  /// after each device-Ok attempt and throws VerificationError on
-  /// mismatch — which the executor handles like a transient fault.
-  std::function<void()> verify_prepare;
-  std::function<void()> verify_check;
+  /// VerifyPolicy. The checker runs once, after the write-set snapshot
+  /// and before the first attempt: it captures the input checksums and
+  /// returns the check. The check runs after every device-Ok attempt
+  /// with the captured tolerance scale and throws VerificationError on
+  /// mismatch, which the executor handles like a transient fault.
+  /// Lowerings attach it through enqueue(cmd, checker), which only
+  /// builds it when verification is enabled.
+  std::function<ResultCheck()> checker;
   /// Optional steering of an injected SilentCorrupt fault: maps the
   /// injector's raw draw over the write-set byte span to the byte offset
   /// actually mangled. Routines whose write set is only partially live
@@ -219,6 +226,16 @@ class Context {
   /// command (it declares no sets, so it orders against everything);
   /// `after` adds explicit event dependencies on top of the derived ones.
   Event enqueue(Command cmd);
+  /// enqueue(cmd) with `checker` (a callable returning a ResultCheck)
+  /// attached as cmd.checker when the current configuration enables
+  /// verification; unverified commands never build it.
+  template <typename Checker>
+  Event enqueue(Command cmd, Checker&& checker) {
+    if (cfg_.verification.enabled()) {
+      cmd.checker = std::forward<Checker>(checker);
+    }
+    return enqueue(std::move(cmd));
+  }
   Event enqueue(std::function<void()> work);
   Event enqueue(std::function<void()> work, std::span<const Event> after);
   void finish();
@@ -610,13 +627,16 @@ class Context {
       std::function<std::uint64_t(std::uint64_t, std::uint64_t)> steer);
   /// Snapshot/rollback/fallback hooks for the retry machinery.
   CommandHooks make_hooks(const Command& cmd);
-  /// Wraps a verify_check so a VerificationError carries the taint
-  /// provenance (which module first pushed NaN/Inf) when one exists,
-  /// feeds the adaptive sampling controller (raise the live rate on a
-  /// rejection, decay it on a clean check), and reports the verdict to
-  /// the device pool (per-device stats; breaker per `feed_breaker`).
-  std::function<void()> wrap_verify(std::function<void()> check,
-                                    bool adaptive, bool feed_breaker);
+  /// Turns a Command's checker into the executor's: the returned hook
+  /// runs `checker` and wraps the check it returns so it runs at
+  /// `tol_scale`, a VerificationError carries the taint provenance
+  /// (which module first pushed NaN/Inf) when one exists, the adaptive
+  /// sampling controller is fed (raise the live rate on a rejection,
+  /// decay it on a clean check), and the verdict reaches the device pool
+  /// (per-device stats; breaker per `feed_breaker`).
+  std::function<std::function<void()>()> wrap_verify(
+      std::function<ResultCheck()> checker, double tol_scale, bool adaptive,
+      bool feed_breaker);
 
   /// The device this thread's running attempt was placed on (the pool's
   /// choice recorded by wrap_work), or the primary device outside a
@@ -632,9 +652,6 @@ class Context {
   static bool pe_fault_draw(std::uint64_t* seq, int* attempt);
   static void pe_fault_fired();
   void store_grid_report(const systolic::AbftReport& report);
-
-  /// Per-cycle byte budget of one DDR bank at the given clock.
-  double bank_bytes_per_cycle(double freq_mhz) const;
 
   /// Wraps the single-device constructor's board in a pool of one, so
   /// pool_ is never null and both constructors share one runtime path.

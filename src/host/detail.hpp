@@ -1,10 +1,15 @@
 // Internal helpers shared by the host-API routine lowerings.
 #pragma once
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "common/routines.hpp"
 #include "common/types.hpp"
+#include "host/context.hpp"
 #include "host/device.hpp"
+#include "sim/frequency_model.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -29,6 +34,28 @@ class BankSet {
  private:
   std::vector<stream::DramBank*> banks_;
 };
+
+/// The one graph launch every routine lowering shares: a graph in the
+/// context's mode with the device's DDR banks metered at `freq_mhz`,
+/// wired by `build(graph, banks)` and run through Context::run_graph
+/// (fault injection, taint tracking, cycle accounting).
+template <typename Build>
+void launch(Context& ctx, double freq_mhz, Build&& build) {
+  stream::Graph g(ctx.mode());
+  BankSet banks(g, ctx.device(), freq_mhz);
+  build(g, banks);
+  ctx.run_graph(g);
+}
+
+/// launch() at the clock of routine `kind`'s module in precision T.
+template <typename T, typename Build>
+void launch(Context& ctx, RoutineKind kind, Build&& build) {
+  launch(ctx,
+         sim::module_frequency(kind, PrecisionTraits<T>::value,
+                               ctx.device().spec())
+             .mhz,
+         std::forward<Build>(build));
+}
 
 /// Stores a matrix stream but only keeps the `uplo` triangle (used by the
 /// SYR/SYR2 lowerings, whose generic modules update the full square).
@@ -60,53 +87,14 @@ stream::Task write_matrix_uplo(MatrixView<T> A, stream::TileSchedule sched,
   }
 }
 
-/// Streams a vector in solve order (reversed for Upper solves).
+/// `v` as an n x 1 matrix (ld = inc): how the row movers below stream a
+/// vector in solve order (TRSV's b and x).
 template <typename T>
-stream::Task read_vector_solve_order(VectorView<const T> v, Uplo uplo,
-                                     int width, stream::Channel<T>& out,
-                                     stream::DramBank* bank = nullptr) {
-  const std::int64_t n = v.size();
-  int in_cycle = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int64_t i = uplo == Uplo::Lower ? k : n - 1 - k;
-    if (bank != nullptr) {
-      while (bank->grant_elems(1, sizeof(T)) == 0) {
-        co_await stream::next_cycle();
-      }
-    }
-    co_await out.push(v[i]);
-    if (++in_cycle == width) {
-      in_cycle = 0;
-      co_await stream::next_cycle();
-    }
-  }
-  co_await stream::next_cycle();
+MatrixView<T> as_column(VectorView<T> v) {
+  return MatrixView<T>(v.data(), v.size(), 1, v.inc());
 }
 
-/// Stores a solve-order stream of n scalars back in natural order.
-template <typename T>
-stream::Task write_vector_solve_order(VectorView<T> v, Uplo uplo, int width,
-                                      stream::Channel<T>& in,
-                                      stream::DramBank* bank = nullptr) {
-  const std::int64_t n = v.size();
-  int in_cycle = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int64_t i = uplo == Uplo::Lower ? k : n - 1 - k;
-    const T x = co_await in.pop();
-    if (bank != nullptr) {
-      while (bank->grant_elems(1, sizeof(T)) == 0) {
-        co_await stream::next_cycle();
-      }
-    }
-    v[i] = x;
-    if (++in_cycle == width) {
-      in_cycle = 0;
-      co_await stream::next_cycle();
-    }
-  }
-}
-
-/// Streams matrix rows in solve order (for TRSM's B operand).
+/// Streams matrix rows in solve order (reversed for Upper solves).
 template <typename T>
 stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
                                    int width, stream::Channel<T>& out,
@@ -131,7 +119,7 @@ stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
   co_await stream::next_cycle();
 }
 
-/// Stores solve-order rows back in natural order (TRSM's X result).
+/// Stores solve-order rows back in natural order.
 template <typename T>
 stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
                                     stream::Channel<T>& in,

@@ -231,9 +231,10 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
     // Snapshot whenever a rollback might be needed: for the retry loop,
     // but also so a verify rejection without any retry budget still
     // leaves the write-set transactionally untouched.
-    if ((may_recover || hooks.verify_check) && hooks.snapshot) {
+    if ((may_recover || hooks.checker) && hooks.snapshot) {
       hooks.snapshot();
     }
+    std::function<void()> check;  // what the checker prepared
     auto backoff = policy.backoff;
     for (int attempt = 0;; ++attempt) {
       tl_cycles = 0;
@@ -248,15 +249,15 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
       error = nullptr;
       bool verify_rejected = false;
       try {
-        if (attempt == 0 && hooks.verify_prepare) hooks.verify_prepare();
+        if (attempt == 0 && hooks.checker) check = hooks.checker();
         if (work) work();
-        if (hooks.verify_check) {
+        if (check) {
           // Only a device-Ok attempt reaches the checker; a rejection
           // here means the device lied — silent data corruption.
           ++verified_runs;
           const std::uint64_t verify_t0 = rec ? rec->now_ns() : 0;
           try {
-            hooks.verify_check();
+            check();
           } catch (const VerificationError&) {
             verify_rejected = true;
             if (rec) {

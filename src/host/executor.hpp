@@ -121,14 +121,14 @@ struct CommandHooks {
   std::function<void()> snapshot;  ///< capture declared write-set bytes
   std::function<void()> rollback;  ///< restore the snapshot
   std::function<void()> fallback;  ///< CPU reference re-execution
-  /// Result verification (ABFT): `verify_prepare` runs once, after the
-  /// snapshot and before the first attempt, capturing input checksums;
-  /// `verify_check` runs after every attempt that reports success and
-  /// throws VerificationError on mismatch. The executor treats that
-  /// rejection exactly like a detected transient fault: rollback, retry
-  /// under the RetryPolicy, CPU fallback once retries are exhausted.
-  std::function<void()> verify_prepare;
-  std::function<void()> verify_check;
+  /// Result verification (ABFT): `checker` runs once, after the
+  /// snapshot and before the first attempt, capturing input checksums,
+  /// and returns the check. The check runs after every attempt that
+  /// reports success and throws VerificationError on mismatch. The
+  /// executor treats that rejection exactly like a detected transient
+  /// fault: rollback, retry under the RetryPolicy, CPU fallback once
+  /// retries are exhausted.
+  std::function<std::function<void()>()> checker;
   bool retryable = false;          ///< participate in the RetryPolicy
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/routines.hpp"
@@ -449,12 +448,6 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
     cp.matrix_modules = std::max(cp.matrix_modules, k);
   }
-
-  std::ostringstream os;
-  os << "compiled '" << comps.size() << " component(s), "
-     << cp.cuts.size() << " cut edge(s), " << cp.plan.sizings.size()
-     << " sized channel(s)': " << cp.plan.explanation;
-  cp.summary = os.str();
   return cp;
 }
 

@@ -100,7 +100,6 @@ struct Compiled {
   CompileOptions options;
   /// The execution plan of the streamable subgraph (forced cuts removed).
   Plan plan;
-  std::string summary;
   std::vector<int> component_of;         ///< node -> component index
   std::vector<std::vector<int>> order;   ///< per component, topo node order
   std::vector<bool> edge_cut;            ///< per edge

@@ -69,7 +69,6 @@ bool Scheduler::corrupt_hits(const ChannelBase& ch) {
   if (++corrupt_seen_ != corrupt_target_) return false;
   corrupt_fired_ = true;
   corrupt_channel_ = ch.name();
-  corrupt_module_ = current_ >= 0 ? modules_[current_].name : "host";
   return true;
 }
 

@@ -143,14 +143,13 @@ class Scheduler {
     return corrupt_target_ != 0 && !corrupt_fired_;
   }
   /// Counts one floating-point push; true exactly when it is the targeted
-  /// one. Records the victim channel and producing module for the
-  /// localization diagnostics. Called by Channel<T>::try_put.
+  /// one. Records the victim channel for the localization diagnostics.
+  /// Called by Channel<T>::try_put.
   bool corrupt_hits(const ChannelBase& ch);
   /// True once the armed corruption actually fired (the graph pushed at
   /// least `target` floating-point values).
   bool corruption_fired() const { return corrupt_fired_; }
   const std::string& corrupted_channel() const { return corrupt_channel_; }
-  const std::string& corrupting_module() const { return corrupt_module_; }
 
   /// Enables per-cycle channel-occupancy sampling (cycle mode only —
   /// samples are taken by advance_cycle, which functional mode never
@@ -208,7 +207,6 @@ class Scheduler {
   std::uint64_t corrupt_seen_ = 0;
   bool corrupt_fired_ = false;
   std::string corrupt_channel_;
-  std::string corrupt_module_;
   std::vector<std::vector<std::uint32_t>> occupancy_samples_;
 };
 

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "verify/graph_checker.hpp"
 
 namespace fblas::verify {
 namespace {
@@ -125,13 +124,6 @@ void check_sum(const ScalarCheck& chk, const char* routine,
   if (mismatch(got, chk.pred, tol)) {
     reject(routine, "sum checksum", -1, got, chk.pred, tol);
   }
-}
-
-template <typename T>
-void check_output(const EdgeChecksum& pred, const char* composition,
-                  VectorView<const T> out, double tol_scale) {
-  const ScalarCheck chk{pred.pred, pred.mag, pred.terms, false};
-  check_sum<T>(chk, composition, out, tol_scale);
 }
 
 // --- Level 3 -------------------------------------------------------------
@@ -415,7 +407,6 @@ ScalarCheck gemv_prepare(Transpose trans, std::int64_t rows,
                          std::int64_t cols, T alpha, MatrixView<const T> a,
                          VectorView<const T> x, T beta,
                          VectorView<const T> y0) {
-  ScalarCheck chk;
   const double al = static_cast<double>(alpha);
   const double be = static_cast<double>(beta);
   const std::int64_t xlen = trans == Transpose::None ? cols : rows;
@@ -435,22 +426,13 @@ ScalarCheck gemv_prepare(Transpose trans, std::int64_t rows,
     p += be * sy;
     g += std::abs(be) * say;
   }
-  chk.pred = p;
-  chk.mag = g;
-  chk.terms = xlen + ylen;
-  chk.skip = !finite(p) || !finite(g);
-  return chk;
+  return scalar_check(p, g, xlen + ylen);
 }
 
 template <typename T>
 ScalarCheck trsv_prepare(std::int64_t n, VectorView<const T> b0) {
-  ScalarCheck chk;
   const auto [p, g] = vec_sum(b0);
-  chk.pred = p;
-  chk.mag = g;
-  chk.terms = 2 * n;
-  chk.skip = !finite(p) || !finite(g);
-  return chk;
+  return scalar_check(p, g, 2 * n);
 }
 
 template <typename T>
@@ -573,37 +555,25 @@ RowSumCheck syr2_prepare(Uplo uplo, std::int64_t n, T alpha,
 
 template <typename T>
 ScalarCheck scal_prepare(T alpha, VectorView<const T> x0) {
-  ScalarCheck chk;
   const auto [s, m] = vec_sum(x0);
-  chk.pred = static_cast<double>(alpha) * s;
-  chk.mag = std::abs(static_cast<double>(alpha)) * m;
-  chk.terms = x0.size();
-  chk.skip = !finite(chk.pred) || !finite(chk.mag);
-  return chk;
+  return scalar_check(static_cast<double>(alpha) * s,
+                      std::abs(static_cast<double>(alpha)) * m, x0.size());
 }
 
 template <typename T>
 ScalarCheck axpy_prepare(T alpha, VectorView<const T> x,
                          VectorView<const T> y0) {
-  ScalarCheck chk;
   const auto [sx, mx] = vec_sum(x);
   const auto [sy, my] = vec_sum(y0);
-  chk.pred = static_cast<double>(alpha) * sx + sy;
-  chk.mag = std::abs(static_cast<double>(alpha)) * mx + my;
-  chk.terms = 2 * x.size();
-  chk.skip = !finite(chk.pred) || !finite(chk.mag);
-  return chk;
+  return scalar_check(static_cast<double>(alpha) * sx + sy,
+                      std::abs(static_cast<double>(alpha)) * mx + my,
+                      2 * x.size());
 }
 
 template <typename T>
 ScalarCheck copy_prepare(VectorView<const T> x) {
-  ScalarCheck chk;
   const auto [s, m] = vec_sum(x);
-  chk.pred = s;
-  chk.mag = m;
-  chk.terms = x.size();
-  chk.skip = !finite(s) || !finite(m);
-  return chk;
+  return scalar_check(s, m, x.size());
 }
 
 template <typename T>
@@ -617,20 +587,14 @@ PairCheck swap_prepare(VectorView<const T> x0, VectorView<const T> y0) {
 template <typename T>
 PairCheck rot_prepare(VectorView<const T> x0, VectorView<const T> y0, T c,
                       T s) {
-  PairCheck chk;
   const auto [sx, mx] = vec_sum(x0);
   const auto [sy, my] = vec_sum(y0);
   const double cd = static_cast<double>(c);
   const double sd = static_cast<double>(s);
-  chk.x.pred = cd * sx + sd * sy;
-  chk.x.mag = std::abs(cd) * mx + std::abs(sd) * my;
-  chk.x.terms = 2 * x0.size();
-  chk.x.skip = !finite(chk.x.pred) || !finite(chk.x.mag);
-  chk.y.pred = cd * sy - sd * sx;
-  chk.y.mag = std::abs(cd) * my + std::abs(sd) * mx;
-  chk.y.terms = 2 * x0.size();
-  chk.y.skip = !finite(chk.y.pred) || !finite(chk.y.mag);
-  return chk;
+  const double mag_x = std::abs(cd) * mx + std::abs(sd) * my;
+  const double mag_y = std::abs(cd) * my + std::abs(sd) * mx;
+  return {scalar_check(cd * sx + sd * sy, mag_x, 2 * x0.size()),
+          scalar_check(cd * sy - sd * sx, mag_y, 2 * x0.size())};
 }
 
 template <typename T>
@@ -770,9 +734,7 @@ void iamax_check(VectorView<const T> x, std::int64_t result) {
   template void check_rowsums<T>(const RowSumCheck&, const char*,            \
                                  MatrixView<const T>, double);               \
   template void check_sum<T>(const ScalarCheck&, const char*,                \
-                             VectorView<const T>, double);                   \
-  template void check_output<T>(const EdgeChecksum&, const char*,            \
-                                VectorView<const T>, double);
+                             VectorView<const T>, double);
 
 FBLAS_VERIFY_INSTANTIATE(float)
 FBLAS_VERIFY_INSTANTIATE(double)

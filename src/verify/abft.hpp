@@ -29,6 +29,7 @@
 //    verify/policy.hpp).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -38,18 +39,24 @@
 
 namespace fblas::verify {
 
-struct EdgeChecksum;  // verify/graph_checker.hpp
-
 // --- Checker state -------------------------------------------------------
 
 /// One predicted scalar checksum plus its magnitude (sum of absolute
-/// values) and the accumulation length the error bound grows with.
+/// values) and the accumulation length the error bound grows with — the
+/// record behind routine sums, composition FIFO taps and composition
+/// writer audits alike.
 struct ScalarCheck {
   double pred = 0.0;
   double mag = 0.0;
   std::int64_t terms = 0;
   bool skip = false;
 };
+
+/// A ScalarCheck marked `skip` when the prediction is non-finite.
+inline ScalarCheck scalar_check(double pred, double mag,
+                                std::int64_t terms) {
+  return {pred, mag, terms, !std::isfinite(pred) || !std::isfinite(mag)};
+}
 
 /// Two independent scalar checksums (routines writing two vectors).
 struct PairCheck {
@@ -188,15 +195,5 @@ void check_rowsums(const RowSumCheck& chk, const char* routine,
 template <typename T>
 void check_sum(const ScalarCheck& chk, const char* routine,
                VectorView<const T> v, double tol_scale);
-
-/// Output-tap audit of a composition: compares what actually landed in
-/// DRAM against the edge prediction the in-flight tap was checked with,
-/// catching a classic write-back corruption after the clean stream. One
-/// helper instead of the ScalarCheck boilerplate every composed app used
-/// to repeat; the composition compiler's output stage calls it for every
-/// buffer-bound interface writer.
-template <typename T>
-void check_output(const EdgeChecksum& pred, const char* composition,
-                  VectorView<const T> out, double tol_scale);
 
 }  // namespace fblas::verify

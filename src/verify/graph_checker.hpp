@@ -8,17 +8,17 @@
 // edge's values. Nothing the device streams is stored for the checker:
 // the taps accumulate in flight.
 //
-// Lifecycle, matching the executor's two-phase verification hooks (the
-// streaming graph is rebuilt inside the command body on every attempt and
-// destroyed when the body returns):
+// Lifecycle, matching the command's checker hook (the streaming graph is
+// rebuilt inside the command body on every attempt and destroyed when
+// the body returns):
 //
-//   verify_prepare   reset(name); expect(edge, prediction) per edge
+//   checker          reset(name); expect(edge, prediction) per edge
 //                    -- runs only when the command's verification armed,
 //                       so unverified runs never pay for taps
 //   work body        if (chk->active()) chk->arm(graph);
 //                    graph.run();
 //                    if (chk->active()) chk->capture(graph);
-//   verify_check     chk->check(tol_scale)
+//   check            chk->check(tol_scale)
 //                    -- throws VerificationError naming the composition
 //                       and the FIRST divergent edge in declaration
 //                       (topological) order, so a mismatch is localized
@@ -31,18 +31,9 @@
 #include <vector>
 
 #include "stream/graph.hpp"
-#include "verify/policy.hpp"
+#include "verify/abft.hpp"
 
 namespace fblas::verify {
-
-/// Predicted checksum of one edge: the sum of the values that cross it,
-/// the matching magnitude sum (what the error bound is relative to) and
-/// the accumulation length the bound grows with.
-struct EdgeChecksum {
-  double pred = 0.0;
-  double mag = 0.0;
-  std::int64_t terms = 0;
-};
 
 class GraphChecker {
  public:
@@ -53,11 +44,14 @@ class GraphChecker {
   const std::string& composition() const { return name_; }
 
   /// Declares an edge (channel `channel` of the graph) with its predicted
-  /// checksum. Declare edges in topological order: check() reports the
-  /// first divergent one. `eps` is the unit roundoff of the stream's
-  /// element type (std::numeric_limits<T>::epsilon()), which the
-  /// acceptance bound grows from.
-  void expect(std::string channel, EdgeChecksum pred, double eps);
+  /// checksum: the sum of the values that cross it, the matching
+  /// magnitude sum and the accumulation length the bound grows with. A
+  /// `skip` prediction (non-finite) is not compared. Declare edges in
+  /// topological order: check() reports the first divergent one. `eps`
+  /// is the unit roundoff of the stream's element type
+  /// (std::numeric_limits<T>::epsilon()), which the acceptance bound
+  /// grows from.
+  void expect(std::string channel, ScalarCheck pred, double eps);
 
   /// Arms a checksum tap on every expected channel of `g`. Unknown
   /// channel names are a caller bug and throw ConfigError.
@@ -73,12 +67,10 @@ class GraphChecker {
   /// value cannot widen its own acceptance into a miss.
   void check(double tol_scale) const;
 
-  std::size_t edge_count() const { return edges_.size(); }
-
  private:
   struct Edge {
     std::string channel;
-    EdgeChecksum pred;
+    ScalarCheck pred;
     double eps = 0.0;
     bool captured = false;
     double got = 0.0;

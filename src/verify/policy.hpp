@@ -2,11 +2,11 @@
 // command's result is checked by the ABFT layer, and how the acceptance
 // tolerance is derived from a per-routine floating-point error bound.
 //
-// The checkers in verify/abft.hpp are two-phase: a `prepare` closure runs
-// once per command, right after the write-set snapshot and before the
-// first device attempt, and captures input checksums; a `check` closure
-// runs after every device attempt that reports success and throws
-// VerificationError on mismatch. The executor treats that rejection
+// The checkers in verify/abft.hpp are two-phase: a command's checker hook
+// runs once, right after the write-set snapshot and before the first
+// device attempt, captures input checksums (`*_prepare`) and returns the
+// check, which runs after every device attempt that reports success and
+// throws VerificationError on mismatch. The executor treats that rejection
 // exactly like a detected transient device fault — rollback, retry under
 // the RetryPolicy, degrade to the CPU fallback once retries are
 // exhausted — so silent data corruption flows through the same recovery

@@ -7,6 +7,7 @@
 
 #include <chrono>
 
+#include "apps/atax.hpp"
 #include "common/workload.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
@@ -236,6 +237,19 @@ TEST(FaultTolerance, ConfigValidatedAtEnqueueNamingTheKnob) {
   bad = ctx.config();
   bad.tile_cols = 0;
   EXPECT_THROW(ctx.with(bad)->scal<float>(16, 2.0f, x), ConfigError);
+
+  // A composed app validates before its compiler sizes FIFOs by width.
+  bad = ctx.config();
+  bad.width = 0;
+  host::Buffer<float> a(dev, 16 * 12, 0), ax(dev, 12, 1), ay(dev, 12, 2);
+  try {
+    apps::atax_composed_async<float>(ctx.with(bad).context(), 16, 12, a, ax,
+                                     ay);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("RoutineConfig.width"),
+              std::string::npos);
+  }
 
   // A valid config still goes through, and the guard restored the knobs.
   EXPECT_NO_THROW(ctx.scal<float>(16, 2.0f, x));

@@ -3,6 +3,12 @@
 // BLAS; device/buffer semantics; sync/async queue behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -505,6 +511,249 @@ TYPED_TEST(HostApi, TrmvInTermsOfGemv) {
       }
     }
   }
+}
+
+// ---- Pinned lowerings -----------------------------------------------------
+//
+// Every hand-wired lowering at one small shape in cycle mode: the exact
+// simulated cycles of its graph launch and a bitwise hash of what it
+// wrote. Refactors of the lowerings must leave both unchanged; a
+// deliberate model change updates the tables (a mismatch prints the
+// observed table in source form).
+
+/// FNV-1a over the object representation of `v`.
+template <typename T>
+std::uint64_t bit_hash(const std::vector<T>& v,
+                       std::uint64_t h = 0xcbf29ce484222325ULL) {
+  std::vector<unsigned char> bytes(v.size() * sizeof(T));
+  if (!v.empty()) std::memcpy(bytes.data(), v.data(), bytes.size());
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct Pin {
+  std::uint64_t cycles;
+  std::uint64_t hash;
+  bool operator==(const Pin&) const = default;
+};
+
+template <typename T>
+std::map<std::string, Pin> run_pinned_routines() {
+  Device dev;
+  Context ctx(dev, stream::Mode::Cycle);
+  ctx.config().width = 8;
+  ctx.config().tile_rows = 8;
+  ctx.config().tile_cols = 8;
+  Workload wl(520);
+  std::map<std::string, Pin> got;
+  const auto pin = [&](const std::string& name, std::uint64_t hash) {
+    got[name] = Pin{ctx.last_cycles(), hash};
+  };
+  const std::int64_t n = 100;
+  const auto vec = [&](int bank = 0) {
+    return make_buffer(dev, wl.vector<T>(n), bank);
+  };
+
+  {
+    T a = T(3), b = T(4);
+    const auto g = ctx.rotg<T>(a, b);
+    pin("rotg", bit_hash(std::vector<T>{a, b, g.c, g.s}));
+    T d1 = T(2), d2 = T(1), x1 = T(1);
+    const auto p = ctx.rotmg<T>(d1, d2, x1, T(0.5));
+    pin("rotmg", bit_hash(std::vector<T>{d1, d2, x1, p.flag, p.h11, p.h21,
+                                         p.h12, p.h22}));
+    auto x = vec(0), y = vec(1);
+    ctx.rot<T>(n, x, y, g.c, g.s);
+    pin("rot", bit_hash(y.to_host(), bit_hash(x.to_host())));
+    ctx.rotm<T>(n, x, y, p);
+    pin("rotm", bit_hash(y.to_host(), bit_hash(x.to_host())));
+    ctx.swap<T>(n / 2, x, 1, y, 2);
+    pin("swap", bit_hash(y.to_host(), bit_hash(x.to_host())));
+    ctx.scal<T>(n, T(1.5), x);
+    pin("scal", bit_hash(x.to_host()));
+    auto z = vec(2);
+    ctx.copy<T>(n / 2, x, 2, z, 1);
+    pin("copy", bit_hash(z.to_host()));
+    ctx.axpy<T>(n, T(-0.75), x, y);
+    pin("axpy", bit_hash(y.to_host()));
+    pin("dot", bit_hash(std::vector<T>{ctx.dot<T>(n, x, y)}));
+    if constexpr (std::is_same_v<T, float>) {
+      pin("sdsdot", bit_hash(std::vector<T>{ctx.sdsdot(n, 0.25f, x, y)}));
+    }
+    pin("nrm2", bit_hash(std::vector<T>{ctx.nrm2<T>(n, x)}));
+    pin("asum", bit_hash(std::vector<T>{ctx.asum<T>(n, y)}));
+    pin("iamax", bit_hash(std::vector<std::int64_t>{ctx.iamax<T>(n, x)}));
+  }
+  {
+    const std::int64_t r = 24, c = 20;
+    auto a = make_buffer(dev, wl.matrix<T>(r, c), 0);
+    auto x = make_buffer(dev, wl.vector<T>(r), 1);
+    auto y = make_buffer(dev, wl.vector<T>(r), 2);
+    ctx.gemv<T>(Transpose::None, r, c, T(1.25), a, x, 1, T(0.5), y, 1);
+    pin("gemv", bit_hash(y.to_host()));
+    ctx.gemv<T>(Transpose::Trans, r, c, T(-1), a, y, 1, T(2), x, 1);
+    pin("gemv_t", bit_hash(x.to_host()));
+    ctx.ger<T>(r, c, T(0.5), y, 1, x, 1, a);
+    pin("ger", bit_hash(a.to_host()));
+    const std::int64_t s = 20;
+    auto sq = make_buffer(dev, wl.matrix<T>(s, s), 3);
+    ctx.syr<T>(Uplo::Lower, s, T(0.5), x, sq);
+    pin("syr", bit_hash(sq.to_host()));
+    ctx.syr2<T>(Uplo::Upper, s, T(-0.25), x, y, sq);
+    pin("syr2", bit_hash(sq.to_host()));
+    ctx.symv<T>(Uplo::Upper, s, T(0.5), sq, x, 1, T(1), y, 1);
+    pin("symv", bit_hash(y.to_host()));
+    auto tri = make_buffer(dev, wl.triangular<T>(s, Uplo::Lower,
+                                                 Diag::NonUnit), 0);
+    ctx.trmv<T>(Uplo::Lower, Transpose::Trans, Diag::NonUnit, s, tri, y);
+    pin("trmv", bit_hash(y.to_host()));
+    ctx.trsv<T>(Uplo::Lower, Transpose::None, Diag::NonUnit, s, tri, x);
+    pin("trsv", bit_hash(x.to_host()));
+    auto strided = make_buffer(dev, wl.vector<T>(2 * s), 1);
+    ctx.trsv<T>(Uplo::Lower, Transpose::Trans, Diag::NonUnit, s, tri,
+                strided, 2);
+    pin("trsv_t", bit_hash(strided.to_host()));
+  }
+  {
+    const std::int64_t m = 12, nn = 10, k = 9;
+    auto a = make_buffer(dev, wl.matrix<T>(m, k), 0);
+    auto b = make_buffer(dev, wl.matrix<T>(k, nn), 1);
+    auto c = make_buffer(dev, wl.matrix<T>(m, nn), 2);
+    ctx.gemm<T>(Transpose::None, Transpose::None, m, nn, k, T(1.5), a, b,
+                T(0.5), c);
+    pin("gemm", bit_hash(c.to_host()));
+    auto cs = make_buffer(dev, wl.matrix<T>(nn, nn), 3);
+    ctx.syrk<T>(Uplo::Lower, Transpose::Trans, nn, k, T(0.5), b, T(1), cs);
+    pin("syrk", bit_hash(cs.to_host()));
+    auto b2 = make_buffer(dev, wl.matrix<T>(nn, k), 0);
+    ctx.syr2k<T>(Uplo::Upper, Transpose::None, nn, k, T(-1), b2, b2, T(0),
+                 cs);
+    pin("syr2k", bit_hash(cs.to_host()));
+    const std::int64_t ms = 8, ns = 6;
+    auto tl = make_buffer(dev, wl.triangular<T>(ms, Uplo::Upper,
+                                                Diag::NonUnit), 1);
+    auto bl = make_buffer(dev, wl.matrix<T>(ms, ns), 2);
+    ctx.trsm<T>(Side::Left, Uplo::Upper, Transpose::None, Diag::NonUnit, ms,
+                ns, T(2), tl, bl);
+    pin("trsm_left", bit_hash(bl.to_host()));
+    auto tr = make_buffer(dev, wl.triangular<T>(ns, Uplo::Lower,
+                                                Diag::Unit), 3);
+    ctx.trsm<T>(Side::Right, Uplo::Lower, Transpose::Trans, Diag::Unit, ms,
+                ns, T(1), tr, bl);
+    pin("trsm_right", bit_hash(bl.to_host()));
+    auto cg = make_buffer(dev, std::vector<T>(static_cast<std::size_t>(m * nn)),
+                          0);
+    ctx.gemm_systolic<T>(m, nn, k, a, b, cg);
+    pin("gemm_systolic", bit_hash(cg.to_host()));
+  }
+  {
+    const std::int64_t s = 4, batch = 5, e = s * s * batch;
+    auto a = make_buffer(dev, wl.vector<T>(e), 0);
+    auto b = make_buffer(dev, wl.vector<T>(e), 1);
+    auto c = make_buffer(dev, std::vector<T>(static_cast<std::size_t>(e)), 2);
+    ctx.gemm_batched<T>(s, batch, T(1.5), a, b, c);
+    pin("gemm_batched", bit_hash(c.to_host()));
+    std::vector<T> tris;
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const auto t = wl.triangular<T>(s, Uplo::Lower, Diag::NonUnit);
+      tris.insert(tris.end(), t.begin(), t.end());
+    }
+    auto at = make_buffer(dev, tris, 3);
+    ctx.trsm_batched<T>(s, batch, T(1), at, b);
+    pin("trsm_batched", bit_hash(b.to_host()));
+  }
+  return got;
+}
+
+template <typename T>
+void expect_pins(const std::map<std::string, Pin>& want) {
+  const auto got = run_pinned_routines<T>();
+  EXPECT_EQ(got.size(), want.size());
+  bool all = got.size() == want.size();
+  for (const auto& [name, pin] : got) {
+    const auto it = want.find(name);
+    const bool ok = it != want.end() && it->second == pin;
+    EXPECT_TRUE(ok) << name << ": cycles " << pin.cycles << ", hash 0x"
+                    << std::hex << pin.hash;
+    all = all && ok;
+  }
+  if (!all) {
+    std::ostringstream os;
+    for (const auto& [name, pin] : got) {
+      os << "      {\"" << name << "\", {" << pin.cycles << "u, 0x" << std::hex
+         << pin.hash << std::dec << "ULL}},\n";
+    }
+    ADD_FAILURE() << "observed pins:\n" << os.str();
+  }
+}
+
+TEST(HostApi, RoutineCyclesPinned) {
+  expect_pins<float>({
+      {"asum", {14u, 0xb9fef200f36108f9ULL}},
+      {"axpy", {17u, 0xf8ce0dbf6ebda205ULL}},
+      {"copy", {7u, 0xba147d028460f030ULL}},
+      {"dot", {14u, 0xcfc8ccc8ec25ef67ULL}},
+      {"gemm", {100u, 0x92573434109686c1ULL}},
+      {"gemm_batched", {9u, 0x8f2fd25f3b8e2fe5ULL}},
+      {"gemm_systolic", {171u, 0x93616db5fe3593dbULL}},
+      {"gemv", {64u, 0xfc8ce3efb8174534ULL}},
+      {"gemv_t", {65u, 0x1710d18858d1f8a3ULL}},
+      {"ger", {76u, 0x49bcff4c9a0d6749ULL}},
+      {"iamax", {14u, 0xeee74dfbe67e7cffULL}},
+      {"nrm2", {14u, 0x73082a4d899c6210ULL}},
+      {"rot", {17u, 0xbdb5cfb5bb284ac9ULL}},
+      {"rotg", {1u, 0x81fdccc452e3b15aULL}},
+      {"rotm", {17u, 0x4a7454bc25e4dc7fULL}},
+      {"rotmg", {1u, 0xff0c35ae3eb81eb7ULL}},
+      {"scal", {17u, 0xbb1ca2ae342c3d39ULL}},
+      {"sdsdot", {14u, 0x4c3c1aae6adae7ecULL}},
+      {"swap", {9u, 0x561d4378be915a23ULL}},
+      {"symv", {53u, 0x335d62f5556f7969ULL}},
+      {"syr", {58u, 0x7ce21e139d0a810aULL}},
+      {"syr2", {61u, 0xde9b7befcbcba7f9ULL}},
+      {"syr2k", {84u, 0xa6deb980a2f5b8e9ULL}},
+      {"syrk", {84u, 0xe94355c3767810d8ULL}},
+      {"trmv", {57u, 0x6dceedd39200c34bULL}},
+      {"trsm_batched", {13u, 0x69735991fc91bea8ULL}},
+      {"trsm_left", {34u, 0x2bf556e862a37b9ULL}},
+      {"trsm_right", {28u, 0xbb46e2bd7a806c7aULL}},
+      {"trsv", {27u, 0xad7210fb621c2309ULL}},
+      {"trsv_t", {27u, 0x15ba235a2860fd60ULL}},
+  });
+  expect_pins<double>({
+      {"asum", {17u, 0x2cda436485c18fd7ULL}},
+      {"axpy", {31u, 0x7d22bd18b27b5c12ULL}},
+      {"copy", {9u, 0x2325f097ae80e43fULL}},
+      {"dot", {17u, 0xa3416a107b287956ULL}},
+      {"gemm", {100u, 0x54e9a93c29fb0445ULL}},
+      {"gemm_batched", {17u, 0x444cea333697c1eaULL}},
+      {"gemm_systolic", {171u, 0x21cd471435c4025cULL}},
+      {"gemv", {72u, 0x1405a31e8168ae20ULL}},
+      {"gemv_t", {73u, 0x1df44f66a7342a3eULL}},
+      {"ger", {139u, 0xbe59d5ff3bc1af01ULL}},
+      {"iamax", {17u, 0xeee74dfbe67e7cffULL}},
+      {"nrm2", {17u, 0x1c0ec02e2079db77ULL}},
+      {"rot", {31u, 0x63c9ac99aa62c6f9ULL}},
+      {"rotg", {1u, 0xaf760054c9261ae0ULL}},
+      {"rotm", {31u, 0xc02ae2f4acc8895cULL}},
+      {"rotmg", {1u, 0xe06dc0a7f0fcee72ULL}},
+      {"scal", {31u, 0xaf08a54e1f88641aULL}},
+      {"swap", {16u, 0xd96a0fee7b9d1420ULL}},
+      {"symv", {59u, 0xdf0330ae548b92cULL}},
+      {"syr", {91u, 0x522ee2587ed42a7fULL}},
+      {"syr2", {89u, 0x244a85b92de9afa4ULL}},
+      {"syr2k", {103u, 0x79cc2e2619250697ULL}},
+      {"syrk", {84u, 0x8cfd684ca67f4886ULL}},
+      {"trmv", {62u, 0x367b60bb968eb984ULL}},
+      {"trsm_batched", {25u, 0x4bd5d1be77fb4f4aULL}},
+      {"trsm_left", {35u, 0x8cd3a27e2012e3ecULL}},
+      {"trsm_right", {29u, 0x8dbdbb113f1317f3ULL}},
+      {"trsv", {40u, 0xcb4c2ece48238a82ULL}},
+      {"trsv_t", {40u, 0x878cd57e1fbd6f74ULL}},
+  });
 }
 
 TEST(HostApiCycles, CycleModeRecordsTime) {

@@ -1287,6 +1287,22 @@ TEST(VerifyTaint, VerifiedNaNRunSkipsChecksInsteadOfRejecting) {
   EXPECT_TRUE(e.status().ok());
   EXPECT_TRUE(std::isinf(x.to_host()[3]));
   EXPECT_EQ(ctx.exec_stats().verify_failures, 0u);
+
+  // The composed path skips the same way: its FIFO taps and its writer
+  // audit both see a non-finite prediction, so a NaN in ATAX's A is
+  // passed through, not rejected as corruption.
+  const std::int64_t rows = 16, cols = 12;
+  auto ha = Workload(88).matrix<float>(rows, cols);
+  ha[5] = std::numeric_limits<float>::quiet_NaN();
+  host::Buffer<float> a(dev, rows * cols, 0), ax(dev, cols, 1),
+      ay(dev, cols, 2);
+  a.write(ha);
+  ax.write(Workload(89).vector<float>(cols));
+  host::Event ce = apps::atax_composed_async<float>(ctx, rows, cols, a, ax, ay);
+  EXPECT_NO_THROW(ce.wait());
+  EXPECT_TRUE(ce.status().ok());
+  EXPECT_TRUE(std::isnan(ay.to_host()[5]));
+  EXPECT_EQ(ctx.exec_stats().verify_failures, 0u);
 }
 
 }  // namespace
