@@ -411,9 +411,7 @@ void Context::wait_seq(std::uint64_t seq) { exec_->wait(seq); }
 bool Context::done_seq(std::uint64_t seq) const { return exec_->done(seq); }
 
 CommandStatus Context::status_seq(std::uint64_t seq) const {
-  CommandStatus st = exec_->status(seq);
-  st.device = pool_->device_of(seq);
-  return st;
+  return exec_->status(seq);
 }
 
 ExecStats Context::exec_stats() const {

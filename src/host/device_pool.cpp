@@ -218,7 +218,6 @@ int DevicePool::place(std::uint64_t seq,
       break;
     }
   }
-  placed_[seq] = best;
   ++slots_[static_cast<std::size_t>(best)].stats.attempts;
   return best;
 }
@@ -266,12 +265,6 @@ int DevicePool::resident_device(const void* key) const {
     if (device(i).has_buffer(key)) return i;
   }
   return -1;
-}
-
-int DevicePool::device_of(std::uint64_t seq) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = placed_.find(seq);
-  return it == placed_.end() ? -1 : it->second;
 }
 
 BreakerState DevicePool::breaker(int dev) const {

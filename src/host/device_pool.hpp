@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "host/device.hpp"
@@ -89,9 +88,6 @@ class DevicePool {
   std::span<std::byte> buffer_bytes(const void* key) const;
   int resident_device(const void* key) const;
 
-  /// Device of the last placement of command `seq` (-1: never placed).
-  int device_of(std::uint64_t seq) const;
-
   BreakerState breaker(int dev) const;
   HealthConfig health_config() const { return health_; }
 
@@ -116,7 +112,6 @@ class DevicePool {
   std::vector<std::unique_ptr<Device>> owned_;
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
-  std::unordered_map<std::uint64_t, int> placed_;  // seq -> last device
 };
 
 }  // namespace fblas::host

@@ -139,23 +139,23 @@ void Executor::submit(std::uint64_t seq, std::function<void()> work,
     node.hooks = std::move(hooks);
     for (std::uint64_t dep : deps) {
       auto it = nodes_.find(dep);
-      if (it == nodes_.end() || it->second.completed) {
-        // Already retired: its finish time still matters, and so does a
-        // failure — dependents of a failed command must not run.
-        if (it != nodes_.end()) {
-          node.start_cycles =
-              std::max(node.start_cycles, it->second.finish_cycles);
-          if (it->second.state == CommandState::Failed &&
-              (node.poisoned_by == 0 || dep < node.poisoned_by)) {
-            node.poisoned_by = dep;
-          }
-        }
+      if (it != nodes_.end()) {
+        it->second.succs.push_back(seq);
+        ++node.unresolved;
         continue;
       }
-      it->second.succs.push_back(seq);
-      ++node.unresolved;
+      // Already retired: its finish time still matters, and so does a
+      // failure — dependents of a failed command must not run.
+      if (dep == 0 || dep > records_.size()) continue;
+      const Record& done = records_[dep - 1];
+      node.start_cycles = std::max(node.start_cycles, done.finish_cycles);
+      if (done.state == CommandState::Failed &&
+          (node.poisoned_by == 0 || dep < node.poisoned_by)) {
+        node.poisoned_by = dep;
+      }
     }
-    ++incomplete_;
+    if (seq > records_.size()) records_.resize(seq);
+    submitted_ = std::max(submitted_, seq);
     if (trace_ && node.unresolved == 0) {
       trace::Event te;
       te.kind = trace::EventKind::DepsReady;
@@ -182,18 +182,19 @@ void Executor::worker_loop() {
 void Executor::run_command(std::unique_lock<std::mutex>& lk,
                            std::uint64_t seq) {
   Node& node = nodes_.at(seq);
-  node.running = true;
   node.state = CommandState::Running;
   ++active_;
   stats_.max_concurrent = std::max(stats_.max_concurrent, active_);
   std::function<void()> work = std::move(node.work);
-  node.work = nullptr;
   CommandHooks hooks = std::move(node.hooks);
-  node.hooks = CommandHooks{};
   const RetryPolicy policy = policy_;
   const std::uint64_t poisoned_by = node.poisoned_by;
   std::string poison_cause;
-  if (poisoned_by != 0) poison_cause = nodes_.at(poisoned_by).message;
+  if (poisoned_by != 0) {
+    // The failed dependency has retired; its message is in messages_.
+    auto it = messages_.find(poisoned_by);
+    if (it != messages_.end()) poison_cause = it->second;
+  }
   const std::shared_ptr<trace::Recorder> rec = trace_;
   lk.unlock();
 
@@ -377,6 +378,13 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
     }
   }
 
+  Record outcome;
+  outcome.state = final_state;
+  outcome.verify_rejections = static_cast<std::uint32_t>(verify_rejects);
+  // Set by every placement, so it names the last attempt's device (-1
+  // for barriers and poisoned commands, which are never placed).
+  outcome.device = static_cast<std::int16_t>(trace::attempt_device());
+
   lk.lock();
   --active_;
   stats_.retries += retries_done;
@@ -386,41 +394,38 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   stats_.sdc_caught += verify_rejects;
   stats_.pe_faults_localized += pe_localized;
   stats_.faults_corrected += pe_corrected;
-  nodes_.at(seq).verify_rejections = static_cast<std::uint32_t>(verify_rejects);
-  complete(seq, cycles, error, final_state, std::move(message));
+  const std::uint64_t start_cycles = nodes_.at(seq).start_cycles;
+  complete(seq, cycles, outcome, error, std::move(message));
   if (rec) {
-    const Node& done = nodes_.at(seq);
     trace::Event te;
     te.kind = trace::EventKind::Complete;
     te.seq = seq;
     te.worker = tl_worker;
-    te.device = static_cast<std::int16_t>(trace::attempt_device());
-    te.flags = static_cast<std::uint16_t>(done.state);
-    te.a = done.start_cycles;
-    te.b = done.finish_cycles;
+    te.device = outcome.device;
+    te.flags = static_cast<std::uint16_t>(final_state);
+    te.a = start_cycles;
+    te.b = start_cycles + cycles;
     rec->emit(te);
   }
 }
 
 void Executor::complete(std::uint64_t seq, std::uint64_t cycles,
-                        std::exception_ptr error, CommandState state,
+                        Record outcome, std::exception_ptr error,
                         std::string message) {
-  Node& node = nodes_.at(seq);
-  node.running = false;
-  node.completed = true;
-  node.error = error;
-  node.state = state;
-  node.message = std::move(message);
-  node.finish_cycles = node.start_cycles + cycles;
+  auto node_it = nodes_.find(seq);
+  Node& node = node_it->second;
+  outcome.finish_cycles = node.start_cycles + cycles;
+  records_[seq - 1] = outcome;
+  if (outcome.state != CommandState::Ok) messages_[seq] = std::move(message);
+  if (error) errors_[seq] = std::move(error);
   stats_.makespan_cycles =
-      std::max(stats_.makespan_cycles, node.finish_cycles);
+      std::max(stats_.makespan_cycles, outcome.finish_cycles);
   ++stats_.executed;
-  --incomplete_;
   bool woke_ready = false;
   for (std::uint64_t succ_seq : node.succs) {
     Node& succ = nodes_.at(succ_seq);
-    succ.start_cycles = std::max(succ.start_cycles, node.finish_cycles);
-    if (state == CommandState::Failed &&
+    succ.start_cycles = std::max(succ.start_cycles, outcome.finish_cycles);
+    if (outcome.state == CommandState::Failed &&
         (succ.poisoned_by == 0 || seq < succ.poisoned_by)) {
       succ.poisoned_by = seq;
     }
@@ -439,70 +444,67 @@ void Executor::complete(std::uint64_t seq, std::uint64_t cycles,
       }
     }
   }
-  node.succs.clear();
+  nodes_.erase(node_it);
   if (woke_ready) work_cv_.notify_all();
   done_cv_.notify_all();
 }
 
-void Executor::wait(std::uint64_t seq) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (workers_ == 0) {
-    // Serial policy: lazily run pending commands in program order up to
-    // and including `seq` on the calling thread (dependencies always
-    // point backwards, so they are satisfied by construction).
-    for (auto it = nodes_.begin(); it != nodes_.end() && it->first <= seq;
-         ++it) {
-      if (it->second.completed) continue;
-      const std::uint64_t s = it->first;
-      run_command(lk, s);
-      Node& node = nodes_.at(s);
-      if (node.error) {
-        std::exception_ptr error = std::exchange(node.error, nullptr);
-        std::rethrow_exception(error);
-      }
-    }
-    return;
-  }
-  done_cv_.wait(lk, [&] {
-    auto it = nodes_.find(seq);
-    return it == nodes_.end() || it->second.completed;
-  });
-  auto it = nodes_.find(seq);
-  if (it != nodes_.end() && it->second.error) {
-    std::exception_ptr error = std::exchange(it->second.error, nullptr);
-    std::rethrow_exception(error);
-  }
+std::exception_ptr Executor::take_error(std::uint64_t seq) {
+  auto it = errors_.find(seq);
+  if (it == errors_.end()) return nullptr;
+  std::exception_ptr error = std::move(it->second);
+  errors_.erase(it);
+  return error;
 }
 
-void Executor::wait_all() {
-  std::uint64_t last = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!nodes_.empty()) last = nodes_.rbegin()->first;
-  }
-  if (workers_ == 0) {
-    wait(last);
-    return;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return incomplete_ == 0; });
-  for (auto& [seq, node] : nodes_) {
-    if (node.error) {
-      std::exception_ptr error = std::exchange(node.error, nullptr);
+void Executor::drain(std::unique_lock<std::mutex>& lk, std::uint64_t last) {
+  // Dependencies always point backwards, so running in program order
+  // satisfies them by construction. The cursor makes a wait cost only
+  // the commands it runs, however long the history; after a throw the
+  // next wait resumes past the failed command.
+  last = std::min(last, submitted_);
+  while (drained_ < last) {
+    const std::uint64_t s = drained_ + 1;
+    if (nodes_.count(s) != 0) run_command(lk, s);
+    drained_ = s;
+    if (std::exception_ptr error = take_error(s)) {
       std::rethrow_exception(error);
     }
   }
 }
 
+void Executor::wait(std::uint64_t seq) {
+  std::unique_lock<std::mutex> lk(mu_);
+  if (workers_ == 0) {
+    drain(lk, seq);
+    return;
+  }
+  done_cv_.wait(lk, [&] { return nodes_.count(seq) == 0; });
+  if (std::exception_ptr error = take_error(seq)) {
+    std::rethrow_exception(error);
+  }
+}
+
+void Executor::wait_all() {
+  std::unique_lock<std::mutex> lk(mu_);
+  if (workers_ == 0) {
+    drain(lk, submitted_);
+    return;
+  }
+  done_cv_.wait(lk, [this] { return nodes_.empty(); });
+  if (!errors_.empty()) {
+    std::rethrow_exception(take_error(errors_.begin()->first));
+  }
+}
+
 bool Executor::done(std::uint64_t seq) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = nodes_.find(seq);
-  return it == nodes_.end() || it->second.completed;
+  return nodes_.count(seq) == 0;
 }
 
 bool Executor::idle() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return incomplete_ == 0;
+  return nodes_.empty();
 }
 
 ExecStats Executor::stats() const {
@@ -512,10 +514,16 @@ ExecStats Executor::stats() const {
 
 CommandStatus Executor::status(std::uint64_t seq) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = nodes_.find(seq);
-  if (it == nodes_.end()) return CommandStatus{};
-  return CommandStatus{it->second.state, it->second.message,
-                       it->second.verify_rejections};
+  if (auto it = nodes_.find(seq); it != nodes_.end()) {
+    return CommandStatus{it->second.state, {}, 0, -1};
+  }
+  if (seq == 0 || seq > records_.size()) return CommandStatus{};
+  const Record& r = records_[seq - 1];
+  CommandStatus st{r.state, {}, r.verify_rejections, r.device};
+  if (auto it = messages_.find(seq); it != messages_.end()) {
+    st.message = it->second;
+  }
+  return st;
 }
 
 }  // namespace fblas::host

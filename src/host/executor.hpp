@@ -27,6 +27,14 @@
 // the longest finish time is the makespan: the device time an
 // out-of-order schedule needs, next to the serial sum total_cycles().
 // Failed attempts still burn device cycles, like real hardware.
+//
+// History: issuing a command costs the same whether it is the 10th or the
+// 30,000th. The serial drain resumes at a cursor instead of rescanning
+// from the first seq, and a completed command's node (closures,
+// successor list) is erased; what dependents and status() still need —
+// finish time, state, verify rejections, last device — stays in a 16-byte
+// per-seq record, with messages and unconsumed errors in sparse maps
+// that hold non-Ok commands only.
 #pragma once
 
 #include <chrono>
@@ -40,6 +48,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "host/health.hpp"
@@ -161,17 +170,20 @@ class Executor {
               CommandHooks hooks = {});
 
   /// Blocks until `seq` has executed. Serial mode runs commands in
-  /// program order on the calling thread up to and including `seq`.
-  /// Rethrows the command's exception, if it threw (once; the recorded
-  /// status() stays queryable afterwards).
+  /// program order on the calling thread up to and including `seq`,
+  /// resuming after the last command an earlier wait ran. Rethrows the
+  /// command's exception, if it threw (once; the recorded status() stays
+  /// queryable afterwards).
   void wait(std::uint64_t seq);
-  /// Waits for every submitted command.
+  /// Waits for every submitted command. Concurrent mode then rethrows the
+  /// lowest-seq error no wait has rethrown yet.
   void wait_all();
 
   bool done(std::uint64_t seq) const;
   bool idle() const;
   ExecStats stats() const;
-  /// Outcome of command `seq`. Unknown/retired seqs report Ok.
+  /// Outcome of command `seq`. Seqs are dense and start at 1. Retired
+  /// seqs report their recorded outcome; unknown seqs report Ok.
   CommandStatus status(std::uint64_t seq) const;
 
   /// Accumulates simulated device cycles into the command currently
@@ -192,41 +204,57 @@ class Executor {
   static int current_attempt();
 
  private:
+  // A command still pending or running. Its node (closures, successor
+  // list) is erased on completion, so memory does not grow with history.
   struct Node {
     std::function<void()> work;
     CommandHooks hooks;
     std::vector<std::uint64_t> succs;
     std::size_t unresolved = 0;      // incomplete dependencies
     std::uint64_t start_cycles = 0;  // max finish over dependencies
-    std::uint64_t finish_cycles = 0;
-    std::exception_ptr error;
     std::uint64_t poisoned_by = 0;  // lowest-seq failed dependency, or 0
     CommandState state = CommandState::Pending;
-    std::string message;  // final error / degradation reason
-    std::uint32_t verify_rejections = 0;  // ABFT rejections across attempts
-    bool running = false;
-    bool completed = false;
   };
+  // What a completed command leaves behind: the fields later dependents
+  // (finish time, Failed poisoning) and status() read. Messages and
+  // errors of non-Ok commands live in the sparse maps below.
+  struct Record {
+    std::uint64_t finish_cycles = 0;
+    std::uint32_t verify_rejections = 0;  // ABFT rejections across attempts
+    std::int16_t device = -1;  // pool index of the last attempt, or -1
+    CommandState state = CommandState::Ok;
+  };
+  static_assert(sizeof(Record) <= 16, "one compact record per command");
 
   void worker_loop();
   /// Runs one command (including its retry/fallback loop). Called with
   /// the lock held; releases it around the command body and reacquires
   /// it to publish completion.
   void run_command(std::unique_lock<std::mutex>& lk, std::uint64_t seq);
-  void complete(std::uint64_t seq, std::uint64_t cycles,
-                std::exception_ptr error, CommandState state,
-                std::string message);
+  /// Publishes `seq`'s outcome (finish time = start + `cycles`), releases
+  /// its dependents and retires its node.
+  void complete(std::uint64_t seq, std::uint64_t cycles, Record outcome,
+                std::exception_ptr error, std::string message);
+  /// Serial policy: runs pending commands up to and including `last` in
+  /// program order, resuming at the drain cursor.
+  void drain(std::unique_lock<std::mutex>& lk, std::uint64_t last);
+  /// The error of `seq` not yet rethrown (removed), or null.
+  std::exception_ptr take_error(std::uint64_t seq);
 
   const int workers_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers: ready commands / shutdown
   std::condition_variable done_cv_;  // waiters: command completions
-  std::map<std::uint64_t, Node> nodes_;  // ordered: serial drain needs it
+  std::unordered_map<std::uint64_t, Node> nodes_;  // incomplete commands
+  std::vector<Record> records_;  // index seq - 1; read once retired
+  std::unordered_map<std::uint64_t, std::string> messages_;  // non-Ok only
+  std::map<std::uint64_t, std::exception_ptr> errors_;  // not yet rethrown
   std::deque<std::uint64_t> ready_;
   std::vector<std::thread> threads_;
   RetryPolicy policy_;
   std::shared_ptr<trace::Recorder> trace_;  // null = tracing off
-  std::uint64_t incomplete_ = 0;  // submitted, not yet completed
+  std::uint64_t submitted_ = 0;  // highest submitted seq
+  std::uint64_t drained_ = 0;  // serial: every seq <= drained_ has run
   int active_ = 0;
   bool stop_ = false;
   ExecStats stats_;

@@ -9,7 +9,7 @@
 
 namespace fblas::host {
 
-enum class CommandState {
+enum class CommandState : std::uint8_t {
   Pending,   ///< submitted, not yet started
   Running,   ///< currently executing (possibly in a retry attempt)
   Ok,        ///< completed on the device path
@@ -27,9 +27,10 @@ struct CommandStatus {
   /// fallback, or ultimately surfaced as Failed).
   std::uint32_t verify_rejections = 0;
   /// Pool index of the device the command's *last* attempt was placed on
-  /// (filled by Context from the DevicePool). -1 for barriers and
-  /// commands never placed; for Degraded commands it names the device
-  /// whose failure forced the CPU fallback.
+  /// (recorded by the Executor when the command completes). -1 for
+  /// barriers, commands never placed and commands not yet completed; for
+  /// Degraded commands it names the device whose failure forced the CPU
+  /// fallback.
   int device = -1;
 
   bool ok() const { return state == CommandState::Ok; }

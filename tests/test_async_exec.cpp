@@ -1,13 +1,17 @@
 // Out-of-order host runtime tests: observable overlap of independent
 // commands, RAW/WAR/WAW hazard ordering, bit-identical results between
 // the serial and concurrent policies (including a randomized hazard
-// fuzz), makespan accounting, event chaining and ConfigGuard capture.
+// fuzz), makespan accounting, event chaining, ConfigGuard capture, the
+// serial drain cursor and retirement of completed commands.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <latch>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -566,6 +570,236 @@ TEST(ExceptionStress, RandomThrowsIn200CommandDagFailDeterministically) {
     }
   }
   EXPECT_TRUE(saw_skip);
+}
+
+// --- Serial drain cursor ------------------------------------------------
+
+// A command on its own resource (no hazards, so a failure poisons
+// nothing) that logs its index and throws when `throws`.
+Command logged(std::vector<int>& ran, int* res, int i, bool throws) {
+  Command c;
+  c.reads = {res};
+  c.writes = {res};
+  c.work = [&ran, i, throws] {
+    ran.push_back(i);
+    if (throws) throw std::runtime_error("throw in " + std::to_string(i));
+  };
+  return c;
+}
+
+std::vector<int> iota_to(int last) {
+  std::vector<int> v;
+  for (int i = 0; i <= last; ++i) v.push_back(i);
+  return v;
+}
+
+TEST(SerialDrain, PartialWaitsThrowsAndWaitAllRunEachCommandOnce) {
+  Device dev;
+  Context ctx(dev);
+  constexpr int kCommands = 20;
+  std::array<int, kCommands> res{};
+  std::vector<int> ran;
+  std::vector<Event> ev;
+  for (int i = 0; i < kCommands; ++i) {
+    ev.push_back(ctx.enqueue(logged(ran, &res[i], i, i == 7 || i == 13)));
+  }
+  EXPECT_TRUE(ran.empty());  // lazy until waited
+
+  ev[3].wait();
+  EXPECT_EQ(ran, iota_to(3));
+  ev[2].wait();  // already drained: no-op
+  EXPECT_EQ(ran, iota_to(3));
+
+  // The drain towards 10 stops at the throw in 7...
+  EXPECT_THROW(ev[10].wait(), std::runtime_error);
+  EXPECT_EQ(ran, iota_to(7));
+  EXPECT_TRUE(ev[7].done());
+  EXPECT_FALSE(ev[8].done());
+  // ...and the next wait resumes after it, not at it.
+  ev[10].wait();
+  EXPECT_EQ(ran, iota_to(10));
+
+  EXPECT_THROW(ctx.finish(), std::runtime_error);  // throw in 13
+  EXPECT_EQ(ran, iota_to(13));
+  ctx.finish();
+  EXPECT_EQ(ran, iota_to(kCommands - 1));
+  EXPECT_TRUE(ctx.idle());
+
+  // Waiting again on a failed command neither reruns nor rethrows.
+  EXPECT_NO_THROW(ev[7].wait());
+  EXPECT_NO_THROW(ev[13].wait());
+  EXPECT_NO_THROW(ctx.finish());
+  EXPECT_EQ(ran, iota_to(kCommands - 1));
+  EXPECT_TRUE(ev[7].status().failed());
+  EXPECT_EQ(ev[13].status().message, "throw in 13");
+  EXPECT_TRUE(ev[8].status().ok());
+}
+
+TEST(ConcurrentDrain, WaitAllRethrowsLowestUnconsumedErrorOnce) {
+  Device dev;
+  Context ctx(dev, stream::Mode::Functional, /*workers=*/4);
+  constexpr int kCommands = 8;
+  std::array<int, kCommands> res{};
+  std::vector<int> ran;  // in completion order: the bodies overlap
+  std::mutex mu;
+  std::vector<Event> ev;
+  for (int i = 0; i < kCommands; ++i) {
+    Command c;
+    c.reads = {&res[i]};
+    c.writes = {&res[i]};
+    const bool throws = i == 2 || i == 4 || i == 5;
+    c.work = [&ran, &mu, i, throws] {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ran.push_back(i);
+      }
+      if (throws) throw std::runtime_error("throw in " + std::to_string(i));
+    };
+    ev.push_back(ctx.enqueue(std::move(c)));
+  }
+  auto finish_message = [&]() -> std::string {
+    try {
+      ctx.finish();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_THROW(ev[5].wait(), std::runtime_error);  // consumes 5's error
+  EXPECT_EQ(finish_message(), "throw in 2");
+  EXPECT_EQ(finish_message(), "throw in 4");
+  EXPECT_EQ(finish_message(), "");
+  EXPECT_NO_THROW(ev[2].wait());
+  EXPECT_EQ(ran.size(), static_cast<std::size_t>(kCommands));
+}
+
+// --- Retirement of completed commands -----------------------------------
+
+Command noting(std::vector<const void*> reads, std::vector<const void*> writes,
+               std::uint64_t cycles) {
+  Command c;
+  c.reads = std::move(reads);
+  c.writes = std::move(writes);
+  c.work = [cycles] { Executor::note_cycles(cycles); };
+  return c;
+}
+
+void expect_same_status(const CommandStatus& got, const CommandStatus& want) {
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.message, want.message);
+  EXPECT_EQ(got.verify_rejections, want.verify_rejections);
+  EXPECT_EQ(got.device, want.device);
+}
+
+// Failed, Degraded and verify-rejected commands run first, then 10K later
+// commands run and retire. The early outcomes must read the same, and
+// new dependents of retired commands must still see their finish times
+// and their failures.
+void check_retirement(int workers) {
+  SCOPED_TRACE("workers=" + std::to_string(workers));
+  constexpr std::uint64_t kAnchorCycles = 1'000'000;
+  constexpr std::uint64_t kTailCycles = 5;
+  constexpr int kLater = 10'000;
+
+  Device dev;
+  Context ctx(dev, stream::Mode::Functional, workers);
+  RetryPolicy policy;
+  policy.max_retries = 1;
+  policy.backoff = std::chrono::microseconds{0};
+  policy.cpu_fallback = true;
+  ctx.set_retry_policy(policy);
+  ctx.config().verification = verify::Options::always();
+  int bad = 0, lost = 0, checked = 0, anchor = 0, busy = 0, tail = 0;
+
+  Command fail;  // seq 1
+  fail.writes = {&bad};
+  fail.work = [] { throw std::runtime_error("early failure"); };
+  Event failed = ctx.enqueue(std::move(fail));
+
+  Command degrade;  // seq 2: every device attempt fails transiently
+  degrade.writes = {&lost};
+  degrade.work = [] { throw DeviceError("device lost"); };
+  degrade.fallback = [&lost] { lost = 7; };
+  Event degraded = ctx.enqueue(std::move(degrade));
+
+  Command reject;  // seq 3: the first check rejects, the retry passes
+  reject.writes = {&checked};
+  reject.work = [] {};
+  reject.checker = [calls = std::make_shared<int>(0)]() -> ResultCheck {
+    return [calls](double) {
+      if ((*calls)++ == 0) throw VerificationError("injected rejection");
+    };
+  };
+  Event rejected = ctx.enqueue(std::move(reject));
+
+  ctx.enqueue(noting({}, {&anchor}, kAnchorCycles));  // seq 4
+
+  EXPECT_THROW(failed.wait(), std::runtime_error);
+  degraded.wait();
+  rejected.wait();
+  const CommandStatus failed_st = failed.status();
+  const CommandStatus degraded_st = degraded.status();
+  const CommandStatus rejected_st = rejected.status();
+  EXPECT_TRUE(failed_st.failed());
+  EXPECT_EQ(failed_st.message, "early failure");
+  EXPECT_EQ(failed_st.device, 0);
+  EXPECT_TRUE(degraded_st.degraded());
+  EXPECT_EQ(degraded_st.message,
+            "degraded to CPU fallback after: device lost");
+  EXPECT_EQ(degraded_st.device, 0);  // the device whose failure forced it
+  EXPECT_EQ(lost, 7);
+  EXPECT_TRUE(rejected_st.ok());
+  EXPECT_EQ(rejected_st.verify_rejections, 1u);
+  EXPECT_EQ(rejected_st.device, 0);
+
+  for (int i = 0; i < kLater; ++i) {  // seqs 5 .. kLater + 4
+    ctx.enqueue(noting({&busy}, {&busy}, 1));
+  }
+  ctx.finish();  // every error was already rethrown once
+  EXPECT_TRUE(ctx.idle());
+
+  expect_same_status(failed.status(), failed_st);
+  expect_same_status(degraded.status(), degraded_st);
+  expect_same_status(rejected.status(), rejected_st);
+  EXPECT_TRUE(failed.done());
+  EXPECT_NO_THROW(failed.wait());  // retired and consumed: no rethrow
+
+  // A new reader of the retired Failed command's output is poisoned
+  // with the same message as before retirement.
+  bool reader_ran = false;
+  Command read_bad;
+  read_bad.reads = {&bad};
+  read_bad.work = [&reader_ran] { reader_ran = true; };
+  Event poisoned = ctx.enqueue(std::move(read_bad));
+  EXPECT_THROW(poisoned.wait(), Error);
+  EXPECT_FALSE(reader_ran);
+  const CommandStatus poisoned_st = poisoned.status();
+  EXPECT_TRUE(poisoned_st.failed());
+  EXPECT_EQ(poisoned_st.message,
+            "command " + std::to_string(kLater + 5) +
+                " skipped: dependency command 1 failed (early failure)");
+  EXPECT_EQ(poisoned_st.device, -1);  // never placed
+  EXPECT_NO_THROW(poisoned.wait());
+
+  // A new reader of the retired anchor starts at its recorded finish,
+  // exactly as in a history-free chain.
+  ctx.enqueue(noting({&anchor}, {&tail}, kTailCycles)).wait();
+  Device dev_chain;
+  Context chain(dev_chain, stream::Mode::Functional, workers);
+  chain.enqueue(noting({}, {&anchor}, kAnchorCycles));
+  chain.enqueue(noting({&anchor}, {&tail}, kTailCycles));
+  chain.finish();
+  EXPECT_EQ(chain.makespan_cycles(), kAnchorCycles + kTailCycles);
+  EXPECT_EQ(ctx.makespan_cycles(), chain.makespan_cycles());
+  EXPECT_NO_THROW(ctx.finish());
+}
+
+TEST(Retirement, OutcomesSurviveTenThousandLaterCommandsSerial) {
+  check_retirement(0);
+}
+
+TEST(Retirement, OutcomesSurviveTenThousandLaterCommandsWorkers4) {
+  check_retirement(4);
 }
 
 }  // namespace
