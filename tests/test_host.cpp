@@ -665,6 +665,36 @@ std::map<std::string, Pin> run_pinned_routines() {
     ctx.trsm_batched<T>(s, batch, T(1), at, b);
     pin("trsm_batched", bit_hash(b.to_host()));
   }
+  {
+    // Column tiling, strided operands and upper triangles: the mover
+    // choices the shapes above leave unexercised.
+    const std::int64_t r = 24, c = 20, s = 20;
+    auto a = make_buffer(dev, wl.matrix<T>(r, c), 0);
+    auto x = make_buffer(dev, wl.vector<T>(2 * r), 1);
+    auto y = make_buffer(dev, wl.vector<T>(3 * r), 2);
+    ctx.config().tiling = core::MatrixTiling::TilesByCols;
+    ctx.gemv<T>(Transpose::None, r, c, T(1.25), a, x, 1, T(0.5), y, 1);
+    pin("gemv_cols", bit_hash(y.to_host()));
+    ctx.gemv<T>(Transpose::Trans, r, c, T(-1), a, y, 1, T(2), x, 1);
+    pin("gemv_t_cols", bit_hash(x.to_host()));
+    ctx.ger<T>(r, c, T(0.5), y, 1, x, 1, a);
+    pin("ger_cols", bit_hash(a.to_host()));
+    ctx.config().tiling = core::MatrixTiling::TilesByRows;
+    ctx.gemv<T>(Transpose::None, r, c, T(0.75), a, x, 2, T(-0.5), y, 2);
+    pin("gemv_inc2", bit_hash(y.to_host()));
+    ctx.ger<T>(r, c, T(0.25), x, 2, y, 1, a);
+    pin("ger_incx2", bit_hash(a.to_host()));
+    ctx.axpy<T>(c, T(0.5), x, 2, y, 3);
+    pin("axpy_inc", bit_hash(y.to_host()));
+    pin("dot_inc", bit_hash(std::vector<T>{ctx.dot<T>(c, x, 2, y, 3)}));
+    auto sq = make_buffer(dev, wl.matrix<T>(s, s), 3);
+    ctx.syr<T>(Uplo::Upper, s, T(0.5), x, sq);
+    pin("syr_upper", bit_hash(sq.to_host()));
+    auto tri = make_buffer(dev, wl.triangular<T>(s, Uplo::Upper,
+                                                 Diag::NonUnit), 0);
+    ctx.trsv<T>(Uplo::Upper, Transpose::None, Diag::NonUnit, s, tri, y);
+    pin("trsv_upper", bit_hash(y.to_host()));
+  }
   return got;
 }
 
@@ -694,14 +724,21 @@ TEST(HostApi, RoutineCyclesPinned) {
   expect_pins<float>({
       {"asum", {14u, 0xb9fef200f36108f9ULL}},
       {"axpy", {17u, 0xf8ce0dbf6ebda205ULL}},
+      {"axpy_inc", {4u, 0x43ccfaefce2fab31ULL}},
       {"copy", {7u, 0xba147d028460f030ULL}},
       {"dot", {14u, 0xcfc8ccc8ec25ef67ULL}},
+      {"dot_inc", {4u, 0x844b29af1babc898ULL}},
       {"gemm", {100u, 0x92573434109686c1ULL}},
       {"gemm_batched", {9u, 0x8f2fd25f3b8e2fe5ULL}},
       {"gemm_systolic", {171u, 0x93616db5fe3593dbULL}},
       {"gemv", {64u, 0xfc8ce3efb8174534ULL}},
+      {"gemv_cols", {64u, 0x6e4f3a93b69a3688ULL}},
+      {"gemv_inc2", {64u, 0xb2bfa3c5372b5c16ULL}},
       {"gemv_t", {65u, 0x1710d18858d1f8a3ULL}},
+      {"gemv_t_cols", {63u, 0xbc98fada9213a481ULL}},
       {"ger", {76u, 0x49bcff4c9a0d6749ULL}},
+      {"ger_cols", {76u, 0x1000eb6c0700f3f1ULL}},
+      {"ger_incx2", {76u, 0x23de46c4f9b970bdULL}},
       {"iamax", {14u, 0xeee74dfbe67e7cffULL}},
       {"nrm2", {14u, 0x73082a4d899c6210ULL}},
       {"rot", {17u, 0xbdb5cfb5bb284ac9ULL}},
@@ -715,6 +752,7 @@ TEST(HostApi, RoutineCyclesPinned) {
       {"syr", {58u, 0x7ce21e139d0a810aULL}},
       {"syr2", {61u, 0xde9b7befcbcba7f9ULL}},
       {"syr2k", {84u, 0xa6deb980a2f5b8e9ULL}},
+      {"syr_upper", {61u, 0x34850076d002e589ULL}},
       {"syrk", {84u, 0xe94355c3767810d8ULL}},
       {"trmv", {57u, 0x6dceedd39200c34bULL}},
       {"trsm_batched", {13u, 0x69735991fc91bea8ULL}},
@@ -722,18 +760,26 @@ TEST(HostApi, RoutineCyclesPinned) {
       {"trsm_right", {28u, 0xbb46e2bd7a806c7aULL}},
       {"trsv", {27u, 0xad7210fb621c2309ULL}},
       {"trsv_t", {27u, 0x15ba235a2860fd60ULL}},
+      {"trsv_upper", {27u, 0xc3fdbe2fcd8883e8ULL}},
   });
   expect_pins<double>({
       {"asum", {17u, 0x2cda436485c18fd7ULL}},
       {"axpy", {31u, 0x7d22bd18b27b5c12ULL}},
+      {"axpy_inc", {7u, 0x8b5ef01e4ef7f8eeULL}},
       {"copy", {9u, 0x2325f097ae80e43fULL}},
       {"dot", {17u, 0xa3416a107b287956ULL}},
+      {"dot_inc", {5u, 0xb0046ea4b86abfa6ULL}},
       {"gemm", {100u, 0x54e9a93c29fb0445ULL}},
       {"gemm_batched", {17u, 0x444cea333697c1eaULL}},
       {"gemm_systolic", {171u, 0x21cd471435c4025cULL}},
       {"gemv", {72u, 0x1405a31e8168ae20ULL}},
+      {"gemv_cols", {72u, 0x2df26eafb4beaddbULL}},
+      {"gemv_inc2", {72u, 0xab86bbf77ec1d9c9ULL}},
       {"gemv_t", {73u, 0x1df44f66a7342a3eULL}},
+      {"gemv_t_cols", {71u, 0x9709c3cbe112d15aULL}},
       {"ger", {139u, 0xbe59d5ff3bc1af01ULL}},
+      {"ger_cols", {139u, 0xa51621dc37da47f1ULL}},
+      {"ger_incx2", {139u, 0xc550739c37f59eacULL}},
       {"iamax", {17u, 0xeee74dfbe67e7cffULL}},
       {"nrm2", {17u, 0x1c0ec02e2079db77ULL}},
       {"rot", {31u, 0x63c9ac99aa62c6f9ULL}},
@@ -746,6 +792,7 @@ TEST(HostApi, RoutineCyclesPinned) {
       {"syr", {91u, 0x522ee2587ed42a7fULL}},
       {"syr2", {89u, 0x244a85b92de9afa4ULL}},
       {"syr2k", {103u, 0x79cc2e2619250697ULL}},
+      {"syr_upper", {89u, 0xa174b4d25c03664cULL}},
       {"syrk", {84u, 0x8cfd684ca67f4886ULL}},
       {"trmv", {62u, 0x367b60bb968eb984ULL}},
       {"trsm_batched", {25u, 0x4bd5d1be77fb4f4aULL}},
@@ -753,6 +800,7 @@ TEST(HostApi, RoutineCyclesPinned) {
       {"trsm_right", {29u, 0x8dbdbb113f1317f3ULL}},
       {"trsv", {40u, 0xcb4c2ece48238a82ULL}},
       {"trsv_t", {40u, 0x878cd57e1fbd6f74ULL}},
+      {"trsv_upper", {40u, 0x4a92320f49591833ULL}},
   });
 }
 
