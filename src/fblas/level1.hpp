@@ -124,17 +124,7 @@ Task rotm(Level1Config cfg, std::int64_t n, ref::RotmParam<T> p,
           Channel<T>& ch_out_y) {
   cfg.validate();
   // Expand H once (the hardware specializes on the flag at synthesis).
-  T h11, h12, h21, h22;
-  if (p.flag == T(-2)) {
-    h11 = h22 = T(1);
-    h12 = h21 = T(0);
-  } else if (p.flag == T(-1)) {
-    h11 = p.h11; h12 = p.h12; h21 = p.h21; h22 = p.h22;
-  } else if (p.flag == T(0)) {
-    h11 = T(1); h12 = p.h12; h21 = p.h21; h22 = T(1);
-  } else {
-    h11 = p.h11; h12 = T(1); h21 = T(-1); h22 = p.h22;
-  }
+  const auto [h11, h12, h21, h22] = p.matrix();
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
     for (std::int64_t i = 0; i < batch; ++i) {

@@ -116,6 +116,31 @@ const Buffer<T>* cut_source(const ComposedState<T>& st, int edge) {
   return st.scratch[st.scratch_of.at(edge)].get();
 }
 
+/// The DRAM side of stream `sig` on buffer `src` (read) or `dst`
+/// (written), moved by module `name`. A vector feeding (or produced by)
+/// TRSV node `trsv` >= 0 moves in solve order instead of natural order.
+template <typename T>
+detail::Operand<T> dram_operand(const ComposedState<T>& st,
+                                const std::string& name, const Buffer<T>* src,
+                                Buffer<T>* dst, const mdag::StreamSig& sig,
+                                int trsv) {
+  detail::Operand<T> op{.chan = name.c_str(), .mover = name.c_str(),
+                        .src = src, .dst = dst, .n = per_pass(sig),
+                        .repeat = sig.repeat};
+  if (sig.is_matrix) {
+    op.how = detail::Movement::Matrix;
+    op.n = sig.rows;
+    op.cols = sig.cols;
+    op.sched = sig.sched;
+  } else if (trsv >= 0) {
+    FBLAS_REQUIRE(dst != nullptr || sig.repeat == 1,
+                  "composition: a TRSV b stream cannot be replayed");
+    op.how = detail::Movement::SolveRows;
+    op.uplo = op_uplo_of(st.comp.semantics()[static_cast<std::size_t>(trsv)]);
+  }
+  return op;
+}
+
 // ---- Streaming execution -------------------------------------------------
 
 template <typename T>
@@ -152,51 +177,6 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
   };
 
-  // DRAM <-> FIFO movers, shared by interface nodes and cut edges. A
-  // vector feeding (or produced by) TRSV node `trsv` >= 0 moves in solve
-  // order instead of natural order.
-  const auto spawn_read = [&](const std::string& name, const Buffer<T>& buf,
-                              const mdag::StreamSig& sig, int trsv,
-                              stream::Channel<T>& dst) {
-    stream::DramBank* bank = banks.at(buf.bank());
-    if (sig.is_matrix) {
-      sg.spawn(name, stream::read_matrix<T>(buf.cmat(sig.rows, sig.cols),
-                                            sig.sched, sig.repeat, width, dst,
-                                            bank));
-    } else if (trsv >= 0) {
-      FBLAS_REQUIRE(sig.repeat == 1,
-                    "composition: a TRSV b stream cannot be replayed");
-      sg.spawn(name, detail::read_rows_solve_order<T>(
-                         detail::as_column(buf.cvec(per_pass(sig))),
-                         op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
-                         width, dst, bank));
-    } else {
-      sg.spawn(name, stream::read_vector<T>(buf.cvec(per_pass(sig)),
-                                            sig.repeat, width, dst, bank));
-    }
-  };
-  const auto spawn_write = [&](const std::string& name, Buffer<T>& buf,
-                               const mdag::StreamSig& sig, int trsv,
-                               stream::Channel<T>& src) {
-    stream::DramBank* bank = banks.at(buf.bank());
-    if (sig.is_matrix) {
-      sg.spawn(name, stream::write_matrix<T>(buf.mat(sig.rows, sig.cols),
-                                             sig.sched, width, src, bank));
-    } else if (trsv >= 0) {
-      sg.spawn(name, detail::write_rows_solve_order<T>(
-                         detail::as_column(buf.vec(per_pass(sig))),
-                         op_uplo_of(sem[static_cast<std::size_t>(trsv)]),
-                         width, src, bank));
-    } else {
-      sg.spawn(name, stream::write_vector<T>(buf.vec(per_pass(sig)),
-                                             sig.repeat, width, src, bank));
-    }
-  };
-
-  // Scalar collect targets must outlive run_graph.
-  std::vector<std::unique_ptr<std::vector<T>>> held;
-  std::vector<std::pair<T*, const std::vector<T>*>> scalars;
-
   for (int u : cp.order[c]) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
@@ -207,8 +187,11 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
     for (int e : ins) {
       if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
       const std::string& name = st.readback_name.at(e);
-      spawn_read(name, *cut_source(st, e), g.edge(e).consumed,
-                 trsv_b_consumer(g, cp, e), chan(name));
+      detail::spawn_mover(sg, banks, width,
+                          dram_operand<T>(st, name, cut_source(st, e),
+                                          nullptr, g.edge(e).consumed,
+                                          trsv_b_consumer(g, cp, e)),
+                          chan(name));
     }
 
     if (cp.has_zero(u)) {
@@ -223,34 +206,36 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
       if (br.empty()) continue;
       stream::Channel<T>& dst =
           cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
-      const Buffer<T>& buf = *st.comp.binding(u).in;
-      if (s.triangular) {
-        const std::int64_t n = trsv_dim(g, cp, g.edge(br[0]).to);
-        sg.spawn(node.name,
-                 core::read_triangular<T>(buf.cmat(n, n), op_uplo_of(s), width,
-                                          dst, banks.at(buf.bank()), s.trans));
-      } else {
-        spawn_read(node.name, buf, g.edge(br[0]).produced,
-                   br.size() == 1 ? trsv_b_consumer(g, cp, br[0]) : -1, dst);
-      }
+      const Buffer<T>* buf = st.comp.binding(u).in;
+      const char* name = node.name.c_str();
+      detail::spawn_mover(
+          sg, banks, width,
+          s.triangular
+              ? detail::read_tri(name, name, *buf,
+                                 trsv_dim(g, cp, g.edge(br[0]).to),
+                                 op_uplo_of(s), s.trans)
+              : dram_operand<T>(st, node.name, buf, nullptr,
+                                g.edge(br[0]).produced,
+                                br.size() == 1 ? trsv_b_consumer(g, cp, br[0])
+                                               : -1),
+          dst);
     } else if (node.type == mdag::NodeType::Interface) {
       // Writer: drain the in-stream into its binding.
       const int e = ins[0];
       const mdag::StreamSig& sig = g.edge(e).consumed;
       const auto& b = st.comp.binding(u);
-      if (b.scalar != nullptr) {
-        held.emplace_back(new std::vector<T>());
-        scalars.emplace_back(b.scalar, held.back().get());
-        sg.spawn(node.name,
-                 stream::collect<T>(sig.count, in_channel(e), *held.back()));
-      } else {
-        const int from = g.edge(e).from;
-        const mdag::Node& prod = g.node(from);
-        const bool from_trsv = prod.type == mdag::NodeType::Compute &&
-                               prod.kind == RoutineKind::Trsv;
-        spawn_write(node.name, *b.out, sig, from_trsv ? from : -1,
-                    in_channel(e));
-      }
+      const int from = g.edge(e).from;
+      const mdag::Node& prod = g.node(from);
+      const bool from_trsv = prod.type == mdag::NodeType::Compute &&
+                             prod.kind == RoutineKind::Trsv;
+      const char* name = node.name.c_str();
+      detail::spawn_mover(
+          sg, banks, width,
+          b.scalar != nullptr
+              ? detail::collect(name, name, b.scalar, sig.count)
+              : dram_operand<T>(st, node.name, nullptr, b.out, sig,
+                                from_trsv ? from : -1),
+          in_channel(e));
     } else {
       // Compute node.
       std::vector<stream::Channel<T>*> in_ch;
@@ -335,8 +320,12 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
         continue;
       }
       const std::string& name = st.spill_name.at(e);
-      spawn_write(name + ".w", *st.scratch[st.scratch_of.at(e)],
-                  g.edge(e).produced, -1, chan(name));
+      detail::spawn_mover(
+          sg, banks, width,
+          dram_operand<T>(st, name + ".w", nullptr,
+                          st.scratch[st.scratch_of.at(e)].get(),
+                          g.edge(e).produced, -1),
+          chan(name));
     }
   }
 
@@ -345,7 +334,6 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
   if (chk != nullptr) chk->arm(sg);
   ctx.run_graph(sg);
   if (chk != nullptr) chk->capture(sg);
-  for (const auto& [dst, vals] : scalars) *dst = vals->at(0);
 }
 
 // ---- Host replay: the CPU fallback and the checksum predictions ----------

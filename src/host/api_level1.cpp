@@ -1,17 +1,18 @@
 // Level-1 host API lowerings: reader -> module -> writer graphs.
 //
-// Each async routine enqueues a Command that declares its buffer read and
-// write sets (hazard tracking) and captures the RoutineConfig knobs it
-// uses by value, so commands in flight are unaffected by later config
-// changes. Every
-// routine also attaches its refblas CPU reference path as the Command's
+// Each async routine lists its DRAM operands and its module spawn;
+// detail::stream_command derives the Command from them (hazard sets,
+// channels, readers and writers), capturing the RoutineConfig knobs by
+// value so commands in flight are unaffected by later config changes.
+// Every routine attaches its refblas CPU reference path as the
 // `fallback`, the graceful-degradation target once the RetryPolicy
-// exhausts device retries, and (when the captured config enables
-// verification) its ABFT checksum checkers. rotm and sdsdot carry no
-// checker: rotm's modified-rotation flag cases have no single linear
-// checksum identity, and sdsdot's mixed-precision accumulation has no
-// tight double-precision bound — both stay covered by fault *detection*
-// (taint, watchdog) rather than result verification.
+// exhausts device retries, and its ABFT checker (built only when the
+// captured config enables verification). ROT and ROTM share one 2x2-map
+// checksum: ROTM expands H per flag. SDSDOT is checked like DOT, offset
+// by sb.
+#include <array>
+#include <string>
+
 #include "fblas/level1.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
@@ -51,134 +52,92 @@ ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
   return {result[0], result[1], result[2], result[3], result[4]};
 }
 
+namespace {
+
+/// x and y streamed through a two-output module and written back in place
+/// (ROT, ROTM, SWAP).
+template <typename T>
+std::array<detail::Operand<T>, 4> xy_in_place(std::int64_t n, Buffer<T>& x,
+                                              std::int64_t incx, Buffer<T>& y,
+                                              std::int64_t incy) {
+  return {detail::read_vec("x", "read_x", x, n, incx),
+          detail::read_vec("y", "read_y", y, n, incy),
+          detail::write_vec("ox", "write_x", x, n, incx),
+          detail::write_vec("oy", "write_y", y, n, incy)};
+}
+
+/// The checker of a routine mapping (x, y) in place through the fixed
+/// 2x2 map `h`: predicts both new sums, then checks each against them.
+template <typename T>
+auto pair_checker(std::array<T, 4> h, std::string name, std::int64_t n,
+                  const Buffer<T>& x, std::int64_t incx, const Buffer<T>& y,
+                  std::int64_t incy) {
+  return [=, &x, &y]() -> ResultCheck {
+    const verify::PairCheck chk =
+        verify::pair_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), h);
+    return [=, &x, &y](double scale) {
+      verify::check_sum<T>(chk.x, (name + "(x)").c_str(), x.cvec(n, incx),
+                           scale);
+      verify::check_sum<T>(chk.y, (name + "(y)").c_str(), y.cvec(n, incy),
+                           scale);
+    };
+  };
+}
+
+}  // namespace
+
 template <typename T>
 Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& y, std::int64_t incy, T c, T s) {
-  Command cmd;
-  cmd.label = "rot";
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, c, s] {
-    detail::launch<T>(*this, RoutineKind::Rot, [&](stream::Graph& g,
-                                                   detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("rot", core::rot<T>({W}, n, c, s, cx, cy, ox, oy));
-      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                                 banks.at(x.bank())));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                                 banks.at(y.bank())));
-    });
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, c, s] {
-    ref::rot(x.vec(n, incx), y.vec(n, incy), c, s);
-  };
-  return enqueue(std::move(cmd), [n, &x, incx, &y, incy, c, s] {
-    return [chk = verify::rot_prepare<T>(x.cvec(n, incx), y.cvec(n, incy), c,
-                                         s),
-            n, &x, incx, &y, incy](double scale) {
-      verify::check_sum<T>(chk.x, "rot(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk.y, "rot(y)", y.cvec(n, incy), scale);
-    };
-  });
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Rot, "rot", xy_in_place(n, x, incx, y, incy),
+      [=](const auto& p) {
+        return core::rot<T>({p.width}, n, c, s, p[0], p[1], p[2], p[3]);
+      },
+      [=, &x, &y] { ref::rot(x.vec(n, incx), y.vec(n, incy), c, s); });
+  return enqueue(std::move(cmd),
+                 pair_checker<T>({c, s, -s, c}, "rot", n, x, incx, y, incy));
 }
 
 template <typename T>
 Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy,
                           ref::RotmParam<T> p) {
-  Command cmd;
-  cmd.label = "rotm";
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, p] {
-    detail::launch<T>(*this, RoutineKind::Rotm, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("rotm", core::rotm<T>({W}, n, p, cx, cy, ox, oy));
-      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                                 banks.at(x.bank())));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                                 banks.at(y.bank())));
-    });
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, p] {
-    ref::rotm(x.vec(n, incx), y.vec(n, incy), p);
-  };
-  return enqueue(std::move(cmd));
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Rotm, "rotm", xy_in_place(n, x, incx, y, incy),
+      [=](const auto& c) {
+        return core::rotm<T>({c.width}, n, p, c[0], c[1], c[2], c[3]);
+      },
+      [=, &x, &y] { ref::rotm(x.vec(n, incx), y.vec(n, incy), p); });
+  return enqueue(std::move(cmd),
+                 pair_checker<T>(p.matrix(), "rotm", n, x, incx, y, incy));
 }
 
 template <typename T>
 Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
-  Command cmd;
-  cmd.label = "swap";
-  cmd.reads = {&x, &y};
-  cmd.writes = {&x, &y};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy] {
-    detail::launch<T>(*this, RoutineKind::Swap, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& ox = g.channel<T>("ox", detail::chan_cap(W));
-      auto& oy = g.channel<T>("oy", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("swap", core::swap<T>({W}, n, cx, cy, ox, oy));
-      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, ox,
-                                                 banks.at(x.bank())));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, oy,
-                                                 banks.at(y.bank())));
-    });
-  };
-  cmd.fallback = [n, &x, incx, &y, incy] {
-    ref::swap(x.vec(n, incx), y.vec(n, incy));
-  };
-  return enqueue(std::move(cmd), [n, &x, incx, &y, incy] {
-    return [chk = verify::swap_prepare<T>(x.cvec(n, incx), y.cvec(n, incy)),
-            n, &x, incx, &y, incy](double scale) {
-      verify::check_sum<T>(chk.x, "swap(x)", x.cvec(n, incx), scale);
-      verify::check_sum<T>(chk.y, "swap(y)", y.cvec(n, incy), scale);
-    };
-  });
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Swap, "swap", xy_in_place(n, x, incx, y, incy),
+      [=](const auto& p) {
+        return core::swap<T>({p.width}, n, p[0], p[1], p[2], p[3]);
+      },
+      [=, &x, &y] { ref::swap(x.vec(n, incx), y.vec(n, incy)); });
+  return enqueue(std::move(cmd),
+                 pair_checker<T>({0, 1, 1, 0}, "swap", n, x, incx, y, incy));
 }
 
 template <typename T>
 Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
-  Command cmd;
-  cmd.label = "scal";
-  cmd.reads = {&x};
-  cmd.writes = {&x};
-  cmd.work = [this, W = cfg_.width, n, alpha, &x, incx] {
-    detail::launch<T>(*this, RoutineKind::Scal, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cin = g.channel<T>("x", detail::chan_cap(W));
-      auto& cout = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                               banks.at(x.bank())));
-      g.spawn("scal", core::scal<T>({W}, n, alpha, cin, cout));
-      g.spawn("write_x", stream::write_vector<T>(x.vec(n, incx), 1, W, cout,
-                                                 banks.at(x.bank())));
-    });
-  };
-  cmd.fallback = [n, alpha, &x, incx] { ref::scal(alpha, x.vec(n, incx)); };
-  return enqueue(std::move(cmd), [n, alpha, &x, incx] {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Scal, "scal",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::write_vec("out", "write_x", x, n, incx)},
+      [=](const auto& p) {
+        return core::scal<T>({p.width}, n, alpha, p[0], p[1]);
+      },
+      [=, &x] { ref::scal(alpha, x.vec(n, incx)); });
+  return enqueue(std::move(cmd), [=, &x] {
     return [chk = verify::scal_prepare<T>(alpha, x.cvec(n, incx)), n, &x,
             incx](double scale) {
       verify::check_sum<T>(chk, "scal", x.cvec(n, incx), scale);
@@ -190,26 +149,13 @@ template <typename T>
 Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd;
-  cmd.label = "copy";
-  cmd.reads = {&x};
-  cmd.writes = {&y};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy] {
-    detail::launch<T>(*this, RoutineKind::Copy, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cin = g.channel<T>("x", detail::chan_cap(W));
-      auto& cout = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cin,
-                                               banks.at(x.bank())));
-      g.spawn("copy", core::copy<T>({W}, n, cin, cout));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
-                                                 banks.at(y.bank())));
-    });
-  };
-  cmd.fallback = [n, &x, incx, &y, incy] {
-    ref::copy(x.cvec(n, incx), y.vec(n, incy));
-  };
-  return enqueue(std::move(cmd), [n, &x, incx, &y, incy] {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Copy, "copy",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::write_vec("out", "write_y", y, n, incy)},
+      [=](const auto& p) { return core::copy<T>({p.width}, n, p[0], p[1]); },
+      [=, &x, &y] { ref::copy(x.cvec(n, incx), y.vec(n, incy)); });
+  return enqueue(std::move(cmd), [=, &x, &y] {
     return [chk = verify::copy_prepare<T>(x.cvec(n, incx)), n, &y,
             incy](double scale) {
       verify::check_sum<T>(chk, "copy", y.cvec(n, incy), scale);
@@ -221,29 +167,16 @@ template <typename T>
 Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd;
-  cmd.label = "axpy";
-  cmd.reads = {&x, &y};
-  cmd.writes = {&y};
-  cmd.work = [this, W = cfg_.width, n, alpha, &x, incx, &y, incy] {
-    detail::launch<T>(*this, RoutineKind::Axpy, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& cout = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("axpy", core::axpy<T>({W}, n, alpha, cx, cy, cout));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(n, incy), 1, W, cout,
-                                                 banks.at(y.bank())));
-    });
-  };
-  cmd.fallback = [n, alpha, &x, incx, &y, incy] {
-    ref::axpy(alpha, x.cvec(n, incx), y.vec(n, incy));
-  };
-  return enqueue(std::move(cmd), [n, alpha, &x, incx, &y, incy] {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Axpy, "axpy",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::read_vec("y", "read_y", y, n, incy),
+                 detail::write_vec("out", "write_y", y, n, incy)},
+      [=](const auto& p) {
+        return core::axpy<T>({p.width}, n, alpha, p[0], p[1], p[2]);
+      },
+      [=, &x, &y] { ref::axpy(alpha, x.cvec(n, incx), y.vec(n, incy)); });
+  return enqueue(std::move(cmd), [=, &x, &y] {
     return [chk = verify::axpy_prepare<T>(alpha, x.cvec(n, incx),
                                           y.cvec(n, incy)),
             n, &y, incy](double scale) {
@@ -252,37 +185,24 @@ Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
   });
 }
 
+// The scalar-result routines below are checked single-phase: their
+// inputs are untouched, so the check recomputes from them after the fact.
+
 template <typename T>
 Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
                          std::int64_t incx, const Buffer<T>& y,
                          std::int64_t incy, T* result) {
-  Command cmd;
-  cmd.label = "dot";
-  cmd.reads = {&x, &y};
-  cmd.writes = {result};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, &y, incy, result] {
-    std::vector<T> out;
-    detail::launch<T>(*this, RoutineKind::Dot, [&](stream::Graph& g,
-                                                   detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& res = g.channel<T>("res", 2);
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(n, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("dot", core::dot<T>({W}, n, cx, cy, res));
-      g.spawn("collect", stream::collect<T>(1, res, out));
-    });
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, &y, incy, result] {
-    *result = ref::dot(x.cvec(n, incx), y.cvec(n, incy));
-  };
-  // Single-phase: the inputs are untouched, so the check recomputes the
-  // reduction in double after the fact — nothing to capture up front.
-  return enqueue(std::move(cmd), [n, &x, incx, &y, incy, result] {
-    return [n, &x, incx, &y, incy, result](double scale) {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Dot, "dot",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::read_vec("y", "read_y", y, n, incy),
+                 detail::collect("res", "collect", result)},
+      [=](const auto& p) {
+        return core::dot<T>({p.width}, n, p[0], p[1], p[2]);
+      },
+      [=, &x, &y] { *result = ref::dot(x.cvec(n, incx), y.cvec(n, incy)); });
+  return enqueue(std::move(cmd), [=, &x, &y] {
+    return [=, &x, &y](double scale) {
       verify::dot_check<T>(x.cvec(n, incx), y.cvec(n, incy), *result, scale);
     };
   });
@@ -291,55 +211,36 @@ Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
 Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
                             std::int64_t incx, const Buffer<float>& y,
                             std::int64_t incy, float* result) {
-  Command cmd;
-  cmd.label = "sdsdot";
-  cmd.reads = {&x, &y};
-  cmd.writes = {result};
-  cmd.work = [this, W = cfg_.width, n, sb, &x, incx, &y, incy, result] {
-    std::vector<float> out;
-    detail::launch<float>(*this, RoutineKind::Sdsdot,
-                          [&](stream::Graph& g, detail::BankSet& banks) {
-      auto& cx = g.channel<float>("x", detail::chan_cap(W));
-      auto& cy = g.channel<float>("y", detail::chan_cap(W));
-      auto& res = g.channel<float>("res", 2);
-      g.spawn("read_x", stream::read_vector<float>(x.cvec(n, incx), 1, W, cx,
-                                                   banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<float>(y.cvec(n, incy), 1, W, cy,
-                                                   banks.at(y.bank())));
-      g.spawn("sdsdot", core::sdsdot({W}, n, sb, cx, cy, res));
-      g.spawn("collect", stream::collect<float>(1, res, out));
-    });
-    *result = out[0];
-  };
-  cmd.fallback = [n, sb, &x, incx, &y, incy, result] {
-    *result = ref::sdsdot(sb, x.cvec(n, incx), y.cvec(n, incy));
-  };
-  return enqueue(std::move(cmd));
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Sdsdot, "sdsdot",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::read_vec("y", "read_y", y, n, incy),
+                 detail::collect("res", "collect", result)},
+      [=](const auto& p) {
+        return core::sdsdot({p.width}, n, sb, p[0], p[1], p[2]);
+      },
+      [=, &x, &y] {
+        *result = ref::sdsdot(sb, x.cvec(n, incx), y.cvec(n, incy));
+      });
+  return enqueue(std::move(cmd), [=, &x, &y] {
+    return [=, &x, &y](double scale) {
+      verify::dot_check<float>(x.cvec(n, incx), y.cvec(n, incy), *result,
+                               scale, sb);
+    };
+  });
 }
 
 template <typename T>
 Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd;
-  cmd.label = "nrm2";
-  cmd.reads = {&x};
-  cmd.writes = {result};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
-    std::vector<T> out;
-    detail::launch<T>(*this, RoutineKind::Nrm2, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& res = g.channel<T>("res", 2);
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("nrm2", core::nrm2<T>({W}, n, cx, res));
-      g.spawn("collect", stream::collect<T>(1, res, out));
-    });
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] { *result = ref::nrm2(x.cvec(n, incx)); };
-  return enqueue(std::move(cmd), [n, &x, incx, result] {
-    return [n, &x, incx, result](double scale) {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Nrm2, "nrm2",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::collect("res", "collect", result)},
+      [=](const auto& p) { return core::nrm2<T>({p.width}, n, p[0], p[1]); },
+      [=, &x] { *result = ref::nrm2(x.cvec(n, incx)); });
+  return enqueue(std::move(cmd), [=, &x] {
+    return [=, &x](double scale) {
       verify::nrm2_check<T>(x.cvec(n, incx), *result, scale);
     };
   });
@@ -348,26 +249,14 @@ Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
 template <typename T>
 Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd;
-  cmd.label = "asum";
-  cmd.reads = {&x};
-  cmd.writes = {result};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
-    std::vector<T> out;
-    detail::launch<T>(*this, RoutineKind::Asum, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& res = g.channel<T>("res", 2);
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("asum", core::asum<T>({W}, n, cx, res));
-      g.spawn("collect", stream::collect<T>(1, res, out));
-    });
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] { *result = ref::asum(x.cvec(n, incx)); };
-  return enqueue(std::move(cmd), [n, &x, incx, result] {
-    return [n, &x, incx, result](double scale) {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Asum, "asum",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::collect("res", "collect", result)},
+      [=](const auto& p) { return core::asum<T>({p.width}, n, p[0], p[1]); },
+      [=, &x] { *result = ref::asum(x.cvec(n, incx)); });
+  return enqueue(std::move(cmd), [=, &x] {
+    return [=, &x](double scale) {
       verify::asum_check<T>(x.cvec(n, incx), *result, scale);
     };
   });
@@ -376,28 +265,16 @@ Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
 template <typename T>
 Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
                            std::int64_t incx, std::int64_t* result) {
-  Command cmd;
-  cmd.label = "iamax";
-  cmd.reads = {&x};
-  cmd.writes = {result};
-  cmd.work = [this, W = cfg_.width, n, &x, incx, result] {
-    std::vector<std::int64_t> out;
-    detail::launch<T>(*this, RoutineKind::Iamax, [&](stream::Graph& g,
-                                                     detail::BankSet& banks) {
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& res = g.channel<std::int64_t>("res", 2);
-      g.spawn("read_x", stream::read_vector<T>(x.cvec(n, incx), 1, W, cx,
-                                               banks.at(x.bank())));
-      g.spawn("iamax", core::iamax<T>({W}, n, cx, res));
-      g.spawn("collect", stream::collect<std::int64_t>(1, res, out));
-    });
-    *result = out[0];
-  };
-  cmd.fallback = [n, &x, incx, result] {
-    *result = ref::iamax(x.cvec(n, incx));
-  };
-  return enqueue(std::move(cmd), [n, &x, incx, result] {
-    return [n, &x, incx, result](double) {
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Iamax, "iamax",
+      std::array{detail::read_vec("x", "read_x", x, n, incx),
+                 detail::collect<T>("res", "collect", result)},
+      [=](const auto& p) {
+        return core::iamax<T>({p.width}, n, p[0], p.index(1));
+      },
+      [=, &x] { *result = ref::iamax(x.cvec(n, incx)); });
+  return enqueue(std::move(cmd), [=, &x] {
+    return [=, &x](double) {
       verify::iamax_check<T>(x.cvec(n, incx), *result);
     };
   });

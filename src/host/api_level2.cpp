@@ -1,8 +1,11 @@
-// Level-2 host API lowerings. Commands declare their buffer read/write
-// sets, capture the RoutineConfig by value at enqueue time, and carry
-// their refblas CPU reference path as the retry machinery's fallback
-// plus, when the captured config enables verification, their ABFT
-// dot-product / rank-update checksum checkers.
+// Level-2 host API lowerings. Each routine lists its DRAM operands and
+// module spawn (detail::stream_command derives the Command from them),
+// captures the RoutineConfig by value at enqueue time, and carries its
+// refblas CPU reference path as the retry machinery's fallback plus,
+// when the captured config enables verification, its ABFT dot-product /
+// rank-update checksum checker.
+#include <array>
+
 #include "host/context.hpp"
 #include "host/detail.hpp"
 #include "refblas/level2.hpp"
@@ -10,55 +13,48 @@
 
 namespace fblas::host {
 
+namespace {
+
+// The module configs of `rc`, validated first: the operand lists derive
+// tile schedules and replay counts from them before the command is
+// enqueued.
+core::GemvConfig gemv_config(const RoutineConfig& rc, Transpose trans) {
+  rc.validate();
+  return {trans, rc.tiling, rc.width, rc.tile_rows, rc.tile_cols};
+}
+core::GerConfig ger_config(const RoutineConfig& rc) {
+  rc.validate();
+  return {rc.tiling, rc.width, rc.tile_rows, rc.tile_cols};
+}
+
+}  // namespace
+
 template <typename T>
 Event Context::gemv_async(Transpose trans, std::int64_t rows,
                           std::int64_t cols, T alpha, const Buffer<T>& a,
                           const Buffer<T>& x, std::int64_t incx, T beta,
                           Buffer<T>& y, std::int64_t incy) {
-  Command command;
-  command.label = "gemv";
-  command.reads = {&a, &x, &y};
-  command.writes = {&y};
-  command.work = [this, rc = cfg_, trans, rows, cols, alpha, &a, &x, incx,
-                  beta, &y, incy] {
-    detail::launch<T>(*this, RoutineKind::Gemv, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      const core::GemvConfig cfg{trans, rc.tiling, rc.width, rc.tile_rows,
-                                 rc.tile_cols};
-      const std::int64_t xlen = trans == Transpose::None ? cols : rows;
-      const std::int64_t ylen = trans == Transpose::None ? rows : cols;
-      const int W = rc.width;
-      auto& ca = g.channel<T>("A", detail::chan_cap(W));
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& out = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_A",
-              stream::read_matrix<T>(a.cmat(rows, cols),
-                                     core::gemv_a_schedule(cfg), 1, W, ca,
-                                     banks.at(a.bank())));
-      g.spawn("read_x", stream::read_vector<T>(
-                            x.cvec(xlen, incx),
-                            core::gemv_x_repeat(cfg, rows, cols), W, cx,
-                            banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(y.cvec(ylen, incy), 1, W, cy,
-                                               banks.at(y.bank())));
-      g.spawn("gemv",
-              core::gemv<T>(cfg, rows, cols, alpha, beta, ca, cx, cy, out));
-      g.spawn("write_y", stream::write_vector<T>(y.vec(ylen, incy), 1, W, out,
-                                                 banks.at(y.bank())));
-    });
-  };
-  command.fallback = [trans, rows, cols, alpha, &a, &x, incx, beta, &y,
-                      incy] {
-    const std::int64_t xlen = trans == Transpose::None ? cols : rows;
-    const std::int64_t ylen = trans == Transpose::None ? rows : cols;
-    ref::gemv(trans, alpha, a.cmat(rows, cols), x.cvec(xlen, incx), beta,
-              y.vec(ylen, incy));
-  };
-  return enqueue(std::move(command), [trans, rows, cols, alpha, &a, &x, incx,
-                                      beta, &y, incy] {
-    const std::int64_t xlen = trans == Transpose::None ? cols : rows;
-    const std::int64_t ylen = trans == Transpose::None ? rows : cols;
+  const core::GemvConfig cfg = gemv_config(cfg_, trans);
+  const std::int64_t xlen = trans == Transpose::None ? cols : rows;
+  const std::int64_t ylen = trans == Transpose::None ? rows : cols;
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Gemv, "gemv",
+      std::array{
+          detail::read_mat("A", "read_A", a, rows, cols,
+                           core::gemv_a_schedule(cfg)),
+          detail::read_vec("x", "read_x", x, xlen, incx,
+                           core::gemv_x_repeat(cfg, rows, cols)),
+          detail::read_vec("y", "read_y", y, ylen, incy),
+          detail::write_vec("out", "write_y", y, ylen, incy)},
+      [=](const auto& p) {
+        return core::gemv<T>(cfg, rows, cols, alpha, beta, p[0], p[1], p[2],
+                             p[3]);
+      },
+      [=, &a, &x, &y] {
+        ref::gemv(trans, alpha, a.cmat(rows, cols), x.cvec(xlen, incx), beta,
+                  y.vec(ylen, incy));
+      });
+  return enqueue(std::move(cmd), [=, &a, &x, &y] {
     return [chk = verify::gemv_prepare<T>(trans, rows, cols, alpha,
                                           a.cmat(rows, cols),
                                           x.cvec(xlen, incx), beta,
@@ -73,39 +69,24 @@ template <typename T>
 Event Context::trsv_async(Uplo uplo, Transpose trans, Diag diag,
                           std::int64_t n, const Buffer<T>& a, Buffer<T>& x,
                           std::int64_t incx) {
-  Command command;
-  command.label = "trsv";
-  command.reads = {&a, &x};
-  command.writes = {&x};
-  command.work = [this, rc = cfg_, uplo, trans, diag, n, &a, &x, incx] {
-    detail::launch<T>(*this, RoutineKind::Trsv, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      const int W = rc.width;
-      // Transposition flips the triangle op(A) effectively occupies.
-      const Uplo eff = trans == Transpose::None
-                           ? uplo
-                           : (uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower);
-      const core::TrsvConfig cfg{eff, diag, W};
-      auto& ca = g.channel<T>("A", detail::chan_cap(W));
-      auto& cb = g.channel<T>("b", detail::chan_cap(W));
-      auto& out = g.channel<T>("x", detail::chan_cap(W));
-      g.spawn("read_A", core::read_triangular<T>(a.cmat(n, n), eff, W, ca,
-                                                 banks.at(a.bank()), trans));
-      g.spawn("read_b", detail::read_rows_solve_order<T>(
-                            detail::as_column(x.cvec(n, incx)), eff, W, cb,
-                            banks.at(x.bank())));
-      g.spawn("trsv", core::trsv<T>(cfg, n, ca, cb, out));
-      g.spawn("write_x", detail::write_rows_solve_order<T>(
-                             detail::as_column(x.vec(n, incx)), eff, W, out,
-                             banks.at(x.bank())));
-    });
-  };
-  command.fallback = [uplo, trans, diag, n, &a, &x, incx] {
-    ref::trsv(uplo, trans, diag, a.cmat(n, n), x.vec(n, incx));
-  };
+  // Transposition flips the triangle op(A) effectively occupies.
+  const Uplo eff = trans == Transpose::None
+                       ? uplo
+                       : (uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower);
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Trsv, "trsv",
+      std::array{detail::read_tri("A", "read_A", a, n, eff, trans),
+                 detail::read_solve("b", "read_b", x, n, incx, eff),
+                 detail::write_solve("x", "write_x", x, n, incx, eff)},
+      [=](const auto& p) {
+        return core::trsv<T>({eff, diag, p.width}, n, p[0], p[1], p[2]);
+      },
+      [=, &a, &x] {
+        ref::trsv(uplo, trans, diag, a.cmat(n, n), x.vec(n, incx));
+      });
   // Residual check: the solve overwrites b with x, so capture e^T b
   // first; afterwards e^T (op(A) x) must reproduce it.
-  return enqueue(std::move(command), [uplo, trans, diag, n, &a, &x, incx] {
+  return enqueue(std::move(cmd), [=, &a, &x] {
     return [chk = verify::trsv_prepare<T>(n, x.cvec(n, incx)), uplo, trans,
             diag, n, &a, &x, incx](double scale) {
       verify::trsv_check<T>(chk, uplo, trans, diag, n, a.cmat(n, n),
@@ -119,43 +100,24 @@ Event Context::ger_async(std::int64_t rows, std::int64_t cols, T alpha,
                          const Buffer<T>& x, std::int64_t incx,
                          const Buffer<T>& y, std::int64_t incy,
                          Buffer<T>& a) {
-  Command command;
-  command.label = "ger";
-  command.reads = {&x, &y, &a};
-  command.writes = {&a};
-  command.work = [this, rc = cfg_, rows, cols, alpha, &x, incx, &y, incy,
-                  &a] {
-    detail::launch<T>(*this, RoutineKind::Ger, [&](stream::Graph& g,
-                                                   detail::BankSet& banks) {
-      const core::GerConfig cfg{rc.tiling, rc.width, rc.tile_rows,
-                                rc.tile_cols};
-      const int W = rc.width;
-      const auto sched = core::ger_a_schedule(cfg);
-      auto& ca = g.channel<T>("A", detail::chan_cap(W));
-      auto& cx = g.channel<T>("x", detail::chan_cap(W));
-      auto& cy = g.channel<T>("y", detail::chan_cap(W));
-      auto& out = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_A", stream::read_matrix<T>(a.cmat(rows, cols), sched, 1, W,
-                                               ca, banks.at(a.bank())));
-      g.spawn("read_x", stream::read_vector<T>(
-                            x.cvec(rows, incx),
-                            core::ger_x_repeat(cfg, rows, cols), W, cx,
-                            banks.at(x.bank())));
-      g.spawn("read_y", stream::read_vector<T>(
-                            y.cvec(cols, incy),
-                            core::ger_y_repeat(cfg, rows, cols), W, cy,
-                            banks.at(y.bank())));
-      g.spawn("ger", core::ger<T>(cfg, rows, cols, alpha, ca, cx, cy, out));
-      g.spawn("write_A", stream::write_matrix<T>(a.mat(rows, cols), sched, W,
-                                                 out, banks.at(a.bank())));
-    });
-  };
-  command.fallback = [rows, cols, alpha, &x, incx, &y, incy, &a] {
-    ref::ger(alpha, x.cvec(rows, incx), y.cvec(cols, incy),
-             a.mat(rows, cols));
-  };
-  return enqueue(std::move(command), [rows, cols, alpha, &x, incx, &y, incy,
-                                      &a] {
+  const core::GerConfig cfg = ger_config(cfg_);
+  const auto sched = core::ger_a_schedule(cfg);
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Ger, "ger",
+      std::array{detail::read_mat("A", "read_A", a, rows, cols, sched),
+                 detail::read_vec("x", "read_x", x, rows, incx,
+                                  core::ger_x_repeat(cfg, rows, cols)),
+                 detail::read_vec("y", "read_y", y, cols, incy,
+                                  core::ger_y_repeat(cfg, rows, cols)),
+                 detail::write_mat("out", "write_A", a, rows, cols, sched)},
+      [=](const auto& p) {
+        return core::ger<T>(cfg, rows, cols, alpha, p[0], p[1], p[2], p[3]);
+      },
+      [=, &x, &y, &a] {
+        ref::ger(alpha, x.cvec(rows, incx), y.cvec(cols, incy),
+                 a.mat(rows, cols));
+      });
+  return enqueue(std::move(cmd), [=, &x, &y, &a] {
     return [chk = verify::ger_prepare<T>(rows, cols, alpha,
                                          x.cvec(rows, incx),
                                          y.cvec(cols, incy),
@@ -166,46 +128,28 @@ Event Context::ger_async(std::int64_t rows, std::int64_t cols, T alpha,
   });
 }
 
+// SYR and SYR2 stream x (and y) twice, once per GER-style port; only the
+// requested triangle is stored back (BLAS semantics).
+
 template <typename T>
 Event Context::syr_async(Uplo uplo, std::int64_t n, T alpha,
                          const Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& a) {
-  Command command;
-  command.label = "syr";
-  command.reads = {&x, &a};
-  command.writes = {&a};
-  command.work = [this, rc = cfg_, uplo, n, alpha, &x, incx, &a] {
-    detail::launch<T>(*this, RoutineKind::Syr, [&](stream::Graph& g,
-                                                   detail::BankSet& banks) {
-      const core::GerConfig cfg{rc.tiling, rc.width, rc.tile_rows,
-                                rc.tile_cols};
-      const int W = rc.width;
-      const auto sched = core::ger_a_schedule(cfg);
-      auto& ca = g.channel<T>("A", detail::chan_cap(W));
-      auto& cxr = g.channel<T>("x_row", detail::chan_cap(W));
-      auto& cxc = g.channel<T>("x_col", detail::chan_cap(W));
-      auto& out = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_A", stream::read_matrix<T>(a.cmat(n, n), sched, 1, W, ca,
-                                               banks.at(a.bank())));
-      g.spawn("read_x_row",
-              stream::read_vector<T>(x.cvec(n, incx),
-                                     core::ger_x_repeat(cfg, n, n), W, cxr,
-                                     banks.at(x.bank())));
-      g.spawn("read_x_col",
-              stream::read_vector<T>(x.cvec(n, incx),
-                                     core::ger_y_repeat(cfg, n, n), W, cxc,
-                                     banks.at(x.bank())));
-      g.spawn("syr", core::syr<T>(cfg, n, alpha, ca, cxr, cxc, out));
-      // Only the requested triangle is stored back (BLAS semantics).
-      g.spawn("write_A", detail::write_matrix_uplo<T>(a.mat(n, n), sched, uplo,
-                                                      W, out,
-                                                      banks.at(a.bank())));
-    });
-  };
-  command.fallback = [uplo, n, alpha, &x, incx, &a] {
-    ref::syr(uplo, alpha, x.cvec(n, incx), a.mat(n, n));
-  };
-  return enqueue(std::move(command), [uplo, n, alpha, &x, incx, &a] {
+  const core::GerConfig cfg = ger_config(cfg_);
+  const auto sched = core::ger_a_schedule(cfg);
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Syr, "syr",
+      std::array{detail::read_mat("A", "read_A", a, n, n, sched),
+                 detail::read_vec("x_row", "read_x_row", x, n, incx,
+                                  core::ger_x_repeat(cfg, n, n)),
+                 detail::read_vec("x_col", "read_x_col", x, n, incx,
+                                  core::ger_y_repeat(cfg, n, n)),
+                 detail::write_uplo("out", "write_A", a, n, sched, uplo)},
+      [=](const auto& p) {
+        return core::syr<T>(cfg, n, alpha, p[0], p[1], p[2], p[3]);
+      },
+      [=, &x, &a] { ref::syr(uplo, alpha, x.cvec(n, incx), a.mat(n, n)); });
+  return enqueue(std::move(cmd), [=, &x, &a] {
     return [chk = verify::syr_prepare<T>(uplo, n, alpha, x.cvec(n, incx),
                                          a.cmat(n, n)),
             n, &a](double scale) {
@@ -219,53 +163,27 @@ Event Context::syr2_async(Uplo uplo, std::int64_t n, T alpha,
                           const Buffer<T>& x, std::int64_t incx,
                           const Buffer<T>& y, std::int64_t incy,
                           Buffer<T>& a) {
-  Command command;
-  command.label = "syr2";
-  command.reads = {&x, &y, &a};
-  command.writes = {&a};
-  command.work = [this, rc = cfg_, uplo, n, alpha, &x, incx, &y, incy, &a] {
-    detail::launch<T>(*this, RoutineKind::Syr2, [&](stream::Graph& g,
-                                                    detail::BankSet& banks) {
-      const core::GerConfig cfg{rc.tiling, rc.width, rc.tile_rows,
-                                rc.tile_cols};
-      const int W = rc.width;
-      const auto sched = core::ger_a_schedule(cfg);
-      auto& ca = g.channel<T>("A", detail::chan_cap(W));
-      auto& cxr = g.channel<T>("x_row", detail::chan_cap(W));
-      auto& cxc = g.channel<T>("x_col", detail::chan_cap(W));
-      auto& cyr = g.channel<T>("y_row", detail::chan_cap(W));
-      auto& cyc = g.channel<T>("y_col", detail::chan_cap(W));
-      auto& out = g.channel<T>("out", detail::chan_cap(W));
-      g.spawn("read_A", stream::read_matrix<T>(a.cmat(n, n), sched, 1, W, ca,
-                                               banks.at(a.bank())));
-      g.spawn("read_x_row",
-              stream::read_vector<T>(x.cvec(n, incx),
-                                     core::ger_x_repeat(cfg, n, n), W, cxr,
-                                     banks.at(x.bank())));
-      g.spawn("read_x_col",
-              stream::read_vector<T>(x.cvec(n, incx),
-                                     core::ger_y_repeat(cfg, n, n), W, cxc,
-                                     banks.at(x.bank())));
-      g.spawn("read_y_row",
-              stream::read_vector<T>(y.cvec(n, incy),
-                                     core::ger_x_repeat(cfg, n, n), W, cyr,
-                                     banks.at(y.bank())));
-      g.spawn("read_y_col",
-              stream::read_vector<T>(y.cvec(n, incy),
-                                     core::ger_y_repeat(cfg, n, n), W, cyc,
-                                     banks.at(y.bank())));
-      g.spawn("syr2",
-              core::syr2<T>(cfg, n, alpha, ca, cxr, cxc, cyr, cyc, out));
-      g.spawn("write_A", detail::write_matrix_uplo<T>(a.mat(n, n), sched, uplo,
-                                                      W, out,
-                                                      banks.at(a.bank())));
-    });
-  };
-  command.fallback = [uplo, n, alpha, &x, incx, &y, incy, &a] {
-    ref::syr2(uplo, alpha, x.cvec(n, incx), y.cvec(n, incy), a.mat(n, n));
-  };
-  return enqueue(std::move(command), [uplo, n, alpha, &x, incx, &y, incy,
-                                      &a] {
+  const core::GerConfig cfg = ger_config(cfg_);
+  const auto sched = core::ger_a_schedule(cfg);
+  const std::int64_t row_rep = core::ger_x_repeat(cfg, n, n);
+  const std::int64_t col_rep = core::ger_y_repeat(cfg, n, n);
+  Command cmd = detail::stream_command(
+      *this, RoutineKind::Syr2, "syr2",
+      std::array{
+          detail::read_mat("A", "read_A", a, n, n, sched),
+          detail::read_vec("x_row", "read_x_row", x, n, incx, row_rep),
+          detail::read_vec("x_col", "read_x_col", x, n, incx, col_rep),
+          detail::read_vec("y_row", "read_y_row", y, n, incy, row_rep),
+          detail::read_vec("y_col", "read_y_col", y, n, incy, col_rep),
+          detail::write_uplo("out", "write_A", a, n, sched, uplo)},
+      [=](const auto& p) {
+        return core::syr2<T>(cfg, n, alpha, p[0], p[1], p[2], p[3], p[4],
+                             p[5]);
+      },
+      [=, &x, &y, &a] {
+        ref::syr2(uplo, alpha, x.cvec(n, incx), y.cvec(n, incy), a.mat(n, n));
+      });
+  return enqueue(std::move(cmd), [=, &x, &y, &a] {
     return [chk = verify::syr2_prepare<T>(uplo, n, alpha, x.cvec(n, incx),
                                           y.cvec(n, incy), a.cmat(n, n)),
             n, &a](double scale) {

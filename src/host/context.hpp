@@ -242,9 +242,9 @@ class Context {
   bool idle() const { return exec_->idle(); }
 
   /// Runs a built graph under the captured watchdog and records its cycle
-  /// count. Public so composed app commands (apps/*_composed) can execute
-  /// their multi-module graphs through the same accounting and
-  /// fault-injection path as the built-in routines.
+  /// count (fault injection, taint tracking, cycle accounting). Called by
+  /// the routine lowerings and the composition interpreter from inside a
+  /// command's work; no app calls it directly.
   void run_graph(stream::Graph& g);
 
   /// Effective Sampled-mode rate for the next command: the configured

@@ -1,12 +1,20 @@
-// Internal helpers shared by the host-API routine lowerings.
+// Internal helpers shared by the host-API routine lowerings and the
+// composition interpreter: the graph launch, the DRAM movers, and the
+// operand list a streaming routine's Command is derived from.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/routines.hpp"
 #include "common/types.hpp"
+#include "fblas/level2.hpp"
+#include "host/buffer.hpp"
 #include "host/context.hpp"
 #include "host/device.hpp"
 #include "sim/frequency_model.hpp"
@@ -55,6 +63,12 @@ void launch(Context& ctx, RoutineKind kind, Build&& build) {
                                ctx.device().spec())
              .mhz,
          std::forward<Build>(build));
+}
+
+/// Channel capacity used by the lowerings: deep enough for two width-
+/// batches so producer and consumer never false-stall within a cycle.
+inline std::size_t chan_cap(int width) {
+  return static_cast<std::size_t>(std::max(64, 2 * width));
 }
 
 /// Stores a matrix stream but only keeps the `uplo` triangle (used by the
@@ -144,10 +158,246 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
   }
 }
 
-/// Channel capacity used by the lowerings: deep enough for two width-
-/// batches so producer and consumer never false-stall within a cycle.
-inline std::size_t chan_cap(int width) {
-  return static_cast<std::size_t>(std::max(64, 2 * width));
+/// Collects `n` values from `in`; the first lands in the host scalar
+/// `*dst` (a DOT-like module pushes one; a replayed stream repeats it).
+template <typename U>
+stream::Task collect_first(std::int64_t n, stream::Channel<U>& in, U* dst) {
+  for (std::int64_t k = 0; k < n; ++k) {
+    const U v = co_await in.pop();
+    if (k == 0) *dst = v;
+  }
+  co_await stream::next_cycle();
+}
+
+// ---- Operands: what a streaming routine moves, and the movers it gets ----
+
+/// How an operand moves between its buffer and its channel.
+enum class Movement : std::uint8_t {
+  Vector,      ///< `n` elements at stride `inc`, `repeat` passes
+  Matrix,      ///< `n` x `cols` in `sched` order (`repeat` passes if read)
+  SolveRows,   ///< `n` elements at stride `inc` in `uplo` solve order
+  Triangular,  ///< op(A)'s `uplo` triangle of an `n` x `n` A (read only)
+  UploMatrix,  ///< `n` x `n` in `sched` order, storing only `uplo` (write)
+  Scalar,      ///< `n` values collected into a host scalar (write)
+};
+
+/// One DRAM operand of a streaming routine: a strided view of a Buffer
+/// plus how it streams. Exactly one of `src` (a read), `dst` (a write),
+/// `value` or `index` (a collected host scalar) is set. The routine's
+/// hazard sets, channels and reader/writer modules all follow from its
+/// operand list; views and banks are resolved when the graph is built.
+template <typename T>
+struct Operand {
+  const char* chan = "";   ///< channel name
+  const char* mover = "";  ///< reader/writer module name
+  Movement how = Movement::Vector;
+  const Buffer<T>* src = nullptr;
+  Buffer<T>* dst = nullptr;
+  T* value = nullptr;
+  std::int64_t* index = nullptr;  ///< IAMAX's result
+  std::int64_t n = 0;
+  std::int64_t cols = 0;
+  std::int64_t inc = 1;
+  std::int64_t repeat = 1;
+  stream::TileSchedule sched{};
+  Uplo uplo = Uplo::Lower;
+  Transpose trans = Transpose::None;
+
+  bool written() const { return src == nullptr; }
+  /// The hazard key: the Buffer, or the host scalar's address.
+  const void* key() const {
+    if (src != nullptr) return src;
+    if (dst != nullptr) return dst;
+    return value != nullptr ? static_cast<const void*>(value) : index;
+  }
+};
+
+// Operand constructors: one per Movement and direction.
+
+template <typename T>
+Operand<T> read_vec(const char* chan, const char* mover, const Buffer<T>& b,
+                    std::int64_t n, std::int64_t inc = 1,
+                    std::int64_t repeat = 1) {
+  return {.chan = chan, .mover = mover, .src = &b, .n = n, .inc = inc,
+          .repeat = repeat};
+}
+template <typename T>
+Operand<T> read_mat(const char* chan, const char* mover, const Buffer<T>& b,
+                    std::int64_t rows, std::int64_t cols,
+                    stream::TileSchedule sched, std::int64_t repeat = 1) {
+  return {.chan = chan, .mover = mover, .how = Movement::Matrix, .src = &b,
+          .n = rows, .cols = cols, .repeat = repeat, .sched = sched};
+}
+template <typename T>
+Operand<T> read_solve(const char* chan, const char* mover, const Buffer<T>& b,
+                      std::int64_t n, std::int64_t inc, Uplo uplo) {
+  return {.chan = chan, .mover = mover, .how = Movement::SolveRows,
+          .src = &b, .n = n, .inc = inc, .uplo = uplo};
+}
+template <typename T>
+Operand<T> read_tri(const char* chan, const char* mover, const Buffer<T>& b,
+                    std::int64_t n, Uplo uplo, Transpose trans) {
+  return {.chan = chan, .mover = mover, .how = Movement::Triangular,
+          .src = &b, .n = n, .uplo = uplo, .trans = trans};
+}
+template <typename T>
+Operand<T> write_vec(const char* chan, const char* mover, Buffer<T>& b,
+                     std::int64_t n, std::int64_t inc = 1,
+                     std::int64_t repeat = 1) {
+  return {.chan = chan, .mover = mover, .dst = &b, .n = n, .inc = inc,
+          .repeat = repeat};
+}
+template <typename T>
+Operand<T> write_mat(const char* chan, const char* mover, Buffer<T>& b,
+                     std::int64_t rows, std::int64_t cols,
+                     stream::TileSchedule sched) {
+  return {.chan = chan, .mover = mover, .how = Movement::Matrix, .dst = &b,
+          .n = rows, .cols = cols, .sched = sched};
+}
+template <typename T>
+Operand<T> write_solve(const char* chan, const char* mover, Buffer<T>& b,
+                       std::int64_t n, std::int64_t inc, Uplo uplo) {
+  return {.chan = chan, .mover = mover, .how = Movement::SolveRows,
+          .dst = &b, .n = n, .inc = inc, .uplo = uplo};
+}
+template <typename T>
+Operand<T> write_uplo(const char* chan, const char* mover, Buffer<T>& b,
+                      std::int64_t n, stream::TileSchedule sched, Uplo uplo) {
+  return {.chan = chan, .mover = mover, .how = Movement::UploMatrix,
+          .dst = &b, .n = n, .sched = sched, .uplo = uplo};
+}
+template <typename T>
+Operand<T> collect(const char* chan, const char* mover, T* value,
+                   std::int64_t n = 1) {
+  return {.chan = chan, .mover = mover, .how = Movement::Scalar,
+          .value = value, .n = n};
+}
+template <typename T>
+Operand<T> collect(const char* chan, const char* mover, std::int64_t* index) {
+  return {.chan = chan, .mover = mover, .how = Movement::Scalar,
+          .index = index, .n = 1};
+}
+
+/// The one DRAM-mover dispatch: spawns `op`'s reader (or writer, or
+/// scalar collector) as module `op.mover` on channel `ch`, metered by the
+/// bank its buffer lives on.
+template <typename T>
+void spawn_mover(stream::Graph& g, BankSet& banks, int width,
+                 const Operand<T>& op, stream::ChannelBase& ch) {
+  if (op.index != nullptr) {
+    auto& c = static_cast<stream::Channel<std::int64_t>&>(ch);
+    g.spawn(op.mover, collect_first(op.n, c, op.index));
+    return;
+  }
+  auto& c = static_cast<stream::Channel<T>&>(ch);
+  if (op.value != nullptr) {
+    g.spawn(op.mover, collect_first(op.n, c, op.value));
+    return;
+  }
+  const Buffer<T>* src = op.src;
+  Buffer<T>* dst = op.dst;
+  stream::DramBank* bank = banks.at(src != nullptr ? src->bank() : dst->bank());
+  switch (op.how) {
+    case Movement::Vector:
+      g.spawn(op.mover,
+              src != nullptr
+                  ? stream::read_vector<T>(src->cvec(op.n, op.inc), op.repeat,
+                                           width, c, bank)
+                  : stream::write_vector<T>(dst->vec(op.n, op.inc), op.repeat,
+                                            width, c, bank));
+      return;
+    case Movement::Matrix:
+      g.spawn(op.mover,
+              src != nullptr
+                  ? stream::read_matrix<T>(src->cmat(op.n, op.cols), op.sched,
+                                           op.repeat, width, c, bank)
+                  : stream::write_matrix<T>(dst->mat(op.n, op.cols), op.sched,
+                                            width, c, bank));
+      return;
+    case Movement::SolveRows:
+      g.spawn(op.mover,
+              src != nullptr
+                  ? read_rows_solve_order<T>(as_column(src->cvec(op.n, op.inc)),
+                                             op.uplo, width, c, bank)
+                  : write_rows_solve_order<T>(as_column(dst->vec(op.n, op.inc)),
+                                              op.uplo, width, c, bank));
+      return;
+    case Movement::Triangular:
+      g.spawn(op.mover, core::read_triangular<T>(src->cmat(op.n, op.n),
+                                                 op.uplo, width, c, bank,
+                                                 op.trans));
+      return;
+    case Movement::UploMatrix:
+      g.spawn(op.mover, write_matrix_uplo<T>(dst->mat(op.n, op.n), op.sched,
+                                             op.uplo, width, c, bank));
+      return;
+    case Movement::Scalar:
+      break;
+  }
+  throw ConfigError(std::string("no DRAM mover for operand '") + op.chan + "'");
+}
+
+/// What a routine module is wired to: one channel per operand, in list
+/// order, and the vectorization width the command captured.
+template <typename T, std::size_t N>
+struct Ports {
+  std::array<stream::ChannelBase*, N> ch;
+  int width;
+
+  stream::Channel<T>& operator[](std::size_t i) const {
+    return static_cast<stream::Channel<T>&>(*ch[i]);
+  }
+  /// The channel of an `index` operand (IAMAX's result).
+  stream::Channel<std::int64_t>& index(std::size_t i) const {
+    return static_cast<stream::Channel<std::int64_t>&>(*ch[i]);
+  }
+};
+
+/// The Command of a streaming routine, derived from its operand list:
+///  * `reads`/`writes` are the operands' hazard keys, each listed once;
+///  * the work launches a graph at `kind`'s module clock with one channel
+///    per operand (chan_cap of the configured width; 2 for a collected
+///    scalar), then spawns the readers in list order, the module
+///    `module(ports)` named `label`, and the writers in list order.
+/// `fallback` is the routine's CPU reference path.
+template <typename T, std::size_t N, typename Module, typename Fallback>
+Command stream_command(Context& ctx, RoutineKind kind, const char* label,
+                       const std::array<Operand<T>, N>& ops, Module module,
+                       Fallback fallback) {
+  Command cmd;
+  cmd.label = label;
+  cmd.reads.reserve(N);
+  cmd.writes.reserve(N);
+  for (const Operand<T>& op : ops) {
+    auto& set = op.written() ? cmd.writes : cmd.reads;
+    if (std::find(set.begin(), set.end(), op.key()) == set.end()) {
+      set.push_back(op.key());
+    }
+  }
+  cmd.work = [&ctx, kind, label, width = ctx.config().width, ops, module] {
+    launch<T>(ctx, kind, [&](stream::Graph& g, BankSet& banks) {
+      Ports<T, N> p{{}, width};
+      for (std::size_t i = 0; i < N; ++i) {
+        const Operand<T>& op = ops[i];
+        const std::size_t cap =
+            op.how == Movement::Scalar ? 2 : chan_cap(width);
+        if (op.index != nullptr) {
+          p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
+        } else {
+          p.ch[i] = &g.channel<T>(op.chan, cap);
+        }
+      }
+      for (std::size_t i = 0; i < N; ++i) {
+        if (!ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
+      }
+      g.spawn(label, module(p));
+      for (std::size_t i = 0; i < N; ++i) {
+        if (ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
+      }
+    });
+  };
+  cmd.fallback = std::move(fallback);
+  return cmd;
 }
 
 }  // namespace fblas::host::detail

@@ -155,23 +155,7 @@ void rot(VectorView<T> x, VectorView<T> y, T c, T s) {
 template <typename T>
 void rotm(VectorView<T> x, VectorView<T> y, const RotmParam<T>& p) {
   if (p.flag == T(-2)) return;
-  T h11, h12, h21, h22;
-  if (p.flag == T(-1)) {
-    h11 = p.h11;
-    h12 = p.h12;
-    h21 = p.h21;
-    h22 = p.h22;
-  } else if (p.flag == T(0)) {
-    h11 = T(1);
-    h12 = p.h12;
-    h21 = p.h21;
-    h22 = T(1);
-  } else {  // flag == 1
-    h11 = p.h11;
-    h12 = T(1);
-    h21 = T(-1);
-    h22 = p.h22;
-  }
+  const auto [h11, h12, h21, h22] = p.matrix();
   for (std::int64_t i = 0; i < x.size(); ++i) {
     const T xi = x[i], yi = y[i];
     x[i] = h11 * xi + h12 * yi;

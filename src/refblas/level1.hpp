@@ -6,6 +6,7 @@
 // Semantics follow the netlib reference BLAS.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -25,6 +26,14 @@ template <typename T>
 struct RotmParam {
   T flag;  // -2: identity, -1: full H, 0: off-diagonal, 1: diagonal
   T h11, h21, h12, h22;
+
+  /// The full H = {h11, h12, h21, h22} the flag encodes.
+  std::array<T, 4> matrix() const {
+    if (flag == T(-2)) return {T(1), T(0), T(0), T(1)};
+    if (flag == T(-1)) return {h11, h12, h21, h22};
+    if (flag == T(0)) return {T(1), h12, h21, T(1)};
+    return {h11, T(1), T(-1), h22};
+  }
 };
 
 /// Constructs a Givens rotation zeroing b: [c s; -s c] [a; b] = [r; 0].

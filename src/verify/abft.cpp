@@ -577,30 +577,24 @@ ScalarCheck copy_prepare(VectorView<const T> x) {
 }
 
 template <typename T>
-PairCheck swap_prepare(VectorView<const T> x0, VectorView<const T> y0) {
-  PairCheck chk;
-  chk.x = copy_prepare(y0);  // x_new must sum like y0
-  chk.y = copy_prepare(x0);
-  return chk;
-}
-
-template <typename T>
-PairCheck rot_prepare(VectorView<const T> x0, VectorView<const T> y0, T c,
-                      T s) {
+PairCheck pair_prepare(VectorView<const T> x0, VectorView<const T> y0,
+                       std::array<T, 4> h) {
   const auto [sx, mx] = vec_sum(x0);
   const auto [sy, my] = vec_sum(y0);
-  const double cd = static_cast<double>(c);
-  const double sd = static_cast<double>(s);
-  const double mag_x = std::abs(cd) * mx + std::abs(sd) * my;
-  const double mag_y = std::abs(cd) * my + std::abs(sd) * mx;
-  return {scalar_check(cd * sx + sd * sy, mag_x, 2 * x0.size()),
-          scalar_check(cd * sy - sd * sx, mag_y, 2 * x0.size())};
+  // Each output element accumulates one term per nonzero coefficient.
+  const auto row = [&](T a, T b) {
+    const double ad = static_cast<double>(a), bd = static_cast<double>(b);
+    return scalar_check(ad * sx + bd * sy,
+                        std::abs(ad) * mx + std::abs(bd) * my,
+                        (int{a != T(0)} + int{b != T(0)}) * x0.size());
+  };
+  return {row(h[0], h[1]), row(h[2], h[3])};
 }
 
 template <typename T>
 void dot_check(VectorView<const T> x, VectorView<const T> y, T result,
-               double tol_scale) {
-  double p = 0.0, g = 0.0;
+               double tol_scale, double sb) {
+  double p = sb, g = std::abs(sb);
   for (std::int64_t i = 0; i < x.size(); ++i) {
     const double v = static_cast<double>(x[i]) * static_cast<double>(y[i]);
     p += v;
@@ -722,12 +716,10 @@ void iamax_check(VectorView<const T> x, std::int64_t result) {
   template ScalarCheck axpy_prepare<T>(T, VectorView<const T>,               \
                                        VectorView<const T>);                 \
   template ScalarCheck copy_prepare<T>(VectorView<const T>);                 \
-  template PairCheck swap_prepare<T>(VectorView<const T>,                    \
-                                     VectorView<const T>);                   \
-  template PairCheck rot_prepare<T>(VectorView<const T>,                     \
-                                    VectorView<const T>, T, T);              \
+  template PairCheck pair_prepare<T>(VectorView<const T>,                    \
+                                     VectorView<const T>, std::array<T, 4>); \
   template void dot_check<T>(VectorView<const T>, VectorView<const T>, T,    \
-                             double);                                        \
+                             double, double);                                \
   template void nrm2_check<T>(VectorView<const T>, T, double);               \
   template void asum_check<T>(VectorView<const T>, T, double);               \
   template void iamax_check<T>(VectorView<const T>, std::int64_t);           \

@@ -29,6 +29,7 @@
 //    verify/policy.hpp).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -157,19 +158,22 @@ ScalarCheck axpy_prepare(T alpha, VectorView<const T> x,
                          VectorView<const T> y0);
 template <typename T>
 ScalarCheck copy_prepare(VectorView<const T> x);
+/// A fixed 2x2 map h = {h11, h12, h21, h22} applied element-wise:
+/// x = h11 x0 + h12 y0, y = h21 x0 + h22 y0, so the sums map the same
+/// way. ROT uses {c, s, -s, c}, ROTM the H its flag encodes and SWAP
+/// {0, 1, 1, 0}.
 template <typename T>
-PairCheck swap_prepare(VectorView<const T> x0, VectorView<const T> y0);
-template <typename T>
-PairCheck rot_prepare(VectorView<const T> x0, VectorView<const T> y0, T c,
-                      T s);
+PairCheck pair_prepare(VectorView<const T> x0, VectorView<const T> y0,
+                       std::array<T, 4> h);
 
 // --- Level 1 (single-phase checks for scalar-result routines) -----------
 
 /// DOT: recomputes the dot product in double (one O(n) pass — the same
-/// cost as the prepare passes above) and compares.
+/// cost as the prepare passes above) and compares. SDSDOT passes its
+/// offset as `sb`.
 template <typename T>
 void dot_check(VectorView<const T> x, VectorView<const T> y, T result,
-               double tol_scale);
+               double tol_scale, double sb = 0.0);
 /// NRM2 invariants: finite & >= 0, and max|x| <= result <= sqrt(n)*max|x|
 /// within tolerance.
 template <typename T>

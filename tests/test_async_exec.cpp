@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <latch>
@@ -194,25 +195,33 @@ TEST(HazardOrdering, WawKeepsProgramOrder) {
 
 // Randomized hazard fuzz: a long stream of commands with overlapping
 // read/write sets must produce bit-identical state under the serial and
-// concurrent policies.
+// concurrent policies. Besides the single-output vector routines, the
+// stream mixes multi-output (SWAP, ROT) and matrix routines (GER and
+// SYR2 updating the first kM x kM elements of a buffer, TRSV solving
+// against a shared read-only triangle), so every shape of derived
+// read/write set is exercised.
 TEST(HazardOrdering, RandomizedFuzzMatchesSerial) {
   constexpr int kBuffers = 6;
   constexpr int kCommands = 200;
   constexpr std::int64_t kN = 64;
+  constexpr std::int64_t kM = 8;  // kM * kM == kN
 
   struct Op {
-    int kind;  // 0 scal, 1 axpy, 2 copy, 3 dot
+    int kind;  // 0 scal, 1 axpy, 2 copy, 3 dot, 4 swap, 5 rot, 6 ger,
+               // 7 syr2, 8 trsv
     int src;
     int dst;
+    int aux;
     float alpha;
   };
   std::vector<Op> ops;
   std::mt19937 rng(20260806);
-  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_int_distribution<int> kind(0, 8);
   std::uniform_int_distribution<int> buf(0, kBuffers - 1);
   std::uniform_real_distribution<float> scale(0.5f, 1.5f);
   for (int i = 0; i < kCommands; ++i) {
-    ops.push_back({kind(rng), buf(rng), buf(rng), scale(rng)});
+    const int k = kind(rng), src = buf(rng), dst = buf(rng), aux = buf(rng);
+    ops.push_back({k, src, dst, aux, scale(rng)});
   }
 
   auto run = [&](int workers, std::vector<std::vector<float>>& out,
@@ -224,27 +233,50 @@ TEST(HazardOrdering, RandomizedFuzzMatchesSerial) {
     for (int i = 0; i < kBuffers; ++i) {
       bufs.push_back(make_buffer(dev, wl.vector<float>(kN), i % 4));
     }
+    // TRSV's A: well conditioned and never written, so solves stay finite.
+    auto tri = make_buffer(dev, wl.triangular<float>(kM, Uplo::Lower,
+                                                     Diag::NonUnit), 1);
     dots.assign(ops.size(), 0.0f);
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const Op& op = ops[i];
+      Buffer<float>& x = bufs[op.src];
+      Buffer<float>& y = bufs[op.dst];
+      Buffer<float>& a = bufs[op.aux];
+      const bool two = op.src != op.dst;
+      const bool three = two && op.aux != op.src && op.aux != op.dst;
       switch (op.kind) {
         case 0:
-          ctx.scal_async<float>(kN, op.alpha, bufs[op.dst], 1);
+          ctx.scal_async<float>(kN, op.alpha, y, 1);
           break;
         case 1:
-          if (op.src != op.dst) {
-            ctx.axpy_async<float>(kN, op.alpha, bufs[op.src], 1,
-                                  bufs[op.dst], 1);
-          }
+          if (two) ctx.axpy_async<float>(kN, op.alpha, x, 1, y, 1);
           break;
         case 2:
-          if (op.src != op.dst) {
-            ctx.copy_async<float>(kN, bufs[op.src], 1, bufs[op.dst], 1);
-          }
+          if (two) ctx.copy_async<float>(kN, x, 1, y, 1);
           break;
         case 3:
-          ctx.dot_async<float>(kN, bufs[op.src], 1, bufs[op.dst], 1,
-                               &dots[i]);
+          ctx.dot_async<float>(kN, x, 1, y, 1, &dots[i]);
+          break;
+        case 4:
+          if (two) ctx.swap_async<float>(kN, x, 1, y, 1);
+          break;
+        case 5:
+          if (two) ctx.rot_async<float>(kN, x, 1, y, 1, 0.6f, 0.8f);
+          break;
+        case 6:
+          if (three) {
+            ctx.ger_async<float>(kM, kM, 0.01f * op.alpha, x, 1, y, 1, a);
+          }
+          break;
+        case 7:
+          if (three) {
+            ctx.syr2_async<float>(Uplo::Lower, kM, 0.01f * op.alpha, x, 1, y,
+                                  1, a);
+          }
+          break;
+        case 8:
+          ctx.trsv_async<float>(Uplo::Lower, Transpose::None, Diag::NonUnit,
+                                kM, tri, y, 1);
           break;
       }
     }
@@ -261,6 +293,10 @@ TEST(HazardOrdering, RandomizedFuzzMatchesSerial) {
   // bit-identical, not merely close.
   EXPECT_EQ(serial_state, conc_state);
   EXPECT_EQ(serial_dots, conc_dots);
+  // Growth is bounded, so a misordered command cannot hide behind Inf.
+  for (const auto& v : serial_state) {
+    for (float f : v) ASSERT_TRUE(std::isfinite(f));
+  }
 }
 
 // --- Cycle accounting ---------------------------------------------------

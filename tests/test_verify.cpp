@@ -635,6 +635,78 @@ TEST(VerifyRuntime, VerifyExhaustionDegradesToCpuFallback) {
   EXPECT_EQ(ctx.exec_stats().degraded, 1u);
 }
 
+// ROTM applies a linear 2x2 map per flag and SDSDOT is a DOT plus an
+// offset, so both carry checkers: one silent write-back fault on ROTM and
+// one channel fault on SDSDOT are caught and retried to a result
+// bit-identical to a fault-free run.
+TEST(VerifyRuntime, RotmAndSdsdotFaultsCaughtAndRecoveredBitIdentical) {
+  const std::int64_t n = 2000;
+  Workload wl(86);
+  const auto hx = wl.vector<float>(n);
+  const auto hy = wl.vector<float>(n);
+  const ref::RotmParam<float> p{-1.0f, 0.8f, -0.3f, 0.4f, 0.9f};
+
+  // Runs ROTM (silent) or SDSDOT (channel) with at most one fault; returns
+  // the outputs, the command status and the run's stats.
+  auto run = [&](bool rotm, bool with_fault) {
+    host::Device dev;
+    host::Context ctx(dev);
+    if (with_fault) {
+      host::FaultConfig fc;
+      fc.seed = 26;
+      (rotm ? fc.silent_corrupt_rate : fc.channel_corrupt_rate) = 1.0;
+      fc.max_faults = 1;
+      dev.inject_faults(fc);
+    }
+    ctx.set_retry_policy(fast_retry(2, /*cpu_fallback=*/true));
+    ctx.config().verification = verify::Options::always();
+    host::Buffer<float> x(dev, n, 0), y(dev, n, 1);
+    x.write(hx);
+    y.write(hy);
+    float dot = 0.0f;
+    host::Event e = rotm ? ctx.rotm_async<float>(n, x, 1, y, 1, p)
+                         : ctx.sdsdot_async(n, 0.25f, x, 1, y, 1, &dot);
+    e.wait();
+    std::vector<float> out = x.to_host();
+    const auto hy_out = y.to_host();
+    out.insert(out.end(), hy_out.begin(), hy_out.end());
+    out.push_back(dot);
+    return std::make_tuple(out, e.status(), ctx.exec_stats());
+  };
+
+  for (bool rotm : {true, false}) {
+    SCOPED_TRACE(rotm ? "rotm" : "sdsdot");
+    const auto [clean, clean_st, clean_stats] = run(rotm, false);
+    const auto [rec, rec_st, rec_stats] = run(rotm, true);
+    EXPECT_TRUE(rec_st.ok());
+    EXPECT_EQ(rec, clean);
+    EXPECT_EQ(rec_stats.faults_injected, 1u);
+    EXPECT_EQ(rec_stats.sdc_caught, rec_stats.faults_injected);
+    EXPECT_EQ(rec_st.verify_rejections, 1u);
+    EXPECT_EQ(clean_stats.verified, 1u);
+    EXPECT_EQ(clean_stats.verify_failures, 0u);
+  }
+}
+
+TEST(VerifyRuntime, CleanRotmEveryFlagAndSdsdotNeverReject) {
+  host::Device dev;
+  host::Context ctx(dev);
+  ctx.config().verification = verify::Options::always();
+  const std::int64_t n = 300;
+  Workload wl(87);
+  host::Buffer<float> x(dev, n, 0), y(dev, n, 1);
+  x.write(wl.vector<float>(n));
+  y.write(wl.vector<float>(n));
+  for (float flag : {-2.0f, -1.0f, 0.0f, 1.0f}) {
+    ctx.rotm<float>(n, x, y, {flag, 0.7f, -0.2f, 0.3f, 0.6f});
+  }
+  (void)ctx.sdsdot(n, -1.5f, x, 1, y, 1);
+  const auto stats = ctx.exec_stats();
+  EXPECT_EQ(stats.verified, 5u);
+  EXPECT_EQ(stats.verify_failures, 0u);
+  EXPECT_EQ(stats.sdc_caught, 0u);
+}
+
 // The acceptance workload: a mixed GEMM / GEMV / Level-1 stream under 5%
 // silent corruption. VerifyPolicy::Always must catch every injected SDC
 // (sdc_caught == faults_injected) and recover bit-identically to a
