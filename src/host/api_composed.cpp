@@ -211,9 +211,11 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
       detail::spawn_mover(
           sg, banks, width,
           s.triangular
-              ? detail::read_tri(name, name, *buf,
-                                 trsv_dim(g, cp, g.edge(br[0]).to),
-                                 op_uplo_of(s), s.trans)
+              ? detail::Operand<T>{.chan = name, .mover = name,
+                                   .how = detail::Movement::Triangular,
+                                   .src = buf,
+                                   .n = trsv_dim(g, cp, g.edge(br[0]).to),
+                                   .uplo = op_uplo_of(s), .trans = s.trans}
               : dram_operand<T>(st, node.name, buf, nullptr,
                                 g.edge(br[0]).produced,
                                 br.size() == 1 ? trsv_b_consumer(g, cp, br[0])
@@ -232,7 +234,8 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
       detail::spawn_mover(
           sg, banks, width,
           b.scalar != nullptr
-              ? detail::collect(name, name, b.scalar, sig.count)
+              ? detail::Operand<T>{.chan = name, .mover = name,
+                                   .value = b.scalar, .n = sig.count}
               : dram_operand<T>(st, node.name, nullptr, b.out, sig,
                                 from_trsv ? from : -1),
           in_channel(e));

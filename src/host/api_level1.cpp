@@ -54,18 +54,6 @@ ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
 
 namespace {
 
-/// x and y streamed through a two-output module and written back in place
-/// (ROT, ROTM, SWAP).
-template <typename T>
-std::array<detail::Operand<T>, 4> xy_in_place(std::int64_t n, Buffer<T>& x,
-                                              std::int64_t incx, Buffer<T>& y,
-                                              std::int64_t incy) {
-  return {detail::read_vec("x", "read_x", x, n, incx),
-          detail::read_vec("y", "read_y", y, n, incy),
-          detail::write_vec("ox", "write_x", x, n, incx),
-          detail::write_vec("oy", "write_y", y, n, incy)};
-}
-
 /// The checker of a routine mapping (x, y) in place through the fixed
 /// 2x2 map `h`: predicts both new sums, then checks each against them.
 template <typename T>
@@ -89,8 +77,12 @@ auto pair_checker(std::array<T, 4> h, std::string name, std::int64_t n,
 template <typename T>
 Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& y, std::int64_t incy, T c, T s) {
-  Command cmd = detail::stream_command(
-      *this, RoutineKind::Rot, "rot", xy_in_place(n, x, incx, y, incy),
+  Command cmd = detail::stream_command<T>(
+      *this, RoutineKind::Rot, "rot",
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
+       {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
         return core::rot<T>({p.width}, n, c, s, p[0], p[1], p[2], p[3]);
       },
@@ -103,8 +95,12 @@ template <typename T>
 Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy,
                           ref::RotmParam<T> p) {
-  Command cmd = detail::stream_command(
-      *this, RoutineKind::Rotm, "rotm", xy_in_place(n, x, incx, y, incy),
+  Command cmd = detail::stream_command<T>(
+      *this, RoutineKind::Rotm, "rotm",
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
+       {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& c) {
         return core::rotm<T>({c.width}, n, p, c[0], c[1], c[2], c[3]);
       },
@@ -116,8 +112,12 @@ Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
 template <typename T>
 Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
-  Command cmd = detail::stream_command(
-      *this, RoutineKind::Swap, "swap", xy_in_place(n, x, incx, y, incy),
+  Command cmd = detail::stream_command<T>(
+      *this, RoutineKind::Swap, "swap",
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
+       {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
         return core::swap<T>({p.width}, n, p[0], p[1], p[2], p[3]);
       },
@@ -129,10 +129,10 @@ Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
 template <typename T>
 Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Scal, "scal",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::write_vec("out", "write_x", x, n, incx)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "out", .mover = "write_x", .dst = &x, .n = n, .inc = incx}},
       [=](const auto& p) {
         return core::scal<T>({p.width}, n, alpha, p[0], p[1]);
       },
@@ -149,10 +149,10 @@ template <typename T>
 Event Context::copy_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Copy, "copy",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::write_vec("out", "write_y", y, n, incy)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "out", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) { return core::copy<T>({p.width}, n, p[0], p[1]); },
       [=, &x, &y] { ref::copy(x.cvec(n, incx), y.vec(n, incy)); });
   return enqueue(std::move(cmd), [=, &x, &y] {
@@ -167,11 +167,11 @@ template <typename T>
 Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
                           std::int64_t incx, Buffer<T>& y,
                           std::int64_t incy) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Axpy, "axpy",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::read_vec("y", "read_y", y, n, incy),
-                 detail::write_vec("out", "write_y", y, n, incy)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "out", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
         return core::axpy<T>({p.width}, n, alpha, p[0], p[1], p[2]);
       },
@@ -192,11 +192,11 @@ template <typename T>
 Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
                          std::int64_t incx, const Buffer<T>& y,
                          std::int64_t incy, T* result) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Dot, "dot",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::read_vec("y", "read_y", y, n, incy),
-                 detail::collect("res", "collect", result)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "res", .mover = "collect", .value = result}},
       [=](const auto& p) {
         return core::dot<T>({p.width}, n, p[0], p[1], p[2]);
       },
@@ -211,11 +211,11 @@ Event Context::dot_async(std::int64_t n, const Buffer<T>& x,
 Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
                             std::int64_t incx, const Buffer<float>& y,
                             std::int64_t incy, float* result) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<float>(
       *this, RoutineKind::Sdsdot, "sdsdot",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::read_vec("y", "read_y", y, n, incy),
-                 detail::collect("res", "collect", result)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "res", .mover = "collect", .value = result}},
       [=](const auto& p) {
         return core::sdsdot({p.width}, n, sb, p[0], p[1], p[2]);
       },
@@ -233,10 +233,10 @@ Event Context::sdsdot_async(std::int64_t n, float sb, const Buffer<float>& x,
 template <typename T>
 Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Nrm2, "nrm2",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::collect("res", "collect", result)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "res", .mover = "collect", .value = result}},
       [=](const auto& p) { return core::nrm2<T>({p.width}, n, p[0], p[1]); },
       [=, &x] { *result = ref::nrm2(x.cvec(n, incx)); });
   return enqueue(std::move(cmd), [=, &x] {
@@ -249,10 +249,10 @@ Event Context::nrm2_async(std::int64_t n, const Buffer<T>& x,
 template <typename T>
 Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
                           std::int64_t incx, T* result) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Asum, "asum",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::collect("res", "collect", result)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "res", .mover = "collect", .value = result}},
       [=](const auto& p) { return core::asum<T>({p.width}, n, p[0], p[1]); },
       [=, &x] { *result = ref::asum(x.cvec(n, incx)); });
   return enqueue(std::move(cmd), [=, &x] {
@@ -265,10 +265,10 @@ Event Context::asum_async(std::int64_t n, const Buffer<T>& x,
 template <typename T>
 Event Context::iamax_async(std::int64_t n, const Buffer<T>& x,
                            std::int64_t incx, std::int64_t* result) {
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Iamax, "iamax",
-      std::array{detail::read_vec("x", "read_x", x, n, incx),
-                 detail::collect<T>("res", "collect", result)},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+       {.chan = "res", .mover = "collect", .index = result}},
       [=](const auto& p) {
         return core::iamax<T>({p.width}, n, p[0], p.index(1));
       },

@@ -13,6 +13,8 @@
 
 namespace fblas::host {
 
+using detail::Movement;
+
 namespace {
 
 // The module configs of `rc`, validated first: the operand lists derive
@@ -37,15 +39,14 @@ Event Context::gemv_async(Transpose trans, std::int64_t rows,
   const core::GemvConfig cfg = gemv_config(cfg_, trans);
   const std::int64_t xlen = trans == Transpose::None ? cols : rows;
   const std::int64_t ylen = trans == Transpose::None ? rows : cols;
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Gemv, "gemv",
-      std::array{
-          detail::read_mat("A", "read_A", a, rows, cols,
-                           core::gemv_a_schedule(cfg)),
-          detail::read_vec("x", "read_x", x, xlen, incx,
-                           core::gemv_x_repeat(cfg, rows, cols)),
-          detail::read_vec("y", "read_y", y, ylen, incy),
-          detail::write_vec("out", "write_y", y, ylen, incy)},
+      {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
+        .n = rows, .cols = cols, .sched = core::gemv_a_schedule(cfg)},
+       {.chan = "x", .mover = "read_x", .src = &x, .n = xlen, .inc = incx,
+        .repeat = core::gemv_x_repeat(cfg, rows, cols)},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = ylen, .inc = incy},
+       {.chan = "out", .mover = "write_y", .dst = &y, .n = ylen, .inc = incy}},
       [=](const auto& p) {
         return core::gemv<T>(cfg, rows, cols, alpha, beta, p[0], p[1], p[2],
                              p[3]);
@@ -73,11 +74,14 @@ Event Context::trsv_async(Uplo uplo, Transpose trans, Diag diag,
   const Uplo eff = trans == Transpose::None
                        ? uplo
                        : (uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower);
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Trsv, "trsv",
-      std::array{detail::read_tri("A", "read_A", a, n, eff, trans),
-                 detail::read_solve("b", "read_b", x, n, incx, eff),
-                 detail::write_solve("x", "write_x", x, n, incx, eff)},
+      {{.chan = "A", .mover = "read_A", .how = Movement::Triangular,
+        .src = &a, .n = n, .uplo = eff, .trans = trans},
+       {.chan = "b", .mover = "read_b", .how = Movement::SolveRows, .src = &x,
+        .n = n, .inc = incx, .uplo = eff},
+       {.chan = "x", .mover = "write_x", .how = Movement::SolveRows, .dst = &x,
+        .n = n, .inc = incx, .uplo = eff}},
       [=](const auto& p) {
         return core::trsv<T>({eff, diag, p.width}, n, p[0], p[1], p[2]);
       },
@@ -102,14 +106,16 @@ Event Context::ger_async(std::int64_t rows, std::int64_t cols, T alpha,
                          Buffer<T>& a) {
   const core::GerConfig cfg = ger_config(cfg_);
   const auto sched = core::ger_a_schedule(cfg);
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Ger, "ger",
-      std::array{detail::read_mat("A", "read_A", a, rows, cols, sched),
-                 detail::read_vec("x", "read_x", x, rows, incx,
-                                  core::ger_x_repeat(cfg, rows, cols)),
-                 detail::read_vec("y", "read_y", y, cols, incy,
-                                  core::ger_y_repeat(cfg, rows, cols)),
-                 detail::write_mat("out", "write_A", a, rows, cols, sched)},
+      {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
+        .n = rows, .cols = cols, .sched = sched},
+       {.chan = "x", .mover = "read_x", .src = &x, .n = rows, .inc = incx,
+        .repeat = core::ger_x_repeat(cfg, rows, cols)},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = cols, .inc = incy,
+        .repeat = core::ger_y_repeat(cfg, rows, cols)},
+       {.chan = "out", .mover = "write_A", .how = Movement::Matrix, .dst = &a,
+        .n = rows, .cols = cols, .sched = sched}},
       [=](const auto& p) {
         return core::ger<T>(cfg, rows, cols, alpha, p[0], p[1], p[2], p[3]);
       },
@@ -137,14 +143,16 @@ Event Context::syr_async(Uplo uplo, std::int64_t n, T alpha,
                          Buffer<T>& a) {
   const core::GerConfig cfg = ger_config(cfg_);
   const auto sched = core::ger_a_schedule(cfg);
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Syr, "syr",
-      std::array{detail::read_mat("A", "read_A", a, n, n, sched),
-                 detail::read_vec("x_row", "read_x_row", x, n, incx,
-                                  core::ger_x_repeat(cfg, n, n)),
-                 detail::read_vec("x_col", "read_x_col", x, n, incx,
-                                  core::ger_y_repeat(cfg, n, n)),
-                 detail::write_uplo("out", "write_A", a, n, sched, uplo)},
+      {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
+        .n = n, .cols = n, .sched = sched},
+       {.chan = "x_row", .mover = "read_x_row", .src = &x, .n = n, .inc = incx,
+        .repeat = core::ger_x_repeat(cfg, n, n)},
+       {.chan = "x_col", .mover = "read_x_col", .src = &x, .n = n, .inc = incx,
+        .repeat = core::ger_y_repeat(cfg, n, n)},
+       {.chan = "out", .mover = "write_A", .how = Movement::UploMatrix,
+        .dst = &a, .n = n, .sched = sched, .uplo = uplo}},
       [=](const auto& p) {
         return core::syr<T>(cfg, n, alpha, p[0], p[1], p[2], p[3]);
       },
@@ -167,15 +175,20 @@ Event Context::syr2_async(Uplo uplo, std::int64_t n, T alpha,
   const auto sched = core::ger_a_schedule(cfg);
   const std::int64_t row_rep = core::ger_x_repeat(cfg, n, n);
   const std::int64_t col_rep = core::ger_y_repeat(cfg, n, n);
-  Command cmd = detail::stream_command(
+  Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Syr2, "syr2",
-      std::array{
-          detail::read_mat("A", "read_A", a, n, n, sched),
-          detail::read_vec("x_row", "read_x_row", x, n, incx, row_rep),
-          detail::read_vec("x_col", "read_x_col", x, n, incx, col_rep),
-          detail::read_vec("y_row", "read_y_row", y, n, incy, row_rep),
-          detail::read_vec("y_col", "read_y_col", y, n, incy, col_rep),
-          detail::write_uplo("out", "write_A", a, n, sched, uplo)},
+      {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
+        .n = n, .cols = n, .sched = sched},
+       {.chan = "x_row", .mover = "read_x_row", .src = &x, .n = n, .inc = incx,
+        .repeat = row_rep},
+       {.chan = "x_col", .mover = "read_x_col", .src = &x, .n = n, .inc = incx,
+        .repeat = col_rep},
+       {.chan = "y_row", .mover = "read_y_row", .src = &y, .n = n, .inc = incy,
+        .repeat = row_rep},
+       {.chan = "y_col", .mover = "read_y_col", .src = &y, .n = n, .inc = incy,
+        .repeat = col_rep},
+       {.chan = "out", .mover = "write_A", .how = Movement::UploMatrix,
+        .dst = &a, .n = n, .sched = sched, .uplo = uplo}},
       [=](const auto& p) {
         return core::syr2<T>(cfg, n, alpha, p[0], p[1], p[2], p[3], p[4],
                              p[5]);

@@ -178,14 +178,14 @@ enum class Movement : std::uint8_t {
   SolveRows,   ///< `n` elements at stride `inc` in `uplo` solve order
   Triangular,  ///< op(A)'s `uplo` triangle of an `n` x `n` A (read only)
   UploMatrix,  ///< `n` x `n` in `sched` order, storing only `uplo` (write)
-  Scalar,      ///< `n` values collected into a host scalar (write)
 };
 
 /// One DRAM operand of a streaming routine: a strided view of a Buffer
-/// plus how it streams. Exactly one of `src` (a read), `dst` (a write),
-/// `value` or `index` (a collected host scalar) is set. The routine's
-/// hazard sets, channels and reader/writer modules all follow from its
-/// operand list; views and banks are resolved when the graph is built.
+/// plus how it streams, or a host scalar. Exactly one of `src` (a read),
+/// `dst` (a write), `value` or `index` (a scalar collected from `n`
+/// values) is set. The routine's hazard sets, channels and reader/writer
+/// modules all follow from its operand list; views and banks are
+/// resolved when the graph is built.
 template <typename T>
 struct Operand {
   const char* chan = "";   ///< channel name
@@ -195,7 +195,7 @@ struct Operand {
   Buffer<T>* dst = nullptr;
   T* value = nullptr;
   std::int64_t* index = nullptr;  ///< IAMAX's result
-  std::int64_t n = 0;
+  std::int64_t n = 1;
   std::int64_t cols = 0;
   std::int64_t inc = 1;
   std::int64_t repeat = 1;
@@ -204,6 +204,7 @@ struct Operand {
   Transpose trans = Transpose::None;
 
   bool written() const { return src == nullptr; }
+  bool scalar() const { return value != nullptr || index != nullptr; }
   /// The hazard key: the Buffer, or the host scalar's address.
   const void* key() const {
     if (src != nullptr) return src;
@@ -211,72 +212,6 @@ struct Operand {
     return value != nullptr ? static_cast<const void*>(value) : index;
   }
 };
-
-// Operand constructors: one per Movement and direction.
-
-template <typename T>
-Operand<T> read_vec(const char* chan, const char* mover, const Buffer<T>& b,
-                    std::int64_t n, std::int64_t inc = 1,
-                    std::int64_t repeat = 1) {
-  return {.chan = chan, .mover = mover, .src = &b, .n = n, .inc = inc,
-          .repeat = repeat};
-}
-template <typename T>
-Operand<T> read_mat(const char* chan, const char* mover, const Buffer<T>& b,
-                    std::int64_t rows, std::int64_t cols,
-                    stream::TileSchedule sched, std::int64_t repeat = 1) {
-  return {.chan = chan, .mover = mover, .how = Movement::Matrix, .src = &b,
-          .n = rows, .cols = cols, .repeat = repeat, .sched = sched};
-}
-template <typename T>
-Operand<T> read_solve(const char* chan, const char* mover, const Buffer<T>& b,
-                      std::int64_t n, std::int64_t inc, Uplo uplo) {
-  return {.chan = chan, .mover = mover, .how = Movement::SolveRows,
-          .src = &b, .n = n, .inc = inc, .uplo = uplo};
-}
-template <typename T>
-Operand<T> read_tri(const char* chan, const char* mover, const Buffer<T>& b,
-                    std::int64_t n, Uplo uplo, Transpose trans) {
-  return {.chan = chan, .mover = mover, .how = Movement::Triangular,
-          .src = &b, .n = n, .uplo = uplo, .trans = trans};
-}
-template <typename T>
-Operand<T> write_vec(const char* chan, const char* mover, Buffer<T>& b,
-                     std::int64_t n, std::int64_t inc = 1,
-                     std::int64_t repeat = 1) {
-  return {.chan = chan, .mover = mover, .dst = &b, .n = n, .inc = inc,
-          .repeat = repeat};
-}
-template <typename T>
-Operand<T> write_mat(const char* chan, const char* mover, Buffer<T>& b,
-                     std::int64_t rows, std::int64_t cols,
-                     stream::TileSchedule sched) {
-  return {.chan = chan, .mover = mover, .how = Movement::Matrix, .dst = &b,
-          .n = rows, .cols = cols, .sched = sched};
-}
-template <typename T>
-Operand<T> write_solve(const char* chan, const char* mover, Buffer<T>& b,
-                       std::int64_t n, std::int64_t inc, Uplo uplo) {
-  return {.chan = chan, .mover = mover, .how = Movement::SolveRows,
-          .dst = &b, .n = n, .inc = inc, .uplo = uplo};
-}
-template <typename T>
-Operand<T> write_uplo(const char* chan, const char* mover, Buffer<T>& b,
-                      std::int64_t n, stream::TileSchedule sched, Uplo uplo) {
-  return {.chan = chan, .mover = mover, .how = Movement::UploMatrix,
-          .dst = &b, .n = n, .sched = sched, .uplo = uplo};
-}
-template <typename T>
-Operand<T> collect(const char* chan, const char* mover, T* value,
-                   std::int64_t n = 1) {
-  return {.chan = chan, .mover = mover, .how = Movement::Scalar,
-          .value = value, .n = n};
-}
-template <typename T>
-Operand<T> collect(const char* chan, const char* mover, std::int64_t* index) {
-  return {.chan = chan, .mover = mover, .how = Movement::Scalar,
-          .index = index, .n = 1};
-}
 
 /// The one DRAM-mover dispatch: spawns `op`'s reader (or writer, or
 /// scalar collector) as module `op.mover` on channel `ch`, metered by the
@@ -331,10 +266,7 @@ void spawn_mover(stream::Graph& g, BankSet& banks, int width,
       g.spawn(op.mover, write_matrix_uplo<T>(dst->mat(op.n, op.n), op.sched,
                                              op.uplo, width, c, bank));
       return;
-    case Movement::Scalar:
-      break;
   }
-  throw ConfigError(std::string("no DRAM mover for operand '") + op.chan + "'");
 }
 
 /// What a routine module is wired to: one channel per operand, in list
@@ -362,7 +294,7 @@ struct Ports {
 /// `fallback` is the routine's CPU reference path.
 template <typename T, std::size_t N, typename Module, typename Fallback>
 Command stream_command(Context& ctx, RoutineKind kind, const char* label,
-                       const std::array<Operand<T>, N>& ops, Module module,
+                       const Operand<T> (&ops)[N], Module module,
                        Fallback fallback) {
   Command cmd;
   cmd.label = label;
@@ -374,13 +306,13 @@ Command stream_command(Context& ctx, RoutineKind kind, const char* label,
       set.push_back(op.key());
     }
   }
-  cmd.work = [&ctx, kind, label, width = ctx.config().width, ops, module] {
+  cmd.work = [&ctx, kind, label, width = ctx.config().width,
+              ops = std::to_array(ops), module] {
     launch<T>(ctx, kind, [&](stream::Graph& g, BankSet& banks) {
       Ports<T, N> p{{}, width};
       for (std::size_t i = 0; i < N; ++i) {
         const Operand<T>& op = ops[i];
-        const std::size_t cap =
-            op.how == Movement::Scalar ? 2 : chan_cap(width);
+        const std::size_t cap = op.scalar() ? 2 : chan_cap(width);
         if (op.index != nullptr) {
           p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
         } else {
