@@ -1,15 +1,15 @@
 // Level-1 host API lowerings: reader -> module -> writer graphs.
 //
-// Each async routine lists its DRAM operands and its module spawn;
+// Each async routine lists its DRAM operands and its module;
 // detail::stream_command derives the Command from them (hazard sets,
 // channels, readers and writers), capturing the RoutineConfig knobs by
 // value so commands in flight are unaffected by later config changes.
 // Every routine attaches its refblas CPU reference path as the
 // `fallback`, the graceful-degradation target once the RetryPolicy
 // exhausts device retries, and its ABFT checker (built only when the
-// captured config enables verification). ROT and ROTM share one 2x2-map
-// checksum: ROTM expands H per flag. SDSDOT is checked like DOT, offset
-// by sb.
+// captured config enables verification). ROT, ROTM and SWAP share one
+// 2x2-map checksum (ROTM expands H per flag); SDSDOT is checked like DOT,
+// offset by sb.
 #include <array>
 #include <string>
 

@@ -1,5 +1,5 @@
 // Level-2 host API lowerings. Each routine lists its DRAM operands and
-// module spawn (detail::stream_command derives the Command from them),
+// its module (detail::stream_command derives the Command from them),
 // captures the RoutineConfig by value at enqueue time, and carries its
 // refblas CPU reference path as the retry machinery's fallback plus,
 // when the captured config enables verification, its ABFT dot-product /

@@ -6,11 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/routines.hpp"
 #include "common/types.hpp"
 #include "fblas/level2.hpp"
@@ -63,12 +61,6 @@ void launch(Context& ctx, RoutineKind kind, Build&& build) {
                                ctx.device().spec())
              .mhz,
          std::forward<Build>(build));
-}
-
-/// Channel capacity used by the lowerings: deep enough for two width-
-/// batches so producer and consumer never false-stall within a cycle.
-inline std::size_t chan_cap(int width) {
-  return static_cast<std::size_t>(std::max(64, 2 * width));
 }
 
 /// Stores a matrix stream but only keeps the `uplo` triangle (used by the
@@ -156,6 +148,12 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
       }
     }
   }
+}
+
+/// Channel capacity used by the lowerings: deep enough for two width-
+/// batches so producer and consumer never false-stall within a cycle.
+inline std::size_t chan_cap(int width) {
+  return static_cast<std::size_t>(std::max(64, 2 * width));
 }
 
 /// Collects `n` values from `in`; the first lands in the host scalar
