@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/atax.hpp"
@@ -325,6 +326,48 @@ TEST(Trace, ChaosReconciliationSerial) {
   EXPECT_GT(run.stats.retries, 0u);       // the soak exercised the ladder
   EXPECT_GE(run.stats.breaker_opens, 1u); // and the breakers
   expect_trace_reconciles(run.rec->metrics(), run.stats);
+}
+
+// Pins the shape of the serial chaos trace — which attempt and device
+// every event is attributed to — independent of wall-clock timing. Each
+// event is reduced to (kind, seq, attempt, device, worker, flags, a, b,
+// name), leaving out wall_ns and the wall duration `a` of Attempt and
+// Verify events; the tuples are sorted because events() orders by
+// wall_ns across shards, then hashed (FNV-1a).
+TEST(Trace, SerialChaosTraceShapePinned) {
+  const TracedRun run = run_traced_chaos(0, true);
+  using Shape = std::tuple<int, std::uint64_t, int, int, int, int,
+                           std::uint64_t, std::uint64_t, std::string>;
+  std::vector<Shape> shapes;
+  for (const trace::Event& e : run.rec->events()) {
+    const bool wall_a = e.kind == trace::EventKind::Attempt ||
+                        e.kind == trace::EventKind::Verify;
+    shapes.emplace_back(static_cast<int>(e.kind), e.seq, e.attempt, e.device,
+                        e.worker, e.flags, wall_a ? 0 : e.a, e.b,
+                        std::string(e.name_view()));
+  }
+  std::sort(shapes.begin(), shapes.end());
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [kind, seq, attempt, device, worker, flags, a, b, name] :
+       shapes) {
+    mix(static_cast<std::uint64_t>(kind));
+    mix(seq);
+    mix(static_cast<std::uint64_t>(attempt));
+    mix(static_cast<std::uint64_t>(device));
+    mix(static_cast<std::uint64_t>(worker));
+    mix(static_cast<std::uint64_t>(flags));
+    mix(a);
+    mix(b);
+    for (char ch : name) mix(static_cast<unsigned char>(ch));
+    mix(name.size());
+  }
+  EXPECT_EQ(shapes.size(), 455u);
+  EXPECT_EQ(h, 15242915636898800965ULL);
 }
 
 TEST(Trace, ChaosReconciliationConcurrent) {
