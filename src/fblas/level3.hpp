@@ -250,33 +250,6 @@ Task syr2k(GemmConfig cfg, std::int64_t n, std::int64_t k, T alpha, T beta,
   }
 }
 
-/// Store-C helper that keeps only the `uplo` triangle (used by SYRK and
-/// SYR2K, whose generic drain emits the full square).
-template <typename T>
-Task store_c_triangular(MatrixView<T> C, GemmConfig cfg, Uplo uplo,
-                        Channel<T>& in, stream::DramBank* bank = nullptr) {
-  const std::int64_t n = C.rows();
-  stream::TileWalker walk(n, n, gemm_c_schedule(cfg));
-  std::int64_t remaining = walk.total();
-  int in_cycle = 0;
-  while (remaining > 0) {
-    std::int64_t i = 0, j = 0;
-    walk.next(i, j);
-    const T v = co_await in.pop();
-    const bool keep = uplo == Uplo::Lower ? j <= i : j >= i;
-    if (keep) {
-      const std::int64_t got = bank ? bank->grant_elems(1, sizeof(T)) : 1;
-      if (got == 0) co_await next_cycle();
-      C(i, j) = v;
-    }
-    --remaining;
-    if (++in_cycle == cfg.pe_cols) {
-      in_cycle = 0;
-      co_await next_cycle();
-    }
-  }
-}
-
 struct TrsmConfig {
   Uplo uplo = Uplo::Lower;
   Diag diag = Diag::NonUnit;

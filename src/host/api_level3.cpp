@@ -145,8 +145,9 @@ Event Context::syrk_async(Uplo uplo, Transpose trans, std::int64_t n,
       }
       g.spawn("gemm",
               core::gemm<T>(cfg, n, n, k, alpha, beta, ca, cb, cc, out));
-      g.spawn("store_C", core::store_c_triangular<T>(c.mat(n, n), cfg, uplo,
-                                                     out, banks.at(c.bank())));
+      g.spawn("store_C", stream::write_matrix_uplo<T>(
+                             c.mat(n, n), core::gemm_c_schedule(cfg), uplo,
+                             cfg.pe_cols, out, banks.at(c.bank())));
     });
   };
   command.fallback = [uplo, trans, n, k, alpha, &a, beta, &c] {
@@ -213,8 +214,9 @@ Event Context::syr2k_async(Uplo uplo, Transpose trans, std::int64_t n,
       }
       g.spawn("syr2k", core::syr2k<T>(cfg, n, k, alpha, beta, ca, cbc, cat,
                                       cbt, cc, out));
-      g.spawn("store_C", core::store_c_triangular<T>(c.mat(n, n), cfg, uplo,
-                                                     out, banks.at(c.bank())));
+      g.spawn("store_C", stream::write_matrix_uplo<T>(
+                             c.mat(n, n), core::gemm_c_schedule(cfg), uplo,
+                             cfg.pe_cols, out, banks.at(c.bank())));
     });
   };
   command.fallback = [uplo, trans, n, k, alpha, &a, &b, beta, &c] {

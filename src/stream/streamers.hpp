@@ -127,6 +127,35 @@ Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
   }
 }
 
+/// Stores an n x n matrix stream arriving in `sched` order but keeps only
+/// the `uplo` triangle (SYR/SYR2 and SYRK/SYR2K, whose generic modules
+/// emit the full square). Every kept element waits for its bank grant;
+/// `width` elements are consumed per cycle.
+template <typename T>
+Task write_matrix_uplo(MatrixView<T> A, TileSchedule sched, Uplo uplo,
+                       int width, Channel<T>& in, DramBank* bank = nullptr) {
+  TileWalker walk(A.rows(), A.cols(), sched);
+  std::int64_t remaining = walk.total();
+  int in_cycle = 0;
+  while (remaining > 0) {
+    std::int64_t i = 0, j = 0;
+    walk.next(i, j);
+    const T v = co_await in.pop();
+    const bool keep = uplo == Uplo::Lower ? j <= i : j >= i;
+    if (keep) {
+      if (bank != nullptr) {
+        while (bank->grant_elems(1, sizeof(T)) == 0) co_await next_cycle();
+      }
+      A(i, j) = v;
+    }
+    --remaining;
+    if (++in_cycle == width) {
+      in_cycle = 0;
+      co_await next_cycle();
+    }
+  }
+}
+
 /// On-chip data source: n copies of `value`, `width` per cycle. The paper
 /// generates input directly on the FPGA for the module-scaling experiments
 /// to decouple them from the testbed's memory interface.

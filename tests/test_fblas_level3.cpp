@@ -142,8 +142,9 @@ TYPED_TEST(StreamGemm, SyrkViaGemmWithTriangularStore) {
     g.spawn("read_b", read_b_gemm<T>(MatrixView<const T>(at.data(), k, n),
                                      cfg, n, cb));
     g.spawn("gemm", gemm<T>(cfg, n, n, k, T(1), T(0), ca, cb, cc, out));
-    g.spawn("store", store_c_triangular<T>(MatrixView<T>(result.data(), n, n),
-                                           cfg, uplo, out));
+    g.spawn("store", stream::write_matrix_uplo<T>(
+                         MatrixView<T>(result.data(), n, n),
+                         gemm_c_schedule(cfg), uplo, cfg.pe_cols, out));
     g.run();
     MatrixView<T> R(result.data(), n, n), E(expect.data(), n, n);
     for (std::int64_t i = 0; i < n; ++i) {
@@ -196,8 +197,9 @@ TYPED_TEST(StreamGemm, Syr2kMatchesOracle) {
                                     n, cbt));
   g.spawn("syr2k",
           syr2k<T>(cfg, n, k, T(1.5), T(0), ca, cb, cat, cbt, cc, out));
-  g.spawn("store", store_c_triangular<T>(MatrixView<T>(result.data(), n, n),
-                                         cfg, Uplo::Lower, out));
+  g.spawn("store", stream::write_matrix_uplo<T>(
+                       MatrixView<T>(result.data(), n, n), gemm_c_schedule(cfg),
+                       Uplo::Lower, cfg.pe_cols, out));
   g.run();
   MatrixView<T> R(result.data(), n, n), E(expect.data(), n, n);
   for (std::int64_t i = 0; i < n; ++i) {

@@ -319,6 +319,45 @@ TEST(DramBank, SharedBudgetCausesContention) {
   EXPECT_NEAR(static_cast<double>(two) / static_cast<double>(one), 2.0, 0.4);
 }
 
+TEST(DramBank, UploWriterChargesEveryKeptElement) {
+  // The triangular store SYRK/SYR2K use: on a bank narrower than the
+  // stream, every kept element waits for its grant and is charged to the
+  // bank, so the store takes at least kept * sizeof(T) / bandwidth cycles.
+  const std::int64_t n = 16;
+  const double bytes_per_cycle = 4.0;
+  const TileSchedule sched{Order::RowMajor, Order::RowMajor, 4, 4};
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    SCOPED_TRACE(uplo == Uplo::Lower ? "lower" : "upper");
+    std::vector<float> src(static_cast<std::size_t>(n * n));
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      src[i] = static_cast<float>(i + 1);
+    }
+    std::vector<float> dst(src.size(), 0.0f);
+    Graph g(Mode::Cycle);
+    auto& ch = g.channel<float>("C", 64);
+    auto& bank = g.bank("ddr", bytes_per_cycle);
+    g.spawn("feed", feed<float>(src, ch));
+    g.spawn("store", write_matrix_uplo<float>(
+                         MatrixView<float>(dst.data(), n, n), sched, uplo, 4,
+                         ch, &bank));
+    g.run();
+    const std::uint64_t kept = static_cast<std::uint64_t>(n * (n + 1) / 2);
+    EXPECT_EQ(bank.total_bytes(), kept * sizeof(float));
+    EXPECT_GE(static_cast<double>(g.cycles()),
+              static_cast<double>(kept * sizeof(float)) / bytes_per_cycle);
+    // Exactly the `uplo` triangle was stored, each element from its slot
+    // in the tile-ordered stream.
+    TileWalker walk(n, n, sched);
+    for (std::size_t k = 0; k < src.size(); ++k) {
+      std::int64_t i = 0, j = 0;
+      walk.next(i, j);
+      const bool keep = uplo == Uplo::Lower ? j <= i : j >= i;
+      EXPECT_EQ(dst[static_cast<std::size_t>(i * n + j)], keep ? src[k] : 0.0f)
+          << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
 TEST(DramBank, FunctionalModeUnmetered) {
   Graph g(Mode::Functional);
   auto& bank = g.bank("ddr", 1.0);  // 1 byte/cycle would be glacial
