@@ -89,7 +89,6 @@ class DevicePool {
   int resident_device(const void* key) const;
 
   BreakerState breaker(int dev) const;
-  HealthConfig health_config() const { return health_; }
 
   /// Per-device counters, breaker states, and injector ground truth.
   std::vector<PerDeviceStats> per_device_stats() const;

@@ -106,7 +106,6 @@ class Scheduler {
   void wake(int id);
 
   const std::string& module_name(int id) const { return modules_[id].name; }
-  ModuleState module_state(int id) const { return modules_[id].state; }
   std::size_t module_count() const { return modules_.size(); }
   /// Times the module was scheduled (in cycle mode, roughly the number of
   /// cycles it was active — a utilization diagnostic).
@@ -161,7 +160,6 @@ class Scheduler {
   /// called or `chan` is not a registered channel index; a run that
   /// never advanced a cycle (functional mode) yields an empty vector.
   const std::vector<std::uint32_t>& occupancy_trace(std::size_t chan) const;
-  bool occupancy_trace_enabled() const { return trace_occupancy_; }
   std::size_t channel_count() const { return channels_.size(); }
 
   /// Module-cycles spent blocked on a channel: each simulated cycle adds
