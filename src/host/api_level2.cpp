@@ -17,13 +17,9 @@ using detail::Movement;
 
 namespace {
 
-// The module configs of `rc`, validated first: the operand lists derive
-// tile schedules and replay counts from them before the command is
-// enqueued.
-core::GemvConfig gemv_config(const RoutineConfig& rc, Transpose trans) {
-  rc.validate();
-  return {trans, rc.tiling, rc.width, rc.tile_rows, rc.tile_cols};
-}
+// GER's module config from `rc`, validated first (like
+// detail::gemv_config): the operand list derives tile schedules and
+// replay counts from it before the command is enqueued.
 core::GerConfig ger_config(const RoutineConfig& rc) {
   rc.validate();
   return {rc.tiling, rc.width, rc.tile_rows, rc.tile_cols};
@@ -36,21 +32,13 @@ Event Context::gemv_async(Transpose trans, std::int64_t rows,
                           std::int64_t cols, T alpha, const Buffer<T>& a,
                           const Buffer<T>& x, std::int64_t incx, T beta,
                           Buffer<T>& y, std::int64_t incy) {
-  const core::GemvConfig cfg = gemv_config(cfg_, trans);
+  const core::GemvConfig cfg = detail::gemv_config(cfg_, trans);
   const std::int64_t xlen = trans == Transpose::None ? cols : rows;
   const std::int64_t ylen = trans == Transpose::None ? rows : cols;
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Gemv, "gemv",
-      {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
-        .n = rows, .cols = cols, .sched = core::gemv_a_schedule(cfg)},
-       {.chan = "x", .mover = "read_x", .src = &x, .n = xlen, .inc = incx,
-        .repeat = core::gemv_x_repeat(cfg, rows, cols)},
-       {.chan = "y", .mover = "read_y", .src = &y, .n = ylen, .inc = incy},
-       {.chan = "out", .mover = "write_y", .dst = &y, .n = ylen, .inc = incy}},
-      [=](const auto& p) {
-        return core::gemv<T>(cfg, rows, cols, alpha, beta, p[0], p[1], p[2],
-                             p[3]);
-      },
+      detail::gemv_operands<T>(cfg, rows, cols, a, x, incx, y, incy),
+      detail::gemv_module<T>(cfg, rows, cols, alpha, beta),
       [=, &a, &x, &y] {
         ref::gemv(trans, alpha, a.cmat(rows, cols), x.cvec(xlen, incx), beta,
                   y.vec(ylen, incy));

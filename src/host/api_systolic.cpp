@@ -51,14 +51,15 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
     // Derive and arm this attempt's PE fault plan, if wrap_work drew one
     // — from the injector of the device this attempt was placed on, so
     // the recorded ground truth lands next to the draw.
-    FaultInjector& faults = attempt_device().faults();
-    std::uint64_t seq = 0;
-    int attempt = 0;
+    Attempt& at = *Attempt::current();
+    FaultInjector& faults = pool_->device(at.device).faults();
+    const std::uint64_t seq = at.seq;
+    const int attempt = at.number;
     bool armed = false;
     systolic::PeFaultPlan plan{};
     const std::int64_t nti = (m + rc.pe_rows - 1) / rc.pe_rows;
     const std::int64_t ntj = (n + rc.pe_cols - 1) / rc.pe_cols;
-    if (k > 0 && nti > 0 && ntj > 0 && pe_fault_draw(&seq, &attempt)) {
+    if (k > 0 && nti > 0 && ntj > 0 && at.pe_fault) {
       plan.tile = static_cast<std::int64_t>(
           faults.pick(seq, attempt, 2,
                       static_cast<std::uint64_t>(nti * ntj)));
@@ -106,7 +107,7 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
         for (int col = 0; col < rc.pe_cols; ++col) {
           trace::Event te;
           te.kind = trace::EventKind::PeStats;
-          te.device = static_cast<std::int16_t>(trace::attempt_device());
+          te.device = static_cast<std::int16_t>(at.device);
           te.attempt = static_cast<std::uint8_t>(std::min(r, 255));
           te.flags = static_cast<std::uint16_t>(col);
           te.a = arr.pe_macs(r, col);
@@ -119,7 +120,7 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
     st->report = arr.report();
     store_grid_report(arr.report());
     if (armed && arr.faults_fired() > 0) {
-      pe_fault_fired();
+      at.pe_fault = false;  // materialized: wrap_work must not retract it
       PeVictim victim;
       victim.tile_row = plan.tile / ntj;
       victim.tile_col = plan.tile % ntj;
@@ -129,11 +130,9 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
       victim.valid = true;
       faults.record_pe_victim(victim);
     }
-    Executor::note_pe_faults(st->report.faults_localized,
-                             st->report.faults_corrected);
-    Executor::note_cycles(cycles);
-    last_cycles_.store(cycles);
-    total_cycles_.fetch_add(cycles);
+    at.pe_localized += st->report.faults_localized;
+    at.pe_corrected += st->report.faults_corrected;
+    credit_cycles(cycles);
   };
   command.fallback = [m, n, k, &a, &b, &c] {
     ref::gemm(Transpose::None, Transpose::None, T(1), a.cmat(m, k),

@@ -10,49 +10,6 @@
 namespace fblas::host {
 namespace {
 
-// Fault-injection state for the command currently executing on this
-// thread, set by the wrap_work closure and consumed by run_graph:
-// the watchdog captured at enqueue, and whether the next graph launch
-// should wedge mid-stream. Thread-locals work because a command body
-// (including nested inline library calls) runs on a single thread.
-struct RunScope {
-  stream::Watchdog watchdog;
-  bool wedge_pending = false;
-  bool active = false;
-  bool taint_record = false;  // screen pushes for NaN/Inf, keep provenance
-  bool taint_trap = false;    // additionally throw TaintError on the spot
-  // The pool device this attempt was placed on: where fault draws come
-  // from and where ground truth (channel/PE victims) is recorded.
-  Device* dev = nullptr;
-  // ChannelCorrupt: flip bits of the corrupt_k-th floating-point value
-  // pushed across this command's graph launches (0 = disarmed). Stays
-  // armed across launches until it fires, so a short first graph cannot
-  // swallow the fault.
-  std::uint64_t corrupt_k = 0;
-  bool corrupt_fired = false;
-  // PeFault: a drawn PE-targeted fault waiting for a systolic lowering to
-  // derive its (tile, r, c, mac) plan from (pe_fault_seq,
-  // pe_fault_attempt) and arm the grid. Cleared by pe_fault_fired() when
-  // the flip materializes; still pending after the body means no systolic
-  // multiply consumed it (or the planned MAC never fired) — retract.
-  bool pe_fault_pending = false;
-  std::uint64_t pe_fault_seq = 0;
-  int pe_fault_attempt = 0;
-};
-thread_local RunScope tl_scope;
-
-// First non-finite taint observed across this attempt's graph launches.
-// Separate from tl_scope because tl_scope dies with the command body
-// while the verify checker (which annotates its rejection with this
-// provenance) runs after the body returns.
-thread_local stream::Taint tl_last_taint;
-
-// Pool index of the device the attempt running on this thread was
-// placed on. Separate from tl_scope (like tl_last_taint) because
-// wrap_verify reports the verdict to the pool *after* the command body
-// — and tl_scope — are gone.
-thread_local int tl_attempt_device = -1;
-
 void validate_knob(bool ok, const char* knob, std::int64_t got) {
   if (ok) return;
   std::ostringstream os;
@@ -96,7 +53,8 @@ std::function<void()> Context::wrap_work(
   return [this, seq, inner = std::move(work), reads = std::move(reads),
           writes = std::move(writes), wd = watchdog_, verify_armed,
           taint_record, taint_trap, steer = std::move(steer)] {
-    const int attempt = Executor::current_attempt();
+    Attempt& at = *Attempt::current();
+    const int attempt = at.number;
     // Fault-aware placement, per attempt: the pool advances the breaker
     // clocks, probes Half-Open devices, and stages the command's buffers
     // onto the chosen device — so a retry after the victim's breaker
@@ -104,13 +62,12 @@ std::function<void()> Context::wrap_work(
     // healthy sibling.
     const int placed = pool_->place(seq, reads, writes);
     Device& dev = pool_->device(placed);
-    tl_attempt_device = placed;
-    trace::set_attempt_device(placed);
+    at.device = placed;
     if (trace::Recorder* tr = trace::sink()) {
       trace::Event te;
       te.kind = trace::EventKind::Placed;
       te.seq = seq;
-      te.attempt = attempt > 255 ? 255 : static_cast<std::uint8_t>(attempt);
+      te.attempt = static_cast<std::uint8_t>(std::min(attempt, 255));
       te.device = static_cast<std::int16_t>(placed);
       tr->emit(te);
     }
@@ -125,31 +82,26 @@ std::function<void()> Context::wrap_work(
            << ", attempt " << attempt << ")";
         throw DeviceError(os.str());
       }
-      tl_last_taint = stream::Taint{};  // fresh provenance per attempt
-      tl_scope = RunScope{wd, fault == FaultKind::Wedge, true, taint_record,
-                          taint_trap, &dev};
+      // Arm the attempt record for this command's graph launches.
+      at.watchdog = wd;
+      at.wedge = fault == FaultKind::Wedge;
+      at.taint_record = taint_record;
+      at.taint_trap = taint_trap;
       if (fault == FaultKind::ChannelCorrupt) {
         // Corrupt the k-th floating-point value pushed across this
         // command's graph launches, k in [1, 1024] — deep enough to land
         // mid-pipeline on realistic sizes, small enough to fire on any
         // graph streaming more than 1024 values.
-        tl_scope.corrupt_k = 1 + faults.corrupt_offset(seq, attempt, 1024);
+        at.corrupt_k = 1 + faults.corrupt_offset(seq, attempt, 1024);
       }
-      if (fault == FaultKind::PeFault) {
-        tl_scope.pe_fault_pending = true;
-        tl_scope.pe_fault_seq = seq;
-        tl_scope.pe_fault_attempt = attempt;
-      }
-      struct Reset {
-        ~Reset() { tl_scope = RunScope{}; }
-      } reset;
+      at.pe_fault = fault == FaultKind::PeFault;
       if (inner) inner();
-      if (fault == FaultKind::ChannelCorrupt && !tl_scope.corrupt_fired) {
+      if (fault == FaultKind::ChannelCorrupt && !at.corrupt_fired) {
         // The command launched no graph (or a graph too short to reach
         // the k-th push): nothing was damaged, so un-count the fault.
         faults.retract();
       }
-      if (fault == FaultKind::PeFault && tl_scope.pe_fault_pending) {
+      if (at.pe_fault) {
         // No systolic multiply consumed the draw (or the planned MAC
         // never produced a nonzero product): nothing was damaged.
         faults.retract();
@@ -275,8 +227,7 @@ std::function<std::function<void()>()> Context::wrap_verify(
     // Plain store: concurrent verifiers may overwrite each other's
     // update, which only costs one controller step of a heuristic.
     adaptive_rate_.store(next, std::memory_order_relaxed);
-    if (trace::Recorder* tr = trace::sink();
-        tr != nullptr && tr->options().counter_samples) {
+    if (trace::Recorder* tr = trace::sink()) {
       trace::Event te;
       te.kind = trace::EventKind::RateSample;
       te.a = std::bit_cast<std::uint64_t>(next);
@@ -286,29 +237,24 @@ std::function<std::function<void()>()> Context::wrap_verify(
   return [this, checker = std::move(checker), feed = std::move(feed),
           tol_scale, feed_breaker]() -> std::function<void()> {
     return [this, check = checker(), feed, tol_scale, feed_breaker] {
+      const Attempt& at = *Attempt::current();
       try {
         check(tol_scale);
         feed(false);
         // The checker accepted this device-Ok attempt: the command is
         // complete, and the placed device earns its success sample.
-        if (tl_attempt_device >= 0) {
-          pool_->note_verify(tl_attempt_device, true, feed_breaker);
-        }
+        if (at.device >= 0) pool_->note_verify(at.device, true, feed_breaker);
       } catch (const VerificationError& e) {
         feed(true);
-        if (tl_attempt_device >= 0) {
-          pool_->note_verify(tl_attempt_device, false, feed_breaker);
-        }
+        if (at.device >= 0) pool_->note_verify(at.device, false, feed_breaker);
         // A checksum mismatch on NaN/Inf-poisoned data is a numerical
         // symptom, not necessarily hardware corruption — attach the taint
         // provenance recorded during the run so the two are separable.
-        if (tl_last_taint.tainted) {
+        if (at.taint.tainted) {
           std::ostringstream os;
-          os << e.what() << " [non-finite taint: module '"
-             << tl_last_taint.module << "' first pushed "
-             << tl_last_taint.value << " into channel '"
-             << tl_last_taint.channel << "' at cycle " << tl_last_taint.cycle
-             << "]";
+          os << e.what() << " [non-finite taint: module '" << at.taint.module
+             << "' first pushed " << at.taint.value << " into channel '"
+             << at.taint.channel << "' at cycle " << at.taint.cycle << "]";
           throw VerificationError(os.str());
         }
         throw;
@@ -318,19 +264,17 @@ std::function<std::function<void()>()> Context::wrap_verify(
 }
 
 Event Context::enqueue(Command cmd) {
+  // Each library call is one command; a command body runs no other
+  // command, whose hazards, verification and fallback it would bypass.
+  if (Attempt::current() != nullptr) {
+    throw Error(
+        "host API call made from inside a command body: a command cannot "
+        "enqueue or run another command");
+  }
   // Routine commands validate the captured configuration up front, so a
   // bad knob fails at the call site naming the knob instead of as
   // undefined behavior inside a lowering.
   if (!cmd.barrier) cfg_.validate();
-
-  // A nested library call issued from inside a running command (e.g. the
-  // GEMV behind SYMV) is part of that command: run it inline so its
-  // hazards and cycles fold into the parent, and hand back a completed
-  // Event.
-  if (Executor::in_command()) {
-    if (cmd.work) cmd.work();
-    return Event();
-  }
 
   const std::uint64_t seq = ++enqueued_;
   std::vector<std::uint64_t> deps =
@@ -432,33 +376,33 @@ ExecStats Context::exec_stats() const {
 }
 
 void Context::run_graph(stream::Graph& g) {
-  stream::Watchdog wd;
-  const bool taint = tl_scope.active && tl_scope.taint_record;
-  if (tl_scope.active) {
-    wd = tl_scope.watchdog;
-    if (tl_scope.wedge_pending) {
+  // Inside a command, the attempt record supplies the watchdog and the
+  // pending fault, and collects taint, ground truth and cycles.
+  Attempt* at = Attempt::current();
+  stream::Scheduler& sched = g.scheduler();
+  if (at != nullptr) {
+    if (at->wedge) {
       // Wedge this command's first graph launch a few module resumes in
       // — mid-stream, after real progress has been made.
-      tl_scope.wedge_pending = false;
-      g.scheduler().wedge_after(16);
+      at->wedge = false;
+      sched.wedge_after(16);
     }
-    if (taint) g.scheduler().enable_taint(tl_scope.taint_trap);
-    if (tl_scope.corrupt_k != 0) {
-      g.scheduler().corrupt_push(tl_scope.corrupt_k);
+    if (at->taint_record) sched.enable_taint(at->taint_trap);
+    if (at->corrupt_k != 0) sched.corrupt_push(at->corrupt_k);
+  }
+  g.run(at != nullptr ? at->watchdog : stream::Watchdog{});
+  if (at != nullptr) {
+    if (at->taint_record && sched.taint().tainted && !at->taint.tainted) {
+      at->taint = sched.taint();
     }
-  }
-  g.run(wd);
-  if (taint && g.scheduler().taint().tainted && !tl_last_taint.tainted) {
-    tl_last_taint = g.scheduler().taint();
-  }
-  if (tl_scope.active && tl_scope.corrupt_k != 0 &&
-      g.scheduler().corruption_fired()) {
-    tl_scope.corrupt_k = 0;
-    tl_scope.corrupt_fired = true;
-    // Ground truth goes to the injector that drew the fault: the device
-    // this attempt was placed on.
-    Device* dev = tl_scope.dev != nullptr ? tl_scope.dev : dev_;
-    dev->faults().record_victim(g.scheduler().corrupted_channel());
+    if (at->corrupt_k != 0 && sched.corruption_fired()) {
+      at->corrupt_k = 0;
+      at->corrupt_fired = true;
+      // Ground truth goes to the injector that drew the fault: the device
+      // this attempt was placed on.
+      pool_->device(at->device).faults().record_victim(
+          sched.corrupted_channel());
+    }
   }
   const std::uint64_t cycles = g.cycles();
   if (trace::Recorder* tr = trace::sink();
@@ -466,11 +410,12 @@ void Context::run_graph(stream::Graph& g) {
     // Engine summaries, emitted host-side after the run so the stream
     // layer never links the trace library: per-channel high-water and
     // stall counts, plus the graph's cycle/stall totals.
+    const auto device = static_cast<std::int16_t>(at ? at->device : -1);
     for (const auto& ch : g.channels()) {
       trace::Event te;
       te.kind = trace::EventKind::ChannelStats;
       te.set_name(ch->name());
-      te.device = static_cast<std::int16_t>(trace::attempt_device());
+      te.device = device;
       te.a = ch->peak_occupancy();
       te.b = ch->stall_events();
       te.flags = static_cast<std::uint16_t>(
@@ -479,12 +424,16 @@ void Context::run_graph(stream::Graph& g) {
     }
     trace::Event te;
     te.kind = trace::EventKind::GraphStats;
-    te.device = static_cast<std::int16_t>(trace::attempt_device());
+    te.device = device;
     te.a = cycles;
-    te.b = g.scheduler().stall_module_cycles();
+    te.b = sched.stall_module_cycles();
     tr->emit(te);
   }
-  Executor::note_cycles(cycles);
+  credit_cycles(cycles);
+}
+
+void Context::credit_cycles(std::uint64_t cycles) {
+  if (Attempt* at = Attempt::current()) at->cycles += cycles;
   last_cycles_.store(cycles);
   total_cycles_.fetch_add(cycles);
 }
@@ -499,19 +448,6 @@ void Context::stop_tracing() {
   trace_.reset();
   exec_->set_trace(nullptr);
 }
-
-Device& Context::attempt_device() {
-  return (tl_scope.active && tl_scope.dev != nullptr) ? *tl_scope.dev : *dev_;
-}
-
-bool Context::pe_fault_draw(std::uint64_t* seq, int* attempt) {
-  if (!tl_scope.active || !tl_scope.pe_fault_pending) return false;
-  *seq = tl_scope.pe_fault_seq;
-  *attempt = tl_scope.pe_fault_attempt;
-  return true;
-}
-
-void Context::pe_fault_fired() { tl_scope.pe_fault_pending = false; }
 
 void Context::store_grid_report(const systolic::AbftReport& report) {
   std::lock_guard<std::mutex> lk(grid_mu_);

@@ -29,7 +29,8 @@
 // Non-functional parameters (vectorization width, tile sizes, tiling
 // scheme, systolic grid) are per-context RoutineConfig knobs — the same
 // knobs the code generator exposes in its JSON routine specification.
-// They are captured when a call is *enqueued*, so a ConfigGuard (or
+// They are captured when a call is *enqueued* — by every routine,
+// including the specialized ones lowered onto GEMV — so a ConfigGuard (or
 // `ctx.with(cfg)->gemm(...)`) scopes an override to specific calls
 // without racing against commands already in flight.
 #pragma once
@@ -225,6 +226,9 @@ class Context {
   /// Queue management. The untyped overloads enqueue `work` as a barrier
   /// command (it declares no sets, so it orders against everything);
   /// `after` adds explicit event dependencies on top of the derived ones.
+  /// Enqueuing from inside a running command body — including any
+  /// library call made there — throws Error: a command runs no other
+  /// command.
   Event enqueue(Command cmd);
   /// enqueue(cmd) with `checker` (a callable returning a ResultCheck)
   /// attached as cmd.checker when the current configuration enables
@@ -242,9 +246,10 @@ class Context {
   bool idle() const { return exec_->idle(); }
 
   /// Runs a built graph under the captured watchdog and records its cycle
-  /// count (fault injection, taint tracking, cycle accounting). Called by
-  /// the routine lowerings and the composition interpreter from inside a
-  /// command's work; no app calls it directly.
+  /// count (fault injection, taint tracking, cycle accounting — all
+  /// through the running Attempt record). Called by the routine lowerings
+  /// and the composition interpreter from inside a command's work; no app
+  /// calls it directly.
   void run_graph(stream::Graph& g);
 
   /// Effective Sampled-mode rate for the next command: the configured
@@ -556,7 +561,9 @@ class Context {
   // Implemented in terms of the generic routines, as the paper prescribes
   // (Sec. VI: "Specialized matrix routines (triangular and symmetric
   // matrices) must currently be implemented in terms of the generic
-  // routines"): the host expands the stored triangle and runs GEMV.
+  // routines"): each is one command that expands the stored triangle and
+  // launches the GEMV graph, verified by GEMV's checksum on the expanded
+  // operand and falling back to the reference GEMV.
 
   /// y = alpha * A * x + beta * y for symmetric A stored in `uplo`.
   template <typename T>
@@ -638,19 +645,10 @@ class Context {
       std::function<ResultCheck()> checker, double tol_scale, bool adaptive,
       bool feed_breaker);
 
-  /// The device this thread's running attempt was placed on (the pool's
-  /// choice recorded by wrap_work), or the primary device outside a
-  /// placed command — what lowerings must use for fault-injector access
-  /// so draws and ground truth land on the attempt's device.
-  Device& attempt_device();
-
-  /// Fault-injector PE-fault draw for the command running on this thread
-  /// (context.cpp owns the thread-local run scope): true when wrap_work
-  /// drew a PeFault, with the (seq, attempt) the deterministic plan is
-  /// derived from. pe_fault_fired() marks the draw materialized so the
-  /// wrapper does not retract it.
-  static bool pe_fault_draw(std::uint64_t* seq, int* attempt);
-  static void pe_fault_fired();
+  /// Credits `cycles` of device time to the running attempt (if any) and
+  /// to last_cycles()/total_cycles(): the one place graph launches and
+  /// the systolic engine report their cycles.
+  void credit_cycles(std::uint64_t cycles);
   void store_grid_report(const systolic::AbftReport& report);
 
   /// Wraps the single-device constructor's board in a pool of one, so

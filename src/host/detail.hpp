@@ -63,36 +63,6 @@ void launch(Context& ctx, RoutineKind kind, Build&& build) {
          std::forward<Build>(build));
 }
 
-/// Stores a matrix stream but only keeps the `uplo` triangle (used by the
-/// SYR/SYR2 lowerings, whose generic modules update the full square).
-template <typename T>
-stream::Task write_matrix_uplo(MatrixView<T> A, stream::TileSchedule sched,
-                               Uplo uplo, int width, stream::Channel<T>& in,
-                               stream::DramBank* bank = nullptr) {
-  stream::TileWalker walk(A.rows(), A.cols(), sched);
-  std::int64_t remaining = walk.total();
-  int in_cycle = 0;
-  while (remaining > 0) {
-    std::int64_t i = 0, j = 0;
-    walk.next(i, j);
-    const T v = co_await in.pop();
-    const bool keep = uplo == Uplo::Lower ? j <= i : j >= i;
-    if (keep) {
-      if (bank != nullptr) {
-        while (bank->grant_elems(1, sizeof(T)) == 0) {
-          co_await stream::next_cycle();
-        }
-      }
-      A(i, j) = v;
-    }
-    --remaining;
-    if (++in_cycle == width) {
-      in_cycle = 0;
-      co_await stream::next_cycle();
-    }
-  }
-}
-
 /// `v` as an n x 1 matrix (ld = inc): how the row movers below stream a
 /// vector in solve order (TRSV's b and x).
 template <typename T>
@@ -261,8 +231,9 @@ void spawn_mover(stream::Graph& g, BankSet& banks, int width,
                                                  op.trans));
       return;
     case Movement::UploMatrix:
-      g.spawn(op.mover, write_matrix_uplo<T>(dst->mat(op.n, op.n), op.sched,
-                                             op.uplo, width, c, bank));
+      g.spawn(op.mover,
+              stream::write_matrix_uplo<T>(dst->mat(op.n, op.n), op.sched,
+                                           op.uplo, width, c, bank));
       return;
   }
 }
@@ -283,16 +254,43 @@ struct Ports {
   }
 };
 
+/// Launches a streaming routine's graph from its operand list: a graph
+/// at `kind`'s module clock with one channel per operand (chan_cap of
+/// `width`; 2 for a collected scalar), then the readers in list order,
+/// the module `module(ports)` named `label`, and the writers in list
+/// order.
+template <typename T, std::size_t N, typename Module>
+void stream_launch(Context& ctx, RoutineKind kind, const char* label,
+                   int width, const std::array<Operand<T>, N>& ops,
+                   const Module& module) {
+  launch<T>(ctx, kind, [&](stream::Graph& g, BankSet& banks) {
+    Ports<T, N> p{{}, width};
+    for (std::size_t i = 0; i < N; ++i) {
+      const Operand<T>& op = ops[i];
+      const std::size_t cap = op.scalar() ? 2 : chan_cap(width);
+      if (op.index != nullptr) {
+        p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
+      } else {
+        p.ch[i] = &g.channel<T>(op.chan, cap);
+      }
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      if (!ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
+    }
+    g.spawn(label, module(p));
+    for (std::size_t i = 0; i < N; ++i) {
+      if (ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
+    }
+  });
+}
+
 /// The Command of a streaming routine, derived from its operand list:
-///  * `reads`/`writes` are the operands' hazard keys, each listed once;
-///  * the work launches a graph at `kind`'s module clock with one channel
-///    per operand (chan_cap of the configured width; 2 for a collected
-///    scalar), then spawns the readers in list order, the module
-///    `module(ports)` named `label`, and the writers in list order.
-/// `fallback` is the routine's CPU reference path.
+/// `reads`/`writes` are the operands' hazard keys, each listed once, and
+/// the work is stream_launch at the width configured now. `fallback` is
+/// the routine's CPU reference path.
 template <typename T, std::size_t N, typename Module, typename Fallback>
 Command stream_command(Context& ctx, RoutineKind kind, const char* label,
-                       const Operand<T> (&ops)[N], Module module,
+                       std::array<Operand<T>, N> ops, Module module,
                        Fallback fallback) {
   Command cmd;
   cmd.label = label;
@@ -304,30 +302,59 @@ Command stream_command(Context& ctx, RoutineKind kind, const char* label,
       set.push_back(op.key());
     }
   }
-  cmd.work = [&ctx, kind, label, width = ctx.config().width,
-              ops = std::to_array(ops), module] {
-    launch<T>(ctx, kind, [&](stream::Graph& g, BankSet& banks) {
-      Ports<T, N> p{{}, width};
-      for (std::size_t i = 0; i < N; ++i) {
-        const Operand<T>& op = ops[i];
-        const std::size_t cap = op.scalar() ? 2 : chan_cap(width);
-        if (op.index != nullptr) {
-          p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
-        } else {
-          p.ch[i] = &g.channel<T>(op.chan, cap);
-        }
-      }
-      for (std::size_t i = 0; i < N; ++i) {
-        if (!ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
-      }
-      g.spawn(label, module(p));
-      for (std::size_t i = 0; i < N; ++i) {
-        if (ops[i].written()) spawn_mover(g, banks, width, ops[i], *p.ch[i]);
-      }
-    });
+  cmd.work = [&ctx, kind, label, width = ctx.config().width, ops, module] {
+    stream_launch<T>(ctx, kind, label, width, ops, module);
   };
   cmd.fallback = std::move(fallback);
   return cmd;
+}
+
+/// stream_command over a braced operand list.
+template <typename T, std::size_t N, typename Module, typename Fallback>
+Command stream_command(Context& ctx, RoutineKind kind, const char* label,
+                       const Operand<T> (&ops)[N], Module module,
+                       Fallback fallback) {
+  return stream_command<T>(ctx, kind, label, std::to_array(ops),
+                           std::move(module), std::move(fallback));
+}
+
+/// GEMV's module configuration from `rc`, validated first: the operand
+/// list derives tile schedules and replay counts from it.
+inline core::GemvConfig gemv_config(const RoutineConfig& rc,
+                                    Transpose trans) {
+  rc.validate();
+  return {trans, rc.tiling, rc.width, rc.tile_rows, rc.tile_cols};
+}
+
+/// GEMV's operands (y_out = alpha op(A) x + beta y, A rows x cols): A
+/// tiled per `cfg`, x replayed per tile, y read and written back.
+template <typename T>
+std::array<Operand<T>, 4> gemv_operands(const core::GemvConfig& cfg,
+                                        std::int64_t rows, std::int64_t cols,
+                                        const Buffer<T>& a,
+                                        const Buffer<T>& x, std::int64_t incx,
+                                        Buffer<T>& y, std::int64_t incy) {
+  const bool none = cfg.trans == Transpose::None;
+  const std::int64_t xlen = none ? cols : rows;
+  const std::int64_t ylen = none ? rows : cols;
+  return {{{.chan = "A", .mover = "read_A", .how = Movement::Matrix,
+            .src = &a, .n = rows, .cols = cols,
+            .sched = core::gemv_a_schedule(cfg)},
+           {.chan = "x", .mover = "read_x", .src = &x, .n = xlen,
+            .inc = incx, .repeat = core::gemv_x_repeat(cfg, rows, cols)},
+           {.chan = "y", .mover = "read_y", .src = &y, .n = ylen,
+            .inc = incy},
+           {.chan = "out", .mover = "write_y", .dst = &y, .n = ylen,
+            .inc = incy}}};
+}
+
+/// GEMV's module over gemv_operands' ports.
+template <typename T>
+auto gemv_module(const core::GemvConfig& cfg, std::int64_t rows,
+                 std::int64_t cols, T alpha, T beta) {
+  return [=](const auto& p) {
+    return core::gemv<T>(cfg, rows, cols, alpha, beta, p[0], p[1], p[2], p[3]);
+  };
 }
 
 }  // namespace fblas::host::detail

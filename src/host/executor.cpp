@@ -11,14 +11,8 @@
 namespace fblas::host {
 namespace {
 
-// Per-thread command-execution state. Nested library calls made from
-// inside a command body run inline, so their graph cycles accumulate
-// into the enclosing command.
-thread_local std::uint64_t tl_cycles = 0;
-thread_local std::uint64_t tl_pe_localized = 0;
-thread_local std::uint64_t tl_pe_corrected = 0;
-thread_local int tl_depth = 0;
-thread_local int tl_attempt = 0;
+// The attempt running on this thread (null outside a command).
+thread_local Attempt* tl_current = nullptr;
 // Trace row of this thread: 0 = the caller (serial policy), 1..N = pool
 // worker threads (assigned once in the worker's entry lambda).
 thread_local std::uint16_t tl_worker = 0;
@@ -79,21 +73,7 @@ std::chrono::microseconds jittered_backoff(std::uint64_t seed,
   return std::chrono::microseconds(static_cast<std::int64_t>(h % mod));
 }
 
-void Executor::note_cycles(std::uint64_t cycles) {
-  if (tl_depth > 0) tl_cycles += cycles;
-}
-
-void Executor::note_pe_faults(std::uint64_t localized,
-                              std::uint64_t corrected) {
-  if (tl_depth > 0) {
-    tl_pe_localized += localized;
-    tl_pe_corrected += corrected;
-  }
-}
-
-bool Executor::in_command() { return tl_depth > 0; }
-
-int Executor::current_attempt() { return tl_attempt; }
+Attempt* Attempt::current() { return tl_current; }
 
 Executor::Executor(int workers) : workers_(workers < 0 ? 0 : workers) {
   threads_.reserve(static_cast<std::size_t>(workers_));
@@ -202,7 +182,6 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   // command: pool placement, breaker transitions, migrations and engine
   // summaries all emit through it from inside the body.
   trace::ThreadScope trace_scope(rec.get());
-  trace::set_attempt_device(-1);
 
   std::uint64_t cycles = 0;
   std::exception_ptr error;
@@ -214,6 +193,32 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   std::uint64_t pe_localized = 0;
   std::uint64_t pe_corrected = 0;
   bool degraded = false;
+  // The current (after the loop: the last) attempt; barriers and
+  // poisoned commands are never placed, so their device stays -1.
+  Attempt at;
+
+  // Lifecycle events of this command on this thread's trace row, on the
+  // attempt's device; per-attempt events (`numbered`) also carry its
+  // number.
+  auto now = [&rec]() -> std::uint64_t { return rec ? rec->now_ns() : 0; };
+  auto emit = [&](trace::EventKind kind, bool numbered, std::uint64_t a = 0,
+                  std::uint64_t b = 0, std::uint16_t flags = 0,
+                  std::uint64_t wall_ns = 0) {
+    if (!rec) return;
+    trace::Event te;
+    te.kind = kind;
+    te.seq = seq;
+    te.worker = tl_worker;
+    te.device = static_cast<std::int16_t>(at.device);
+    if (numbered) {
+      te.attempt = static_cast<std::uint8_t>(std::min(at.number, 255));
+    }
+    te.wall_ns = wall_ns;
+    te.a = a;
+    te.b = b;
+    te.flags = flags;
+    rec->emit(te);
+  };
 
   if (poisoned_by != 0) {
     // A dependency failed: skip the body entirely (its inputs are
@@ -238,15 +243,11 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
     std::function<void()> check;  // what the checker prepared
     auto backoff = policy.backoff;
     for (int attempt = 0;; ++attempt) {
-      tl_cycles = 0;
-      tl_pe_localized = 0;
-      tl_pe_corrected = 0;
-      tl_attempt = attempt;
-      ++tl_depth;
-      trace::set_attempt_device(-1);  // until the pool places this attempt
-      const std::uint8_t attempt8 =
-          attempt > 255 ? 255 : static_cast<std::uint8_t>(attempt);
-      const std::uint64_t attempt_t0 = rec ? rec->now_ns() : 0;
+      at = Attempt{};
+      at.seq = seq;
+      at.number = attempt;
+      tl_current = &at;
+      const std::uint64_t attempt_t0 = now();
       error = nullptr;
       bool verify_rejected = false;
       try {
@@ -256,62 +257,31 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
           // Only a device-Ok attempt reaches the checker; a rejection
           // here means the device lied — silent data corruption.
           ++verified_runs;
-          const std::uint64_t verify_t0 = rec ? rec->now_ns() : 0;
+          const std::uint64_t verify_t0 = now();
           try {
             check();
           } catch (const VerificationError&) {
             verify_rejected = true;
-            if (rec) {
-              trace::Event te;
-              te.kind = trace::EventKind::Verify;
-              te.seq = seq;
-              te.attempt = attempt8;
-              te.worker = tl_worker;
-              te.device =
-                  static_cast<std::int16_t>(trace::attempt_device());
-              te.wall_ns = verify_t0;
-              te.a = rec->now_ns() - verify_t0;
-              te.flags = 1;
-              rec->emit(te);
-            }
+            emit(trace::EventKind::Verify, true, now() - verify_t0, 0, 1,
+                 verify_t0);
             throw;
           }
-          if (rec) {
-            trace::Event te;
-            te.kind = trace::EventKind::Verify;
-            te.seq = seq;
-            te.attempt = attempt8;
-            te.worker = tl_worker;
-            te.device = static_cast<std::int16_t>(trace::attempt_device());
-            te.wall_ns = verify_t0;
-            te.a = rec->now_ns() - verify_t0;
-            rec->emit(te);
-          }
+          emit(trace::EventKind::Verify, true, now() - verify_t0, 0, 0,
+               verify_t0);
         }
       } catch (...) {
         error = std::current_exception();
       }
-      --tl_depth;
-      tl_attempt = 0;
-      cycles += tl_cycles;  // failed attempts still burned device time
-      pe_localized += tl_pe_localized;
-      pe_corrected += tl_pe_corrected;
+      tl_current = nullptr;
+      cycles += at.cycles;  // failed attempts still burned device time
+      pe_localized += at.pe_localized;
+      pe_corrected += at.pe_corrected;
       if (verify_rejected) ++verify_rejects;
-      if (rec) {
-        trace::Event te;
-        te.kind = trace::EventKind::Attempt;
-        te.seq = seq;
-        te.attempt = attempt8;
-        te.worker = tl_worker;
-        te.device = static_cast<std::int16_t>(trace::attempt_device());
-        te.wall_ns = attempt_t0;
-        te.a = rec->now_ns() - attempt_t0;
-        te.b = tl_cycles;
-        te.flags = !error ? trace::kAttemptOk
-                          : (verify_rejected ? trace::kAttemptVerifyReject
-                                             : trace::kAttemptError);
-        rec->emit(te);
-      }
+      emit(trace::EventKind::Attempt, true, now() - attempt_t0, at.cycles,
+           !error ? trace::kAttemptOk
+                  : (verify_rejected ? trace::kAttemptVerifyReject
+                                     : trace::kAttemptError),
+           attempt_t0);
       if (!error) break;
       const bool transient = is_transient(error);
       if (transient && may_recover && attempt < policy.max_retries) {
@@ -321,16 +291,8 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
             policy.full_jitter
                 ? jittered_backoff(policy.jitter_seed, seq, attempt, backoff)
                 : backoff;
-        if (rec) {
-          trace::Event te;
-          te.kind = trace::EventKind::Retry;
-          te.seq = seq;
-          te.attempt = attempt8;
-          te.worker = tl_worker;
-          te.device = static_cast<std::int16_t>(trace::attempt_device());
-          te.a = static_cast<std::uint64_t>(delay.count());
-          rec->emit(te);
-        }
+        emit(trace::EventKind::Retry, true,
+             static_cast<std::uint64_t>(delay.count()));
         if (delay.count() > 0) std::this_thread::sleep_for(delay);
         // Grow in double and pick the cap *before* casting back: the old
         // int64 cast of the grown product was UB once it exceeded the
@@ -356,14 +318,7 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
           message = "degraded to CPU fallback after: " + describe(error);
           error = nullptr;
           degraded = true;
-          if (rec) {
-            trace::Event te;
-            te.kind = trace::EventKind::Fallback;
-            te.seq = seq;
-            te.worker = tl_worker;
-            te.device = static_cast<std::int16_t>(trace::attempt_device());
-            rec->emit(te);
-          }
+          emit(trace::EventKind::Fallback, false);
         } catch (...) {
           error = std::current_exception();
         }
@@ -381,9 +336,7 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   Record outcome;
   outcome.state = final_state;
   outcome.verify_rejections = static_cast<std::uint32_t>(verify_rejects);
-  // Set by every placement, so it names the last attempt's device (-1
-  // for barriers and poisoned commands, which are never placed).
-  outcome.device = static_cast<std::int16_t>(trace::attempt_device());
+  outcome.device = static_cast<std::int16_t>(at.device);
 
   lk.lock();
   --active_;
@@ -396,17 +349,8 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   stats_.faults_corrected += pe_corrected;
   const std::uint64_t start_cycles = nodes_.at(seq).start_cycles;
   complete(seq, cycles, outcome, error, std::move(message));
-  if (rec) {
-    trace::Event te;
-    te.kind = trace::EventKind::Complete;
-    te.seq = seq;
-    te.worker = tl_worker;
-    te.device = outcome.device;
-    te.flags = static_cast<std::uint16_t>(final_state);
-    te.a = start_cycles;
-    te.b = start_cycles + cycles;
-    rec->emit(te);
-  }
+  emit(trace::EventKind::Complete, false, start_cycles, start_cycles + cycles,
+       static_cast<std::uint16_t>(final_state));
 }
 
 void Executor::complete(std::uint64_t seq, std::uint64_t cycles,

@@ -21,8 +21,15 @@
 // "dependency failed" error instead of running on stale inputs — and
 // waiters never hang.
 //
-// Cycle accounting: each command's simulated device cycles (reported by
-// Context::run_graph through note_cycles) feed a critical-path model —
+// Attempts: every run of a command body is one attempt, and everything
+// that attempt owns — its number, the device it was placed on, the cycles
+// it burned, the fault drawn for it and its taint provenance — lives in
+// one Attempt record that run_command creates and Attempt::current()
+// exposes to the attempt's thread. A command body never runs another
+// command: a library call made from inside one is refused.
+//
+// Cycle accounting: each command's simulated device cycles (credited to
+// its attempt records by Context::run_graph) feed a critical-path model —
 // a command starts at the latest finish time of its dependencies — and
 // the longest finish time is the makespan: the device time an
 // out-of-order schedule needs, next to the serial sum total_cycles().
@@ -53,6 +60,7 @@
 
 #include "host/health.hpp"
 #include "host/status.hpp"
+#include "stream/scheduler.hpp"
 
 namespace fblas::trace {
 class Recorder;
@@ -125,6 +133,39 @@ std::chrono::microseconds jittered_backoff(std::uint64_t seed,
                                            std::uint64_t seq, int attempt,
                                            std::chrono::microseconds cap);
 
+/// One attempt of the command running on this thread: what the layers
+/// under the command body read and write while it runs. The executor
+/// creates it per attempt and fills number/seq; Context::wrap_work places
+/// the attempt (`device`) and arms the drawn fault; graph launches and the
+/// systolic engine consume the fault, record taint and credit cycles; the
+/// result check reads the device and the taint provenance.
+struct Attempt {
+  std::uint64_t seq = 0;  ///< the command
+  int number = 0;         ///< zero-based retry attempt
+  int device = -1;        ///< pool index it was placed on; -1 = unplaced
+  std::uint64_t cycles = 0;        ///< simulated device cycles burned
+  std::uint64_t pe_localized = 0;  ///< in-grid ABFT: faults pinned to a PE
+  std::uint64_t pe_corrected = 0;  ///< ... and corrected in place
+  // What the drawn fault still has pending. The watchdog (captured at
+  // enqueue) bounds every graph launch; `wedge` wedges the first one;
+  // `corrupt_k` flips the k-th floating-point value pushed across the
+  // attempt's launches (0 = disarmed) and stays armed until it fires;
+  // `pe_fault` waits for a systolic multiply to plan and fire it.
+  stream::Watchdog watchdog;
+  bool wedge = false;
+  std::uint64_t corrupt_k = 0;
+  bool corrupt_fired = false;
+  bool pe_fault = false;
+  // Non-finite taint tracking: screen pushes (`taint_record`), throw on
+  // the spot (`taint_trap`), and the first taint seen across launches.
+  bool taint_record = false;
+  bool taint_trap = false;
+  stream::Taint taint;
+
+  /// The attempt running on this thread, or nullptr outside a command.
+  static Attempt* current();
+};
+
 /// Fault-tolerance hooks attached to a command by the Context.
 struct CommandHooks {
   std::function<void()> snapshot;  ///< capture declared write-set bytes
@@ -185,23 +226,6 @@ class Executor {
   /// Outcome of command `seq`. Seqs are dense and start at 1. Retired
   /// seqs report their recorded outcome; unknown seqs report Ok.
   CommandStatus status(std::uint64_t seq) const;
-
-  /// Accumulates simulated device cycles into the command currently
-  /// executing on this thread (no-op outside a command).
-  static void note_cycles(std::uint64_t cycles);
-  /// Accumulates in-grid ABFT outcomes (faults localized to a PE /
-  /// corrected in place) into the command currently executing on this
-  /// thread — the engine-side analogue of note_cycles.
-  static void note_pe_faults(std::uint64_t localized,
-                             std::uint64_t corrected);
-  /// True while the calling thread is inside a command body — used by
-  /// Context::enqueue to run nested library calls inline as part of the
-  /// enclosing command.
-  static bool in_command();
-  /// Zero-based retry attempt of the command executing on this thread
-  /// (0 outside a command) — lets the fault injector draw a fresh,
-  /// deterministic decision per attempt.
-  static int current_attempt();
 
  private:
   // A command still pending or running. Its node (closures, successor

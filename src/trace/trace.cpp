@@ -7,7 +7,6 @@ namespace fblas::trace {
 namespace {
 
 thread_local Recorder* tl_sink = nullptr;
-thread_local int tl_attempt_device = -1;
 // Round-robin shard token: consecutive emissions from one thread rotate
 // across shards, so a burst never serializes on a single mutex even
 // when only one thread is emitting.
@@ -245,9 +244,5 @@ void emit(const Event& e) {
 ThreadScope::ThreadScope(Recorder* rec) : prev_(tl_sink) { tl_sink = rec; }
 
 ThreadScope::~ThreadScope() { tl_sink = prev_; }
-
-void set_attempt_device(int device) { tl_attempt_device = device; }
-
-int attempt_device() { return tl_attempt_device; }
 
 }  // namespace fblas::trace

@@ -111,9 +111,6 @@ struct Options {
   /// after each graph run. These are the bulkiest event class on
   /// composition-heavy workloads; turn off to keep only lifecycle spans.
   bool engine_events = true;
-  /// Emit RateSample counter events as the adaptive verification
-  /// controller moves the live rate.
-  bool counter_samples = true;
 };
 
 /// Log2-bucketed histogram: bucket i counts values v with
@@ -243,12 +240,5 @@ class ThreadScope {
  private:
   Recorder* prev_;
 };
-
-/// Pool device of the attempt running on this thread (-1 = none).
-/// Set by the placement path, read when stamping Attempt / Verify /
-/// Complete events — kept here (not in host code) so the executor and
-/// the context agree on one slot without a layering cycle.
-void set_attempt_device(int device);
-int attempt_device();
 
 }  // namespace fblas::trace

@@ -452,6 +452,30 @@ TEST(ConfigCapture, CommandsUseConfigFromEnqueueTime) {
 
   EXPECT_EQ(guarded.last_cycles(), reference.last_cycles());
   EXPECT_EQ(xa.to_host(), xb.to_host());
+
+  // SYMV lowers onto the GEMV graph: it too runs with the width and
+  // tiles captured at enqueue, not the ones set before it ran.
+  const std::int64_t n = 96;
+  const auto ha = wl.matrix<float>(n, n);
+  const auto hv = wl.vector<float>(n);
+  auto symv_cycles = [&](Context& ctx, Device& dev, bool widen_after) {
+    auto a = make_buffer(dev, ha, 0);
+    auto x = make_buffer(dev, hv, 1);
+    auto y = make_buffer(dev, hv, 2);
+    ctx.config().width = 4;
+    ctx.config().tile_rows = ctx.config().tile_cols = 8;
+    Event ev = ctx.symv_async<float>(Uplo::Upper, n, 1.5f, a, x, 1, 0.5f, y, 1);
+    if (widen_after) {
+      ctx.config().width = 32;
+      ctx.config().tile_rows = ctx.config().tile_cols = 64;
+    }
+    ev.wait();
+    return std::make_pair(ctx.last_cycles(), y.to_host());
+  };
+  const auto [late_cycles, late_y] = symv_cycles(guarded, dev_a, true);
+  const auto [ref_cycles, ref_y] = symv_cycles(reference, dev_b, false);
+  EXPECT_EQ(late_cycles, ref_cycles);
+  EXPECT_EQ(late_y, ref_y);
 }
 
 TEST(ConfigCapture, GuardRestoresOnScopeExit) {
@@ -484,37 +508,71 @@ TEST(ConfigCapture, InlineWithOverride) {
   EXPECT_GT(ctx.last_cycles(), wide_cycles);
 }
 
-// --- Nested library calls (SYMV -> GEMV) under the concurrent policy ----
+// --- SYMV under the concurrent policy -----------------------------------
 
-TEST(NestedCommands, SymvRunsInlineUnderWorkers) {
-  Device dev;
-  Context ctx(dev, stream::Mode::Functional, /*workers=*/4);
-  Workload wl(62);
+// Sixteen SYMVs in flight on four workers while the caller changes the
+// width between enqueues: each command runs with the width it was
+// enqueued under (bit-identical to a serial run at that width), and the
+// workers never read the live RoutineConfig.
+TEST(SpecializedUnderWorkers, SymvUsesEnqueueTimeConfig) {
+  constexpr int kCalls = 16;
   const std::int64_t n = 32;
-  auto ha = wl.matrix<float>(n, n);
+  Workload wl(62);
+  const auto ha = wl.matrix<float>(n, n);
   const auto hx = wl.vector<float>(n);
   const auto hy = wl.vector<float>(n);
-  // Symmetrize the reference operand.
-  MatrixView<float> A(ha.data(), n, n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < i; ++j) A(j, i) = A(i, j);
-  }
+  auto width_of = [](int i) { return 1 << (i % 5); };
+
+  Device dev;
+  Context ctx(dev, stream::Mode::Functional, /*workers=*/4);
   auto a = make_buffer(dev, ha, 0);
   auto x = make_buffer(dev, hx, 1);
-  auto y = make_buffer(dev, hy, 2);
-  ctx.symv<float>(Uplo::Lower, n, 1.5f, a, x, 0.5f, y);
-
-  std::vector<float> expect = hy;
-  ref::gemv<float>(Transpose::None, 1.5f,
-                   MatrixView<const float>(ha.data(), n, n),
-                   VectorView<const float>(hx.data(), n), 0.5f,
-                   VectorView<float>(expect.data(), n));
-  const auto got = y.to_host();
-  for (std::int64_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(got[static_cast<std::size_t>(i)],
-                expect[static_cast<std::size_t>(i)], 1e-3f);
+  std::vector<Buffer<float>> ys;
+  ys.reserve(kCalls);
+  for (int i = 0; i < kCalls; ++i) ys.push_back(make_buffer(dev, hy, 2));
+  for (int i = 0; i < kCalls; ++i) {
+    ctx.config().width = width_of(i);
+    ctx.symv_async<float>(i % 2 ? Uplo::Upper : Uplo::Lower, n, 1.5f, a, x, 1,
+                          0.5f, ys[static_cast<std::size_t>(i)], 1);
   }
+  ctx.config().width = 64;
+  ctx.finish();
   EXPECT_TRUE(ctx.idle());
+
+  for (int i = 0; i < kCalls; ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    Device sdev;
+    Context serial(sdev);
+    serial.config().width = width_of(i);
+    auto sa = make_buffer(sdev, ha, 0);
+    auto sx = make_buffer(sdev, hx, 1);
+    auto sy = make_buffer(sdev, hy, 2);
+    serial.symv<float>(i % 2 ? Uplo::Upper : Uplo::Lower, n, 1.5f, sa, sx,
+                       1, 0.5f, sy, 1);
+    EXPECT_EQ(ys[static_cast<std::size_t>(i)].to_host(), sy.to_host());
+  }
+}
+
+// A library call issued from inside a running command body is refused
+// with an error that names the problem; the enclosing command fails.
+TEST(SpecializedUnderWorkers, LibraryCallInsideCommandBodyIsRefused) {
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Device dev;
+    Context ctx(dev, stream::Mode::Functional, workers);
+    Workload wl(63);
+    auto x = make_buffer(dev, wl.vector<float>(16), 0);
+    Event e = ctx.enqueue([&] { ctx.scal<float>(16, 2.0f, x); });
+    try {
+      e.wait();
+      ADD_FAILURE() << "nested library call was not refused";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("inside a command body"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_TRUE(e.status().failed());
+  }
 }
 
 // --- Worker-pool exception robustness -----------------------------------
@@ -716,7 +774,7 @@ Command noting(std::vector<const void*> reads, std::vector<const void*> writes,
   Command c;
   c.reads = std::move(reads);
   c.writes = std::move(writes);
-  c.work = [cycles] { Executor::note_cycles(cycles); };
+  c.work = [cycles] { Attempt::current()->cycles += cycles; };
   return c;
 }
 

@@ -501,6 +501,38 @@ TEST(FaultTolerance, CpuFallbackDegradesLevel2) {
             VectorView<float>(hy.data(), rows));
   EXPECT_EQ(y.to_host(), hy);
   EXPECT_TRUE(e.status().degraded());
+
+  // SYMV and TRMV degrade through their own fallback: expand the stored
+  // triangle, then the reference GEMV (TRMV copies the product back).
+  const std::int64_t n = cols;
+  std::vector<float> sym(static_cast<std::size_t>(n * n));
+  std::vector<float> tri(static_cast<std::size_t>(n * n), 0.0f);
+  MatrixView<const float> A(ha.data(), rows, cols);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      sym[static_cast<std::size_t>(i * n + j)] = j <= i ? A(i, j) : A(j, i);
+      if (j >= i) tri[static_cast<std::size_t>(i * n + j)] = A(i, j);
+    }
+  }
+  std::vector<float> sy = y.to_host();
+  host::Event es = ctx.symv_async<float>(Uplo::Lower, n, 0.5f, a, x, 1, 2.0f,
+                                         y, 1);
+  EXPECT_NO_THROW(es.wait());
+  ref::gemv(Transpose::None, 0.5f, MatrixView<const float>(sym.data(), n, n),
+            VectorView<const float>(hx.data(), n), 2.0f,
+            VectorView<float>(sy.data(), n));
+  EXPECT_EQ(y.to_host(), sy);
+  EXPECT_TRUE(es.status().degraded());
+
+  std::vector<float> tx(static_cast<std::size_t>(n), 0.0f);
+  host::Event et = ctx.trmv_async<float>(Uplo::Upper, Transpose::Trans,
+                                         Diag::NonUnit, n, a, x, 1);
+  EXPECT_NO_THROW(et.wait());
+  ref::gemv(Transpose::Trans, 1.0f, MatrixView<const float>(tri.data(), n, n),
+            VectorView<const float>(hx.data(), n), 0.0f,
+            VectorView<float>(tx.data(), n));
+  EXPECT_EQ(x.to_host(), tx);
+  EXPECT_TRUE(et.status().degraded());
 }
 
 TEST(FaultTolerance, CpuFallbackDegradesLevel3) {

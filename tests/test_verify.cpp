@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -635,37 +636,54 @@ TEST(VerifyRuntime, VerifyExhaustionDegradesToCpuFallback) {
   EXPECT_EQ(ctx.exec_stats().degraded, 1u);
 }
 
-// ROTM applies a linear 2x2 map per flag and SDSDOT is a DOT plus an
-// offset, so both carry checkers: one silent write-back fault on ROTM and
+// ROTM applies a linear 2x2 map per flag, SDSDOT is a DOT plus an
+// offset, and SYMV/TRMV are GEMVs on the expanded triangle, so all four
+// carry checkers: one silent write-back fault on ROTM, SYMV or TRMV and
 // one channel fault on SDSDOT are caught and retried to a result
 // bit-identical to a fault-free run.
 TEST(VerifyRuntime, RotmAndSdsdotFaultsCaughtAndRecoveredBitIdentical) {
-  const std::int64_t n = 2000;
+  const std::int64_t n = 2000, tn = 64;
   Workload wl(86);
   const auto hx = wl.vector<float>(n);
   const auto hy = wl.vector<float>(n);
+  const auto ha = wl.matrix<float>(tn, tn);
   const ref::RotmParam<float> p{-1.0f, 0.8f, -0.3f, 0.4f, 0.9f};
 
-  // Runs ROTM (silent) or SDSDOT (channel) with at most one fault; returns
-  // the outputs, the command status and the run's stats.
-  auto run = [&](bool rotm, bool with_fault) {
+  // Runs `routine` with at most one fault (a channel fault for SDSDOT, a
+  // silent write-back fault otherwise); returns the outputs, the command
+  // status and the run's stats.
+  auto run = [&](const std::string& routine, bool with_fault) {
     host::Device dev;
     host::Context ctx(dev);
     if (with_fault) {
       host::FaultConfig fc;
       fc.seed = 26;
-      (rotm ? fc.silent_corrupt_rate : fc.channel_corrupt_rate) = 1.0;
+      (routine == "sdsdot" ? fc.channel_corrupt_rate
+                           : fc.silent_corrupt_rate) = 1.0;
       fc.max_faults = 1;
       dev.inject_faults(fc);
     }
     ctx.set_retry_policy(fast_retry(2, /*cpu_fallback=*/true));
     ctx.config().verification = verify::Options::always();
-    host::Buffer<float> x(dev, n, 0), y(dev, n, 1);
-    x.write(hx);
-    y.write(hy);
+    // Vectors span exactly what the routine touches, so the silent fault
+    // always lands on a live element.
+    const bool gemv_based = routine == "symv" || routine == "trmv";
+    const std::int64_t len = gemv_based ? tn : n;
+    host::Buffer<float> x(dev, len, 0), y(dev, len, 1), a(dev, tn * tn, 2);
+    x.write(std::span<const float>(hx.data(), static_cast<std::size_t>(len)));
+    y.write(std::span<const float>(hy.data(), static_cast<std::size_t>(len)));
+    a.write(ha);
     float dot = 0.0f;
-    host::Event e = rotm ? ctx.rotm_async<float>(n, x, 1, y, 1, p)
-                         : ctx.sdsdot_async(n, 0.25f, x, 1, y, 1, &dot);
+    host::Event e;
+    if (routine == "rotm") e = ctx.rotm_async<float>(n, x, 1, y, 1, p);
+    if (routine == "sdsdot") e = ctx.sdsdot_async(n, 0.25f, x, 1, y, 1, &dot);
+    if (routine == "symv") {
+      e = ctx.symv_async<float>(Uplo::Lower, tn, 1.5f, a, x, 1, 0.5f, y, 1);
+    }
+    if (routine == "trmv") {
+      e = ctx.trmv_async<float>(Uplo::Upper, Transpose::None, Diag::NonUnit,
+                                tn, a, x, 1);
+    }
     e.wait();
     std::vector<float> out = x.to_host();
     const auto hy_out = y.to_host();
@@ -674,10 +692,10 @@ TEST(VerifyRuntime, RotmAndSdsdotFaultsCaughtAndRecoveredBitIdentical) {
     return std::make_tuple(out, e.status(), ctx.exec_stats());
   };
 
-  for (bool rotm : {true, false}) {
-    SCOPED_TRACE(rotm ? "rotm" : "sdsdot");
-    const auto [clean, clean_st, clean_stats] = run(rotm, false);
-    const auto [rec, rec_st, rec_stats] = run(rotm, true);
+  for (const std::string routine : {"rotm", "sdsdot", "symv", "trmv"}) {
+    SCOPED_TRACE(routine);
+    const auto [clean, clean_st, clean_stats] = run(routine, false);
+    const auto [rec, rec_st, rec_stats] = run(routine, true);
     EXPECT_TRUE(rec_st.ok());
     EXPECT_EQ(rec, clean);
     EXPECT_EQ(rec_stats.faults_injected, 1u);
@@ -692,17 +710,27 @@ TEST(VerifyRuntime, CleanRotmEveryFlagAndSdsdotNeverReject) {
   host::Device dev;
   host::Context ctx(dev);
   ctx.config().verification = verify::Options::always();
-  const std::int64_t n = 300;
+  const std::int64_t n = 300, tn = 64;
   Workload wl(87);
-  host::Buffer<float> x(dev, n, 0), y(dev, n, 1);
+  host::Buffer<float> x(dev, n, 0), y(dev, n, 1), a(dev, tn * tn, 2);
   x.write(wl.vector<float>(n));
   y.write(wl.vector<float>(n));
+  a.write(wl.matrix<float>(tn, tn));
   for (float flag : {-2.0f, -1.0f, 0.0f, 1.0f}) {
     ctx.rotm<float>(n, x, y, {flag, 0.7f, -0.2f, 0.3f, 0.6f});
   }
   (void)ctx.sdsdot(n, -1.5f, x, 1, y, 1);
+  // SYMV and TRMV, both triangles, every TRMV transpose/diag variant.
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    ctx.symv<float>(uplo, tn, 0.5f, a, x, 1, 1.25f, y, 1);
+    for (Transpose tr : {Transpose::None, Transpose::Trans}) {
+      for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
+        ctx.trmv<float>(uplo, tr, dg, tn, a, y, 2);
+      }
+    }
+  }
   const auto stats = ctx.exec_stats();
-  EXPECT_EQ(stats.verified, 5u);
+  EXPECT_EQ(stats.verified, 15u);
   EXPECT_EQ(stats.verify_failures, 0u);
   EXPECT_EQ(stats.sdc_caught, 0u);
 }
