@@ -96,14 +96,10 @@ std::function<void()> Context::wrap_work(
       }
       at.pe_fault = fault == FaultKind::PeFault;
       if (inner) inner();
-      if (fault == FaultKind::ChannelCorrupt && !at.corrupt_fired) {
-        // The command launched no graph (or a graph too short to reach
-        // the k-th push): nothing was damaged, so un-count the fault.
-        faults.retract();
-      }
-      if (at.pe_fault) {
-        // No systolic multiply consumed the draw (or the planned MAC
-        // never produced a nonzero product): nothing was damaged.
+      if (at.corrupt_k != 0 || at.pe_fault) {
+        // The drawn fault never fired — no graph reached the k-th push,
+        // or no systolic multiply produced the planned flip: nothing was
+        // damaged, so un-count it.
         faults.retract();
       }
       if (fault == FaultKind::CorruptTransfer) {
@@ -397,7 +393,6 @@ void Context::run_graph(stream::Graph& g) {
     }
     if (at->corrupt_k != 0 && sched.corruption_fired()) {
       at->corrupt_k = 0;
-      at->corrupt_fired = true;
       // Ground truth goes to the injector that drew the fault: the device
       // this attempt was placed on.
       pool_->device(at->device).faults().record_victim(

@@ -149,12 +149,12 @@ struct Attempt {
   // What the drawn fault still has pending. The watchdog (captured at
   // enqueue) bounds every graph launch; `wedge` wedges the first one;
   // `corrupt_k` flips the k-th floating-point value pushed across the
-  // attempt's launches (0 = disarmed) and stays armed until it fires;
-  // `pe_fault` waits for a systolic multiply to plan and fire it.
+  // attempt's launches and stays armed until it fires; `pe_fault` waits
+  // for a systolic multiply to plan and fire it. Each is cleared when its
+  // fault fires, so one still set after the body damaged nothing.
   stream::Watchdog watchdog;
   bool wedge = false;
   std::uint64_t corrupt_k = 0;
-  bool corrupt_fired = false;
   bool pe_fault = false;
   // Non-finite taint tracking: screen pushes (`taint_record`), throw on
   // the spot (`taint_trap`), and the first taint seen across launches.
