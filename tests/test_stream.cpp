@@ -2,10 +2,16 @@
 // deadlock detection, DRAM bank metering, tile walker, streamers.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <limits>
 #include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "common/workload.hpp"
+#include "fblas/level1.hpp"
+#include "fblas/level2.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -396,6 +402,243 @@ TEST(CycleMode, OccupancyTraceRecordsBackpressure) {
   std::uint32_t peak = 0;
   for (const auto v : trace) peak = std::max(peak, v);
   EXPECT_LE(peak, 16u);
+}
+
+// ---- Pinned schedules -----------------------------------------------------
+//
+// Cycle-mode AXPY, DOT, SCAL, the four GEMV variants, GER and fanout2, with
+// x and y sharing one narrow bank (5 floats per cycle for two W=4 readers)
+// and every channel at capacity 3, 64 or 767. For each graph and capacity
+// the record holds: cycles and stall module-cycles; every channel's peak,
+// stall events and tap sum/magnitude bits; every module's resumes; every
+// bank's bytes; for corrupt_push(k), k = 1..40, the victim channel and the
+// first output index that changed; the Taint record of a NaN at x[6]
+// (mid-batch), and how many x values a trapping run enqueued before it.
+// Any change to how values move through channels — batch sizes, wake
+// order, per-value instrumentation — shows up here. A mismatch prints the
+// observed record.
+
+constexpr int kPinW = 4;
+constexpr std::int64_t kPinN = 37;
+constexpr std::int64_t kPinRows = 10, kPinCols = 9;
+
+struct PinData {
+  std::vector<float> x, y, a;
+};
+
+PinData pin_data(bool nan_in_x) {
+  Workload wl(41);
+  PinData d{wl.vector<float>(kPinN), wl.vector<float>(kPinN),
+            wl.matrix<float>(kPinRows, kPinCols)};
+  if (nan_in_x) d.x[6] = std::numeric_limits<float>::quiet_NaN();
+  return d;
+}
+
+core::GemvConfig pin_gemv(Transpose trans, core::MatrixTiling tiling,
+                          Order elems) {
+  return {trans, tiling, kPinW, 4, 4, elems};
+}
+
+/// Builds graph `kind` into `g`; its outputs land in `out`. Returns the
+/// x/y bank and the bank of A and the outputs.
+std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, std::size_t cap,
+                  const PinData& d, std::vector<float>& out) {
+  DramBank& xy = g.bank("xy", 20.0);
+  DramBank& mem = g.bank("mem", 24.0);
+  auto vec = [](const std::vector<float>& v, std::int64_t n) {
+    return VectorView<const float>(v.data(), n);
+  };
+  auto& cx = g.channel<float>("x", cap);
+  auto& cout = g.channel<float>("out", cap);
+  const core::Level1Config l1{kPinW};
+  if (kind == "axpy" || kind == "dot") {
+    auto& cy = g.channel<float>("y", cap);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, kPinN), 1, kPinW, cy, &xy));
+    const std::int64_t len = kind == "axpy" ? kPinN : 1;
+    out.assign(static_cast<std::size_t>(len), 0.0f);
+    if (kind == "axpy") {
+      g.spawn("axpy", core::axpy<float>(l1, kPinN, 1.5f, cx, cy, cout));
+    } else {
+      g.spawn("dot", core::dot<float>(l1, kPinN, cx, cy, cout));
+    }
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), len), 1,
+                                         kPinW, cout, &mem));
+  } else if (kind == "scal") {
+    out.assign(static_cast<std::size_t>(kPinN), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("scal", core::scal<float>(l1, kPinN, -0.75f, cx, cout));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), kPinN),
+                                         1, kPinW, cout, &mem));
+  } else if (kind.starts_with("gemv")) {
+    const bool trans = kind.starts_with("gemv_t");
+    const bool rows = kind.ends_with("rows");
+    const core::GemvConfig cfg = pin_gemv(
+        trans ? Transpose::Trans : Transpose::None,
+        rows ? core::MatrixTiling::TilesByRows : core::MatrixTiling::TilesByCols,
+        trans == rows ? Order::ColMajor : Order::RowMajor);
+    const std::int64_t xlen = trans ? kPinRows : kPinCols;
+    const std::int64_t ylen = trans ? kPinCols : kPinRows;
+    auto& ca = g.channel<float>("A", cap);
+    auto& cy = g.channel<float>("y", cap);
+    out.assign(static_cast<std::size_t>(ylen), 0.0f);
+    g.spawn("read_A",
+            read_matrix<float>(
+                MatrixView<const float>(d.a.data(), kPinRows, kPinCols),
+                core::gemv_a_schedule(cfg), 1, kPinW, ca, &mem));
+    g.spawn("read_x",
+            read_vector<float>(vec(d.x, xlen),
+                               core::gemv_x_repeat(cfg, kPinRows, kPinCols),
+                               kPinW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, ylen), 1, kPinW, cy, &xy));
+    g.spawn("gemv", core::gemv<float>(cfg, kPinRows, kPinCols, 1.25f, 0.5f, ca,
+                                      cx, cy, cout));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), ylen),
+                                         1, kPinW, cout, &mem));
+  } else if (kind == "ger") {
+    const core::GerConfig cfg{core::MatrixTiling::TilesByRows, kPinW, 4, 4,
+                              Order::RowMajor};
+    const TileSchedule sched = core::ger_a_schedule(cfg);
+    auto& ca = g.channel<float>("A", cap);
+    auto& cy = g.channel<float>("y", cap);
+    out.assign(static_cast<std::size_t>(kPinRows * kPinCols), 0.0f);
+    g.spawn("read_A",
+            read_matrix<float>(
+                MatrixView<const float>(d.a.data(), kPinRows, kPinCols), sched,
+                1, kPinW, ca, &mem));
+    g.spawn("read_x",
+            read_vector<float>(vec(d.x, kPinRows),
+                               core::ger_x_repeat(cfg, kPinRows, kPinCols),
+                               kPinW, cx, &xy));
+    g.spawn("read_y",
+            read_vector<float>(vec(d.y, kPinCols),
+                               core::ger_y_repeat(cfg, kPinRows, kPinCols),
+                               kPinW, cy, &xy));
+    g.spawn("ger", core::ger<float>(cfg, kPinRows, kPinCols, 0.5f, ca, cx, cy,
+                                    cout));
+    g.spawn("write",
+            write_matrix<float>(MatrixView<float>(out.data(), kPinRows, kPinCols),
+                                sched, kPinW, cout, &mem));
+  } else {  // fanout2
+    auto& cb = g.channel<float>("b", cap);
+    out.assign(static_cast<std::size_t>(2 * kPinN), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("fanout", fanout2<float>(kPinN, kPinW, cx, cout, cb));
+    g.spawn("write_a", write_vector<float>(
+                           VectorView<float>(out.data(), kPinN), 1, kPinW,
+                           cout, &mem));
+    g.spawn("write_b", write_vector<float>(
+                           VectorView<float>(out.data() + kPinN, kPinN), 1,
+                           kPinW, cb, &xy));
+  }
+  return {&xy, &mem};
+}
+
+std::string hex_bits(double v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// The pinned record of graph `kind` at channel capacity `cap`.
+std::string pinned_record(const std::string& kind, std::size_t cap) {
+  std::ostringstream os;
+  const PinData clean = pin_data(false);
+  std::vector<float> want;
+  {
+    Graph g(Mode::Cycle);
+    const auto [xy, mem] = build_pinned(kind, g, cap, clean, want);
+    for (const auto& ch : g.channels()) ch->arm_tap();
+    g.run();
+    const Scheduler& s = g.scheduler();
+    os << "cap " << cap << ": cycles " << g.cycles() << " stall "
+       << s.stall_module_cycles() << "\n";
+    for (const auto& ch : g.channels()) {
+      os << "  ch " << ch->name() << " peak " << ch->peak_occupancy()
+         << " stalls " << ch->stall_events() << " tap "
+         << hex_bits(ch->tap_sum()) << "/" << hex_bits(ch->tap_mag()) << "\n";
+    }
+    os << "  resumes";
+    for (std::size_t m = 0; m < s.module_count(); ++m) {
+      os << " " << s.module_name(static_cast<int>(m)) << "="
+         << s.module_resumes(static_cast<int>(m));
+    }
+    os << "\n  bytes " << xy->total_bytes() << " " << mem->total_bytes()
+       << "\n";
+  }
+  os << "  corrupt";
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    Graph g(Mode::Cycle);
+    std::vector<float> out;
+    build_pinned(kind, g, cap, clean, out);
+    g.scheduler().corrupt_push(k);
+    g.run();
+    std::ptrdiff_t changed = -1;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (std::bit_cast<std::uint32_t>(out[i]) !=
+          std::bit_cast<std::uint32_t>(want[i])) {
+        changed = static_cast<std::ptrdiff_t>(i);
+        break;
+      }
+    }
+    os << " " << (g.scheduler().corruption_fired()
+                      ? g.scheduler().corrupted_channel()
+                      : std::string("-"))
+       << ":" << changed;
+  }
+  os << "\n";
+  const PinData poisoned = pin_data(true);
+  {
+    Graph g(Mode::Cycle);
+    std::vector<float> out;
+    build_pinned(kind, g, cap, poisoned, out);
+    g.scheduler().enable_taint(false);
+    g.run();
+    const Taint& t = g.scheduler().taint();
+    os << "  taint " << t.tainted << " " << t.module << " " << t.channel << " "
+       << t.cycle << "\n";
+  }
+  {
+    Graph g(Mode::Cycle);
+    std::vector<float> out;
+    build_pinned(kind, g, cap, poisoned, out);
+    g.scheduler().enable_taint(true);
+    EXPECT_THROW(g.run(), TaintError);
+    os << "  trap x pushed " << g.channels()[0]->total_pushed() << "\n";
+  }
+  return os.str();
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(BatchTransfer, SchedulesPinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pins = {
+      {"axpy", 7548757519685597270ULL},
+      {"dot", 12343868482660562460ULL},
+      {"scal", 17539529693807194399ULL},
+      {"gemv_rows", 5326376617395091344ULL},
+      {"gemv_cols", 979974414704482164ULL},
+      {"gemv_t_rows", 1726583026839226534ULL},
+      {"gemv_t_cols", 5407613611507398529ULL},
+      {"ger", 10280983138535434323ULL},
+      {"fanout2", 3475259776429209920ULL},
+  };
+  for (const auto& [kind, hash] : pins) {
+    std::string record;
+    for (const std::size_t cap : {3u, 64u, 767u}) {
+      record += pinned_record(kind, cap);
+    }
+    EXPECT_EQ(fnv1a(record), hash)
+        << kind << " record:\n" << record;
+  }
 }
 
 // ---- TileWalker -----------------------------------------------------------
