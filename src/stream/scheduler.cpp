@@ -101,7 +101,9 @@ void Scheduler::run(const Watchdog& watchdog) {
                         watchdog.wall_deadline;
   std::uint64_t steps = 0;
   while (live_ > 0) {
-    if (watchdog.max_steps != 0 && steps > watchdog.max_steps) {
+    // A live module needs at least one more resume, so a run that has
+    // spent its step budget cannot finish within it.
+    if (watchdog.max_steps != 0 && steps >= watchdog.max_steps) {
       throw_timeout("step budget", steps);
     }
     if (watchdog.max_cycles != 0 && cycle_ > watchdog.max_cycles) {

@@ -174,6 +174,46 @@ TEST(Scheduler, StallAccountingCountsBlockedModules) {
   EXPECT_GT(g.scheduler().stall_module_cycles(), 0u);
 }
 
+// A generate -> sink graph in cycle mode and the resumes and cycles it
+// needs, for the watchdog budget boundaries.
+struct BudgetGraph {
+  Graph g{Mode::Cycle};
+  BudgetGraph() {
+    auto& ch = g.channel<float>("c", 4);
+    g.spawn("gen", generate<float>(64, 1.0f, 4, ch));
+    g.spawn("sink", sink<float>(64, 4, ch));
+  }
+  std::uint64_t resumes() {
+    const Scheduler& s = g.scheduler();
+    return s.module_resumes(0) + s.module_resumes(1);
+  }
+};
+
+TEST(Watchdog, StepBudgetAdmitsExactlyItsResumes) {
+  BudgetGraph probe;
+  probe.g.run();
+  const std::uint64_t need = probe.resumes();
+  ASSERT_GT(need, 1u);
+  BudgetGraph exact;
+  EXPECT_NO_THROW(exact.g.run(Watchdog{.max_steps = need}));
+  EXPECT_EQ(exact.resumes(), need);
+  BudgetGraph short_one;
+  EXPECT_THROW(short_one.g.run(Watchdog{.max_steps = need - 1}), TimeoutError);
+  EXPECT_EQ(short_one.resumes(), need - 1);
+}
+
+TEST(Watchdog, CycleBudgetAdmitsExactlyItsCycles) {
+  BudgetGraph probe;
+  probe.g.run();
+  const std::uint64_t need = probe.g.cycles();
+  ASSERT_GT(need, 1u);
+  BudgetGraph exact;
+  EXPECT_NO_THROW(exact.g.run(Watchdog{.max_cycles = need}));
+  BudgetGraph short_one;
+  EXPECT_THROW(short_one.g.run(Watchdog{.max_cycles = need - 1}),
+               TimeoutError);
+}
+
 TEST(Graph, FeedCollectRoundTrip) {
   Graph g;
   auto& ch = g.channel<float>("c", 8);
