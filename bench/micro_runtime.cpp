@@ -16,18 +16,19 @@ namespace {
 
 using namespace fblas;
 
-void BM_ChannelTryPushPop(benchmark::State& state) {
+void BM_ChannelPutTake(benchmark::State& state) {
   stream::Graph g;
   auto& ch = g.channel<float>("c", 1024);
+  const float one = 1.0f;
   float v = 0;
   for (auto _ : state) {
-    ch.try_put(1.0f);
-    ch.try_take(v);
+    ch.put_some(&one, 1);
+    ch.take_some(&v, 1);
     benchmark::DoNotOptimize(v);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ChannelTryPushPop);
+BENCHMARK(BM_ChannelPutTake);
 
 void BM_StreamPassthrough(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -1,7 +1,5 @@
 #include "stream/channel.hpp"
 
-#include <algorithm>
-
 namespace fblas::stream {
 
 ChannelBase::ChannelBase(Scheduler* sched, std::string name,
@@ -9,25 +7,6 @@ ChannelBase::ChannelBase(Scheduler* sched, std::string name,
     : sched_(sched), name_(std::move(name)), capacity_(capacity) {
   FBLAS_REQUIRE(capacity >= 1, "channel '" + name_ + "' needs capacity >= 1");
   sched_->register_channel(this);
-}
-
-void ChannelBase::on_push() {
-  ++total_pushed_;
-  peak_ = std::max(peak_, size());
-  if (waiting_consumer_ >= 0) {
-    const int id = waiting_consumer_;
-    waiting_consumer_ = -1;
-    sched_->wake(id);
-  }
-}
-
-void ChannelBase::on_pop() {
-  ++total_popped_;
-  if (waiting_producer_ >= 0) {
-    const int id = waiting_producer_;
-    waiting_producer_ = -1;
-    sched_->wake(id);
-  }
 }
 
 }  // namespace fblas::stream

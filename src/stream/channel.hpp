@@ -1,12 +1,17 @@
 // Bounded single-producer/single-consumer typed FIFO channels — the
 // software equivalent of the HLS `channel`/`pipe` abstraction the paper's
-// modules communicate through. push/pop are awaitable: a full push or
-// empty pop suspends the module until its peer makes progress.
+// modules communicate through. The unit of transfer is a batch of up to
+// W values, the W lanes a module moves per clock cycle (Sec. III-A):
+// `push_some`/`pop_some` move as many values as fit and suspend the module
+// only when none can move; `push`/`pop` are the one-value case of the
+// same transfer.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -30,9 +35,11 @@ class ChannelBase {
 
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
-  virtual std::size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-  bool full() const { return size() >= capacity_; }
+  std::size_t size() const { return count_; }
+  /// Free slots: how many values a push can move right now.
+  std::size_t space() const { return capacity_ - count_; }
+  bool empty() const { return count_ == 0; }
+  bool full() const { return count_ >= capacity_; }
 
   std::uint64_t total_pushed() const { return total_pushed_; }
   std::uint64_t total_popped() const { return total_popped_; }
@@ -53,7 +60,7 @@ class ChannelBase {
     total_pushed_ = 0;
     total_popped_ = 0;
     stalls_ = 0;
-    peak_ = size();
+    peak_ = count_;
   }
 
   // --- checksum tap (streaming ABFT) ------------------------------------
@@ -71,9 +78,39 @@ class ChannelBase {
   double tap_mag() const { return tap_mag_; }
   std::uint64_t tap_count() const { return tap_count_; }
 
+  /// True while the scheduler screens every floating-point push one value
+  /// at a time (taint tracking or an armed corruption): the global push
+  /// order across channels is then observable.
+  bool screened() const {
+    return sched_->taint_enabled() || sched_->corrupt_armed();
+  }
+
  protected:
-  void on_push();
-  void on_pop();
+  /// `k` >= 1 values entered: totals, peak, and the waiting consumer.
+  void pushed(std::size_t k) {
+    count_ += k;
+    total_pushed_ += k;
+    peak_ = std::max(peak_, count_);
+    if (waiting_consumer_ >= 0) {
+      sched_->wake(std::exchange(waiting_consumer_, -1));
+    }
+  }
+  /// `k` >= 1 values left: totals and the waiting producer.
+  void popped(std::size_t k) {
+    count_ -= k;
+    total_popped_ += k;
+    if (waiting_producer_ >= 0) {
+      sched_->wake(std::exchange(waiting_producer_, -1));
+    }
+  }
+  void wait_for_data(TaskHandle h) {
+    waiting_consumer_ = h.promise().module_id;
+    h.promise().sched->block_on_pop(waiting_consumer_, *this);
+  }
+  void wait_for_space(TaskHandle h) {
+    waiting_producer_ = h.promise().module_id;
+    h.promise().sched->block_on_push(waiting_producer_, *this);
+  }
   void tap_accumulate(double value) {
     tap_sum_ += value;
     tap_mag_ += value < 0 ? -value : value;
@@ -83,6 +120,7 @@ class ChannelBase {
   Scheduler* sched_;
   std::string name_;
   std::size_t capacity_;
+  std::size_t count_ = 0;
   int waiting_consumer_ = -1;
   int waiting_producer_ = -1;
   std::uint64_t total_pushed_ = 0;
@@ -95,6 +133,10 @@ class ChannelBase {
   std::uint64_t tap_count_ = 0;
 
   template <typename T>
+  friend struct PopSome;
+  template <typename T>
+  friend struct PushSome;
+  template <typename T>
   friend struct PopAwaiter;
   template <typename T>
   friend struct PushAwaiter;
@@ -104,59 +146,62 @@ template <typename T>
 struct PopAwaiter;
 template <typename T>
 struct PushAwaiter;
+template <typename T>
+struct PopSome;
+template <typename T>
+struct PushSome;
 
-/// Typed bounded FIFO. Storage is a ring buffer of fixed capacity.
+/// Typed bounded FIFO. Storage is a ring of bit_ceil(capacity) slots
+/// indexed through a mask; at most `capacity` of them are ever occupied.
 template <typename T>
 class Channel : public ChannelBase {
  public:
   Channel(Scheduler* sched, std::string name, std::size_t capacity)
-      : ChannelBase(sched, std::move(name), capacity), buf_(capacity) {}
-
-  std::size_t size() const override { return count_; }
+      : ChannelBase(sched, std::move(name), capacity),
+        buf_(std::bit_ceil(capacity)),
+        mask_(buf_.size() - 1) {}
 
   /// Awaitable pop: `T v = co_await ch.pop();`
   PopAwaiter<T> pop() { return PopAwaiter<T>{*this}; }
   /// Awaitable push: `co_await ch.push(v);`
   PushAwaiter<T> push(T value) { return PushAwaiter<T>{*this, std::move(value)}; }
+  /// Awaitable batch pop: `n = co_await ch.pop_some(dst, k);` moves up to
+  /// `k` values, suspending only while the channel is empty.
+  PopSome<T> pop_some(T* dst, std::size_t k) { return {*this, dst, k}; }
+  /// Awaitable batch push: `n = co_await ch.push_some(src, k);` moves up
+  /// to `k` values, suspending only while the channel is full.
+  PushSome<T> push_some(const T* src, std::size_t k) { return {*this, src, k}; }
 
-  // Non-awaitable access used by awaiters and by unit tests.
-  bool try_put(T value) {
-    if (full()) return false;
+  /// Moves min(k, space()) values from `src` into the channel and returns
+  /// how many moved. Never suspends.
+  std::size_t put_some(const T* src, std::size_t k) {
+    k = std::min(k, space());
+    if (k == 0) return 0;
+    const std::size_t tail = head_ + count_;
     if constexpr (std::is_floating_point_v<T>) {
-      // Injected in-flight corruption: when the scheduler's counter says
-      // this is the targeted push, flip the value's top byte (sign /
-      // exponent bits) as it enters the channel — silent damage to an
-      // intermediate stream that no write-set snapshot ever sees.
-      if (sched_ != nullptr && sched_->corrupt_armed() &&
-          sched_->corrupt_hits(*this)) {
-        auto bits = std::bit_cast<BitsOf>(value);
-        bits ^= BitsOf{0x5a} << (8 * (sizeof(T) - 1));
-        value = std::bit_cast<T>(bits);
-      }
-      // Taint screening at the module boundary: every floating-point value
-      // crossing a channel is checked, so the first NaN/Inf is attributed
-      // to the module that produced it (and, in trap mode, stops the run
-      // deterministically before the poison spreads downstream).
-      if (sched_ != nullptr && sched_->taint_enabled() &&
-          !std::isfinite(static_cast<double>(value))) {
-        sched_->note_nonfinite(*this, static_cast<double>(value));
-      }
-      // Checksum tap: accumulate after corruption so the tap observes
-      // what actually crossed the module boundary.
-      if (tap_armed_) tap_accumulate(static_cast<double>(value));
+      if (tap_armed_ || screened()) return put_instrumented(src, k, tail);
     }
-    buf_[(head_ + count_) % capacity_] = std::move(value);
-    ++count_;
-    on_push();
-    return true;
+    const std::size_t at = tail & mask_;
+    const std::size_t first = std::min(k, buf_.size() - at);
+    std::copy(src, src + first, buf_.begin() + static_cast<std::ptrdiff_t>(at));
+    std::copy(src + first, src + k, buf_.begin());
+    pushed(k);
+    return k;
   }
-  bool try_take(T& out) {
-    if (count_ == 0) return false;
-    out = std::move(buf_[head_]);
-    head_ = (head_ + 1) % capacity_;
-    --count_;
-    on_pop();
-    return true;
+
+  /// Moves min(k, size()) values out of the channel into `dst` and returns
+  /// how many moved. Never suspends.
+  std::size_t take_some(T* dst, std::size_t k) {
+    k = std::min(k, count_);
+    if (k == 0) return 0;
+    const std::size_t first = std::min(k, buf_.size() - head_);
+    const auto from = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+    std::copy(from, from + static_cast<std::ptrdiff_t>(first), dst);
+    std::copy(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(k - first),
+              dst + first);
+    head_ = (head_ + k) & mask_;
+    popped(k);
+    return k;
   }
 
  private:
@@ -164,9 +209,65 @@ class Channel : public ChannelBase {
   using BitsOf =
       std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
 
+  /// put_some with the per-value instrumentation, in push order: injected
+  /// corruption, then taint screening, then the checksum tap.
+  std::size_t put_instrumented(const T* src, std::size_t k, std::size_t tail) {
+    std::size_t committed = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      T value = src[i];
+      // Injected in-flight corruption: when the scheduler's counter says
+      // this is the targeted push, flip the value's top byte (sign /
+      // exponent bits) as it enters the channel — silent damage to an
+      // intermediate stream that no write-set snapshot ever sees.
+      if (sched_->corrupt_armed() && sched_->corrupt_hits(*this)) {
+        auto bits = std::bit_cast<BitsOf>(value);
+        bits ^= BitsOf{0x5a} << (8 * (sizeof(T) - 1));
+        value = std::bit_cast<T>(bits);
+      }
+      // Taint screening at the module boundary: every floating-point value
+      // crossing a channel is checked, so the first NaN/Inf is attributed
+      // to the module that produced it. In trap mode the report throws:
+      // the values before it are in the channel, the bad one is not.
+      if (sched_->taint_enabled() &&
+          !std::isfinite(static_cast<double>(value))) {
+        if (i > committed) pushed(i - committed);
+        committed = i;
+        sched_->note_nonfinite(*this, static_cast<double>(value));
+      }
+      // Checksum tap: accumulate after corruption so the tap observes
+      // what actually crossed the module boundary.
+      if (tap_armed_) tap_accumulate(static_cast<double>(value));
+      buf_[(tail + i) & mask_] = value;
+    }
+    if (k > committed) pushed(k - committed);
+    return k;
+  }
+
   std::vector<T> buf_;
+  std::size_t mask_;
   std::size_t head_ = 0;
-  std::size_t count_ = 0;
+};
+
+template <typename T>
+struct PopSome {
+  Channel<T>& ch;
+  T* dst;
+  std::size_t k;
+
+  bool await_ready() const noexcept { return k == 0 || !ch.empty(); }
+  void await_suspend(TaskHandle h) const { ch.wait_for_data(h); }
+  std::size_t await_resume() const { return ch.take_some(dst, k); }
+};
+
+template <typename T>
+struct PushSome {
+  Channel<T>& ch;
+  const T* src;
+  std::size_t k;
+
+  bool await_ready() const noexcept { return k == 0 || !ch.full(); }
+  void await_suspend(TaskHandle h) const { ch.wait_for_space(h); }
+  std::size_t await_resume() const { return ch.put_some(src, k); }
 };
 
 template <typename T>
@@ -174,15 +275,11 @@ struct PopAwaiter {
   Channel<T>& ch;
 
   bool await_ready() const noexcept { return !ch.empty(); }
-  void await_suspend(TaskHandle h) const {
-    TaskPromise& p = h.promise();
-    ch.waiting_consumer_ = p.module_id;
-    p.sched->block_on_pop(p.module_id, ch);
-  }
+  void await_suspend(TaskHandle h) const { ch.wait_for_data(h); }
   T await_resume() const {
     T v{};
-    const bool ok = ch.try_take(v);
-    FBLAS_REQUIRE(ok, "pop resumed on empty channel '" + ch.name() + "'");
+    FBLAS_REQUIRE(ch.take_some(&v, 1) == 1,
+                  "pop resumed on empty channel '" + ch.name() + "'");
     return v;
   }
 };
@@ -193,15 +290,28 @@ struct PushAwaiter {
   T value;
 
   bool await_ready() const noexcept { return !ch.full(); }
-  void await_suspend(TaskHandle h) {
-    TaskPromise& p = h.promise();
-    ch.waiting_producer_ = p.module_id;
-    p.sched->block_on_push(p.module_id, ch);
-  }
-  void await_resume() {
-    const bool ok = ch.try_put(std::move(value));
-    FBLAS_REQUIRE(ok, "push resumed on full channel '" + ch.name() + "'");
+  void await_suspend(TaskHandle h) const { ch.wait_for_space(h); }
+  void await_resume() const {
+    FBLAS_REQUIRE(ch.put_some(&value, 1) == 1,
+                  "push resumed on full channel '" + ch.name() + "'");
   }
 };
+
+/// The lockstep rule for a module whose per-element body pops every
+/// channel of `in` and pushes every channel of `out`: how many elements,
+/// up to `want`, it moves through all of them at once. That is as many as
+/// every port can take without suspending, so the run interleaves, wakes
+/// and peaks exactly as element-by-element transfers would. When that is
+/// none, or when a screened run must keep several outputs' pushes in
+/// element order, the answer is 1: one element step, whose awaits
+/// suspend where a per-element loop would.
+inline std::size_t lockstep(std::size_t want,
+                            std::initializer_list<const ChannelBase*> in,
+                            std::initializer_list<const ChannelBase*> out) {
+  if (out.size() > 1 && (*out.begin())->screened()) return 1;
+  for (const ChannelBase* c : in) want = std::min(want, c->size());
+  for (const ChannelBase* c : out) want = std::min(want, c->space());
+  return std::max<std::size_t>(want, 1);
+}
 
 }  // namespace fblas::stream

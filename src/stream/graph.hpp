@@ -58,7 +58,7 @@ class Graph {
   /// TimeoutError when a watchdog limit expires first). Per-run channel
   /// statistics (push/pop totals, peak occupancy, stall events) are
   /// reset at entry so they describe this run alone — host-side
-  /// pre-loading (try_put before the run) no longer inflates peaks.
+  /// pre-loading (put_some before the run) no longer inflates peaks.
   /// Armed checksum taps are untouched (they are armed pre-run).
   void run(const Watchdog& watchdog = {}) {
     for (const auto& ch : channels_) ch->reset_run_stats();

@@ -124,7 +124,7 @@ class Scheduler {
   bool taint_enabled() const { return taint_enabled_; }
   const Taint& taint() const { return taint_; }
   /// Records (and in trap mode, throws on) a non-finite value entering
-  /// `ch`. Called by Channel<T>::try_put for floating-point payloads.
+  /// `ch`. Called by Channel<T>::put_some for floating-point payloads.
   void note_nonfinite(const ChannelBase& ch, double value);
 
   /// Fault injection: arms silent corruption of the `target`-th (1-based)
@@ -143,7 +143,7 @@ class Scheduler {
   }
   /// Counts one floating-point push; true exactly when it is the targeted
   /// one. Records the victim channel for the localization diagnostics.
-  /// Called by Channel<T>::try_put.
+  /// Called by Channel<T>::put_some, once per value.
   bool corrupt_hits(const ChannelBase& ch);
   /// True once the armed corruption actually fired (the graph pushed at
   /// least `target` floating-point values).

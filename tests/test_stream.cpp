@@ -36,36 +36,89 @@ Task passthrough(std::int64_t n, int width, Channel<T>& in, Channel<T>& out) {
 TEST(Channel, FifoOrderAndStats) {
   Graph g;
   auto& ch = g.channel<int>("c", 4);
-  EXPECT_TRUE(ch.try_put(1));
-  EXPECT_TRUE(ch.try_put(2));
+  const int one = 1, two = 2;
+  EXPECT_EQ(ch.put_some(&one, 1), 1u);
+  EXPECT_EQ(ch.put_some(&two, 1), 1u);
   int v = 0;
-  EXPECT_TRUE(ch.try_take(v));
+  EXPECT_EQ(ch.take_some(&v, 1), 1u);
   EXPECT_EQ(v, 1);
-  EXPECT_TRUE(ch.try_take(v));
+  EXPECT_EQ(ch.take_some(&v, 1), 1u);
   EXPECT_EQ(v, 2);
-  EXPECT_FALSE(ch.try_take(v));
+  EXPECT_EQ(ch.take_some(&v, 1), 0u);
   EXPECT_EQ(ch.total_pushed(), 2u);
   EXPECT_EQ(ch.total_popped(), 2u);
   EXPECT_EQ(ch.peak_occupancy(), 2u);
+
+  // The same traffic as batches and as one value at a time: identical
+  // order, totals and peak.
+  const std::vector<int> src{10, 11, 12, 13, 14, 15, 16};
+  Graph gb, g1;
+  auto& batch = gb.channel<int>("b", 5);
+  auto& single = g1.channel<int>("s", 5);
+  std::vector<int> got_batch(src.size()), got_single(src.size());
+  EXPECT_EQ(batch.put_some(src.data(), 3), 3u);
+  EXPECT_EQ(batch.take_some(got_batch.data(), 2), 2u);
+  EXPECT_EQ(batch.put_some(src.data() + 3, 4), 4u);
+  EXPECT_EQ(batch.take_some(got_batch.data() + 2, 9), 5u);
+  for (std::size_t i = 0; i < 3; ++i) single.put_some(&src[i], 1);
+  for (std::size_t i = 0; i < 2; ++i) single.take_some(&got_single[i], 1);
+  for (std::size_t i = 3; i < 7; ++i) single.put_some(&src[i], 1);
+  for (std::size_t i = 2; i < 7; ++i) single.take_some(&got_single[i], 1);
+  EXPECT_EQ(got_batch, src);
+  EXPECT_EQ(got_single, src);
+  EXPECT_EQ(batch.total_pushed(), single.total_pushed());
+  EXPECT_EQ(batch.total_popped(), single.total_popped());
+  EXPECT_EQ(batch.peak_occupancy(), single.peak_occupancy());
+  EXPECT_EQ(batch.peak_occupancy(), 5u);
 }
 
 TEST(Channel, CapacityIsBounded) {
-  Graph g;
-  auto& ch = g.channel<int>("c", 2);
-  EXPECT_TRUE(ch.try_put(1));
-  EXPECT_TRUE(ch.try_put(2));
-  EXPECT_FALSE(ch.try_put(3));
-  EXPECT_TRUE(ch.full());
+  for (const std::size_t cap : {2u, 3u, 767u}) {
+    SCOPED_TRACE(cap);
+    Graph g;
+    auto& ch = g.channel<int>("c", cap);
+    std::vector<int> src(cap + 5);
+    std::iota(src.begin(), src.end(), 1);
+    // A batch larger than the free space moves only what fits.
+    EXPECT_EQ(ch.put_some(src.data(), cap - 1), cap - 1);
+    EXPECT_EQ(ch.put_some(src.data(), src.size()), 1u);
+    EXPECT_EQ(ch.put_some(src.data(), 1), 0u);
+    EXPECT_TRUE(ch.full());
+    EXPECT_EQ(ch.space(), 0u);
+    EXPECT_EQ(ch.size(), cap);
+    EXPECT_EQ(ch.peak_occupancy(), cap);
+  }
 }
 
 TEST(Channel, RingWrapAround) {
-  Graph g;
-  auto& ch = g.channel<int>("c", 3);
-  int v;
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(ch.try_put(round));
-    EXPECT_TRUE(ch.try_take(v));
-    EXPECT_EQ(v, round);
+  // Non-power-of-two capacities live in a power-of-two ring; partial
+  // batches walk the head and tail across the mask boundary.
+  for (const std::size_t cap : {3u, 767u}) {
+    SCOPED_TRACE(cap);
+    Graph g;
+    auto& ch = g.channel<int>("c", cap);
+    int v;
+    for (int round = 0; round < 10; ++round) {
+      EXPECT_EQ(ch.put_some(&round, 1), 1u);
+      EXPECT_EQ(ch.take_some(&v, 1), 1u);
+      EXPECT_EQ(v, round);
+    }
+    std::vector<int> src(2 * cap + 7);
+    std::iota(src.begin(), src.end(), 100);
+    std::vector<int> got;
+    std::vector<int> dst(cap);
+    std::size_t sent = 0;
+    const std::size_t step = cap / 2 + 1;
+    while (got.size() < src.size()) {
+      sent += ch.put_some(src.data() + sent,
+                          std::min(step, src.size() - sent));
+      const std::size_t n = ch.take_some(dst.data(), step - 1 + (sent & 1));
+      got.insert(got.end(), dst.begin(),
+                 dst.begin() + static_cast<std::ptrdiff_t>(n));
+      EXPECT_LE(ch.size(), cap);
+    }
+    EXPECT_EQ(got, src);
+    EXPECT_TRUE(ch.empty());
   }
 }
 
@@ -82,8 +135,9 @@ TEST(Graph, RunResetsPreRunChannelStats) {
   Graph g;
   auto& ch = g.channel<float>("c", 8);
   float v = 0;
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ch.try_put(static_cast<float>(i)));
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ch.try_take(v));
+  const std::vector<float> burst{0, 1, 2, 3, 4};
+  ASSERT_EQ(ch.put_some(burst.data(), 5), 5u);
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(ch.take_some(&v, 1), 1u);
   ASSERT_EQ(ch.peak_occupancy(), 5u);  // the pre-run burst
   std::vector<float> in{1, 2}, out;
   g.spawn("feed", feed(in, ch));
@@ -101,8 +155,8 @@ TEST(Graph, RunPeakRestartsAtBufferedFill) {
   // run starts: peak restarts at the current fill, not at zero.
   Graph g;
   auto& ch = g.channel<int>("c", 8);
-  ASSERT_TRUE(ch.try_put(41));
-  ASSERT_TRUE(ch.try_put(42));
+  const int preload[] = {41, 42};
+  ASSERT_EQ(ch.put_some(preload, 2), 2u);
   std::vector<int> out;
   g.spawn("collect", collect<int>(2, ch, out));
   g.run();
