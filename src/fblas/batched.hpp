@@ -42,11 +42,17 @@ Task gemm_batched_unrolled(BatchedConfig cfg, std::int64_t batch, T alpha,
                            Channel<T>& ch_c) {
   cfg.validate();
   const std::int64_t s = cfg.size;
-  std::vector<T> a(static_cast<std::size_t>(s * s));
-  std::vector<T> b(static_cast<std::size_t>(s * s));
+  const std::int64_t s2 = s * s;
+  std::vector<T> a(static_cast<std::size_t>(s2));
+  std::vector<T> b(static_cast<std::size_t>(s2));
+  std::vector<T> c(static_cast<std::size_t>(s2));
   for (std::int64_t inv = 0; inv < batch; ++inv) {
-    for (auto& v : a) v = co_await ch_a.pop();
-    for (auto& v : b) v = co_await ch_b.pop();
+    for (std::int64_t k = 0; k < s2;) {
+      k += co_await ch_a.pop_some(a.data() + k, s2 - k);
+    }
+    for (std::int64_t k = 0; k < s2;) {
+      k += co_await ch_b.pop_some(b.data() + k, s2 - k);
+    }
     // The fully-unrolled multiply: on hardware, s^3 parallel MACs.
     for (std::int64_t i = 0; i < s; ++i) {
       for (std::int64_t j = 0; j < s; ++j) {
@@ -55,8 +61,11 @@ Task gemm_batched_unrolled(BatchedConfig cfg, std::int64_t batch, T alpha,
           acc += a[static_cast<std::size_t>(i * s + k)] *
                  b[static_cast<std::size_t>(k * s + j)];
         }
-        co_await ch_c.push(alpha * acc);
+        c[static_cast<std::size_t>(i * s + j)] = alpha * acc;
       }
+    }
+    for (std::int64_t k = 0; k < s2;) {
+      k += co_await ch_c.push_some(c.data() + k, s2 - k);
     }
     co_await next_cycle();  // a new problem enters every cycle
   }
@@ -73,13 +82,17 @@ Task trsm_batched_unrolled(BatchedConfig cfg, std::int64_t batch, T alpha,
   const std::int64_t s = cfg.size;
   std::vector<T> a(static_cast<std::size_t>(s * s), T(0));
   std::vector<T> x(static_cast<std::size_t>(s * s));
+  const std::int64_t s2 = s * s;
   for (std::int64_t inv = 0; inv < batch; ++inv) {
     for (std::int64_t i = 0; i < s; ++i) {
-      for (std::int64_t j = 0; j <= i; ++j) {
-        a[static_cast<std::size_t>(i * s + j)] = co_await ch_a.pop();
+      for (std::int64_t j = 0; j <= i;) {
+        j += co_await ch_a.pop_some(a.data() + i * s + j, i + 1 - j);
       }
     }
-    for (auto& v : x) v = alpha * co_await ch_b.pop();
+    for (std::int64_t k = 0; k < s2;) {
+      k += co_await ch_b.pop_some(x.data() + k, s2 - k);
+    }
+    for (auto& v : x) v = alpha * v;
     // Forward substitution, fully unrolled on hardware.
     for (std::int64_t i = 0; i < s; ++i) {
       for (std::int64_t c = 0; c < s; ++c) {
@@ -92,7 +105,9 @@ Task trsm_batched_unrolled(BatchedConfig cfg, std::int64_t batch, T alpha,
             acc / a[static_cast<std::size_t>(i * s + i)];
       }
     }
-    for (const T v : x) co_await ch_x.push(v);
+    for (std::int64_t k = 0; k < s2;) {
+      k += co_await ch_x.push_some(x.data() + k, s2 - k);
+    }
     co_await next_cycle();
   }
 }
@@ -111,8 +126,8 @@ Task read_batched(const T* data, std::int64_t elems_per_problem,
       const std::int64_t got =
           bank ? bank->grant_elems(elems_per_problem - sent, sizeof(T))
                : elems_per_problem - sent;
-      for (std::int64_t k = 0; k < got; ++k) {
-        co_await out.push(p[sent + k]);
+      for (std::int64_t k = 0; k < got;) {
+        k += co_await out.push_some(p + sent + k, got - k);
       }
       sent += got;
       if (sent < elems_per_problem) co_await next_cycle();
@@ -133,8 +148,8 @@ Task write_batched(T* data, std::int64_t elems_per_problem,
       const std::int64_t got =
           bank ? bank->grant_elems(elems_per_problem - recv, sizeof(T))
                : elems_per_problem - recv;
-      for (std::int64_t k = 0; k < got; ++k) {
-        p[recv + k] = co_await in.pop();
+      for (std::int64_t k = 0; k < got;) {
+        k += co_await in.pop_some(p + recv + k, got - k);
       }
       recv += got;
       if (recv < elems_per_problem) co_await next_cycle();

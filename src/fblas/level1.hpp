@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "refblas/level1.hpp"
 #include "stream/channel.hpp"
 #include "stream/scheduler.hpp"
+#include "stream/streamers.hpp"
 #include "stream/task.hpp"
 
 namespace fblas::core {
@@ -34,15 +36,25 @@ struct Level1Config {
   }
 };
 
+// Each W-wide batch moves through the module's channels in lockstep
+// (stream::lockstep): as many elements as every port can take at once,
+// or one element step when a port would suspend.
+
 /// SCAL: out = alpha * x (Fig. 4 of the paper).
 template <typename T>
 Task scal(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_out) {
   cfg.validate();
+  std::vector<T> v = stream::lanes<T>(cfg.width);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      co_await ch_out.push(alpha * co_await ch_x.pop());
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t m = stream::lockstep(
+          static_cast<std::size_t>(batch - i), {&ch_x}, {&ch_out});
+      co_await ch_x.pop_some(v.data(), m);
+      for (std::size_t k = 0; k < m; ++k) v[k] = alpha * v[k];
+      co_await ch_out.push_some(v.data(), m);
+      i += static_cast<std::int64_t>(m);
     }
     it += batch;
     co_await next_cycle();
@@ -54,10 +66,15 @@ template <typename T>
 Task copy(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_out) {
   cfg.validate();
+  std::vector<T> v = stream::lanes<T>(cfg.width);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      co_await ch_out.push(co_await ch_x.pop());
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t m = stream::lockstep(
+          static_cast<std::size_t>(batch - i), {&ch_x}, {&ch_out});
+      co_await ch_x.pop_some(v.data(), m);
+      co_await ch_out.push_some(v.data(), m);
+      i += static_cast<std::int64_t>(m);
     }
     it += batch;
     co_await next_cycle();
@@ -69,12 +86,42 @@ template <typename T>
 Task axpy(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_y, Channel<T>& ch_out) {
   cfg.validate();
+  std::vector<T> x = stream::lanes<T>(cfg.width), y = x;
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
-      const T y = co_await ch_y.pop();
-      co_await ch_out.push(alpha * x + y);
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t m = stream::lockstep(
+          static_cast<std::size_t>(batch - i), {&ch_x, &ch_y}, {&ch_out});
+      co_await ch_x.pop_some(x.data(), m);
+      co_await ch_y.pop_some(y.data(), m);
+      for (std::size_t k = 0; k < m; ++k) x[k] = alpha * x[k] + y[k];
+      co_await ch_out.push_some(x.data(), m);
+      i += static_cast<std::int64_t>(m);
+    }
+    it += batch;
+    co_await next_cycle();
+  }
+}
+
+/// Two-input, two-output element-wise module body shared by SWAP, ROT and
+/// ROTM: (out_x, out_y) = f(x, y).
+template <typename T, typename F>
+Task plane_op(Level1Config cfg, std::int64_t n, F f, Channel<T>& ch_x,
+              Channel<T>& ch_y, Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
+  cfg.validate();
+  std::vector<T> x = stream::lanes<T>(cfg.width), y = x, ox = x, oy = x;
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t m =
+          stream::lockstep(static_cast<std::size_t>(batch - i),
+                           {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
+      co_await ch_x.pop_some(x.data(), m);
+      co_await ch_y.pop_some(y.data(), m);
+      for (std::size_t k = 0; k < m; ++k) f(x[k], y[k], ox[k], oy[k]);
+      co_await ch_out_x.push_some(ox.data(), m);
+      co_await ch_out_y.push_some(oy.data(), m);
+      i += static_cast<std::int64_t>(m);
     }
     it += batch;
     co_await next_cycle();
@@ -85,36 +132,26 @@ Task axpy(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
 template <typename T>
 Task swap(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
           Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
-  cfg.validate();
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
-      const T y = co_await ch_y.pop();
-      co_await ch_out_x.push(y);
-      co_await ch_out_y.push(x);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return plane_op<T>(
+      cfg, n,
+      [](T x, T y, T& ox, T& oy) {
+        ox = y;
+        oy = x;
+      },
+      ch_x, ch_y, ch_out_x, ch_out_y);
 }
 
 /// ROT: applies a plane rotation [c s; -s c] element-wise to (x, y).
 template <typename T>
 Task rot(Level1Config cfg, std::int64_t n, T c, T s, Channel<T>& ch_x,
          Channel<T>& ch_y, Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
-  cfg.validate();
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
-      const T y = co_await ch_y.pop();
-      co_await ch_out_x.push(c * x + s * y);
-      co_await ch_out_y.push(c * y - s * x);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return plane_op<T>(
+      cfg, n,
+      [c, s](T x, T y, T& ox, T& oy) {
+        ox = c * x + s * y;
+        oy = c * y - s * x;
+      },
+      ch_x, ch_y, ch_out_x, ch_out_y);
 }
 
 /// ROTM: applies a modified Givens rotation element-wise to (x, y).
@@ -122,20 +159,15 @@ template <typename T>
 Task rotm(Level1Config cfg, std::int64_t n, ref::RotmParam<T> p,
           Channel<T>& ch_x, Channel<T>& ch_y, Channel<T>& ch_out_x,
           Channel<T>& ch_out_y) {
-  cfg.validate();
   // Expand H once (the hardware specializes on the flag at synthesis).
   const auto [h11, h12, h21, h22] = p.matrix();
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
-      const T y = co_await ch_y.pop();
-      co_await ch_out_x.push(h11 * x + h12 * y);
-      co_await ch_out_y.push(h21 * x + h22 * y);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return plane_op<T>(
+      cfg, n,
+      [h11, h12, h21, h22](T x, T y, T& ox, T& oy) {
+        ox = h11 * x + h12 * y;
+        oy = h21 * x + h22 * y;
+      },
+      ch_x, ch_y, ch_out_x, ch_out_y);
 }
 
 /// ROTG: scalar Givens setup. Pops (a, b), pushes (r, z, c, s).
@@ -178,12 +210,25 @@ template <typename T>
 Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
          Channel<T>& ch_res) {
   cfg.validate();
+  std::vector<T> x = stream::lanes<T>(cfg.width), y = x;
   T res = T(0);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
     T acc = T(0);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      acc += co_await ch_x.pop() * co_await ch_y.pop();
+    for (std::int64_t i = 0; i < batch;) {
+      if (ch_x.empty() || ch_y.empty()) {
+        // One element step in the element-wise form, which waits for both
+        // inputs before popping either.
+        acc += co_await ch_x.pop() * co_await ch_y.pop();
+        ++i;
+        continue;
+      }
+      const std::size_t m = stream::lockstep(
+          static_cast<std::size_t>(batch - i), {&ch_x, &ch_y}, {});
+      ch_x.take_some(x.data(), m);
+      ch_y.take_some(y.data(), m);
+      for (std::size_t k = 0; k < m; ++k) acc += x[k] * y[k];
+      i += static_cast<std::int64_t>(m);
     }
     res += acc;
     it += batch;
@@ -208,12 +253,17 @@ template <typename T>
 Task nrm2(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_res) {
   cfg.validate();
+  std::vector<T> v = stream::lanes<T>(cfg.width);
   T scale = T(0);
   T ssq = T(1);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch;) {
+      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
+          v.data() + i, static_cast<std::size_t>(batch - i)));
+    }
     for (std::int64_t i = 0; i < batch; ++i) {
-      const T x = co_await ch_x.pop();
+      const T x = v[i];
       if (x == T(0)) continue;
       const T absxi = std::abs(x);
       if (scale < absxi) {
@@ -236,13 +286,16 @@ template <typename T>
 Task asum(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_res) {
   cfg.validate();
+  std::vector<T> v = stream::lanes<T>(cfg.width);
   T res = T(0);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    T acc = T(0);
-    for (std::int64_t i = 0; i < batch; ++i) {
-      acc += std::abs(co_await ch_x.pop());
+    for (std::int64_t i = 0; i < batch;) {
+      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
+          v.data() + i, static_cast<std::size_t>(batch - i)));
     }
+    T acc = T(0);
+    for (std::int64_t i = 0; i < batch; ++i) acc += std::abs(v[i]);
     res += acc;
     it += batch;
     co_await next_cycle();
@@ -259,10 +312,15 @@ Task iamax(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
   std::int64_t best = n > 0 ? 0 : -1;
   T best_abs = T(0);
   bool first = true;
+  std::vector<T> v = stream::lanes<T>(cfg.width);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch;) {
+      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
+          v.data() + i, static_cast<std::size_t>(batch - i)));
+    }
     for (std::int64_t i = 0; i < batch; ++i) {
-      const T a = std::abs(co_await ch_x.pop());
+      const T a = std::abs(v[i]);
       if (first || a > best_abs) {
         best_abs = a;
         best = it + i;

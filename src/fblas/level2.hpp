@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -64,6 +65,61 @@ std::int64_t gemv_y_repeat(const GemvConfig& cfg, std::int64_t rows,
 std::int64_t gemv_io_ops(const GemvConfig& cfg, std::int64_t rows,
                          std::int64_t cols);
 
+namespace detail {
+
+/// Adds one batch of `len` A values into GEMV accumulators. The batch
+/// starts at flat position `e` of a tile traversed (outer, inner) with
+/// `ni` inner elements; it is walked a run of inner indices at a time.
+/// `dst` is indexed by the outer coordinate and `src` by the inner one
+/// when `dst_outer`, the other way round otherwise. Each term is a * src
+/// (alpha * a * src when Scaled), added in arrival order.
+template <bool Scaled, typename T>
+void gemv_runs(const T* a, std::int64_t len, std::int64_t e, std::int64_t ni,
+               bool dst_outer, T alpha, T* dst, const T* src) {
+  auto term = [alpha](T v) {
+    if constexpr (Scaled) {
+      return alpha * v;
+    } else {
+      return v;
+    }
+  };
+  std::int64_t o = e / ni, i = e % ni;
+  for (std::int64_t k = 0; k < len; i = 0, ++o) {
+    const std::int64_t cnt = std::min(len - k, ni - i);
+    if (dst_outer) {
+      T d = dst[o];
+      for (std::int64_t t = 0; t < cnt; ++t) d += term(a[k + t]) * src[i + t];
+      dst[o] = d;
+    } else {
+      const T s = src[o];
+      for (std::int64_t t = 0; t < cnt; ++t) dst[i + t] += term(a[k + t]) * s;
+    }
+    k += cnt;
+  }
+}
+
+/// Calls f(k, row, col) for the tile coordinates of `len` elements from
+/// flat position `e` of a tile traversed (outer, inner) with `ni` inner
+/// elements; outer is the row for row-major elements.
+template <typename F>
+void tile_runs(std::int64_t e, std::int64_t len, std::int64_t ni,
+               bool row_elems, F&& f) {
+  std::int64_t o = e / ni, i = e % ni;
+  for (std::int64_t k = 0; k < len; i = 0, ++o) {
+    const std::int64_t cnt = std::min(len - k, ni - i);
+    for (std::int64_t t = 0; t < cnt; ++t) {
+      if (row_elems) {
+        f(k + t, o, i + t);
+      } else {
+        f(k + t, i + t, o);
+      }
+    }
+    k += cnt;
+  }
+}
+
+}  // namespace detail
+
 /// GEMV: y = alpha * op(A) * x + beta * y.
 ///
 /// `rows` x `cols` is always the shape of A as stored; for trans ==
@@ -78,16 +134,11 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
-  const int W = cfg.width;
-  // Element traversal within a tile (row- or column-major): the loops
-  // below iterate (outer, inner) and map to (r, c) through these lambdas.
+  const std::int64_t W = cfg.width;
+  // Element traversal within a tile (row- or column-major): the tile loops
+  // below iterate (outer, inner), outer = row for row-major elements.
   const bool row_elems = cfg.elem_order == Order::RowMajor;
-  auto row_of = [row_elems](std::int64_t o, std::int64_t i) {
-    return row_elems ? o : i;
-  };
-  auto col_of = [row_elems](std::int64_t o, std::int64_t i) {
-    return row_elems ? i : o;
-  };
+  std::vector<T> abuf = stream::lanes<T>(W);
   std::vector<T> xbuf, acc;
 
   if (cfg.trans == Transpose::None && cfg.tiling == MatrixTiling::TilesByRows) {
@@ -97,28 +148,36 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     std::vector<T> ybuf(static_cast<std::size_t>(TN));
     for (std::int64_t ti = 0; ti < nti; ++ti) {
       const std::int64_t th = std::min(TN, rows - ti * TN);
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_y.pop_some(ybuf.data() + r, th - r);
+      }
       for (std::int64_t r = 0; r < th; ++r) {
-        ybuf[r] = beta * co_await ch_y.pop();
+        ybuf[r] = beta * ybuf[r];
         acc[r] = T(0);
       }
       for (std::int64_t tj = 0; tj < ntj; ++tj) {
         const std::int64_t tw = std::min(TM, cols - tj * TM);
-        for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
-        int in_cycle = 0;
-        const std::int64_t no = row_elems ? th : tw;
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_x.pop_some(xbuf.data() + c, tw - c);
+        }
+        std::int64_t in_cycle = 0;
         const std::int64_t ni = row_elems ? tw : th;
-        for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            acc[row_of(o, i)] += co_await ch_a.pop() * xbuf[col_of(o, i)];
-            if (++in_cycle == W) {
-              in_cycle = 0;
-              co_await next_cycle();
-            }
+        const std::int64_t total = th * tw;
+        for (std::int64_t e = 0; e < total;) {
+          const std::int64_t got = co_await ch_a.pop_some(
+              abuf.data(), std::min(W - in_cycle, total - e));
+          detail::gemv_runs<false>(abuf.data(), got, e, ni, row_elems, alpha,
+                                   acc.data(), xbuf.data());
+          e += got;
+          if ((in_cycle += got) == W) {
+            in_cycle = 0;
+            co_await next_cycle();
           }
         }
       }
-      for (std::int64_t r = 0; r < th; ++r) {
-        co_await ch_out.push(ybuf[r] + alpha * acc[r]);
+      for (std::int64_t r = 0; r < th; ++r) ybuf[r] = ybuf[r] + alpha * acc[r];
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_out.push_some(ybuf.data() + r, th - r);
       }
       co_await next_cycle();
     }
@@ -130,30 +189,35 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     std::vector<T> part(static_cast<std::size_t>(rows), T(0));
     for (std::int64_t tj = 0; tj < ntj; ++tj) {
       const std::int64_t tw = std::min(TM, cols - tj * TM);
-      for (std::int64_t c = 0; c < tw; ++c) xbuf[c] = co_await ch_x.pop();
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_x.pop_some(xbuf.data() + c, tw - c);
+      }
       for (std::int64_t ti = 0; ti < nti; ++ti) {
         const std::int64_t th = std::min(TN, rows - ti * TN);
+        T* tile_part = part.data() + ti * TN;
         if (tj == 0) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            part[ti * TN + r] = beta * co_await ch_y.pop();
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_y.pop_some(tile_part + r, th - r);
           }
+          for (std::int64_t r = 0; r < th; ++r) tile_part[r] = beta * tile_part[r];
         }
-        int in_cycle = 0;
-        const std::int64_t no = row_elems ? th : tw;
+        std::int64_t in_cycle = 0;
         const std::int64_t ni = row_elems ? tw : th;
-        for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            part[ti * TN + row_of(o, i)] +=
-                alpha * co_await ch_a.pop() * xbuf[col_of(o, i)];
-            if (++in_cycle == W) {
-              in_cycle = 0;
-              co_await next_cycle();
-            }
+        const std::int64_t total = th * tw;
+        for (std::int64_t e = 0; e < total;) {
+          const std::int64_t got = co_await ch_a.pop_some(
+              abuf.data(), std::min(W - in_cycle, total - e));
+          detail::gemv_runs<true>(abuf.data(), got, e, ni, row_elems, alpha,
+                                  tile_part, xbuf.data());
+          e += got;
+          if ((in_cycle += got) == W) {
+            in_cycle = 0;
+            co_await next_cycle();
           }
         }
         if (tj == ntj - 1) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            co_await ch_out.push(part[ti * TN + r]);
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_out.push_some(tile_part + r, th - r);
           }
         }
       }
@@ -165,30 +229,36 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     // read once, block per tile-row; y partials buffered full-length.
     xbuf.resize(static_cast<std::size_t>(TN));
     std::vector<T> part(static_cast<std::size_t>(cols));
-    for (std::int64_t c = 0; c < cols; ++c) {
-      part[c] = beta * co_await ch_y.pop();
+    for (std::int64_t c = 0; c < cols;) {
+      c += co_await ch_y.pop_some(part.data() + c, cols - c);
     }
+    for (std::int64_t c = 0; c < cols; ++c) part[c] = beta * part[c];
     for (std::int64_t ti = 0; ti < nti; ++ti) {
       const std::int64_t th = std::min(TN, rows - ti * TN);
-      for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
+      for (std::int64_t r = 0; r < th;) {
+        r += co_await ch_x.pop_some(xbuf.data() + r, th - r);
+      }
       for (std::int64_t tj = 0; tj < ntj; ++tj) {
         const std::int64_t tw = std::min(TM, cols - tj * TM);
-        int in_cycle = 0;
-        const std::int64_t no = row_elems ? th : tw;
+        std::int64_t in_cycle = 0;
         const std::int64_t ni = row_elems ? tw : th;
-        for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            part[tj * TM + col_of(o, i)] +=
-                alpha * co_await ch_a.pop() * xbuf[row_of(o, i)];
-            if (++in_cycle == W) {
-              in_cycle = 0;
-              co_await next_cycle();
-            }
+        const std::int64_t total = th * tw;
+        for (std::int64_t e = 0; e < total;) {
+          const std::int64_t got = co_await ch_a.pop_some(
+              abuf.data(), std::min(W - in_cycle, total - e));
+          detail::gemv_runs<true>(abuf.data(), got, e, ni, !row_elems, alpha,
+                                  part.data() + tj * TM, xbuf.data());
+          e += got;
+          if ((in_cycle += got) == W) {
+            in_cycle = 0;
+            co_await next_cycle();
           }
         }
       }
     }
-    for (std::int64_t c = 0; c < cols; ++c) co_await ch_out.push(part[c]);
+    for (std::int64_t c = 0; c < cols;) {
+      c += co_await ch_out.push_some(part.data() + c, cols - c);
+    }
     co_await next_cycle();
   } else {
     // trans, tiles by columns: reuse over y blocks; x replayed per
@@ -198,28 +268,36 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     std::vector<T> ybuf(static_cast<std::size_t>(TM));
     for (std::int64_t tj = 0; tj < ntj; ++tj) {
       const std::int64_t tw = std::min(TM, cols - tj * TM);
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_y.pop_some(ybuf.data() + c, tw - c);
+      }
       for (std::int64_t c = 0; c < tw; ++c) {
-        ybuf[c] = beta * co_await ch_y.pop();
+        ybuf[c] = beta * ybuf[c];
         acc[c] = T(0);
       }
       for (std::int64_t ti = 0; ti < nti; ++ti) {
         const std::int64_t th = std::min(TN, rows - ti * TN);
-        for (std::int64_t r = 0; r < th; ++r) xbuf[r] = co_await ch_x.pop();
-        int in_cycle = 0;
-        const std::int64_t no = row_elems ? th : tw;
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_x.pop_some(xbuf.data() + r, th - r);
+        }
+        std::int64_t in_cycle = 0;
         const std::int64_t ni = row_elems ? tw : th;
-        for (std::int64_t o = 0; o < no; ++o) {
-          for (std::int64_t i = 0; i < ni; ++i) {
-            acc[col_of(o, i)] += co_await ch_a.pop() * xbuf[row_of(o, i)];
-            if (++in_cycle == W) {
-              in_cycle = 0;
-              co_await next_cycle();
-            }
+        const std::int64_t total = th * tw;
+        for (std::int64_t e = 0; e < total;) {
+          const std::int64_t got = co_await ch_a.pop_some(
+              abuf.data(), std::min(W - in_cycle, total - e));
+          detail::gemv_runs<false>(abuf.data(), got, e, ni, !row_elems, alpha,
+                                   acc.data(), xbuf.data());
+          e += got;
+          if ((in_cycle += got) == W) {
+            in_cycle = 0;
+            co_await next_cycle();
           }
         }
       }
-      for (std::int64_t c = 0; c < tw; ++c) {
-        co_await ch_out.push(ybuf[c] + alpha * acc[c]);
+      for (std::int64_t c = 0; c < tw; ++c) ybuf[c] = ybuf[c] + alpha * acc[c];
+      for (std::int64_t c = 0; c < tw;) {
+        c += co_await ch_out.push_some(ybuf.data() + c, tw - c);
       }
       co_await next_cycle();
     }
@@ -256,10 +334,12 @@ Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
-  const int W = cfg.width;
+  const std::int64_t W = cfg.width;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
+  const bool row_elems = cfg.elem_order == Order::RowMajor;
   std::vector<T> rbuf(static_cast<std::size_t>(TN));
   std::vector<T> cbuf(static_cast<std::size_t>(TM));
+  std::vector<T> v = stream::lanes<T>(W);
   const std::int64_t outer = by_rows ? nti : ntj;
   const std::int64_t inner = by_rows ? ntj : nti;
   for (std::int64_t to = 0; to < outer; ++to) {
@@ -273,29 +353,40 @@ Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
       // is the replayed one.
       if (by_rows) {
         if (tin == 0) {
-          for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_x.pop_some(rbuf.data() + r, th - r);
+          }
         }
-        for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_y.pop_some(cbuf.data() + c, tw - c);
+        }
       } else {
         if (tin == 0) {
-          for (std::int64_t c = 0; c < tw; ++c) cbuf[c] = co_await ch_y.pop();
-        }
-        for (std::int64_t r = 0; r < th; ++r) rbuf[r] = co_await ch_x.pop();
-      }
-      int in_cycle = 0;
-      const bool row_elems = cfg.elem_order == Order::RowMajor;
-      const std::int64_t no = row_elems ? th : tw;
-      const std::int64_t ni = row_elems ? tw : th;
-      for (std::int64_t o = 0; o < no; ++o) {
-        for (std::int64_t i = 0; i < ni; ++i) {
-          const std::int64_t r = row_elems ? o : i;
-          const std::int64_t c = row_elems ? i : o;
-          const T a = co_await ch_a.pop();
-          co_await ch_out.push(a + alpha * rbuf[r] * cbuf[c]);
-          if (++in_cycle == W) {
-            in_cycle = 0;
-            co_await next_cycle();
+          for (std::int64_t c = 0; c < tw;) {
+            c += co_await ch_y.pop_some(cbuf.data() + c, tw - c);
           }
+        }
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_x.pop_some(rbuf.data() + r, th - r);
+        }
+      }
+      std::int64_t in_cycle = 0;
+      const std::int64_t ni = row_elems ? tw : th;
+      const std::int64_t total = th * tw;
+      for (std::int64_t e = 0; e < total;) {
+        const std::size_t m = stream::lockstep(
+            static_cast<std::size_t>(std::min(W - in_cycle, total - e)),
+            {&ch_a}, {&ch_out});
+        co_await ch_a.pop_some(v.data(), m);
+        detail::tile_runs(e, static_cast<std::int64_t>(m), ni, row_elems,
+                          [&](std::int64_t k, std::int64_t r, std::int64_t c) {
+                            v[k] = v[k] + alpha * rbuf[r] * cbuf[c];
+                          });
+        co_await ch_out.push_some(v.data(), m);
+        e += static_cast<std::int64_t>(m);
+        if ((in_cycle += static_cast<std::int64_t>(m)) == W) {
+          in_cycle = 0;
+          co_await next_cycle();
         }
       }
     }
@@ -322,10 +413,21 @@ Task syr2(GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(n, TN), ntj = ceil_div(n, TM);
-  const int W = cfg.width;
+  const std::int64_t W = cfg.width;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
+  const bool row_elems = cfg.elem_order == Order::RowMajor;
   std::vector<T> xr(static_cast<std::size_t>(TN)), yr(static_cast<std::size_t>(TN));
   std::vector<T> xc(static_cast<std::size_t>(TM)), yc(static_cast<std::size_t>(TM));
+  std::vector<T> v = stream::lanes<T>(W);
+  // An x/y block pair of one tile dimension and whether this tile loads it.
+  struct Blocks {
+    Channel<T>* cx;
+    Channel<T>* cy;
+    T* x;
+    T* y;
+    std::int64_t len;
+    bool load;
+  };
   const std::int64_t outer = by_rows ? nti : ntj;
   const std::int64_t inner = by_rows ? ntj : nti;
   for (std::int64_t to = 0; to < outer; ++to) {
@@ -334,43 +436,40 @@ Task syr2(GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
       const std::int64_t tj = by_rows ? tin : to;
       const std::int64_t th = std::min(TN, n - ti * TN);
       const std::int64_t tw = std::min(TM, n - tj * TM);
-      if (by_rows) {
-        if (tin == 0) {
-          for (std::int64_t r = 0; r < th; ++r) {
-            xr[r] = co_await ch_x_row.pop();
-            yr[r] = co_await ch_y_row.pop();
-          }
-        }
-        for (std::int64_t c = 0; c < tw; ++c) {
-          xc[c] = co_await ch_x_col.pop();
-          yc[c] = co_await ch_y_col.pop();
-        }
-      } else {
-        if (tin == 0) {
-          for (std::int64_t c = 0; c < tw; ++c) {
-            xc[c] = co_await ch_x_col.pop();
-            yc[c] = co_await ch_y_col.pop();
-          }
-        }
-        for (std::int64_t r = 0; r < th; ++r) {
-          xr[r] = co_await ch_x_row.pop();
-          yr[r] = co_await ch_y_row.pop();
+      // The outer-dimension blocks load once per outer step, first; the
+      // inner-dimension blocks load for every tile. Each x/y pair loads in
+      // lockstep: the element-wise form popped x, then y, per element.
+      const Blocks rows_blk{&ch_x_row, &ch_y_row, xr.data(), yr.data(), th,
+                            !by_rows || tin == 0};
+      const Blocks cols_blk{&ch_x_col, &ch_y_col, xc.data(), yc.data(), tw,
+                            by_rows || tin == 0};
+      for (const Blocks& b : by_rows ? std::array{rows_blk, cols_blk}
+                                     : std::array{cols_blk, rows_blk}) {
+        for (std::int64_t k = 0; b.load && k < b.len;) {
+          const std::size_t m = stream::lockstep(
+              static_cast<std::size_t>(b.len - k), {b.cx, b.cy}, {});
+          co_await b.cx->pop_some(b.x + k, m);
+          co_await b.cy->pop_some(b.y + k, m);
+          k += static_cast<std::int64_t>(m);
         }
       }
-      int in_cycle = 0;
-      const bool row_elems = cfg.elem_order == Order::RowMajor;
-      const std::int64_t no = row_elems ? th : tw;
+      std::int64_t in_cycle = 0;
       const std::int64_t ni = row_elems ? tw : th;
-      for (std::int64_t o = 0; o < no; ++o) {
-        for (std::int64_t i = 0; i < ni; ++i) {
-          const std::int64_t r = row_elems ? o : i;
-          const std::int64_t c = row_elems ? i : o;
-          const T a = co_await ch_a.pop();
-          co_await ch_out.push(a + alpha * (xr[r] * yc[c] + yr[r] * xc[c]));
-          if (++in_cycle == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
+      const std::int64_t total = th * tw;
+      for (std::int64_t e = 0; e < total;) {
+        const std::size_t m = stream::lockstep(
+            static_cast<std::size_t>(std::min(W - in_cycle, total - e)),
+            {&ch_a}, {&ch_out});
+        co_await ch_a.pop_some(v.data(), m);
+        detail::tile_runs(e, static_cast<std::int64_t>(m), ni, row_elems,
+                          [&](std::int64_t k, std::int64_t r, std::int64_t c) {
+                            v[k] = v[k] + alpha * (xr[r] * yc[c] + yr[r] * xc[c]);
+                          });
+        co_await ch_out.push_some(v.data(), m);
+        e += static_cast<std::int64_t>(m);
+        if ((in_cycle += static_cast<std::int64_t>(m)) == W) {
+          in_cycle = 0;
+          co_await next_cycle();
         }
       }
     }
@@ -401,21 +500,26 @@ Task read_triangular(MatrixView<const T> A, Uplo uplo, int width,
   auto at = [&](std::int64_t i, std::int64_t j) -> T {
     return trans == Transpose::None ? A(i, j) : A(j, i);
   };
-  std::int64_t emitted_in_cycle = 0;
+  std::vector<T> buf = stream::lanes<T>(width);
+  std::int64_t in_cycle = 0;
   for (std::int64_t k = 0; k < n; ++k) {
     const std::int64_t i = uplo == Uplo::Lower ? k : n - 1 - k;
     const std::int64_t j0 = uplo == Uplo::Lower ? 0 : i;
     const std::int64_t j1 = uplo == Uplo::Lower ? i + 1 : n;
-    for (std::int64_t j = j0; j < j1; ++j) {
-      const std::int64_t got = bank ? bank->grant_elems(1, sizeof(T)) : 1;
-      if (got == 0) {
-        co_await next_cycle();
-        --j;
-        continue;
+    for (std::int64_t j = j0; j < j1;) {
+      bool refused = false;
+      const std::int64_t g = stream::gather_granted(
+          bank, out, std::min(width - in_cycle, j1 - j), buf.data(),
+          [&](std::int64_t t) { return at(i, j + t); }, refused);
+      for (std::int64_t t = 0; t < g;) {
+        t += co_await out.push_some(buf.data() + t, g - t);
       }
-      co_await out.push(at(i, j));
-      if (++emitted_in_cycle == width) {
-        emitted_in_cycle = 0;
+      j += g;
+      in_cycle += g;
+      if (refused) {
+        co_await next_cycle();
+      } else if (in_cycle == width) {
+        in_cycle = 0;
         co_await next_cycle();
       }
     }
@@ -432,9 +536,10 @@ template <typename T>
 Task trsv(TrsvConfig cfg, std::int64_t n, Channel<T>& ch_a, Channel<T>& ch_b,
           Channel<T>& ch_out) {
   cfg.validate();
-  const int W = cfg.width;
+  const std::int64_t W = cfg.width;
   std::vector<T> x(static_cast<std::size_t>(n), T(0));
-  int in_cycle = 0;
+  std::vector<T> a = stream::lanes<T>(W);
+  std::int64_t in_cycle = 0;
   for (std::int64_t k = 0; k < n; ++k) {
     const std::int64_t i = cfg.uplo == Uplo::Lower ? k : n - 1 - k;
     T acc = co_await ch_b.pop();
@@ -443,14 +548,17 @@ Task trsv(TrsvConfig cfg, std::int64_t n, Channel<T>& ch_a, Channel<T>& ch_b,
     // (diagonal, dependencies...) for upper; consume in arrival order.
     const std::int64_t j0 = cfg.uplo == Uplo::Lower ? 0 : i;
     const std::int64_t j1 = cfg.uplo == Uplo::Lower ? i + 1 : n;
-    for (std::int64_t j = j0; j < j1; ++j) {
-      const T a = co_await ch_a.pop();
-      if (j == i) {
-        diag_val = a;
-      } else {
-        acc -= a * x[j];
+    for (std::int64_t j = j0; j < j1;) {
+      const std::int64_t got =
+          co_await ch_a.pop_some(a.data(), std::min(W - in_cycle, j1 - j));
+      for (std::int64_t t = 0; t < got; ++t, ++j) {
+        if (j == i) {
+          diag_val = a[t];
+        } else {
+          acc -= a[t] * x[j];
+        }
       }
-      if (++in_cycle == W) {
+      if ((in_cycle += got) == W) {
         in_cycle = 0;
         co_await next_cycle();
       }

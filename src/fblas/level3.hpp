@@ -70,20 +70,25 @@ Task read_a_gemm(MatrixView<const T> A, GemmConfig cfg, std::int64_t n,
   };
   const std::int64_t TR = cfg.tile_rows;
   const std::int64_t nbi = ceil_div(m, TR), nbj = ceil_div(n, cfg.tile_cols);
-  int in_cycle = 0;
+  std::vector<T> buf = stream::lanes<T>(cfg.pe_rows);
+  std::int64_t in_cycle = 0;
   for (std::int64_t bi = 0; bi < nbi; ++bi) {
     const std::int64_t th = std::min(TR, m - bi * TR);
     for (std::int64_t bj = 0; bj < nbj; ++bj) {
       for (std::int64_t p = 0; p < k; ++p) {
         for (std::int64_t r = 0; r < th;) {
-          const std::int64_t got = bank ? bank->grant_elems(1, sizeof(T)) : 1;
-          if (got == 0) {
-            co_await next_cycle();
-            continue;
+          bool refused = false;
+          const std::int64_t g = stream::gather_granted(
+              bank, out, std::min(cfg.pe_rows - in_cycle, th - r), buf.data(),
+              [&](std::int64_t t) { return at(bi * TR + r + t, p); }, refused);
+          for (std::int64_t t = 0; t < g;) {
+            t += co_await out.push_some(buf.data() + t, g - t);
           }
-          co_await out.push(at(bi * TR + r, p));
-          ++r;
-          if (++in_cycle == cfg.pe_rows) {
+          r += g;
+          in_cycle += g;
+          if (refused) {
+            co_await next_cycle();
+          } else if (in_cycle == cfg.pe_rows) {
             in_cycle = 0;
             co_await next_cycle();
           }
@@ -106,20 +111,25 @@ Task read_b_gemm(MatrixView<const T> B, GemmConfig cfg, std::int64_t m,
   };
   const std::int64_t TC = cfg.tile_cols;
   const std::int64_t nbi = ceil_div(m, cfg.tile_rows), nbj = ceil_div(n, TC);
-  int in_cycle = 0;
+  std::vector<T> buf = stream::lanes<T>(cfg.pe_cols);
+  std::int64_t in_cycle = 0;
   for (std::int64_t bi = 0; bi < nbi; ++bi) {
     for (std::int64_t bj = 0; bj < nbj; ++bj) {
       const std::int64_t tw = std::min(TC, n - bj * TC);
       for (std::int64_t p = 0; p < k; ++p) {
         for (std::int64_t c = 0; c < tw;) {
-          const std::int64_t got = bank ? bank->grant_elems(1, sizeof(T)) : 1;
-          if (got == 0) {
-            co_await next_cycle();
-            continue;
+          bool refused = false;
+          const std::int64_t g = stream::gather_granted(
+              bank, out, std::min(cfg.pe_cols - in_cycle, tw - c), buf.data(),
+              [&](std::int64_t t) { return bt(p, bj * TC + c + t); }, refused);
+          for (std::int64_t t = 0; t < g;) {
+            t += co_await out.push_some(buf.data() + t, g - t);
           }
-          co_await out.push(bt(p, bj * TC + c));
-          ++c;
-          if (++in_cycle == cfg.pe_cols) {
+          c += g;
+          in_cycle += g;
+          if (refused) {
+            co_await next_cycle();
+          } else if (in_cycle == cfg.pe_cols) {
             in_cycle = 0;
             co_await next_cycle();
           }
@@ -153,6 +163,7 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
   std::vector<T> acc(static_cast<std::size_t>(TR * TC));
   std::vector<T> a_col(static_cast<std::size_t>(TR));
   std::vector<T> b_row(static_cast<std::size_t>(TC));
+  std::vector<T> c_in = stream::lanes<T>(cfg.pe_cols), c_out = c_in;
   for (std::int64_t bi = 0; bi < nbi; ++bi) {
     const std::int64_t th = std::min(TR, m - bi * TR);
     for (std::int64_t bj = 0; bj < nbj; ++bj) {
@@ -160,14 +171,21 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
       std::fill(acc.begin(), acc.end(), T(0));
       std::int64_t in_cycle = 0;
       for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t r = 0; r < th; ++r) a_col[r] = co_await ch_a.pop();
-        for (std::int64_t c = 0; c < tw; ++c) b_row[c] = co_await ch_b.pop();
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_a.pop_some(a_col.data() + r, th - r);
+        }
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_b.pop_some(b_row.data() + c, tw - c);
+        }
         // The PE grid: PR*PC of these multiply-adds happen per cycle.
         for (std::int64_t r = 0; r < th; ++r) {
           const T av = a_col[r];
-          for (std::int64_t c = 0; c < tw; ++c) {
-            acc[r * TC + c] += av * b_row[c];
-            if (++in_cycle == macs_per_cycle) {
+          T* row = acc.data() + r * TC;
+          for (std::int64_t c = 0; c < tw;) {
+            const std::int64_t cnt = std::min(macs_per_cycle - in_cycle, tw - c);
+            for (std::int64_t t = c; t < c + cnt; ++t) row[t] += av * b_row[t];
+            c += cnt;
+            if ((in_cycle += cnt) == macs_per_cycle) {
               in_cycle = 0;
               co_await next_cycle();
             }
@@ -177,15 +195,22 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
       // Drain phase: results leave PC elements per cycle through the
       // drain chain (Fig. 3), merging in the previous C when beta != 0.
       std::int64_t drained = 0;
-      for (std::int64_t r = 0; r < th; ++r) {
-        for (std::int64_t c = 0; c < tw; ++c) {
-          T v = alpha * acc[r * TC + c];
-          if (beta != T(0)) v += beta * co_await ch_c.pop();
-          co_await ch_out.push(v);
-          if (++drained == cfg.pe_cols) {
-            drained = 0;
-            co_await next_cycle();
-          }
+      for (std::int64_t e = 0; e < th * tw;) {
+        const auto want = static_cast<std::size_t>(
+            std::min(cfg.pe_cols - drained, th * tw - e));
+        const std::size_t got = beta != T(0)
+                                    ? stream::lockstep(want, {&ch_c}, {&ch_out})
+                                    : stream::lockstep(want, {}, {&ch_out});
+        if (beta != T(0)) co_await ch_c.pop_some(c_in.data(), got);
+        for (std::size_t t = 0; t < got; ++t, ++e) {
+          T v = alpha * acc[(e / tw) * TC + e % tw];
+          if (beta != T(0)) v += beta * c_in[t];
+          c_out[t] = v;
+        }
+        co_await ch_out.push_some(c_out.data(), got);
+        if ((drained += static_cast<std::int64_t>(got)) == cfg.pe_cols) {
+          drained = 0;
+          co_await next_cycle();
         }
       }
       co_await next_cycle();
@@ -212,6 +237,7 @@ Task syr2k(GemmConfig cfg, std::int64_t n, std::int64_t k, T alpha, T beta,
       b_col(static_cast<std::size_t>(TR));
   std::vector<T> at_row(static_cast<std::size_t>(TC)),
       bt_row(static_cast<std::size_t>(TC));
+  std::vector<T> c_in = stream::lanes<T>(cfg.pe_cols), c_out = c_in;
   for (std::int64_t bi = 0; bi < nbi; ++bi) {
     const std::int64_t th = std::min(TR, n - bi * TR);
     for (std::int64_t bj = 0; bj < nbj; ++bj) {
@@ -219,14 +245,27 @@ Task syr2k(GemmConfig cfg, std::int64_t n, std::int64_t k, T alpha, T beta,
       std::fill(acc.begin(), acc.end(), T(0));
       std::int64_t in_cycle = 0;
       for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t r = 0; r < th; ++r) a_col[r] = co_await ch_a.pop();
-        for (std::int64_t r = 0; r < th; ++r) b_col[r] = co_await ch_b.pop();
-        for (std::int64_t c = 0; c < tw; ++c) at_row[c] = co_await ch_at.pop();
-        for (std::int64_t c = 0; c < tw; ++c) bt_row[c] = co_await ch_bt.pop();
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_a.pop_some(a_col.data() + r, th - r);
+        }
+        for (std::int64_t r = 0; r < th;) {
+          r += co_await ch_b.pop_some(b_col.data() + r, th - r);
+        }
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_at.pop_some(at_row.data() + c, tw - c);
+        }
+        for (std::int64_t c = 0; c < tw;) {
+          c += co_await ch_bt.pop_some(bt_row.data() + c, tw - c);
+        }
         for (std::int64_t r = 0; r < th; ++r) {
-          for (std::int64_t c = 0; c < tw; ++c) {
-            acc[r * TC + c] += a_col[r] * bt_row[c] + b_col[r] * at_row[c];
-            if (++in_cycle == macs_per_cycle) {
+          T* row = acc.data() + r * TC;
+          for (std::int64_t c = 0; c < tw;) {
+            const std::int64_t cnt = std::min(macs_per_cycle - in_cycle, tw - c);
+            for (std::int64_t t = c; t < c + cnt; ++t) {
+              row[t] += a_col[r] * bt_row[t] + b_col[r] * at_row[t];
+            }
+            c += cnt;
+            if ((in_cycle += cnt) == macs_per_cycle) {
               in_cycle = 0;
               co_await next_cycle();
             }
@@ -234,15 +273,22 @@ Task syr2k(GemmConfig cfg, std::int64_t n, std::int64_t k, T alpha, T beta,
         }
       }
       std::int64_t drained = 0;
-      for (std::int64_t r = 0; r < th; ++r) {
-        for (std::int64_t c = 0; c < tw; ++c) {
-          T v = alpha * acc[r * TC + c];
-          if (beta != T(0)) v += beta * co_await ch_c.pop();
-          co_await ch_out.push(v);
-          if (++drained == cfg.pe_cols) {
-            drained = 0;
-            co_await next_cycle();
-          }
+      for (std::int64_t e = 0; e < th * tw;) {
+        const auto want = static_cast<std::size_t>(
+            std::min(cfg.pe_cols - drained, th * tw - e));
+        const std::size_t got = beta != T(0)
+                                    ? stream::lockstep(want, {&ch_c}, {&ch_out})
+                                    : stream::lockstep(want, {}, {&ch_out});
+        if (beta != T(0)) co_await ch_c.pop_some(c_in.data(), got);
+        for (std::size_t t = 0; t < got; ++t, ++e) {
+          T v = alpha * acc[(e / tw) * TC + e % tw];
+          if (beta != T(0)) v += beta * c_in[t];
+          c_out[t] = v;
+        }
+        co_await ch_out.push_some(c_out.data(), got);
+        if ((drained += static_cast<std::int64_t>(got)) == cfg.pe_cols) {
+          drained = 0;
+          co_await next_cycle();
         }
       }
       co_await next_cycle();
@@ -270,15 +316,18 @@ template <typename T>
 Task trsm(TrsmConfig cfg, std::int64_t m, std::int64_t n, T alpha,
           Channel<T>& ch_a, Channel<T>& ch_b, Channel<T>& ch_out) {
   cfg.validate();
-  const int W = cfg.width;
+  const std::int64_t W = cfg.width;
   std::vector<T> x(static_cast<std::size_t>(m * n), T(0));
   std::vector<T> row(static_cast<std::size_t>(n));
-  int in_cycle = 0;
+  std::int64_t in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = cfg.uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n; ++c) {
-      row[c] = alpha * co_await ch_b.pop();
-      if (++in_cycle == W) {
+    for (std::int64_t c = 0; c < n;) {
+      const std::int64_t got =
+          co_await ch_b.pop_some(row.data() + c, std::min(W - in_cycle, n - c));
+      for (std::int64_t t = c; t < c + got; ++t) row[t] = alpha * row[t];
+      c += got;
+      if ((in_cycle += got) == W) {
         in_cycle = 0;
         co_await next_cycle();
       }
@@ -292,19 +341,27 @@ Task trsm(TrsmConfig cfg, std::int64_t m, std::int64_t n, T alpha,
         diag_val = a;
         continue;
       }
-      for (std::int64_t c = 0; c < n; ++c) {
-        row[c] -= a * x[j * n + c];
-        if (++in_cycle == W) {
+      for (std::int64_t c = 0; c < n;) {
+        const std::int64_t cnt = std::min(W - in_cycle, n - c);
+        for (std::int64_t t = c; t < c + cnt; ++t) row[t] -= a * x[j * n + t];
+        c += cnt;
+        if ((in_cycle += cnt) == W) {
           in_cycle = 0;
           co_await next_cycle();
         }
       }
     }
-    for (std::int64_t c = 0; c < n; ++c) {
-      const T v = cfg.diag == Diag::Unit ? row[c] : row[c] / diag_val;
-      x[i * n + c] = v;
-      co_await ch_out.push(v);
-      if (++in_cycle == W) {
+    T* xi = x.data() + i * n;
+    for (std::int64_t c = 0; c < n;) {
+      const std::int64_t cnt = std::min(W - in_cycle, n - c);
+      for (std::int64_t t = c; t < c + cnt; ++t) {
+        xi[t] = cfg.diag == Diag::Unit ? row[t] : row[t] / diag_val;
+      }
+      for (std::int64_t t = c; t < c + cnt;) {
+        t += co_await ch_out.push_some(xi + t, c + cnt - t);
+      }
+      c += cnt;
+      if ((in_cycle += cnt) == W) {
         in_cycle = 0;
         co_await next_cycle();
       }

@@ -15,16 +15,20 @@ stream::Task read_batched_triangles(const T* data, std::int64_t size,
                                     stream::Channel<T>& out,
                                     stream::DramBank* bank = nullptr) {
   const std::int64_t stride = size * size;
+  std::vector<T> buf = stream::lanes<T>(size);
   for (std::int64_t inv = 0; inv < batch; ++inv) {
     const T* p = data + inv * stride;
     for (std::int64_t i = 0; i < size; ++i) {
-      for (std::int64_t j = 0; j <= i; ++j) {
-        if (bank != nullptr) {
-          while (bank->grant_elems(1, sizeof(T)) == 0) {
-            co_await stream::next_cycle();
-          }
+      for (std::int64_t j = 0; j <= i;) {
+        bool refused = false;
+        const std::int64_t g = stream::gather_granted(
+            bank, out, i + 1 - j, buf.data(),
+            [&](std::int64_t t) { return p[i * size + j + t]; }, refused);
+        for (std::int64_t t = 0; t < g;) {
+          t += co_await out.push_some(buf.data() + t, g - t);
         }
-        co_await out.push(p[i * size + j]);
+        j += g;
+        if (refused) co_await stream::next_cycle();
       }
     }
     co_await stream::next_cycle();

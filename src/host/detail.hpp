@@ -76,17 +76,23 @@ stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
                                    int width, stream::Channel<T>& out,
                                    stream::DramBank* bank = nullptr) {
   const std::int64_t m = B.rows(), n = B.cols();
-  int in_cycle = 0;
+  std::vector<T> buf = stream::lanes<T>(width);
+  std::int64_t in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n; ++c) {
-      if (bank != nullptr) {
-        while (bank->grant_elems(1, sizeof(T)) == 0) {
-          co_await stream::next_cycle();
-        }
+    for (std::int64_t c = 0; c < n;) {
+      bool refused = false;
+      const std::int64_t g = stream::gather_granted(
+          bank, out, std::min(width - in_cycle, n - c), buf.data(),
+          [&](std::int64_t t) { return B(i, c + t); }, refused);
+      for (std::int64_t t = 0; t < g;) {
+        t += co_await out.push_some(buf.data() + t, g - t);
       }
-      co_await out.push(B(i, c));
-      if (++in_cycle == width) {
+      c += g;
+      in_cycle += g;
+      if (refused) {
+        co_await stream::next_cycle();
+      } else if (in_cycle == width) {
         in_cycle = 0;
         co_await stream::next_cycle();
       }
@@ -101,18 +107,32 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
                                     stream::Channel<T>& in,
                                     stream::DramBank* bank = nullptr) {
   const std::int64_t m = X.rows(), n = X.cols();
-  int in_cycle = 0;
+  std::vector<T> buf = stream::lanes<T>(width);
+  std::int64_t in_cycle = 0;
   for (std::int64_t s = 0; s < m; ++s) {
     const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n; ++c) {
-      const T v = co_await in.pop();
-      if (bank != nullptr) {
-        while (bank->grant_elems(1, sizeof(T)) == 0) {
-          co_await stream::next_cycle();
-        }
+    for (std::int64_t c = 0; c < n;) {
+      const auto avail = std::min<std::int64_t>(
+          std::min(width - in_cycle, n - c),
+          static_cast<std::int64_t>(in.size()));
+      // Nothing buffered: one element step, whose pop may suspend.
+      if (avail == 0) co_await in.pop_some(buf.data(), 1);
+      bool waiting = false;
+      const std::int64_t len = stream::grant_run(
+          bank, sizeof(T), std::max<std::int64_t>(avail, 1),
+          [](std::int64_t) { return true; }, waiting);
+      if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
+      for (std::int64_t t = 0; t < len - (waiting ? 1 : 0); ++t) {
+        X(i, c + t) = buf[t];
       }
-      X(i, c) = v;
-      if (++in_cycle == width) {
+      if (waiting) {
+        do {
+          co_await stream::next_cycle();
+        } while (bank->grant_elems(1, sizeof(T)) == 0);
+        X(i, c + len - 1) = buf[len - 1];
+      }
+      c += len;
+      if ((in_cycle += len) == width) {
         in_cycle = 0;
         co_await stream::next_cycle();
       }
