@@ -111,12 +111,6 @@ class ChannelBase {
     waiting_producer_ = h.promise().module_id;
     h.promise().sched->block_on_push(waiting_producer_, *this);
   }
-  void tap_accumulate(double value) {
-    tap_sum_ += value;
-    tap_mag_ += value < 0 ? -value : value;
-    ++tap_count_;
-  }
-
   Scheduler* sched_;
   std::string name_;
   std::size_t capacity_;
@@ -212,6 +206,16 @@ class Channel : public ChannelBase {
   /// put_some with the per-value instrumentation, in push order: injected
   /// corruption, then taint screening, then the checksum tap.
   std::size_t put_instrumented(const T* src, std::size_t k, std::size_t tail) {
+    bool corrupt = sched_->corrupt_armed();
+    const bool taint = sched_->taint_enabled();
+    const bool tap = tap_armed_;
+    double sum = tap_sum_, mag = tap_mag_;
+    std::uint64_t tapped = tap_count_;
+    auto settle_tap = [&] {
+      tap_sum_ = sum;
+      tap_mag_ = mag;
+      tap_count_ = tapped;
+    };
     std::size_t committed = 0;
     for (std::size_t i = 0; i < k; ++i) {
       T value = src[i];
@@ -219,7 +223,8 @@ class Channel : public ChannelBase {
       // this is the targeted push, flip the value's top byte (sign /
       // exponent bits) as it enters the channel — silent damage to an
       // intermediate stream that no write-set snapshot ever sees.
-      if (sched_->corrupt_armed() && sched_->corrupt_hits(*this)) {
+      if (corrupt && sched_->corrupt_hits(*this)) {
+        corrupt = false;
         auto bits = std::bit_cast<BitsOf>(value);
         bits ^= BitsOf{0x5a} << (8 * (sizeof(T) - 1));
         value = std::bit_cast<T>(bits);
@@ -227,19 +232,26 @@ class Channel : public ChannelBase {
       // Taint screening at the module boundary: every floating-point value
       // crossing a channel is checked, so the first NaN/Inf is attributed
       // to the module that produced it. In trap mode the report throws:
-      // the values before it are in the channel, the bad one is not.
-      if (sched_->taint_enabled() &&
-          !std::isfinite(static_cast<double>(value))) {
+      // the values before it are in the channel (and the tap), the bad
+      // one is not.
+      if (taint && !std::isfinite(static_cast<double>(value))) {
         if (i > committed) pushed(i - committed);
         committed = i;
+        settle_tap();
         sched_->note_nonfinite(*this, static_cast<double>(value));
       }
       // Checksum tap: accumulate after corruption so the tap observes
       // what actually crossed the module boundary.
-      if (tap_armed_) tap_accumulate(static_cast<double>(value));
+      if (tap) {
+        const auto v = static_cast<double>(value);
+        sum += v;
+        mag += v < 0 ? -v : v;
+        ++tapped;
+      }
       buf_[(tail + i) & mask_] = value;
     }
     if (k > committed) pushed(k - committed);
+    settle_tap();
     return k;
   }
 
