@@ -5,38 +5,6 @@
 #include "sim/frequency_model.hpp"
 
 namespace fblas::host {
-namespace {
-
-/// Streams the lower triangles of `batch` dense size x size matrices, one
-/// problem per cycle.
-template <typename T>
-stream::Task read_batched_triangles(const T* data, std::int64_t size,
-                                    std::int64_t batch,
-                                    stream::Channel<T>& out,
-                                    stream::DramBank* bank = nullptr) {
-  const std::int64_t stride = size * size;
-  std::vector<T> buf = stream::lanes<T>(size);
-  for (std::int64_t inv = 0; inv < batch; ++inv) {
-    const T* p = data + inv * stride;
-    for (std::int64_t i = 0; i < size; ++i) {
-      for (std::int64_t j = 0; j <= i;) {
-        bool refused = false;
-        const std::int64_t g = stream::gather_granted(
-            bank, out, i + 1 - j, buf.data(),
-            [&](std::int64_t t) { return p[i * size + j + t]; }, refused);
-        for (std::int64_t t = 0; t < g;) {
-          t += co_await out.push_some(buf.data() + t, g - t);
-        }
-        j += g;
-        if (refused) co_await stream::next_cycle();
-      }
-    }
-    co_await stream::next_cycle();
-  }
-}
-
-}  // namespace
-
 template <typename T>
 Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
                                   T alpha, const Buffer<T>& a,
@@ -97,8 +65,9 @@ Event Context::trsm_batched_async(std::int64_t size, std::int64_t batch,
       auto& cb = g.channel<T>("B", cap);
       auto& cx = g.channel<T>("X", cap);
       g.spawn("read_A",
-              read_batched_triangles<T>(a.cvec(batch * elems).data(), size,
-                                        batch, ca, banks.at(a.bank())));
+              core::read_batched_triangles<T>(a.cvec(batch * elems).data(),
+                                              size, batch, ca,
+                                              banks.at(a.bank())));
       g.spawn("read_B",
               core::read_batched<T>(x.cvec(batch * elems).data(), elems,
                                     batch, cb, banks.at(x.bank())));

@@ -10,8 +10,11 @@
 #include <vector>
 
 #include "common/workload.hpp"
+#include "fblas/batched.hpp"
 #include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
+#include "fblas/level3.hpp"
+#include "host/detail.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 
@@ -500,9 +503,12 @@ TEST(CycleMode, OccupancyTraceRecordsBackpressure) {
 
 // ---- Pinned schedules -----------------------------------------------------
 //
-// Cycle-mode AXPY, DOT, SCAL, the four GEMV variants, GER and fanout2, with
-// x and y sharing one narrow bank (5 floats per cycle for two W=4 readers)
-// and every channel at capacity 3, 64 or 767. For each graph and capacity
+// Cycle-mode AXPY, DOT, SCAL, COPY, SWAP, ROT, the four GEMV variants, GER,
+// SYR2 (with an upper-triangle store), GEMM with beta != 0 and beta == 0,
+// SYR2K (lower-triangle store), TRSV and TRSM (triangular, solve-order row
+// and GEMM panel readers), batched TRSM (its triangle reader) and fanout2,
+// with x and y sharing one narrow bank (5 floats per cycle for two W=4
+// readers) and every channel at capacity 3, 64 or 767. For each graph and capacity
 // the record holds: cycles and stall module-cycles; every channel's peak,
 // stall events and tap sum/magnitude bits; every module's resumes; every
 // bank's bytes; for corrupt_push(k), k = 1..40, the victim channel and the
@@ -517,13 +523,14 @@ constexpr std::int64_t kPinN = 37;
 constexpr std::int64_t kPinRows = 10, kPinCols = 9;
 
 struct PinData {
-  std::vector<float> x, y, a;
+  std::vector<float> x, y, a, tri;
 };
 
 PinData pin_data(bool nan_in_x) {
   Workload wl(41);
   PinData d{wl.vector<float>(kPinN), wl.vector<float>(kPinN),
-            wl.matrix<float>(kPinRows, kPinCols)};
+            wl.matrix<float>(kPinRows, kPinCols), {}};
+  d.tri = wl.triangular<float>(kPinCols, Uplo::Lower, Diag::NonUnit);
   if (nan_in_x) d.x[6] = std::numeric_limits<float>::quiet_NaN();
   return d;
 }
@@ -613,6 +620,157 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     g.spawn("write",
             write_matrix<float>(MatrixView<float>(out.data(), kPinRows, kPinCols),
                                 sched, kPinW, cout, &mem));
+  } else if (kind == "copy") {
+    out.assign(static_cast<std::size_t>(kPinN), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("copy", core::copy<float>(l1, kPinN, cx, cout));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), kPinN),
+                                         1, kPinW, cout, &mem));
+  } else if (kind == "swap" || kind == "rot") {
+    auto& cy = g.channel<float>("y", cap);
+    auto& coy = g.channel<float>("out_y", cap);
+    out.assign(static_cast<std::size_t>(2 * kPinN), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, kPinN), 1, kPinW, cy, &xy));
+    if (kind == "swap") {
+      g.spawn("swap", core::swap<float>(l1, kPinN, cx, cy, cout, coy));
+    } else {
+      g.spawn("rot", core::rot<float>(l1, kPinN, 0.6f, 0.8f, cx, cy, cout, coy));
+    }
+    g.spawn("write_x", write_vector<float>(
+                           VectorView<float>(out.data(), kPinN), 1, kPinW,
+                           cout, &mem));
+    g.spawn("write_y", write_vector<float>(
+                           VectorView<float>(out.data() + kPinN, kPinN), 1,
+                           kPinW, coy, &xy));
+  } else if (kind == "syr2") {
+    const std::int64_t n = kPinCols;
+    const core::GerConfig cfg{core::MatrixTiling::TilesByCols, kPinW, 4, 4,
+                              Order::ColMajor};
+    const TileSchedule sched = core::ger_a_schedule(cfg);
+    const std::int64_t row_rep = core::ger_x_repeat(cfg, n, n);
+    const std::int64_t col_rep = core::ger_y_repeat(cfg, n, n);
+    auto& cxc = g.channel<float>("x_col", cap);
+    auto& cyr = g.channel<float>("y_row", cap);
+    auto& cyc = g.channel<float>("y_col", cap);
+    auto& ca = g.channel<float>("A", cap);
+    out.assign(static_cast<std::size_t>(n * n), 0.0f);
+    g.spawn("read_A", read_matrix<float>(
+                          MatrixView<const float>(d.a.data(), n, n), sched, 1,
+                          kPinW, ca, &mem));
+    g.spawn("read_x_row",
+            read_vector<float>(vec(d.x, n), row_rep, kPinW, cx, &xy));
+    g.spawn("read_x_col",
+            read_vector<float>(vec(d.x, n), col_rep, kPinW, cxc, &xy));
+    g.spawn("read_y_row",
+            read_vector<float>(vec(d.y, n), row_rep, kPinW, cyr, &xy));
+    g.spawn("read_y_col",
+            read_vector<float>(vec(d.y, n), col_rep, kPinW, cyc, &xy));
+    g.spawn("syr2", core::syr2<float>(cfg, n, -0.25f, ca, cx, cxc, cyr, cyc,
+                                      cout));
+    g.spawn("write", write_matrix_uplo<float>(
+                         MatrixView<float>(out.data(), n, n), sched,
+                         Uplo::Upper, kPinW, cout, &mem));
+  } else if (kind.starts_with("gemm")) {
+    // C (5 x 7) = 1.5 op(A) B + beta C, op(A) from x, B from A's data, C
+    // from y; beta == 0 streams A transposed and never reads C.
+    const std::int64_t m = 5, n = 7, k = 6;
+    const bool b0 = kind == "gemm_b0";
+    const Transpose ta = b0 ? Transpose::Trans : Transpose::None;
+    const core::GemmConfig cfg{2, 2, 4, 4};
+    const TileSchedule c_sched = core::gemm_c_schedule(cfg);
+    auto& cb = g.channel<float>("B", cap);
+    auto& cc = g.channel<float>("Cin", cap);
+    out.assign(static_cast<std::size_t>(m * n), 0.0f);
+    g.spawn("read_A", core::read_a_gemm<float>(
+                          MatrixView<const float>(d.x.data(), b0 ? k : m,
+                                                  b0 ? m : k),
+                          cfg, n, cx, &xy, ta));
+    g.spawn("read_B", core::read_b_gemm<float>(
+                          MatrixView<const float>(d.a.data(), k, n), cfg, m,
+                          cb, &xy));
+    if (!b0) {
+      g.spawn("read_C", read_matrix<float>(
+                            MatrixView<const float>(d.y.data(), m, n), c_sched,
+                            1, cfg.pe_cols, cc, &mem));
+    }
+    g.spawn("gemm", core::gemm<float>(cfg, m, n, k, 1.5f, b0 ? 0.0f : 0.5f,
+                                      cx, cb, cc, cout));
+    g.spawn("store_C",
+            write_matrix<float>(MatrixView<float>(out.data(), m, n), c_sched,
+                                cfg.pe_cols, cout, &mem));
+  } else if (kind == "syr2k") {
+    // C (7 x 7, lower) = -1 (A B^T + B A^T) + 0.5 C, A from x, B from y.
+    const std::int64_t n = 7, k = 5;
+    const core::GemmConfig cfg{2, 2, 4, 4};
+    const TileSchedule c_sched = core::gemm_c_schedule(cfg);
+    const MatrixView<const float> a(d.x.data(), n, k), b(d.y.data(), n, k);
+    auto& cbc = g.channel<float>("Bcol", cap);
+    auto& cat = g.channel<float>("Atrow", cap);
+    auto& cbt = g.channel<float>("Btrow", cap);
+    auto& cc = g.channel<float>("Cin", cap);
+    out.assign(static_cast<std::size_t>(n * n), 0.0f);
+    g.spawn("read_A", core::read_a_gemm<float>(a, cfg, n, cx, &xy));
+    g.spawn("read_B", core::read_a_gemm<float>(b, cfg, n, cbc, &xy));
+    g.spawn("read_At", core::read_b_gemm<float>(a, cfg, n, cat, &xy,
+                                                Transpose::Trans));
+    g.spawn("read_Bt", core::read_b_gemm<float>(b, cfg, n, cbt, &xy,
+                                                Transpose::Trans));
+    g.spawn("read_C", read_matrix<float>(
+                          MatrixView<const float>(d.a.data(), n, n), c_sched,
+                          1, cfg.pe_cols, cc, &mem));
+    g.spawn("syr2k", core::syr2k<float>(cfg, n, k, -1.0f, 0.5f, cx, cbc, cat,
+                                        cbt, cc, cout));
+    g.spawn("store_C", write_matrix_uplo<float>(
+                           MatrixView<float>(out.data(), n, n), c_sched,
+                           Uplo::Lower, cfg.pe_cols, cout, &mem));
+  } else if (kind == "trsv") {
+    // A^T x = b with the stored lower triangle: an upper solve, its rows
+    // read transposed and in reverse.
+    const std::int64_t n = kPinCols;
+    auto& ca = g.channel<float>("A", cap);
+    out.assign(static_cast<std::size_t>(n), 0.0f);
+    g.spawn("read_A", core::read_triangular<float>(
+                          MatrixView<const float>(d.tri.data(), n, n),
+                          Uplo::Upper, kPinW, ca, &mem, Transpose::Trans));
+    g.spawn("read_b", host::detail::read_rows_solve_order<float>(
+                          host::detail::as_column(vec(d.x, n)), Uplo::Upper,
+                          kPinW, cx, &xy));
+    g.spawn("trsv", core::trsv<float>({Uplo::Upper, Diag::NonUnit, kPinW}, n,
+                                      ca, cx, cout));
+    g.spawn("write_x", host::detail::write_rows_solve_order<float>(
+                           host::detail::as_column(
+                               VectorView<float>(out.data(), n)),
+                           Uplo::Upper, kPinW, cout, &mem));
+  } else if (kind == "trsm") {
+    // A X = 2 B, A the leading 6 x 6 lower triangle, B (6 x 5) from x.
+    const std::int64_t m = 6, n = 5;
+    auto& ca = g.channel<float>("A", cap);
+    out.assign(static_cast<std::size_t>(m * n), 0.0f);
+    g.spawn("read_A", core::read_triangular<float>(
+                          MatrixView<const float>(d.tri.data(), m, m, kPinCols),
+                          Uplo::Lower, kPinW, ca, &mem));
+    g.spawn("read_B", host::detail::read_rows_solve_order<float>(
+                          MatrixView<const float>(d.x.data(), m, n),
+                          Uplo::Lower, kPinW, cx, &xy));
+    g.spawn("trsm", core::trsm<float>({Uplo::Lower, Diag::NonUnit, kPinW}, m,
+                                      n, 2.0f, ca, cx, cout));
+    g.spawn("write_X", host::detail::write_rows_solve_order<float>(
+                           MatrixView<float>(out.data(), m, n), Uplo::Lower,
+                           kPinW, cout, &mem));
+  } else if (kind == "trsm_batched") {
+    // Three 3 x 3 problems: lower triangles from A's data, B from x.
+    const std::int64_t s = 3, batch = 3;
+    auto& ca = g.channel<float>("A", cap);
+    out.assign(static_cast<std::size_t>(batch * s * s), 0.0f);
+    g.spawn("read_A",
+            core::read_batched_triangles<float>(d.a.data(), s, batch, ca, &mem));
+    g.spawn("read_B", core::read_batched<float>(d.x.data(), s * s, batch, cx,
+                                                &xy));
+    g.spawn("trsm_batched", core::trsm_batched_unrolled<float>(
+                                {s}, batch, 1.0f, ca, cx, cout));
+    g.spawn("store_X", core::write_batched<float>(out.data(), s * s, batch,
+                                                  cout, &mem));
   } else {  // fanout2
     auto& cb = g.channel<float>("b", cap);
     out.assign(static_cast<std::size_t>(2 * kPinN), 0.0f);
@@ -724,6 +882,16 @@ TEST(BatchTransfer, SchedulesPinned) {
       {"gemv_t_cols", 5407613611507398529ULL},
       {"ger", 10280983138535434323ULL},
       {"fanout2", 3475259776429209920ULL},
+      {"copy", 13506272377375743937ULL},
+      {"swap", 6488864500650553245ULL},
+      {"rot", 13970610741144600065ULL},
+      {"syr2", 15653632259002580348ULL},
+      {"gemm", 12846644531286731083ULL},
+      {"gemm_b0", 11741168110245985664ULL},
+      {"syr2k", 15948238062567554125ULL},
+      {"trsv", 2054899175701680032ULL},
+      {"trsm", 5235597401413074039ULL},
+      {"trsm_batched", 6307145519531422874ULL},
   };
   for (const auto& [kind, hash] : pins) {
     std::string record;
