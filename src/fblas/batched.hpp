@@ -159,31 +159,19 @@ Task write_batched(T* data, std::int64_t elems_per_problem,
   }
 }
 
-/// Streams the lower triangles of `batch` dense size x size matrices, one
-/// problem per cycle.
+/// Streams the lower triangles of `batch` dense size x size matrices, a
+/// row of a triangle per run and a whole problem per cycle.
 template <typename T>
 Task read_batched_triangles(const T* data, std::int64_t size,
                             std::int64_t batch, Channel<T>& out,
                             stream::DramBank* bank = nullptr) {
-  const std::int64_t stride = size * size;
-  std::vector<T> buf = stream::lanes<T>(size);
-  for (std::int64_t inv = 0; inv < batch; ++inv) {
-    const T* p = data + inv * stride;
-    for (std::int64_t i = 0; i < size; ++i) {
-      for (std::int64_t j = 0; j <= i;) {
-        bool refused = false;
-        const std::int64_t g = stream::gather_granted(
-            bank, out, i + 1 - j, buf.data(),
-            [&](std::int64_t t) { return p[i * size + j + t]; }, refused);
-        for (std::int64_t t = 0; t < g;) {
-          t += co_await out.push_some(buf.data() + t, g - t);
-        }
-        j += g;
-        if (refused) co_await next_cycle();
-      }
-    }
-    co_await next_cycle();
-  }
+  return stream::read_granted<T>(
+      stream::runs<const T>(batch * size,
+                            [=](std::int64_t k) -> stream::Run<const T> {
+                              const std::int64_t i = k % size;
+                              return {data + k * size, 1, i + 1};
+                            }),
+      size * (size + 1) / 2, out, bank);
 }
 
 }  // namespace fblas::core

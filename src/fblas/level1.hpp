@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -36,122 +37,61 @@ struct Level1Config {
   }
 };
 
-// Each W-wide batch moves through the module's channels in lockstep
-// (stream::lockstep): as many elements as every port can take at once,
-// or one element step when a port would suspend.
+// The element-wise modules are the one lockstep body stream::elementwise:
+// each W-wide batch moves through their channels in lockstep, as many
+// elements as every port can take at once, or one element step when a
+// port would suspend.
 
 /// SCAL: out = alpha * x (Fig. 4 of the paper).
 template <typename T>
 Task scal(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_out) {
-  cfg.validate();
-  std::vector<T> v = stream::lanes<T>(cfg.width);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      const std::size_t m = stream::lockstep(
-          static_cast<std::size_t>(batch - i), {&ch_x}, {&ch_out});
-      co_await ch_x.pop_some(v.data(), m);
-      for (std::size_t k = 0; k < m; ++k) v[k] = alpha * v[k];
-      co_await ch_out.push_some(v.data(), m);
-      i += static_cast<std::int64_t>(m);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return stream::elementwise<T, 1, 1>(
+      n, cfg.width,
+      [alpha](std::array<T, 1> v) { return std::array<T, 1>{alpha * v[0]}; },
+      {&ch_x}, {&ch_out});
 }
 
 /// COPY: out = x.
 template <typename T>
 Task copy(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_out) {
-  cfg.validate();
-  std::vector<T> v = stream::lanes<T>(cfg.width);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      const std::size_t m = stream::lockstep(
-          static_cast<std::size_t>(batch - i), {&ch_x}, {&ch_out});
-      co_await ch_x.pop_some(v.data(), m);
-      co_await ch_out.push_some(v.data(), m);
-      i += static_cast<std::int64_t>(m);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return stream::elementwise<T, 1, 1>(
+      n, cfg.width, [](std::array<T, 1> v) { return v; }, {&ch_x}, {&ch_out});
 }
 
 /// AXPY: out = alpha * x + y.
 template <typename T>
 Task axpy(Level1Config cfg, std::int64_t n, T alpha, Channel<T>& ch_x,
           Channel<T>& ch_y, Channel<T>& ch_out) {
-  cfg.validate();
-  std::vector<T> x = stream::lanes<T>(cfg.width), y = x;
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      const std::size_t m = stream::lockstep(
-          static_cast<std::size_t>(batch - i), {&ch_x, &ch_y}, {&ch_out});
-      co_await ch_x.pop_some(x.data(), m);
-      co_await ch_y.pop_some(y.data(), m);
-      for (std::size_t k = 0; k < m; ++k) x[k] = alpha * x[k] + y[k];
-      co_await ch_out.push_some(x.data(), m);
-      i += static_cast<std::int64_t>(m);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
-}
-
-/// Two-input, two-output element-wise module body shared by SWAP, ROT and
-/// ROTM: (out_x, out_y) = f(x, y).
-template <typename T, typename F>
-Task plane_op(Level1Config cfg, std::int64_t n, F f, Channel<T>& ch_x,
-              Channel<T>& ch_y, Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
-  cfg.validate();
-  std::vector<T> x = stream::lanes<T>(cfg.width), y = x, ox = x, oy = x;
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      const std::size_t m =
-          stream::lockstep(static_cast<std::size_t>(batch - i),
-                           {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
-      co_await ch_x.pop_some(x.data(), m);
-      co_await ch_y.pop_some(y.data(), m);
-      for (std::size_t k = 0; k < m; ++k) f(x[k], y[k], ox[k], oy[k]);
-      co_await ch_out_x.push_some(ox.data(), m);
-      co_await ch_out_y.push_some(oy.data(), m);
-      i += static_cast<std::int64_t>(m);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
+  return stream::elementwise<T, 2, 1>(
+      n, cfg.width,
+      [alpha](std::array<T, 2> v) {
+        return std::array<T, 1>{alpha * v[0] + v[1]};
+      },
+      {&ch_x, &ch_y}, {&ch_out});
 }
 
 /// SWAP: (out_x, out_y) = (y, x).
 template <typename T>
 Task swap(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
           Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
-  return plane_op<T>(
-      cfg, n,
-      [](T x, T y, T& ox, T& oy) {
-        ox = y;
-        oy = x;
-      },
-      ch_x, ch_y, ch_out_x, ch_out_y);
+  return stream::elementwise<T, 2, 2>(
+      n, cfg.width,
+      [](std::array<T, 2> v) { return std::array<T, 2>{v[1], v[0]}; },
+      {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
 }
 
 /// ROT: applies a plane rotation [c s; -s c] element-wise to (x, y).
 template <typename T>
 Task rot(Level1Config cfg, std::int64_t n, T c, T s, Channel<T>& ch_x,
          Channel<T>& ch_y, Channel<T>& ch_out_x, Channel<T>& ch_out_y) {
-  return plane_op<T>(
-      cfg, n,
-      [c, s](T x, T y, T& ox, T& oy) {
-        ox = c * x + s * y;
-        oy = c * y - s * x;
+  return stream::elementwise<T, 2, 2>(
+      n, cfg.width,
+      [c, s](std::array<T, 2> v) {
+        return std::array<T, 2>{c * v[0] + s * v[1], c * v[1] - s * v[0]};
       },
-      ch_x, ch_y, ch_out_x, ch_out_y);
+      {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
 }
 
 /// ROTM: applies a modified Givens rotation element-wise to (x, y).
@@ -161,13 +101,13 @@ Task rotm(Level1Config cfg, std::int64_t n, ref::RotmParam<T> p,
           Channel<T>& ch_out_y) {
   // Expand H once (the hardware specializes on the flag at synthesis).
   const auto [h11, h12, h21, h22] = p.matrix();
-  return plane_op<T>(
-      cfg, n,
-      [h11, h12, h21, h22](T x, T y, T& ox, T& oy) {
-        ox = h11 * x + h12 * y;
-        oy = h21 * x + h22 * y;
+  return stream::elementwise<T, 2, 2>(
+      n, cfg.width,
+      [h11, h12, h21, h22](std::array<T, 2> v) {
+        return std::array<T, 2>{h11 * v[0] + h12 * v[1],
+                                h21 * v[0] + h22 * v[1]};
       },
-      ch_x, ch_y, ch_out_x, ch_out_y);
+      {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
 }
 
 /// ROTG: scalar Givens setup. Pops (a, b), pushes (r, z, c, s).
@@ -211,6 +151,7 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
          Channel<T>& ch_res) {
   cfg.validate();
   std::vector<T> x = stream::lanes<T>(cfg.width), y = x;
+  const std::array<const stream::ChannelBase*, 2> in{&ch_x, &ch_y};
   T res = T(0);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
@@ -224,7 +165,7 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
         continue;
       }
       const std::size_t m = stream::lockstep(
-          static_cast<std::size_t>(batch - i), {&ch_x, &ch_y}, {});
+          static_cast<std::size_t>(batch - i), in, {});
       ch_x.take_some(x.data(), m);
       ch_y.take_some(y.data(), m);
       for (std::size_t k = 0; k < m; ++k) acc += x[k] * y[k];

@@ -127,180 +127,106 @@ void tile_runs(std::int64_t e, std::int64_t len, std::int64_t ni,
 /// y has `cols`). A arrives on ch_a following gemv_a_schedule(cfg); x and
 /// y arrive on ch_x / ch_y with the replay counts above; the result
 /// leaves on ch_out in natural order.
+///
+/// One tile loop serves all four (trans x tiling) variants. Tiles are
+/// visited along the outer tile dimension (rows for tiles by rows), then
+/// the inner one. When y runs along the outer dimension its block is
+/// reused: accumulated on chip over the inner tiles, then written, and x
+/// is replayed per tile. Otherwise x makes one pass, a block per outer
+/// step, and y's partials stay on chip in full (standing in for the DRAM
+/// round trip): each block is read at the first outer step and written at
+/// the last, or, for A^T x and when no tile runs, read before the loop
+/// and written after it.
 template <typename T>
 Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
           T beta, Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
           Channel<T>& ch_out) {
   cfg.validate();
-  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
-  const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
   const std::int64_t W = cfg.width;
-  // Element traversal within a tile (row- or column-major): the tile loops
-  // below iterate (outer, inner), outer = row for row-major elements.
+  const bool none = cfg.trans == Transpose::None;
+  const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
+  const bool x_outer = none != by_rows;
+  // Outer and inner tile extents, tile counts and matrix extents.
+  const std::int64_t to_len = by_rows ? cfg.tile_rows : cfg.tile_cols;
+  const std::int64_t ti_len = by_rows ? cfg.tile_cols : cfg.tile_rows;
+  const std::int64_t no = by_rows ? rows : cols, ni = by_rows ? cols : rows;
+  const std::int64_t nto = ceil_div(no, to_len), nti = ceil_div(ni, ti_len);
+  const std::int64_t ylen = none ? rows : cols;
+  const bool whole = x_outer && (!none || nto == 0);
   std::vector<T> abuf = stream::lanes<T>(W);
-  std::vector<T> xbuf, acc;
-
-  if (cfg.trans == Transpose::None && cfg.tiling == MatrixTiling::TilesByRows) {
-    // Fig. 2 (left): reuse over y; x replayed once per tile-row.
-    xbuf.resize(static_cast<std::size_t>(TM));
-    acc.resize(static_cast<std::size_t>(TN));
-    std::vector<T> ybuf(static_cast<std::size_t>(TN));
-    for (std::int64_t ti = 0; ti < nti; ++ti) {
-      const std::int64_t th = std::min(TN, rows - ti * TN);
-      for (std::int64_t r = 0; r < th;) {
-        r += co_await ch_y.pop_some(ybuf.data() + r, th - r);
-      }
-      for (std::int64_t r = 0; r < th; ++r) {
+  std::vector<T> xbuf(static_cast<std::size_t>(x_outer ? to_len : ti_len));
+  std::vector<T> ybuf(static_cast<std::size_t>(x_outer ? ylen : to_len));
+  std::vector<T> acc(x_outer ? 0 : ybuf.size());
+  if (whole) {
+    for (std::int64_t r = 0; r < ylen;) {
+      r += co_await ch_y.pop_some(ybuf.data() + r, ylen - r);
+    }
+    for (std::int64_t r = 0; r < ylen; ++r) ybuf[r] = beta * ybuf[r];
+  }
+  for (std::int64_t to = 0; to < nto; ++to) {
+    const std::int64_t lo = std::min(to_len, no - to * to_len);
+    // The outer step's block: x's, or the reused y's.
+    T* const outer = x_outer ? xbuf.data() : ybuf.data();
+    for (std::int64_t r = 0; r < lo;) {
+      r += co_await (x_outer ? ch_x : ch_y).pop_some(outer + r, lo - r);
+    }
+    if (!x_outer) {
+      for (std::int64_t r = 0; r < lo; ++r) {
         ybuf[r] = beta * ybuf[r];
         acc[r] = T(0);
       }
-      for (std::int64_t tj = 0; tj < ntj; ++tj) {
-        const std::int64_t tw = std::min(TM, cols - tj * TM);
-        for (std::int64_t c = 0; c < tw;) {
-          c += co_await ch_x.pop_some(xbuf.data() + c, tw - c);
-        }
-        std::int64_t in_cycle = 0;
-        const std::int64_t ni = row_elems ? tw : th;
-        const std::int64_t total = th * tw;
-        for (std::int64_t e = 0; e < total;) {
-          const std::int64_t got = co_await ch_a.pop_some(
-              abuf.data(), std::min(W - in_cycle, total - e));
-          detail::gemv_runs<false>(abuf.data(), got, e, ni, row_elems, alpha,
-                                   acc.data(), xbuf.data());
-          e += got;
-          if ((in_cycle += got) == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-      }
-      for (std::int64_t r = 0; r < th; ++r) ybuf[r] = ybuf[r] + alpha * acc[r];
-      for (std::int64_t r = 0; r < th;) {
-        r += co_await ch_out.push_some(ybuf.data() + r, th - r);
-      }
-      co_await next_cycle();
     }
-  } else if (cfg.trans == Transpose::None &&
-             cfg.tiling == MatrixTiling::TilesByCols) {
-    // Fig. 2 (right): x read once; y (partial results) replayed. The
-    // full-length partial buffer models the DRAM round trip.
-    xbuf.resize(static_cast<std::size_t>(TM));
-    std::vector<T> part(static_cast<std::size_t>(rows), T(0));
-    for (std::int64_t tj = 0; tj < ntj; ++tj) {
-      const std::int64_t tw = std::min(TM, cols - tj * TM);
-      for (std::int64_t c = 0; c < tw;) {
-        c += co_await ch_x.pop_some(xbuf.data() + c, tw - c);
+    for (std::int64_t tin = 0; tin < nti; ++tin) {
+      const std::int64_t li = std::min(ti_len, ni - tin * ti_len);
+      const std::int64_t th = by_rows ? lo : li, tw = by_rows ? li : lo;
+      // The inner tile's block: x's, or a block of y's partials.
+      T* const inner = x_outer ? ybuf.data() + tin * ti_len : xbuf.data();
+      const bool load = !x_outer || (!whole && to == 0);
+      for (std::int64_t r = 0; load && r < li;) {
+        r += co_await (x_outer ? ch_y : ch_x).pop_some(inner + r, li - r);
       }
-      for (std::int64_t ti = 0; ti < nti; ++ti) {
-        const std::int64_t th = std::min(TN, rows - ti * TN);
-        T* tile_part = part.data() + ti * TN;
-        if (tj == 0) {
-          for (std::int64_t r = 0; r < th;) {
-            r += co_await ch_y.pop_some(tile_part + r, th - r);
-          }
-          for (std::int64_t r = 0; r < th; ++r) tile_part[r] = beta * tile_part[r];
+      if (x_outer && load) {
+        for (std::int64_t r = 0; r < li; ++r) inner[r] = beta * inner[r];
+      }
+      std::int64_t in_cycle = 0;
+      const std::int64_t tile_ni = row_elems ? tw : th;
+      const std::int64_t total = th * tw;
+      for (std::int64_t e = 0; e < total;) {
+        const std::int64_t got = co_await ch_a.pop_some(
+            abuf.data(), std::min(W - in_cycle, total - e));
+        if (x_outer) {
+          detail::gemv_runs<true>(abuf.data(), got, e, tile_ni,
+                                  none == row_elems, alpha, inner, xbuf.data());
+        } else {
+          detail::gemv_runs<false>(abuf.data(), got, e, tile_ni,
+                                   none == row_elems, alpha, acc.data(), inner);
         }
-        std::int64_t in_cycle = 0;
-        const std::int64_t ni = row_elems ? tw : th;
-        const std::int64_t total = th * tw;
-        for (std::int64_t e = 0; e < total;) {
-          const std::int64_t got = co_await ch_a.pop_some(
-              abuf.data(), std::min(W - in_cycle, total - e));
-          detail::gemv_runs<true>(abuf.data(), got, e, ni, row_elems, alpha,
-                                  tile_part, xbuf.data());
-          e += got;
-          if ((in_cycle += got) == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-        if (tj == ntj - 1) {
-          for (std::int64_t r = 0; r < th;) {
-            r += co_await ch_out.push_some(tile_part + r, th - r);
-          }
+        e += got;
+        if ((in_cycle += got) == W) {
+          in_cycle = 0;
+          co_await next_cycle();
         }
       }
-      co_await next_cycle();
-    }
-  } else if (cfg.trans == Transpose::Trans &&
-             cfg.tiling == MatrixTiling::TilesByRows) {
-    // y = alpha A^T x + beta y with A in tiles by rows: x (length rows)
-    // read once, block per tile-row; y partials buffered full-length.
-    xbuf.resize(static_cast<std::size_t>(TN));
-    std::vector<T> part(static_cast<std::size_t>(cols));
-    for (std::int64_t c = 0; c < cols;) {
-      c += co_await ch_y.pop_some(part.data() + c, cols - c);
-    }
-    for (std::int64_t c = 0; c < cols; ++c) part[c] = beta * part[c];
-    for (std::int64_t ti = 0; ti < nti; ++ti) {
-      const std::int64_t th = std::min(TN, rows - ti * TN);
-      for (std::int64_t r = 0; r < th;) {
-        r += co_await ch_x.pop_some(xbuf.data() + r, th - r);
-      }
-      for (std::int64_t tj = 0; tj < ntj; ++tj) {
-        const std::int64_t tw = std::min(TM, cols - tj * TM);
-        std::int64_t in_cycle = 0;
-        const std::int64_t ni = row_elems ? tw : th;
-        const std::int64_t total = th * tw;
-        for (std::int64_t e = 0; e < total;) {
-          const std::int64_t got = co_await ch_a.pop_some(
-              abuf.data(), std::min(W - in_cycle, total - e));
-          detail::gemv_runs<true>(abuf.data(), got, e, ni, !row_elems, alpha,
-                                  part.data() + tj * TM, xbuf.data());
-          e += got;
-          if ((in_cycle += got) == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
+      if (x_outer && !whole && to == nto - 1) {
+        for (std::int64_t r = 0; r < li;) {
+          r += co_await ch_out.push_some(inner + r, li - r);
         }
       }
     }
-    for (std::int64_t c = 0; c < cols;) {
-      c += co_await ch_out.push_some(part.data() + c, cols - c);
+    if (!x_outer) {
+      for (std::int64_t r = 0; r < lo; ++r) ybuf[r] = ybuf[r] + alpha * acc[r];
+      for (std::int64_t r = 0; r < lo;) {
+        r += co_await ch_out.push_some(ybuf.data() + r, lo - r);
+      }
+    }
+    if (!whole) co_await next_cycle();
+  }
+  if (whole) {
+    for (std::int64_t r = 0; r < ylen;) {
+      r += co_await ch_out.push_some(ybuf.data() + r, ylen - r);
     }
     co_await next_cycle();
-  } else {
-    // trans, tiles by columns: reuse over y blocks; x replayed per
-    // tile-column.
-    xbuf.resize(static_cast<std::size_t>(TN));
-    acc.resize(static_cast<std::size_t>(TM));
-    std::vector<T> ybuf(static_cast<std::size_t>(TM));
-    for (std::int64_t tj = 0; tj < ntj; ++tj) {
-      const std::int64_t tw = std::min(TM, cols - tj * TM);
-      for (std::int64_t c = 0; c < tw;) {
-        c += co_await ch_y.pop_some(ybuf.data() + c, tw - c);
-      }
-      for (std::int64_t c = 0; c < tw; ++c) {
-        ybuf[c] = beta * ybuf[c];
-        acc[c] = T(0);
-      }
-      for (std::int64_t ti = 0; ti < nti; ++ti) {
-        const std::int64_t th = std::min(TN, rows - ti * TN);
-        for (std::int64_t r = 0; r < th;) {
-          r += co_await ch_x.pop_some(xbuf.data() + r, th - r);
-        }
-        std::int64_t in_cycle = 0;
-        const std::int64_t ni = row_elems ? tw : th;
-        const std::int64_t total = th * tw;
-        for (std::int64_t e = 0; e < total;) {
-          const std::int64_t got = co_await ch_a.pop_some(
-              abuf.data(), std::min(W - in_cycle, total - e));
-          detail::gemv_runs<false>(abuf.data(), got, e, ni, !row_elems, alpha,
-                                   acc.data(), xbuf.data());
-          e += got;
-          if ((in_cycle += got) == W) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-      }
-      for (std::int64_t c = 0; c < tw; ++c) ybuf[c] = ybuf[c] + alpha * acc[c];
-      for (std::int64_t c = 0; c < tw;) {
-        c += co_await ch_out.push_some(ybuf.data() + c, tw - c);
-      }
-      co_await next_cycle();
-    }
   }
 }
 
@@ -326,61 +252,77 @@ std::int64_t ger_y_repeat(const GerConfig& cfg, std::int64_t rows,
 std::int64_t ger_io_ops(const GerConfig& cfg, std::int64_t rows,
                         std::int64_t cols);
 
-/// GER: out = A + alpha * x * y^T, streamed tile by tile.
-template <typename T>
-Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
-         Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
-         Channel<T>& ch_out) {
+/// The one rank-r tile update: out = A + alpha * x y^T (one vector pair,
+/// GER) or out = A + alpha * (x y^T + y x^T) (two pairs, SYR2), streamed
+/// tile by tile. ch_rows[p] carries pair p's row-dimension vector (x, then
+/// y) and ch_cols[p] its column-dimension one. The blocks along the outer
+/// tile dimension load once per outer step, first; those along the inner
+/// dimension load for every tile: that operand is the replayed one. The
+/// channels of one dimension load in lockstep.
+template <typename T, std::size_t R>
+Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
+               Channel<T>& ch_a, std::array<Channel<T>*, R> ch_rows,
+               std::array<Channel<T>*, R> ch_cols, Channel<T>& ch_out) {
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
   const std::int64_t W = cfg.width;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
-  std::vector<T> rbuf(static_cast<std::size_t>(TN));
-  std::vector<T> cbuf(static_cast<std::size_t>(TM));
+  // Per dimension (0: rows, 1: columns): its channels, ports and blocks.
+  std::array<std::array<Channel<T>*, R>, 2> ch{ch_rows, ch_cols};
+  std::array<std::array<const stream::ChannelBase*, R>, 2> ports;
+  std::array<std::array<std::vector<T>, R>, 2> blk;
+  for (std::size_t p = 0; p < R; ++p) {
+    for (std::size_t d = 0; d < 2; ++d) {
+      ports[d][p] = ch[d][p];
+      blk[d][p].resize(static_cast<std::size_t>(d == 0 ? TN : TM));
+    }
+  }
+  const std::array<const stream::ChannelBase*, 1> a_port{&ch_a};
+  const std::array<const stream::ChannelBase*, 1> out_port{&ch_out};
   std::vector<T> v = stream::lanes<T>(W);
+  const std::size_t outer_dim = by_rows ? 0 : 1;
   const std::int64_t outer = by_rows ? nti : ntj;
   const std::int64_t inner = by_rows ? ntj : nti;
   for (std::int64_t to = 0; to < outer; ++to) {
-    for (std::int64_t tin = 0; tin < inner; ++tin) {
+    for (std::int64_t tin = -1; tin < inner; ++tin) {
+      // Step -1 loads the outer step's blocks, step tin >= 0 the tile's.
+      const std::size_t d = tin < 0 ? outer_dim : 1 - outer_dim;
+      const std::int64_t t = tin < 0 ? to : tin;
+      const std::int64_t len = d == 0 ? std::min(TN, rows - t * TN)
+                                      : std::min(TM, cols - t * TM);
+      for (std::int64_t k = 0; k < len;) {
+        const std::size_t m =
+            stream::lockstep(static_cast<std::size_t>(len - k), ports[d], {});
+        for (std::size_t p = 0; p < R; ++p) {
+          co_await ch[d][p]->pop_some(blk[d][p].data() + k, m);
+        }
+        k += static_cast<std::int64_t>(m);
+      }
+      if (tin < 0) continue;
       const std::int64_t ti = by_rows ? to : tin;
       const std::int64_t tj = by_rows ? tin : to;
       const std::int64_t th = std::min(TN, rows - ti * TN);
       const std::int64_t tw = std::min(TM, cols - tj * TM);
-      // The outer-dimension block is loaded once per outer step; the
-      // inner-dimension block is (re)loaded for every tile: that operand
-      // is the replayed one.
-      if (by_rows) {
-        if (tin == 0) {
-          for (std::int64_t r = 0; r < th;) {
-            r += co_await ch_x.pop_some(rbuf.data() + r, th - r);
-          }
-        }
-        for (std::int64_t c = 0; c < tw;) {
-          c += co_await ch_y.pop_some(cbuf.data() + c, tw - c);
-        }
-      } else {
-        if (tin == 0) {
-          for (std::int64_t c = 0; c < tw;) {
-            c += co_await ch_y.pop_some(cbuf.data() + c, tw - c);
-          }
-        }
-        for (std::int64_t r = 0; r < th;) {
-          r += co_await ch_x.pop_some(rbuf.data() + r, th - r);
-        }
-      }
+      const auto& rb = blk[0];
+      const auto& cb = blk[1];
       std::int64_t in_cycle = 0;
       const std::int64_t ni = row_elems ? tw : th;
       const std::int64_t total = th * tw;
       for (std::int64_t e = 0; e < total;) {
         const std::size_t m = stream::lockstep(
             static_cast<std::size_t>(std::min(W - in_cycle, total - e)),
-            {&ch_a}, {&ch_out});
+            a_port, out_port);
         co_await ch_a.pop_some(v.data(), m);
         detail::tile_runs(e, static_cast<std::int64_t>(m), ni, row_elems,
                           [&](std::int64_t k, std::int64_t r, std::int64_t c) {
-                            v[k] = v[k] + alpha * rbuf[r] * cbuf[c];
+                            if constexpr (R == 1) {
+                              v[k] = v[k] + alpha * rb[0][r] * cb[0][c];
+                            } else {
+                              v[k] = v[k] + alpha * (rb[0][r] * cb[1][c] +
+                                                     rb[1][r] * cb[0][c]);
+                            }
                           });
         co_await ch_out.push_some(v.data(), m);
         e += static_cast<std::int64_t>(m);
@@ -392,6 +334,15 @@ Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     }
     co_await next_cycle();
   }
+}
+
+/// GER: out = A + alpha * x * y^T, streamed tile by tile.
+template <typename T>
+Task ger(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
+         Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
+         Channel<T>& ch_out) {
+  return ger_pairs<T, 1>(cfg, rows, cols, alpha, ch_a, {&ch_x}, {&ch_y},
+                         ch_out);
 }
 
 /// SYR: out = A + alpha * x * x^T (generic full-matrix stream; the paper
@@ -404,77 +355,14 @@ Task syr(GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
   return ger<T>(cfg, n, n, alpha, ch_a, ch_x_row, ch_x_col, ch_out);
 }
 
-/// SYR2: out = A + alpha * (x y^T + y x^T); four vector streams (row and
-/// column blocks of both x and y).
+/// SYR2: out = A + alpha * (x y^T + y x^T), GER with two vector pairs;
+/// four vector streams (row and column blocks of both x and y).
 template <typename T>
 Task syr2(GerConfig cfg, std::int64_t n, T alpha, Channel<T>& ch_a,
           Channel<T>& ch_x_row, Channel<T>& ch_x_col, Channel<T>& ch_y_row,
           Channel<T>& ch_y_col, Channel<T>& ch_out) {
-  cfg.validate();
-  const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
-  const std::int64_t nti = ceil_div(n, TN), ntj = ceil_div(n, TM);
-  const std::int64_t W = cfg.width;
-  const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
-  const bool row_elems = cfg.elem_order == Order::RowMajor;
-  std::vector<T> xr(static_cast<std::size_t>(TN)), yr(static_cast<std::size_t>(TN));
-  std::vector<T> xc(static_cast<std::size_t>(TM)), yc(static_cast<std::size_t>(TM));
-  std::vector<T> v = stream::lanes<T>(W);
-  // An x/y block pair of one tile dimension and whether this tile loads it.
-  struct Blocks {
-    Channel<T>* cx;
-    Channel<T>* cy;
-    T* x;
-    T* y;
-    std::int64_t len;
-    bool load;
-  };
-  const std::int64_t outer = by_rows ? nti : ntj;
-  const std::int64_t inner = by_rows ? ntj : nti;
-  for (std::int64_t to = 0; to < outer; ++to) {
-    for (std::int64_t tin = 0; tin < inner; ++tin) {
-      const std::int64_t ti = by_rows ? to : tin;
-      const std::int64_t tj = by_rows ? tin : to;
-      const std::int64_t th = std::min(TN, n - ti * TN);
-      const std::int64_t tw = std::min(TM, n - tj * TM);
-      // The outer-dimension blocks load once per outer step, first; the
-      // inner-dimension blocks load for every tile. Each x/y pair loads in
-      // lockstep: the element-wise form popped x, then y, per element.
-      const Blocks rows_blk{&ch_x_row, &ch_y_row, xr.data(), yr.data(), th,
-                            !by_rows || tin == 0};
-      const Blocks cols_blk{&ch_x_col, &ch_y_col, xc.data(), yc.data(), tw,
-                            by_rows || tin == 0};
-      for (const Blocks& b : by_rows ? std::array{rows_blk, cols_blk}
-                                     : std::array{cols_blk, rows_blk}) {
-        for (std::int64_t k = 0; b.load && k < b.len;) {
-          const std::size_t m = stream::lockstep(
-              static_cast<std::size_t>(b.len - k), {b.cx, b.cy}, {});
-          co_await b.cx->pop_some(b.x + k, m);
-          co_await b.cy->pop_some(b.y + k, m);
-          k += static_cast<std::int64_t>(m);
-        }
-      }
-      std::int64_t in_cycle = 0;
-      const std::int64_t ni = row_elems ? tw : th;
-      const std::int64_t total = th * tw;
-      for (std::int64_t e = 0; e < total;) {
-        const std::size_t m = stream::lockstep(
-            static_cast<std::size_t>(std::min(W - in_cycle, total - e)),
-            {&ch_a}, {&ch_out});
-        co_await ch_a.pop_some(v.data(), m);
-        detail::tile_runs(e, static_cast<std::int64_t>(m), ni, row_elems,
-                          [&](std::int64_t k, std::int64_t r, std::int64_t c) {
-                            v[k] = v[k] + alpha * (xr[r] * yc[c] + yr[r] * xc[c]);
-                          });
-        co_await ch_out.push_some(v.data(), m);
-        e += static_cast<std::int64_t>(m);
-        if ((in_cycle += static_cast<std::int64_t>(m)) == W) {
-          in_cycle = 0;
-          co_await next_cycle();
-        }
-      }
-    }
-    co_await next_cycle();
-  }
+  return ger_pairs<T, 2>(cfg, n, n, alpha, ch_a, {&ch_x_row, &ch_y_row},
+                         {&ch_x_col, &ch_y_col}, ch_out);
 }
 
 struct TrsvConfig {
@@ -489,42 +377,26 @@ struct TrsvConfig {
 
 /// Streams the `uplo` triangle (including the diagonal) of op(A) for an
 /// n x n matrix, in the row order the TRSV/TRSM modules consume (lower:
-/// top-down; upper: bottom-up), i.e. in solve order. `uplo` refers to
-/// op(A): for a transposed solve pass the flipped triangle and
-/// trans == Trans.
+/// top-down; upper: bottom-up), i.e. in solve order, then closes its
+/// cycle. `uplo` refers to op(A): for a transposed solve pass the flipped
+/// triangle and trans == Trans.
 template <typename T>
 Task read_triangular(MatrixView<const T> A, Uplo uplo, int width,
                      Channel<T>& out, stream::DramBank* bank = nullptr,
                      Transpose trans = Transpose::None) {
   const std::int64_t n = A.rows();
-  auto at = [&](std::int64_t i, std::int64_t j) -> T {
-    return trans == Transpose::None ? A(i, j) : A(j, i);
-  };
-  std::vector<T> buf = stream::lanes<T>(width);
-  std::int64_t in_cycle = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int64_t i = uplo == Uplo::Lower ? k : n - 1 - k;
-    const std::int64_t j0 = uplo == Uplo::Lower ? 0 : i;
-    const std::int64_t j1 = uplo == Uplo::Lower ? i + 1 : n;
-    for (std::int64_t j = j0; j < j1;) {
-      bool refused = false;
-      const std::int64_t g = stream::gather_granted(
-          bank, out, std::min(width - in_cycle, j1 - j), buf.data(),
-          [&](std::int64_t t) { return at(i, j + t); }, refused);
-      for (std::int64_t t = 0; t < g;) {
-        t += co_await out.push_some(buf.data() + t, g - t);
-      }
-      j += g;
-      in_cycle += g;
-      if (refused) {
-        co_await next_cycle();
-      } else if (in_cycle == width) {
-        in_cycle = 0;
-        co_await next_cycle();
-      }
-    }
-  }
-  co_await next_cycle();
+  const bool lower = uplo == Uplo::Lower;
+  const bool none = trans == Transpose::None;
+  return stream::read_granted<T>(
+      stream::runs<const T>(n + 1,
+                            [=](std::int64_t k) -> stream::Run<const T> {
+                              if (k == n) return {.close = true};
+                              const std::int64_t i = lower ? k : n - 1 - k;
+                              const std::int64_t j0 = lower ? 0 : i;
+                              return {none ? &A(i, j0) : &A(j0, i),
+                                      none ? 1 : A.ld(), lower ? i + 1 : n - i};
+                            }),
+      width, out, bank);
 }
 
 /// TRSV: solves op(A) x = b for a triangular A streamed in solve order

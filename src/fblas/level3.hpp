@@ -17,7 +17,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,87 +58,51 @@ std::int64_t gemm_io_ops(const GemmConfig& cfg, std::int64_t m,
                          std::int64_t n, std::int64_t k, bool reads_c);
 
 /// Read-A helper: streams the op(A) panel (column segments of length TR)
-/// for every C tile in module order. With trans == Trans the stored
-/// matrix is k x m and elements are fetched transposed (the functional
-/// parameter of the code generator).
+/// for every C tile in module order, PR elements per cycle. With trans ==
+/// Trans the stored matrix is k x m and elements are fetched transposed
+/// (the functional parameter of the code generator).
 template <typename T>
 Task read_a_gemm(MatrixView<const T> A, GemmConfig cfg, std::int64_t n,
                  Channel<T>& out, stream::DramBank* bank = nullptr,
                  Transpose trans = Transpose::None) {
-  const std::int64_t m = trans == Transpose::None ? A.rows() : A.cols();
-  const std::int64_t k = trans == Transpose::None ? A.cols() : A.rows();
-  auto at = [&](std::int64_t i, std::int64_t p) -> T {
-    return trans == Transpose::None ? A(i, p) : A(p, i);
-  };
+  const bool none = trans == Transpose::None;
+  const std::int64_t m = none ? A.rows() : A.cols();
+  const std::int64_t k = none ? A.cols() : A.rows();
   const std::int64_t TR = cfg.tile_rows;
   const std::int64_t nbi = ceil_div(m, TR), nbj = ceil_div(n, cfg.tile_cols);
-  std::vector<T> buf = stream::lanes<T>(cfg.pe_rows);
-  std::int64_t in_cycle = 0;
-  for (std::int64_t bi = 0; bi < nbi; ++bi) {
-    const std::int64_t th = std::min(TR, m - bi * TR);
-    for (std::int64_t bj = 0; bj < nbj; ++bj) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t r = 0; r < th;) {
-          bool refused = false;
-          const std::int64_t g = stream::gather_granted(
-              bank, out, std::min(cfg.pe_rows - in_cycle, th - r), buf.data(),
-              [&](std::int64_t t) { return at(bi * TR + r + t, p); }, refused);
-          for (std::int64_t t = 0; t < g;) {
-            t += co_await out.push_some(buf.data() + t, g - t);
-          }
-          r += g;
-          in_cycle += g;
-          if (refused) {
-            co_await next_cycle();
-          } else if (in_cycle == cfg.pe_rows) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-      }
-    }
-  }
+  // Segment (bi, bj, p): rows bi*TR.. of op(A)'s column p, for every bj.
+  return stream::read_granted<T>(
+      stream::runs<const T>(nbi * nbj * k,
+                            [=](std::int64_t s) -> stream::Run<const T> {
+                              const std::int64_t i = s / (nbj * k) * TR;
+                              const std::int64_t p = s % k;
+                              return {none ? &A(i, p) : &A(p, i),
+                                      none ? A.ld() : 1, std::min(TR, m - i)};
+                            }),
+      cfg.pe_rows, out, bank);
 }
 
 /// Read-B helper: streams the op(B) panel (row segments of length TC) for
-/// every C tile in module order.
+/// every C tile in module order, PC elements per cycle.
 template <typename T>
 Task read_b_gemm(MatrixView<const T> B, GemmConfig cfg, std::int64_t m,
                  Channel<T>& out, stream::DramBank* bank = nullptr,
                  Transpose trans = Transpose::None) {
-  const std::int64_t k = trans == Transpose::None ? B.rows() : B.cols();
-  const std::int64_t n = trans == Transpose::None ? B.cols() : B.rows();
-  auto bt = [&](std::int64_t p, std::int64_t j) -> T {
-    return trans == Transpose::None ? B(p, j) : B(j, p);
-  };
+  const bool none = trans == Transpose::None;
+  const std::int64_t k = none ? B.rows() : B.cols();
+  const std::int64_t n = none ? B.cols() : B.rows();
   const std::int64_t TC = cfg.tile_cols;
   const std::int64_t nbi = ceil_div(m, cfg.tile_rows), nbj = ceil_div(n, TC);
-  std::vector<T> buf = stream::lanes<T>(cfg.pe_cols);
-  std::int64_t in_cycle = 0;
-  for (std::int64_t bi = 0; bi < nbi; ++bi) {
-    for (std::int64_t bj = 0; bj < nbj; ++bj) {
-      const std::int64_t tw = std::min(TC, n - bj * TC);
-      for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t c = 0; c < tw;) {
-          bool refused = false;
-          const std::int64_t g = stream::gather_granted(
-              bank, out, std::min(cfg.pe_cols - in_cycle, tw - c), buf.data(),
-              [&](std::int64_t t) { return bt(p, bj * TC + c + t); }, refused);
-          for (std::int64_t t = 0; t < g;) {
-            t += co_await out.push_some(buf.data() + t, g - t);
-          }
-          c += g;
-          in_cycle += g;
-          if (refused) {
-            co_await next_cycle();
-          } else if (in_cycle == cfg.pe_cols) {
-            in_cycle = 0;
-            co_await next_cycle();
-          }
-        }
-      }
-    }
-  }
+  // Segment (bi, bj, p): columns bj*TC.. of op(B)'s row p, for every bi.
+  return stream::read_granted<T>(
+      stream::runs<const T>(nbi * nbj * k,
+                            [=](std::int64_t s) -> stream::Run<const T> {
+                              const std::int64_t j = s / k % nbj * TC;
+                              const std::int64_t p = s % k;
+                              return {none ? &B(p, j) : &B(j, p),
+                                      none ? 1 : B.ld(), std::min(TC, n - j)};
+                            }),
+      cfg.pe_cols, out, bank);
 }
 
 /// The Store-C schedule: C tiles leave the drain in row-major tile order,
@@ -146,23 +112,33 @@ inline stream::TileSchedule gemm_c_schedule(const GemmConfig& cfg) {
                               cfg.tile_cols};
 }
 
-/// GEMM: C = alpha * A * B + beta * C.
-/// A arrives as read_a_gemm emits, B as read_b_gemm emits. When beta is
-/// non-zero, the previous C arrives on ch_c in gemm_c_schedule order; for
-/// beta == 0 the channel is never popped. The result leaves on ch_out in
-/// gemm_c_schedule order.
-template <typename T>
-Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
-          T alpha, T beta, Channel<T>& ch_a, Channel<T>& ch_b,
-          Channel<T>& ch_c, Channel<T>& ch_out) {
+/// The one GEMM-family module: C = alpha * sum of the panel products +
+/// beta * C, for one panel pair (GEMM, and SYRK on it: A B) or two (SYR2K:
+/// A B^T + B A^T). ch_cols[p] carries pair p's op(A)-style column
+/// segments (as read_a_gemm emits) and ch_rows[p] its op(B)-style row
+/// segments (as read_b_gemm emits); for two pairs the product is
+/// col[0] row[1] + col[1] row[0]. When beta is non-zero, the previous C
+/// arrives on ch_c in gemm_c_schedule order; for beta == 0 the channel is
+/// never popped. The result leaves on ch_out in gemm_c_schedule order.
+template <typename T, std::size_t R>
+Task gemm_pairs(GemmConfig cfg, std::int64_t m, std::int64_t n,
+                std::int64_t k, T alpha, T beta,
+                std::array<Channel<T>*, R> ch_cols,
+                std::array<Channel<T>*, R> ch_rows, Channel<T>& ch_c,
+                Channel<T>& ch_out) {
   cfg.validate();
   const std::int64_t TR = cfg.tile_rows, TC = cfg.tile_cols;
   const std::int64_t nbi = ceil_div(m, TR), nbj = ceil_div(n, TC);
   const std::int64_t macs_per_cycle =
       static_cast<std::int64_t>(cfg.pe_rows) * cfg.pe_cols;
   std::vector<T> acc(static_cast<std::size_t>(TR * TC));
-  std::vector<T> a_col(static_cast<std::size_t>(TR));
-  std::vector<T> b_row(static_cast<std::size_t>(TC));
+  std::array<std::vector<T>, R> col, row;
+  for (std::size_t p = 0; p < R; ++p) {
+    col[p].resize(static_cast<std::size_t>(TR));
+    row[p].resize(static_cast<std::size_t>(TC));
+  }
+  const std::array<const stream::ChannelBase*, 1> c_port{&ch_c};
+  const std::array<const stream::ChannelBase*, 1> out_port{&ch_out};
   std::vector<T> c_in = stream::lanes<T>(cfg.pe_cols), c_out = c_in;
   for (std::int64_t bi = 0; bi < nbi; ++bi) {
     const std::int64_t th = std::min(TR, m - bi * TR);
@@ -171,19 +147,29 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
       std::fill(acc.begin(), acc.end(), T(0));
       std::int64_t in_cycle = 0;
       for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t r = 0; r < th;) {
-          r += co_await ch_a.pop_some(a_col.data() + r, th - r);
+        for (std::size_t q = 0; q < R; ++q) {
+          for (std::int64_t r = 0; r < th;) {
+            r += co_await ch_cols[q]->pop_some(col[q].data() + r, th - r);
+          }
         }
-        for (std::int64_t c = 0; c < tw;) {
-          c += co_await ch_b.pop_some(b_row.data() + c, tw - c);
+        for (std::size_t q = 0; q < R; ++q) {
+          for (std::int64_t c = 0; c < tw;) {
+            c += co_await ch_rows[q]->pop_some(row[q].data() + c, tw - c);
+          }
         }
         // The PE grid: PR*PC of these multiply-adds happen per cycle.
         for (std::int64_t r = 0; r < th; ++r) {
-          const T av = a_col[r];
-          T* row = acc.data() + r * TC;
+          T* out = acc.data() + r * TC;
+          const T a0 = col[0][r], a1 = col[R - 1][r];
           for (std::int64_t c = 0; c < tw;) {
             const std::int64_t cnt = std::min(macs_per_cycle - in_cycle, tw - c);
-            for (std::int64_t t = c; t < c + cnt; ++t) row[t] += av * b_row[t];
+            for (std::int64_t t = c; t < c + cnt; ++t) {
+              if constexpr (R == 1) {
+                out[t] += a0 * row[0][t];
+              } else {
+                out[t] += a0 * row[1][t] + a1 * row[0][t];
+              }
+            }
             c += cnt;
             if ((in_cycle += cnt) == macs_per_cycle) {
               in_cycle = 0;
@@ -198,9 +184,8 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t e = 0; e < th * tw;) {
         const auto want = static_cast<std::size_t>(
             std::min(cfg.pe_cols - drained, th * tw - e));
-        const std::size_t got = beta != T(0)
-                                    ? stream::lockstep(want, {&ch_c}, {&ch_out})
-                                    : stream::lockstep(want, {}, {&ch_out});
+        const std::size_t got = stream::lockstep(
+            want, std::span(c_port).first(beta != T(0) ? 1 : 0), out_port);
         if (beta != T(0)) co_await ch_c.pop_some(c_in.data(), got);
         for (std::size_t t = 0; t < got; ++t, ++e) {
           T v = alpha * acc[(e / tw) * TC + e % tw];
@@ -218,82 +203,27 @@ Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
-/// SYR2K: C = alpha * (A B^T + B A^T) + beta * C with A and B both n x k.
-/// Four input streams: column segments of A and B (as read_a_gemm emits)
-/// and row segments of A^T and B^T (as read_b_gemm emits on the
-/// transposed views). Only the `uplo` triangle of the output is
-/// meaningful; the store helper filters it.
+/// GEMM: C = alpha * A * B + beta * C, gemm_pairs over one panel pair: A
+/// arrives as read_a_gemm emits, B as read_b_gemm emits.
+template <typename T>
+Task gemm(GemmConfig cfg, std::int64_t m, std::int64_t n, std::int64_t k,
+          T alpha, T beta, Channel<T>& ch_a, Channel<T>& ch_b,
+          Channel<T>& ch_c, Channel<T>& ch_out) {
+  return gemm_pairs<T, 1>(cfg, m, n, k, alpha, beta, {&ch_a}, {&ch_b}, ch_c,
+                          ch_out);
+}
+
+/// SYR2K: C = alpha * (A B^T + B A^T) + beta * C with A and B both n x k,
+/// gemm_pairs over two panel pairs: column segments of A and B (as
+/// read_a_gemm emits) and row segments of A^T and B^T (as read_b_gemm
+/// emits on the transposed views). Only the `uplo` triangle of the output
+/// is meaningful; the store helper filters it.
 template <typename T>
 Task syr2k(GemmConfig cfg, std::int64_t n, std::int64_t k, T alpha, T beta,
            Channel<T>& ch_a, Channel<T>& ch_b, Channel<T>& ch_at,
            Channel<T>& ch_bt, Channel<T>& ch_c, Channel<T>& ch_out) {
-  cfg.validate();
-  const std::int64_t TR = cfg.tile_rows, TC = cfg.tile_cols;
-  const std::int64_t nbi = ceil_div(n, TR), nbj = ceil_div(n, TC);
-  const std::int64_t macs_per_cycle =
-      static_cast<std::int64_t>(cfg.pe_rows) * cfg.pe_cols;
-  std::vector<T> acc(static_cast<std::size_t>(TR * TC));
-  std::vector<T> a_col(static_cast<std::size_t>(TR)),
-      b_col(static_cast<std::size_t>(TR));
-  std::vector<T> at_row(static_cast<std::size_t>(TC)),
-      bt_row(static_cast<std::size_t>(TC));
-  std::vector<T> c_in = stream::lanes<T>(cfg.pe_cols), c_out = c_in;
-  for (std::int64_t bi = 0; bi < nbi; ++bi) {
-    const std::int64_t th = std::min(TR, n - bi * TR);
-    for (std::int64_t bj = 0; bj < nbj; ++bj) {
-      const std::int64_t tw = std::min(TC, n - bj * TC);
-      std::fill(acc.begin(), acc.end(), T(0));
-      std::int64_t in_cycle = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        for (std::int64_t r = 0; r < th;) {
-          r += co_await ch_a.pop_some(a_col.data() + r, th - r);
-        }
-        for (std::int64_t r = 0; r < th;) {
-          r += co_await ch_b.pop_some(b_col.data() + r, th - r);
-        }
-        for (std::int64_t c = 0; c < tw;) {
-          c += co_await ch_at.pop_some(at_row.data() + c, tw - c);
-        }
-        for (std::int64_t c = 0; c < tw;) {
-          c += co_await ch_bt.pop_some(bt_row.data() + c, tw - c);
-        }
-        for (std::int64_t r = 0; r < th; ++r) {
-          T* row = acc.data() + r * TC;
-          for (std::int64_t c = 0; c < tw;) {
-            const std::int64_t cnt = std::min(macs_per_cycle - in_cycle, tw - c);
-            for (std::int64_t t = c; t < c + cnt; ++t) {
-              row[t] += a_col[r] * bt_row[t] + b_col[r] * at_row[t];
-            }
-            c += cnt;
-            if ((in_cycle += cnt) == macs_per_cycle) {
-              in_cycle = 0;
-              co_await next_cycle();
-            }
-          }
-        }
-      }
-      std::int64_t drained = 0;
-      for (std::int64_t e = 0; e < th * tw;) {
-        const auto want = static_cast<std::size_t>(
-            std::min(cfg.pe_cols - drained, th * tw - e));
-        const std::size_t got = beta != T(0)
-                                    ? stream::lockstep(want, {&ch_c}, {&ch_out})
-                                    : stream::lockstep(want, {}, {&ch_out});
-        if (beta != T(0)) co_await ch_c.pop_some(c_in.data(), got);
-        for (std::size_t t = 0; t < got; ++t, ++e) {
-          T v = alpha * acc[(e / tw) * TC + e % tw];
-          if (beta != T(0)) v += beta * c_in[t];
-          c_out[t] = v;
-        }
-        co_await ch_out.push_some(c_out.data(), got);
-        if ((drained += static_cast<std::int64_t>(got)) == cfg.pe_cols) {
-          drained = 0;
-          co_await next_cycle();
-        }
-      }
-      co_await next_cycle();
-    }
-  }
+  return gemm_pairs<T, 2>(cfg, n, n, k, alpha, beta, {&ch_a, &ch_b},
+                          {&ch_at, &ch_bt}, ch_c, ch_out);
 }
 
 struct TrsmConfig {

@@ -41,6 +41,80 @@ std::uint64_t steer_triangular(Uplo uplo, std::int64_t n, std::uint64_t elem,
   return off < size ? off : size - 1;
 }
 
+// The stored view of an r x c op(X): X itself, or X as c x r when
+// transposed.
+template <typename T>
+MatrixView<const T> op_view(const Buffer<T>& x, Transpose t, std::int64_t r,
+                            std::int64_t c) {
+  return t == Transpose::None ? x.cmat(r, c) : x.cmat(c, r);
+}
+
+// One panel stream of the GEMM module: op(A)-style column segments
+// (read_a_gemm) or op(B)-style row segments (read_b_gemm) of `view`.
+template <typename T>
+struct Panel {
+  const char* chan;
+  const char* mover;
+  MatrixView<const T> view;
+  int bank;
+  Transpose trans;
+};
+
+// The one GEMM-family graph (GEMM, SYRK, SYR2K): a channel and reader per
+// column panel, then per row panel; Read-C when beta != 0; the module
+// `label` over the panel pairs; and Store-C, which keeps only the `uplo`
+// triangle when one is given.
+template <typename T, std::size_t R>
+void run_gemm_graph(Context& ctx, const RoutineConfig& rc, const char* label,
+                    std::int64_t m, std::int64_t n, std::int64_t k, T alpha,
+                    T beta, const std::array<Panel<T>, R>& cols,
+                    const std::array<Panel<T>, R>& rows, Buffer<T>& c,
+                    const Uplo* uplo) {
+  const double mhz = sim::gemm_frequency(rc.pe_rows, rc.pe_cols,
+                                         PrecisionTraits<T>::value,
+                                         ctx.device().spec())
+                         .mhz;
+  detail::launch(ctx, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
+    const core::GemmConfig cfg{rc.pe_rows, rc.pe_cols, rc.gemm_tile_rows,
+                               rc.gemm_tile_cols};
+    const std::size_t cap_cols = detail::chan_cap(cfg.pe_rows * 4);
+    const std::size_t cap_rows = detail::chan_cap(cfg.pe_cols * 4);
+    std::array<stream::Channel<T>*, R> cc, cr;
+    for (std::size_t q = 0; q < R; ++q) {
+      cc[q] = &g.channel<T>(cols[q].chan, cap_cols);
+    }
+    for (std::size_t q = 0; q < R; ++q) {
+      cr[q] = &g.channel<T>(rows[q].chan, cap_rows);
+    }
+    auto& cin = g.channel<T>("Cin", cap_rows);
+    auto& out = g.channel<T>("out", cap_rows);
+    for (std::size_t q = 0; q < R; ++q) {
+      g.spawn(cols[q].mover,
+              core::read_a_gemm<T>(cols[q].view, cfg, n, *cc[q],
+                                   banks.at(cols[q].bank), cols[q].trans));
+    }
+    for (std::size_t q = 0; q < R; ++q) {
+      g.spawn(rows[q].mover,
+              core::read_b_gemm<T>(rows[q].view, cfg, m, *cr[q],
+                                   banks.at(rows[q].bank), rows[q].trans));
+    }
+    const auto sched = core::gemm_c_schedule(cfg);
+    stream::DramBank* c_bank = banks.at(c.bank());
+    if (beta != T(0)) {
+      g.spawn("read_C", stream::read_matrix<T>(c.cmat(m, n), sched, 1,
+                                               cfg.pe_cols, cin, c_bank));
+    }
+    g.spawn(label, core::gemm_pairs<T, R>(cfg, m, n, k, alpha, beta, cc, cr,
+                                          cin, out));
+    g.spawn("store_C",
+            uplo != nullptr
+                ? stream::write_matrix_uplo<T>(c.mat(m, n), sched, *uplo,
+                                               cfg.pe_cols, out, c_bank)
+                : stream::write_matrix<T>(c.mat(m, n), sched, cfg.pe_cols,
+                                          out, c_bank));
+  });
+}
+
 }  // namespace
 
 template <typename T>
@@ -54,54 +128,21 @@ Event Context::gemm_async(Transpose ta, Transpose tb, std::int64_t m,
   command.writes = {&c};
   command.work = [this, rc = cfg_, ta, tb, m, n, k, alpha, &a, &b, beta,
                   &c] {
-    const double mhz = sim::gemm_frequency(rc.pe_rows, rc.pe_cols,
-                                           PrecisionTraits<T>::value,
-                                           dev_->spec())
-                           .mhz;
-    detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
-      const core::GemmConfig cfg{rc.pe_rows, rc.pe_cols, rc.gemm_tile_rows,
-                                 rc.gemm_tile_cols};
-      auto& ca = g.channel<T>("A", detail::chan_cap(cfg.pe_rows * 4));
-      auto& cb = g.channel<T>("B", detail::chan_cap(cfg.pe_cols * 4));
-      auto& cc = g.channel<T>("Cin", detail::chan_cap(cfg.pe_cols * 4));
-      auto& out = g.channel<T>("out", detail::chan_cap(cfg.pe_cols * 4));
-      g.spawn("read_A",
-              core::read_a_gemm<T>(a.cmat(ta == Transpose::None ? m : k,
-                                          ta == Transpose::None ? k : m),
-                                   cfg, n, ca, banks.at(a.bank()), ta));
-      g.spawn("read_B",
-              core::read_b_gemm<T>(b.cmat(tb == Transpose::None ? k : n,
-                                          tb == Transpose::None ? n : k),
-                                   cfg, m, cb, banks.at(b.bank()), tb));
-      if (beta != T(0)) {
-        g.spawn("read_C",
-                stream::read_matrix<T>(c.cmat(m, n), core::gemm_c_schedule(cfg),
-                                       1, cfg.pe_cols, cc, banks.at(c.bank())));
-      }
-      g.spawn("gemm",
-              core::gemm<T>(cfg, m, n, k, alpha, beta, ca, cb, cc, out));
-      g.spawn("store_C",
-              stream::write_matrix<T>(c.mat(m, n), core::gemm_c_schedule(cfg),
-                                      cfg.pe_cols, out, banks.at(c.bank())));
-    });
+    run_gemm_graph<T, 1>(*this, rc, "gemm", m, n, k, alpha, beta,
+                         {{{"A", "read_A", op_view(a, ta, m, k), a.bank(), ta}}},
+                         {{{"B", "read_B", op_view(b, tb, k, n), b.bank(), tb}}},
+                         c, nullptr);
   };
   command.fallback = [ta, tb, m, n, k, alpha, &a, &b, beta, &c] {
-    ref::gemm(ta, tb, alpha,
-              a.cmat(ta == Transpose::None ? m : k,
-                     ta == Transpose::None ? k : m),
-              b.cmat(tb == Transpose::None ? k : n,
-                     tb == Transpose::None ? n : k),
-              beta, c.mat(m, n));
+    ref::gemm(ta, tb, alpha, op_view(a, ta, m, k), op_view(b, tb, k, n), beta,
+              c.mat(m, n));
   };
   return enqueue(std::move(command), [ta, tb, m, n, k, alpha, &a, &b, beta,
                                       &c] {
-    return [chk = verify::gemm_prepare<T>(
-                ta, tb, m, n, k, alpha,
-                a.cmat(ta == Transpose::None ? m : k,
-                       ta == Transpose::None ? k : m),
-                b.cmat(tb == Transpose::None ? k : n,
-                       tb == Transpose::None ? n : k),
-                beta, c.cmat(m, n)),
+    return [chk = verify::gemm_prepare<T>(ta, tb, m, n, k, alpha,
+                                          op_view(a, ta, m, k),
+                                          op_view(b, tb, k, n), beta,
+                                          c.cmat(m, n)),
             m, n, &c](double scale) {
       verify::gemm_check<T>(chk, c.cmat(m, n), scale);
     };
@@ -117,55 +158,27 @@ Event Context::syrk_async(Uplo uplo, Transpose trans, std::int64_t n,
   command.reads = {&a, &c};
   command.writes = {&c};
   command.work = [this, rc = cfg_, uplo, trans, n, k, alpha, &a, beta, &c] {
-    const double mhz = sim::gemm_frequency(rc.pe_rows, rc.pe_cols,
-                                           PrecisionTraits<T>::value,
-                                           dev_->spec())
-                           .mhz;
-    detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
-      const core::GemmConfig cfg{rc.pe_rows, rc.pe_cols, rc.gemm_tile_rows,
-                                 rc.gemm_tile_cols};
-      // SYRK is lowered to the generic GEMM module with both panel streams
-      // reading the same matrix (the second one transposed) and a
-      // triangular Store-C (Sec. VI: specialized routines are implemented
-      // in terms of the generic ones).
-      const auto a_view = a.cmat(trans == Transpose::None ? n : k,
-                                 trans == Transpose::None ? k : n);
-      auto& ca = g.channel<T>("A", detail::chan_cap(cfg.pe_rows * 4));
-      auto& cb = g.channel<T>("At", detail::chan_cap(cfg.pe_cols * 4));
-      auto& cc = g.channel<T>("Cin", detail::chan_cap(cfg.pe_cols * 4));
-      auto& out = g.channel<T>("out", detail::chan_cap(cfg.pe_cols * 4));
-      g.spawn("read_A", core::read_a_gemm<T>(a_view, cfg, n, ca,
-                                             banks.at(a.bank()), trans));
-      g.spawn("read_At", core::read_b_gemm<T>(a_view, cfg, n, cb,
-                                              banks.at(a.bank()), flip(trans)));
-      if (beta != T(0)) {
-        g.spawn("read_C",
-                stream::read_matrix<T>(c.cmat(n, n), core::gemm_c_schedule(cfg),
-                                       1, cfg.pe_cols, cc, banks.at(c.bank())));
-      }
-      g.spawn("gemm",
-              core::gemm<T>(cfg, n, n, k, alpha, beta, ca, cb, cc, out));
-      g.spawn("store_C", stream::write_matrix_uplo<T>(
-                             c.mat(n, n), core::gemm_c_schedule(cfg), uplo,
-                             cfg.pe_cols, out, banks.at(c.bank())));
-    });
+    // SYRK is lowered to the generic GEMM module with both panel streams
+    // reading the same matrix (the second one transposed) and a
+    // triangular Store-C (Sec. VI: specialized routines are implemented
+    // in terms of the generic ones).
+    const auto av = op_view(a, trans, n, k);
+    run_gemm_graph<T, 1>(*this, rc, "gemm", n, n, k, alpha, beta,
+                         {{{"A", "read_A", av, a.bank(), trans}}},
+                         {{{"At", "read_At", av, a.bank(), flip(trans)}}}, c,
+                         &uplo);
   };
   command.fallback = [uplo, trans, n, k, alpha, &a, beta, &c] {
-    ref::syrk(uplo, trans, alpha,
-              a.cmat(trans == Transpose::None ? n : k,
-                     trans == Transpose::None ? k : n),
-              beta, c.mat(n, n));
+    ref::syrk(uplo, trans, alpha, op_view(a, trans, n, k), beta, c.mat(n, n));
   };
   command.corrupt_steer = [uplo, n](std::uint64_t raw, std::uint64_t size) {
     return steer_triangular(uplo, n, sizeof(T), raw, size);
   };
   return enqueue(std::move(command), [uplo, trans, n, k, alpha, &a, beta,
                                       &c] {
-    return [chk = verify::syrk_prepare<T>(
-                uplo, trans, n, k, alpha,
-                a.cmat(trans == Transpose::None ? n : k,
-                       trans == Transpose::None ? k : n),
-                beta, c.cmat(n, n)),
+    return [chk = verify::syrk_prepare<T>(uplo, trans, n, k, alpha,
+                                          op_view(a, trans, n, k), beta,
+                                          c.cmat(n, n)),
             n, &c](double scale) {
       verify::check_rowsums<T>(chk, "syrk", c.cmat(n, n), scale);
     };
@@ -182,59 +195,27 @@ Event Context::syr2k_async(Uplo uplo, Transpose trans, std::int64_t n,
   command.writes = {&c};
   command.work = [this, rc = cfg_, uplo, trans, n, k, alpha, &a, &b, beta,
                   &c] {
-    const double mhz = sim::gemm_frequency(rc.pe_rows, rc.pe_cols,
-                                           PrecisionTraits<T>::value,
-                                           dev_->spec())
-                           .mhz;
-    detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
-      const core::GemmConfig cfg{rc.pe_rows, rc.pe_cols, rc.gemm_tile_rows,
-                                 rc.gemm_tile_cols};
-      const auto a_view = a.cmat(trans == Transpose::None ? n : k,
-                                 trans == Transpose::None ? k : n);
-      const auto b_view = b.cmat(trans == Transpose::None ? n : k,
-                                 trans == Transpose::None ? k : n);
-      auto& ca = g.channel<T>("Acol", detail::chan_cap(cfg.pe_rows * 4));
-      auto& cbc = g.channel<T>("Bcol", detail::chan_cap(cfg.pe_rows * 4));
-      auto& cat = g.channel<T>("Atrow", detail::chan_cap(cfg.pe_cols * 4));
-      auto& cbt = g.channel<T>("Btrow", detail::chan_cap(cfg.pe_cols * 4));
-      auto& cc = g.channel<T>("Cin", detail::chan_cap(cfg.pe_cols * 4));
-      auto& out = g.channel<T>("out", detail::chan_cap(cfg.pe_cols * 4));
-      g.spawn("read_A", core::read_a_gemm<T>(a_view, cfg, n, ca,
-                                             banks.at(a.bank()), trans));
-      g.spawn("read_B", core::read_a_gemm<T>(b_view, cfg, n, cbc,
-                                             banks.at(b.bank()), trans));
-      g.spawn("read_At", core::read_b_gemm<T>(a_view, cfg, n, cat,
-                                              banks.at(a.bank()), flip(trans)));
-      g.spawn("read_Bt", core::read_b_gemm<T>(b_view, cfg, n, cbt,
-                                              banks.at(b.bank()), flip(trans)));
-      if (beta != T(0)) {
-        g.spawn("read_C",
-                stream::read_matrix<T>(c.cmat(n, n), core::gemm_c_schedule(cfg),
-                                       1, cfg.pe_cols, cc, banks.at(c.bank())));
-      }
-      g.spawn("syr2k", core::syr2k<T>(cfg, n, k, alpha, beta, ca, cbc, cat,
-                                      cbt, cc, out));
-      g.spawn("store_C", stream::write_matrix_uplo<T>(
-                             c.mat(n, n), core::gemm_c_schedule(cfg), uplo,
-                             cfg.pe_cols, out, banks.at(c.bank())));
-    });
+    const auto av = op_view(a, trans, n, k), bv = op_view(b, trans, n, k);
+    run_gemm_graph<T, 2>(
+        *this, rc, "syr2k", n, n, k, alpha, beta,
+        {{{"Acol", "read_A", av, a.bank(), trans},
+          {"Bcol", "read_B", bv, b.bank(), trans}}},
+        {{{"Atrow", "read_At", av, a.bank(), flip(trans)},
+          {"Btrow", "read_Bt", bv, b.bank(), flip(trans)}}},
+        c, &uplo);
   };
   command.fallback = [uplo, trans, n, k, alpha, &a, &b, beta, &c] {
-    const std::int64_t rows = trans == Transpose::None ? n : k;
-    const std::int64_t cols = trans == Transpose::None ? k : n;
-    ref::syr2k(uplo, trans, alpha, a.cmat(rows, cols), b.cmat(rows, cols),
-               beta, c.mat(n, n));
+    ref::syr2k(uplo, trans, alpha, op_view(a, trans, n, k),
+               op_view(b, trans, n, k), beta, c.mat(n, n));
   };
   command.corrupt_steer = [uplo, n](std::uint64_t raw, std::uint64_t size) {
     return steer_triangular(uplo, n, sizeof(T), raw, size);
   };
   return enqueue(std::move(command), [uplo, trans, n, k, alpha, &a, &b, beta,
                                       &c] {
-    const std::int64_t rows = trans == Transpose::None ? n : k;
-    const std::int64_t cols = trans == Transpose::None ? k : n;
     return [chk = verify::syr2k_prepare<T>(uplo, trans, n, k, alpha,
-                                           a.cmat(rows, cols),
-                                           b.cmat(rows, cols), beta,
+                                           op_view(a, trans, n, k),
+                                           op_view(b, trans, n, k), beta,
                                            c.cmat(n, n)),
             n, &c](double scale) {
       verify::check_rowsums<T>(chk, "syr2k", c.cmat(n, n), scale);
@@ -252,64 +233,41 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
   command.writes = {&b};
   command.work = [this, rc = cfg_, side, uplo, trans, diag, m, n, alpha, &a,
                   &b] {
-    if (side == Side::Left) {
-      detail::launch<T>(*this, RoutineKind::Trsm, [&](stream::Graph& g,
-                                                      detail::BankSet& banks) {
-        const int W = rc.width;
-        const Uplo eff = trans == Transpose::None ? uplo : flip(uplo);
-        const core::TrsmConfig cfg{eff, diag, W};
-        auto& ca = g.channel<T>("A", detail::chan_cap(W));
-        auto& cb = g.channel<T>("B", detail::chan_cap(W));
-        auto& out = g.channel<T>("X", detail::chan_cap(W));
-        g.spawn("read_A", core::read_triangular<T>(a.cmat(m, m), eff, W, ca,
-                                                   banks.at(a.bank()), trans));
-        g.spawn("read_B", detail::read_rows_solve_order<T>(
-                              b.cmat(m, n), eff, W, cb, banks.at(b.bank())));
-        g.spawn("trsm", core::trsm<T>(cfg, m, n, alpha, ca, cb, out));
-        g.spawn("write_X", detail::write_rows_solve_order<T>(
-                               b.mat(m, n), eff, W, out, banks.at(b.bank())));
-      });
-      return;
-    }
     // Right side: X op(A) = alpha B  <=>  op(A)^T X^T = alpha B^T. The
-    // host transposes B into scratch, runs the left-side solve with the
-    // opposite transposition, and transposes the result back (the host
+    // host transposes B into scratch, runs the left-side solve there with
+    // the opposite transposition, and transposes the result back (the host
     // layer's equivalent of generating a dedicated right-side variant).
-    std::vector<T> bt(static_cast<std::size_t>(m * n));
-    {
-      auto bv = b.cmat(m, n);
-      MatrixView<T> BT(bt.data(), n, m);
-      for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) BT(j, i) = bv(i, j);
+    // Either way the solve overwrites its right-hand side row by row.
+    const bool left = side == Side::Left;
+    const Transpose t = left ? trans : flip(trans);
+    const Uplo eff = t == Transpose::None ? uplo : flip(uplo);
+    const std::int64_t rows = left ? m : n, cols = left ? n : m;
+    auto transpose = [](MatrixView<const T> from, MatrixView<T> to) {
+      for (std::int64_t i = 0; i < from.rows(); ++i) {
+        for (std::int64_t j = 0; j < from.cols(); ++j) to(j, i) = from(i, j);
       }
-    }
-    std::vector<T> xt(static_cast<std::size_t>(m * n));
+    };
+    std::vector<T> scratch(left ? 0 : static_cast<std::size_t>(m * n));
+    const MatrixView<T> x =
+        left ? b.mat(m, n) : MatrixView<T>(scratch.data(), n, m);
+    if (!left) transpose(b.cmat(m, n), x);
     detail::launch<T>(*this, RoutineKind::Trsm, [&](stream::Graph& g,
                                                     detail::BankSet& banks) {
       const int W = rc.width;
-      const Transpose t2 = flip(trans);
-      const Uplo eff = t2 == Transpose::None ? uplo : flip(uplo);
-      const core::TrsmConfig cfg{eff, diag, W};
       auto& ca = g.channel<T>("A", detail::chan_cap(W));
       auto& cb = g.channel<T>("B", detail::chan_cap(W));
       auto& out = g.channel<T>("X", detail::chan_cap(W));
-      g.spawn("read_A", core::read_triangular<T>(a.cmat(n, n), eff, W, ca,
-                                                 banks.at(a.bank()), t2));
+      g.spawn("read_A", core::read_triangular<T>(a.cmat(rows, rows), eff, W,
+                                                 ca, banks.at(a.bank()), t));
       g.spawn("read_B", detail::read_rows_solve_order<T>(
-                            MatrixView<const T>(bt.data(), n, m), eff, W, cb,
-                            banks.at(b.bank())));
-      g.spawn("trsm", core::trsm<T>(cfg, n, m, alpha, ca, cb, out));
+                            MatrixView<const T>(x.data(), rows, cols, x.ld()),
+                            eff, W, cb, banks.at(b.bank())));
+      g.spawn("trsm", core::trsm<T>({eff, diag, W}, rows, cols, alpha, ca, cb,
+                                    out));
       g.spawn("write_X", detail::write_rows_solve_order<T>(
-                             MatrixView<T>(xt.data(), n, m), eff, W, out,
-                             banks.at(b.bank())));
+                             x, eff, W, out, banks.at(b.bank())));
     });
-    {
-      auto bv = b.mat(m, n);
-      MatrixView<const T> XT(xt.data(), n, m);
-      for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) bv(i, j) = XT(j, i);
-      }
-    }
+    if (!left) transpose(MatrixView<const T>(scratch.data(), n, m), b.mat(m, n));
   };
   command.fallback = [side, uplo, trans, diag, m, n, alpha, &a, &b] {
     const std::int64_t adim = side == Side::Left ? m : n;

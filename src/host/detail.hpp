@@ -70,35 +70,29 @@ MatrixView<T> as_column(VectorView<T> v) {
   return MatrixView<T>(v.data(), v.size(), 1, v.inc());
 }
 
-/// Streams matrix rows in solve order (reversed for Upper solves).
+/// The row runs of `M` in solve order (reversed for Upper solves).
+template <typename P>
+auto solve_order_rows(MatrixView<P> M, Uplo uplo) {
+  const std::int64_t m = M.rows();
+  return [=](std::int64_t s) -> stream::Run<P> {
+    return {&M(uplo == Uplo::Lower ? s : m - 1 - s, 0), 1, M.cols()};
+  };
+}
+
+/// Streams matrix rows in solve order, then closes its cycle.
 template <typename T>
 stream::Task read_rows_solve_order(MatrixView<const T> B, Uplo uplo,
                                    int width, stream::Channel<T>& out,
                                    stream::DramBank* bank = nullptr) {
-  const std::int64_t m = B.rows(), n = B.cols();
-  std::vector<T> buf = stream::lanes<T>(width);
-  std::int64_t in_cycle = 0;
-  for (std::int64_t s = 0; s < m; ++s) {
-    const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n;) {
-      bool refused = false;
-      const std::int64_t g = stream::gather_granted(
-          bank, out, std::min(width - in_cycle, n - c), buf.data(),
-          [&](std::int64_t t) { return B(i, c + t); }, refused);
-      for (std::int64_t t = 0; t < g;) {
-        t += co_await out.push_some(buf.data() + t, g - t);
-      }
-      c += g;
-      in_cycle += g;
-      if (refused) {
-        co_await stream::next_cycle();
-      } else if (in_cycle == width) {
-        in_cycle = 0;
-        co_await stream::next_cycle();
-      }
-    }
-  }
-  co_await stream::next_cycle();
+  const std::int64_t m = B.rows();
+  auto row = solve_order_rows(B, uplo);
+  return stream::read_granted<T>(
+      stream::runs<const T>(m + 1,
+                            [=](std::int64_t s) -> stream::Run<const T> {
+                              if (s == m) return {.close = true};
+                              return row(s);
+                            }),
+      width, out, bank);
 }
 
 /// Stores solve-order rows back in natural order.
@@ -106,38 +100,8 @@ template <typename T>
 stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
                                     stream::Channel<T>& in,
                                     stream::DramBank* bank = nullptr) {
-  const std::int64_t m = X.rows(), n = X.cols();
-  std::vector<T> buf = stream::lanes<T>(width);
-  std::int64_t in_cycle = 0;
-  for (std::int64_t s = 0; s < m; ++s) {
-    const std::int64_t i = uplo == Uplo::Lower ? s : m - 1 - s;
-    for (std::int64_t c = 0; c < n;) {
-      const auto avail = std::min<std::int64_t>(
-          std::min(width - in_cycle, n - c),
-          static_cast<std::int64_t>(in.size()));
-      // Nothing buffered: one element step, whose pop may suspend.
-      if (avail == 0) co_await in.pop_some(buf.data(), 1);
-      bool waiting = false;
-      const std::int64_t len = stream::grant_run(
-          bank, sizeof(T), std::max<std::int64_t>(avail, 1),
-          [](std::int64_t) { return true; }, waiting);
-      if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
-      for (std::int64_t t = 0; t < len - (waiting ? 1 : 0); ++t) {
-        X(i, c + t) = buf[t];
-      }
-      if (waiting) {
-        do {
-          co_await stream::next_cycle();
-        } while (bank->grant_elems(1, sizeof(T)) == 0);
-        X(i, c + len - 1) = buf[len - 1];
-      }
-      c += len;
-      if ((in_cycle += len) == width) {
-        in_cycle = 0;
-        co_await stream::next_cycle();
-      }
-    }
-  }
+  return stream::write_granted<T>(
+      stream::runs<T>(X.rows(), solve_order_rows(X, uplo)), width, in, bank);
 }
 
 /// Channel capacity used by the lowerings: deep enough for two width-

@@ -11,7 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <initializer_list>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -318,9 +318,9 @@ struct PushAwaiter {
 /// element order, the answer is 1: one element step, whose awaits
 /// suspend where a per-element loop would.
 inline std::size_t lockstep(std::size_t want,
-                            std::initializer_list<const ChannelBase*> in,
-                            std::initializer_list<const ChannelBase*> out) {
-  if (out.size() > 1 && (*out.begin())->screened()) return 1;
+                            std::span<const ChannelBase* const> in,
+                            std::span<const ChannelBase* const> out) {
+  if (out.size() > 1 && out.front()->screened()) return 1;
   for (const ChannelBase* c : in) want = std::min(want, c->size());
   for (const ChannelBase* c : out) want = std::min(want, c->space());
   return std::max<std::size_t>(want, 1);

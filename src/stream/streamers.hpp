@@ -9,8 +9,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "common/view.hpp"
 #include "stream/channel.hpp"
@@ -93,53 +97,166 @@ void scatter_runs(TileWalker& walk, const TileSchedule& s, MatrixView<T> A,
   }
 }
 
-/// The non-suspending half of a reader whose bank grants one element at
-/// a time: of the next `want` elements, grants as many as `out` has room
-/// for (at least one) against `bank` (every one when it is null), one by
-/// one and stopping at the first refusal, and gathers at(0), at(1), ... of
-/// the granted ones into `buf`. Returns how many were granted; `refused`
-/// tells whether a grant failed, after which the reader waits a cycle.
-template <typename T, typename At>
-std::int64_t gather_granted(DramBank* bank, const Channel<T>& out,
-                            std::int64_t want, T* buf, At&& at,
-                            bool& refused) {
-  const std::int64_t m = std::min<std::int64_t>(
-      want, static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1)));
-  std::int64_t g = 0;
-  refused = false;
-  while (g < m) {
-    if (bank != nullptr && bank->grant_elems(1, sizeof(T)) == 0) {
-      refused = true;
-      break;
-    }
-    buf[g] = at(g);
-    ++g;
-  }
-  return g;
-}
-
-/// The non-suspending half of a writer whose bank grants each kept
-/// element right after it is popped: of the next `avail` popped elements,
-/// grants the kept ones (keep(t)) against `bank` in order, and ends the
-/// run at the first refusal. Returns the run's length; `refused` tells
-/// whether its last element still waits for a grant.
-template <typename Keep>
-std::int64_t grant_run(DramBank* bank, std::size_t elem_bytes,
-                       std::int64_t avail, Keep&& keep, bool& refused) {
-  refused = false;
-  for (std::int64_t t = 0; t < avail; ++t) {
-    if (bank != nullptr && keep(t) && bank->grant_elems(1, elem_bytes) == 0) {
-      refused = true;
-      return t + 1;
-    }
-  }
-  return avail;
-}
-
 /// Batch buffer of a module moving up to `width` values per cycle.
 template <typename T>
 std::vector<T> lanes(std::int64_t width) {
   return std::vector<T>(static_cast<std::size_t>(std::max<std::int64_t>(width, 1)));
+}
+
+/// Applies `f` to lanes 0..m-1 of the buffers `p` in place: lane k's I
+/// input values are p[0][k], p[1][k], ..., and its O output values
+/// overwrite p[0][k], p[1][k], .... A plain function, so its locals stay
+/// in registers instead of the calling coroutine's frame.
+template <std::size_t I, std::size_t O, typename T, std::size_t N, typename F>
+void map_lanes(F& f, std::array<T*, N> p, std::size_t m) {
+  for (std::size_t k = 0; k < m; ++k) {
+    std::array<T, I> v;
+    for (std::size_t c = 0; c < I; ++c) v[c] = p[c][k];
+    const std::array<T, O> r = f(v);
+    for (std::size_t c = 0; c < O; ++c) p[c][k] = r[c];
+  }
+}
+
+/// The one element-wise module body: moves `n` elements through `f`, up
+/// to `width` per cycle, from the channels of `in` to those of `out` in
+/// lockstep (see lockstep). Each step pops every input, then pushes every
+/// output; `f` maps one element's I input values to its O output values.
+template <typename T, std::size_t I, std::size_t O, typename F>
+Task elementwise(std::int64_t n, int width, F f,
+                 std::array<Channel<T>*, I> in,
+                 std::array<Channel<T>*, O> out) {
+  FBLAS_REQUIRE(width >= 1, "vectorization width must be >= 1");
+  std::array<const ChannelBase*, I> in_ports;
+  std::array<const ChannelBase*, O> out_ports;
+  std::copy(in.begin(), in.end(), in_ports.begin());
+  std::copy(out.begin(), out.end(), out_ports.begin());
+  constexpr std::size_t N = std::max(I, O);
+  std::array<std::vector<T>, N> buf;
+  std::array<T*, N> p;
+  for (std::size_t c = 0; c < N; ++c) {
+    buf[c] = lanes<T>(width);
+    p[c] = buf[c].data();
+  }
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(width, n - it);
+    for (std::int64_t i = 0; i < batch;) {
+      const std::size_t m = lockstep(static_cast<std::size_t>(batch - i),
+                                     in_ports, out_ports);
+      for (std::size_t c = 0; c < I; ++c) co_await in[c]->pop_some(p[c], m);
+      map_lanes<I, O>(f, p, m);
+      for (std::size_t c = 0; c < O; ++c) co_await out[c]->push_some(p[c], m);
+      i += static_cast<std::int64_t>(m);
+    }
+    it += batch;
+    co_await next_cycle();
+  }
+}
+
+/// One strided run of a granted mover: `len` elements at p[0], p[stride],
+/// and so on. A writer stores only the elements in [keep_from, keep_to)
+/// and drops the rest; `close` ends the mover's cycle after the run.
+template <typename P>
+struct Run {
+  P* p = nullptr;
+  std::int64_t stride = 1;
+  std::int64_t len = 0;
+  std::int64_t keep_from = 0;
+  std::int64_t keep_to = std::numeric_limits<std::int64_t>::max();
+  bool close = false;
+};
+
+/// A run source yielding at(0), ..., at(count - 1): the `next(run)`
+/// functor read_granted and write_granted are driven by.
+template <typename P, typename At>
+auto runs(std::int64_t count, At at) {
+  return [count, at, k = std::int64_t{0}](Run<P>& r) mutable {
+    if (k == count) return false;
+    r = at(k++);
+    return true;
+  };
+}
+
+/// The one reader whose bank grants one element at a time (every one when
+/// `bank` is null): streams the runs `next` yields into `out`, up to
+/// `width` elements per cycle. Of the elements a cycle still has room for,
+/// it takes as many as `out` can hold (at least one), granting them in
+/// order; a refused grant ends its cycle early, and so does a closing run.
+template <typename T, typename Runs>
+Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
+                  DramBank* bank) {
+  std::vector<T> buf = lanes<T>(width);
+  std::int64_t in_cycle = 0;
+  for (Run<const T> run; next(run);) {
+    for (std::int64_t j = 0; j < run.len;) {
+      const std::int64_t want = std::min(
+          {width - in_cycle, run.len - j,
+           static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1))});
+      std::int64_t g = 0;
+      while (g < want && (bank == nullptr || bank->grant_elems(1, sizeof(T)) != 0)) {
+        buf[g] = run.p[(j + g) * run.stride];
+        ++g;
+      }
+      for (std::int64_t t = 0; t < g;) {
+        t += co_await out.push_some(buf.data() + t, g - t);
+      }
+      j += g;
+      in_cycle += g;
+      if (g < want) {
+        co_await next_cycle();
+      } else if (in_cycle == width) {
+        in_cycle = 0;
+        co_await next_cycle();
+      }
+    }
+    if (run.close) co_await next_cycle();
+  }
+}
+
+/// The one writer whose bank grants each kept element right after it is
+/// popped: stores the stream from `in` into the runs `next` yields, up to
+/// `width` elements per cycle. A kept element waits for its grant before
+/// the next pop.
+template <typename T, typename Runs>
+Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
+                   DramBank* bank) {
+  std::vector<T> buf = lanes<T>(width);
+  std::int64_t in_cycle = 0;
+  for (Run<T> run; next(run);) {
+    auto keep = [&run](std::int64_t u) {
+      return u >= run.keep_from && u < run.keep_to;
+    };
+    for (std::int64_t j = 0; j < run.len;) {
+      const auto avail = std::min({width - in_cycle, run.len - j,
+                                   static_cast<std::int64_t>(in.size())});
+      // Nothing buffered: one element step, whose pop may suspend.
+      if (avail == 0) co_await in.pop_some(buf.data(), 1);
+      // The step ends at the first kept element the bank refuses.
+      std::int64_t len = std::max<std::int64_t>(avail, 1);
+      bool waiting = false;
+      for (std::int64_t t = 0; bank != nullptr && t < len; ++t) {
+        if (keep(j + t) && bank->grant_elems(1, sizeof(T)) == 0) {
+          waiting = true;
+          len = t + 1;
+        }
+      }
+      if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
+      T* p = run.p + j * run.stride;
+      for (std::int64_t t = 0; t < len - (waiting ? 1 : 0); ++t) {
+        if (keep(j + t)) p[t * run.stride] = buf[t];
+      }
+      if (waiting) {
+        do {
+          co_await next_cycle();
+        } while (bank->grant_elems(1, sizeof(T)) == 0);
+        p[(len - 1) * run.stride] = buf[len - 1];
+      }
+      j += len;
+      if ((in_cycle += len) == width) {
+        in_cycle = 0;
+        co_await next_cycle();
+      }
+    }
+  }
 }
 
 /// Streams `v` into `out`, `repeat` times over, up to `width` elements per
@@ -233,53 +350,28 @@ Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
 
 /// Stores an n x n matrix stream arriving in `sched` order but keeps only
 /// the `uplo` triangle (SYR/SYR2 and SYRK/SYR2K, whose generic modules
-/// emit the full square). Every kept element is granted by the bank right
-/// after it is popped and waits for its grant before the next pop;
-/// `width` elements are consumed per cycle.
+/// emit the full square): write_granted over the schedule's runs, each
+/// keeping the part on the `uplo` side of the diagonal.
 template <typename T>
 Task write_matrix_uplo(MatrixView<T> A, TileSchedule sched, Uplo uplo,
                        int width, Channel<T>& in, DramBank* bank = nullptr) {
-  TileWalker walk(A.rows(), A.cols(), sched);
   const bool row_elems = sched.elem_order == Order::RowMajor;
-  const std::int64_t stride = run_stride(sched, A.ld());
-  std::vector<T> buf = lanes<T>(width);
-  std::int64_t remaining = walk.total();
-  std::int64_t in_cycle = 0;
-  while (remaining > 0) {
-    const auto avail = std::min<std::int64_t>(
-        std::min<std::int64_t>(width - in_cycle, remaining),
-        static_cast<std::int64_t>(in.size()));
-    // Nothing buffered: one element step, whose pop may suspend.
-    if (avail == 0) co_await in.pop_some(buf.data(), 1);
+  // The kept part of a run is a prefix when the run moves towards the
+  // kept side of the diagonal: along a row for Lower, down a column for
+  // Upper.
+  const bool prefix = (uplo == Uplo::Lower) == row_elems;
+  auto next = [=, walk = TileWalker(A.rows(), A.cols(), sched)](
+                  Run<T>& r) mutable {
     std::int64_t i = 0, j = 0;
-    TileWalker ahead = walk;
-    std::int64_t len = ahead.run(std::max<std::int64_t>(avail, 1), i, j);
-    // Whether element t of the run is kept.
-    auto keep = [&](std::int64_t t) {
-      const std::int64_t r = row_elems ? i : i + t;
-      const std::int64_t c = row_elems ? j + t : j;
-      return uplo == Uplo::Lower ? c <= r : c >= r;
-    };
-    bool waiting = false;
-    len = grant_run(bank, sizeof(T), len, keep, waiting);
-    walk.run(len, i, j);
-    if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
-    T* p = &A(i, j);
-    for (std::int64_t t = 0; t < len - (waiting ? 1 : 0); ++t) {
-      if (keep(t)) p[t * stride] = buf[t];
-    }
-    if (waiting) {
-      do {
-        co_await next_cycle();
-      } while (bank->grant_elems(1, sizeof(T)) == 0);
-      p[(len - 1) * stride] = buf[len - 1];
-    }
-    remaining -= len;
-    if ((in_cycle += len) == width) {
-      in_cycle = 0;
-      co_await next_cycle();
-    }
-  }
+    const std::int64_t len =
+        walk.run(std::numeric_limits<std::int64_t>::max(), i, j);
+    if (len == 0) return false;
+    const std::int64_t diag = row_elems ? i - j : j - i;
+    r = {&A(i, j), run_stride(sched, A.ld()), len, prefix ? 0 : diag,
+         prefix ? diag + 1 : len};
+    return true;
+  };
+  return write_granted<T>(next, width, in, bank);
 }
 
 /// On-chip data source: n copies of `value`, `width` per cycle. The paper
@@ -320,21 +412,9 @@ Task sink(std::int64_t n, int width, Channel<T>& in) {
 template <typename T>
 Task fanout2(std::int64_t n, int width, Channel<T>& in, Channel<T>& out_a,
              Channel<T>& out_b) {
-  std::vector<T> buf = lanes<T>(width);
-  std::int64_t idx = 0;
-  while (idx < n) {
-    const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch;) {
-      const std::size_t m = lockstep(static_cast<std::size_t>(batch - k),
-                                     {&in}, {&out_a, &out_b});
-      co_await in.pop_some(buf.data(), m);
-      co_await out_a.push_some(buf.data(), m);
-      co_await out_b.push_some(buf.data(), m);
-      k += static_cast<std::int64_t>(m);
-    }
-    idx += batch;
-    co_await next_cycle();
-  }
+  return elementwise<T, 1, 2>(
+      n, width, [](std::array<T, 1> v) { return std::array<T, 2>{v[0], v[0]}; },
+      {&in}, {&out_a, &out_b});
 }
 
 /// Collects a stream of n elements into a std::vector (test utility).

@@ -17,12 +17,22 @@ namespace {
 using stream::Graph;
 using stream::Mode;
 
+/// Values pushed into `g`'s channels that no module popped.
+std::uint64_t unconsumed(const Graph& g) {
+  std::uint64_t left = 0;
+  for (const auto& ch : g.channels()) {
+    left += ch->total_pushed() - ch->total_popped();
+  }
+  return left;
+}
+
 template <typename T>
 std::vector<T> run_gemv(const GemvConfig& cfg, std::int64_t rows,
                         std::int64_t cols, T alpha, T beta,
                         const std::vector<T>& a, const std::vector<T>& x,
                         const std::vector<T>& y, Mode mode = Mode::Functional,
-                        std::uint64_t* cycles = nullptr) {
+                        std::uint64_t* cycles = nullptr,
+                        std::uint64_t* left = nullptr) {
   Graph g(mode);
   auto& ca = g.channel<T>("A", 128);
   auto& cx = g.channel<T>("x", 128);
@@ -48,6 +58,7 @@ std::vector<T> run_gemv(const GemvConfig& cfg, std::int64_t rows,
   g.spawn("collect", stream::collect<T>(out_len, out, result));
   g.run();
   if (cycles != nullptr) *cycles = g.cycles();
+  if (left != nullptr) *left = unconsumed(g);
   return result;
 }
 
@@ -164,7 +175,8 @@ TYPED_TEST(StreamGemv, IoFormulasMatchPaper) {
 template <typename T>
 std::vector<T> run_ger(const GerConfig& cfg, std::int64_t rows,
                        std::int64_t cols, T alpha, const std::vector<T>& a,
-                       const std::vector<T>& x, const std::vector<T>& y) {
+                       const std::vector<T>& x, const std::vector<T>& y,
+                       std::uint64_t* left = nullptr) {
   Graph g;
   auto& ca = g.channel<T>("A", 64);
   auto& cx = g.channel<T>("x", 64);
@@ -186,6 +198,7 @@ std::vector<T> run_ger(const GerConfig& cfg, std::int64_t rows,
           stream::write_matrix<T>(MatrixView<T>(result.data(), rows, cols),
                                   sched, cfg.width, out));
   g.run();
+  if (left != nullptr) *left = unconsumed(g);
   return result;
 }
 
@@ -207,6 +220,53 @@ TYPED_TEST(StreamGemv, GerBothTilingsMatchOracle) {
       auto got = run_ger<T>(cfg, rows, cols, T(0.75), a, x, y);
       EXPECT_LT(rel_error(got, expect), 1e-5)
           << "tiling=" << int(tiling) << " elems=" << int(elems);
+    }
+  }
+}
+
+// A zero extent still streams the operand whose pass does not depend on
+// it; the module must consume that operand although no tile runs: GEMV
+// leaves y <- beta * y, GER leaves the (empty) A, and no value is left in a
+// channel. 200 exceeds every channel's capacity.
+TYPED_TEST(StreamGemv, ZeroExtentMatchesOracle) {
+  using T = TypeParam;
+  Workload wl(208);
+  const std::vector<T> a;
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {5, 0}, {0, 5}, {200, 0}, {0, 200}};
+  for (const auto& [rows, cols] : shapes) {
+    const MatrixView<const T> A(a.data(), rows, cols);
+    for (Transpose tr : {Transpose::None, Transpose::Trans}) {
+      const std::int64_t xl = tr == Transpose::None ? cols : rows;
+      const std::int64_t yl = tr == Transpose::None ? rows : cols;
+      const auto x = wl.vector<T>(xl);
+      const auto y = wl.vector<T>(yl);
+      auto expect = y;
+      ref::gemv<T>(tr, T(1.25), A, VectorView<const T>(x.data(), xl), T(-0.5),
+                   VectorView<T>(expect.data(), yl));
+      for (MatrixTiling tiling :
+           {MatrixTiling::TilesByRows, MatrixTiling::TilesByCols}) {
+        const GemvConfig cfg{tr, tiling, 4, 4, 4};
+        std::uint64_t left = 1;
+        const auto got = run_gemv<T>(cfg, rows, cols, T(1.25), T(-0.5), a, x,
+                                     y, Mode::Functional, nullptr, &left);
+        EXPECT_EQ(got, expect) << rows << "x" << cols << " trans=" << int(tr)
+                               << " tiling=" << int(tiling);
+        EXPECT_EQ(left, 0u) << rows << "x" << cols << " trans=" << int(tr)
+                            << " tiling=" << int(tiling);
+      }
+    }
+    const auto x = wl.vector<T>(rows);
+    const auto y = wl.vector<T>(cols);
+    for (MatrixTiling tiling :
+         {MatrixTiling::TilesByRows, MatrixTiling::TilesByCols}) {
+      std::uint64_t left = 1;
+      const auto got = run_ger<T>({tiling, 4, 4, 4}, rows, cols, T(0.75), a,
+                                  x, y, &left);
+      EXPECT_EQ(got, a) << "ger " << rows << "x" << cols
+                        << " tiling=" << int(tiling);
+      EXPECT_EQ(left, 0u) << "ger " << rows << "x" << cols
+                          << " tiling=" << int(tiling);
     }
   }
 }
