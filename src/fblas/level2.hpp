@@ -147,16 +147,19 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
   const bool x_outer = none != by_rows;
-  // Outer and inner tile extents, tile counts and matrix extents.
-  const std::int64_t to_len = by_rows ? cfg.tile_rows : cfg.tile_cols;
-  const std::int64_t ti_len = by_rows ? cfg.tile_cols : cfg.tile_rows;
-  const std::int64_t no = by_rows ? rows : cols, ni = by_rows ? cols : rows;
-  const std::int64_t nto = ceil_div(no, to_len), nti = ceil_div(ni, ti_len);
+  // Tile size, matrix extent and tile count along the outer and inner
+  // tile dimensions.
+  const std::int64_t o_tile = by_rows ? cfg.tile_rows : cfg.tile_cols;
+  const std::int64_t i_tile = by_rows ? cfg.tile_cols : cfg.tile_rows;
+  const std::int64_t o_ext = by_rows ? rows : cols;
+  const std::int64_t i_ext = by_rows ? cols : rows;
+  const std::int64_t o_tiles = ceil_div(o_ext, o_tile);
+  const std::int64_t i_tiles = ceil_div(i_ext, i_tile);
   const std::int64_t ylen = none ? rows : cols;
-  const bool whole = x_outer && (!none || nto == 0);
+  const bool whole = x_outer && (!none || o_tiles == 0);
   std::vector<T> abuf = stream::lanes<T>(W);
-  std::vector<T> xbuf(static_cast<std::size_t>(x_outer ? to_len : ti_len));
-  std::vector<T> ybuf(static_cast<std::size_t>(x_outer ? ylen : to_len));
+  std::vector<T> xbuf(static_cast<std::size_t>(x_outer ? o_tile : i_tile));
+  std::vector<T> ybuf(static_cast<std::size_t>(x_outer ? ylen : o_tile));
   std::vector<T> acc(x_outer ? 0 : ybuf.size());
   if (whole) {
     for (std::int64_t r = 0; r < ylen;) {
@@ -164,8 +167,8 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
     }
     for (std::int64_t r = 0; r < ylen; ++r) ybuf[r] = beta * ybuf[r];
   }
-  for (std::int64_t to = 0; to < nto; ++to) {
-    const std::int64_t lo = std::min(to_len, no - to * to_len);
+  for (std::int64_t to = 0; to < o_tiles; ++to) {
+    const std::int64_t lo = std::min(o_tile, o_ext - to * o_tile);
     // The outer step's block: x's, or the reused y's.
     T* const outer = x_outer ? xbuf.data() : ybuf.data();
     for (std::int64_t r = 0; r < lo;) {
@@ -177,11 +180,11 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         acc[r] = T(0);
       }
     }
-    for (std::int64_t tin = 0; tin < nti; ++tin) {
-      const std::int64_t li = std::min(ti_len, ni - tin * ti_len);
+    for (std::int64_t tin = 0; tin < i_tiles; ++tin) {
+      const std::int64_t li = std::min(i_tile, i_ext - tin * i_tile);
       const std::int64_t th = by_rows ? lo : li, tw = by_rows ? li : lo;
       // The inner tile's block: x's, or a block of y's partials.
-      T* const inner = x_outer ? ybuf.data() + tin * ti_len : xbuf.data();
+      T* const inner = x_outer ? ybuf.data() + tin * i_tile : xbuf.data();
       const bool load = !x_outer || (!whole && to == 0);
       for (std::int64_t r = 0; load && r < li;) {
         r += co_await (x_outer ? ch_y : ch_x).pop_some(inner + r, li - r);
@@ -208,7 +211,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
           co_await next_cycle();
         }
       }
-      if (x_outer && !whole && to == nto - 1) {
+      if (x_outer && !whole && to == o_tiles - 1) {
         for (std::int64_t r = 0; r < li;) {
           r += co_await ch_out.push_some(inner + r, li - r);
         }

@@ -128,10 +128,10 @@ Event Context::gemm_async(Transpose ta, Transpose tb, std::int64_t m,
   command.writes = {&c};
   command.work = [this, rc = cfg_, ta, tb, m, n, k, alpha, &a, &b, beta,
                   &c] {
-    run_gemm_graph<T, 1>(*this, rc, "gemm", m, n, k, alpha, beta,
-                         {{{"A", "read_A", op_view(a, ta, m, k), a.bank(), ta}}},
-                         {{{"B", "read_B", op_view(b, tb, k, n), b.bank(), tb}}},
-                         c, nullptr);
+    run_gemm_graph<T, 1>(
+        *this, rc, "gemm", m, n, k, alpha, beta,
+        {{{"A", "read_A", op_view(a, ta, m, k), a.bank(), ta}}},
+        {{{"B", "read_B", op_view(b, tb, k, n), b.bank(), tb}}}, c, nullptr);
   };
   command.fallback = [ta, tb, m, n, k, alpha, &a, &b, beta, &c] {
     ref::gemm(ta, tb, alpha, op_view(a, ta, m, k), op_view(b, tb, k, n), beta,
@@ -267,7 +267,9 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
       g.spawn("write_X", detail::write_rows_solve_order<T>(
                              x, eff, W, out, banks.at(b.bank())));
     });
-    if (!left) transpose(MatrixView<const T>(scratch.data(), n, m), b.mat(m, n));
+    if (!left) {
+      transpose(MatrixView<const T>(scratch.data(), n, m), b.mat(m, n));
+    }
   };
   command.fallback = [side, uplo, trans, diag, m, n, alpha, &a, &b] {
     const std::int64_t adim = side == Side::Left ? m : n;

@@ -192,9 +192,9 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
           {width - in_cycle, run.len - j,
            static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1))});
       std::int64_t g = 0;
-      while (g < want && (bank == nullptr || bank->grant_elems(1, sizeof(T)) != 0)) {
+      for (; g < want; ++g) {
+        if (bank != nullptr && bank->grant_elems(1, sizeof(T)) == 0) break;
         buf[g] = run.p[(j + g) * run.stride];
-        ++g;
       }
       for (std::int64_t t = 0; t < g;) {
         t += co_await out.push_some(buf.data() + t, g - t);

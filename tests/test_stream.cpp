@@ -504,12 +504,12 @@ TEST(CycleMode, OccupancyTraceRecordsBackpressure) {
 // ---- Pinned schedules -----------------------------------------------------
 //
 // Cycle-mode AXPY, DOT, SCAL, COPY, SWAP, ROT, the four GEMV variants, GER,
-// SYR2 (with an upper-triangle store), GEMM with beta != 0 and beta == 0,
-// SYR2K (lower-triangle store), TRSV and TRSM (triangular, solve-order row
-// and GEMM panel readers), batched TRSM (its triangle reader) and fanout2,
-// with x and y sharing one narrow bank (5 floats per cycle for two W=4
-// readers) and every channel at capacity 3, 64 or 767. For each graph and capacity
-// the record holds: cycles and stall module-cycles; every channel's peak,
+// SYR2 (with an upper-triangle store), GEMM with beta != 0 and beta == 0
+// and SYR2K (GEMM panel readers, lower-triangle store), TRSV and TRSM
+// (triangular and solve-order row readers and writer), batched TRSM (its
+// triangle reader) and fanout2, with x and y sharing one narrow bank (5
+// floats per cycle for two W=4 readers) and every channel at capacity 3,
+// 64 or 767. For each graph and capacity the record holds: cycles and stall module-cycles; every channel's peak,
 // stall events and tap sum/magnitude bits; every module's resumes; every
 // bank's bytes; for corrupt_push(k), k = 1..40, the victim channel and the
 // first output index that changed; the Taint record of a NaN at x[6]
@@ -635,7 +635,8 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     if (kind == "swap") {
       g.spawn("swap", core::swap<float>(l1, kPinN, cx, cy, cout, coy));
     } else {
-      g.spawn("rot", core::rot<float>(l1, kPinN, 0.6f, 0.8f, cx, cy, cout, coy));
+      g.spawn("rot",
+              core::rot<float>(l1, kPinN, 0.6f, 0.8f, cx, cy, cout, coy));
     }
     g.spawn("write_x", write_vector<float>(
                            VectorView<float>(out.data(), kPinN), 1, kPinW,
@@ -763,8 +764,8 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     const std::int64_t s = 3, batch = 3;
     auto& ca = g.channel<float>("A", cap);
     out.assign(static_cast<std::size_t>(batch * s * s), 0.0f);
-    g.spawn("read_A",
-            core::read_batched_triangles<float>(d.a.data(), s, batch, ca, &mem));
+    g.spawn("read_A", core::read_batched_triangles<float>(d.a.data(), s,
+                                                          batch, ca, &mem));
     g.spawn("read_B", core::read_batched<float>(d.x.data(), s * s, batch, cx,
                                                 &xy));
     g.spawn("trsm_batched", core::trsm_batched_unrolled<float>(
