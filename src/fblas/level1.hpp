@@ -183,6 +183,29 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
 Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
             Channel<float>& ch_y, Channel<float>& ch_res);
 
+/// The one single-input reduction body (NRM2, ASUM, IAMAX): pops `n`
+/// elements of ch_x, a W-wide batch per cycle, folds each batch into
+/// `fold(batch, len, index of its first element)` and pushes what `fold`
+/// returned last, the result so far (fold(batch, 0, 0) for no elements).
+template <typename T, typename R, typename Fold>
+Task reduce(Level1Config cfg, std::int64_t n, Fold fold, Channel<T>& ch_x,
+            Channel<R>& ch_res) {
+  cfg.validate();
+  std::vector<T> v = stream::lanes<T>(cfg.width);
+  R res = fold(v.data(), 0, 0);
+  for (std::int64_t it = 0; it < n;) {
+    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    for (std::int64_t i = 0; i < batch;) {
+      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
+          v.data() + i, static_cast<std::size_t>(batch - i)));
+    }
+    res = fold(v.data(), batch, it);
+    it += batch;
+    co_await next_cycle();
+  }
+  co_await ch_res.push(res);
+}
+
 /// NRM2: pushes ||x||_2 via the scaled sum-of-squares recurrence (LAPACK
 /// slassq): the running state is (scale, ssq) with scale = max |x_i| seen
 /// and sum x_i^2 = scale^2 * ssq, so the result is scale * sqrt(ssq).
@@ -193,17 +216,9 @@ Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
 template <typename T>
 Task nrm2(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_res) {
-  cfg.validate();
-  std::vector<T> v = stream::lanes<T>(cfg.width);
-  T scale = T(0);
-  T ssq = T(1);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
-          v.data() + i, static_cast<std::size_t>(batch - i)));
-    }
-    for (std::int64_t i = 0; i < batch; ++i) {
+  auto fold = [scale = T(0), ssq = T(1)](const T* v, std::int64_t len,
+                                         std::int64_t) mutable {
+    for (std::int64_t i = 0; i < len; ++i) {
       const T x = v[i];
       if (x == T(0)) continue;
       const T absxi = std::abs(x);
@@ -216,32 +231,22 @@ Task nrm2(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
         ssq += r * r;
       }
     }
-    it += batch;
-    co_await next_cycle();
-  }
-  co_await ch_res.push(scale * std::sqrt(ssq));
+    return scale * std::sqrt(ssq);
+  };
+  return reduce<T, T>(cfg, n, fold, ch_x, ch_res);
 }
 
 /// ASUM: pushes sum |x_i|.
 template <typename T>
 Task asum(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_res) {
-  cfg.validate();
-  std::vector<T> v = stream::lanes<T>(cfg.width);
-  T res = T(0);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
-          v.data() + i, static_cast<std::size_t>(batch - i)));
-    }
+  auto fold = [res = T(0)](const T* v, std::int64_t len,
+                           std::int64_t) mutable {
     T acc = T(0);
-    for (std::int64_t i = 0; i < batch; ++i) acc += std::abs(v[i]);
-    res += acc;
-    it += batch;
-    co_await next_cycle();
-  }
-  co_await ch_res.push(res);
+    for (std::int64_t i = 0; i < len; ++i) acc += std::abs(v[i]);
+    return res += acc;
+  };
+  return reduce<T, T>(cfg, n, fold, ch_x, ch_res);
 }
 
 /// IAMAX: pushes the (0-based) index of the first maximal |x_i|; -1 when
@@ -249,18 +254,10 @@ Task asum(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
 template <typename T>
 Task iamax(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
            Channel<std::int64_t>& ch_res) {
-  cfg.validate();
-  std::int64_t best = n > 0 ? 0 : -1;
-  T best_abs = T(0);
-  bool first = true;
-  std::vector<T> v = stream::lanes<T>(cfg.width);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
-          v.data() + i, static_cast<std::size_t>(batch - i)));
-    }
-    for (std::int64_t i = 0; i < batch; ++i) {
+  auto fold = [best = std::int64_t{n > 0 ? 0 : -1}, best_abs = T(0),
+               first = true](const T* v, std::int64_t len,
+                             std::int64_t it) mutable {
+    for (std::int64_t i = 0; i < len; ++i) {
       const T a = std::abs(v[i]);
       if (first || a > best_abs) {
         best_abs = a;
@@ -268,10 +265,9 @@ Task iamax(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
         first = false;
       }
     }
-    it += batch;
-    co_await next_cycle();
-  }
-  co_await ch_res.push(best);
+    return best;
+  };
+  return reduce<T, std::int64_t>(cfg, n, fold, ch_x, ch_res);
 }
 
 }  // namespace fblas::core
