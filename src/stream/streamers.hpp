@@ -2,6 +2,9 @@
 // off-chip DRAM and the streaming modules, plus on-chip sources/sinks and
 // stream plumbing. These correspond to the "Read A / Read B / Store C"
 // helper kernels the paper's code generator emits around each module.
+// Movers whose bank grants one element at a time share read_granted and
+// write_granted, driven by run sources; element-wise modules share
+// elementwise.
 //
 // Matrices are streamed according to a TileSchedule: tiles visited by rows
 // or by columns, and elements within each tile by rows or by columns —
