@@ -113,8 +113,8 @@ inline stream::TileSchedule gemm_c_schedule(const GemmConfig& cfg) {
 }
 
 /// The one GEMM-family module: C = alpha * sum of the panel products +
-/// beta * C, for one panel pair (GEMM, and SYRK on it: A B) or two (SYR2K:
-/// A B^T + B A^T). ch_cols[p] carries pair p's op(A)-style column
+/// beta * C, for one panel pair (GEMM: A B; SYRK streams A and A^T) or two
+/// (SYR2K: A B^T + B A^T). ch_cols[p] carries pair p's op(A)-style column
 /// segments (as read_a_gemm emits) and ch_rows[p] its op(B)-style row
 /// segments (as read_b_gemm emits); for two pairs the product is
 /// col[0] row[1] + col[1] row[0]. When beta is non-zero, the previous C
@@ -159,15 +159,15 @@ Task gemm_pairs(GemmConfig cfg, std::int64_t m, std::int64_t n,
         }
         // The PE grid: PR*PC of these multiply-adds happen per cycle.
         for (std::int64_t r = 0; r < th; ++r) {
-          T* out = acc.data() + r * TC;
+          T* acc_row = acc.data() + r * TC;
           const T a0 = col[0][r], a1 = col[R - 1][r];
           for (std::int64_t c = 0; c < tw;) {
             const std::int64_t cnt = std::min(macs_per_cycle - in_cycle, tw - c);
             for (std::int64_t t = c; t < c + cnt; ++t) {
               if constexpr (R == 1) {
-                out[t] += a0 * row[0][t];
+                acc_row[t] += a0 * row[0][t];
               } else {
-                out[t] += a0 * row[1][t] + a1 * row[0][t];
+                acc_row[t] += a0 * row[1][t] + a1 * row[0][t];
               }
             }
             c += cnt;
