@@ -58,9 +58,9 @@ std::int64_t gemm_io_ops(const GemmConfig& cfg, std::int64_t m,
                          std::int64_t n, std::int64_t k, bool reads_c);
 
 /// Read-A helper: streams the op(A) panel (column segments of length TR)
-/// for every C tile in module order, PR elements per cycle. With trans ==
-/// Trans the stored matrix is k x m and elements are fetched transposed
-/// (the functional parameter of the code generator).
+/// for every C tile in module order, pe_rows elements per cycle. With
+/// trans == Trans the stored matrix is k x m and elements are fetched
+/// transposed (the functional parameter of the code generator).
 template <typename T>
 Task read_a_gemm(MatrixView<const T> A, GemmConfig cfg, std::int64_t n,
                  Channel<T>& out, stream::DramBank* bank = nullptr,
@@ -83,7 +83,7 @@ Task read_a_gemm(MatrixView<const T> A, GemmConfig cfg, std::int64_t n,
 }
 
 /// Read-B helper: streams the op(B) panel (row segments of length TC) for
-/// every C tile in module order, PC elements per cycle.
+/// every C tile in module order, pe_cols elements per cycle.
 template <typename T>
 Task read_b_gemm(MatrixView<const T> B, GemmConfig cfg, std::int64_t m,
                  Channel<T>& out, stream::DramBank* bank = nullptr,

@@ -234,9 +234,9 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
   command.work = [this, rc = cfg_, side, uplo, trans, diag, m, n, alpha, &a,
                   &b] {
     // Right side: X op(A) = alpha B  <=>  op(A)^T X^T = alpha B^T. The
-    // host transposes B into scratch, runs the left-side solve there with
-    // the opposite transposition, and transposes the result back (the host
-    // layer's equivalent of generating a dedicated right-side variant).
+    // host transposes B into a host buffer, runs the left-side solve there
+    // with the opposite transposition, and transposes the result back (the
+    // host layer's equivalent of generating a dedicated right-side variant).
     // Either way the solve overwrites its right-hand side row by row.
     const bool left = side == Side::Left;
     const Transpose t = left ? trans : flip(trans);
@@ -247,9 +247,9 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
         for (std::int64_t j = 0; j < from.cols(); ++j) to(j, i) = from(i, j);
       }
     };
-    std::vector<T> scratch(left ? 0 : static_cast<std::size_t>(m * n));
+    std::vector<T> bt(left ? 0 : static_cast<std::size_t>(m * n));
     const MatrixView<T> x =
-        left ? b.mat(m, n) : MatrixView<T>(scratch.data(), n, m);
+        left ? b.mat(m, n) : MatrixView<T>(bt.data(), n, m);
     if (!left) transpose(b.cmat(m, n), x);
     detail::launch<T>(*this, RoutineKind::Trsm, [&](stream::Graph& g,
                                                     detail::BankSet& banks) {
@@ -268,7 +268,7 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
                              x, eff, W, out, banks.at(b.bank())));
     });
     if (!left) {
-      transpose(MatrixView<const T>(scratch.data(), n, m), b.mat(m, n));
+      transpose(MatrixView<const T>(bt.data(), n, m), b.mat(m, n));
     }
   };
   command.fallback = [side, uplo, trans, diag, m, n, alpha, &a, &b] {

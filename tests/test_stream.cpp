@@ -509,11 +509,12 @@ TEST(CycleMode, OccupancyTraceRecordsBackpressure) {
 // (triangular and solve-order row readers and writer), batched TRSM (its
 // triangle reader) and fanout2, with x and y sharing one narrow bank (5
 // floats per cycle for two W=4 readers) and every channel at capacity 3,
-// 64 or 767. For each graph and capacity the record holds: cycles and stall module-cycles; every channel's peak,
-// stall events and tap sum/magnitude bits; every module's resumes; every
-// bank's bytes; for corrupt_push(k), k = 1..40, the victim channel and the
-// first output index that changed; the Taint record of a NaN at x[6]
-// (mid-batch), and how many x values a trapping run enqueued before it.
+// 64 or 767. For each graph and capacity the record holds: cycles and
+// stall module-cycles; every channel's peak, stall events and tap
+// sum/magnitude bits; every module's resumes; every bank's bytes; for
+// corrupt_push(k), k = 1..40, the victim channel and the first output
+// index that changed; the Taint record of a NaN at x[6] (mid-batch), and
+// how many x values a trapping run enqueued before it.
 // Any change to how values move through channels — batch sizes, wake
 // order, per-value instrumentation — shows up here. A mismatch prints the
 // observed record.
