@@ -103,7 +103,8 @@ void scatter_runs(TileWalker& walk, const TileSchedule& s, MatrixView<T> A,
 /// Batch buffer of a module moving up to `width` values per cycle.
 template <typename T>
 std::vector<T> lanes(std::int64_t width) {
-  return std::vector<T>(static_cast<std::size_t>(std::max<std::int64_t>(width, 1)));
+  return std::vector<T>(
+      static_cast<std::size_t>(std::max<std::int64_t>(width, 1)));
 }
 
 /// Applies `f` to lanes 0..m-1 of the buffers `p` in place: lane k's I
