@@ -12,6 +12,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -33,6 +37,7 @@
 #include "refblas/level2.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
+#include "trace/trace.hpp"
 #include "verify/options.hpp"
 
 namespace fblas {
@@ -738,6 +743,257 @@ TEST(ComposeFaults, WriterOfReplayedStreamAuditsOnePass) {
   std::vector<float> ref = hx;
   for (float& v : ref) v *= 2.0f;
   EXPECT_EQ(y.to_host(), ref);
+}
+
+
+// --- Plan pins -------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void bits(const std::vector<T>& v) {
+    for (const T x : v) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, &x, sizeof(T));
+      mix(w);
+    }
+  }
+};
+
+/// Runs `run` (which executes one composition and returns its outputs) in
+/// a fresh cycle-mode context with tracing and verification armed, and
+/// hashes the engine summaries in emit order — every channel's name,
+/// capacity, peak and stalls, every graph's cycles and stall
+/// module-cycles — followed by the output bits.
+template <typename T>
+std::uint64_t plan_hash(
+    const std::function<std::vector<T>(host::Context&, host::Device&)>& run,
+    std::set<std::string>& channels) {
+  host::Device dev;
+  host::Context ctx(dev, stream::Mode::Cycle);
+  host::RoutineConfig rc;
+  rc.width = 4;
+  rc.tile_rows = rc.tile_cols = 8;
+  rc.verification = verify::Options::always();
+  const host::ConfigGuard scoped = ctx.with(rc);
+  const auto rec = ctx.tracing();
+  const std::vector<T> out = run(ctx, dev);
+  ctx.finish();
+  Fnv f;
+  for (const trace::Event& e : rec->events()) {
+    if (e.kind == trace::EventKind::ChannelStats) {
+      channels.emplace(e.name_view());
+      for (const char ch : e.name_view()) f.mix(static_cast<unsigned char>(ch));
+      f.mix(e.flags);
+      f.mix(e.a);
+      f.mix(e.b);
+    } else if (e.kind == trace::EventKind::GraphStats) {
+      f.mix(e.a);
+      f.mix(e.b);
+    }
+  }
+  f.bits(out);
+  return f.h;
+}
+
+/// One hash per composition; together they cover every channel role
+/// (edge, trunk, zero, spill, readback) and both cut kinds (a sibling
+/// writer and a scratch buffer).
+template <typename T>
+std::vector<std::pair<std::string, std::uint64_t>> plan_hashes(
+    std::set<std::string>& channels) {
+  const std::int64_t n = 24, m = 20, len = 96;
+  const T alpha = T(0.6), beta = T(-0.8);
+  using Run = std::function<std::vector<T>(host::Context&, host::Device&)>;
+  const auto upload = [](host::Device& dev, const std::vector<T>& h,
+                         int bank) {
+    host::Buffer<T> buf(dev, static_cast<std::int64_t>(h.size()), bank);
+    buf.write(h);
+    return buf;
+  };
+  const auto zeros = [](host::Device& dev, std::int64_t k, int bank) {
+    host::Buffer<T> buf(dev, k, bank);
+    buf.write(std::vector<T>(static_cast<std::size_t>(k), T(0)));
+    return buf;
+  };
+  const auto cat = [](std::vector<T> a, const std::vector<T>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  // The ATAX graph, optionally under a channel budget too small to size.
+  const auto atax = [&](std::int64_t max_depth) -> Run {
+    return [&, max_depth](host::Context& ctx, host::Device& dev) {
+      Workload wl(61);
+      const auto a = upload(dev, wl.template matrix<T>(n, m), 0);
+      const auto x = upload(dev, wl.template vector<T>(m), 1);
+      auto y = zeros(dev, m, 2);
+      const host::RoutineConfig& rc = ctx.config();
+      const core::GemvConfig cfg{Transpose::None,
+                                 core::MatrixTiling::TilesByRows, rc.width,
+                                 rc.tile_rows, rc.tile_rows};
+      host::Composition<T> c("atax");
+      c.max_channel_depth(max_depth);
+      const int ra = c.input("read_A", a);
+      const int rx = c.input("read_x", x);
+      const int wy = c.output("store_y", y);
+      const int g1 = c.gemv("gemv", T(1), T(0));
+      const int g2 = c.gemv("gemv_T", T(1), T(0), Transpose::Trans);
+      const auto a_sig = mdag::StreamSig::mat(n, m, core::gemv_a_schedule(cfg));
+      c.connect(ra, g1, a_sig);
+      c.connect(ra, g2, a_sig);
+      c.connect(rx, g1,
+                mdag::StreamSig::vec(m, core::gemv_x_repeat(cfg, n, m)));
+      c.connect(g1, g2, mdag::StreamSig::vec(n));
+      c.connect(g2, wy, mdag::StreamSig::vec(m));
+      ctx.run_composition(c);
+      return y.to_host();
+    };
+  };
+  const auto scal = [&](std::int64_t writer_repeat) -> Run {
+    return [&, writer_repeat](host::Context& ctx, host::Device& dev) {
+      Workload wl(62);
+      const auto x = upload(dev, wl.template vector<T>(len), 0);
+      auto y = zeros(dev, len, 1);
+      host::Composition<T> c("scal");
+      const int rx = c.input("read_x", x);
+      const int wy = c.output("store_y", y);
+      const int sc = c.scal("scal", alpha);
+      c.connect(rx, sc, mdag::StreamSig::vec(len));
+      c.connect(sc, wy, mdag::StreamSig::vec(len),
+                mdag::StreamSig::vec(len, writer_repeat));
+      ctx.run_composition(c);
+      return y.to_host();
+    };
+  };
+  const std::vector<std::pair<std::string, Run>> runs = {
+      {"axpydot",
+       [&](host::Context& ctx, host::Device& dev) {
+         Workload wl(63);
+         const auto w = upload(dev, wl.template vector<T>(len), 0);
+         const auto v = upload(dev, wl.template vector<T>(len), 1);
+         const auto u = upload(dev, wl.template vector<T>(len), 2);
+         return std::vector<T>{
+             apps::axpydot_composed<T>(ctx, len, w, v, u, alpha)};
+       }},
+      {"bicg",
+       [&](host::Context& ctx, host::Device& dev) {
+         Workload wl(64);
+         const auto a = upload(dev, wl.template matrix<T>(n, m), 0);
+         const auto p = upload(dev, wl.template vector<T>(m), 1);
+         const auto r = upload(dev, wl.template vector<T>(n), 2);
+         auto q = zeros(dev, n, 3), s = zeros(dev, m, 3);
+         apps::bicg_composed<T>(ctx, n, m, a, p, r, q, s);
+         return cat(q.to_host(), s.to_host());
+       }},
+      {"atax_sized", atax(1 << 16)},
+      {"atax_split", atax(16)},
+      {"gemver",
+       [&](host::Context& ctx, host::Device& dev) {
+         Workload wl(65);
+         const auto a = upload(dev, wl.template matrix<T>(n, n), 0);
+         std::vector<host::Buffer<T>> v;
+         for (int i = 0; i < 6; ++i) {
+           v.push_back(upload(dev, wl.template vector<T>(n), 1 + i % 3));
+         }
+         auto b = zeros(dev, n * n, 1), x = zeros(dev, n, 2),
+              w = zeros(dev, n, 3);
+         apps::gemver_composed<T>(ctx, n, alpha, beta, a, v[0], v[1], v[2],
+                                  v[3], v[4], v[5], b, x, w);
+         return cat(cat(b.to_host(), x.to_host()), w.to_host());
+       }},
+      {"gesummv",
+       [&](host::Context& ctx, host::Device& dev) {
+         Workload wl(66);
+         const auto a = upload(dev, wl.template matrix<T>(n, m), 0);
+         const auto b = upload(dev, wl.template matrix<T>(n, m), 1);
+         const auto x = upload(dev, wl.template vector<T>(m), 2);
+         auto y = zeros(dev, n, 3);
+         apps::gesummv_composed<T>(ctx, n, m, alpha, beta, a, b, x, y);
+         return y.to_host();
+       }},
+      {"gemv_trsv",
+       [&](host::Context& ctx, host::Device& dev) {
+         Workload wl(67);
+         const auto l = upload(
+             dev, wl.template triangular<T>(n, Uplo::Lower, Diag::NonUnit), 0);
+         const auto a = upload(dev, wl.template matrix<T>(n, m), 1);
+         const auto v = upload(dev, wl.template vector<T>(m), 2);
+         auto x = zeros(dev, n, 3);
+         const host::RoutineConfig& rc = ctx.config();
+         const core::GemvConfig cfg{Transpose::None,
+                                    core::MatrixTiling::TilesByRows, rc.width,
+                                    rc.tile_rows, rc.tile_rows};
+         host::Composition<T> c("gemv_trsv");
+         const int rl = c.input_triangular("read_L", l, Uplo::Lower);
+         const int ra = c.input("read_A", a);
+         const int rv = c.input("read_v", v);
+         const int wx = c.output("store_x", x);
+         const int gv = c.gemv("gemv", T(1), T(0));
+         const int tr = c.trsv("trsv", Uplo::Lower);
+         c.connect(ra, gv,
+                   mdag::StreamSig::mat(n, m, core::gemv_a_schedule(cfg)));
+         c.connect(rv, gv,
+                   mdag::StreamSig::vec(m, core::gemv_x_repeat(cfg, n, m)));
+         c.connect(rl, tr, mdag::StreamSig::vec(n * (n + 1) / 2));
+         c.connect(gv, tr, mdag::StreamSig::vec(n));
+         c.connect(tr, wx, mdag::StreamSig::vec(n));
+         ctx.run_composition(c);
+         return x.to_host();
+       }},
+      {"scal", scal(1)},
+      {"scal_readback", scal(2)},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (const auto& [name, run] : runs) {
+    out.emplace_back(name, plan_hash<T>(run, channels));
+  }
+  return out;
+}
+
+TEST(ComposeCompiler, PlansPinned) {
+  // Recorded before the compiler emitted per-node/edge/channel records:
+  // the plan a description compiles to (channel names, depths, creation
+  // order, cut kinds) and the cycles it runs in must not move.
+  const std::vector<std::pair<std::string, std::uint64_t>> want_f = {
+      {"axpydot", 14732848261752593201ULL},
+      {"bicg", 15005255794980495294ULL},
+      {"atax_sized", 16824213301916886808ULL},
+      {"atax_split", 4451386384179516720ULL},
+      {"gemver", 8613404101549902739ULL},
+      {"gesummv", 11679733876216529676ULL},
+      {"gemv_trsv", 2846811521700299282ULL},
+      {"scal", 17756095201178455606ULL},
+      {"scal_readback", 5344477198978606271ULL},
+  };
+  const std::vector<std::pair<std::string, std::uint64_t>> want_d = {
+      {"axpydot", 14164347535960806231ULL},
+      {"bicg", 14016746837173258791ULL},
+      {"atax_sized", 293779948271707047ULL},
+      {"atax_split", 7225974233191439727ULL},
+      {"gemver", 3499740540554306160ULL},
+      {"gesummv", 18403404147635543572ULL},
+      {"gemv_trsv", 13470241793365473806ULL},
+      {"scal", 18304804447669527176ULL},
+      {"scal_readback", 17290618113231079048ULL},
+  };
+  std::set<std::string> channels;
+  EXPECT_EQ(plan_hashes<float>(channels), want_f) << "float";
+  EXPECT_EQ(plan_hashes<double>(channels), want_d) << "double";
+  // Every channel role ran: edges, fan-out trunks, zero inputs, scratch
+  // spills and DRAM readbacks.
+  for (const std::string role : {"->", ".fan", ".y0", "spill:", "rb:"}) {
+    EXPECT_TRUE(std::any_of(channels.begin(), channels.end(),
+                            [&](const std::string& name) {
+                              return name.find(role) != std::string::npos;
+                            }))
+        << role;
+  }
 }
 
 }  // namespace
