@@ -31,7 +31,9 @@ void RoutineConfig::validate() const {
 }
 
 Context::Context(Device& dev, stream::Mode mode, int workers)
-    : mode_(mode), exec_(std::make_unique<Executor>(workers)) {
+    : mode_(mode),
+      deps_([this](auto& seqs) { exec_->fold_retired(seqs); }),
+      exec_(std::make_unique<Executor>(workers)) {
   Device* devp = &dev;
   pool_owned_ =
       std::make_unique<DevicePool>(std::span<Device* const>(&devp, 1));
@@ -43,6 +45,7 @@ Context::Context(DevicePool& pool, stream::Mode mode, int workers)
     : pool_(&pool),
       dev_(&pool.device(0)),
       mode_(mode),
+      deps_([this](auto& seqs) { exec_->fold_retired(seqs); }),
       exec_(std::make_unique<Executor>(workers)) {}
 
 std::function<void()> Context::wrap_work(

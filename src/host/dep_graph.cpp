@@ -21,7 +21,12 @@ std::vector<std::uint64_t> DepGraph::add(std::uint64_t seq,
   auto read = [&](const void* key) {
     Resource& r = at(key);
     if (r.last_writer != 0) deps.push_back(r.last_writer);  // RAW
-    r.readers_since_write.push_back(seq);
+    auto& readers = r.readers_since_write;
+    readers.push_back(seq);
+    if (fold_ && readers.size() >= r.fold_at) {
+      fold_(readers);
+      r.fold_at = 2 * std::max<std::size_t>(readers.size(), 8);
+    }
   };
   auto write = [&](const void* key) {
     Resource& r = at(key);
@@ -31,6 +36,7 @@ std::vector<std::uint64_t> DepGraph::add(std::uint64_t seq,
     }
     r.last_writer = seq;
     r.readers_since_write.clear();
+    r.fold_at = 16;
   };
 
   for (const void* key : reads) read(key);

@@ -456,6 +456,28 @@ ExecStats Executor::stats() const {
   return stats_;
 }
 
+void Executor::fold_retired(std::vector<std::uint64_t>& seqs) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::uint64_t latest = 0, failed = 0;
+  std::size_t kept = 0;
+  for (const std::uint64_t seq : seqs) {
+    if (nodes_.count(seq) != 0 || seq == 0 || seq > records_.size()) {
+      seqs[kept++] = seq;  // pending, running or not yet submitted
+      continue;
+    }
+    const Record& r = records_[seq - 1];
+    if (latest == 0 || r.finish_cycles > records_[latest - 1].finish_cycles) {
+      latest = seq;
+    }
+    if (r.state == CommandState::Failed && (failed == 0 || seq < failed)) {
+      failed = seq;
+    }
+  }
+  seqs.resize(kept);
+  if (latest != 0) seqs.push_back(latest);
+  if (failed != 0 && failed != latest) seqs.push_back(failed);
+}
+
 CommandStatus Executor::status(std::uint64_t seq) const {
   std::lock_guard<std::mutex> lk(mu_);
   if (auto it = nodes_.find(seq); it != nodes_.end()) {

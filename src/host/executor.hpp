@@ -220,6 +220,11 @@ class Executor {
   /// lowest-seq error no wait has rethrown yet.
   void wait_all();
 
+  /// DepGraph's fold: drops the retired commands from `seqs` except the
+  /// latest-finishing one and the lowest-seq Failed one, which carry all
+  /// a later dependent reads of them (start time and poisoning).
+  void fold_retired(std::vector<std::uint64_t>& seqs) const;
+
   bool done(std::uint64_t seq) const;
   bool idle() const;
   ExecStats stats() const;

@@ -75,6 +75,39 @@ TEST(DepGraphHazards, BarrierOrdersAgainstEverything) {
   EXPECT_NE(std::find(deps.begin(), deps.end(), 3u), deps.end());
 }
 
+TEST(DepGraphHazards, RetiredReadersFoldAwayButStillPoison) {
+  // 100,000 retired readers of one buffer: the next writer (and the next
+  // barrier) waits on a bounded handful of them, not on every one, and a
+  // failed retired reader among them still poisons the writer.
+  Executor ex(0);
+  DepGraph g([&ex](std::vector<std::uint64_t>& seqs) {
+    ex.fold_retired(seqs);
+  });
+  int x = 0;
+  const void* rx[] = {&x};
+  std::span<const void* const> none;
+  constexpr std::uint64_t kReaders = 100000;
+  ex.submit(1, [] { throw std::runtime_error("bad read"); },
+            g.add(1, rx, none));
+  EXPECT_THROW(ex.wait(1), std::runtime_error);
+  for (std::uint64_t seq = 2; seq <= kReaders; ++seq) {
+    ex.submit(seq, [] {}, g.add(seq, rx, none));
+    ex.wait(seq);
+  }
+
+  const std::uint64_t writer = kReaders + 1;
+  const auto deps = g.add(writer, none, rx);
+  EXPECT_LE(deps.size(), 16u);
+  ASSERT_FALSE(deps.empty());
+  EXPECT_EQ(deps.front(), 1u);  // the failed reader is kept
+  bool ran = false;
+  ex.submit(writer, [&ran] { ran = true; }, deps);
+  EXPECT_THROW(ex.wait(writer), Error);
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(ex.status(writer).failed());
+  EXPECT_LE(g.add(writer + 1, none, none, /*barrier=*/true).size(), 17u);
+}
+
 // --- Observable concurrency --------------------------------------------
 
 TEST(ConcurrentExec, IndependentCommandsOverlap) {
