@@ -51,8 +51,8 @@ AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
 /// round-trips DRAM, yet the command still gets the executor's full
 /// fault-tolerance ladder (snapshot, rollback, retry, CPU fallback) and —
 /// when the captured verify::Options enable it — end-to-end checksum
-/// verification of every streaming edge via verify::GraphChecker, which
-/// localizes silent mid-pipeline corruption to the first divergent
+/// verification of every streaming channel in the compiled plan's order,
+/// which localizes silent mid-pipeline corruption to the first divergent
 /// channel. `a` is n x m row-major, `x` length m, `y` length m.
 template <typename T>
 host::Event atax_composed_async(host::Context& ctx, std::int64_t n,

@@ -32,9 +32,9 @@ AxpydotResult<T> axpydot_host_layer(host::Context& ctx,
 /// Streaming composition as ONE host command: AXPY chains into DOT on
 /// chip (z never materializes) and the result lands in `*beta`. The
 /// command gets the executor's fault-tolerance ladder and — when the
-/// captured verify::Options enable it — per-edge checksum verification
-/// (verify::GraphChecker): the z and beta edges are predicted by
-/// replaying AXPY and DOT in double over the host operands. All vectors
+/// captured verify::Options enable it — per-channel checksum taps: the z
+/// and beta edges are predicted by replaying AXPY and DOT in double over
+/// the host operands. All vectors
 /// have length n.
 template <typename T>
 host::Event axpydot_composed_async(host::Context& ctx, std::int64_t n,

@@ -29,8 +29,8 @@ BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
 /// Streaming composition as ONE host command: A is read once and
 /// broadcast on chip, q and s land straight in their device buffers, and
 /// the command carries the executor's fault-tolerance ladder plus — when
-/// the captured verify::Options enable it — per-edge checksum
-/// verification (verify::GraphChecker) that localizes mid-pipeline
+/// the captured verify::Options enable it — per-channel checksum taps,
+/// compared in the compiled plan's order, that localize mid-pipeline
 /// corruption to the first divergent channel. `a` is n x m row-major,
 /// `p` length m, `r` length n, `q` length n, `s` length m.
 template <typename T>

@@ -17,8 +17,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -39,21 +40,19 @@
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
 #include "verify/abft.hpp"
-#include "verify/graph_checker.hpp"
 
 namespace fblas::host {
 namespace {
 
-using mdag::CompiledChannel;
-
-std::int64_t per_pass(const mdag::StreamSig& s) {
-  return s.repeat > 0 ? s.count / s.repeat : s.count;
-}
-
-Uplo op_uplo_of(const mdag::NodeSemantics& s) {
-  if (s.trans == Transpose::None) return s.uplo;
-  return s.uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower;
-}
+/// One channel's checksum tap: its prediction (set once, when the
+/// command's verification arms) and what the last attempt observed.
+struct Tap {
+  verify::ScalarCheck pred;
+  bool captured = false;
+  double got = 0.0;
+  double got_mag = 0.0;
+  std::uint64_t count = 0;
+};
 
 /// Everything a composed command carries across the executor hooks.
 template <typename T>
@@ -62,81 +61,34 @@ struct ComposedState {
 
   Composition<T> comp;  ///< the user's description, copied at enqueue
   mdag::Compiled cp;
-  // DRAM materializations of cut edges without a sibling writer.
+  /// One buffer per scratch slot of the plan.
   std::vector<std::unique_ptr<Buffer<T>>> scratch;
-  std::map<int, std::size_t> scratch_of;     ///< edge -> scratch index
-  std::map<int, std::string> readback_name;  ///< cut edge -> consumer FIFO
-  std::map<int, std::string> spill_name;     ///< cut edge -> producer FIFO
-  // One checker per component: arm() rejects names foreign to a graph.
-  std::vector<verify::GraphChecker> chk;
+  /// One per plan channel once verification armed; empty otherwise.
+  std::vector<Tap> taps;
 };
 
 /// Buffer-writer audits: writer node -> predicted checksum of the
 /// materialized output (catches corruption past the last FIFO tap).
 using Audits = std::vector<std::pair<int, verify::ScalarCheck>>;
 
-/// The trsv dimension: rows of the solve, read off the output stream.
-std::int64_t trsv_dim(const mdag::Mdag& g, const mdag::Compiled& cp, int u) {
-  const auto outs = cp.out_edges(g, u);
-  return per_pass(g.edge(outs[0]).produced);
-}
-
-/// The TRSV node whose b port (port 1) edge `e` feeds, or -1. That stream
-/// must arrive in solve order rather than natural order.
-int trsv_b_consumer(const mdag::Mdag& g, const mdag::Compiled& cp, int e) {
-  const mdag::Edge& edge = g.edge(e);
-  const mdag::Node& to = g.node(edge.to);
-  if (to.type != mdag::NodeType::Compute || to.kind != RoutineKind::Trsv) {
-    return -1;
-  }
-  const auto ins = cp.in_edges(g, edge.to);
-  return ins.size() == 2 && ins[1] == e ? edge.to : -1;
-}
-
-/// Out-edges of `u` that stream in u's own component (everything except
-/// cut edges served by a sibling DRAM writer).
-std::vector<int> stream_branches(const mdag::Mdag& g, const mdag::Compiled& cp,
-                                 int u) {
-  std::vector<int> br;
-  for (int e : cp.out_edges(g, u)) {
-    if (!cp.edge_cut[static_cast<std::size_t>(e)] || cp.cut_of(e).writer < 0) {
-      br.push_back(e);
-    }
-  }
-  return br;
-}
-
-template <typename T>
-const Buffer<T>* cut_source(const ComposedState<T>& st, int edge) {
-  const mdag::CutEdge& cut = st.cp.cut_of(edge);
-  if (cut.writer >= 0) {
-    const auto& b = st.comp.binding(cut.writer);
-    return b.in != nullptr ? b.in : b.out;
-  }
-  return st.scratch[st.scratch_of.at(edge)].get();
-}
-
 /// The DRAM side of stream `sig` on buffer `src` (read) or `dst`
-/// (written), moved by module `name`. A vector feeding (or produced by)
-/// TRSV node `trsv` >= 0 moves in solve order instead of natural order.
+/// (written), moved by module `name`: a tiled matrix, or a vector in
+/// natural order or in `solve` order.
 template <typename T>
-detail::Operand<T> dram_operand(const ComposedState<T>& st,
-                                const std::string& name, const Buffer<T>* src,
+detail::Operand<T> dram_operand(const std::string& name, const Buffer<T>* src,
                                 Buffer<T>* dst, const mdag::StreamSig& sig,
-                                int trsv) {
+                                std::optional<Uplo> solve) {
   detail::Operand<T> op{.chan = name.c_str(), .mover = name.c_str(),
-                        .src = src, .dst = dst, .n = per_pass(sig),
+                        .src = src, .dst = dst, .n = sig.per_pass(),
                         .repeat = sig.repeat};
   if (sig.is_matrix) {
     op.how = detail::Movement::Matrix;
     op.n = sig.rows;
     op.cols = sig.cols;
     op.sched = sig.sched;
-  } else if (trsv >= 0) {
-    FBLAS_REQUIRE(dst != nullptr || sig.repeat == 1,
-                  "composition: a TRSV b stream cannot be replayed");
+  } else if (solve) {
     op.how = detail::Movement::SolveRows;
-    op.uplo = op_uplo_of(st.comp.semantics()[static_cast<std::size_t>(trsv)]);
+    op.uplo = *solve;
   }
   return op;
 }
@@ -144,68 +96,66 @@ detail::Operand<T> dram_operand(const ComposedState<T>& st,
 // ---- Streaming execution -------------------------------------------------
 
 template <typename T>
-void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
+void run_component(Context& ctx, ComposedState<T>& st, int c) {
   const mdag::Mdag& g = st.comp.graph();
   const mdag::Compiled& cp = st.cp;
   const auto& sem = st.comp.semantics();
   const int width = cp.options.width;
-  if (cp.order[c].empty()) return;
+  if (cp.order[static_cast<std::size_t>(c)].empty()) return;
 
   stream::Graph sg(ctx.mode());
   const auto f = sim::composition_frequency(
       cp.matrix_modules, PrecisionTraits<T>::value, ctx.device().spec());
   detail::BankSet banks(sg, ctx.device(), f.mhz);
 
-  std::map<std::string, stream::Channel<T>*> ch;
-  for (const CompiledChannel& cc : cp.channels[c]) {
-    ch.emplace(cc.name,
-               &sg.channel<T>(cc.name, static_cast<std::size_t>(cc.depth)));
+  // This component's channels, each tapped when verification armed.
+  std::vector<stream::Channel<T>*> ch(cp.channels.size(), nullptr);
+  for (std::size_t i = 0; i < cp.channels.size(); ++i) {
+    const mdag::PlanChannel& pc = cp.channels[i];
+    if (pc.component != c) continue;
+    ch[i] = &sg.channel<T>(pc.name, static_cast<std::size_t>(pc.depth));
+    if (!st.taps.empty()) ch[i]->arm_tap();
   }
-  const auto chan = [&](const std::string& name) -> stream::Channel<T>& {
-    return *ch.at(name);
+  const auto chan = [&](int i) -> stream::Channel<T>& {
+    return *ch[static_cast<std::size_t>(i)];
   };
-  const auto branch_channel = [&](int e) -> stream::Channel<T>& {
-    if (cp.edge_cut[static_cast<std::size_t>(e)]) {
-      return chan(st.spill_name.at(e));
-    }
-    return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
-  };
-  const auto in_channel = [&](int e) -> stream::Channel<T>& {
-    if (cp.edge_cut[static_cast<std::size_t>(e)]) {
-      return chan(st.readback_name.at(e));
-    }
-    return chan(cp.edge_channel[static_cast<std::size_t>(e)]);
+  const auto edge = [&](int e) -> const mdag::PlanEdge& {
+    return cp.edges[static_cast<std::size_t>(e)];
   };
 
-  for (int u : cp.order[c]) {
+  for (int u : cp.order[static_cast<std::size_t>(c)]) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
-    const auto ins = cp.in_edges(g, u);
-    const auto br = stream_branches(g, cp, u);
+    const mdag::PlanNode& nd = cp.nodes[static_cast<std::size_t>(u)];
+    const auto& br = nd.branches;
 
     // Consumer side of cut in-edges: re-read the materialized stream.
-    for (int e : ins) {
-      if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-      const std::string& name = st.readback_name.at(e);
-      detail::spawn_mover(sg, banks, width,
-                          dram_operand<T>(st, name, cut_source(st, e),
-                                          nullptr, g.edge(e).consumed,
-                                          trsv_b_consumer(g, cp, e)),
-                          chan(name));
+    for (int e : nd.ins) {
+      const mdag::PlanEdge& pe = edge(e);
+      if (!pe.cut) continue;
+      const Buffer<T>* src;
+      if (pe.scratch >= 0) {
+        src = st.scratch[static_cast<std::size_t>(pe.scratch)].get();
+      } else {
+        const auto& b = st.comp.binding(pe.writer);
+        src = b.in != nullptr ? b.in : b.out;
+      }
+      detail::spawn_mover(
+          sg, banks, width,
+          dram_operand<T>(cp.channels[static_cast<std::size_t>(pe.pop)].name,
+                          src, nullptr, g.edge(e).consumed, pe.popped_order),
+          chan(pe.pop));
     }
 
-    if (cp.has_zero(u)) {
-      const std::size_t zi = cp.zero_index(u);
-      sg.spawn(cp.zero_name[zi],
-               stream::generate<T>(cp.zero_count[zi], T(0), width,
-                                   chan(cp.zero_name[zi])));
+    if (nd.zero >= 0) {
+      const auto& z = cp.channels[static_cast<std::size_t>(nd.zero)];
+      sg.spawn(z.name,
+               stream::generate<T>(z.passes, T(0), width, chan(nd.zero)));
     }
 
     if (node.type == mdag::NodeType::Interface && !s.is_output) {
       // All consumers may re-read the operand from DRAM directly.
       if (br.empty()) continue;
-      stream::Channel<T>& dst =
-          cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
       const Buffer<T>* buf = st.comp.binding(u).in;
       const char* name = node.name.c_str();
       detail::spawn_mover(
@@ -213,130 +163,119 @@ void run_component(Context& ctx, ComposedState<T>& st, std::size_t c) {
           s.triangular
               ? detail::Operand<T>{.chan = name, .mover = name,
                                    .how = detail::Movement::Triangular,
-                                   .src = buf,
-                                   .n = trsv_dim(g, cp, g.edge(br[0]).to),
-                                   .uplo = op_uplo_of(s), .trans = s.trans}
-              : dram_operand<T>(st, node.name, buf, nullptr,
+                                   .src = buf, .n = nd.solve_n,
+                                   .uplo = nd.solve_uplo, .trans = s.trans}
+              : dram_operand<T>(node.name, buf, nullptr,
                                 g.edge(br[0]).produced,
-                                br.size() == 1 ? trsv_b_consumer(g, cp, br[0])
-                                               : -1),
-          dst);
+                                br.size() == 1 ? edge(br[0]).popped_order
+                                               : std::nullopt),
+          chan(nd.push));
     } else if (node.type == mdag::NodeType::Interface) {
       // Writer: drain the in-stream into its binding.
-      const int e = ins[0];
-      const mdag::StreamSig& sig = g.edge(e).consumed;
+      const int e = nd.ins[0];
       const auto& b = st.comp.binding(u);
-      const int from = g.edge(e).from;
-      const mdag::Node& prod = g.node(from);
-      const bool from_trsv = prod.type == mdag::NodeType::Compute &&
-                             prod.kind == RoutineKind::Trsv;
       const char* name = node.name.c_str();
       detail::spawn_mover(
           sg, banks, width,
           b.scalar != nullptr
               ? detail::Operand<T>{.chan = name, .mover = name,
-                                   .value = b.scalar, .n = sig.count}
-              : dram_operand<T>(st, node.name, nullptr, b.out, sig,
-                                from_trsv ? from : -1),
-          in_channel(e));
+                                   .value = b.scalar,
+                                   .n = g.edge(e).consumed.count}
+              : dram_operand<T>(node.name, nullptr, b.out, g.edge(e).consumed,
+                                edge(e).pushed_order),
+          chan(edge(e).pop));
     } else {
       // Compute node.
-      std::vector<stream::Channel<T>*> in_ch;
-      for (int e : ins) in_ch.push_back(&in_channel(e));
-      stream::Channel<T>& dst =
-          cp.has_trunk(u) ? chan(cp.trunk_of(u)) : branch_channel(br[0]);
-      const std::int64_t out_n = per_pass(g.edge(br[0]).produced);
+      std::vector<stream::Channel<T>*> in;
+      for (int e : nd.ins) in.push_back(&chan(edge(e).pop));
+      stream::Channel<T>& dst = chan(nd.push);
+      const std::int64_t out_n = g.edge(br[0]).produced.per_pass();
+      const auto tiled = [&](auto& cfg) -> const mdag::StreamSig& {
+        const mdag::StreamSig& a = g.edge(nd.ins[0]).consumed;
+        cfg.tiling = a.sched.tile_order == Order::RowMajor
+                         ? core::MatrixTiling::TilesByRows
+                         : core::MatrixTiling::TilesByCols;
+        cfg.width = width;
+        cfg.tile_rows = a.sched.tile_rows;
+        cfg.tile_cols = a.sched.tile_cols;
+        cfg.elem_order = a.sched.elem_order;
+        return a;
+      };
       switch (node.kind) {
         case RoutineKind::Gemv: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
           core::GemvConfig cfg;
           cfg.trans = s.trans;
-          cfg.tiling = a.sched.tile_order == Order::RowMajor
-                           ? core::MatrixTiling::TilesByRows
-                           : core::MatrixTiling::TilesByCols;
-          cfg.width = width;
-          cfg.tile_rows = a.sched.tile_rows;
-          cfg.tile_cols = a.sched.tile_cols;
-          cfg.elem_order = a.sched.elem_order;
-          const T beta = cp.has_zero(u) ? T(0) : st.comp.beta_of(u);
-          stream::Channel<T>& y0 =
-              cp.has_zero(u) ? chan(cp.zero_name[cp.zero_index(u)])
-                             : *in_ch[2];
+          const mdag::StreamSig& a = tiled(cfg);
+          const bool zero = nd.zero >= 0;
           sg.spawn(node.name,
                    core::gemv<T>(cfg, a.rows, a.cols, st.comp.alpha_of(u),
-                                 beta, *in_ch[0], *in_ch[1], y0, dst));
+                                 zero ? T(0) : st.comp.beta_of(u), *in[0],
+                                 *in[1], zero ? chan(nd.zero) : *in[2],
+                                 dst));
           break;
         }
         case RoutineKind::Ger: {
-          const mdag::StreamSig& a = g.edge(ins[0]).consumed;
           core::GerConfig cfg;
-          cfg.tiling = a.sched.tile_order == Order::RowMajor
-                           ? core::MatrixTiling::TilesByRows
-                           : core::MatrixTiling::TilesByCols;
-          cfg.width = width;
-          cfg.tile_rows = a.sched.tile_rows;
-          cfg.tile_cols = a.sched.tile_cols;
-          cfg.elem_order = a.sched.elem_order;
+          const mdag::StreamSig& a = tiled(cfg);
           sg.spawn(node.name,
                    core::ger<T>(cfg, a.rows, a.cols, st.comp.alpha_of(u),
-                                *in_ch[0], *in_ch[1], *in_ch[2], dst));
+                                *in[0], *in[1], *in[2], dst));
           break;
         }
-        case RoutineKind::Trsv: {
-          const core::TrsvConfig cfg{op_uplo_of(s), s.diag, width};
-          sg.spawn(node.name, core::trsv<T>(cfg, out_n, *in_ch[0], *in_ch[1],
-                                            dst));
+        case RoutineKind::Trsv:
+          sg.spawn(node.name,
+                   core::trsv<T>({nd.solve_uplo, s.diag, width}, nd.solve_n,
+                                 *in[0], *in[1], dst));
           break;
-        }
         case RoutineKind::Axpy:
           sg.spawn(node.name, core::axpy<T>({width}, out_n, st.comp.alpha_of(u),
-                                            *in_ch[0], *in_ch[1], dst));
+                                            *in[0], *in[1], dst));
           break;
         case RoutineKind::Scal:
           sg.spawn(node.name, core::scal<T>({width}, out_n, st.comp.alpha_of(u),
-                                            *in_ch[0], dst));
+                                            *in[0], dst));
           break;
-        case RoutineKind::Dot: {
-          const std::int64_t n = per_pass(g.edge(ins[0]).consumed);
+        case RoutineKind::Dot:
           sg.spawn(node.name,
-                   core::dot<T>({width}, n, *in_ch[0], *in_ch[1], dst));
+                   core::dot<T>({width}, g.edge(nd.ins[0]).consumed.per_pass(),
+                                *in[0], *in[1], dst));
           break;
-        }
         default:
           throw ConfigError("composition: no lowering for node '" + node.name +
                             "'");
       }
     }
 
-    if (cp.has_trunk(u)) {
+    if (nd.trunk >= 0) {
       sg.spawn(node.name + ".fanout",
                stream::fanout2<T>(g.edge(br[0]).produced.count, width,
-                                  chan(cp.trunk_of(u)), branch_channel(br[0]),
-                                  branch_channel(br[1])));
+                                  chan(nd.trunk), chan(edge(br[0]).push),
+                                  chan(edge(br[1]).push)));
     }
 
     // Producer side of scratch cuts: materialize the spill stream in
     // stream order (the readback replays it the same way).
-    for (int e : cp.out_edges(g, u)) {
-      if (!cp.edge_cut[static_cast<std::size_t>(e)] ||
-          cp.cut_of(e).writer >= 0) {
-        continue;
-      }
-      const std::string& name = st.spill_name.at(e);
+    for (int e : nd.outs) {
+      const mdag::PlanEdge& pe = edge(e);
+      if (pe.scratch < 0) continue;
       detail::spawn_mover(
           sg, banks, width,
-          dram_operand<T>(st, name + ".w", nullptr,
-                          st.scratch[st.scratch_of.at(e)].get(),
-                          g.edge(e).produced, -1),
-          chan(name));
+          dram_operand<T>(
+              cp.channels[static_cast<std::size_t>(pe.push)].name + ".w",
+              nullptr, st.scratch[static_cast<std::size_t>(pe.scratch)].get(),
+              g.edge(e).produced, std::nullopt),
+          chan(pe.push));
     }
   }
 
-  verify::GraphChecker* chk =
-      c < st.chk.size() && st.chk[c].active() ? &st.chk[c] : nullptr;
-  if (chk != nullptr) chk->arm(sg);
   ctx.run_graph(sg);
-  if (chk != nullptr) chk->capture(sg);
+  if (st.taps.empty()) return;
+  // The graph dies with this body while the check runs after it.
+  for (std::size_t i = 0; i < ch.size(); ++i) {
+    if (ch[i] == nullptr) continue;
+    st.taps[i] = Tap{st.taps[i].pred, true, ch[i]->tap_sum(), ch[i]->tap_mag(),
+                     ch[i]->tap_count()};
+  }
 }
 
 // ---- Host replay: the CPU fallback and the checksum predictions ----------
@@ -373,26 +312,24 @@ MatrixView<const U> in_precision(MatrixView<const T> a,
 /// in storage order, or op(A)'s triangle for a TRSV A reader.
 template <typename U, typename T>
 std::vector<U> read_pass(const ComposedState<T>& st, int u, int e) {
-  const mdag::Mdag& g = st.comp.graph();
   const mdag::NodeSemantics& s =
       st.comp.semantics()[static_cast<std::size_t>(u)];
   const Buffer<T>& buf = *st.comp.binding(u).in;
   std::vector<U> v;
   if (s.triangular) {
-    const std::int64_t n = trsv_dim(g, st.cp, g.edge(e).to);
+    const mdag::PlanNode& nd = st.cp.nodes[static_cast<std::size_t>(u)];
+    const std::int64_t n = nd.solve_n;
     const auto a = buf.cmat(n, n);
-    const Uplo tri = op_uplo_of(s);
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {
-        if (tri == Uplo::Lower ? j > i : j < i) continue;
+        if (nd.solve_uplo == Uplo::Lower ? j > i : j < i) continue;
         v.push_back(static_cast<U>(s.trans == Transpose::None ? a(i, j)
                                                               : a(j, i)));
       }
     }
     return v;
   }
-  const mdag::StreamSig& sig = g.edge(e).produced;
-  const std::int64_t n = sig.is_matrix ? sig.rows * sig.cols : per_pass(sig);
+  const std::int64_t n = st.comp.graph().edge(e).produced.per_pass();
   const auto view = buf.cvec(n);
   v.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
@@ -404,7 +341,6 @@ std::vector<U> read_pass(const ComposedState<T>& st, int u, int e) {
 template <typename U, typename T>
 Replay<U> replay(const ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
-  const mdag::Compiled& cp = st.cp;
   const auto& sem = st.comp.semantics();
   Replay<U> r;
   r.vals.resize(g.edges().size());
@@ -413,11 +349,11 @@ Replay<U> replay(const ComposedState<T>& st) {
   for (int u : g.topo_order()) {
     const mdag::Node& node = g.node(u);
     const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
-    const auto ins = cp.in_edges(g, u);
-    const auto outs = cp.out_edges(g, u);
+    const mdag::PlanNode& nd = st.cp.nodes[static_cast<std::size_t>(u)];
+    const auto& ins = nd.ins;
     if (node.type == mdag::NodeType::Interface) {
       if (s.is_output) continue;  // writers only consume
-      for (int e : outs) {
+      for (int e : nd.outs) {
         auto& v = r.vals[static_cast<std::size_t>(e)];
         v = read_pass<U>(st, u, e);
         r.terms[static_cast<std::size_t>(e)] =
@@ -449,7 +385,7 @@ Replay<U> replay(const ComposedState<T>& st) {
           out.assign(static_cast<std::size_t>(on), U(0));
         }
         const U beta =
-            cp.has_zero(u) ? U(0) : static_cast<U>(st.comp.beta_of(u));
+            nd.zero >= 0 ? U(0) : static_cast<U>(st.comp.beta_of(u));
         ref::gemv<U>(s.trans, alpha,
                      MatrixView<const U>(in(0).data(), a.rows, a.cols),
                      VectorView<const U>(in(1).data(), in_n), beta,
@@ -470,7 +406,7 @@ Replay<U> replay(const ComposedState<T>& st) {
       case RoutineKind::Trsv: {
         // The solve reads the bound matrix; the A edge only carries the
         // triangle's checksum.
-        const std::int64_t n = trsv_dim(g, cp, u);
+        const std::int64_t n = nd.solve_n;
         const Buffer<T>& a = *st.comp.binding(g.edge(ins[0]).from).in;
         std::vector<U> wide;
         out = in(1);
@@ -498,13 +434,19 @@ Replay<U> replay(const ComposedState<T>& st) {
         throw ConfigError("composition: no host replay for node '" +
                           node.name + "'");
     }
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      const auto e = static_cast<std::size_t>(outs[i]);
+    for (std::size_t i = 0; i < nd.outs.size(); ++i) {
+      const auto e = static_cast<std::size_t>(nd.outs[i]);
       r.terms[e] = terms;
-      r.vals[e] = i + 1 == outs.size() ? std::move(out) : out;
+      r.vals[e] = i + 1 == nd.outs.size() ? std::move(out) : out;
     }
   }
   return r;
+}
+
+/// The in-edge of writer `u`.
+template <typename T>
+int writer_edge(const ComposedState<T>& st, int u) {
+  return st.cp.nodes[static_cast<std::size_t>(u)].ins[0];
 }
 
 /// The CPU fallback: the replay in T, written back to every writer.
@@ -513,12 +455,9 @@ void run_fallback(ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const Replay<T> r = replay<T>(st);
   for (int u = 0; u < g.node_count(); ++u) {
-    if (g.node(u).type != mdag::NodeType::Interface ||
-        !st.comp.semantics()[static_cast<std::size_t>(u)].is_output) {
-      continue;
-    }
     const auto& b = st.comp.binding(u);
-    const auto& v = r.vals[static_cast<std::size_t>(st.cp.in_edges(g, u)[0])];
+    if (b.out == nullptr && b.scalar == nullptr) continue;
+    const auto& v = r.vals[static_cast<std::size_t>(writer_edge(st, u))];
     if (b.scalar != nullptr) {
       *b.scalar = v.at(0);
     } else {
@@ -528,14 +467,12 @@ void run_fallback(ComposedState<T>& st) {
   }
 }
 
-/// The checksum predictions: the replay in double, summed per edge. A
-/// channel carrying `repeat` passes of an edge sees `repeat` copies.
-/// Arms the per-component FIFO checkers and returns the writer audits.
+/// The checksum predictions: the replay in double, summed per edge; a
+/// channel carrying `passes` copies of an edge sees that many sums. Arms
+/// one tap per plan channel and returns the writer audits.
 template <typename T>
 Audits prepare_predictions(ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
-  const mdag::Compiled& cp = st.cp;
-  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
   const Replay<double> r = replay<double>(st);
 
   std::vector<std::pair<double, double>> sums(g.edges().size());
@@ -545,68 +482,70 @@ Audits prepare_predictions(ComposedState<T>& st) {
       sums[e].second += std::abs(v);
     }
   }
-  const auto scaled = [&](int e, std::int64_t repeat) {
+  const auto scaled = [&](int e, std::int64_t passes) {
     const auto [sum, mag] = sums[static_cast<std::size_t>(e)];
-    const std::int64_t k = std::max<std::int64_t>(1, repeat);
-    return verify::scalar_check(sum * static_cast<double>(k),
-                                mag * static_cast<double>(k),
-                                r.terms[static_cast<std::size_t>(e)] * k);
+    const auto k = static_cast<double>(passes);
+    return verify::scalar_check(sum * k, mag * k,
+                                r.terms[static_cast<std::size_t>(e)] * passes);
   };
 
   // A writer's buffer holds one pass of its in-edge, however often the
   // stream replays it.
   Audits audits;
   for (int u = 0; u < g.node_count(); ++u) {
-    if (g.node(u).type == mdag::NodeType::Interface &&
-        st.comp.binding(u).out != nullptr) {
-      audits.emplace_back(u, scaled(cp.in_edges(g, u)[0], 1));
+    if (st.comp.binding(u).out != nullptr) {
+      audits.emplace_back(u, scaled(writer_edge(st, u), 1));
     }
   }
 
-  // Expectations per component, in the compiler's tap order (topological:
-  // check() reports the FIRST divergent FIFO).
-  st.chk.assign(cp.channels.size(), verify::GraphChecker());
-  for (std::size_t c = 0; c < cp.channels.size(); ++c) {
-    st.chk[c].reset(st.comp.name());
-    for (const CompiledChannel& cc : cp.channels[c]) {
-      verify::ScalarCheck pred;
-      switch (cc.role) {
-        case CompiledChannel::Role::Edge:
-        case CompiledChannel::Role::Spill:
-          pred = scaled(cc.id, g.edge(cc.id).produced.repeat);
-          break;
-        case CompiledChannel::Role::Readback:
-          pred = scaled(cc.id, g.edge(cc.id).consumed.repeat);
-          break;
-        case CompiledChannel::Role::Trunk: {
-          const int e0 = stream_branches(g, cp, cc.id)[0];
-          pred = scaled(e0, g.edge(e0).produced.repeat);
-          break;
-        }
-        case CompiledChannel::Role::Zero:
-          pred = verify::scalar_check(
-              0.0, 0.0, cp.zero_count[cp.zero_index(cc.id)]);
-          break;
-      }
-      st.chk[c].expect(cc.name, pred, eps);
-    }
+  st.taps.assign(st.cp.channels.size(), Tap{});
+  for (std::size_t i = 0; i < st.taps.size(); ++i) {
+    const mdag::PlanChannel& pc = st.cp.channels[i];
+    st.taps[i].pred = pc.edge < 0 ? verify::scalar_check(0.0, 0.0, pc.passes)
+                                  : scaled(pc.edge, pc.passes);
   }
   return audits;
 }
 
+/// Compares every tap against its prediction in plan order — topological
+/// within each component — and throws on the FIRST divergent channel,
+/// localizing a corruption to the edge it entered; then audits the
+/// writers' buffers. The per-tap bound is rel_bound<eps>(terms,
+/// tol_scale) * magnitude, with the magnitude taken as max(predicted,
+/// observed) so a corrupted huge value cannot widen its own acceptance.
 template <typename T>
 void check_results(const ComposedState<T>& st, const Audits& audits,
                    double scale) {
-  for (const verify::GraphChecker& chk : st.chk) {
-    if (chk.active()) chk.check(scale);
+  const std::string& name = st.comp.name();
+  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
+  for (std::size_t i = 0; i < st.taps.size(); ++i) {
+    const Tap& t = st.taps[i];
+    const std::string& channel = st.cp.channels[i].name;
+    if (!t.captured) {
+      throw VerificationError(
+          "composition '" + name + "': edge '" + channel +
+          "' was never captured (graph did not run to completion?)");
+    }
+    // Non-finite data poisons the checksum comparison either way; that is
+    // the taint channel's diagnosis, not the checksum's.
+    if (t.pred.skip) continue;
+    const double mag = std::max(t.pred.mag, t.got_mag);
+    const double bound =
+        scale * (static_cast<double>(t.pred.terms) + 8.0) * eps * mag;
+    const double diff = std::abs(t.got - t.pred.pred);
+    if (std::isfinite(diff) && diff <= bound) continue;
+    std::ostringstream os;
+    os << "composition '" << name << "': checksum mismatch on edge '"
+       << channel << "' (observed " << t.got << ", predicted " << t.pred.pred
+       << ", |diff| " << diff << " > bound " << bound << " over " << t.count
+       << " streamed elements) — first divergent edge; earlier edges are "
+          "clean";
+    throw VerificationError(os.str());
   }
   const mdag::Mdag& g = st.comp.graph();
-  const std::string label = st.comp.name() + "_composed";
+  const std::string label = name + "_composed";
   for (const auto& [u, pred] : audits) {
-    const mdag::Edge& e = g.edge(st.cp.in_edges(g, u)[0]);
-    const std::int64_t n = e.consumed.is_matrix
-                               ? e.consumed.rows * e.consumed.cols
-                               : per_pass(e.consumed);
+    const std::int64_t n = g.edge(writer_edge(st, u)).consumed.per_pass();
     verify::check_sum<T>(pred, label.c_str(),
                          st.comp.binding(u).out->cvec(n), scale);
   }
@@ -631,77 +570,39 @@ Event Context::run_composition_async(const Composition<T>& comp) {
 
   auto st = std::make_shared<ComposedState<T>>(comp);
   // Rejection happens HERE, at enqueue: an unexecutable description
-  // throws ConfigError with the validity diagnostic before any command
-  // is queued.
+  // throws ConfigError naming the node and port, or with the validity
+  // diagnostic, before any command is queued.
   st->cp = mdag::compile(comp.graph(), comp.semantics(), co);
-
-  const mdag::Mdag& g = st->comp.graph();
-  const auto& sem = st->comp.semantics();
-  for (int u = 0; u < g.node_count(); ++u) {
-    const mdag::Node& node = g.node(u);
-    const mdag::NodeSemantics& s = sem[static_cast<std::size_t>(u)];
-    const auto& b = st->comp.binding(u);
-    if (node.type != mdag::NodeType::Interface) {
-      if (node.kind == RoutineKind::Trsv) {
-        const auto ins = st->cp.in_edges(g, u);
-        const mdag::Node& aprod = g.node(g.edge(ins[0]).from);
-        FBLAS_REQUIRE(
-            aprod.type == mdag::NodeType::Interface &&
-                sem[static_cast<std::size_t>(g.edge(ins[0]).from)].triangular,
-            "composition: the TRSV A operand must come from a triangular "
-            "reader");
-        FBLAS_REQUIRE(!st->cp.edge_cut[static_cast<std::size_t>(ins[0])],
-                      "composition: a triangular stream cannot round-trip "
-                      "through DRAM");
-      }
-      continue;
-    }
-    if (s.is_output) {
-      FBLAS_REQUIRE(b.out != nullptr || b.scalar != nullptr,
-                    "composition: writer '" + node.name + "' has no binding");
-    } else {
-      FBLAS_REQUIRE(b.in != nullptr,
-                    "composition: reader '" + node.name + "' has no binding");
-      if (s.triangular) {
-        FBLAS_REQUIRE(st->cp.out_edges(g, u).size() == 1,
-                      "composition: a triangular reader feeds exactly one "
-                      "TRSV");
-      }
-    }
-  }
-
-  // Scratch buffers for cut edges no interface writer already carries.
-  // They are DRAM plumbing, not part of the command's semantic write set:
-  // every value that crosses them is covered by the spill/readback taps.
-  for (const mdag::CutEdge& cut : st->cp.cuts) {
-    if (cut.writer >= 0) continue;
-    st->scratch_of[cut.edge] = st->scratch.size();
-    st->scratch.push_back(std::make_unique<Buffer<T>>(
-        device(), cut.scratch_elems,
-        static_cast<int>(st->scratch.size()) % device().bank_count()));
-  }
-  for (const auto& list : st->cp.channels) {
-    for (const CompiledChannel& cc : list) {
-      if (cc.role == CompiledChannel::Role::Readback) {
-        st->readback_name[cc.id] = cc.name;
-      } else if (cc.role == CompiledChannel::Role::Spill) {
-        st->spill_name[cc.id] = cc.name;
-      }
-    }
-  }
 
   Command command;
   command.label = "composition";
+  const mdag::Mdag& g = st->comp.graph();
   for (int u = 0; u < g.node_count(); ++u) {
     if (g.node(u).type != mdag::NodeType::Interface) continue;
     const auto& b = st->comp.binding(u);
+    const bool writer =
+        st->comp.semantics()[static_cast<std::size_t>(u)].is_output;
+    FBLAS_REQUIRE(writer ? b.out != nullptr || b.scalar != nullptr
+                         : b.in != nullptr,
+                  "composition: " + std::string(writer ? "writer" : "reader") +
+                      " '" + g.node(u).name + "' has no binding");
     if (b.in != nullptr) command.reads.push_back(b.in);
     if (b.out != nullptr) command.writes.push_back(b.out);
     if (b.scalar != nullptr) command.writes.push_back(b.scalar);
   }
+
+  // Scratch buffers for cut edges no interface buffer already carries.
+  // They are DRAM plumbing, not part of the command's semantic write set:
+  // every value that crosses them is covered by the spill/readback taps.
+  for (const std::int64_t elems : st->cp.scratch) {
+    st->scratch.push_back(std::make_unique<Buffer<T>>(
+        device(), elems,
+        static_cast<int>(st->scratch.size()) % device().bank_count()));
+  }
+
   command.work = [this, st] {
     for (std::size_t c = 0; c < st->cp.order.size(); ++c) {
-      run_component<T>(*this, *st, c);
+      run_component<T>(*this, *st, static_cast<int>(c));
     }
   };
   command.fallback = [st] { run_fallback<T>(*st); };

@@ -14,9 +14,10 @@
 // A Composition owns nothing device-side: it is a plain value (an
 // mdag::Mdag plus per-node semantics, exact-precision coefficients, and
 // buffer bindings) that Context::run_composition_async copies into the
-// enqueued command. mdag::compile() decides how it executes — channel
-// sizing, sequential splits, DRAM round trips, fan-outs, zero inputs and
-// the checksum tap plan all come from the compiler, never from the app.
+// enqueued command. mdag::compile() decides whether and how it executes
+// — which ports take which streams, channel sizing, sequential splits,
+// DRAM round trips, fan-outs, zero inputs and the checksum tap plan all
+// come from the compiler, never from the app.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,7 @@ class Composition {
   /// signatures declared on it).
   int input(const std::string& node, const Buffer<T>& buf) {
     const int id = graph_.add_interface(node);
-    append(node, Binding{&buf, nullptr, nullptr});
+    append(Binding{&buf, nullptr, nullptr});
     return id;
   }
 
@@ -70,7 +71,7 @@ class Composition {
   /// Writer materializing its one in-edge into `buf`.
   int output(const std::string& node, Buffer<T>& buf) {
     const int id = graph_.add_interface(node);
-    append(node, Binding{nullptr, &buf, nullptr});
+    append(Binding{nullptr, &buf, nullptr});
     sem_.back().is_output = true;
     return id;
   }
@@ -80,7 +81,7 @@ class Composition {
     FBLAS_REQUIRE(result != nullptr,
                   "composition: scalar output needs a destination");
     const int id = graph_.add_interface(node);
-    append(node, Binding{nullptr, nullptr, result});
+    append(Binding{nullptr, nullptr, result});
     sem_.back().is_output = true;
     return id;
   }
@@ -92,7 +93,7 @@ class Composition {
   int gemv(const std::string& node, T alpha, T beta,
            Transpose trans = Transpose::None) {
     const int id = graph_.add_compute(node, RoutineKind::Gemv, 40);
-    append_compute(alpha, beta);
+    append({}, alpha, beta);
     sem_.back().trans = trans;
     return id;
   }
@@ -100,7 +101,7 @@ class Composition {
   /// out = A0 + alpha x y^T; ports [A0, x, y].
   int ger(const std::string& node, T alpha) {
     const int id = graph_.add_compute(node, RoutineKind::Ger, 20);
-    append_compute(alpha, T(0));
+    append({}, alpha);
     return id;
   }
 
@@ -109,7 +110,7 @@ class Composition {
   int trsv(const std::string& node, Uplo uplo,
            Transpose trans = Transpose::None, Diag diag = Diag::NonUnit) {
     const int id = graph_.add_compute(node, RoutineKind::Trsv, 40);
-    append_compute(T(1), T(0));
+    append({});
     sem_.back().uplo = uplo;
     sem_.back().trans = trans;
     sem_.back().diag = diag;
@@ -119,21 +120,21 @@ class Composition {
   /// out = alpha x + y; ports [x, y].
   int axpy(const std::string& node, T alpha) {
     const int id = graph_.add_compute(node, RoutineKind::Axpy, 12);
-    append_compute(alpha, T(0));
+    append({}, alpha);
     return id;
   }
 
   /// out = alpha x; port [x].
   int scal(const std::string& node, T alpha) {
     const int id = graph_.add_compute(node, RoutineKind::Scal, 8);
-    append_compute(alpha, T(0));
+    append({}, alpha);
     return id;
   }
 
   /// out = x^T y (a count-1 stream); ports [x, y].
   int dot(const std::string& node) {
     const int id = graph_.add_compute(node, RoutineKind::Dot, 30);
-    append_compute(T(1), T(0));
+    append({});
     return id;
   }
 
@@ -178,8 +179,7 @@ class Composition {
   const Binding& binding(int node) const {
     return bind_[static_cast<std::size_t>(node)];
   }
-  /// Exact-precision coefficients for module instantiation (the double
-  /// mirrors in NodeSemantics feed the checksum rules only).
+  /// Exact-precision coefficients of compute nodes.
   T alpha_of(int node) const { return alpha_[static_cast<std::size_t>(node)]; }
   T beta_of(int node) const { return beta_[static_cast<std::size_t>(node)]; }
   std::int64_t max_channel_depth() const { return max_channel_depth_; }
@@ -187,20 +187,9 @@ class Composition {
   bool split_preferred() const { return prefer_split_; }
 
  private:
-  void append(const std::string& operand, Binding b) {
-    mdag::NodeSemantics s;
-    s.operand = operand;
-    sem_.push_back(std::move(s));
+  void append(Binding b, T alpha = T(1), T beta = T(0)) {
+    sem_.emplace_back();
     bind_.push_back(b);
-    alpha_.push_back(T(1));
-    beta_.push_back(T(0));
-  }
-  void append_compute(T alpha, T beta) {
-    mdag::NodeSemantics s;
-    s.alpha = static_cast<double>(alpha);
-    s.beta = static_cast<double>(beta);
-    sem_.push_back(std::move(s));
-    bind_.push_back(Binding{});
     alpha_.push_back(alpha);
     beta_.push_back(beta);
   }

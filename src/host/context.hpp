@@ -545,7 +545,7 @@ class Context {
   // --- Compiled streaming compositions -----------------------------------
   /// Compiles a host::Composition (mdag::compile: validity, partition,
   /// lowering, tap plan) and enqueues it as ONE command: every component's
-  /// stream graph, the GraphChecker armed from the compiled tap plan, a
+  /// stream graph, a checksum tap on every compiled channel, a
   /// refblas fallback synthesized by topologically replaying the nodes,
   /// and the declared read/write sets — all under the same rollback /
   /// retry / CPU-fallback ladder as the built-in routines. An

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/routines.hpp"
@@ -10,22 +11,29 @@
 namespace fblas::mdag {
 namespace {
 
-bool supported_compute(RoutineKind k) {
+/// In-port names of each routine with a streaming lowering, in in-edge
+/// declaration order; empty for routines without one. A GEMV's y0 port
+/// is optional (the compiler synthesizes a zero stream).
+std::vector<std::string_view> ports_of(RoutineKind k) {
   switch (k) {
-    case RoutineKind::Gemv:
-    case RoutineKind::Ger:
-    case RoutineKind::Trsv:
+    case RoutineKind::Gemv: return {"A", "x", "y0"};
+    case RoutineKind::Ger: return {"A0", "x", "y"};
+    case RoutineKind::Trsv: return {"A", "b"};
     case RoutineKind::Axpy:
-    case RoutineKind::Scal:
-    case RoutineKind::Dot:
-      return true;
-    default:
-      return false;
+    case RoutineKind::Dot: return {"x", "y"};
+    case RoutineKind::Scal: return {"x"};
+    default: return {};
   }
 }
 
-std::int64_t per_pass(const StreamSig& s) {
-  return s.repeat > 0 ? s.count / s.repeat : s.count;
+bool is_compute(const Node& n, RoutineKind k) {
+  return n.type == NodeType::Compute && n.kind == k;
+}
+
+/// op(A)'s stored triangle: the order a solve against it runs in.
+Uplo op_uplo(const NodeSemantics& s) {
+  if (s.trans == Transpose::None) return s.uplo;
+  return s.uplo == Uplo::Lower ? Uplo::Upper : Uplo::Lower;
 }
 
 /// A replay-only mismatch: the consumer wants the same per-pass stream
@@ -35,7 +43,7 @@ std::int64_t per_pass(const StreamSig& s) {
 bool replay_mismatch(const Edge& e) {
   if (e.produced.compatible(e.consumed)) return false;
   if (e.produced.is_matrix != e.consumed.is_matrix) return false;
-  if (per_pass(e.produced) != per_pass(e.consumed)) return false;
+  if (e.produced.per_pass() != e.consumed.per_pass()) return false;
   if (e.produced.is_matrix &&
       (e.produced.rows != e.consumed.rows ||
        e.produced.cols != e.consumed.cols)) {
@@ -53,52 +61,87 @@ std::string unique_name(std::set<std::string>& used, std::string base,
   return base;
 }
 
+/// Node shapes and port rules: what is illegal whatever the partition.
+void check_ports(const Mdag& g, const std::vector<NodeSemantics>& sem,
+                 const std::vector<PlanNode>& nodes) {
+  for (int u = 0; u < g.node_count(); ++u) {
+    const Node& node = g.node(u);
+    const NodeSemantics& s = sem[static_cast<std::size_t>(u)];
+    const PlanNode& nd = nodes[static_cast<std::size_t>(u)];
+    if (node.type == NodeType::Interface) {
+      if (s.is_output) {
+        if (nd.ins.size() != 1 || !nd.outs.empty()) {
+          throw ConfigError("compile: interface writer '" + node.name +
+                            "' must have exactly one input edge and no "
+                            "outputs");
+        }
+      } else if (!nd.ins.empty()) {
+        throw ConfigError("compile: interface reader '" + node.name +
+                          "' cannot have input edges");
+      } else if (s.triangular && nd.outs.size() != 1) {
+        throw ConfigError("compile: triangular reader '" + node.name +
+                          "': a triangular reader feeds exactly one TRSV");
+      }
+      continue;
+    }
+
+    const auto ports = ports_of(node.kind);
+    const std::string kind(routine_info(node.kind).name);
+    if (ports.empty()) {
+      throw ConfigError("compile: node '" + node.name + "' uses " + kind +
+                        ", which has no streaming-composition lowering");
+    }
+    if (nd.outs.empty()) {
+      throw ConfigError("compile: compute node '" + node.name +
+                        "' has no output edge");
+    }
+    const std::size_t optional = node.kind == RoutineKind::Gemv ? 1 : 0;
+    if (nd.ins.size() > ports.size() ||
+        nd.ins.size() + optional < ports.size()) {
+      throw ConfigError("compile: node '" + node.name + "' (" + kind +
+                        ") has " + std::to_string(nd.ins.size()) +
+                        " input edges");
+    }
+    for (std::size_t p = 0; p < nd.ins.size(); ++p) {
+      const Edge& in = g.edge(nd.ins[p]);
+      const std::string port = "compile: node '" + node.name + "' port " +
+                               std::to_string(p) + " (" +
+                               std::string(ports[p]) + ")";
+      const Node& from = g.node(in.from);
+      const bool triangle = from.type == NodeType::Interface &&
+                            sem[static_cast<std::size_t>(in.from)].triangular;
+      const bool a_port = p == 0;
+      if (node.kind == RoutineKind::Trsv && a_port && !triangle) {
+        throw ConfigError(port +
+                          ": the TRSV A operand must come from a triangular "
+                          "reader");
+      }
+      if (triangle && !(node.kind == RoutineKind::Trsv && a_port)) {
+        throw ConfigError(port + " cannot take triangular reader '" +
+                          from.name + "': a triangular reader feeds exactly "
+                          "one TRSV A port");
+      }
+      if (a_port && !in.consumed.is_matrix &&
+          (node.kind == RoutineKind::Gemv || node.kind == RoutineKind::Ger)) {
+        throw ConfigError(port + " needs a matrix stream, not a vector");
+      }
+      if (node.kind == RoutineKind::Trsv && !a_port &&
+          in.consumed.repeat != 1) {
+        throw ConfigError(port + ": a TRSV b stream cannot be replayed");
+      }
+    }
+    for (int e : nd.outs) {
+      const std::int64_t count = g.edge(e).produced.count;
+      if (node.kind == RoutineKind::Dot && count != 1) {
+        throw ConfigError("compile: node '" + node.name + "' output carries " +
+                          std::to_string(count) +
+                          " values; a DOT emits one");
+      }
+    }
+  }
+}
+
 }  // namespace
-
-bool Compiled::has_trunk(int node) const {
-  return std::find(fanout_nodes.begin(), fanout_nodes.end(), node) !=
-         fanout_nodes.end();
-}
-
-const std::string& Compiled::trunk_of(int node) const {
-  const auto it = std::find(fanout_nodes.begin(), fanout_nodes.end(), node);
-  FBLAS_REQUIRE(it != fanout_nodes.end(), "node has no fan-out trunk");
-  return trunk_name[static_cast<std::size_t>(it - fanout_nodes.begin())];
-}
-
-bool Compiled::has_zero(int node) const {
-  return std::find(zero_nodes.begin(), zero_nodes.end(), node) !=
-         zero_nodes.end();
-}
-
-std::size_t Compiled::zero_index(int node) const {
-  const auto it = std::find(zero_nodes.begin(), zero_nodes.end(), node);
-  FBLAS_REQUIRE(it != zero_nodes.end(), "node has no synthesized zero input");
-  return static_cast<std::size_t>(it - zero_nodes.begin());
-}
-
-const CutEdge& Compiled::cut_of(int edge) const {
-  for (const CutEdge& c : cuts) {
-    if (c.edge == edge) return c;
-  }
-  throw ConfigError("edge " + std::to_string(edge) + " is not cut");
-}
-
-std::vector<int> Compiled::in_edges(const Mdag& g, int node) const {
-  std::vector<int> out;
-  for (int e = 0; e < static_cast<int>(g.edges().size()); ++e) {
-    if (g.edge(e).to == node) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<int> Compiled::out_edges(const Mdag& g, int node) const {
-  std::vector<int> out;
-  for (int e = 0; e < static_cast<int>(g.edges().size()); ++e) {
-    if (g.edge(e).from == node) out.push_back(e);
-  }
-  return out;
-}
 
 Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
                  const CompileOptions& opts) {
@@ -109,51 +152,19 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
 
   Compiled cp;
   cp.options = opts;
-  cp.edge_cut.assign(static_cast<std::size_t>(ne), false);
-  cp.edge_channel.assign(static_cast<std::size_t>(ne), std::string());
-  cp.edge_depth.assign(static_cast<std::size_t>(ne), 0);
-
-  // Shape checks the planner does not make.
-  for (int u = 0; u < nn; ++u) {
-    const Node& node = g.node(u);
-    const NodeSemantics& s = sem[static_cast<std::size_t>(u)];
-    const auto ins = cp.in_edges(g, u);
-    const auto outs = cp.out_edges(g, u);
-    if (node.type == NodeType::Compute) {
-      if (!supported_compute(node.kind)) {
-        throw ConfigError("compile: node '" + node.name + "' uses " +
-                          std::string(routine_info(node.kind).name) +
-                          ", which has no streaming-composition lowering");
-      }
-      if (outs.size() == 0) {
-        throw ConfigError("compile: compute node '" + node.name +
-                          "' has no output edge");
-      }
-      std::size_t want_min = 0, want_max = 0;
-      switch (node.kind) {
-        case RoutineKind::Gemv: want_min = 2; want_max = 3; break;
-        case RoutineKind::Ger: want_min = want_max = 3; break;
-        case RoutineKind::Trsv: want_min = want_max = 2; break;
-        case RoutineKind::Axpy:
-        case RoutineKind::Dot: want_min = want_max = 2; break;
-        case RoutineKind::Scal: want_min = want_max = 1; break;
-        default: break;
-      }
-      if (ins.size() < want_min || ins.size() > want_max) {
-        throw ConfigError("compile: node '" + node.name + "' (" +
-                          std::string(routine_info(node.kind).name) + ") has " +
-                          std::to_string(ins.size()) + " input edges");
-      }
-    } else if (s.is_output) {
-      if (ins.size() != 1 || !outs.empty()) {
-        throw ConfigError("compile: interface writer '" + node.name +
-                          "' must have exactly one input edge and no outputs");
-      }
-    } else if (!ins.empty()) {
-      throw ConfigError("compile: interface reader '" + node.name +
-                        "' cannot have input edges");
-    }
+  cp.nodes.resize(static_cast<std::size_t>(nn));
+  cp.edges.resize(static_cast<std::size_t>(ne));
+  const auto node = [&](int u) -> PlanNode& {
+    return cp.nodes[static_cast<std::size_t>(u)];
+  };
+  const auto edge = [&](int e) -> PlanEdge& {
+    return cp.edges[static_cast<std::size_t>(e)];
+  };
+  for (int e = 0; e < ne; ++e) {
+    node(g.edge(e).from).outs.push_back(e);
+    node(g.edge(e).to).ins.push_back(e);
   }
+  check_ports(g, sem, cp.nodes);
 
   // ---- 1/2. Forced cuts, then validity + partition of what can stream.
   std::vector<bool> forced(static_cast<std::size_t>(ne), false);
@@ -163,19 +174,18 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
 
   Mdag sub;
   for (int u = 0; u < nn; ++u) {
-    const Node& node = g.node(u);
-    if (node.type == NodeType::Interface) {
-      sub.add_interface(node.name);
+    const Node& n = g.node(u);
+    if (n.type == NodeType::Interface) {
+      sub.add_interface(n.name);
     } else {
-      sub.add_compute(node.name, node.kind, node.latency);
+      sub.add_compute(n.name, n.kind, n.latency);
     }
   }
   std::vector<int> sub_to_orig;
   for (int e = 0; e < ne; ++e) {
     if (forced[static_cast<std::size_t>(e)]) continue;
-    const Edge& edge = g.edge(e);
-    sub.connect(edge.from, edge.to, edge.produced, edge.consumed,
-                edge.channel_depth);
+    const Edge& ed = g.edge(e);
+    sub.connect(ed.from, ed.to, ed.produced, ed.consumed, ed.channel_depth);
     sub_to_orig.push_back(e);
   }
 
@@ -193,12 +203,9 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     comps.push_back(std::move(all));
   }
 
-  cp.component_of.assign(static_cast<std::size_t>(nn), -1);
   auto reindex = [&] {
     for (std::size_t c = 0; c < comps.size(); ++c) {
-      for (int u : comps[c]) {
-        cp.component_of[static_cast<std::size_t>(u)] = static_cast<int>(c);
-      }
+      for (int u : comps[c]) node(u).component = static_cast<int>(c);
     }
   };
   reindex();
@@ -211,13 +218,12 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     changed = false;
     for (int e = 0; e < ne && !changed; ++e) {
       if (!forced[static_cast<std::size_t>(e)]) continue;
-      const Edge& edge = g.edge(e);
-      const int cf = cp.component_of[static_cast<std::size_t>(edge.from)];
-      const int ct = cp.component_of[static_cast<std::size_t>(edge.to)];
-      if (cf != ct) continue;
+      const Edge& ed = g.edge(e);
+      const int cf = node(ed.from).component;
+      if (cf != node(ed.to).component) continue;
       const auto& nodes = comps[static_cast<std::size_t>(cf)];
       const std::set<int> members(nodes.begin(), nodes.end());
-      std::set<int> moved{edge.to};
+      std::set<int> moved{ed.to};
       for (bool grew = true; grew;) {
         grew = false;
         for (int e2 = 0; e2 < ne; ++e2) {
@@ -240,24 +246,19 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
   }
 
+  bool any_cut = false;
   for (int e = 0; e < ne; ++e) {
-    const Edge& edge = g.edge(e);
-    cp.edge_cut[static_cast<std::size_t>(e)] =
-        forced[static_cast<std::size_t>(e)] ||
-        cp.component_of[static_cast<std::size_t>(edge.from)] !=
-            cp.component_of[static_cast<std::size_t>(edge.to)];
-    if (cp.edge_cut[static_cast<std::size_t>(e)]) {
-      FBLAS_REQUIRE(cp.component_of[static_cast<std::size_t>(edge.from)] <
-                        cp.component_of[static_cast<std::size_t>(edge.to)],
+    const Edge& ed = g.edge(e);
+    const int cf = node(ed.from).component, ct = node(ed.to).component;
+    edge(e).cut = forced[static_cast<std::size_t>(e)] || cf != ct;
+    if (edge(e).cut) {
+      FBLAS_REQUIRE(cf < ct,
                     "compile: cut edge must point to a later component");
+      any_cut = true;
     }
   }
 
-  const bool needs_split =
-      comps.size() > 1 ||
-      std::any_of(cp.edge_cut.begin(), cp.edge_cut.end(),
-                  [](bool b) { return b; });
-  if (!opts.allow_split && needs_split) {
+  if (!opts.allow_split && (comps.size() > 1 || any_cut)) {
     const Validity v = validate(g);
     throw ConfigError(
         "compile: composition cannot execute as a single streaming "
@@ -266,102 +267,133 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
         (v.valid ? cp.plan.explanation : v.summary));
   }
 
-  const auto topo = g.topo_order();
   cp.order.assign(comps.size(), {});
-  for (int u : topo) {
-    cp.order[static_cast<std::size_t>(
-                 cp.component_of[static_cast<std::size_t>(u)])]
-        .push_back(u);
+  for (int u : g.topo_order()) {
+    cp.order[static_cast<std::size_t>(node(u).component)].push_back(u);
   }
 
-  // ---- 3. Lowering: cut materialization, fan-outs, zero inputs, FIFOs.
+  // ---- 3. Lowering: the solves, cut materialization, fan-outs, FIFOs.
+  for (int u = 0; u < nn; ++u) {
+    if (!is_compute(g.node(u), RoutineKind::Trsv)) continue;
+    PlanNode& t = node(u);
+    t.solve_n = g.edge(t.outs[0]).produced.per_pass();
+    t.solve_uplo = op_uplo(sem[static_cast<std::size_t>(u)]);
+    const int a = t.ins[0];
+    if (edge(a).cut) {
+      throw ConfigError("compile: node '" + g.node(u).name +
+                        "' port 0 (A): a triangular stream cannot "
+                        "round-trip through DRAM");
+    }
+    PlanNode& reader = node(g.edge(a).from);
+    reader.solve_n = t.solve_n;
+    reader.solve_uplo = op_uplo(sem[static_cast<std::size_t>(g.edge(a).from)]);
+    if (t.solve_uplo == Uplo::Lower) continue;
+    // An upper solve runs in reversed natural order, and only a DRAM
+    // mover reorders a stream: b comes from a reader of its own or
+    // through DRAM, and x goes only to writers.
+    const int b = t.ins[1];
+    const int bf = g.edge(b).from;
+    const auto streamed = std::count_if(
+        node(bf).outs.begin(), node(bf).outs.end(),
+        [&](int e) { return !edge(e).cut; });
+    if (!edge(b).cut &&
+        (g.node(bf).type != NodeType::Interface || streamed != 1)) {
+      throw ConfigError("compile: node '" + g.node(u).name +
+                        "' port 1 (b): an upper solve needs b in reversed "
+                        "order, which only a DRAM reader of its own streams");
+    }
+    for (int e : t.outs) {
+      const Node& to = g.node(g.edge(e).to);
+      if (to.type != NodeType::Interface) {
+        throw ConfigError("compile: node '" + g.node(u).name +
+                          "' output feeds node '" + to.name +
+                          "': an upper solve emits x in reversed order, "
+                          "which only a DRAM writer restores");
+      }
+    }
+  }
   for (int e = 0; e < ne; ++e) {
-    if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-    const Edge& edge = g.edge(e);
-    CutEdge cut;
-    cut.edge = e;
-    const Node& prod = g.node(edge.from);
-    if (prod.type == NodeType::Interface) {
+    const Edge& ed = g.edge(e);
+    if (is_compute(g.node(ed.from), RoutineKind::Trsv)) {
+      edge(e).pushed_order = node(ed.from).solve_uplo;
+    }
+    if (is_compute(g.node(ed.to), RoutineKind::Trsv) &&
+        node(ed.to).ins[1] == e) {
+      edge(e).popped_order = node(ed.to).solve_uplo;
+    }
+  }
+
+  for (int e = 0; e < ne; ++e) {
+    PlanEdge& cut = edge(e);
+    if (!cut.cut) continue;
+    const Edge& ed = g.edge(e);
+    if (g.node(ed.from).type == NodeType::Interface) {
       // A reader's stream is its operand: the later component re-reads it.
-      cut.writer = edge.from;
+      cut.writer = ed.from;
     } else {
-      for (int e2 : cp.out_edges(g, edge.from)) {
-        if (e2 == e || cp.edge_cut[static_cast<std::size_t>(e2)]) continue;
+      for (int e2 : node(ed.from).outs) {
+        if (e2 == e || edge(e2).cut) continue;
         const Edge& sib = g.edge(e2);
-        const Node& sink = g.node(sib.to);
-        if (sink.type == NodeType::Interface &&
-            sem[static_cast<std::size_t>(sib.to)].is_output &&
-            per_pass(sib.produced) == per_pass(edge.produced)) {
+        if (sem[static_cast<std::size_t>(sib.to)].is_output &&
+            sib.produced.per_pass() == ed.produced.per_pass()) {
           cut.writer = sib.to;
           break;
         }
       }
     }
-    if (cut.writer < 0) cut.scratch_elems = per_pass(edge.produced);
-    cp.cuts.push_back(cut);
+    if (cut.writer < 0) {
+      cut.scratch = static_cast<int>(cp.scratch.size());
+      cp.scratch.push_back(ed.produced.per_pass());
+    }
   }
 
   std::set<std::string> used_names;
   const auto ename = [&](int e) {
-    const Edge& edge = g.edge(e);
-    return g.node(edge.from).name + "->" + g.node(edge.to).name;
+    const Edge& ed = g.edge(e);
+    return g.node(ed.from).name + "->" + g.node(ed.to).name;
   };
 
-  // Replication branches per producer: streamed out-edges plus scratch
-  // spills. One branch streams directly; two go through the fanout2
-  // module; more have no lowering.
-  std::vector<std::vector<int>> branches(static_cast<std::size_t>(nn));
+  // Replication branches per producer. One branch streams directly; two
+  // go through the fanout2 module; more have no lowering.
+  std::vector<std::string> trunk_name(static_cast<std::size_t>(nn));
   for (int u = 0; u < nn; ++u) {
-    for (int e : cp.out_edges(g, u)) {
-      const bool cut = cp.edge_cut[static_cast<std::size_t>(e)];
-      if (!cut || cp.cut_of(e).writer < 0) {
-        branches[static_cast<std::size_t>(u)].push_back(e);
-      }
+    auto& br = node(u).branches;
+    for (int e : node(u).outs) {
+      if (!edge(e).cut || edge(e).scratch >= 0) br.push_back(e);
     }
-    const auto& br = branches[static_cast<std::size_t>(u)];
     if (br.size() > 2) {
       throw ConfigError("compile: node '" + g.node(u).name + "' replicates " +
                         std::to_string(br.size()) +
                         " ways; only the 2-way fan-out module exists");
     }
     if (br.size() == 2) {
-      const StreamSig& a = g.edge(br[0]).produced;
-      const StreamSig& b = g.edge(br[1]).produced;
-      if (!a.compatible(b)) {
+      if (!g.edge(br[0]).produced.compatible(g.edge(br[1]).produced)) {
         throw ConfigError("compile: fan-out of node '" + g.node(u).name +
                           "' would replicate two different streams");
       }
-      cp.fanout_nodes.push_back(u);
-      cp.trunk_name.push_back(
-          unique_name(used_names, g.node(u).name + ".fan", br[0]));
+      trunk_name[static_cast<std::size_t>(u)] =
+          unique_name(used_names, g.node(u).name + ".fan", br[0]);
     }
   }
 
+  // GEMV nodes built without a y0 edge get a synthesized zero stream.
+  std::vector<std::string> zero_name(static_cast<std::size_t>(nn));
   for (int u = 0; u < nn; ++u) {
-    const Node& node = g.node(u);
-    if (node.type != NodeType::Compute || node.kind != RoutineKind::Gemv) {
-      continue;
+    if (is_compute(g.node(u), RoutineKind::Gemv) && node(u).ins.size() == 2) {
+      zero_name[static_cast<std::size_t>(u)] =
+          unique_name(used_names, g.node(u).name + ".y0", node(u).outs[0]);
     }
-    const auto ins = cp.in_edges(g, u);
-    if (ins.size() != 2) continue;
-    const Edge& out = g.edge(cp.out_edges(g, u)[0]);
-    cp.zero_nodes.push_back(u);
-    cp.zero_name.push_back(
-        unique_name(used_names, node.name + ".y0", cp.out_edges(g, u)[0]));
-    cp.zero_count.push_back(per_pass(out.produced));
   }
 
   // Depths: the sized channels from the plan, a scalar FIFO for scalar
   // edges, and a component-wide default otherwise (wider when a matrix
   // streams through the component, matching the hand-tuned compositions).
   std::vector<bool> comp_has_matrix(comps.size(), false);
-  for (int e = 0; e < ne; ++e) {
-    const Edge& edge = g.edge(e);
-    if (edge.produced.is_matrix || edge.consumed.is_matrix) {
-      comp_has_matrix[static_cast<std::size_t>(
-          cp.component_of[static_cast<std::size_t>(edge.from)])] = true;
-      comp_has_matrix[static_cast<std::size_t>(
-          cp.component_of[static_cast<std::size_t>(edge.to)])] = true;
+  for (const Edge& ed : g.edges()) {
+    if (ed.produced.is_matrix || ed.consumed.is_matrix) {
+      comp_has_matrix[static_cast<std::size_t>(node(ed.from).component)] =
+          true;
+      comp_has_matrix[static_cast<std::size_t>(node(ed.to).component)] = true;
     }
   }
   const auto default_depth = [&](int component, const StreamSig& sig) {
@@ -369,82 +401,84 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     const int mult = comp_has_matrix[static_cast<std::size_t>(component)] ? 4 : 2;
     return static_cast<std::int64_t>(std::max(64, mult * opts.width));
   };
-  std::vector<std::int64_t> sized(static_cast<std::size_t>(ne), 0);
+  std::vector<std::int64_t> depth(static_cast<std::size_t>(ne), 0);
   for (const ChannelSizing& s : cp.plan.sizings) {
     const int orig = sub_to_orig[static_cast<std::size_t>(s.edge)];
-    if (!cp.edge_cut[static_cast<std::size_t>(orig)]) {
+    if (!edge(orig).cut) {
       // Fan-out slack on top of the analysis bound, as the hand-tuned
       // ATAX composition allocates.
-      sized[static_cast<std::size_t>(orig)] = s.min_depth + 4 * opts.width;
+      depth[static_cast<std::size_t>(orig)] = s.min_depth + 4 * opts.width;
     }
   }
+  std::vector<std::string> edge_name(static_cast<std::size_t>(ne));
   for (int e = 0; e < ne; ++e) {
-    if (cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-    const Edge& edge = g.edge(e);
-    const int c = cp.component_of[static_cast<std::size_t>(edge.from)];
-    std::int64_t depth = std::max(sized[static_cast<std::size_t>(e)],
-                                  default_depth(c, edge.produced));
-    depth = std::max(depth, edge.channel_depth);
-    cp.edge_depth[static_cast<std::size_t>(e)] = depth;
-    cp.edge_channel[static_cast<std::size_t>(e)] =
+    if (edge(e).cut) continue;
+    const Edge& ed = g.edge(e);
+    auto& d = depth[static_cast<std::size_t>(e)];
+    d = std::max({d, default_depth(node(ed.from).component, ed.produced),
+                  ed.channel_depth});
+    edge_name[static_cast<std::size_t>(e)] =
         unique_name(used_names, ename(e), e);
   }
 
-  // ---- 4. Per-component FIFO/tap list in topological declaration order.
-  cp.channels.assign(comps.size(), {});
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    auto& list = cp.channels[c];
-    for (int u : cp.order[c]) {
-      for (int e : cp.in_edges(g, u)) {
-        if (!cp.edge_cut[static_cast<std::size_t>(e)]) continue;
-        const Edge& edge = g.edge(e);
-        list.push_back(CompiledChannel{
-            CompiledChannel::Role::Readback, e,
-            unique_name(used_names, "rb:" + ename(e), e),
-            default_depth(static_cast<int>(c), edge.consumed)});
+  // ---- 4. The FIFO/tap list: by component, in topological declaration
+  // order. A channel carrying `repeat` passes of an edge is predicted as
+  // that many copies of one pass.
+  const auto add = [&](std::string name, std::int64_t d, int c, int e,
+                       std::int64_t passes) {
+    cp.channels.push_back(PlanChannel{std::move(name), d, c, e,
+                                      std::max<std::int64_t>(1, passes)});
+    return static_cast<int>(cp.channels.size()) - 1;
+  };
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    const int c = static_cast<int>(ci);
+    for (int u : cp.order[ci]) {
+      PlanNode& nd = node(u);
+      for (int e : nd.ins) {
+        if (!edge(e).cut) continue;
+        const StreamSig& sig = g.edge(e).consumed;
+        edge(e).pop = add(unique_name(used_names, "rb:" + ename(e), e),
+                          default_depth(c, sig), c, e, sig.repeat);
       }
-      if (cp.has_zero(u)) {
-        const std::size_t zi = cp.zero_index(u);
-        list.push_back(CompiledChannel{CompiledChannel::Role::Zero, u,
-                                       cp.zero_name[zi],
-                                       default_depth(static_cast<int>(c),
-                                                     StreamSig::vec(2))});
+      if (const auto& z = zero_name[static_cast<std::size_t>(u)]; !z.empty()) {
+        nd.zero = add(z, default_depth(c, StreamSig::vec(2)), c, -1,
+                      g.edge(nd.outs[0]).produced.per_pass());
       }
-      if (cp.has_trunk(u)) {
-        const int e0 = branches[static_cast<std::size_t>(u)][0];
-        list.push_back(CompiledChannel{
-            CompiledChannel::Role::Trunk, u, cp.trunk_of(u),
-            default_depth(static_cast<int>(c), g.edge(e0).produced)});
+      if (const auto& t = trunk_name[static_cast<std::size_t>(u)]; !t.empty()) {
+        const StreamSig& sig = g.edge(nd.branches[0]).produced;
+        nd.trunk = add(t, default_depth(c, sig), c, nd.branches[0],
+                       sig.repeat);
       }
-      for (int e : cp.out_edges(g, u)) {
-        if (!cp.edge_cut[static_cast<std::size_t>(e)]) {
-          list.push_back(CompiledChannel{
-              CompiledChannel::Role::Edge, e,
-              cp.edge_channel[static_cast<std::size_t>(e)],
-              cp.edge_depth[static_cast<std::size_t>(e)]});
-        } else if (cp.cut_of(e).writer < 0) {
-          const Edge& edge = g.edge(e);
-          list.push_back(CompiledChannel{
-              CompiledChannel::Role::Spill, e,
-              unique_name(used_names, "spill:" + ename(e), e),
-              default_depth(static_cast<int>(c), edge.produced)});
+      for (int e : nd.outs) {
+        const StreamSig& sig = g.edge(e).produced;
+        PlanEdge& pe = edge(e);
+        if (!pe.cut) {
+          pe.push = pe.pop = add(edge_name[static_cast<std::size_t>(e)],
+                                 depth[static_cast<std::size_t>(e)], c, e,
+                                 sig.repeat);
+        } else if (pe.scratch >= 0) {
+          pe.push = add(unique_name(used_names, "spill:" + ename(e), e),
+                        default_depth(c, sig), c, e, sig.repeat);
         }
       }
     }
+  }
+
+  for (PlanNode& nd : cp.nodes) {
+    nd.push = nd.trunk >= 0 || nd.branches.empty()
+                  ? nd.trunk
+                  : edge(nd.branches[0]).push;
   }
 
   // The frequency model sees the largest set of matrix modules resident
   // at once — a sequential split reconfigures between components, so the
   // count is the per-component maximum, not the whole-graph total (the
   // hand-tuned GEMVER clocks both of its graphs at the 3-module point).
-  for (std::size_t c = 0; c < comps.size(); ++c) {
+  for (const auto& members : comps) {
     int k = 0;
-    for (int u : comps[c]) {
-      const Node& node = g.node(u);
-      if (node.type == NodeType::Compute &&
-          routine_info(node.kind).level >= 2) {
-        ++k;
-      }
+    for (int u : members) {
+      const Node& n = g.node(u);
+      if (n.type == NodeType::Compute && routine_info(n.kind).level >= 2) ++k;
     }
     cp.matrix_modules = std::max(cp.matrix_modules, k);
   }

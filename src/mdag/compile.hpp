@@ -5,9 +5,12 @@
 // compile() takes an annotated module DAG and derives everything the host
 // runtime previously hand-wired per app:
 //
-//   1. validity    — edge signature checks and the multitree analysis,
-//                    via derive_plan(); an unexecutable graph is rejected
-//                    here (enqueue time) with the validity diagnostic.
+//   1. validity    — node shapes and port rules (what stream each port of
+//                    each routine takes), edge signature checks and the
+//                    multitree analysis via derive_plan(); an
+//                    unexecutable graph is rejected here (enqueue time)
+//                    naming the node and port, or with the validity
+//                    diagnostic.
 //   2. partition   — channel sizings when the lag fits on chip, otherwise
 //                    a sequential split into individually-valid streaming
 //                    components. Edges whose consumer demands a replay the
@@ -23,14 +26,18 @@
 //                    when one carries the same stream, otherwise a scratch
 //                    buffer the runtime allocates).
 //   4. tap plan    — every FIFO of every component, in topological
-//                    declaration order, so a verify::GraphChecker can
+//                    declaration order, each with the edge and pass count
+//                    its checksum prediction needs, so the runtime can
 //                    localize a divergence to the first corrupted edge.
 //
-// The compiler is host-agnostic: it never touches buffers or streams.
-// host::Composition + Context::run_composition interpret the result.
+// The result is one record per node, edge and channel; the runtime reads
+// them and re-derives nothing. The compiler is host-agnostic: it never
+// touches buffers or streams. host::Composition +
+// Context::run_composition interpret the result.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,15 +46,12 @@
 
 namespace fblas::mdag {
 
-/// Per-node annotation the graph structure alone cannot carry: operand
-/// identity for interface nodes and the scalar/orientation parameters of
-/// compute nodes. Compute inputs follow each node's in-edge declaration
-/// order: GEMV [A, x, (y0)], AXPY/DOT [x, y], GER [A0, x, y],
-/// TRSV [A, b], SCAL [x].
+/// Per-node annotation the graph structure alone cannot carry. Compute
+/// inputs follow each node's in-edge declaration order (its ports):
+/// GEMV [A, x, (y0)], AXPY/DOT [x, y], GER [A0, x, y], TRSV [A, b],
+/// SCAL [x].
 struct NodeSemantics {
-  // Interface nodes.
-  std::string operand;     ///< binding key (diagnostics; the host binds by node)
-  bool is_output = false;  ///< DRAM writer (exactly one in-edge)
+  bool is_output = false;  ///< interface writer (exactly one in-edge)
   /// Reader streams op(A)'s `uplo` triangle in solve order instead of a
   /// tiled full matrix (the TRSV A operand).
   bool triangular = false;
@@ -55,8 +59,6 @@ struct NodeSemantics {
   Transpose trans = Transpose::None;
   Uplo uplo = Uplo::Lower;
   Diag diag = Diag::NonUnit;
-  double alpha = 1.0;  ///< GEMV/GER/AXPY/SCAL coefficient
-  double beta = 0.0;   ///< GEMV y0 coefficient (forced 0 when y0 is synthesized)
 };
 
 struct CompileOptions {
@@ -69,70 +71,83 @@ struct CompileOptions {
   bool allow_split = true;
 };
 
-/// One FIFO of one component's lowered stream graph. Every channel is
-/// also a checksum-tap site.
-struct CompiledChannel {
-  enum class Role {
-    Edge,      ///< carries MDAG edge `id`
-    Trunk,     ///< pre-fanout stream of producer node `id`
-    Zero,      ///< synthesized zero y0 of GEMV node `id`
-    Spill,     ///< producer side of cut edge `id` into a scratch buffer
-    Readback,  ///< consumer side of cut edge `id` (DRAM round trip)
-  };
-  Role role;
-  int id;
-  std::string name;
-  std::int64_t depth;
+/// One node of the plan.
+struct PlanNode {
+  int component = -1;
+  std::vector<int> ins;   ///< in-edges in port order
+  std::vector<int> outs;  ///< out-edges in declaration order
+  /// Out-edges this node streams in its own component: all but the cut
+  /// edges a DRAM buffer already carries. One streams directly; two go
+  /// through a fan-out module fed by `trunk`.
+  std::vector<int> branches;
+  int trunk = -1;  ///< channel of the pre-fan-out stream, or -1
+  /// Channel this node's module pushes: its trunk, or its one branch's
+  /// channel; -1 for writers and for readers nothing streams from.
+  int push = -1;
+  int zero = -1;   ///< channel of the synthesized zero y0 (GEMV), or -1
+  /// TRSV nodes and the triangular readers feeding them: the solve
+  /// dimension and op(A)'s triangle, which fixes the solve order.
+  std::int64_t solve_n = 0;
+  Uplo solve_uplo = Uplo::Lower;
 };
 
-/// DRAM materialization of a cut edge.
-struct CutEdge {
-  int edge;
-  /// Interface-writer node whose bound buffer already carries the stream
-  /// (same per-pass values); -1 means no such sibling exists and the
-  /// runtime must allocate a scratch buffer of `scratch_elems` elements
-  /// (fed by a Spill channel in the producer's component).
+/// One edge of the plan.
+struct PlanEdge {
+  /// Cut edges round-trip through DRAM between components.
+  bool cut = false;
+  /// Cut edges only: the interface node whose buffer already carries the
+  /// stream (the reader itself, or a sibling writer of the producer), or
+  /// else the runtime's scratch slot the producer spills into.
   int writer = -1;
-  std::int64_t scratch_elems = 0;
+  int scratch = -1;
+  /// Channels: what the producer's module pushes (-1 when `writer`
+  /// carries the edge) and what the consumer pops. Equal unless cut.
+  int push = -1;
+  int pop = -1;
+  /// Solve orders of vector streams not in natural order: what a TRSV
+  /// producer pushes, and what a TRSV b port pops. A DRAM writer of the
+  /// edge writes from `pushed_order`; a DRAM reader reads in
+  /// `popped_order`.
+  std::optional<Uplo> pushed_order;
+  std::optional<Uplo> popped_order;
+};
+
+/// One FIFO of one component's lowered stream graph. Every channel is
+/// also a checksum-tap site.
+struct PlanChannel {
+  std::string name;
+  std::int64_t depth;
+  int component;
+  /// Its checksum prediction: `passes` copies of edge `edge`'s per-pass
+  /// values, or, for edge -1, a synthesized zero stream of `passes`
+  /// values.
+  int edge;
+  std::int64_t passes;
 };
 
 struct Compiled {
   CompileOptions options;
   /// The execution plan of the streamable subgraph (forced cuts removed).
   Plan plan;
-  std::vector<int> component_of;         ///< node -> component index
-  std::vector<std::vector<int>> order;   ///< per component, topo node order
-  std::vector<bool> edge_cut;            ///< per edge
-  std::vector<CutEdge> cuts;             ///< one per cut edge
-  std::vector<std::string> edge_channel; ///< per edge ("" when cut)
-  std::vector<std::int64_t> edge_depth;  ///< per edge (0 when cut)
-  std::vector<int> fanout_nodes;         ///< nodes lowered with a fanout2
-  std::vector<std::string> trunk_name;   ///< parallel to fanout_nodes
-  std::vector<int> zero_nodes;           ///< GEMV nodes with synthesized y0
-  std::vector<std::string> zero_name;    ///< parallel to zero_nodes
-  std::vector<std::int64_t> zero_count;  ///< parallel to zero_nodes
-  /// Per component: every FIFO in topological declaration order — the
-  /// channel-creation list and the checker's tap order at once.
-  std::vector<std::vector<CompiledChannel>> channels;
+  std::vector<PlanNode> nodes;
+  std::vector<PlanEdge> edges;
+  /// Every FIFO, by component, each component in topological declaration
+  /// order: the channel-creation list and the tap order at once.
+  std::vector<PlanChannel> channels;
+  std::vector<std::vector<int>> order;  ///< per component, topo node order
+  std::vector<std::int64_t> scratch;    ///< elements per scratch slot
   /// Level-2+ compute modules (feeds sim::composition_frequency).
   int matrix_modules = 0;
-
-  bool has_trunk(int node) const;
-  const std::string& trunk_of(int node) const;
-  bool has_zero(int node) const;
-  std::size_t zero_index(int node) const;
-  const CutEdge& cut_of(int edge) const;
-  /// In-edges of `node` in declaration (port) order.
-  std::vector<int> in_edges(const Mdag& g, int node) const;
-  /// Out-edges of `node` in declaration order.
-  std::vector<int> out_edges(const Mdag& g, int node) const;
 };
 
 /// Compiles an annotated MDAG into an executable plan. Throws ConfigError
 /// when the description cannot execute: edge-invalid signatures (via
-/// derive_plan), unsupported routine kinds, replication beyond the 2-way
-/// fan-out module, or — with allow_split = false — any graph that is not
-/// a single fully-streaming component.
+/// derive_plan), unsupported routine kinds, a port fed a stream it cannot
+/// take (a vector into a matrix port, a triangle outside a TRSV A port,
+/// a replayed TRSV b, a DOT emitting more than one value), replication
+/// beyond the 2-way fan-out module, a triangle cut through DRAM, or —
+/// with allow_split = false — any graph that is not a single
+/// fully-streaming component.
 Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
                  const CompileOptions& opts = {});
 

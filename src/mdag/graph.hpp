@@ -28,6 +28,11 @@ struct StreamSig {
 
   bool compatible(const StreamSig& other) const;
 
+  /// Elements of one pass (a matrix pass is rows x cols).
+  std::int64_t per_pass() const {
+    return repeat > 0 ? count / repeat : count;
+  }
+
   /// Elements a consumer must ingest before a downstream tiled module can
   /// emit its first output block: one row (or column) of tiles for a
   /// matrix stream, the full stream for a vector. This is the channel

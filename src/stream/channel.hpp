@@ -53,8 +53,8 @@ class ChannelBase {
 
   /// Clears the per-run statistics (push/pop totals, peak occupancy,
   /// stall events) without touching an armed checksum tap — the
-  /// GraphChecker arms taps *before* Graph::run, which calls this at
-  /// entry. Peak restarts at the current fill: values already buffered
+  /// composition runtime arms taps *before* Graph::run, which calls this
+  /// at entry. Peak restarts at the current fill: values already buffered
   /// genuinely occupy the FIFO.
   void reset_run_stats() {
     total_pushed_ = 0;
@@ -66,8 +66,8 @@ class ChannelBase {
   // --- checksum tap (streaming ABFT) ------------------------------------
   /// Arms a running checksum over every floating-point value pushed into
   /// this channel: sum, magnitude (sum of absolute values) and element
-  /// count — what verify::GraphChecker compares against the host replay's
-  /// prediction for the edge. Costs nothing unless armed.
+  /// count — what the composition runtime compares against the host
+  /// replay's prediction for the edge. Costs nothing unless armed.
   void arm_tap() {
     tap_armed_ = true;
     tap_sum_ = tap_mag_ = 0.0;

@@ -115,6 +115,193 @@ TEST(ComposeCompiler, NonMultitreeRejectionSurfacesValidityDiagnostic) {
   EXPECT_NO_THROW(ctx.run_composition(c));
 }
 
+TEST(ComposeCompiler, EveryRejectionSurfacesAtEnqueue) {
+  // Every description the compiler cannot execute is refused at the
+  // run_composition_async call with a ConfigError naming the fault; no
+  // command is queued, so nothing executes.
+  const std::int64_t n = 8, tri = n * (n + 1) / 2;
+  using Sig = mdag::StreamSig;
+  using C = host::Composition<float>;
+  struct Case {
+    const char* name;
+    const char* fragment;
+    std::function<void(C&, const host::Buffer<float>&, host::Buffer<float>&)>
+        build;
+  };
+  const std::vector<Case> cases = {
+      {"reader with an in-edge", "reader 'read_y' cannot have input edges",
+       [&](C& c, const auto& x, auto&) {
+         const int rx = c.input("read_x", x);
+         const int ry = c.input("read_y", x);
+         const int sc = c.scal("scal", 2.0f);
+         c.connect(rx, sc, Sig::vec(n));
+         c.connect(sc, ry, Sig::vec(n));
+       }},
+      {"writer with two in-edges", "writer 'store' must have exactly one",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int ry = c.input("read_y", x);
+         const int w = c.output("store", y);
+         c.connect(rx, w, Sig::vec(n));
+         c.connect(ry, w, Sig::vec(n));
+       }},
+      {"compute without output", "compute node 'scal' has no output edge",
+       [&](C& c, const auto& x, auto&) {
+         const int rx = c.input("read_x", x);
+         const int sc = c.scal("scal", 2.0f);
+         c.connect(rx, sc, Sig::vec(n));
+       }},
+      {"compute with the wrong arity", "'axpy' (axpy) has 1 input edges",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int w = c.output("store", y);
+         const int ax = c.axpy("axpy", 2.0f);
+         c.connect(rx, ax, Sig::vec(n));
+         c.connect(ax, w, Sig::vec(n));
+       }},
+      {"3-way replication", "node 'scal' replicates 3 ways",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int sc = c.scal("scal", 2.0f);
+         c.connect(rx, sc, Sig::vec(n));
+         for (const char* w : {"w0", "w1", "w2"}) {
+           c.connect(sc, c.output(w, y), Sig::vec(n));
+         }
+       }},
+      {"fan-out of two streams", "would replicate two different streams",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int s0 = c.scal("s0", 2.0f);
+         const int s1 = c.scal("s1", 3.0f);
+         c.connect(rx, s0, Sig::vec(n));
+         c.connect(rx, s1, Sig::vec(n, 2));
+         c.connect(s0, c.output("w0", y), Sig::vec(n));
+         c.connect(s1, c.output("w1", y), Sig::vec(n, 2));
+       }},
+      {"mismatched edge signatures", "invalid edges (count/order mismatch)",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int sc = c.scal("scal", 2.0f);
+         c.connect(rx, sc, Sig::vec(n), Sig::vec(n + 1));
+         c.connect(sc, c.output("store", y), Sig::vec(n));
+       }},
+      {"TRSV A from a plain reader",
+       "the TRSV A operand must come from a triangular reader",
+       [&](C& c, const auto& x, auto& y) {
+         const int ra = c.input("read_A", x);
+         const int rb = c.input("read_b", x);
+         const int tr = c.trsv("trsv", Uplo::Lower);
+         c.connect(ra, tr, Sig::vec(tri));
+         c.connect(rb, tr, Sig::vec(n));
+         c.connect(tr, c.output("store", y), Sig::vec(n));
+       }},
+      {"triangle cut through DRAM",
+       "a triangular stream cannot round-trip through DRAM",
+       [&](C& c, const auto& x, auto& y) {
+         const int rl = c.input_triangular("read_L", x, Uplo::Lower);
+         const int rb = c.input("read_b", x);
+         const int tr = c.trsv("trsv", Uplo::Lower);
+         c.connect(rl, tr, Sig::vec(tri), Sig::vec(tri, 2));
+         c.connect(rb, tr, Sig::vec(n));
+         c.connect(tr, c.output("store", y), Sig::vec(n));
+       }},
+      // Enqueued before the compiler checked ports: each failed (or
+      // silently computed a wrong result) only once the command ran.
+      {"replayed TRSV b", "node 'trsv' port 1 (b)",
+       [&](C& c, const auto& x, auto& y) {
+         const int rl = c.input_triangular("read_L", x, Uplo::Lower);
+         const int rb = c.input("read_b", x);
+         const int tr = c.trsv("trsv", Uplo::Lower);
+         c.connect(rl, tr, Sig::vec(tri));
+         c.connect(rb, tr, Sig::vec(n, 2));
+         c.connect(tr, c.output("store", y), Sig::vec(n));
+       }},
+      {"vector into a GEMV A port", "node 'gemv' port 0 (A)",
+       [&](C& c, const auto& x, auto& y) {
+         const int ra = c.input("read_A", x);
+         const int rx = c.input("read_x", x);
+         const int gv = c.gemv("gemv", 1.0f, 0.0f);
+         c.connect(ra, gv, Sig::vec(n));
+         c.connect(rx, gv, Sig::vec(n));
+         c.connect(gv, c.output("store", y), Sig::vec(n));
+       }},
+      {"vector into a GER A port", "node 'ger' port 0 (A0)",
+       [&](C& c, const auto& x, auto& y) {
+         const int ra = c.input("read_A", x);
+         const int rx = c.input("read_x", x);
+         const int ry = c.input("read_y", x);
+         const int gr = c.ger("ger", 1.0f);
+         c.connect(ra, gr, Sig::vec(n));
+         c.connect(rx, gr, Sig::vec(n));
+         c.connect(ry, gr, Sig::vec(n));
+         c.connect(gr, c.output("store", y), Sig::vec(n));
+       }},
+      {"triangle into an AXPY", "node 'axpy' port 0 (x)",
+       [&](C& c, const auto& x, auto& y) {
+         const int rl = c.input_triangular("read_L", x, Uplo::Lower);
+         const int ry = c.input("read_y", x);
+         const int ax = c.axpy("axpy", 2.0f);
+         c.connect(rl, ax, Sig::vec(n));
+         c.connect(ry, ax, Sig::vec(n));
+         c.connect(ax, c.output("store", y), Sig::vec(n));
+       }},
+      {"upper solve fed by a compute node", "node 'trsv' port 1 (b)",
+       [&](C& c, const auto& x, auto& y) {
+         const int rl = c.input_triangular("read_U", x, Uplo::Upper);
+         const int rb = c.input("read_b", x);
+         const int sc = c.scal("scal", 2.0f);
+         const int tr = c.trsv("trsv", Uplo::Upper);
+         c.connect(rl, tr, Sig::vec(tri));
+         c.connect(rb, sc, Sig::vec(n));
+         c.connect(sc, tr, Sig::vec(n));
+         c.connect(tr, c.output("store", y), Sig::vec(n));
+       }},
+      {"upper solve feeding a compute node", "node 'trsv' output",
+       [&](C& c, const auto& x, auto& y) {
+         const int rl = c.input_triangular("read_U", x, Uplo::Upper);
+         const int rb = c.input("read_b", x);
+         const int tr = c.trsv("trsv", Uplo::Upper);
+         const int sc = c.scal("scal", 2.0f);
+         c.connect(rl, tr, Sig::vec(tri));
+         c.connect(rb, tr, Sig::vec(n));
+         c.connect(tr, sc, Sig::vec(n));
+         c.connect(sc, c.output("store", y), Sig::vec(n));
+       }},
+      {"DOT emitting a vector", "node 'dot' output",
+       [&](C& c, const auto& x, auto& y) {
+         const int rx = c.input("read_x", x);
+         const int ry = c.input("read_y", x);
+         const int dt = c.dot("dot");
+         c.connect(rx, dt, Sig::vec(n));
+         c.connect(ry, dt, Sig::vec(n));
+         c.connect(dt, c.output("store", y), Sig::vec(n));
+       }},
+  };
+
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    host::Device dev;
+    host::Context ctx(dev);
+    host::Buffer<float> x(dev, n * n, 0), y(dev, n * n, 1);
+    x.write(std::vector<float>(static_cast<std::size_t>(n * n), 1.0f));
+    y.write(std::vector<float>(static_cast<std::size_t>(n * n), 0.0f));
+    C c("reject");
+    k.build(c, x, y);
+    try {
+      ctx.run_composition_async(c);
+      ADD_FAILURE() << "expected ConfigError at enqueue";
+    } catch (const ConfigError& err) {
+      const std::string msg = err.what();
+      EXPECT_NE(msg.find(k.fragment), std::string::npos) << msg;
+    }
+    try {
+      ctx.finish();
+    } catch (const std::exception&) {
+    }
+    EXPECT_EQ(ctx.exec_stats().executed, 0u);
+  }
+}
+
 // --- Bit-identity with the host layer and hand-wired stream graphs --------
 
 TEST(ComposeCompiler, CompiledAppsBitIdenticalToHostLayer) {

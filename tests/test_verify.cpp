@@ -894,8 +894,8 @@ TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
 
 // --- Composed commands: checksum-carrying streaming compositions ----------
 // The paper applications run as single host commands whose intermediates
-// never touch DRAM; the GraphChecker compares per-channel taps against
-// the host's double-precision replay of the composition.
+// never touch DRAM; every channel's checksum tap is compared against the
+// host's double-precision replay of the composition.
 
 template <typename T>
 void expect_rel_near(const std::vector<T>& got, const std::vector<T>& want) {
