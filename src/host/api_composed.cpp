@@ -2,8 +2,9 @@
 // composition compiler. Everything the per-app composed paths used to
 // hand-wire (channel creation, module spawning, fan-outs, zero inputs,
 // DRAM round trips for cut edges, checksum predictions, the refblas
-// fallback) is derived here from mdag::Compiled, so an app is nothing
-// but a host::Composition description.
+// fallback) is read here from the node, edge and channel records of
+// mdag::Compiled, so an app is nothing but a host::Composition
+// description. Which descriptions are legal is the compiler's call.
 //
 // Execution of one composition is ONE command on the fault-tolerance
 // ladder: retries roll the write set back, verification compares every

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/routines.hpp"
+#include "mdag/auto_partition.hpp"
 #include "mdag/validity.hpp"
 
 namespace fblas::mdag {
@@ -193,10 +194,12 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
   popt.max_channel_depth = opts.max_channel_depth;
   popt.prefer_sizing = opts.prefer_sizing;
   popt.width = opts.width;
-  cp.plan = derive_plan(sub, popt);  // throws ConfigError on invalid edges
+  // The plan of the streamable subgraph (forced cuts removed); throws
+  // ConfigError on invalid edges.
+  const Plan plan = derive_plan(sub, popt);
 
   std::vector<std::vector<int>> comps;
-  for (const Component& c : cp.plan.components) comps.push_back(c.nodes);
+  for (const Component& c : plan.components) comps.push_back(c.nodes);
   if (comps.empty()) {
     std::vector<int> all(static_cast<std::size_t>(nn));
     for (int u = 0; u < nn; ++u) all[static_cast<std::size_t>(u)] = u;
@@ -264,7 +267,7 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
         "compile: composition cannot execute as a single streaming "
         "component (channel depth budget " +
         std::to_string(opts.max_channel_depth) + "): " +
-        (v.valid ? cp.plan.explanation : v.summary));
+        (v.valid ? plan.explanation : v.summary));
   }
 
   cp.order.assign(comps.size(), {});
@@ -402,7 +405,7 @@ Compiled compile(const Mdag& g, const std::vector<NodeSemantics>& sem,
     return static_cast<std::int64_t>(std::max(64, mult * opts.width));
   };
   std::vector<std::int64_t> depth(static_cast<std::size_t>(ne), 0);
-  for (const ChannelSizing& s : cp.plan.sizings) {
+  for (const ChannelSizing& s : plan.sizings) {
     const int orig = sub_to_orig[static_cast<std::size_t>(s.edge)];
     if (!edge(orig).cut) {
       // Fan-out slack on top of the analysis bound, as the hand-tuned

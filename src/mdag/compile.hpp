@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "mdag/auto_partition.hpp"
+#include "common/types.hpp"
 #include "mdag/graph.hpp"
 
 namespace fblas::mdag {
@@ -84,7 +84,7 @@ struct PlanNode {
   /// Channel this node's module pushes: its trunk, or its one branch's
   /// channel; -1 for writers and for readers nothing streams from.
   int push = -1;
-  int zero = -1;   ///< channel of the synthesized zero y0 (GEMV), or -1
+  int zero = -1;  ///< channel of the synthesized zero y0 (GEMV), or -1
   /// TRSV nodes and the triangular readers feeding them: the solve
   /// dimension and op(A)'s triangle, which fixes the solve order.
   std::int64_t solve_n = 0;
@@ -127,8 +127,6 @@ struct PlanChannel {
 
 struct Compiled {
   CompileOptions options;
-  /// The execution plan of the streamable subgraph (forced cuts removed).
-  Plan plan;
   std::vector<PlanNode> nodes;
   std::vector<PlanEdge> edges;
   /// Every FIFO, by component, each component in topological declaration
@@ -144,7 +142,8 @@ struct Compiled {
 /// when the description cannot execute: edge-invalid signatures (via
 /// derive_plan), unsupported routine kinds, a port fed a stream it cannot
 /// take (a vector into a matrix port, a triangle outside a TRSV A port,
-/// a replayed TRSV b, a DOT emitting more than one value), replication
+/// a replayed TRSV b, a DOT emitting more than one value), an upper
+/// solve whose b or x a compute node would have to reorder, replication
 /// beyond the 2-way fan-out module, a triangle cut through DRAM, or —
 /// with allow_split = false — any graph that is not a single
 /// fully-streaming component.
