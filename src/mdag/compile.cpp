@@ -105,30 +105,31 @@ void check_ports(const Mdag& g, const std::vector<NodeSemantics>& sem,
     }
     for (std::size_t p = 0; p < nd.ins.size(); ++p) {
       const Edge& in = g.edge(nd.ins[p]);
-      const std::string port = "compile: node '" + node.name + "' port " +
-                               std::to_string(p) + " (" +
-                               std::string(ports[p]) + ")";
+      const auto port = [&] {
+        return "compile: node '" + node.name + "' port " + std::to_string(p) +
+               " (" + std::string(ports[p]) + ")";
+      };
       const Node& from = g.node(in.from);
       const bool triangle = from.type == NodeType::Interface &&
                             sem[static_cast<std::size_t>(in.from)].triangular;
       const bool a_port = p == 0;
       if (node.kind == RoutineKind::Trsv && a_port && !triangle) {
-        throw ConfigError(port +
+        throw ConfigError(port() +
                           ": the TRSV A operand must come from a triangular "
                           "reader");
       }
       if (triangle && !(node.kind == RoutineKind::Trsv && a_port)) {
-        throw ConfigError(port + " cannot take triangular reader '" +
+        throw ConfigError(port() + " cannot take triangular reader '" +
                           from.name + "': a triangular reader feeds exactly "
                           "one TRSV A port");
       }
       if (a_port && !in.consumed.is_matrix &&
           (node.kind == RoutineKind::Gemv || node.kind == RoutineKind::Ger)) {
-        throw ConfigError(port + " needs a matrix stream, not a vector");
+        throw ConfigError(port() + " needs a matrix stream, not a vector");
       }
       if (node.kind == RoutineKind::Trsv && !a_port &&
           in.consumed.repeat != 1) {
-        throw ConfigError(port + ": a TRSV b stream cannot be replayed");
+        throw ConfigError(port() + ": a TRSV b stream cannot be replayed");
       }
     }
     for (int e : nd.outs) {
