@@ -476,6 +476,372 @@ TEST(VerifyCheckers, NonFinitePredictionsSkipInsteadOfRejecting) {
       chk, "scal", VectorView<const double>(out.data(), n), kScale));
 }
 
+// --- Prediction oracle ---------------------------------------------------
+// Every prediction against the refblas routine run in double on the same
+// inputs: each predicted sum is the stored-span sum of the result, each
+// magnitude the same sum of the routine run on absolute values
+// (|alpha|·|U|·|V|^T + |beta|·|C0|), and `terms` the routine's
+// accumulation count.
+
+template <typename T>
+std::vector<double> widen(const std::vector<T>& v) {
+  return {v.begin(), v.end()};
+}
+
+std::vector<double> absolute(std::vector<double> v) {
+  for (double& x : v) x = std::abs(x);
+  return v;
+}
+
+MatrixView<const double> cmat(const std::vector<double>& v, std::int64_t r,
+                              std::int64_t c) {
+  return {v.data(), r, c};
+}
+
+MatrixView<double> mat(std::vector<double>& v, std::int64_t r,
+                       std::int64_t c) {
+  return {v.data(), r, c};
+}
+
+VectorView<const double> cvec(const std::vector<double>& v) {
+  return {v.data(), static_cast<std::int64_t>(v.size())};
+}
+
+/// Checks `pred`/`mag` against the stored-span sums (`tri` as in
+/// RowSumCheck) of the rows x cols results `val` and `abs`: per row, or
+/// per column when `by_col`. `slack` widens the sum's tolerance beyond
+/// 1e-12 of the magnitude.
+void expect_span_sums(const std::string& what,
+                      const std::vector<double>& pred,
+                      const std::vector<double>& mag,
+                      const std::vector<double>& val,
+                      const std::vector<double>& abs, std::int64_t rows,
+                      std::int64_t cols, int tri = 0, bool by_col = false,
+                      const std::vector<double>& slack = {}) {
+  const std::int64_t lines = by_col ? cols : rows;
+  const std::int64_t len = by_col ? rows : cols;
+  ASSERT_EQ(pred.size(), static_cast<std::size_t>(lines)) << what;
+  ASSERT_EQ(mag.size(), pred.size()) << what;
+  for (std::int64_t i = 0; i < lines; ++i) {
+    double s = 0.0, g = 0.0;
+    for (std::int64_t j = tri < 0 ? i : 0; j < (tri > 0 ? i + 1 : len); ++j) {
+      const auto at = static_cast<std::size_t>(by_col ? j * cols + i
+                                                      : i * cols + j);
+      s += val[at];
+      g += abs[at];
+    }
+    const auto u = static_cast<std::size_t>(i);
+    const double wide = slack.empty() ? 0.0 : slack[u];
+    EXPECT_LE(std::abs(pred[u] - s), 1e-12 * (g + wide)) << what << " [" << i
+                                                         << "]";
+    EXPECT_LE(std::abs(mag[u] - g), 1e-12 * g) << what << " magnitude [" << i
+                                               << "]";
+  }
+}
+
+/// One ScalarCheck against the sum of the vector results `val` / `abs`.
+void expect_scalar(const std::string& what, const verify::ScalarCheck& chk,
+                   const std::vector<double>& val,
+                   const std::vector<double>& abs, std::int64_t terms) {
+  expect_span_sums(what, {chk.pred}, {chk.mag}, val, abs, 1,
+                   static_cast<std::int64_t>(val.size()));
+  EXPECT_EQ(chk.terms, terms) << what;
+  EXPECT_FALSE(chk.skip) << what;
+}
+
+template <typename T>
+void predictions_match_double_oracle() {
+  using M = MatrixView<const T>;
+  using V = VectorView<const T>;
+  using VD = VectorView<double>;
+  const std::string tname = std::is_same_v<T, float> ? "float " : "double ";
+  const std::int64_t extents[] = {0, 1, 7, 33};
+  const double alphas[] = {0.0, -0.75};
+  const double betas[] = {0.0, 0.5, 1.0};
+  const Transpose transposes[] = {Transpose::None, Transpose::Trans};
+  const Uplo uplos[] = {Uplo::Lower, Uplo::Upper};
+  Workload wl(91);
+
+  // --- Level 1: SCAL, COPY, AXPY and the 2x2 maps.
+  for (const std::int64_t n : extents) {
+    const auto hx = wl.vector<T>(n), hy = wl.vector<T>(n);
+    const V vx(hx.data(), n), vy(hy.data(), n);
+    const auto x = widen(hx), y = widen(hy);
+    const auto ax = absolute(x), ay = absolute(y);
+    expect_scalar(tname + "copy", verify::copy_prepare<T>(vx), x, ax, n);
+    // SWAP, ROT and ROTM: refblas on the values, |h| on the magnitudes.
+    const auto pair = [&](const std::string& what, std::array<T, 4> h,
+                          auto apply) {
+      auto ox = x, oy = y;
+      apply(VD(ox), VD(oy));
+      std::vector<double> gx(ax.size()), gy(ay.size());
+      for (std::size_t i = 0; i < gx.size(); ++i) {
+        gx[i] = std::abs(double(h[0])) * ax[i] + std::abs(double(h[1])) * ay[i];
+        gy[i] = std::abs(double(h[2])) * ax[i] + std::abs(double(h[3])) * ay[i];
+      }
+      const auto nnz = [n](T a, T b) {
+        return (int{a != T(0)} + int{b != T(0)}) * n;
+      };
+      const verify::PairCheck chk = verify::pair_prepare<T>(vx, vy, h);
+      expect_scalar(tname + what + "(x)", chk.x, ox, gx, nnz(h[0], h[1]));
+      expect_scalar(tname + what + "(y)", chk.y, oy, gy, nnz(h[2], h[3]));
+    };
+    pair("swap", {0, 1, 1, 0}, [](VD a, VD b) { ref::swap(a, b); });
+    for (const double al : alphas) {
+      const T ta = static_cast<T>(al);
+      auto v = x, g = ax;
+      ref::scal(al, VD(v));
+      ref::scal(std::abs(al), VD(g));
+      expect_scalar(tname + "scal", verify::scal_prepare<T>(ta, vx), v, g, n);
+      v = y;
+      g = ay;
+      ref::axpy(al, cvec(x), VD(v));
+      ref::axpy(std::abs(al), cvec(ax), VD(g));
+      expect_scalar(tname + "axpy", verify::axpy_prepare<T>(ta, vx, vy), v, g,
+                    2 * n);
+      for (const double be : betas) {
+        const T tb = static_cast<T>(be);
+        pair("rot", {ta, tb, T(-tb), ta},
+             [&](VD a, VD b) { ref::rot(a, b, double(ta), double(tb)); });
+        for (const T flag : {T(-2), T(-1), T(0), T(1)}) {
+          const ref::RotmParam<T> p{flag, ta, T(0.3), tb, T(-0.6)};
+          pair("rotm" + std::to_string(int(flag)), p.matrix(), [&](VD a, VD b) {
+            ref::rotm(a, b,
+                      ref::RotmParam<double>{double(p.flag), double(p.h11),
+                                             double(p.h21), double(p.h12),
+                                             double(p.h22)});
+          });
+        }
+      }
+    }
+  }
+
+  // --- GEMV (eᵀy), GER, SYR, SYR2.
+  for (const std::int64_t rows : extents) {
+    for (const std::int64_t cols : extents) {
+      const auto ha = wl.matrix<T>(rows, cols);
+      const auto a = widen(ha), aa = absolute(a);
+      for (const double al : alphas) {
+        for (const Transpose tr : transposes) {
+          const std::int64_t xlen = tr == Transpose::None ? cols : rows;
+          const std::int64_t ylen = tr == Transpose::None ? rows : cols;
+          const auto hx = wl.vector<T>(xlen), hy = wl.vector<T>(ylen);
+          for (const double be : betas) {
+            auto v = widen(hy), g = absolute(v);
+            ref::gemv(tr, al, cmat(a, rows, cols), cvec(widen(hx)), be, VD(v));
+            ref::gemv(tr, std::abs(al), cmat(aa, rows, cols),
+                      cvec(absolute(widen(hx))), std::abs(be), VD(g));
+            expect_scalar(tname + "gemv",
+                          verify::gemv_prepare<T>(
+                              tr, rows, cols, static_cast<T>(al),
+                              M(ha.data(), rows, cols), V(hx.data(), xlen),
+                              static_cast<T>(be), V(hy.data(), ylen)),
+                          v, g, xlen + ylen);
+          }
+        }
+        const auto hx = wl.vector<T>(rows), hy = wl.vector<T>(cols);
+        const auto x = widen(hx), y = widen(hy);
+        auto v = a, g = aa;
+        ref::ger(al, cvec(x), cvec(y), mat(v, rows, cols));
+        ref::ger(std::abs(al), cvec(absolute(x)), cvec(absolute(y)),
+                 mat(g, rows, cols));
+        const verify::RowSumCheck chk = verify::ger_prepare<T>(
+            rows, cols, static_cast<T>(al), V(hx.data(), rows),
+            V(hy.data(), cols), M(ha.data(), rows, cols));
+        expect_span_sums(tname + "ger", chk.pred, chk.mag, v, g, rows, cols);
+        EXPECT_EQ(chk.terms, cols + 2);
+        EXPECT_EQ(chk.tri, 0);
+        EXPECT_FALSE(chk.skip);
+        if (rows != cols) continue;
+        const std::int64_t n = rows;
+        for (const Uplo uplo : uplos) {
+          const int tri = uplo == Uplo::Lower ? 1 : -1;
+          const auto check = [&](const std::string& what,
+                                 const verify::RowSumCheck& c,
+                                 const std::vector<double>& val,
+                                 const std::vector<double>& abs) {
+            expect_span_sums(tname + what, c.pred, c.mag, val, abs, n, n, tri);
+            EXPECT_EQ(c.terms, n + 2) << what;
+            EXPECT_EQ(c.tri, tri) << what;
+            EXPECT_FALSE(c.skip) << what;
+          };
+          v = a;
+          g = aa;
+          ref::syr(uplo, al, cvec(x), mat(v, n, n));
+          ref::syr(uplo, std::abs(al), cvec(absolute(x)), mat(g, n, n));
+          check("syr",
+                verify::syr_prepare<T>(uplo, n, static_cast<T>(al),
+                                       V(hx.data(), n), M(ha.data(), n, n)),
+                v, g);
+          v = a;
+          g = aa;
+          ref::syr2(uplo, al, cvec(x), cvec(y), mat(v, n, n));
+          ref::syr2(uplo, std::abs(al), cvec(absolute(x)), cvec(absolute(y)),
+                    mat(g, n, n));
+          check("syr2",
+                verify::syr2_prepare<T>(uplo, n, static_cast<T>(al),
+                                        V(hx.data(), n), V(hy.data(), n),
+                                        M(ha.data(), n, n)),
+                v, g);
+        }
+      }
+    }
+  }
+
+  // --- SYRK, SYR2K, GEMM.
+  for (const std::int64_t n : extents) {
+    for (const std::int64_t k : extents) {
+      const auto hc = wl.matrix<T>(n, n);
+      const auto c = widen(hc), ac = absolute(c);
+      for (const Transpose tr : transposes) {
+        const std::int64_t ar = tr == Transpose::None ? n : k;
+        const std::int64_t acols = tr == Transpose::None ? k : n;
+        const auto ha = wl.matrix<T>(ar, acols), hb = wl.matrix<T>(ar, acols);
+        const auto a = widen(ha), b = widen(hb);
+        const auto aa = absolute(a), ab = absolute(b);
+        for (const Uplo uplo : uplos) {
+          const int tri = uplo == Uplo::Lower ? 1 : -1;
+          for (const double al : alphas) {
+            for (const double be : betas) {
+              const auto check = [&](const std::string& what,
+                                     const verify::RowSumCheck& chk,
+                                     const std::vector<double>& val,
+                                     const std::vector<double>& abs) {
+                expect_span_sums(tname + what, chk.pred, chk.mag, val, abs, n,
+                                 n, tri);
+                EXPECT_EQ(chk.terms, n + k) << what;
+                EXPECT_EQ(chk.tri, tri) << what;
+                EXPECT_FALSE(chk.skip) << what;
+              };
+              auto v = c, g = ac;
+              ref::syrk(uplo, tr, al, cmat(a, ar, acols), be, mat(v, n, n));
+              ref::syrk(uplo, tr, std::abs(al), cmat(aa, ar, acols),
+                        std::abs(be), mat(g, n, n));
+              check("syrk",
+                    verify::syrk_prepare<T>(uplo, tr, n, k, static_cast<T>(al),
+                                            M(ha.data(), ar, acols),
+                                            static_cast<T>(be),
+                                            M(hc.data(), n, n)),
+                    v, g);
+              v = c;
+              g = ac;
+              ref::syr2k(uplo, tr, al, cmat(a, ar, acols), cmat(b, ar, acols),
+                         be, mat(v, n, n));
+              ref::syr2k(uplo, tr, std::abs(al), cmat(aa, ar, acols),
+                         cmat(ab, ar, acols), std::abs(be), mat(g, n, n));
+              check("syr2k",
+                    verify::syr2k_prepare<T>(
+                        uplo, tr, n, k, static_cast<T>(al),
+                        M(ha.data(), ar, acols), M(hb.data(), ar, acols),
+                        static_cast<T>(be), M(hc.data(), n, n)),
+                    v, g);
+            }
+          }
+        }
+      }
+      for (const std::int64_t m : extents) {
+        for (const Transpose ta : transposes) {
+          for (const Transpose tb : transposes) {
+            const std::int64_t ar = ta == Transpose::None ? m : k;
+            const std::int64_t acols = ta == Transpose::None ? k : m;
+            const std::int64_t br = tb == Transpose::None ? k : n;
+            const std::int64_t bcols = tb == Transpose::None ? n : k;
+            const auto ha = wl.matrix<T>(ar, acols), hb = wl.matrix<T>(br, bcols);
+            const auto h0 = wl.matrix<T>(m, n);
+            const auto a = widen(ha), b = widen(hb), c0 = widen(h0);
+            for (const double al : alphas) {
+              for (const double be : betas) {
+                auto v = c0, g = absolute(c0);
+                ref::gemm(ta, tb, al, cmat(a, ar, acols), cmat(b, br, bcols),
+                          be, mat(v, m, n));
+                ref::gemm(ta, tb, std::abs(al), cmat(absolute(a), ar, acols),
+                          cmat(absolute(b), br, bcols), std::abs(be),
+                          mat(g, m, n));
+                const auto chk = verify::gemm_prepare<T>(
+                    ta, tb, m, n, k, static_cast<T>(al),
+                    M(ha.data(), ar, acols), M(hb.data(), br, bcols),
+                    static_cast<T>(be), M(h0.data(), m, n));
+                expect_span_sums(tname + "gemm rows", chk.rows.pred,
+                                 chk.rows.mag, v, g, m, n);
+                expect_span_sums(tname + "gemm columns", chk.col_pred,
+                                 chk.col_mag, v, g, m, n, 0, true);
+                EXPECT_EQ(chk.rows.terms, k + n);
+                EXPECT_EQ(chk.col_terms, k + m);
+                EXPECT_FALSE(chk.skip);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // --- TRSM: alpha·B0 per solve-dimension line equals op(A)·(X·e) (Left)
+  // or (eᵀ·X)·op(A) (Right) of the double solve X, within 1e-12 of both
+  // sides' magnitudes. The input also holds values off its triangle and,
+  // for a unit diagonal, on it: the solve must not read them.
+  for (const Side side : {Side::Left, Side::Right}) {
+    for (const std::int64_t m : extents) {
+      for (const std::int64_t n : extents) {
+        const std::int64_t dim = side == Side::Left ? m : n;
+        const auto hb = wl.matrix<T>(m, n);
+        for (const Uplo uplo : uplos) {
+          for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+            auto ha = wl.triangular<T>(dim, uplo, diag);
+            auto opa = widen(ha);  // stored triangle, implicit unit diagonal
+            for (std::int64_t i = 0; i < dim; ++i) {
+              for (std::int64_t j = 0; j < dim; ++j) {
+                const bool stored = uplo == Uplo::Lower ? j <= i : j >= i;
+                if (!stored || (i == j && diag == Diag::Unit)) {
+                  ha[static_cast<std::size_t>(i * dim + j)] = T(7);
+                }
+              }
+            }
+            for (const Transpose tr : transposes) {
+              for (const double al : alphas) {
+                auto x = widen(hb);
+                ref::trsm(side, uplo, tr, diag, al, cmat(widen(ha), dim, dim),
+                          mat(x, m, n));
+                std::vector<double> r(x.size()), rabs(x.size());
+                const auto ta = side == Side::Left ? tr : Transpose::None;
+                const auto tb = side == Side::Left ? Transpose::None : tr;
+                const auto& lhs = side == Side::Left ? opa : x;
+                const auto& rhs = side == Side::Left ? x : opa;
+                const std::int64_t lc = side == Side::Left ? dim : n;
+                ref::gemm(ta, tb, 1.0, cmat(lhs, m, lc), cmat(rhs, lc, n),
+                          0.0, mat(r, m, n));
+                ref::gemm(ta, tb, 1.0, cmat(absolute(lhs), m, lc),
+                          cmat(absolute(rhs), lc, n), 0.0, mat(rabs, m, n));
+                // |alpha|·|B0|, and the residual side's magnitude as slack.
+                auto g = absolute(widen(hb));
+                for (double& e : g) e *= std::abs(al);
+                std::vector<double> slack(static_cast<std::size_t>(dim), 0.0);
+                const bool by_col = side == Side::Right;
+                for (std::int64_t i = 0; i < m; ++i) {
+                  for (std::int64_t j = 0; j < n; ++j) {
+                    slack[static_cast<std::size_t>(by_col ? j : i)] +=
+                        rabs[static_cast<std::size_t>(i * n + j)];
+                  }
+                }
+                const auto chk = verify::trsm_prepare<T>(
+                    side, m, n, static_cast<T>(al), M(hb.data(), m, n));
+                expect_span_sums(tname + "trsm", chk.pred, chk.mag, r, g, m, n,
+                                 0, by_col, slack);
+                EXPECT_FALSE(chk.skip);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VerifyCheckers, PredictionsMatchDoubleOracle) {
+  predictions_match_double_oracle<float>();
+  predictions_match_double_oracle<double>();
+}
+
 TEST(VerifySampling, DeterministicAndProportional) {
   EXPECT_FALSE(verify::sampled(1, 42, 0.0));
   EXPECT_TRUE(verify::sampled(1, 42, 1.0));
