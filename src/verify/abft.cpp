@@ -1,6 +1,7 @@
 #include "verify/abft.hpp"
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 
@@ -45,37 +46,67 @@ bool all_finite(const C& v) {
   return true;
 }
 
-/// Element accessor for op(A) with A triangular-stored: structural
-/// zeros outside the stored triangle, implicit ones on a unit diagonal.
+/// A strided operand read as an (i, l) array in double: element (i, l)
+/// is p[i * rs + l * cs].
 template <typename T>
-struct TriOp {
-  MatrixView<const T> a;
-  Uplo uplo;
-  Transpose trans;
-  Diag diag;
+struct Panel {
+  const T* p = nullptr;
+  std::int64_t rs = 0, cs = 0;
 
-  double operator()(std::int64_t r, std::int64_t c) const {
-    const std::int64_t ai = trans == Transpose::None ? r : c;
-    const std::int64_t aj = trans == Transpose::None ? c : r;
-    if (ai == aj) {
-      return diag == Diag::Unit ? 1.0 : static_cast<double>(a(ai, aj));
-    }
-    const bool stored = uplo == Uplo::Lower ? ai > aj : ai < aj;
-    return stored ? static_cast<double>(a(ai, aj)) : 0.0;
+  double operator()(std::int64_t i, std::int64_t l) const {
+    return static_cast<double>(p[i * rs + l * cs]);
+  }
+  Panel t() const { return {p, cs, rs}; }
+};
+
+/// op(M) of a row-major matrix; a vector as one column or one row.
+template <typename T>
+Panel<T> op(MatrixView<const T> m, Transpose t = Transpose::None) {
+  const Panel<T> p{m.data(), m.ld(), 1};
+  return t == Transpose::None ? p : p.t();
+}
+template <typename T>
+Panel<T> column(VectorView<const T> v) {
+  return {v.data(), v.inc(), 0};
+}
+template <typename T>
+Panel<T> row(VectorView<const T> v) {
+  return {v.data(), 0, v.inc()};
+}
+
+/// op(A) of a triangular-stored A: structural zeros off the stored
+/// triangle (`tri` keeps l <= i for +1, l >= i for -1), implicit ones on
+/// a unit diagonal.
+template <typename T>
+struct TriPanel {
+  Panel<T> a;
+  int tri = 0;
+  bool unit = false;
+
+  TriPanel(MatrixView<const T> m, Uplo uplo, Transpose trans, Diag diag)
+      : a(op(m, trans)),
+        tri((uplo == Uplo::Lower) == (trans == Transpose::None) ? 1 : -1),
+        unit(diag == Diag::Unit) {}
+  double operator()(std::int64_t i, std::int64_t l) const {
+    if (tri > 0 ? l > i : l < i) return 0.0;
+    return unit && i == l ? 1.0 : a(i, l);
+  }
+  TriPanel t() const {
+    TriPanel r = *this;
+    r.a = a.t();
+    r.tri = -tri;
+    return r;
   }
 };
 
-/// Sum (value, |value|) of the stored part of row i of a triangular
-/// result: j <= i for tri = +1 (lower), j >= i for tri = -1 (upper),
-/// the full row for tri = 0.
+/// Sum (value, |value|) of row i of `c` over its stored span: j <= i for
+/// tri = +1 (lower), j >= i for tri = -1 (upper), the full `cols` for 0.
 template <typename T>
-std::pair<double, double> row_span_sum(MatrixView<const T> c, std::int64_t i,
-                                       int tri) {
-  const std::int64_t j0 = tri < 0 ? i : 0;
-  const std::int64_t j1 = tri > 0 ? i + 1 : c.cols();
+std::pair<double, double> span_sum(Panel<T> c, std::int64_t i,
+                                   std::int64_t cols, int tri) {
   double sum = 0.0, mag = 0.0;
-  for (std::int64_t j = j0; j < j1; ++j) {
-    const double v = static_cast<double>(c(i, j));
+  for (std::int64_t j = tri < 0 ? i : 0; j < (tri > 0 ? i + 1 : cols); ++j) {
+    const double v = c(i, j);
     sum += v;
     mag += std::abs(v);
   }
@@ -84,13 +115,96 @@ std::pair<double, double> row_span_sum(MatrixView<const T> c, std::int64_t i,
 
 template <typename T>
 std::pair<double, double> vec_sum(VectorView<const T> v) {
-  double sum = 0.0, mag = 0.0;
-  for (std::int64_t i = 0; i < v.size(); ++i) {
-    const double x = static_cast<double>(v[i]);
-    sum += x;
-    mag += std::abs(x);
+  return span_sum(row(v), 0, v.size(), 0);
+}
+
+/// One term U·V^T of a rank-k update: U is rows x k, V is cols x k.
+template <typename U, typename V>
+struct Pair {
+  U u;
+  V v;
+};
+
+/// The prediction every matrix checker shares: per row i, the sum over
+/// its stored span (as in span_sum) of beta·C0 + alpha·Σ_p U_p·V_p^T,
+/// with the same sum over absolute values as the magnitude. Row i's span
+/// sum of U_p·V_p^T is U_p(i, :) · (V_p's column sums over the span), so
+/// the column sums are folded once for a full span, or as a running
+/// prefix (lower) or suffix (upper) for a triangle: O((rows + cols)·k)
+/// per pair instead of the O(rows·cols·k) product.
+template <typename T, typename U = Panel<T>>
+RowSumCheck update_rowsums(
+    int tri, std::int64_t rows, std::int64_t cols, std::int64_t k,
+    double alpha, std::initializer_list<Pair<U, Panel<T>>> pairs, double beta,
+    Panel<T> c0, std::int64_t terms) {
+  RowSumCheck chk{std::vector<double>(static_cast<std::size_t>(rows)),
+                  std::vector<double>(static_cast<std::size_t>(rows)), terms,
+                  tri};
+  std::vector<double> vs(pairs.size() * static_cast<std::size_t>(k), 0.0);
+  std::vector<double> va = vs;
+  const auto fold = [&](std::int64_t j) {
+    std::size_t at = 0;
+    for (const auto& pr : pairs) {
+      for (std::int64_t l = 0; l < k; ++l, ++at) {
+        const double v = pr.v(j, l);
+        vs[at] += v;
+        va[at] += std::abs(v);
+      }
+    }
+  };
+  if (tri == 0) {
+    for (std::int64_t j = 0; j < cols; ++j) fold(j);
   }
-  return {sum, mag};
+  for (std::int64_t s = 0; s < rows; ++s) {
+    const std::int64_t i = tri < 0 ? rows - 1 - s : s;
+    if (tri != 0) fold(i);
+    double p = 0.0, g = 0.0;
+    std::size_t at = 0;
+    for (const auto& pr : pairs) {
+      for (std::int64_t l = 0; l < k; ++l, ++at) {
+        const double u = pr.u(i, l);
+        p += u * vs[at];
+        g += std::abs(u) * va[at];
+      }
+    }
+    p *= alpha;
+    g *= std::abs(alpha);
+    if (beta != 0.0) {
+      const auto [c, cm] = span_sum(c0, i, cols, tri);
+      p += beta * c;
+      g += std::abs(beta) * cm;
+    }
+    chk.pred[static_cast<std::size_t>(i)] = p;
+    chk.mag[static_cast<std::size_t>(i)] = g;
+  }
+  chk.skip = !all_finite(chk.pred) || !all_finite(chk.mag);
+  return chk;
+}
+
+/// The prediction every mutating Level-1 checker shares: a·Σx + b·Σy from
+/// the sums (Σx, Σ|x|) and (Σy, Σ|y|).
+ScalarCheck linear_sum(double a, std::pair<double, double> x, double b,
+                       std::pair<double, double> y, std::int64_t terms) {
+  return scalar_check(a * x.first + b * y.first,
+                      std::abs(a) * x.second + std::abs(b) * y.second, terms);
+}
+
+/// The comparison every row-checksum checker shares: line i's observed
+/// (sum, |sum|) from `got(i)` against pred[i] within
+/// rel_bound(terms)·(predicted + observed magnitude).
+template <typename T, typename Got>
+void compare_lines(const char* routine, const char* what,
+                   const std::vector<double>& pred,
+                   const std::vector<double>& mag, std::int64_t terms,
+                   double tol_scale, Got got) {
+  const double rel = rel_bound<T>(terms, tol_scale);
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const auto [sum, sum_mag] = got(static_cast<std::int64_t>(i));
+    const double tol = rel * (mag[i] + sum_mag) + abs_floor<T>();
+    if (mismatch(sum, pred[i], tol)) {
+      reject(routine, what, static_cast<std::int64_t>(i), sum, pred[i], tol);
+    }
+  }
 }
 
 }  // namespace
@@ -101,17 +215,10 @@ template <typename T>
 void check_rowsums(const RowSumCheck& chk, const char* routine,
                    MatrixView<const T> c, double tol_scale) {
   if (chk.skip) return;
-  const double rel = rel_bound<T>(chk.terms, tol_scale);
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(chk.pred.size());
-       ++i) {
-    const auto [got, got_mag] = row_span_sum(c, i, chk.tri);
-    const double tol = rel * (chk.mag[static_cast<std::size_t>(i)] + got_mag) +
-                       abs_floor<T>();
-    if (mismatch(got, chk.pred[static_cast<std::size_t>(i)], tol)) {
-      reject(routine, "row checksum", i, got,
-             chk.pred[static_cast<std::size_t>(i)], tol);
-    }
-  }
+  compare_lines<T>(routine, "row checksum", chk.pred, chk.mag, chk.terms,
+                   tol_scale, [&](std::int64_t i) {
+                     return span_sum(op(c), i, c.cols(), chk.tri);
+                   });
 }
 
 template <typename T>
@@ -129,179 +236,41 @@ void check_sum(const ScalarCheck& chk, const char* routine,
 // --- Level 3 -------------------------------------------------------------
 
 template <typename T>
-GemmCheck<T> gemm_prepare(Transpose ta, Transpose tb, std::int64_t m,
-                          std::int64_t n, std::int64_t k, T alpha,
-                          MatrixView<const T> a, MatrixView<const T> b,
-                          T beta, MatrixView<const T> c0) {
-  GemmCheck<T> chk;
-  const auto opa = [&](std::int64_t i, std::int64_t l) {
-    return static_cast<double>(ta == Transpose::None ? a(i, l) : a(l, i));
-  };
-  const auto opb = [&](std::int64_t l, std::int64_t j) {
-    return static_cast<double>(tb == Transpose::None ? b(l, j) : b(j, l));
-  };
-  // Right checksums of op(B) (row sums) and left checksums of op(A)
-  // (column sums), plus their absolute-value twins for the bound.
-  std::vector<double> bs(static_cast<std::size_t>(k), 0.0), babs = bs;
-  for (std::int64_t l = 0; l < k; ++l) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const double v = opb(l, j);
-      bs[static_cast<std::size_t>(l)] += v;
-      babs[static_cast<std::size_t>(l)] += std::abs(v);
-    }
-  }
-  std::vector<double> as(static_cast<std::size_t>(k), 0.0), aabs = as;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t l = 0; l < k; ++l) {
-      const double v = opa(i, l);
-      as[static_cast<std::size_t>(l)] += v;
-      aabs[static_cast<std::size_t>(l)] += std::abs(v);
-    }
-  }
-  const double al = static_cast<double>(alpha);
-  const double be = static_cast<double>(beta);
-  chk.rows.pred.assign(static_cast<std::size_t>(m), 0.0);
-  chk.rows.mag = chk.rows.pred;
-  for (std::int64_t i = 0; i < m; ++i) {
-    double p = 0.0, g = 0.0;
-    for (std::int64_t l = 0; l < k; ++l) {
-      p += opa(i, l) * bs[static_cast<std::size_t>(l)];
-      g += std::abs(opa(i, l)) * babs[static_cast<std::size_t>(l)];
-    }
-    p *= al;
-    g *= std::abs(al);
-    if (be != 0.0) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const double v = static_cast<double>(c0(i, j));
-        p += be * v;
-        g += std::abs(be * v);
-      }
-    }
-    chk.rows.pred[static_cast<std::size_t>(i)] = p;
-    chk.rows.mag[static_cast<std::size_t>(i)] = g;
-  }
-  chk.rows.terms = k + n;
-  chk.rows.tri = 0;
-  chk.col_pred.assign(static_cast<std::size_t>(n), 0.0);
-  chk.col_mag = chk.col_pred;
-  for (std::int64_t j = 0; j < n; ++j) {
-    double p = 0.0, g = 0.0;
-    for (std::int64_t l = 0; l < k; ++l) {
-      p += as[static_cast<std::size_t>(l)] * opb(l, j);
-      g += aabs[static_cast<std::size_t>(l)] * std::abs(opb(l, j));
-    }
-    p *= al;
-    g *= std::abs(al);
-    if (be != 0.0) {
-      for (std::int64_t i = 0; i < m; ++i) {
-        const double v = static_cast<double>(c0(i, j));
-        p += be * v;
-        g += std::abs(be * v);
-      }
-    }
-    chk.col_pred[static_cast<std::size_t>(j)] = p;
-    chk.col_mag[static_cast<std::size_t>(j)] = g;
-  }
-  chk.col_terms = k + m;
-  chk.skip = !all_finite(chk.rows.pred) || !all_finite(chk.rows.mag) ||
-             !all_finite(chk.col_pred) || !all_finite(chk.col_mag);
-  chk.rows.skip = chk.skip;
-  return chk;
+GemmCheck gemm_prepare(Transpose ta, Transpose tb, std::int64_t m,
+                       std::int64_t n, std::int64_t k, T alpha,
+                       MatrixView<const T> a, MatrixView<const T> b, T beta,
+                       MatrixView<const T> c0) {
+  // Rows of C = op(A)·op(B); columns are the rows of C^T = op(B)^T·op(A)^T.
+  const Panel<T> opa = op(a, ta), opbt = op(b, tb).t();
+  RowSumCheck rows = update_rowsums<T>(0, m, n, k, alpha, {{opa, opbt}}, beta,
+                                       op(c0), k + n);
+  RowSumCheck cols = update_rowsums<T>(0, n, m, k, alpha, {{opbt, opa}},
+                                       beta, op(c0).t(), k + m);
+  rows.skip = rows.skip || cols.skip;
+  const bool skip = rows.skip;
+  return {std::move(rows), std::move(cols.pred), std::move(cols.mag),
+          cols.terms, skip};
 }
 
 template <typename T>
-void gemm_check(const GemmCheck<T>& chk, MatrixView<const T> c,
+void gemm_check(const GemmCheck& chk, MatrixView<const T> c,
                 double tol_scale) {
   if (chk.skip) return;
   check_rowsums<T>(chk.rows, "gemm", c, tol_scale);
-  const double rel = rel_bound<T>(chk.col_terms, tol_scale);
-  for (std::int64_t j = 0; j < static_cast<std::int64_t>(chk.col_pred.size());
-       ++j) {
-    double got = 0.0, got_mag = 0.0;
-    for (std::int64_t i = 0; i < c.rows(); ++i) {
-      const double v = static_cast<double>(c(i, j));
-      got += v;
-      got_mag += std::abs(v);
-    }
-    const double tol =
-        rel * (chk.col_mag[static_cast<std::size_t>(j)] + got_mag) +
-        abs_floor<T>();
-    if (mismatch(got, chk.col_pred[static_cast<std::size_t>(j)], tol)) {
-      reject("gemm", "column checksum", j, got,
-             chk.col_pred[static_cast<std::size_t>(j)], tol);
-    }
-  }
+  compare_lines<T>("gemm", "column checksum", chk.col_pred, chk.col_mag,
+                   chk.col_terms, tol_scale, [&](std::int64_t j) {
+                     return span_sum(op(c).t(), j, c.rows(), 0);
+                   });
 }
-
-namespace {
-
-// Shared triangular-update checksum: per stored row i, the sum of the
-// rank-k update over the stored span collapses to a running prefix
-// (lower) or suffix (upper) checksum of the panel rows — O(nk) instead
-// of the O(n^2 k) full product. `term(i, run_a, run_b)` produces the
-// update contribution of row i given the running checksums.
-template <typename T, typename Row, typename Term>
-RowSumCheck tri_update_prepare(Uplo uplo, std::int64_t n, std::int64_t k,
-                               double beta, MatrixView<const T> c0, Row row,
-                               Term term) {
-  RowSumCheck chk;
-  chk.pred.assign(static_cast<std::size_t>(n), 0.0);
-  chk.mag = chk.pred;
-  chk.tri = uplo == Uplo::Lower ? 1 : -1;
-  chk.terms = n + k;
-  const std::int64_t i0 = uplo == Uplo::Lower ? 0 : n - 1;
-  const std::int64_t step = uplo == Uplo::Lower ? 1 : -1;
-  std::vector<double> run(static_cast<std::size_t>(2 * k), 0.0);
-  std::vector<double> run_abs = run;
-  for (std::int64_t s = 0, i = i0; s < n; ++s, i += step) {
-    row(i, run, run_abs);  // fold row i into the running checksums
-    auto [p, g] = term(i, run, run_abs);
-    if (beta != 0.0) {
-      const std::int64_t j0 = uplo == Uplo::Lower ? 0 : i;
-      const std::int64_t j1 = uplo == Uplo::Lower ? i + 1 : n;
-      for (std::int64_t j = j0; j < j1; ++j) {
-        const double v = static_cast<double>(c0(i, j));
-        p += beta * v;
-        g += std::abs(beta * v);
-      }
-    }
-    chk.pred[static_cast<std::size_t>(i)] = p;
-    chk.mag[static_cast<std::size_t>(i)] = g;
-  }
-  chk.skip = !all_finite(chk.pred) || !all_finite(chk.mag);
-  return chk;
-}
-
-}  // namespace
 
 template <typename T>
 RowSumCheck syrk_prepare(Uplo uplo, Transpose trans, std::int64_t n,
                          std::int64_t k, T alpha, MatrixView<const T> a,
                          T beta, MatrixView<const T> c0) {
-  const auto opa = [&](std::int64_t i, std::int64_t l) {
-    return static_cast<double>(trans == Transpose::None ? a(i, l) : a(l, i));
-  };
-  const double al = static_cast<double>(alpha);
-  return tri_update_prepare<T>(
-      uplo, n, k, static_cast<double>(beta), c0,
-      [&](std::int64_t i, std::vector<double>& run,
-          std::vector<double>& run_abs) {
-        for (std::int64_t l = 0; l < k; ++l) {
-          const double v = opa(i, l);
-          run[static_cast<std::size_t>(l)] += v;
-          run_abs[static_cast<std::size_t>(l)] += std::abs(v);
-        }
-      },
-      [&](std::int64_t i, const std::vector<double>& run,
-          const std::vector<double>& run_abs) {
-        // sum_{j in span} a_i . a_j = a_i . (sum_{j in span} a_j)
-        double p = 0.0, g = 0.0;
-        for (std::int64_t l = 0; l < k; ++l) {
-          p += opa(i, l) * run[static_cast<std::size_t>(l)];
-          g += std::abs(opa(i, l)) * run_abs[static_cast<std::size_t>(l)];
-        }
-        return std::pair<double, double>{al * p, std::abs(al) * g};
-      });
+  // Σ_{j in span} a_i·a_j = a_i · Σ_{j in span} a_j.
+  const Panel<T> opa = op(a, trans);
+  return update_rowsums<T>(uplo == Uplo::Lower ? 1 : -1, n, n, k, alpha,
+                           {{opa, opa}}, beta, op(c0), n + k);
 }
 
 template <typename T>
@@ -309,95 +278,42 @@ RowSumCheck syr2k_prepare(Uplo uplo, Transpose trans, std::int64_t n,
                           std::int64_t k, T alpha, MatrixView<const T> a,
                           MatrixView<const T> b, T beta,
                           MatrixView<const T> c0) {
-  const auto opa = [&](std::int64_t i, std::int64_t l) {
-    return static_cast<double>(trans == Transpose::None ? a(i, l) : a(l, i));
-  };
-  const auto opb = [&](std::int64_t i, std::int64_t l) {
-    return static_cast<double>(trans == Transpose::None ? b(i, l) : b(l, i));
-  };
-  const double al = static_cast<double>(alpha);
-  // run[0:k) accumulates A-panel rows, run[k:2k) B-panel rows.
-  return tri_update_prepare<T>(
-      uplo, n, k, static_cast<double>(beta), c0,
-      [&](std::int64_t i, std::vector<double>& run,
-          std::vector<double>& run_abs) {
-        for (std::int64_t l = 0; l < k; ++l) {
-          run[static_cast<std::size_t>(l)] += opa(i, l);
-          run_abs[static_cast<std::size_t>(l)] += std::abs(opa(i, l));
-          run[static_cast<std::size_t>(k + l)] += opb(i, l);
-          run_abs[static_cast<std::size_t>(k + l)] += std::abs(opb(i, l));
-        }
-      },
-      [&](std::int64_t i, const std::vector<double>& run,
-          const std::vector<double>& run_abs) {
-        // sum_{j in span} (a_i.b_j + b_i.a_j) = a_i.runB + b_i.runA
-        double p = 0.0, g = 0.0;
-        for (std::int64_t l = 0; l < k; ++l) {
-          p += opa(i, l) * run[static_cast<std::size_t>(k + l)] +
-               opb(i, l) * run[static_cast<std::size_t>(l)];
-          g += std::abs(opa(i, l)) * run_abs[static_cast<std::size_t>(k + l)] +
-               std::abs(opb(i, l)) * run_abs[static_cast<std::size_t>(l)];
-        }
-        return std::pair<double, double>{al * p, std::abs(al) * g};
-      });
+  const Panel<T> opa = op(a, trans), opb = op(b, trans);
+  return update_rowsums<T>(uplo == Uplo::Lower ? 1 : -1, n, n, k, alpha,
+                           {{opa, opb}, {opb, opa}}, beta, op(c0), n + k);
 }
 
 template <typename T>
-TrsmCheck trsm_prepare(Side side, std::int64_t m, std::int64_t n, T alpha,
-                       MatrixView<const T> b0) {
-  TrsmCheck chk;
-  const double al = static_cast<double>(alpha);
-  const std::int64_t dim = side == Side::Left ? m : n;
-  chk.pred.assign(static_cast<std::size_t>(dim), 0.0);
-  chk.mag = chk.pred;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int64_t r = side == Side::Left ? i : j;
-      const double v = al * static_cast<double>(b0(i, j));
-      chk.pred[static_cast<std::size_t>(r)] += v;
-      chk.mag[static_cast<std::size_t>(r)] += std::abs(v);
-    }
-  }
-  chk.skip = !all_finite(chk.pred) || !all_finite(chk.mag);
-  return chk;
+RowSumCheck trsm_prepare(Side side, std::int64_t m, std::int64_t n, T alpha,
+                         MatrixView<const T> b0) {
+  // alpha·(B0·e) per row (Left) or alpha·(e^T·B0) per column (Right):
+  // the one-column update alpha·B0·e, or alpha·B0^T·e.
+  static const T one = 1;
+  const bool left = side == Side::Left;
+  return update_rowsums<T>(0, left ? m : n, 1, left ? n : m, alpha,
+                           {{left ? op(b0) : op(b0).t(), Panel<T>{&one}}},
+                           0.0, {}, m + n);
 }
 
 template <typename T>
-void trsm_check(const TrsmCheck& chk, Side side, Uplo uplo, Transpose trans,
-                Diag diag, std::int64_t m, std::int64_t n,
+void trsm_check(const RowSumCheck& chk, Side side, Uplo uplo,
+                Transpose trans, Diag diag, std::int64_t m, std::int64_t n,
                 MatrixView<const T> a, MatrixView<const T> x,
                 double tol_scale) {
   if (chk.skip) return;
   // Residual checksum: op(A)·(X·e) == alpha·(B0·e) for a Left solve,
-  // (e^T X)·op(A) == alpha·e^T B0 for a Right solve.
-  const std::int64_t dim = side == Side::Left ? m : n;
-  const std::int64_t other = side == Side::Left ? n : m;
-  const TriOp<T> opa{a, uplo, trans, diag};
-  std::vector<double> s(static_cast<std::size_t>(dim), 0.0), sabs = s;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int64_t r = side == Side::Left ? i : j;
-      const double v = static_cast<double>(x(i, j));
-      s[static_cast<std::size_t>(r)] += v;
-      sabs[static_cast<std::size_t>(r)] += std::abs(v);
-    }
-  }
-  const double rel = rel_bound<T>(dim + other, tol_scale);
-  for (std::int64_t i = 0; i < dim; ++i) {
-    double r = 0.0, rmag = 0.0;
-    for (std::int64_t l = 0; l < dim; ++l) {
-      const double e =
-          side == Side::Left ? opa(i, l) : opa(l, i);
-      r += e * s[static_cast<std::size_t>(l)];
-      rmag += std::abs(e) * sabs[static_cast<std::size_t>(l)];
-    }
-    const double tol =
-        rel * (rmag + chk.mag[static_cast<std::size_t>(i)]) + abs_floor<T>();
-    if (mismatch(r, chk.pred[static_cast<std::size_t>(i)], tol)) {
-      reject("trsm", "residual checksum", i, r,
-             chk.pred[static_cast<std::size_t>(i)], tol);
-    }
-  }
+  // (e^T X)·op(A) == alpha·e^T B0 for a Right solve — the row sums of
+  // op(A)·X, or of op(A)^T·X^T.
+  const bool left = side == Side::Left;
+  const TriPanel<T> opa(a, uplo, trans, diag);
+  const RowSumCheck r = update_rowsums<T, TriPanel<T>>(
+      0, left ? m : n, left ? n : m, left ? m : n, 1.0,
+      {{left ? opa : opa.t(), left ? op(x).t() : op(x)}}, 0.0, {}, 0);
+  compare_lines<T>("trsm", "residual checksum", chk.pred, chk.mag, chk.terms,
+                   tol_scale, [&](std::int64_t i) {
+                     const auto u = static_cast<std::size_t>(i);
+                     return std::pair<double, double>{r.pred[u], r.mag[u]};
+                   });
 }
 
 // --- Level 2 -------------------------------------------------------------
@@ -407,26 +323,12 @@ ScalarCheck gemv_prepare(Transpose trans, std::int64_t rows,
                          std::int64_t cols, T alpha, MatrixView<const T> a,
                          VectorView<const T> x, T beta,
                          VectorView<const T> y0) {
-  const double al = static_cast<double>(alpha);
-  const double be = static_cast<double>(beta);
+  // e^T y as the one row y^T = alpha·x^T·op(A)^T + beta·y0^T.
   const std::int64_t xlen = trans == Transpose::None ? cols : rows;
   const std::int64_t ylen = trans == Transpose::None ? rows : cols;
-  double p = 0.0, g = 0.0;
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const double xv = static_cast<double>(
-          x[trans == Transpose::None ? j : i]);
-      const double v = al * static_cast<double>(a(i, j)) * xv;
-      p += v;
-      g += std::abs(v);
-    }
-  }
-  if (be != 0.0) {
-    const auto [sy, say] = vec_sum(y0);
-    p += be * sy;
-    g += std::abs(be) * say;
-  }
-  return scalar_check(p, g, xlen + ylen);
+  const RowSumCheck r = update_rowsums<T>(
+      0, 1, ylen, xlen, alpha, {{row(x), op(a, trans)}}, beta, row(y0), 0);
+  return scalar_check(r.pred[0], r.mag[0], xlen + ylen);
 }
 
 template <typename T>
@@ -441,7 +343,7 @@ void trsv_check(const ScalarCheck& chk, Uplo uplo, Transpose trans,
                 VectorView<const T> x, double tol_scale) {
   if (chk.skip) return;
   // Residual checksum: e^T op(A) x_new == e^T b0.
-  const TriOp<T> opa{a, uplo, trans, diag};
+  const TriPanel<T> opa(a, uplo, trans, diag);
   double r = 0.0, rmag = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t l = 0; l < n; ++l) {
@@ -462,133 +364,54 @@ template <typename T>
 RowSumCheck ger_prepare(std::int64_t rows, std::int64_t cols, T alpha,
                         VectorView<const T> x, VectorView<const T> y,
                         MatrixView<const T> a0) {
-  RowSumCheck chk;
-  const double al = static_cast<double>(alpha);
-  const auto [sy, say] = vec_sum(y);
-  chk.pred.assign(static_cast<std::size_t>(rows), 0.0);
-  chk.mag = chk.pred;
-  for (std::int64_t i = 0; i < rows; ++i) {
-    double p = 0.0, g = 0.0;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const double v = static_cast<double>(a0(i, j));
-      p += v;
-      g += std::abs(v);
-    }
-    const double xv = static_cast<double>(x[i]);
-    chk.pred[static_cast<std::size_t>(i)] = p + al * xv * sy;
-    chk.mag[static_cast<std::size_t>(i)] = g + std::abs(al * xv) * say;
-  }
-  chk.terms = cols + 2;
-  chk.tri = 0;
-  chk.skip = !all_finite(chk.pred) || !all_finite(chk.mag);
-  return chk;
+  return update_rowsums<T>(0, rows, cols, 1, alpha, {{column(x), column(y)}},
+                           1.0, op(a0), cols + 2);
 }
-
-namespace {
-
-// SYR/SYR2 stored-span checksum: for row i the update sum over the
-// stored span needs the prefix (lower) / suffix (upper) sums of the
-// update vectors — the same collapse as the Level-3 triangle.
-template <typename T, typename Term>
-RowSumCheck tri_rank1_prepare(Uplo uplo, std::int64_t n,
-                              MatrixView<const T> a0, Term term) {
-  RowSumCheck chk;
-  chk.pred.assign(static_cast<std::size_t>(n), 0.0);
-  chk.mag = chk.pred;
-  chk.tri = uplo == Uplo::Lower ? 1 : -1;
-  chk.terms = n + 2;
-  const std::int64_t i0 = uplo == Uplo::Lower ? 0 : n - 1;
-  const std::int64_t step = uplo == Uplo::Lower ? 1 : -1;
-  for (std::int64_t s = 0, i = i0; s < n; ++s, i += step) {
-    auto [p, g] = term(i);
-    const std::int64_t j0 = uplo == Uplo::Lower ? 0 : i;
-    const std::int64_t j1 = uplo == Uplo::Lower ? i + 1 : n;
-    for (std::int64_t j = j0; j < j1; ++j) {
-      const double v = static_cast<double>(a0(i, j));
-      p += v;
-      g += std::abs(v);
-    }
-    chk.pred[static_cast<std::size_t>(i)] = p;
-    chk.mag[static_cast<std::size_t>(i)] = g;
-  }
-  chk.skip = !all_finite(chk.pred) || !all_finite(chk.mag);
-  return chk;
-}
-
-}  // namespace
 
 template <typename T>
 RowSumCheck syr_prepare(Uplo uplo, std::int64_t n, T alpha,
                         VectorView<const T> x, MatrixView<const T> a0) {
-  const double al = static_cast<double>(alpha);
-  double px = 0.0, pax = 0.0;  // running span sum of x and |x|
-  return tri_rank1_prepare<T>(uplo, n, a0, [&](std::int64_t i) {
-    const double xv = static_cast<double>(x[i]);
-    px += xv;
-    pax += std::abs(xv);
-    return std::pair<double, double>{al * xv * px,
-                                     std::abs(al * xv) * pax};
-  });
+  return update_rowsums<T>(uplo == Uplo::Lower ? 1 : -1, n, n, 1, alpha,
+                           {{column(x), column(x)}}, 1.0, op(a0), n + 2);
 }
 
 template <typename T>
 RowSumCheck syr2_prepare(Uplo uplo, std::int64_t n, T alpha,
                          VectorView<const T> x, VectorView<const T> y,
                          MatrixView<const T> a0) {
-  const double al = static_cast<double>(alpha);
-  double px = 0.0, py = 0.0, pax = 0.0, pay = 0.0;
-  return tri_rank1_prepare<T>(uplo, n, a0, [&](std::int64_t i) {
-    const double xv = static_cast<double>(x[i]);
-    const double yv = static_cast<double>(y[i]);
-    px += xv;
-    py += yv;
-    pax += std::abs(xv);
-    pay += std::abs(yv);
-    // sum_{j in span} (x_i y_j + y_i x_j) = x_i * span(y) + y_i * span(x)
-    return std::pair<double, double>{
-        al * (xv * py + yv * px),
-        std::abs(al) * (std::abs(xv) * pay + std::abs(yv) * pax)};
-  });
+  return update_rowsums<T>(uplo == Uplo::Lower ? 1 : -1, n, n, 1, alpha,
+                           {{column(x), column(y)}, {column(y), column(x)}},
+                           1.0, op(a0), n + 2);
 }
 
 // --- Level 1 -------------------------------------------------------------
 
 template <typename T>
 ScalarCheck scal_prepare(T alpha, VectorView<const T> x0) {
-  const auto [s, m] = vec_sum(x0);
-  return scalar_check(static_cast<double>(alpha) * s,
-                      std::abs(static_cast<double>(alpha)) * m, x0.size());
+  return linear_sum(alpha, vec_sum(x0), 0.0, {}, x0.size());
 }
 
 template <typename T>
 ScalarCheck axpy_prepare(T alpha, VectorView<const T> x,
                          VectorView<const T> y0) {
-  const auto [sx, mx] = vec_sum(x);
-  const auto [sy, my] = vec_sum(y0);
-  return scalar_check(static_cast<double>(alpha) * sx + sy,
-                      std::abs(static_cast<double>(alpha)) * mx + my,
-                      2 * x.size());
+  return linear_sum(alpha, vec_sum(x), 1.0, vec_sum(y0), 2 * x.size());
 }
 
 template <typename T>
 ScalarCheck copy_prepare(VectorView<const T> x) {
-  const auto [s, m] = vec_sum(x);
-  return scalar_check(s, m, x.size());
+  return linear_sum(1.0, vec_sum(x), 0.0, {}, x.size());
 }
 
 template <typename T>
 PairCheck pair_prepare(VectorView<const T> x0, VectorView<const T> y0,
                        std::array<T, 4> h) {
-  const auto [sx, mx] = vec_sum(x0);
-  const auto [sy, my] = vec_sum(y0);
+  const auto sx = vec_sum(x0), sy = vec_sum(y0);
   // Each output element accumulates one term per nonzero coefficient.
-  const auto row = [&](T a, T b) {
-    const double ad = static_cast<double>(a), bd = static_cast<double>(b);
-    return scalar_check(ad * sx + bd * sy,
-                        std::abs(ad) * mx + std::abs(bd) * my,
-                        (int{a != T(0)} + int{b != T(0)}) * x0.size());
+  const auto line = [&](T a, T b) {
+    return linear_sum(a, sx, b, sy,
+                      (int{a != T(0)} + int{b != T(0)}) * x0.size());
   };
-  return {row(h[0], h[1]), row(h[2], h[3])};
+  return {line(h[0], h[1]), line(h[2], h[3])};
 }
 
 template <typename T>
@@ -672,12 +495,12 @@ void iamax_check(VectorView<const T> x, std::int64_t result) {
 // --- Explicit instantiations --------------------------------------------
 
 #define FBLAS_VERIFY_INSTANTIATE(T)                                          \
-  template GemmCheck<T> gemm_prepare<T>(Transpose, Transpose, std::int64_t,  \
-                                        std::int64_t, std::int64_t, T,       \
-                                        MatrixView<const T>,                 \
-                                        MatrixView<const T>, T,              \
-                                        MatrixView<const T>);                \
-  template void gemm_check<T>(const GemmCheck<T>&, MatrixView<const T>,      \
+  template GemmCheck gemm_prepare<T>(Transpose, Transpose, std::int64_t,     \
+                                     std::int64_t, std::int64_t, T,          \
+                                     MatrixView<const T>,                    \
+                                     MatrixView<const T>, T,                 \
+                                     MatrixView<const T>);                   \
+  template void gemm_check<T>(const GemmCheck&, MatrixView<const T>,         \
                               double);                                       \
   template RowSumCheck syrk_prepare<T>(Uplo, Transpose, std::int64_t,        \
                                        std::int64_t, T, MatrixView<const T>, \
@@ -687,9 +510,9 @@ void iamax_check(VectorView<const T> x, std::int64_t result) {
                                         MatrixView<const T>,                 \
                                         MatrixView<const T>, T,              \
                                         MatrixView<const T>);                \
-  template TrsmCheck trsm_prepare<T>(Side, std::int64_t, std::int64_t, T,    \
-                                     MatrixView<const T>);                   \
-  template void trsm_check<T>(const TrsmCheck&, Side, Uplo, Transpose,       \
+  template RowSumCheck trsm_prepare<T>(Side, std::int64_t, std::int64_t, T,  \
+                                       MatrixView<const T>);                 \
+  template void trsm_check<T>(const RowSumCheck&, Side, Uplo, Transpose,     \
                               Diag, std::int64_t, std::int64_t,              \
                               MatrixView<const T>, MatrixView<const T>,      \
                               double);                                       \

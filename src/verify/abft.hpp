@@ -77,7 +77,6 @@ struct RowSumCheck {
 /// GEMM gets both directions of the Huang–Abraham scheme: row checksums
 /// C·e and column checksums e^T·C, so a corrupted entry is caught from
 /// two independent directions.
-template <typename T>
 struct GemmCheck {
   RowSumCheck rows;                 // C_new · e per row
   std::vector<double> col_pred, col_mag;  // e^T · C_new per column
@@ -95,12 +94,12 @@ struct TrsmCheck {
 // --- Level 3 -------------------------------------------------------------
 
 template <typename T>
-GemmCheck<T> gemm_prepare(Transpose ta, Transpose tb, std::int64_t m,
-                          std::int64_t n, std::int64_t k, T alpha,
-                          MatrixView<const T> a, MatrixView<const T> b,
-                          T beta, MatrixView<const T> c0);
+GemmCheck gemm_prepare(Transpose ta, Transpose tb, std::int64_t m,
+                       std::int64_t n, std::int64_t k, T alpha,
+                       MatrixView<const T> a, MatrixView<const T> b, T beta,
+                       MatrixView<const T> c0);
 template <typename T>
-void gemm_check(const GemmCheck<T>& chk, MatrixView<const T> c,
+void gemm_check(const GemmCheck& chk, MatrixView<const T> c,
                 double tol_scale);
 
 template <typename T>
@@ -113,12 +112,14 @@ RowSumCheck syr2k_prepare(Uplo uplo, Transpose trans, std::int64_t n,
                           MatrixView<const T> b, T beta,
                           MatrixView<const T> c0);
 
+/// TRSM residual checksums: alpha·(B0·e) per row (Left) or alpha·e^T·B0
+/// per column (Right), which op(A)·(X·e), or (e^T·X)·op(A), must equal.
 template <typename T>
-TrsmCheck trsm_prepare(Side side, std::int64_t m, std::int64_t n, T alpha,
-                       MatrixView<const T> b0);
+RowSumCheck trsm_prepare(Side side, std::int64_t m, std::int64_t n, T alpha,
+                         MatrixView<const T> b0);
 template <typename T>
-void trsm_check(const TrsmCheck& chk, Side side, Uplo uplo, Transpose trans,
-                Diag diag, std::int64_t m, std::int64_t n,
+void trsm_check(const RowSumCheck& chk, Side side, Uplo uplo,
+                Transpose trans, Diag diag, std::int64_t m, std::int64_t n,
                 MatrixView<const T> a, MatrixView<const T> x,
                 double tol_scale);
 
