@@ -1,10 +1,32 @@
 // Batched fully-unrolled host API lowerings (the Table V designs).
+//
+// Each batch is `batch` square problems of `size` stored contiguously, so
+// a buffer reads as one (batch·size) x size matrix whose row block i is
+// problem i. Both routines attach their refblas batched routine as the
+// CPU fallback and check every problem with the Level-3 checker of its
+// routine: GEMM's row and column checksums, TRSM's residual.
+#include <vector>
+
 #include "fblas/batched.hpp"
 #include "host/context.hpp"
 #include "host/detail.hpp"
+#include "refblas/batched.hpp"
 #include "sim/frequency_model.hpp"
+#include "verify/abft.hpp"
 
 namespace fblas::host {
+namespace {
+
+/// Problem i of a batch: row block i of the buffer read as one
+/// (batch·size) x size matrix.
+template <typename T>
+MatrixView<const T> problem(const Buffer<T>& buf, std::int64_t size,
+                            std::int64_t batch, std::int64_t i) {
+  return buf.cmat(batch * size, size).block(i * size, 0, size, size);
+}
+
+}  // namespace
+
 template <typename T>
 Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
                                   T alpha, const Buffer<T>& a,
@@ -40,7 +62,25 @@ Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
                                      batch, cc, banks.at(c.bank())));
     });
   };
-  return enqueue(std::move(command));
+  command.fallback = [size, batch, alpha, &a, &b, &c] {
+    const std::int64_t elems = batch * size * size;
+    ref::gemm_batched<T>(batch, size, alpha, a.cvec(elems).data(),
+                         b.cvec(elems).data(), T(0), c.vec(elems).data());
+  };
+  return enqueue(std::move(command), [size, batch, alpha, &a, &b, &c] {
+    std::vector<verify::GemmCheck> chks;
+    for (std::int64_t i = 0; i < batch; ++i) {
+      chks.push_back(verify::gemm_prepare<T>(
+          Transpose::None, Transpose::None, size, size, size, alpha,
+          problem(a, size, batch, i), problem(b, size, batch, i), T(0), {}));
+    }
+    return [chks = std::move(chks), size, batch, &c](double scale) {
+      for (std::int64_t i = 0; i < batch; ++i) {
+        verify::gemm_check<T>(chks[static_cast<std::size_t>(i)],
+                              problem(c, size, batch, i), scale);
+      }
+    };
+  });
 }
 
 template <typename T>
@@ -78,7 +118,26 @@ Event Context::trsm_batched_async(std::int64_t size, std::int64_t batch,
                                      batch, cx, banks.at(x.bank())));
     });
   };
-  return enqueue(std::move(command));
+  command.fallback = [size, batch, alpha, &a, &x] {
+    const std::int64_t elems = batch * size * size;
+    ref::trsm_batched<T>(batch, size, alpha, a.cvec(elems).data(),
+                         x.vec(elems).data());
+  };
+  return enqueue(std::move(command), [size, batch, alpha, &a, &x] {
+    std::vector<verify::RowSumCheck> chks;
+    for (std::int64_t i = 0; i < batch; ++i) {
+      chks.push_back(verify::trsm_prepare<T>(Side::Left, size, size, alpha,
+                                             problem(x, size, batch, i)));
+    }
+    return [chks = std::move(chks), size, batch, &a, &x](double scale) {
+      for (std::int64_t i = 0; i < batch; ++i) {
+        verify::trsm_check<T>(chks[static_cast<std::size_t>(i)], Side::Left,
+                              Uplo::Lower, Transpose::None, Diag::NonUnit,
+                              size, size, problem(a, size, batch, i),
+                              problem(x, size, batch, i), scale);
+      }
+    };
+  });
 }
 
 #define FBLAS_HOST_BATCHED_INSTANTIATE(T)                                    \

@@ -30,6 +30,7 @@
 #include "host/composition.hpp"
 #include "host/context.hpp"
 #include "stream/graph.hpp"
+#include "refblas/batched.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
 #include "refblas/level3.hpp"
@@ -1002,6 +1003,82 @@ TEST(VerifyRuntime, VerifyExhaustionDegradesToCpuFallback) {
   EXPECT_EQ(ctx.exec_stats().degraded, 1u);
 }
 
+// The batched GEMM/TRSM commands carry checkers and refblas fallbacks
+// like every other routine: one silent write-back fault is caught and
+// retried to the fault-free bits, and a device that never launches
+// degrades to the CPU reference result.
+TEST(VerifyRuntime, BatchedSilentCorruptionCaughtAndFallbackDegrades) {
+  const std::int64_t s = 4, batch = 64, elems = batch * s * s;
+  Workload wl(88);
+  const auto ha = wl.matrix<float>(batch * s, s);
+  const auto hb = wl.matrix<float>(batch * s, s);
+  std::vector<float> htri;
+  for (std::int64_t i = 0; i < batch; ++i) {
+    const auto t = wl.triangular<float>(s, Uplo::Lower, Diag::NonUnit);
+    htri.insert(htri.end(), t.begin(), t.end());
+  }
+  // Runs one batched routine under Always; returns its output, status
+  // and the run's stats.
+  auto run = [&](const std::string& routine, const host::FaultConfig* fc,
+                 host::RetryPolicy retry) {
+    host::Device dev;
+    host::Context ctx(dev);
+    if (fc != nullptr) dev.inject_faults(*fc);
+    ctx.set_retry_policy(retry);
+    ctx.config().verification = verify::Options::always();
+    host::Buffer<float> a(dev, elems, 0), b(dev, elems, 1), c(dev, elems, 2);
+    b.write(hb);
+    host::Event e;
+    if (routine == "gemm_batched") {
+      a.write(ha);
+      e = ctx.gemm_batched_async<float>(s, batch, 1.5f, a, b, c);
+    } else {
+      a.write(htri);
+      e = ctx.trsm_batched_async<float>(s, batch, 2.0f, a, b);
+    }
+    e.wait();
+    return std::make_tuple(routine == "gemm_batched" ? c.to_host()
+                                                     : b.to_host(),
+                           e.status(), ctx.exec_stats());
+  };
+  for (const std::string routine : {"gemm_batched", "trsm_batched"}) {
+    SCOPED_TRACE(routine);
+    const auto [clean, clean_st, clean_stats] =
+        run(routine, nullptr, fast_retry(3));
+    EXPECT_TRUE(clean_st.ok());
+    EXPECT_EQ(clean_stats.verified, 1u);
+
+    host::FaultConfig silent;
+    silent.seed = 29;
+    silent.silent_corrupt_rate = 1.0;
+    silent.max_faults = 1;
+    const auto [rec, rec_st, rec_stats] = run(routine, &silent, fast_retry(3));
+    EXPECT_EQ(rec, clean);  // recovered, bit-identical
+    EXPECT_TRUE(rec_st.ok());
+    EXPECT_EQ(rec_stats.faults_injected, 1u);
+    EXPECT_EQ(rec_stats.sdc_caught, 1u);
+    EXPECT_EQ(rec_stats.verified, 2u);
+
+    host::FaultConfig dead;
+    dead.seed = 30;
+    dead.launch_fail_rate = 1.0;
+    const auto [fb, fb_st, fb_stats] =
+        run(routine, &dead, fast_retry(3, /*cpu_fallback=*/true));
+    std::vector<float> want = hb;
+    if (routine == "gemm_batched") {
+      std::vector<float> zero(static_cast<std::size_t>(elems), 0.0f);
+      want = zero;
+      ref::gemm_batched<float>(batch, s, 1.5f, ha.data(), hb.data(), 0.0f,
+                               want.data());
+    } else {
+      ref::trsm_batched<float>(batch, s, 2.0f, htri.data(), want.data());
+    }
+    EXPECT_TRUE(fb_st.degraded());
+    EXPECT_EQ(fb, want);
+    EXPECT_EQ(fb_stats.degraded, 1u);
+  }
+}
+
 // ROTM applies a linear 2x2 map per flag, SDSDOT is a DOT plus an
 // offset, and SYMV/TRMV are GEMVs on the expanded triangle, so all four
 // carry checkers: one silent write-back fault on ROTM, SYMV or TRMV and
@@ -1249,6 +1326,18 @@ TEST(VerifyRuntime, AlwaysOnCleanRunNeverRejects) {
                 n, T(1.0), A, B);
     ctx.trsm<T>(Side::Right, Uplo::Upper, Transpose::Trans, Diag::NonUnit, n,
                 n, T(1.0), A, C);
+    // The batched engines: n*n elements hold n*n/16 problems of size 4.
+    const std::int64_t s = 4, batch = n * n / (s * s);
+    ctx.gemm_batched<T>(s, batch, T(0.5), A, B, C);
+    {
+      std::vector<T> tri;
+      for (std::int64_t i = 0; i < batch; ++i) {
+        const auto t = wl.triangular<T>(s, Uplo::Lower, Diag::NonUnit);
+        tri.insert(tri.end(), t.begin(), t.end());
+      }
+      A.write(tri);
+    }
+    ctx.trsm_batched<T>(s, batch, T(1.0), A, B);
   };
   EXPECT_NO_THROW(sweep(float{}));
   EXPECT_NO_THROW(sweep(double{}));
