@@ -2,20 +2,18 @@
 
 #include <cmath>
 
+#include "common/mix64.hpp"
+
 namespace fblas {
 
 std::uint64_t Workload::next_u64() {
-  // splitmix64: small, fast, reproducible across platforms.
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  const std::uint64_t z = mix64(state_);
+  state_ += kMix64Gamma;
+  return z;
 }
 
 double Workload::uniform(double lo, double hi) {
-  const double u =
-      static_cast<double>(next_u64() >> 11) * 0x1.0p-53;  // [0, 1)
-  return lo + u * (hi - lo);
+  return lo + unit_interval(next_u64()) * (hi - lo);
 }
 
 template <typename T>

@@ -13,7 +13,7 @@
 
 namespace fblas {
 
-/// Deterministic workload generator (xoshiro-style splitmix core).
+/// Deterministic workload generator (splitmix64, common/mix64.hpp).
 class Workload {
  public:
   explicit Workload(std::uint64_t seed = 0x5eed'f0f0'1234'5678ULL)

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/mix64.hpp"
 #include "trace/trace.hpp"
 
 namespace fblas::host {
@@ -16,15 +17,6 @@ thread_local Attempt* tl_current = nullptr;
 // Trace row of this thread: 0 = the caller (serial policy), 1..N = pool
 // worker threads (assigned once in the worker's entry lambda).
 thread_local std::uint16_t tl_worker = 0;
-
-// splitmix64 (same public-domain constants as the fault injector's
-// hash), so jittered delays are a pure function of (seed, seq, attempt).
-std::uint64_t jitter_mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 bool is_transient(const std::exception_ptr& error) {
   try {
@@ -59,9 +51,9 @@ std::chrono::microseconds jittered_backoff(std::uint64_t seed,
                                            std::uint64_t seq, int attempt,
                                            std::chrono::microseconds cap) {
   if (cap.count() <= 0) return std::chrono::microseconds{0};
-  std::uint64_t h = jitter_mix64(seed ^ 0x6a09e667f3bcc909ULL);
-  h = jitter_mix64(h ^ seq);
-  h = jitter_mix64(h ^ (static_cast<std::uint64_t>(attempt) + 1));
+  std::uint64_t h = mix64(seed ^ 0x6a09e667f3bcc909ULL);
+  h = mix64(h ^ seq);
+  h = mix64(h ^ (static_cast<std::uint64_t>(attempt) + 1));
   // The draw is uniform in [0, cap]. `cap + 1` as the modulus would wrap
   // to zero (UB) if cap ever held the full uint64 range; clamping at the
   // boundary keeps microseconds::max() a legal, if absurd, cap — the

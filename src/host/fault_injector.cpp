@@ -4,17 +4,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/mix64.hpp"
 
 namespace fblas::host {
 namespace {
-
-// splitmix64: cheap, well-mixed 64-bit hash (public-domain constants).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t draw(std::uint64_t seed, std::uint64_t seq, int attempt,
                    std::uint64_t stream) {
@@ -22,11 +15,6 @@ std::uint64_t draw(std::uint64_t seed, std::uint64_t seq, int attempt,
   h = mix64(h ^ seq);
   h = mix64(h ^ (static_cast<std::uint64_t>(attempt) + 1));
   return mix64(h ^ stream);
-}
-
-double unit_interval(std::uint64_t h) {
-  // 53 mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 // The probe decision stream; decide() uses 0, corrupt_offset 1, and the

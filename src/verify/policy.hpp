@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/mix64.hpp"
+
 namespace fblas::verify {
 
 /// Per-context verification policy, carried on host::RoutineConfig.
@@ -25,29 +27,12 @@ enum class VerifyPolicy : std::uint8_t {
   Always,   ///< check every command that has a checker
 };
 
-namespace detail {
-
-// splitmix64 — same mixer the fault injector uses, so sampling decisions
-// are a pure hash of (seed, seq): identical under the serial and
-// worker-pool executors regardless of interleaving.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace detail
-
 /// Deterministic sampling decision for command `seq` under
-/// VerifyPolicy::Sampled. Pure in (seed, seq).
+/// VerifyPolicy::Sampled. Pure in (seed, seq) (common/mix64.hpp).
 inline bool sampled(std::uint64_t seed, std::uint64_t seq, double rate) {
   if (rate >= 1.0) return true;
   if (rate <= 0.0) return false;
-  std::uint64_t h = detail::mix64(seed ^ 0x5645524946594aULL);
-  h = detail::mix64(h ^ seq);
-  // 53 mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
+  return unit_interval(mix64(mix64(seed ^ 0x5645524946594aULL) ^ seq)) < rate;
 }
 
 /// Relative acceptance bound for a checksum accumulated over `terms`
