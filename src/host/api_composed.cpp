@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -511,14 +510,13 @@ Audits prepare_predictions(ComposedState<T>& st) {
 /// Compares every tap against its prediction in plan order — topological
 /// within each component — and throws on the FIRST divergent channel,
 /// localizing a corruption to the edge it entered; then audits the
-/// writers' buffers. The per-tap bound is rel_bound<eps>(terms,
+/// writers' buffers. The per-tap bound is rel_bound<T>(terms,
 /// tol_scale) * magnitude, with the magnitude taken as max(predicted,
 /// observed) so a corrupted huge value cannot widen its own acceptance.
 template <typename T>
 void check_results(const ComposedState<T>& st, const Audits& audits,
                    double scale) {
   const std::string& name = st.comp.name();
-  const double eps = static_cast<double>(std::numeric_limits<T>::epsilon());
   for (std::size_t i = 0; i < st.taps.size(); ++i) {
     const Tap& t = st.taps[i];
     const std::string& channel = st.cp.channels[i].name;
@@ -530,9 +528,8 @@ void check_results(const ComposedState<T>& st, const Audits& audits,
     // Non-finite data poisons the checksum comparison either way; that is
     // the taint channel's diagnosis, not the checksum's.
     if (t.pred.skip) continue;
-    const double mag = std::max(t.pred.mag, t.got_mag);
-    const double bound =
-        scale * (static_cast<double>(t.pred.terms) + 8.0) * eps * mag;
+    const double bound = verify::rel_bound<T>(t.pred.terms, scale) *
+                         std::max(t.pred.mag, t.got_mag);
     const double diff = std::abs(t.got - t.pred.pred);
     if (std::isfinite(diff) && diff <= bound) continue;
     std::ostringstream os;
