@@ -13,6 +13,16 @@
 // precision, so the checker's own rounding is negligible next to the
 // bound it enforces.
 //
+// Two bodies make every prediction, one per update shape. The matrix
+// checkers (GER, SYR, SYR2, SYRK, SYR2K, GEMM rows and columns, GEMV's
+// e^T y, TRSM) each call one rank-k row sum: per row, the stored-span sum
+// of beta*C0 + alpha*sum_p U_p V_p^T. SCAL, COPY, AXPY and the 2x2 maps
+// call one linear sum a*sum(x0) + b*sum(y0). Each `*_prepare` holds only
+// its routine's decomposition into those terms and its term count. Row,
+// column and residual checks share one comparison. TRSV's scalar
+// residual, the DOT/ASUM recomputation and the NRM2/IAMAX invariants are
+// their own checks.
+//
 // Conventions:
 //  * `*_prepare` runs once per command, before the first device attempt
 //    (after the write-set snapshot — rollback restores exactly the state
@@ -78,16 +88,9 @@ struct RowSumCheck {
 /// C·e and column checksums e^T·C, so a corrupted entry is caught from
 /// two independent directions.
 struct GemmCheck {
-  RowSumCheck rows;                 // C_new · e per row
+  RowSumCheck rows;                       // C_new · e per row
   std::vector<double> col_pred, col_mag;  // e^T · C_new per column
   std::int64_t col_terms = 0;
-  bool skip = false;
-};
-
-/// TRSM residual checksums: op(A)·(X·e) must equal alpha·(B0·e) (Left),
-/// or (e^T X)·op(A) equal alpha·e^T B0 (Right).
-struct TrsmCheck {
-  std::vector<double> pred, mag;  // per solve-dimension rhs checksums
   bool skip = false;
 };
 
