@@ -843,6 +843,78 @@ TEST(VerifyCheckers, PredictionsMatchDoubleOracle) {
   predictions_match_double_oracle<double>();
 }
 
+// TRSM's residual on both sides and TRSV's over every triangle,
+// transpose and diagonal: the clean solve is accepted and one corrupted
+// element rejected. The matrix holds 7s off its triangle and, for a unit
+// diagonal, on it, so a residual that reads them rejects the clean solve.
+template <typename T>
+void solve_residuals_every_triangle() {
+  using M = MatrixView<const T>;
+  const std::int64_t m = 9, n = 5;
+  Workload wl(92);
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    for (const Transpose tr : {Transpose::None, Transpose::Trans}) {
+      for (const Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        const auto matrix = [&](std::int64_t dim) {
+          auto a = wl.triangular<T>(dim, uplo, diag);
+          for (std::int64_t i = 0; i < dim; ++i) {
+            for (std::int64_t j = 0; j < dim; ++j) {
+              const bool stored = uplo == Uplo::Lower ? j <= i : j >= i;
+              if (!stored || (i == j && diag == Diag::Unit)) {
+                a[static_cast<std::size_t>(i * dim + j)] = T(7);
+              }
+            }
+          }
+          return a;
+        };
+        for (const Side side : {Side::Left, Side::Right}) {
+          SCOPED_TRACE(testing::Message()
+                       << "trsm side " << int(side) << " uplo " << int(uplo)
+                       << " trans " << int(tr) << " diag " << int(diag));
+          const std::int64_t dim = side == Side::Left ? m : n;
+          const auto ha = matrix(dim);
+          const auto hb = wl.matrix<T>(m, n);
+          const auto chk = verify::trsm_prepare<T>(side, m, n, T(1.5),
+                                                   M(hb.data(), m, n));
+          auto x = hb;
+          ref::trsm<T>(side, uplo, tr, diag, T(1.5), M(ha.data(), dim, dim),
+                       MatrixView<T>(x.data(), m, n));
+          const auto check = [&] {
+            verify::trsm_check<T>(chk, side, uplo, tr, diag, m, n,
+                                  M(ha.data(), dim, dim), M(x.data(), m, n),
+                                  kScale);
+          };
+          EXPECT_NO_THROW(check());
+          x[7] += T(0.25);
+          EXPECT_THROW(check(), VerificationError);
+        }
+        SCOPED_TRACE(testing::Message() << "trsv uplo " << int(uplo)
+                                        << " trans " << int(tr) << " diag "
+                                        << int(diag));
+        const auto ha = matrix(m);
+        const auto hb = wl.vector<T>(m);
+        const auto chk =
+            verify::trsv_prepare<T>(m, VectorView<const T>(hb.data(), m));
+        auto x = hb;
+        ref::trsv<T>(uplo, tr, diag, M(ha.data(), m, m),
+                     VectorView<T>(x.data(), m));
+        const auto check = [&] {
+          verify::trsv_check<T>(chk, uplo, tr, diag, m, M(ha.data(), m, m),
+                                VectorView<const T>(x.data(), m), kScale);
+        };
+        EXPECT_NO_THROW(check());
+        x[4] += T(0.25);
+        EXPECT_THROW(check(), VerificationError);
+      }
+    }
+  }
+}
+
+TEST(VerifyCheckers, SolveResidualsEveryTriangleAndDiagonal) {
+  solve_residuals_every_triangle<float>();
+  solve_residuals_every_triangle<double>();
+}
+
 TEST(VerifySampling, DeterministicAndProportional) {
   EXPECT_FALSE(verify::sampled(1, 42, 0.0));
   EXPECT_TRUE(verify::sampled(1, 42, 1.0));
