@@ -7,9 +7,11 @@
 // Every routine attaches its refblas CPU reference path as the
 // `fallback`, the graceful-degradation target once the RetryPolicy
 // exhausts device retries, and its ABFT checker (built only when the
-// captured config enables verification). ROT, ROTM and SWAP share one
-// 2x2-map checksum (ROTM expands H per flag); SDSDOT is checked like DOT,
-// offset by sb.
+// captured config enables verification). SCAL, COPY and AXPY predict
+// their output sum with verify's one linear sum a*sum(x0) + b*sum(y0);
+// ROT, ROTM and SWAP use it once per output through the shared 2x2-map
+// checker (ROTM expands H per flag). SDSDOT is checked like DOT, offset
+// by sb.
 #include <array>
 #include <string>
 
