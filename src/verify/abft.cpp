@@ -76,7 +76,8 @@ Panel<T> row(VectorView<const T> v) {
 
 /// op(A) of a triangular-stored A: structural zeros off the stored
 /// triangle (`tri` keeps l <= i for +1, l >= i for -1), implicit ones on
-/// a unit diagonal.
+/// a unit diagonal. A type of its own, so the Panel every other checker
+/// reads in its inner loops carries no mask branch.
 template <typename T>
 struct TriPanel {
   Panel<T> a;

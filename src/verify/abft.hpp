@@ -88,7 +88,7 @@ struct RowSumCheck {
 /// C·e and column checksums e^T·C, so a corrupted entry is caught from
 /// two independent directions.
 struct GemmCheck {
-  RowSumCheck rows;                       // C_new · e per row
+  RowSumCheck rows;                 // C_new · e per row
   std::vector<double> col_pred, col_mag;  // e^T · C_new per column
   std::int64_t col_terms = 0;
   bool skip = false;
