@@ -4,6 +4,8 @@
 // specification -> kernels -> result loop.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "codegen/runner.hpp"
 #include "common/workload.hpp"
 #include "refblas/level1.hpp"
@@ -132,6 +134,54 @@ TEST(Runner, RejectsLevel2Designs) {
   Level1Inputs in;
   in.x = {1.0};
   EXPECT_THROW(run_level1(design, stream::Mode::Functional, in), ConfigError);
+}
+
+// Pins run_level1's cycles and output bits for every Level-1 kind, in
+// both precisions and both modes (SDSDOT in single precision only), as
+// one FNV-1a hash over 50 runs. Every kind gets the same 100-element x,
+// so the setup routines must read only its first 2 (ROTG) or 4 (ROTMG)
+// values.
+TEST(Runner, OutputsAndCyclesPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_vector = [&mix](const std::vector<double>& v) {
+    mix(v.size());
+    for (const double d : v) mix(std::bit_cast<std::uint64_t>(d));
+  };
+  Workload wl(15);
+  Level1Inputs in;
+  in.x = wl.vector<double>(100);
+  in.y = wl.vector<double>(100);
+  in.alpha = -0.75;
+  in.c = 0.6;
+  in.s = 0.8;
+  int runs = 0;
+  for (const std::string prec : {"single", "double"}) {
+    for (const stream::Mode mode :
+         {stream::Mode::Functional, stream::Mode::Cycle}) {
+      for (int k = 0; k < kRoutineCount; ++k) {
+        const RoutineInfo& info = all_routines()[k];
+        if (info.level != 1 ||
+            (info.kind == RoutineKind::Sdsdot && prec != "single")) {
+          continue;
+        }
+        const auto r = run_level1(make(std::string(info.name), prec), mode,
+                                  in);
+        mix(r.cycles);
+        mix_vector(r.out_x);
+        mix_vector(r.out_y);
+        mix(std::bit_cast<std::uint64_t>(r.scalar));
+        mix(static_cast<std::uint64_t>(r.index));
+        ++runs;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 50);
+  EXPECT_EQ(h, 18160205898966400371ULL);
 }
 
 TEST(Runner, CycleCountsScaleWithDesignWidth) {
