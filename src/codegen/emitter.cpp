@@ -9,80 +9,73 @@ const char* ctype(Precision p) {
   return p == Precision::Single ? "float" : "double";
 }
 
-std::string chan(const RoutineSpec& s, const char* operand) {
-  return s.user_name + "_ch_" + operand;
+std::string chan(const RoutineSpec& s, const std::string& stream) {
+  return s.user_name + "_ch_" + stream;
 }
 
-void emit_channel_decls(std::ostringstream& os, const RoutineSpec& s,
-                        const std::vector<std::string>& chans) {
-  for (const std::string& c : chans) {
-    os << "channel " << ctype(s.precision) << " " << c
-       << " __attribute__((depth(" << 2 * s.width << ")));\n";
+/// The helper kernel that moves one stream between DRAM and its channel;
+/// returns its name.
+std::string emit_helper(std::ostringstream& os, const RoutineSpec& s,
+                        const std::string& stream, bool input) {
+  const char* t = ctype(s.precision);
+  const std::string kernel =
+      s.user_name + (input ? "_read_" : "_write_") + stream;
+  if (input) {
+    os << "__kernel void " << kernel << "(__global const " << t
+       << "* restrict mem, int n, int repeat) {\n"
+       << "  for (int r = 0; r < repeat; r++)\n"
+       << "    for (int i = 0; i < n; i++)\n"
+       << "      write_channel_intel(" << chan(s, stream) << ", mem[i]);\n";
+  } else {
+    os << "__kernel void " << kernel << "(__global " << t
+       << "* restrict mem, int n) {\n"
+       << "  for (int i = 0; i < n; i++)\n"
+       << "    mem[i] = read_channel_intel(" << chan(s, stream) << ");\n";
   }
+  os << "}\n\n";
+  return kernel;
 }
 
-void emit_read_vector(std::ostringstream& os, const RoutineSpec& s,
-                      const char* operand) {
+void emit_map_module(std::ostringstream& os, const RoutineSpec& s,
+                     const Streams& io) {
+  // The SCAL-style module of Fig. 4: per element, every input is read and
+  // each output written as its expression of them.
   const char* t = ctype(s.precision);
-  os << "__kernel void " << s.user_name << "_read_" << operand
-     << "(__global const " << t << "* restrict mem, int n, int repeat) {\n"
-     << "  for (int r = 0; r < repeat; r++)\n"
-     << "    for (int i = 0; i < n; i++)\n"
-     << "      write_channel_intel(" << chan(s, operand) << ", mem[i]);\n"
-     << "}\n\n";
-}
-
-void emit_write_vector(std::ostringstream& os, const RoutineSpec& s,
-                       const char* operand) {
-  const char* t = ctype(s.precision);
-  os << "__kernel void " << s.user_name << "_write_" << operand
-     << "(__global " << t << "* restrict mem, int n) {\n"
-     << "  for (int i = 0; i < n; i++)\n"
-     << "    mem[i] = read_channel_intel(" << chan(s, operand) << ");\n"
-     << "}\n\n";
-}
-
-void emit_map_module(std::ostringstream& os, const RoutineSpec& s) {
-  // The SCAL-style module of Fig. 4, specialized per routine body.
-  const char* t = ctype(s.precision);
-  const RoutineInfo& info = routine_info(s.kind);
-  os << "__kernel void " << s.user_name << "(" << t << " alpha, int N) {\n"
+  using List = std::vector<std::string>;
+  // The kernel's scalar arguments, and one expression per output.
+  const auto [args, exprs] = [&]() -> std::pair<List, List> {
+    switch (s.kind) {
+      case RoutineKind::Scal: return {{"alpha"}, {"alpha * x"}};
+      case RoutineKind::Copy: return {{}, {"x"}};
+      case RoutineKind::Axpy: return {{"alpha"}, {"alpha * x + y"}};
+      case RoutineKind::Swap: return {{}, {"y", "x"}};
+      case RoutineKind::Rot:
+        return {{"c", "s"}, {"c * x + s * y", "c * y - s * x"}};
+      case RoutineKind::Rotm:
+        return {{"h11", "h12", "h21", "h22"},
+                {"h11 * x + h12 * y", "h21 * x + h22 * y"}};
+      default: return {};
+    }
+  }();
+  if (exprs.empty()) {  // ROTG, ROTMG: one scalar setup, no element loop
+    os << "__kernel void " << s.user_name << "() {\n  /* "
+       << routine_info(s.kind).name << " setup: " << chan(s, io.in[0])
+       << " -> " << chan(s, io.out[0]) << " */\n}\n\n";
+    return;
+  }
+  os << "__kernel void " << s.user_name << "(";
+  for (const std::string& a : args) os << t << " " << a << ", ";
+  os << "int N) {\n"
      << "  for (int it = 0; it < N / " << s.width << "; it++) {\n"
      << "    #pragma unroll\n"
      << "    for (int i = 0; i < " << s.width << "; i++) {\n";
-  switch (s.kind) {
-    case RoutineKind::Scal:
-      os << "      " << t << " x = read_channel_intel(" << chan(s, "x")
-         << ");\n"
-         << "      write_channel_intel(" << chan(s, "out")
-         << ", alpha * x);\n";
-      break;
-    case RoutineKind::Copy:
-      os << "      write_channel_intel(" << chan(s, "out")
-         << ", read_channel_intel(" << chan(s, "x") << "));\n";
-      break;
-    case RoutineKind::Axpy:
-      os << "      " << t << " x = read_channel_intel(" << chan(s, "x")
-         << ");\n"
-         << "      " << t << " y = read_channel_intel(" << chan(s, "y")
-         << ");\n"
-         << "      write_channel_intel(" << chan(s, "out")
-         << ", alpha * x + y);\n";
-      break;
-    case RoutineKind::Swap:
-    case RoutineKind::Rot:
-    case RoutineKind::Rotm:
-      os << "      " << t << " x = read_channel_intel(" << chan(s, "x")
-         << ");\n"
-         << "      " << t << " y = read_channel_intel(" << chan(s, "y")
-         << ");\n"
-         << "      write_channel_intel(" << chan(s, "out_x")
-         << ", /* elementwise 2x2 transform */ y);\n"
-         << "      write_channel_intel(" << chan(s, "out_y") << ", x);\n";
-      break;
-    default:
-      os << "      /* " << info.name << " elementwise body */\n";
-      break;
+  for (const std::string& v : io.in) {
+    os << "      " << t << " " << v << " = read_channel_intel(" << chan(s, v)
+       << ");\n";
+  }
+  for (std::size_t o = 0; o < io.out.size(); ++o) {
+    os << "      write_channel_intel(" << chan(s, io.out[o]) << ", "
+       << exprs[o] << ");\n";
   }
   os << "    }\n  }\n}\n\n";
 }
@@ -146,6 +139,37 @@ void emit_gemv_module(std::ostringstream& os, const RoutineSpec& s) {
      << "    for (int i = 0; i < " << s.tile_rows << "; i++)\n"
      << "      write_channel_intel(" << chan(s, "out") << ", local_y[i]);\n"
      << "  }\n}\n\n";
+}
+
+void emit_ger_module(std::ostringstream& os, const RoutineSpec& s,
+                     const Streams& io) {
+  // The GER module: a tile's vector blocks (row-dimension ones at odd
+  // stream positions, column-dimension ones at even) load into local
+  // buffers, then the A tile streams through, updated element by element.
+  const char* t = ctype(s.precision);
+  const char* update = s.kind == RoutineKind::Ger   ? "x[i] * y[j]"
+                       : s.kind == RoutineKind::Syr ? "x_row[i] * x_col[j]"
+                                                    : "x_row[i] * y_col[j] + "
+                                                      "y_row[i] * x_col[j]";
+  os << "// " << s.blas_name() << ": A in tiles of TN=" << s.tile_rows
+     << ", TM=" << s.tile_cols << "\n"
+     << "__kernel void " << s.user_name << "(" << t
+     << " alpha, int N, int M) {\n"
+     << "  for (int ti = 0; ti < N / " << s.tile_rows << "; ti++)\n"
+     << "    for (int tj = 0; tj < M / " << s.tile_cols << "; tj++) {\n";
+  for (std::size_t v = 1; v < io.in.size(); ++v) {
+    const std::int64_t len = v % 2 == 1 ? s.tile_rows : s.tile_cols;
+    os << "      " << t << " " << io.in[v] << "[" << len << "];\n"
+       << "      for (int k = 0; k < " << len << "; k++) " << io.in[v]
+       << "[k] = read_channel_intel(" << chan(s, io.in[v]) << ");\n";
+  }
+  os << "      for (int i = 0; i < " << s.tile_rows << "; i++)\n"
+     << "        #pragma unroll " << s.width << "\n"
+     << "        for (int j = 0; j < " << s.tile_cols << "; j++)\n"
+     << "          write_channel_intel(" << chan(s, io.out[0])
+     << ", read_channel_intel(" << chan(s, io.in[0]) << ") + alpha * ("
+     << update << "));\n"
+     << "    }\n}\n\n";
 }
 
 void emit_systolic_module(std::ostringstream& os, const RoutineSpec& s) {
@@ -269,90 +293,40 @@ GeneratedDesign emit(const RoutineSpec& spec, const sim::DeviceSpec& dev,
      << " generated by the FBLAS code generator for " << dev.name << "\n"
      << "#pragma OPENCL EXTENSION cl_intel_channels : enable\n\n";
 
-  // Channels and helper kernels depend on the operand set.
-  auto add_vec_io = [&](const char* operand, bool is_input) {
-    out.channel_names.push_back(chan(spec, operand));
-    if (is_input) {
-      emit_read_vector(os, spec, operand);
-      out.kernel_names.push_back(spec.user_name + "_read_" + operand);
-    } else {
-      emit_write_vector(os, spec, operand);
-      out.kernel_names.push_back(spec.user_name + "_write_" + operand);
+  // One channel and one reader or writer helper kernel per stream.
+  const Streams io = streams(spec);
+  for (const auto* names : {&io.in, &io.out}) {
+    for (const std::string& name : *names) {
+      out.channel_names.push_back(chan(spec, name));
+      os << "channel " << ctype(spec.precision) << " "
+         << out.channel_names.back() << " __attribute__((depth("
+         << 2 * spec.width << ")));\n";
     }
-  };
+  }
+  os << "\n";
+  for (const std::string& name : io.in) {
+    out.kernel_names.push_back(emit_helper(os, spec, name, true));
+  }
+  for (const std::string& name : io.out) {
+    out.kernel_names.push_back(emit_helper(os, spec, name, false));
+  }
 
-  switch (info.circuit) {
-    case CircuitClass::Map: {
-      std::ostringstream chans;
-      emit_channel_decls(chans, spec,
-                         {chan(spec, "x"), chan(spec, "out")});
-      os << chans.str() << "\n";
-      add_vec_io("x", true);
-      if (info.operands_per_width >= 2) add_vec_io("y", true);
-      add_vec_io("out", false);
-      emit_map_module(os, spec);
-      break;
-    }
-    case CircuitClass::MapReduce: {
-      if (info.level == 1) {
-        emit_channel_decls(os, spec, {chan(spec, "x"), chan(spec, "res")});
-        os << "\n";
-        add_vec_io("x", true);
-        if (info.operands_per_width >= 2) add_vec_io("y", true);
-        add_vec_io("res", false);
-        emit_reduce_module(os, spec);
-      } else if (spec.kind == RoutineKind::Gemv) {
-        emit_channel_decls(
-            os, spec,
-            {chan(spec, "A"), chan(spec, "x"), chan(spec, "y"),
-             chan(spec, "out")});
-        os << "\n";
-        add_vec_io("A", true);
-        add_vec_io("x", true);
-        add_vec_io("y", true);
-        add_vec_io("out", false);
-        emit_gemv_module(os, spec);
-      } else {
-        emit_channel_decls(os, spec, {chan(spec, "A"), chan(spec, "b"),
-                                      chan(spec, "out")});
-        os << "\n";
-        add_vec_io("A", true);
-        add_vec_io("b", true);
-        add_vec_io("out", false);
-        emit_triangular_module(os, spec);
-      }
-      break;
-    }
-    case CircuitClass::Systolic: {
-      if (spec.fully_unrolled) {
-        emit_channel_decls(os, spec, {chan(spec, "A"), chan(spec, "B"),
-                                      chan(spec, "C")});
-        os << "\n";
-        add_vec_io("A", true);
-        add_vec_io("B", true);
-        add_vec_io("C", false);
-        emit_unrolled_module(os, spec);
-        break;
-      }
-      if (spec.kind == RoutineKind::Trsm) {
-        emit_channel_decls(os, spec, {chan(spec, "A"), chan(spec, "B"),
-                                      chan(spec, "X")});
-        os << "\n";
-        add_vec_io("A", true);
-        add_vec_io("B", true);
-        add_vec_io("X", false);
-        emit_triangular_module(os, spec);
-      } else {
-        emit_channel_decls(os, spec, {chan(spec, "A"), chan(spec, "B"),
-                                      chan(spec, "C")});
-        os << "\n";
-        add_vec_io("A", true);
-        add_vec_io("B", true);
-        add_vec_io("C", false);
-        emit_systolic_module(os, spec);
-      }
-      break;
-    }
+  // Per kind, only the module body is left to choose.
+  const RoutineKind k = spec.kind;
+  if (spec.fully_unrolled) {
+    emit_unrolled_module(os, spec);
+  } else if (k == RoutineKind::Gemv) {
+    emit_gemv_module(os, spec);
+  } else if (k == RoutineKind::Trsv || k == RoutineKind::Trsm) {
+    emit_triangular_module(os, spec);
+  } else if (info.level == 2) {  // GER, SYR, SYR2
+    emit_ger_module(os, spec, io);
+  } else if (info.level == 3) {  // GEMM, SYRK, SYR2K
+    emit_systolic_module(os, spec);
+  } else if (info.circuit == CircuitClass::MapReduce) {
+    emit_reduce_module(os, spec);
+  } else {
+    emit_map_module(os, spec, io);
   }
   out.kernel_names.push_back(spec.user_name);
   out.source = os.str();

@@ -124,6 +124,38 @@ std::string RoutineSpec::blas_name() const {
   return prefix + std::string(info.name);
 }
 
+Streams streams(const RoutineSpec& spec) {
+  switch (spec.kind) {
+    case RoutineKind::Rotg: return {{"ab"}, {"rzcs"}};
+    case RoutineKind::Rotmg: return {{"in"}, {"out"}};
+    case RoutineKind::Rot:
+    case RoutineKind::Rotm:
+    case RoutineKind::Swap: return {{"x", "y"}, {"ox", "oy"}};
+    case RoutineKind::Scal:
+    case RoutineKind::Copy: return {{"x"}, {"out"}};
+    case RoutineKind::Axpy: return {{"x", "y"}, {"out"}};
+    case RoutineKind::Dot:
+    case RoutineKind::Sdsdot: return {{"x", "y"}, {"res"}};
+    case RoutineKind::Nrm2:
+    case RoutineKind::Asum:
+    case RoutineKind::Iamax: return {{"x"}, {"res"}};
+    case RoutineKind::Gemv:
+    case RoutineKind::Ger: return {{"A", "x", "y"}, {"out"}};
+    case RoutineKind::Trsv: return {{"A", "b"}, {"x"}};
+    case RoutineKind::Syr: return {{"A", "x_row", "x_col"}, {"out"}};
+    case RoutineKind::Syr2:
+      return {{"A", "x_row", "x_col", "y_row", "y_col"}, {"out"}};
+    case RoutineKind::Gemm:
+      if (spec.fully_unrolled) return {{"A", "B"}, {"C"}};
+      return {{"A", "B", "Cin"}, {"out"}};
+    case RoutineKind::Syrk: return {{"A", "At", "Cin"}, {"out"}};
+    case RoutineKind::Syr2k:
+      return {{"Acol", "Bcol", "Atrow", "Btrow", "Cin"}, {"out"}};
+    case RoutineKind::Trsm: return {{"A", "B"}, {"X"}};
+  }
+  return {};
+}
+
 SpecFile parse_spec(const std::string& json_text) {
   const Json doc = Json::parse(json_text);
   if (!doc.is_object()) throw ParseError("spec document must be an object");

@@ -59,6 +59,16 @@ struct RoutineSpec {
   std::string blas_name() const;
 };
 
+/// A module's input and output streams, named the way the host lowering
+/// names the channels of the graph it runs (e.g. AXPY {x, y} -> {out}).
+/// The emitter declares one channel and one reader or writer helper per
+/// stream, and the Level-1 runner wires one channel per stream.
+struct Streams {
+  std::vector<std::string> in;
+  std::vector<std::string> out;
+};
+Streams streams(const RoutineSpec& spec);
+
 struct SpecFile {
   sim::DeviceId device = sim::DeviceId::Stratix10;
   std::vector<RoutineSpec> routines;

@@ -10,159 +10,114 @@
 namespace fblas::codegen {
 namespace {
 
-/// Typed implementation; the design's precision picks T.
+/// Typed implementation; the design's precision picks T. One channel and
+/// one feed or collect per stream of the design, then the module.
 template <typename T>
 Level1Result run_typed(const GeneratedDesign& design, stream::Mode mode,
                        const Level1Inputs& in) {
   const RoutineSpec& spec = design.spec;
+  const RoutineInfo& info = routine_info(spec.kind);
+  if (info.level != 1) {
+    throw ConfigError("run_level1 supports Level-1 routines only; '" +
+                      std::string(info.name) + "' is Level " +
+                      std::to_string(info.level));
+  }
   const core::Level1Config cfg = design.level1_config();
   const std::int64_t n = static_cast<std::int64_t>(in.x.size());
   const std::size_t cap =
       static_cast<std::size_t>(std::max(64, 2 * cfg.width));
+  // The setup routines take their scalars from the front of x (ROTG: a,
+  // b; ROTMG: d1, d2, x1, y1) and return twice as many values.
+  const std::size_t setup = spec.kind == RoutineKind::Rotg    ? 2
+                            : spec.kind == RoutineKind::Rotmg ? 4
+                                                              : 0;
+  const bool reduce = info.circuit == CircuitClass::MapReduce;
   std::vector<T> x(in.x.begin(), in.x.end());
   std::vector<T> y(in.y.begin(), in.y.end());
+  if (setup != 0) {
+    if (x.size() < setup) {
+      throw ConfigError(std::string(info.name) + " reads " +
+                        std::to_string(setup) + " scalars from x");
+    }
+    x.resize(setup);
+  }
   const T alpha = static_cast<T>(in.alpha);
 
   stream::Graph g(mode);
-  Level1Result result;
-  std::vector<T> ox, oy, scalar_out;
-  std::vector<std::int64_t> index_out;
-
-  auto finish = [&] {
-    g.run();
-    result.cycles = g.cycles();
-    result.out_x.assign(ox.begin(), ox.end());
-    result.out_y.assign(oy.begin(), oy.end());
-    if (!scalar_out.empty()) result.scalar = scalar_out[0];
-    if (!index_out.empty()) result.index = index_out[0];
-  };
-
-  switch (spec.kind) {
-    case RoutineKind::Scal: {
-      auto& ci = g.channel<T>("x", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed", stream::feed(x, ci));
-      g.spawn(spec.user_name, core::scal<T>(cfg, n, alpha, ci, co));
-      g.spawn("collect", stream::collect<T>(n, co, ox));
-      finish();
-      return result;
-    }
-    case RoutineKind::Copy: {
-      auto& ci = g.channel<T>("x", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed", stream::feed(x, ci));
-      g.spawn(spec.user_name, core::copy<T>(cfg, n, ci, co));
-      g.spawn("collect", stream::collect<T>(n, co, ox));
-      finish();
-      return result;
-    }
-    case RoutineKind::Axpy: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& co = g.channel<T>("o", cap);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      g.spawn(spec.user_name, core::axpy<T>(cfg, n, alpha, cx, cy, co));
-      g.spawn("collect", stream::collect<T>(n, co, oy));
-      finish();
-      return result;
-    }
-    case RoutineKind::Swap:
-    case RoutineKind::Rot:
-    case RoutineKind::Rotm: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& cox = g.channel<T>("ox", cap);
-      auto& coy = g.channel<T>("oy", cap);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      if (spec.kind == RoutineKind::Swap) {
-        g.spawn(spec.user_name, core::swap<T>(cfg, n, cx, cy, cox, coy));
-      } else if (spec.kind == RoutineKind::Rot) {
-        g.spawn(spec.user_name,
-                core::rot<T>(cfg, n, static_cast<T>(in.c),
-                             static_cast<T>(in.s), cx, cy, cox, coy));
-      } else {
-        ref::RotmParam<T> p{T(0), T(0), static_cast<T>(-in.s),
-                            static_cast<T>(in.s), T(0)};
-        g.spawn(spec.user_name, core::rotm<T>(cfg, n, p, cx, cy, cox, coy));
-      }
-      g.spawn("collect_x", stream::collect<T>(n, cox, ox));
-      g.spawn("collect_y", stream::collect<T>(n, coy, oy));
-      finish();
-      return result;
-    }
-    case RoutineKind::Dot:
-    case RoutineKind::Sdsdot: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cy = g.channel<T>("y", cap);
-      auto& cr = g.channel<T>("r", 2);
-      g.spawn("feed_x", stream::feed(x, cx));
-      g.spawn("feed_y", stream::feed(y, cy));
-      if (spec.kind == RoutineKind::Dot) {
-        g.spawn(spec.user_name, core::dot<T>(cfg, n, cx, cy, cr));
-      } else {
-        if constexpr (std::is_same_v<T, float>) {
-          g.spawn(spec.user_name,
-                  core::sdsdot(cfg, n, static_cast<float>(in.alpha), cx, cy,
-                               cr));
-        } else {
-          throw ConfigError("sdsdot is a single-precision routine");
-        }
-      }
-      g.spawn("collect", stream::collect<T>(1, cr, scalar_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Nrm2:
-    case RoutineKind::Asum: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cr = g.channel<T>("r", 2);
-      g.spawn("feed", stream::feed(x, cx));
-      if (spec.kind == RoutineKind::Nrm2) {
-        g.spawn(spec.user_name, core::nrm2<T>(cfg, n, cx, cr));
-      } else {
-        g.spawn(spec.user_name, core::asum<T>(cfg, n, cx, cr));
-      }
-      g.spawn("collect", stream::collect<T>(1, cr, scalar_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Iamax: {
-      auto& cx = g.channel<T>("x", cap);
-      auto& cr = g.channel<std::int64_t>("r", 2);
-      g.spawn("feed", stream::feed(x, cx));
-      g.spawn(spec.user_name, core::iamax<T>(cfg, n, cx, cr));
-      g.spawn("collect", stream::collect<std::int64_t>(1, cr, index_out));
-      finish();
-      return result;
-    }
-    case RoutineKind::Rotg: {
-      auto& ci = g.channel<T>("in", 4);
-      auto& co = g.channel<T>("out", 8);
-      g.spawn("feed", stream::feed(std::vector<T>{x.at(0), x.at(1)}, ci));
-      g.spawn(spec.user_name, core::rotg<T>(ci, co));
-      g.spawn("collect", stream::collect<T>(4, co, ox));
-      finish();
-      return result;
-    }
-    case RoutineKind::Rotmg: {
-      auto& ci = g.channel<T>("in", 4);
-      auto& co = g.channel<T>("out", 8);
-      g.spawn("feed", stream::feed(std::vector<T>{x.at(0), x.at(1), x.at(2),
-                                                  x.at(3)},
-                                   ci));
-      g.spawn(spec.user_name, core::rotmg<T>(ci, co));
-      g.spawn("collect", stream::collect<T>(8, co, ox));
-      finish();
-      return result;
-    }
-    default:
-      throw ConfigError("run_level1 supports Level-1 routines only; '" +
-                        std::string(routine_info(spec.kind).name) +
-                        "' is Level " +
-                        std::to_string(routine_info(spec.kind).level));
+  const Streams io = streams(spec);
+  std::vector<stream::Channel<T>*> ci, co;
+  stream::Channel<std::int64_t>* index = nullptr;
+  for (const std::string& s : io.in) {
+    ci.push_back(&g.channel<T>(s, setup != 0 ? 4 : cap));
   }
+  for (const std::string& s : io.out) {
+    if (spec.kind == RoutineKind::Iamax) {
+      index = &g.channel<std::int64_t>(s, 2);
+    } else {
+      co.push_back(&g.channel<T>(s, setup != 0 ? 8 : reduce ? 2 : cap));
+    }
+  }
+  for (std::size_t i = 0; i < ci.size(); ++i) {
+    g.spawn("feed_" + io.in[i], stream::feed(io.in[i] == "y" ? y : x, *ci[i]));
+  }
+  const T c = static_cast<T>(in.c), s = static_cast<T>(in.s);
+  g.spawn(spec.user_name, [&]() -> stream::Task {
+    switch (spec.kind) {
+      case RoutineKind::Scal:
+        return core::scal<T>(cfg, n, alpha, *ci[0], *co[0]);
+      case RoutineKind::Copy:
+        return core::copy<T>(cfg, n, *ci[0], *co[0]);
+      case RoutineKind::Axpy:
+        return core::axpy<T>(cfg, n, alpha, *ci[0], *ci[1], *co[0]);
+      case RoutineKind::Swap:
+        return core::swap<T>(cfg, n, *ci[0], *ci[1], *co[0], *co[1]);
+      case RoutineKind::Rot:
+        return core::rot<T>(cfg, n, c, s, *ci[0], *ci[1], *co[0], *co[1]);
+      case RoutineKind::Rotm:
+        return core::rotm<T>(cfg, n, {T(0), T(0), -s, s, T(0)}, *ci[0],
+                             *ci[1], *co[0], *co[1]);
+      case RoutineKind::Dot:
+        return core::dot<T>(cfg, n, *ci[0], *ci[1], *co[0]);
+      case RoutineKind::Sdsdot:
+        if constexpr (std::is_same_v<T, float>) {
+          return core::sdsdot(cfg, n, alpha, *ci[0], *ci[1], *co[0]);
+        }
+        throw ConfigError("sdsdot is a single-precision routine");
+      case RoutineKind::Nrm2:
+        return core::nrm2<T>(cfg, n, *ci[0], *co[0]);
+      case RoutineKind::Asum:
+        return core::asum<T>(cfg, n, *ci[0], *co[0]);
+      case RoutineKind::Iamax:
+        return core::iamax<T>(cfg, n, *ci[0], *index);
+      case RoutineKind::Rotg:
+        return core::rotg<T>(*ci[0], *co[0]);
+      default:  // ROTMG, the last Level-1 kind
+        return core::rotmg<T>(*ci[0], *co[0]);
+    }
+  }());
+  // Each output lands where the BLAS routine writes it: AXPY's and a
+  // pair's second output in y, a reduction's in the scalar or the index.
+  std::vector<T> ox, oy, scalar;
+  std::vector<std::int64_t> index_out;
+  const std::int64_t count = setup != 0 ? 2 * setup : reduce ? 1 : n;
+  for (std::size_t i = 0; i < co.size(); ++i) {
+    std::vector<T>& dst = reduce ? scalar
+                          : i == 1 || spec.kind == RoutineKind::Axpy ? oy
+                                                                     : ox;
+    g.spawn("collect_" + io.out[i], stream::collect<T>(count, *co[i], dst));
+  }
+  if (index != nullptr) {
+    g.spawn("collect_res", stream::collect<std::int64_t>(1, *index, index_out));
+  }
+  g.run();
+
+  Level1Result result;
+  result.cycles = g.cycles();
+  result.out_x.assign(ox.begin(), ox.end());
+  result.out_y.assign(oy.begin(), oy.end());
+  if (!scalar.empty()) result.scalar = scalar[0];
+  if (!index_out.empty()) result.index = index_out[0];
+  return result;
 }
 
 }  // namespace

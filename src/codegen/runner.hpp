@@ -2,8 +2,8 @@
 // streaming simulator, closing the loop from JSON specification to
 // numerical result. This is the simulator-side equivalent of launching
 // the generated OpenCL kernels through the host runtime: the routine
-// kind and the non-functional parameters all come from the
-// GeneratedDesign, not from caller code.
+// kind and the non-functional parameters come from the GeneratedDesign,
+// and the graph has one channel per stream of codegen::streams.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,18 @@
 // Code generator tests: JSON parser, routine-spec schema, OpenCL
-// emission, feasibility gating, and the generated-config -> simulator
-// round trip (a generated GEMV design runs and matches the oracle).
+// emission, feasibility gating, the emitted channels against the graphs
+// the host runs, and the generated-config -> simulator round trip (a
+// generated GEMV design runs and matches the oracle).
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
+#include <regex>
 
 #include "codegen/emitter.hpp"
 #include "codegen/json.hpp"
 #include "codegen/routine_spec.hpp"
 #include "common/workload.hpp"
+#include "host/context.hpp"
 #include "refblas/level2.hpp"
 #include "stream/graph.hpp"
 #include "stream/streamers.hpp"
@@ -294,6 +300,220 @@ TEST(Emitter, EveryRoutineKindEmits) {
     EXPECT_NE(design.source.find(s.user_name), std::string::npos)
         << info.name;
     EXPECT_FALSE(design.kernel_names.empty()) << info.name;
+  }
+}
+
+TEST(Emitter, RotAndRotmBodiesApplyTheirMatrix) {
+  RoutineSpec s;
+  s.user_name = "r";
+  s.kind = RoutineKind::Rot;
+  auto src = emit(s, sim::stratix10()).source;
+  EXPECT_NE(src.find("__kernel void r(float c, float s, int N)"),
+            std::string::npos);
+  EXPECT_NE(src.find("write_channel_intel(r_ch_ox, c * x + s * y);"),
+            std::string::npos);
+  EXPECT_NE(src.find("write_channel_intel(r_ch_oy, c * y - s * x);"),
+            std::string::npos);
+  s.kind = RoutineKind::Rotm;
+  src = emit(s, sim::stratix10()).source;
+  EXPECT_NE(src.find("__kernel void r(float h11, float h12, float h21, "
+                     "float h22, int N)"),
+            std::string::npos);
+  EXPECT_NE(src.find("write_channel_intel(r_ch_ox, h11 * x + h12 * y);"),
+            std::string::npos);
+  EXPECT_NE(src.find("write_channel_intel(r_ch_oy, h21 * x + h22 * y);"),
+            std::string::npos);
+  s.kind = RoutineKind::Swap;
+  src = emit(s, sim::stratix10()).source;
+  EXPECT_NE(src.find("write_channel_intel(r_ch_ox, y);"), std::string::npos);
+  EXPECT_NE(src.find("write_channel_intel(r_ch_oy, x);"), std::string::npos);
+}
+
+// ---- Emitted channels are the channels the host runs -----------------------
+
+/// A design of `kind` named "k", small enough for every device.
+GeneratedDesign small_design(RoutineKind kind, bool unrolled = false) {
+  RoutineSpec s;
+  s.kind = kind;
+  s.user_name = "k";
+  s.width = 8;
+  s.tile_rows = 8;
+  s.tile_cols = 8;
+  s.pe_rows = 4;
+  s.pe_cols = 4;
+  s.fully_unrolled = unrolled;
+  return emit(s, sim::stratix10());
+}
+
+/// Every routine the host runs, with n = 8 and 8 x 8 matrices (the
+/// batched routines: 4 problems of size 4), keyed by the design that
+/// emits it: its kind and whether it is fully unrolled.
+struct HostOperands {
+  host::Buffer<float> x, y, a, b, c, tri;
+};
+using HostRun = std::function<void(host::Context&, HostOperands&)>;
+
+const std::vector<std::tuple<RoutineKind, bool, HostRun>>& host_runs() {
+  using K = RoutineKind;
+  using host::Context;
+  constexpr std::int64_t n = 8;
+  static const std::vector<std::tuple<RoutineKind, bool, HostRun>> runs = {
+      {K::Rotg, false,
+       [](Context& ctx, HostOperands&) {
+         float a = 3, b = 4;
+         ctx.rotg(a, b);
+       }},
+      {K::Rotmg, false,
+       [](Context& ctx, HostOperands&) {
+         float d1 = 2, d2 = 1, x1 = 1;
+         ctx.rotmg(d1, d2, x1, 0.5f);
+       }},
+      {K::Rot, false,
+       [](Context& ctx, HostOperands& o) { ctx.rot(n, o.x, o.y, 0.6f, 0.8f); }},
+      {K::Rotm, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.rotm(n, o.x, o.y, ref::RotmParam<float>{0, 0, -0.5f, 0.5f, 0});
+       }},
+      {K::Swap, false,
+       [](Context& ctx, HostOperands& o) { ctx.swap(n, o.x, o.y); }},
+      {K::Scal, false,
+       [](Context& ctx, HostOperands& o) { ctx.scal(n, 2.0f, o.x); }},
+      {K::Copy, false,
+       [](Context& ctx, HostOperands& o) { ctx.copy(n, o.x, o.y); }},
+      {K::Axpy, false,
+       [](Context& ctx, HostOperands& o) { ctx.axpy(n, 2.0f, o.x, o.y); }},
+      {K::Dot, false,
+       [](Context& ctx, HostOperands& o) { ctx.dot(n, o.x, o.y); }},
+      {K::Sdsdot, false,
+       [](Context& ctx, HostOperands& o) { ctx.sdsdot(n, 0.5f, o.x, o.y); }},
+      {K::Nrm2, false, [](Context& ctx, HostOperands& o) { ctx.nrm2(n, o.x); }},
+      {K::Asum, false, [](Context& ctx, HostOperands& o) { ctx.asum(n, o.x); }},
+      {K::Iamax, false,
+       [](Context& ctx, HostOperands& o) { ctx.iamax(n, o.x); }},
+      {K::Gemv, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.gemv(Transpose::None, n, n, 1.0f, o.a, o.x, 0.5f, o.y);
+       }},
+      {K::Trsv, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.trsv(Uplo::Lower, Transpose::None, Diag::NonUnit, n, o.tri, o.x);
+       }},
+      {K::Ger, false,
+       [](Context& ctx, HostOperands& o) { ctx.ger(n, n, 0.5f, o.x, o.y, o.a); }},
+      {K::Syr, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.syr(Uplo::Lower, n, 0.5f, o.x, o.a);
+       }},
+      {K::Syr2, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.syr2(Uplo::Lower, n, 0.5f, o.x, o.y, o.a);
+       }},
+      {K::Gemm, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.gemm(Transpose::None, Transpose::None, n, n, n, 1.0f, o.a, o.b,
+                  0.5f, o.c);
+       }},
+      {K::Syrk, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.syrk(Uplo::Lower, Transpose::None, n, n, 1.0f, o.a, 0.5f, o.c);
+       }},
+      {K::Syr2k, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.syr2k(Uplo::Lower, Transpose::None, n, n, 1.0f, o.a, o.b, 0.5f,
+                   o.c);
+       }},
+      {K::Trsm, false,
+       [](Context& ctx, HostOperands& o) {
+         ctx.trsm(Side::Left, Uplo::Lower, Transpose::None, Diag::NonUnit, n,
+                  n, 1.0f, o.tri, o.b);
+       }},
+      {K::Gemm, true,
+       [](Context& ctx, HostOperands& o) {
+         ctx.gemm_batched(4, 4, 1.0f, o.a, o.b, o.c);
+       }},
+      {K::Trsm, true,
+       [](Context& ctx, HostOperands& o) {
+         ctx.trsm_batched(4, 4, 1.0f, o.tri, o.b);
+       }},
+  };
+  return runs;
+}
+
+/// The ChannelStats names, in order, of the graphs `run` launches on a
+/// freshly traced context. The setup routines run on the calling thread
+/// outside any command, so the sink is installed there too.
+std::vector<std::string> executed_channels(const HostRun& run) {
+  host::Device dev;
+  host::Context ctx(dev);
+  const auto rec = ctx.tracing();
+  Workload wl(23);
+  const auto fill = [&](std::vector<float> v, int bank) {
+    host::Buffer<float> buf(dev, static_cast<std::int64_t>(v.size()), bank);
+    buf.write(v);
+    return buf;
+  };
+  // A lower triangle of 8 x 8 is also four well-conditioned 4 x 4 ones.
+  std::vector<float> tri = wl.triangular<float>(4, Uplo::Lower,
+                                                Diag::NonUnit);
+  for (int i = 0; i < 2; ++i) tri.insert(tri.end(), tri.begin(), tri.end());
+  HostOperands o{fill(wl.vector<float>(8), 0),
+                 fill(wl.vector<float>(8), 1),
+                 fill(wl.matrix<float>(8, 8), 2),
+                 fill(wl.matrix<float>(8, 8), 3),
+                 fill(wl.matrix<float>(8, 8), 0),
+                 fill(wl.triangular<float>(8, Uplo::Lower, Diag::NonUnit), 1)};
+  {
+    trace::ThreadScope scope(rec.get());
+    run(ctx, o);
+  }
+  ctx.finish();
+  std::vector<std::string> names;
+  for (const trace::Event& e : rec->events()) {
+    if (e.kind == trace::EventKind::ChannelStats) {
+      names.emplace_back(e.name_view());
+    }
+  }
+  return names;
+}
+
+TEST(Emitter, ChannelsMatchExecutedGraph) {
+  EXPECT_EQ(host_runs().size(), static_cast<std::size_t>(kRoutineCount) + 2);
+  for (const auto& [kind, unrolled, run] : host_runs()) {
+    const GeneratedDesign d = small_design(kind, unrolled);
+    std::vector<std::string> emitted;
+    for (const std::string& ch : d.channel_names) {
+      emitted.push_back(ch.rfind("k_ch_", 0) == 0 ? ch.substr(5) : ch);
+    }
+    EXPECT_EQ(emitted, executed_channels(run))
+        << routine_info(kind).name << (unrolled ? " (fully unrolled)" : "");
+  }
+}
+
+TEST(Emitter, EveryReferencedChannelIsDeclared) {
+  const std::regex decl(R"(^channel \w+ (\w+) )");
+  const std::regex use(R"((read|write)_channel_intel\((\w+))");
+  const std::regex helper(R"(__kernel void k_(read|write)_(\w+)\()");
+  for (const auto& [kind, unrolled, run] : host_runs()) {
+    const GeneratedDesign d = small_design(kind, unrolled);
+    const std::string what = std::string(routine_info(kind).name) +
+                             (unrolled ? " (fully unrolled)" : "");
+    std::map<std::string, int> declared, helpers;
+    std::istringstream lines(d.source);
+    for (std::string line; std::getline(lines, line);) {
+      std::smatch m;
+      if (std::regex_search(line, m, decl)) ++declared[m[1]];
+      if (std::regex_search(line, m, helper)) ++helpers["k_ch_" + m[2].str()];
+    }
+    for (std::sregex_iterator it(d.source.begin(), d.source.end(), use), end;
+         it != end; ++it) {
+      EXPECT_EQ(declared.count((*it)[2]), 1u)
+          << what << " uses undeclared " << (*it)[2];
+    }
+    // One declaration and one reader or writer helper per stream.
+    std::map<std::string, int> want;
+    for (const std::string& ch : d.channel_names) want[ch] = 1;
+    EXPECT_EQ(declared, want) << what;
+    EXPECT_EQ(helpers, want) << what;
   }
 }
 
