@@ -7,10 +7,6 @@ namespace fblas::trace {
 namespace {
 
 thread_local Recorder* tl_sink = nullptr;
-// Round-robin shard token: consecutive emissions from one thread rotate
-// across shards, so a burst never serializes on a single mutex even
-// when only one thread is emitting.
-thread_local std::uint64_t tl_shard_token = 0;
 
 // Breaker state codes, mirroring host::BreakerState's declaration order
 // (this library cannot include host headers).
@@ -48,23 +44,19 @@ void Histogram::add(std::uint64_t v) {
   max = std::max(max, v);
 }
 
-Histogram& Histogram::operator+=(const Histogram& o) {
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
-  count += o.count;
-  sum += o.sum;
-  max = std::max(max, o.max);
-  return *this;
-}
+namespace {
 
-void Recorder::Counters::apply(const Event& e) {
-  ++recorded;
-  ++by_kind[static_cast<std::size_t>(e.kind)];
-  auto& m = agg;
+/// Counts one event into the exact counters.
+void apply(MetricsSnapshot& m, const Event& e) {
+  ++m.recorded;
+  ++m.by_kind[static_cast<std::size_t>(e.kind)];
+  // Every slot up to `d` names its device, even one with no events yet.
   auto dev = [&m](int d) -> DeviceMetrics& {
-    const std::size_t i = static_cast<std::size_t>(d);
-    if (m.per_device.size() <= i) m.per_device.resize(i + 1);
-    m.per_device[i].device = d;
-    return m.per_device[i];
+    while (m.per_device.size() <= static_cast<std::size_t>(d)) {
+      m.per_device.push_back({});
+      m.per_device.back().device = static_cast<int>(m.per_device.size()) - 1;
+    }
+    return m.per_device[static_cast<std::size_t>(d)];
   };
   switch (e.kind) {
     case EventKind::Enqueue:
@@ -135,18 +127,12 @@ void Recorder::Counters::apply(const Event& e) {
   }
 }
 
+}  // namespace
+
 Recorder::Recorder(const Options& opts)
-    : opts_(opts), epoch_(std::chrono::steady_clock::now()) {
-  opts_.shards = std::clamp<std::size_t>(opts_.shards, 1, 64);
-  const std::size_t per_shard =
-      std::max<std::size_t>(64, opts_.ring_capacity / opts_.shards);
-  shards_.reserve(opts_.shards);
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->ring.resize(per_shard);
-    shards_.push_back(std::move(shard));
-  }
-}
+    : opts_(opts),
+      epoch_(std::chrono::steady_clock::now()),
+      ring_(std::max<std::size_t>(64, opts.ring_capacity)) {}
 
 std::uint64_t Recorder::now_ns() const {
   return static_cast<std::uint64_t>(
@@ -157,77 +143,34 @@ std::uint64_t Recorder::now_ns() const {
 
 void Recorder::emit(Event e) {
   if (e.wall_ns == 0) e.wall_ns = now_ns();
-  Shard& shard = *shards_[tl_shard_token++ % shards_.size()];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  shard.ring[shard.next] = e;
-  shard.next = (shard.next + 1) % shard.ring.size();
-  ++shard.total;
-  shard.counters.apply(e);
+  std::lock_guard<std::mutex> lk(mu_);
+  ring_[next_] = e;
+  next_ = (next_ + 1) % ring_.size();
+  apply(metrics_, e);
 }
 
 MetricsSnapshot Recorder::metrics() const {
-  MetricsSnapshot out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    const Counters& c = shard->counters;
-    out.recorded += c.recorded;
-    if (shard->total > shard->ring.size()) {
-      out.dropped += shard->total - shard->ring.size();
-    }
-    for (std::size_t k = 0; k < kKindCount; ++k) out.by_kind[k] += c.by_kind[k];
-    const MetricsSnapshot& m = c.agg;
-    out.enqueued += m.enqueued;
-    out.completes += m.completes;
-    out.ok += m.ok;
-    out.degraded += m.degraded;
-    out.failed += m.failed;
-    out.attempts += m.attempts;
-    out.retries += m.retries;
-    out.verify_checks += m.verify_checks;
-    out.verify_rejects += m.verify_rejects;
-    out.fallbacks += m.fallbacks;
-    out.migrations += m.migrations;
-    out.migrated_bytes += m.migrated_bytes;
-    out.breaker_opens += m.breaker_opens;
-    out.breaker_readmissions += m.breaker_readmissions;
-    out.probes += m.probes;
-    out.attempt_wall_ns += m.attempt_wall_ns;
-    out.command_cycles += m.command_cycles;
-    if (out.per_device.size() < m.per_device.size()) {
-      out.per_device.resize(m.per_device.size());
-    }
-    for (std::size_t i = 0; i < m.per_device.size(); ++i) {
-      DeviceMetrics& d = out.per_device[i];
-      const DeviceMetrics& s = m.per_device[i];
-      d.device = static_cast<int>(i);
-      d.placed += s.placed;
-      d.verify_checks += s.verify_checks;
-      d.verify_rejects += s.verify_rejects;
-      d.migrations_in += s.migrations_in;
-      d.migrated_bytes_in += s.migrated_bytes_in;
-      d.breaker_opens += s.breaker_opens;
-      d.breaker_readmissions += s.breaker_readmissions;
-      d.probes += s.probes;
-    }
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  MetricsSnapshot out = metrics_;
+  if (out.recorded > ring_.size()) out.dropped = out.recorded - ring_.size();
   return out;
 }
 
 std::vector<Event> Recorder::events() const {
   std::vector<Event> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(
-            shard->total, shard->ring.size()));
-    // Oldest-first: when the shard wrapped, the write cursor points at
-    // the oldest surviving slot.
-    const std::size_t start =
-        shard->total > shard->ring.size() ? shard->next : 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(metrics_.recorded, ring_.size()));
+    // Oldest-first: once the ring wrapped, the write cursor points at the
+    // oldest surviving slot.
+    const std::size_t start = metrics_.recorded > ring_.size() ? next_ : 0;
+    out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(shard->ring[(start + i) % shard->ring.size()]);
+      out.push_back(ring_[(start + i) % ring_.size()]);
     }
   }
+  // Span starts are pre-stamped, so emission order is not wall order.
   std::stable_sort(out.begin(), out.end(),
                    [](const Event& x, const Event& y) {
                      return x.wall_ns < y.wall_ns;

@@ -10,13 +10,13 @@
 // where it applies, simulated device cycles — see DESIGN.md for the
 // two-clock span model.
 //
-// Storage is a lock-sharded bounded ring: each shard owns a mutex, a
-// fixed ring (oldest events are overwritten once full; the `dropped`
-// counter says how many) and an exact counter/histogram block that never
-// drops. Emission is one shard-mutex lock plus a struct copy, so the
-// armed cost stays far below the cost of the spans being measured
-// (bench/trace_overhead holds it under 1% of makespan); disarmed, every
-// instrumentation site is a single thread-local or pointer test.
+// Storage is one bounded ring (oldest events are overwritten once full;
+// the `dropped` counter says how many) beside an exact counter/histogram
+// block that never drops, both behind one mutex. Emission is one lock
+// plus a struct copy, so the armed cost stays far below the cost of the
+// spans being measured (bench/trace_overhead holds it under 1% of
+// makespan); disarmed, every instrumentation site is a single
+// thread-local or pointer test.
 //
 // Layering: this library depends only on fblas_common. Engine code
 // (stream::Scheduler, systolic::SystolicArray) never links it — the
@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -99,14 +98,10 @@ static_assert(sizeof(Event) == 64, "Event must stay one cache line");
 
 /// Tracing knobs, fixed at arming time (Context::tracing).
 struct Options {
-  /// Total ring capacity in events, split across the shards. Once a
-  /// shard's slice is full its oldest events are overwritten (counters
-  /// stay exact); MetricsSnapshot::dropped reports the overwrites.
+  /// Ring capacity in events (at least 64). Once the ring is full its
+  /// oldest events are overwritten (counters stay exact);
+  /// MetricsSnapshot::dropped reports the overwrites.
   std::size_t ring_capacity = 1u << 16;
-  /// Lock shards. Emitting threads spread across shards round-robin, so
-  /// more shards mean less contention under many workers. Clamped to
-  /// [1, 64].
-  std::size_t shards = 8;
   /// Emit engine-side summaries (ChannelStats / GraphStats / PeStats)
   /// after each graph run. These are the bulkiest event class on
   /// composition-heavy workloads; turn off to keep only lifecycle spans.
@@ -122,7 +117,6 @@ struct Histogram {
   std::uint64_t sum = 0;
   std::uint64_t max = 0;
   void add(std::uint64_t v);
-  Histogram& operator+=(const Histogram& o);
 };
 
 /// Per-device slice of the aggregate counters (indexed by pool device).
@@ -138,9 +132,8 @@ struct DeviceMetrics {
   std::uint64_t probes = 0;
 };
 
-/// Exact counters/histograms aggregated across shards. Unlike the event
-/// ring these never drop, so they reconcile against ExecStats even when
-/// the ring wrapped.
+/// Exact counters/histograms. Unlike the event ring these never drop, so
+/// they reconcile against ExecStats even when the ring wrapped.
 struct MetricsSnapshot {
   std::uint64_t recorded = 0;  ///< events emitted (ring + overwritten)
   std::uint64_t dropped = 0;   ///< ring overwrites (counters stay exact)
@@ -173,8 +166,8 @@ struct MetricsSnapshot {
   }
 };
 
-/// The lock-sharded bounded event recorder. Thread-safe; one per
-/// Context (shared_ptr so in-flight commands outlive a re-arm).
+/// The bounded event recorder. Thread-safe; one per Context (shared_ptr
+/// so in-flight commands outlive a re-arm).
 class Recorder {
  public:
   explicit Recorder(const Options& opts = {});
@@ -191,28 +184,17 @@ class Recorder {
   /// Exact counter/histogram view (never affected by ring overwrites).
   MetricsSnapshot metrics() const;
 
-  /// Merged copy of the ring, ordered by wall_ns. Oldest events may be
-  /// missing once a shard wrapped — check metrics().dropped.
+  /// Copy of the ring, ordered by wall_ns. Oldest events may be missing
+  /// once the ring wrapped — check metrics().dropped.
   std::vector<Event> events() const;
 
  private:
-  struct Counters {
-    std::uint64_t recorded = 0;
-    std::array<std::uint64_t, kKindCount> by_kind{};
-    MetricsSnapshot agg;  // reuses the snapshot fields as accumulators
-    void apply(const Event& e);
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Event> ring;
-    std::size_t next = 0;      // ring write cursor
-    std::uint64_t total = 0;   // events ever written to this shard
-    Counters counters;
-  };
-
   Options opts_;
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::vector<Event> ring_;
+  std::size_t next_ = 0;     // ring write cursor
+  MetricsSnapshot metrics_;  // `recorded` counts every event ever written
 };
 
 // --- thread-local sink --------------------------------------------------

@@ -227,7 +227,6 @@ TEST(Trace, EventNameTruncatesAndRoundTrips) {
 TEST(Trace, RingWrapDropsOldestButCountersStayExact) {
   trace::Options opts;
   opts.ring_capacity = 64;
-  opts.shards = 1;
   trace::Recorder rec(opts);
   for (int i = 0; i < 1000; ++i) {
     trace::Event e;
@@ -333,7 +332,7 @@ TEST(Trace, ChaosReconciliationSerial) {
 // event is reduced to (kind, seq, attempt, device, worker, flags, a, b,
 // name), leaving out wall_ns and the wall duration `a` of Attempt and
 // Verify events; the tuples are sorted because events() orders by
-// wall_ns across shards, then hashed (FNV-1a).
+// wall_ns, then hashed (FNV-1a).
 TEST(Trace, SerialChaosTraceShapePinned) {
   const TracedRun run = run_traced_chaos(0, true);
   using Shape = std::tuple<int, std::uint64_t, int, int, int, int,
