@@ -68,10 +68,6 @@ void DevicePool::inject_faults(const FaultConfig& cfg) {
   }
 }
 
-void DevicePool::disable_faults() {
-  for (int i = 0; i < size(); ++i) device(i).faults().disable();
-}
-
 int DevicePool::pick_locked(std::uint64_t seq,
                             const std::vector<const void*>& keys) const {
   std::vector<int> healthy;

@@ -64,7 +64,6 @@ class DevicePool {
   /// placement — except the sick-device window, which is kept only on
   /// its victim (cfg.device_fault_window.device) and stripped elsewhere.
   void inject_faults(const FaultConfig& cfg);
-  void disable_faults();
 
   /// Places attempt of command `seq` touching the given read/write keys:
   /// advances the breaker clocks, probes Half-Open devices, scores the

@@ -73,7 +73,6 @@ class ChannelBase {
     tap_sum_ = tap_mag_ = 0.0;
     tap_count_ = 0;
   }
-  bool tap_armed() const { return tap_armed_; }
   double tap_sum() const { return tap_sum_; }
   double tap_mag() const { return tap_mag_; }
   std::uint64_t tap_count() const { return tap_count_; }
