@@ -107,7 +107,8 @@ Level1Result run_typed(const GeneratedDesign& design, stream::Mode mode,
     g.spawn("collect_" + io.out[i], stream::collect<T>(count, *co[i], dst));
   }
   if (index != nullptr) {
-    g.spawn("collect_res", stream::collect<std::int64_t>(1, *index, index_out));
+    g.spawn("collect_" + io.out[0],
+            stream::collect<std::int64_t>(1, *index, index_out));
   }
   g.run();
 

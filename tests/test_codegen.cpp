@@ -399,7 +399,9 @@ const std::vector<std::tuple<RoutineKind, bool, HostRun>>& host_runs() {
          ctx.trsv(Uplo::Lower, Transpose::None, Diag::NonUnit, n, o.tri, o.x);
        }},
       {K::Ger, false,
-       [](Context& ctx, HostOperands& o) { ctx.ger(n, n, 0.5f, o.x, o.y, o.a); }},
+       [](Context& ctx, HostOperands& o) {
+         ctx.ger(n, n, 0.5f, o.x, o.y, o.a);
+       }},
       {K::Syr, false,
        [](Context& ctx, HostOperands& o) {
          ctx.syr(Uplo::Lower, n, 0.5f, o.x, o.a);
