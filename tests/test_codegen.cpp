@@ -7,6 +7,8 @@
 #include <functional>
 #include <map>
 #include <regex>
+#include <sstream>
+#include <tuple>
 
 #include "codegen/emitter.hpp"
 #include "codegen/json.hpp"
