@@ -795,32 +795,42 @@ std::string hex_bits(double v) {
   return buf;
 }
 
+/// The clean run's part of the pinned record of graph `kind` at channel
+/// capacity `cap`, every tap armed; its outputs land in `want`.
+/// `screened` records taint too, which must not change a clean run.
+std::string clean_record(const std::string& kind, std::size_t cap,
+                         bool screened, std::vector<float>& want) {
+  std::ostringstream os;
+  const PinData clean = pin_data(false);
+  Graph g(Mode::Cycle);
+  const auto [xy, mem] = build_pinned(kind, g, cap, clean, want);
+  for (const auto& ch : g.channels()) ch->arm_tap();
+  if (screened) g.scheduler().enable_taint(false);
+  g.run();
+  const Scheduler& s = g.scheduler();
+  os << "cap " << cap << ": cycles " << g.cycles() << " stall "
+     << s.stall_module_cycles() << "\n";
+  for (const auto& ch : g.channels()) {
+    os << "  ch " << ch->name() << " peak " << ch->peak_occupancy()
+       << " stalls " << ch->stall_events() << " tap "
+       << hex_bits(ch->tap_sum()) << "/" << hex_bits(ch->tap_mag()) << "\n";
+  }
+  os << "  resumes";
+  for (std::size_t m = 0; m < s.module_count(); ++m) {
+    os << " " << s.module_name(static_cast<int>(m)) << "="
+       << s.module_resumes(static_cast<int>(m));
+  }
+  os << "\n  bytes " << xy->total_bytes() << " " << mem->total_bytes()
+     << "\n";
+  return os.str();
+}
+
 /// The pinned record of graph `kind` at channel capacity `cap`.
 std::string pinned_record(const std::string& kind, std::size_t cap) {
   std::ostringstream os;
   const PinData clean = pin_data(false);
   std::vector<float> want;
-  {
-    Graph g(Mode::Cycle);
-    const auto [xy, mem] = build_pinned(kind, g, cap, clean, want);
-    for (const auto& ch : g.channels()) ch->arm_tap();
-    g.run();
-    const Scheduler& s = g.scheduler();
-    os << "cap " << cap << ": cycles " << g.cycles() << " stall "
-       << s.stall_module_cycles() << "\n";
-    for (const auto& ch : g.channels()) {
-      os << "  ch " << ch->name() << " peak " << ch->peak_occupancy()
-         << " stalls " << ch->stall_events() << " tap "
-         << hex_bits(ch->tap_sum()) << "/" << hex_bits(ch->tap_mag()) << "\n";
-    }
-    os << "  resumes";
-    for (std::size_t m = 0; m < s.module_count(); ++m) {
-      os << " " << s.module_name(static_cast<int>(m)) << "="
-         << s.module_resumes(static_cast<int>(m));
-    }
-    os << "\n  bytes " << xy->total_bytes() << " " << mem->total_bytes()
-       << "\n";
-  }
+  os << clean_record(kind, cap, false, want);
   os << "  corrupt";
   for (std::uint64_t k = 1; k <= 40; ++k) {
     Graph g(Mode::Cycle);
@@ -903,6 +913,81 @@ TEST(BatchTransfer, SchedulesPinned) {
     EXPECT_EQ(fnv1a(record), hash)
         << kind << " record:\n" << record;
   }
+}
+
+// Taint recording moves nothing: with it on, a clean run of every pinned
+// graph matches the unscreened run bit for bit.
+TEST(BatchTransfer, ScreenedRunsMatchUnscreened) {
+  for (const char* kind :
+       {"axpy", "dot", "scal", "gemv_rows", "gemv_cols", "gemv_t_rows",
+        "gemv_t_cols", "ger", "fanout2", "copy", "swap", "rot", "syr2",
+        "gemm", "gemm_b0", "syr2k", "trsv", "trsm", "trsm_batched"}) {
+    for (const std::size_t cap : {3u, 64u, 767u}) {
+      std::vector<float> plain, screened;
+      EXPECT_EQ(clean_record(kind, cap, true, screened),
+                clean_record(kind, cap, false, plain))
+          << kind << " at capacity " << cap;
+      EXPECT_EQ(screened, plain) << kind << " at capacity " << cap;
+    }
+  }
+}
+
+// The multi-output element-wise modules under taint: the Taint record of
+// a recording run (module, channel, value bits, cycle) and every
+// channel's push count when a trapping run stops. With NaN at x[6] and
+// Inf at y[3] the readers see them first. Fed without a bank, ROT takes
+// elements 4..7 in one step; its finite inputs there overflow out_y at
+// element 5 and out at element 6, and only pushes in element order
+// report out_y.
+TEST(BatchTransfer, TaintOrderPinned) {
+  PinData poisoned = pin_data(true);
+  poisoned.y[3] = std::numeric_limits<float>::infinity();
+  PinData overflow = pin_data(false);
+  overflow.x[5] = -3e38f;
+  overflow.y[5] = overflow.x[6] = overflow.y[6] = 3e38f;
+  const auto build = [&](const std::string& kind, Graph& g, std::size_t cap,
+                         std::vector<float>& out) {
+    if (kind != "rot_fed") {
+      build_pinned(kind, g, cap, poisoned, out);
+      return;
+    }
+    auto& cx = g.channel<float>("x", cap);
+    auto& cy = g.channel<float>("y", cap);
+    auto& cout = g.channel<float>("out", cap);
+    auto& coy = g.channel<float>("out_y", cap);
+    g.spawn("feed_x", feed(overflow.x, cx));
+    g.spawn("feed_y", feed(overflow.y, cy));
+    g.spawn("rot", core::rot<float>({kPinW}, kPinN, 0.6f, 0.8f, cx, cy, cout,
+                                    coy));
+    g.spawn("sink_x", sink<float>(kPinN, kPinW, cout));
+    g.spawn("sink_y", sink<float>(kPinN, kPinW, coy));
+  };
+  std::ostringstream os;
+  for (const std::string kind : {"swap", "rot", "fanout2", "rot_fed"}) {
+    for (const std::size_t cap : {3u, 64u, 767u}) {
+      std::vector<float> out;
+      {
+        Graph g(Mode::Cycle);
+        build(kind, g, cap, out);
+        g.scheduler().enable_taint(false);
+        g.run();
+        const Taint& t = g.scheduler().taint();
+        os << kind << " cap " << cap << ": taint " << t.tainted << " "
+           << t.module << " " << t.channel << " " << hex_bits(t.value) << " "
+           << t.cycle << "\n  trap pushed";
+      }
+      Graph g(Mode::Cycle);
+      build(kind, g, cap, out);
+      g.scheduler().enable_taint(true);
+      EXPECT_THROW(g.run(), TaintError);
+      for (const auto& ch : g.channels()) {
+        os << " " << ch->name() << "=" << ch->total_pushed();
+      }
+      os << "\n";
+    }
+  }
+  EXPECT_EQ(fnv1a(os.str()), 12914976203323169953ULL)
+      << "record:\n" << os.str();
 }
 
 // ---- TileWalker -----------------------------------------------------------
