@@ -98,16 +98,16 @@ AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
 }
 
 template <typename T>
-host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x,
-                                host::Buffer<T>& y) {
+host::Composition<T> atax_composition(const host::RoutineConfig& rc,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& x,
+                                      host::Buffer<T>& y) {
   // A pure description. The compiler detects the two vertex-disjoint
   // A-paths into the transposed GEMV and sizes the direct channel to one
   // full row of tiles (the atax_min_channel_depth analysis), synthesizes
   // the A fan-out and the zero q0/y0 inputs, and derives the per-FIFO
   // checksum plan.
-  const host::RoutineConfig& rc = ctx.config();
   const auto cfg = atax_cfg<T>(Transpose::None, rc.width, rc.tile_rows);
   host::Composition<T> c("atax");
   const int ra = c.input("read_A", a);
@@ -122,7 +122,7 @@ host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
             mdag::StreamSig::vec(m, core::gemv_x_repeat(cfg, n, m)));
   c.connect(g1, g2, mdag::StreamSig::vec(n));
   c.connect(g2, wy, mdag::StreamSig::vec(m));
-  return ctx.run_composition_async(c);
+  return c;
 }
 
 template <typename T>
@@ -162,9 +162,9 @@ mdag::Mdag atax_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
   template AtaxResult<T> atax_host_layer<T>(host::Context&,                  \
                                             MatrixView<const T>,             \
                                             VectorView<const T>);            \
-  template host::Event atax_composed_async<T>(                               \
-      host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
-      const host::Buffer<T>&, host::Buffer<T>&);                             \
+  template host::Composition<T> atax_composition<T>(                         \
+      const host::RoutineConfig&, std::int64_t, std::int64_t,                \
+      const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&);     \
   template std::vector<T> atax_cpu<T>(MatrixView<const T>,                   \
                                       VectorView<const T>);
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
 #include "sim/device.hpp"
@@ -46,6 +47,14 @@ template <typename T>
 AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
                               VectorView<const T> x);
 
+/// The description atax_composed_async runs, with the knobs of `rc`.
+template <typename T>
+host::Composition<T> atax_composition(const host::RoutineConfig& rc,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& x,
+                                      host::Buffer<T>& y);
+
 /// Fully-streaming composition as ONE host command: the whole two-GEMV
 /// graph runs inside a single Command, so the intermediate q never
 /// round-trips DRAM, yet the command still gets the executor's full
@@ -57,7 +66,10 @@ AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
 template <typename T>
 host::Event atax_composed_async(host::Context& ctx, std::int64_t n,
                                 std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& x, host::Buffer<T>& y);
+                                const host::Buffer<T>& x, host::Buffer<T>& y) {
+  return ctx.run_composition_async(
+      atax_composition(ctx.config(), n, m, a, x, y));
+}
 template <typename T>
 void atax_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& x,

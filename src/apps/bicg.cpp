@@ -40,16 +40,16 @@ BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
 }
 
 template <typename T>
-host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
-                                std::int64_t m, const host::Buffer<T>& a,
-                                const host::Buffer<T>& p,
-                                const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s) {
+host::Composition<T> bicg_composition(const host::RoutineConfig& rc,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& p,
+                                      const host::Buffer<T>& r,
+                                      host::Buffer<T>& q, host::Buffer<T>& s) {
   // A pure description. The two GEMVs consume A in the identical tiling
   // schedule, so the compiler reads A once and synthesizes the on-chip
   // fan-out (Fig. 7), plus the zero q0/s0 streams and the per-FIFO
   // checksum taps.
-  const host::RoutineConfig& rc = ctx.config();
   const core::GemvConfig cfg_n{Transpose::None,
                                core::MatrixTiling::TilesByRows, rc.width,
                                rc.tile_rows, rc.tile_rows};
@@ -73,7 +73,7 @@ host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
             mdag::StreamSig::vec(n, core::gemv_x_repeat(cfg_t, n, m)));
   c.connect(g1, wq, mdag::StreamSig::vec(n));
   c.connect(g2, ws, mdag::StreamSig::vec(m));
-  return ctx.run_composition_async(c);
+  return c;
 }
 
 template <typename T>
@@ -115,10 +115,10 @@ mdag::Mdag bicg_mdag(std::int64_t n, std::int64_t m, std::int64_t tile) {
   template BicgResult<T> bicg_host_layer<T>(                                 \
       host::Context&, MatrixView<const T>, VectorView<const T>,              \
       VectorView<const T>);                                                  \
-  template host::Event bicg_composed_async<T>(                               \
-      host::Context&, std::int64_t, std::int64_t, const host::Buffer<T>&,    \
-      const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,      \
-      host::Buffer<T>&);                                                     \
+  template host::Composition<T> bicg_composition<T>(                         \
+      const host::RoutineConfig&, std::int64_t, std::int64_t,                \
+      const host::Buffer<T>&, const host::Buffer<T>&,                        \
+      const host::Buffer<T>&, host::Buffer<T>&, host::Buffer<T>&);           \
   template BicgResult<T> bicg_cpu<T>(MatrixView<const T>,                    \
                                      VectorView<const T>,                    \
                                      VectorView<const T>);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
 
@@ -26,6 +27,15 @@ template <typename T>
 BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
                               VectorView<const T> p, VectorView<const T> r);
 
+/// The description bicg_composed_async runs, with the knobs of `rc`.
+template <typename T>
+host::Composition<T> bicg_composition(const host::RoutineConfig& rc,
+                                      std::int64_t n, std::int64_t m,
+                                      const host::Buffer<T>& a,
+                                      const host::Buffer<T>& p,
+                                      const host::Buffer<T>& r,
+                                      host::Buffer<T>& q, host::Buffer<T>& s);
+
 /// Streaming composition as ONE host command: A is read once and
 /// broadcast on chip, q and s land straight in their device buffers, and
 /// the command carries the executor's fault-tolerance ladder plus — when
@@ -38,7 +48,10 @@ host::Event bicg_composed_async(host::Context& ctx, std::int64_t n,
                                 std::int64_t m, const host::Buffer<T>& a,
                                 const host::Buffer<T>& p,
                                 const host::Buffer<T>& r, host::Buffer<T>& q,
-                                host::Buffer<T>& s);
+                                host::Buffer<T>& s) {
+  return ctx.run_composition_async(
+      bicg_composition(ctx.config(), n, m, a, p, r, q, s));
+}
 template <typename T>
 void bicg_composed(host::Context& ctx, std::int64_t n, std::int64_t m,
                    const host::Buffer<T>& a, const host::Buffer<T>& p,

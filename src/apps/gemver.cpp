@@ -63,8 +63,8 @@ GemverResult<T> gemver_host_layer(host::Context& ctx, T alpha, T beta,
 }
 
 template <typename T>
-host::Event gemver_composed_async(
-    host::Context& ctx, std::int64_t n, T alpha, T beta,
+host::Composition<T> gemver_composition(
+    const host::RoutineConfig& rc, std::int64_t n, T alpha, T beta,
     const host::Buffer<T>& a, const host::Buffer<T>& u1,
     const host::Buffer<T>& v1, const host::Buffer<T>& u2,
     const host::Buffer<T>& v2, const host::Buffer<T>& y,
@@ -76,7 +76,6 @@ host::Event gemver_composed_async(
   // B and x output buffers as the round-trip carriers — instead of
   // buffering a row of B tiles on chip, reproducing the paper's
   // two-component schedule (~3N^2 I/O, ~2N^2 completion).
-  const host::RoutineConfig& rc = ctx.config();
   const core::GerConfig gcfg{core::MatrixTiling::TilesByRows, rc.width,
                              rc.tile_rows, rc.tile_rows};
   const core::GemvConfig tcfg{Transpose::Trans,
@@ -127,7 +126,7 @@ host::Event gemver_composed_async(
             mdag::StreamSig::vec(n, core::gemv_x_repeat(ncfg, n, n)));
   c.connect(gt, wx, mdag::StreamSig::vec(n));
   c.connect(gw, ww, mdag::StreamSig::vec(n));
-  return ctx.run_composition_async(c);
+  return c;
 }
 
 template <typename T>
@@ -191,12 +190,13 @@ mdag::Mdag gemver_mdag(std::int64_t n, std::int64_t tile) {
       host::Context&, T, T, MatrixView<const T>, VectorView<const T>,        \
       VectorView<const T>, VectorView<const T>, VectorView<const T>,         \
       VectorView<const T>, VectorView<const T>);                             \
-  template host::Event gemver_composed_async<T>(                             \
-      host::Context&, std::int64_t, T, T, const host::Buffer<T>&,            \
+  template host::Composition<T> gemver_composition<T>(                       \
+      const host::RoutineConfig&, std::int64_t, T, T,                        \
       const host::Buffer<T>&, const host::Buffer<T>&,                        \
       const host::Buffer<T>&, const host::Buffer<T>&,                        \
-      const host::Buffer<T>&, const host::Buffer<T>&, host::Buffer<T>&,     \
-      host::Buffer<T>&, host::Buffer<T>&);                                   \
+      const host::Buffer<T>&, const host::Buffer<T>&,                        \
+      const host::Buffer<T>&, host::Buffer<T>&, host::Buffer<T>&,            \
+      host::Buffer<T>&);                                                     \
   template GemverResult<T> gemver_cpu<T>(                                    \
       T, T, MatrixView<const T>, VectorView<const T>, VectorView<const T>,   \
       VectorView<const T>, VectorView<const T>, VectorView<const T>,         \

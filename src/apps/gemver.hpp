@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/view.hpp"
+#include "host/composition.hpp"
 #include "host/context.hpp"
 #include "mdag/graph.hpp"
 
@@ -35,6 +36,16 @@ GemverResult<T> gemver_host_layer(host::Context& ctx, T alpha, T beta,
                                   VectorView<const T> y,
                                   VectorView<const T> z);
 
+/// The description gemver_composed_async runs, with the knobs of `rc`.
+template <typename T>
+host::Composition<T> gemver_composition(
+    const host::RoutineConfig& rc, std::int64_t n, T alpha, T beta,
+    const host::Buffer<T>& a, const host::Buffer<T>& u1,
+    const host::Buffer<T>& v1, const host::Buffer<T>& u2,
+    const host::Buffer<T>& v2, const host::Buffer<T>& y,
+    const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
+    host::Buffer<T>& w);
+
 /// Fault-tolerant composed command through the generic MDAG compiler
 /// (rollback / retry / CPU-fallback ladder, per-FIFO checksum taps).
 /// The compiler derives the Fig. 9 two-component schedule itself:
@@ -48,7 +59,10 @@ host::Event gemver_composed_async(
     const host::Buffer<T>& v1, const host::Buffer<T>& u2,
     const host::Buffer<T>& v2, const host::Buffer<T>& y,
     const host::Buffer<T>& z, host::Buffer<T>& b, host::Buffer<T>& x,
-    host::Buffer<T>& w);
+    host::Buffer<T>& w) {
+  return ctx.run_composition_async(gemver_composition(
+      ctx.config(), n, alpha, beta, a, u1, v1, u2, v2, y, z, b, x, w));
+}
 template <typename T>
 void gemver_composed(host::Context& ctx, std::int64_t n, T alpha, T beta,
                      const host::Buffer<T>& a, const host::Buffer<T>& u1,

@@ -468,10 +468,11 @@ void run_fallback(ComposedState<T>& st) {
 }
 
 /// The checksum predictions: the replay in double, summed per edge; a
-/// channel carrying `passes` copies of an edge sees that many sums. Arms
-/// one tap per plan channel and returns the writer audits.
+/// channel carrying `passes` copies of an edge sees that many sums. One
+/// per plan channel, in plan order, and the writer audits.
 template <typename T>
-Audits prepare_predictions(ComposedState<T>& st) {
+std::pair<std::vector<verify::ScalarCheck>, Audits> predict(
+    const ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const Replay<double> r = replay<double>(st);
 
@@ -498,12 +499,21 @@ Audits prepare_predictions(ComposedState<T>& st) {
     }
   }
 
-  st.taps.assign(st.cp.channels.size(), Tap{});
-  for (std::size_t i = 0; i < st.taps.size(); ++i) {
-    const mdag::PlanChannel& pc = st.cp.channels[i];
-    st.taps[i].pred = pc.edge < 0 ? verify::scalar_check(0.0, 0.0, pc.passes)
-                                  : scaled(pc.edge, pc.passes);
+  std::vector<verify::ScalarCheck> preds;
+  for (const mdag::PlanChannel& pc : st.cp.channels) {
+    preds.push_back(pc.edge < 0 ? verify::scalar_check(0.0, 0.0, pc.passes)
+                                : scaled(pc.edge, pc.passes));
   }
+  return {std::move(preds), std::move(audits)};
+}
+
+/// Arms one tap per plan channel with its prediction and returns the
+/// writer audits.
+template <typename T>
+Audits prepare_predictions(ComposedState<T>& st) {
+  auto [preds, audits] = predict(st);
+  st.taps.assign(preds.size(), Tap{});
+  for (std::size_t i = 0; i < preds.size(); ++i) st.taps[i].pred = preds[i];
   return audits;
 }
 
@@ -549,6 +559,21 @@ void check_results(const ComposedState<T>& st, const Audits& audits,
   }
 }
 
+/// The plan `comp` runs under with the knobs of `rc`.
+template <typename T>
+mdag::Compiled compile_plan(const Composition<T>& comp,
+                            const RoutineConfig& rc) {
+  // Validate the knobs before the compiler sizes FIFOs with them; a bad
+  // one raises the ConfigError Context::enqueue would, naming the knob.
+  rc.validate();
+  mdag::CompileOptions co;
+  co.width = rc.width;
+  co.max_channel_depth = comp.max_channel_depth();
+  co.prefer_sizing = !comp.split_preferred();
+  co.allow_split = !comp.streaming_required();
+  return mdag::compile(comp.graph(), comp.semantics(), co);
+}
+
 }  // namespace
 
 
@@ -556,21 +581,11 @@ void check_results(const ComposedState<T>& st, const Audits& audits,
 
 template <typename T>
 Event Context::run_composition_async(const Composition<T>& comp) {
-  // Validate the knobs before the compiler sizes FIFOs with them; a bad
-  // one raises the ConfigError Context::enqueue would, naming the knob.
-  const RoutineConfig& rc = config();
-  rc.validate();
-  mdag::CompileOptions co;
-  co.width = rc.width;
-  co.max_channel_depth = comp.max_channel_depth();
-  co.prefer_sizing = !comp.split_preferred();
-  co.allow_split = !comp.streaming_required();
-
   auto st = std::make_shared<ComposedState<T>>(comp);
   // Rejection happens HERE, at enqueue: an unexecutable description
   // throws ConfigError naming the node and port, or with the validity
   // diagnostic, before any command is queued.
-  st->cp = mdag::compile(comp.graph(), comp.semantics(), co);
+  st->cp = compile_plan(comp, config());
 
   Command command;
   command.label = "composition";
@@ -611,8 +626,22 @@ Event Context::run_composition_async(const Composition<T>& comp) {
   });
 }
 
+template <typename T>
+std::vector<verify::ScalarCheck> Context::composition_checksums(
+    const Composition<T>& comp) const {
+  ComposedState<T> st(comp);
+  st.cp = compile_plan(comp, config());
+  auto [checks, audits] = predict(st);
+  for (const auto& audit : audits) checks.push_back(audit.second);
+  return checks;
+}
+
 template Event Context::run_composition_async<float>(const Composition<float>&);
 template Event Context::run_composition_async<double>(
     const Composition<double>&);
+template std::vector<verify::ScalarCheck>
+Context::composition_checksums<float>(const Composition<float>&) const;
+template std::vector<verify::ScalarCheck>
+Context::composition_checksums<double>(const Composition<double>&) const;
 
 }  // namespace fblas::host

@@ -58,6 +58,7 @@
 #include "stream/graph.hpp"
 #include "systolic/systolic_array.hpp"
 #include "trace/trace.hpp"
+#include "verify/abft.hpp"
 #include "verify/options.hpp"
 #include "verify/policy.hpp"
 
@@ -556,6 +557,12 @@ class Context {
   void run_composition(const Composition<T>& comp) {
     run_composition_async(comp).wait();
   }
+  /// The checksums a verified run of `comp` is compared against, from
+  /// its bound buffers' current contents: one per compiled channel in
+  /// plan order, then one per buffer writer in node order.
+  template <typename T>
+  std::vector<verify::ScalarCheck> composition_checksums(
+      const Composition<T>& comp) const;
 
   // --- Specialized matrix routines ---------------------------------------
   // Implemented in terms of the generic routines, as the paper prescribes

@@ -1183,5 +1183,66 @@ TEST(ComposeCompiler, PlansPinned) {
   }
 }
 
+/// One hash per app over the checksums a verified run compares against:
+/// the prediction and magnitude bits, the terms and the skip flag of
+/// every plan channel and writer audit.
+template <typename T>
+std::vector<std::pair<std::string, std::uint64_t>> prediction_hashes() {
+  const std::int64_t n = 24, m = 20;
+  host::Device dev;
+  host::Context ctx(dev, stream::Mode::Cycle);
+  host::RoutineConfig rc;
+  rc.width = 4;
+  rc.tile_rows = rc.tile_cols = 8;
+  Workload wl(71);
+  const auto buf = [&](std::vector<T> h, int bank) {
+    host::Buffer<T> b(dev, static_cast<std::int64_t>(h.size()), bank);
+    b.write(h);
+    return b;
+  };
+  const auto vec = [&](std::int64_t k, int bank) {
+    return buf(wl.template vector<T>(k), bank);
+  };
+  const auto a = buf(wl.template matrix<T>(n, m), 0);
+  const auto sq = buf(wl.template matrix<T>(n, n), 0);
+  const auto xm = vec(m, 1), xn = vec(n, 2);
+  std::vector<host::Buffer<T>> v;
+  for (int i = 0; i < 6; ++i) v.push_back(vec(n, 1 + i % 3));
+  auto ym = vec(m, 3), yn = vec(n, 3), b = vec(n * n, 1), w = vec(n, 2);
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  const auto add = [&](const char* name, const host::Composition<T>& c) {
+    Fnv f;
+    for (const verify::ScalarCheck& chk : ctx.composition_checksums(c)) {
+      f.bits(std::vector<double>{chk.pred, chk.mag});
+      f.mix(static_cast<std::uint64_t>(chk.terms));
+      f.mix(chk.skip);
+    }
+    out.emplace_back(name, f.h);
+  };
+  add("atax", apps::atax_composition<T>(rc, n, m, a, xm, ym));
+  add("bicg", apps::bicg_composition<T>(rc, n, m, a, xm, xn, yn, ym));
+  add("gemver",
+      apps::gemver_composition<T>(rc, n, T(0.6), T(-0.8), sq, v[0], v[1],
+                                  v[2], v[3], v[4], v[5], b, yn, w));
+  return out;
+}
+
+TEST(ComposeCompiler, ChecksumPredictionsPinned) {
+  // Recorded before the host replay shared reader passes across
+  // out-edges: the predictions must not move by a bit.
+  const std::vector<std::pair<std::string, std::uint64_t>> want_f = {
+      {"atax", 7712107085366579424ULL},
+      {"bicg", 5037474175529596421ULL},
+      {"gemver", 12098871000512558519ULL},
+  };
+  const std::vector<std::pair<std::string, std::uint64_t>> want_d = {
+      {"atax", 9559283593894529619ULL},
+      {"bicg", 11140159975366436680ULL},
+      {"gemver", 10492947679554741637ULL},
+  };
+  EXPECT_EQ(prediction_hashes<float>(), want_f) << "float";
+  EXPECT_EQ(prediction_hashes<double>(), want_d) << "double";
+}
+
 }  // namespace
 }  // namespace fblas
