@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -36,6 +37,8 @@ class ChannelBase {
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return count_; }
+  /// The scheduler running the modules on either end.
+  const Scheduler& scheduler() const { return *sched_; }
   /// Free slots: how many values a push can move right now.
   std::size_t space() const { return capacity_ - count_; }
   bool empty() const { return count_ == 0; }
@@ -76,13 +79,6 @@ class ChannelBase {
   double tap_sum() const { return tap_sum_; }
   double tap_mag() const { return tap_mag_; }
   std::uint64_t tap_count() const { return tap_count_; }
-
-  /// True while the scheduler screens every floating-point push one value
-  /// at a time (taint tracking or an armed corruption): the global push
-  /// order across channels is then observable.
-  bool screened() const {
-    return sched_->taint_enabled() || sched_->corrupt_armed();
-  }
 
  protected:
   /// `k` >= 1 values entered: totals, peak, and the waiting consumer.
@@ -135,6 +131,28 @@ class ChannelBase {
   friend struct PushAwaiter;
 };
 
+/// Unsigned integer of T's width, for bit-level tests and corruption.
+template <typename T>
+using BitsOf =
+    std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+
+/// True when none of src[0..k) is NaN or ±Inf (always for non-floating
+/// T). Tests every value, without a branch per value.
+template <typename T>
+bool all_finite(const T* src, std::size_t k) {
+  if constexpr (std::is_floating_point_v<T>) {
+    constexpr auto exp =
+        std::bit_cast<BitsOf<T>>(std::numeric_limits<T>::infinity());
+    bool finite = true;
+    for (std::size_t i = 0; i < k; ++i) {
+      finite &= (std::bit_cast<BitsOf<T>>(src[i]) & exp) != exp;
+    }
+    return finite;
+  } else {
+    return true;
+  }
+}
+
 template <typename T>
 struct PopAwaiter;
 template <typename T>
@@ -166,13 +184,21 @@ class Channel : public ChannelBase {
   PushSome<T> push_some(const T* src, std::size_t k) { return {*this, src, k}; }
 
   /// Moves min(k, space()) values from `src` into the channel and returns
-  /// how many moved. Never suspends.
+  /// how many moved. Never suspends. Floating-point batches move whole,
+  /// tapped in push order, unless a value must be handled on its own: an
+  /// armed corruption counts every push, and under taint or a tap a batch
+  /// holding NaN/Inf takes the per-value path, which reports the first
+  /// one at its element.
   std::size_t put_some(const T* src, std::size_t k) {
     k = std::min(k, space());
     if (k == 0) return 0;
     const std::size_t tail = head_ + count_;
     if constexpr (std::is_floating_point_v<T>) {
-      if (tap_armed_ || screened()) return put_instrumented(src, k, tail);
+      if (sched_->corrupt_armed() ||
+          ((tap_armed_ || sched_->taint_enabled()) && !all_finite(src, k))) {
+        return put_instrumented(src, k, tail);
+      }
+      if (tap_armed_) tap_batch(src, k);
     }
     const std::size_t at = tail & mask_;
     const std::size_t first = std::min(k, buf_.size() - at);
@@ -198,9 +224,19 @@ class Channel : public ChannelBase {
   }
 
  private:
-  // Unsigned integer of T's width, for bit-level corruption injection.
-  using BitsOf =
-      std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  /// The checksum tap over a batch of finite values: the same sums, bit
+  /// for bit, as put_instrumented's, with a branch-free magnitude.
+  void tap_batch(const T* src, std::size_t k) {
+    double sum = tap_sum_, mag = tap_mag_;
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto v = static_cast<double>(src[i]);
+      sum += v;
+      mag += std::fabs(v);
+    }
+    tap_sum_ = sum;
+    tap_mag_ = mag;
+    tap_count_ += k;
+  }
 
   /// put_some with the per-value instrumentation, in push order: injected
   /// corruption, then taint screening, then the checksum tap.
@@ -224,8 +260,8 @@ class Channel : public ChannelBase {
       // intermediate stream that no write-set snapshot ever sees.
       if (corrupt && sched_->corrupt_hits(*this)) {
         corrupt = false;
-        auto bits = std::bit_cast<BitsOf>(value);
-        bits ^= BitsOf{0x5a} << (8 * (sizeof(T) - 1));
+        auto bits = std::bit_cast<BitsOf<T>>(value);
+        bits ^= BitsOf<T>{0x5a} << (8 * (sizeof(T) - 1));
         value = std::bit_cast<T>(bits);
       }
       // Taint screening at the module boundary: every floating-point value
@@ -313,13 +349,15 @@ struct PushAwaiter {
 /// up to `want`, it moves through all of them at once. That is as many as
 /// every port can take without suspending, so the run interleaves, wakes
 /// and peaks exactly as element-by-element transfers would. When that is
-/// none, or when a screened run must keep several outputs' pushes in
-/// element order, the answer is 1: one element step, whose awaits
-/// suspend where a per-element loop would.
+/// none, or while an armed corruption counts the pushes of several
+/// outputs in element order, the answer is 1: one element step, whose
+/// awaits suspend where a per-element loop would. Taint alone keeps the
+/// batch; a module whose batch holds a non-finite output pushes it one
+/// element at a time into the space reserved here (see elementwise).
 inline std::size_t lockstep(std::size_t want,
                             std::span<const ChannelBase* const> in,
                             std::span<const ChannelBase* const> out) {
-  if (out.size() > 1 && out.front()->screened()) return 1;
+  if (out.size() > 1 && out.front()->scheduler().corrupt_armed()) return 1;
   for (const ChannelBase* c : in) want = std::min(want, c->size());
   for (const ChannelBase* c : out) want = std::min(want, c->space());
   return std::max<std::size_t>(want, 1);

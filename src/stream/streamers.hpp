@@ -121,15 +121,28 @@ void map_lanes(F& f, std::array<T*, N> p, std::size_t m) {
   }
 }
 
+/// True when lanes 0..m-1 of all O buffers `p` are finite.
+template <std::size_t O, typename T, std::size_t N>
+bool finite_lanes(const std::array<T*, N>& p, std::size_t m) {
+  for (std::size_t c = 0; c < O; ++c) {
+    if (!all_finite(p[c], m)) return false;
+  }
+  return true;
+}
+
 /// The one element-wise module body: moves `n` elements through `f`, up
 /// to `width` per cycle, from the channels of `in` to those of `out` in
 /// lockstep (see lockstep). Each step pops every input, then pushes every
 /// output; `f` maps one element's I input values to its O output values.
+/// Under taint, a step whose outputs hold NaN/Inf pushes them element by
+/// element across the outputs, so the first one is reported where an
+/// element-by-element module would report it.
 template <typename T, std::size_t I, std::size_t O, typename F>
 Task elementwise(std::int64_t n, int width, F f,
                  std::array<Channel<T>*, I> in,
                  std::array<Channel<T>*, O> out) {
   FBLAS_REQUIRE(width >= 1, "vectorization width must be >= 1");
+  const bool taint = O > 1 && out[0]->scheduler().taint_enabled();
   std::array<const ChannelBase*, I> in_ports;
   std::array<const ChannelBase*, O> out_ports;
   std::copy(in.begin(), in.end(), in_ports.begin());
@@ -148,7 +161,14 @@ Task elementwise(std::int64_t n, int width, F f,
                                      in_ports, out_ports);
       for (std::size_t c = 0; c < I; ++c) co_await in[c]->pop_some(p[c], m);
       map_lanes<I, O>(f, p, m);
-      for (std::size_t c = 0; c < O; ++c) co_await out[c]->push_some(p[c], m);
+      // Lockstep reserved space for the batch, so stepping one element
+      // at a time suspends nowhere.
+      const std::size_t step = taint && !finite_lanes<O>(p, m) ? 1 : m;
+      for (std::size_t k = 0; k < m; k += step) {
+        for (std::size_t c = 0; c < O; ++c) {
+          co_await out[c]->push_some(p[c] + k, step);
+        }
+      }
       i += static_cast<std::int64_t>(m);
     }
     it += batch;
