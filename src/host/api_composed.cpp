@@ -283,11 +283,26 @@ void run_component(Context& ctx, ComposedState<T>& st, int c) {
 /// Every edge's per-pass values after a topological replay of the MDAG
 /// over refblas in precision U, with the accumulation length behind each
 /// edge (what a checksum bound over that edge grows with). Matrices are
-/// in row-major storage order.
+/// in row-major storage order. Edges carrying the same pass (a node's
+/// out-edges, a reader's out-edges of one length) share one entry of
+/// `vals` and `terms`: edge e's is `pass[e]`.
 template <typename U>
 struct Replay {
   std::vector<std::vector<U>> vals;
   std::vector<std::int64_t> terms;
+  std::vector<std::size_t> pass;
+
+  const std::vector<U>& of(int e) const {
+    return vals[pass[static_cast<std::size_t>(e)]];
+  }
+  std::int64_t terms_of(int e) const {
+    return terms[pass[static_cast<std::size_t>(e)]];
+  }
+  std::size_t add(std::vector<U> v, std::int64_t t) {
+    vals.push_back(std::move(v));
+    terms.push_back(t);
+    return vals.size() - 1;
+  }
 };
 
 /// `a` in precision U: the view itself when U is T, otherwise a widened
@@ -343,8 +358,7 @@ Replay<U> replay(const ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const auto& sem = st.comp.semantics();
   Replay<U> r;
-  r.vals.resize(g.edges().size());
-  r.terms.resize(g.edges().size());
+  r.pass.resize(g.edges().size());
 
   for (int u : g.topo_order()) {
     const mdag::Node& node = g.node(u);
@@ -353,20 +367,29 @@ Replay<U> replay(const ComposedState<T>& st) {
     const auto& ins = nd.ins;
     if (node.type == mdag::NodeType::Interface) {
       if (s.is_output) continue;  // writers only consume
-      for (int e : nd.outs) {
-        auto& v = r.vals[static_cast<std::size_t>(e)];
-        v = read_pass<U>(st, u, e);
-        r.terms[static_cast<std::size_t>(e)] =
-            static_cast<std::int64_t>(v.size());
+      for (auto e = nd.outs.begin(); e != nd.outs.end(); ++e) {
+        // Out-edges of one length carry the same pass.
+        const std::int64_t n = g.edge(*e).produced.per_pass();
+        const auto same = std::find_if(nd.outs.begin(), e, [&](int f) {
+          return g.edge(f).produced.per_pass() == n;
+        });
+        if (same != e) {
+          r.pass[static_cast<std::size_t>(*e)] =
+              r.pass[static_cast<std::size_t>(*same)];
+          continue;
+        }
+        std::vector<U> v = read_pass<U>(st, u, *e);
+        const auto terms = static_cast<std::int64_t>(v.size());
+        r.pass[static_cast<std::size_t>(*e)] = r.add(std::move(v), terms);
       }
       continue;
     }
 
     const auto in = [&](std::size_t port) -> const std::vector<U>& {
-      return r.vals[static_cast<std::size_t>(ins[port])];
+      return r.of(ins[port]);
     };
     const auto in_terms = [&](std::size_t port) {
-      return r.terms[static_cast<std::size_t>(ins[port])];
+      return r.terms_of(ins[port]);
     };
     const auto vec = [](const std::vector<U>& v) {
       return VectorView<const U>(v.data(), static_cast<std::int64_t>(v.size()));
@@ -434,11 +457,8 @@ Replay<U> replay(const ComposedState<T>& st) {
         throw ConfigError("composition: no host replay for node '" +
                           node.name + "'");
     }
-    for (std::size_t i = 0; i < nd.outs.size(); ++i) {
-      const auto e = static_cast<std::size_t>(nd.outs[i]);
-      r.terms[e] = terms;
-      r.vals[e] = i + 1 == nd.outs.size() ? std::move(out) : out;
-    }
+    const std::size_t id = r.add(std::move(out), terms);
+    for (int e : nd.outs) r.pass[static_cast<std::size_t>(e)] = id;
   }
   return r;
 }
@@ -457,7 +477,7 @@ void run_fallback(ComposedState<T>& st) {
   for (int u = 0; u < g.node_count(); ++u) {
     const auto& b = st.comp.binding(u);
     if (b.out == nullptr && b.scalar == nullptr) continue;
-    const auto& v = r.vals[static_cast<std::size_t>(writer_edge(st, u))];
+    const auto& v = r.of(writer_edge(st, u));
     if (b.scalar != nullptr) {
       *b.scalar = v.at(0);
     } else {
@@ -467,27 +487,26 @@ void run_fallback(ComposedState<T>& st) {
   }
 }
 
-/// The checksum predictions: the replay in double, summed per edge; a
-/// channel carrying `passes` copies of an edge sees that many sums. One
-/// per plan channel, in plan order, and the writer audits.
+/// The checksum predictions: the replay in double, summed once per
+/// distinct pass; a channel carrying `passes` copies of an edge sees that
+/// many sums. One per plan channel, in plan order, and the writer audits.
 template <typename T>
 std::pair<std::vector<verify::ScalarCheck>, Audits> predict(
     const ComposedState<T>& st) {
   const mdag::Mdag& g = st.comp.graph();
   const Replay<double> r = replay<double>(st);
 
-  std::vector<std::pair<double, double>> sums(g.edges().size());
-  for (std::size_t e = 0; e < sums.size(); ++e) {
-    for (double v : r.vals[e]) {
-      sums[e].first += v;
-      sums[e].second += std::abs(v);
+  std::vector<std::pair<double, double>> sums(r.vals.size());
+  for (std::size_t p = 0; p < sums.size(); ++p) {
+    for (double v : r.vals[p]) {
+      sums[p].first += v;
+      sums[p].second += std::abs(v);
     }
   }
   const auto scaled = [&](int e, std::int64_t passes) {
-    const auto [sum, mag] = sums[static_cast<std::size_t>(e)];
+    const auto [sum, mag] = sums[r.pass[static_cast<std::size_t>(e)]];
     const auto k = static_cast<double>(passes);
-    return verify::scalar_check(sum * k, mag * k,
-                                r.terms[static_cast<std::size_t>(e)] * passes);
+    return verify::scalar_check(sum * k, mag * k, r.terms_of(e) * passes);
   };
 
   // A writer's buffer holds one pass of its in-edge, however often the
