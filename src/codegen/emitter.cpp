@@ -9,6 +9,12 @@ const char* ctype(Precision p) {
   return p == Precision::Single ? "float" : "double";
 }
 
+/// The element type of `stream`: IAMAX's result is an index.
+const char* ctype(const RoutineSpec& s, const std::string& stream) {
+  return s.kind == RoutineKind::Iamax && stream == "res" ? "int"
+                                                         : ctype(s.precision);
+}
+
 std::string chan(const RoutineSpec& s, const std::string& stream) {
   return s.user_name + "_ch_" + stream;
 }
@@ -17,7 +23,7 @@ std::string chan(const RoutineSpec& s, const std::string& stream) {
 /// returns its name.
 std::string emit_helper(std::ostringstream& os, const RoutineSpec& s,
                         const std::string& stream, bool input) {
-  const char* t = ctype(s.precision);
+  const char* t = ctype(s, stream);
   const std::string kernel =
       s.user_name + (input ? "_read_" : "_write_") + stream;
   if (input) {
@@ -78,6 +84,28 @@ void emit_map_module(std::ostringstream& os, const RoutineSpec& s,
        << exprs[o] << ");\n";
   }
   os << "    }\n  }\n}\n\n";
+}
+
+void emit_iamax_module(std::ostringstream& os, const RoutineSpec& s) {
+  // The index of the first largest |x| (-1 for no elements), carried
+  // across the W-wide batches.
+  const char* t = ctype(s.precision);
+  os << "__kernel void " << s.user_name << "(int N) {\n"
+     << "  " << t << " best = 0;\n"
+     << "  int res = -1;\n"
+     << "  for (int it = 0; it < N / " << s.width << "; it++) {\n"
+     << "    #pragma unroll\n"
+     << "    for (int i = 0; i < " << s.width << "; i++) {\n"
+     << "      " << t << " a = fabs(read_channel_intel(" << chan(s, "x")
+     << "));\n"
+     << "      if (res < 0 || a > best) {\n"
+     << "        best = a;\n"
+     << "        res = it * " << s.width << " + i;\n"
+     << "      }\n"
+     << "    }\n"
+     << "  }\n"
+     << "  write_channel_intel(" << chan(s, "res") << ", res);\n"
+     << "}\n\n";
 }
 
 void emit_reduce_module(std::ostringstream& os, const RoutineSpec& s) {
@@ -261,11 +289,13 @@ core::GemmConfig GeneratedDesign::gemm_config() const {
                           spec.tile_cols};
 }
 
-GeneratedDesign emit(const RoutineSpec& spec, const sim::DeviceSpec& dev,
+GeneratedDesign emit(const RoutineSpec& in, const sim::DeviceSpec& dev,
                      bool check_feasibility) {
-  const RoutineInfo& info = routine_info(spec.kind);
+  const RoutineInfo& info = routine_info(in.kind);
   GeneratedDesign out;
-  out.spec = spec;
+  out.spec = in;
+  out.spec.user_name = in.kernel_name();
+  const RoutineSpec& spec = out.spec;
   if (spec.fully_unrolled) {
     // A fully-unrolled size-s circuit is equivalent to an s x s grid
     // holding one s x s tile (s^2 parallel MAC lanes, no memory tiles).
@@ -298,7 +328,7 @@ GeneratedDesign emit(const RoutineSpec& spec, const sim::DeviceSpec& dev,
   for (const auto* names : {&io.in, &io.out}) {
     for (const std::string& name : *names) {
       out.channel_names.push_back(chan(spec, name));
-      os << "channel " << ctype(spec.precision) << " "
+      os << "channel " << ctype(spec, name) << " "
          << out.channel_names.back() << " __attribute__((depth("
          << 2 * spec.width << ")));\n";
     }
@@ -323,6 +353,8 @@ GeneratedDesign emit(const RoutineSpec& spec, const sim::DeviceSpec& dev,
     emit_ger_module(os, spec, io);
   } else if (info.level == 3) {  // GEMM, SYRK, SYR2K
     emit_systolic_module(os, spec);
+  } else if (k == RoutineKind::Iamax) {
+    emit_iamax_module(os, spec);
   } else if (info.circuit == CircuitClass::MapReduce) {
     emit_reduce_module(os, spec);
   } else {

@@ -48,7 +48,7 @@ RoutineSpec parse_routine(const Json& j) {
   }
   if (j.contains("precision")) spec.precision = parse_precision(j.at("precision"));
   if (j.contains("user_name")) spec.user_name = j.at("user_name").as_string();
-  if (spec.user_name.empty()) spec.user_name = "fblas_" + spec.blas_name();
+  spec.user_name = spec.kernel_name();
   if (j.contains("width")) {
     spec.width = parse_positive_int(j.at("width"), "width");
   }
@@ -116,6 +116,10 @@ RoutineSpec parse_routine(const Json& j) {
 }
 
 }  // namespace
+
+std::string RoutineSpec::kernel_name() const {
+  return user_name.empty() ? "fblas_" + blas_name() : user_name;
+}
 
 std::string RoutineSpec::blas_name() const {
   const RoutineInfo& info = routine_info(kind);

@@ -57,6 +57,8 @@ struct RoutineSpec {
 
   /// The BLAS-style prefixed name, e.g. "sdot" / "dgemv".
   std::string blas_name() const;
+  /// `user_name`, or "fblas_" + blas_name() when it is empty.
+  std::string kernel_name() const;
 };
 
 /// A module's input and output streams, named the way the host lowering

@@ -305,6 +305,49 @@ TEST(Emitter, EveryRoutineKindEmits) {
   }
 }
 
+TEST(Emitter, IamaxKernelWritesTheIndexOfTheLargestMagnitude) {
+  RoutineSpec s;
+  s.user_name = "ix";
+  s.kind = RoutineKind::Iamax;
+  s.width = 8;
+  const std::string src = emit(s, sim::stratix10()).source;
+  EXPECT_NE(src.find("channel int ix_ch_res"), std::string::npos) << src;
+  EXPECT_NE(src.find("int res = -1;"), std::string::npos) << src;
+  EXPECT_NE(src.find("float a = fabs(read_channel_intel(ix_ch_x));"),
+            std::string::npos)
+      << src;
+  EXPECT_NE(src.find("if (res < 0 || a > best) {"), std::string::npos) << src;
+  EXPECT_NE(src.find("res = it * 8 + i;"), std::string::npos) << src;
+  EXPECT_NE(src.find("write_channel_intel(ix_ch_res, res);"),
+            std::string::npos)
+      << src;
+  EXPECT_NE(src.find("mem[i] = read_channel_intel(ix_ch_res);"),
+            std::string::npos)
+      << src;
+  EXPECT_NE(src.find("__global int* restrict mem"), std::string::npos) << src;
+  EXPECT_EQ(src.find("acc"), std::string::npos) << src;
+}
+
+TEST(Emitter, EmptyUserNameTakesTheParsedDefault) {
+  RoutineSpec s;
+  s.kind = RoutineKind::Dot;
+  const auto design = emit(s, sim::stratix10());
+  const RoutineSpec parsed =
+      parse_spec(R"({"routines": [{"blas": "dot"}]})").routines[0];
+  EXPECT_EQ(parsed.user_name, "fblas_sdot");
+  EXPECT_EQ(design.spec.user_name, parsed.user_name);
+  EXPECT_EQ(design.kernel_names.back(), "fblas_sdot");
+  EXPECT_NE(design.source.find("__kernel void fblas_sdot(int N)"),
+            std::string::npos);
+  EXPECT_EQ(design.source.find("void ("), std::string::npos);
+  for (const std::string& ch : design.channel_names) {
+    EXPECT_EQ(ch.rfind("fblas_sdot_ch_", 0), 0u) << ch;
+  }
+  // The rule is the spec's, so a name given in code is kept.
+  s.user_name = "mine";
+  EXPECT_EQ(emit(s, sim::stratix10()).kernel_names.back(), "mine");
+}
+
 TEST(Emitter, RotAndRotmBodiesApplyTheirMatrix) {
   RoutineSpec s;
   s.user_name = "r";
