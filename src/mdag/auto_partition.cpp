@@ -9,39 +9,65 @@
 namespace fblas::mdag {
 namespace {
 
-/// Reachability over the DAG (from -> to through >= 0 edges).
-bool reachable(const Mdag& g, int from, int to) {
-  if (from == to) return true;
-  return count_paths(g, from, to) > 0;
-}
-
-/// Number of compute vertices on the shortest path from `from` to `to`
-/// (BFS; interface vertices are free).
-int compute_hops(const Mdag& g, int from, int to) {
+/// Number of compute vertices on the shortest path from `from` to every
+/// node, -1 where unreachable (BFS; interface vertices are free).
+std::vector<int> compute_hops(const Mdag& g, const PathIndex& index,
+                              int from) {
   std::vector<int> dist(g.nodes().size(), -1);
   std::vector<int> queue{from};
   dist[static_cast<std::size_t>(from)] = 0;
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const int u = queue[qi];
-    for (const Edge& e : g.edges()) {
-      if (e.from != u) continue;
-      const int cost = g.node(e.to).type == NodeType::Compute ? 1 : 0;
+    for (const int v : index.successors(u)) {
+      const int cost = g.node(v).type == NodeType::Compute ? 1 : 0;
       const int nd = dist[static_cast<std::size_t>(u)] + cost;
-      auto& dv = dist[static_cast<std::size_t>(e.to)];
+      auto& dv = dist[static_cast<std::size_t>(v)];
       if (dv == -1 || nd < dv) {
         dv = nd;
-        queue.push_back(e.to);
+        queue.push_back(v);
       }
     }
   }
-  return dist[static_cast<std::size_t>(to)];
+  return dist;
+}
+
+/// True when a member of `part` reaches `v` through two vertex-disjoint
+/// paths inside the nodes where `within` is set (`part` and `v`).
+bool reconverges_at(const Mdag& g, const PathIndex& index,
+                    const Component& part, const std::vector<bool>& within,
+                    int v) {
+  int fan_in = 0;
+  for (const int u : part.nodes) {
+    for (const int t : index.successors(u)) fan_in += t == v ? 1 : 0;
+  }
+  if (fan_in < 2) return false;
+  for (const int u : part.nodes) {
+    int fan_out = 0;
+    for (const int t : index.successors(u)) {
+      fan_out += within[static_cast<std::size_t>(t)] ? 1 : 0;
+    }
+    if (fan_out >= 2 && vertex_disjoint_paths(g, u, v, within) >= 2) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
 
 std::vector<ChannelSizing> required_channel_depths(const Mdag& g) {
+  const PathIndex index(g);
   std::vector<ChannelSizing> sizings;
+  std::vector<std::int64_t> paths;
+  std::vector<int> hops;
+  int source = -1;
   for (const DisjointPairIssue& issue : disjoint_path_issues(g)) {
+    // Issues come grouped by source: one DP and one BFS per source.
+    if (issue.from != source) {
+      source = issue.from;
+      paths = index.paths_from(source);
+      hops = compute_hops(g, index, source);
+    }
     // Among the sink's incoming edges reachable from the source, the one
     // on the path with the fewest compute vertices is the "early" stream
     // that must buffer while the other paths crunch their data.
@@ -51,10 +77,10 @@ std::vector<ChannelSizing> required_channel_depths(const Mdag& g) {
     for (int ei = 0; ei < static_cast<int>(g.edges().size()); ++ei) {
       const Edge& e = g.edge(ei);
       if (e.to != issue.to) continue;
-      if (!reachable(g, issue.from, e.from)) continue;
-      const int hops = compute_hops(g, issue.from, e.from);
-      if (hops < best_hops) {
-        best_hops = hops;
+      if (paths[static_cast<std::size_t>(e.from)] == 0) continue;
+      const int h = hops[static_cast<std::size_t>(e.from)];
+      if (h < best_hops) {
+        best_hops = h;
         best_edge = ei;
       }
       // The lag is set by the slowest sibling path's first output.
@@ -125,18 +151,26 @@ Plan derive_plan(const Mdag& g, const PlanOptions& options) {
       return plan;
     }
   }
-  // Option (b): greedy topological split into valid components.
+  // Option (b): greedy topological split into valid components. Each
+  // node follows every member of `current` in topological order, so it
+  // is a sink of current + v and only pairs ending at it can be new. The
+  // DRAM interfaces of a component's subgraph have one edge each and
+  // never form such a pair, so `current` stays valid exactly while no
+  // member reaches v through two vertex-disjoint paths among current + v.
+  const PathIndex index(g);
+  std::vector<bool> within(g.nodes().size(), false);
   std::vector<Component> parts;
   Component current;
   for (const int v : g.topo_order()) {
-    Component tentative = current;
-    tentative.nodes.push_back(v);
-    const Mdag sub = component_subgraph(g, tentative);
-    if (disjoint_path_issues(sub).empty()) {
-      current = std::move(tentative);
-    } else {
-      parts.push_back(current);
+    within[static_cast<std::size_t>(v)] = true;
+    if (reconverges_at(g, index, current, within, v)) {
+      for (const int u : current.nodes) {
+        within[static_cast<std::size_t>(u)] = false;
+      }
+      parts.push_back(std::move(current));
       current = Component{{v}};
+    } else {
+      current.nodes.push_back(v);
     }
   }
   if (!current.nodes.empty()) parts.push_back(current);

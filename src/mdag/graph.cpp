@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "mdag/validity.hpp"
 
 namespace fblas::mdag {
 
@@ -79,26 +80,7 @@ std::vector<int> Mdag::successors(int id) const {
 }
 
 std::vector<int> Mdag::topo_order() const {
-  std::vector<int> indeg(nodes_.size(), 0);
-  for (const Edge& e : edges_) ++indeg[static_cast<std::size_t>(e.to)];
-  std::vector<int> queue;
-  for (int i = 0; i < node_count(); ++i) {
-    if (indeg[static_cast<std::size_t>(i)] == 0) queue.push_back(i);
-  }
-  std::vector<int> order;
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const int u = queue[qi];
-    order.push_back(u);
-    for (const Edge& e : edges_) {
-      if (e.from == u && --indeg[static_cast<std::size_t>(e.to)] == 0) {
-        queue.push_back(e.to);
-      }
-    }
-  }
-  FBLAS_REQUIRE(order.size() == nodes_.size(),
-                "MDAG contains a cycle; streaming compositions must be "
-                "acyclic");
-  return order;
+  return PathIndex(*this).order();
 }
 
 }  // namespace fblas::mdag

@@ -29,27 +29,57 @@ std::vector<EdgeIssue> validate_edges(const Mdag& g) {
   return issues;
 }
 
-std::int64_t count_paths(const Mdag& g, int from, int to) {
-  // DP over the topological order.
-  const auto order = g.topo_order();
-  std::vector<std::int64_t> paths(g.nodes().size(), 0);
-  paths[static_cast<std::size_t>(from)] = 1;
-  for (const int u : order) {
-    if (paths[static_cast<std::size_t>(u)] == 0) continue;
-    for (const Edge& e : g.edges()) {
-      if (e.from == u) {
-        paths[static_cast<std::size_t>(e.to)] +=
-            paths[static_cast<std::size_t>(u)];
-      }
+PathIndex::PathIndex(const Mdag& g)
+    : first_(g.nodes().size() + 1, 0),
+      succ_(g.edges().size()),
+      in_degree_(g.nodes().size(), 0) {
+  // A counting sort of the edges by source keeps edge-id order per node.
+  for (const Edge& e : g.edges()) {
+    ++first_[static_cast<std::size_t>(e.from) + 1];
+    ++in_degree_[static_cast<std::size_t>(e.to)];
+  }
+  for (std::size_t u = 1; u < first_.size(); ++u) first_[u] += first_[u - 1];
+  std::vector<int> next(first_.begin(), first_.end() - 1);
+  for (const Edge& e : g.edges()) {
+    succ_[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(e.from)]++)] = e.to;
+  }
+  // Kahn's algorithm; order_ doubles as its queue.
+  std::vector<int> indeg = in_degree_;
+  for (int u = 0; u < g.node_count(); ++u) {
+    if (indeg[static_cast<std::size_t>(u)] == 0) order_.push_back(u);
+  }
+  for (std::size_t qi = 0; qi < order_.size(); ++qi) {
+    for (const int v : successors(order_[qi])) {
+      if (--indeg[static_cast<std::size_t>(v)] == 0) order_.push_back(v);
     }
   }
-  return paths[static_cast<std::size_t>(to)];
+  FBLAS_REQUIRE(order_.size() == g.nodes().size(),
+                "MDAG contains a cycle; streaming compositions must be "
+                "acyclic");
+}
+
+std::vector<std::int64_t> PathIndex::paths_from(int from) const {
+  std::vector<std::int64_t> paths(in_degree_.size(), 0);
+  paths[static_cast<std::size_t>(from)] = 1;
+  for (const int u : order_) {
+    const std::int64_t p = paths[static_cast<std::size_t>(u)];
+    if (p == 0) continue;
+    for (const int v : successors(u)) paths[static_cast<std::size_t>(v)] += p;
+  }
+  return paths;
+}
+
+std::int64_t count_paths(const Mdag& g, int from, int to) {
+  return PathIndex(g).paths_from(from)[static_cast<std::size_t>(to)];
 }
 
 bool is_multitree(const Mdag& g) {
+  const PathIndex index(g);
   for (int u = 0; u < g.node_count(); ++u) {
+    const auto paths = index.paths_from(u);
     for (int v = 0; v < g.node_count(); ++v) {
-      if (u != v && count_paths(g, u, v) > 1) return false;
+      if (v != u && paths[static_cast<std::size_t>(v)] > 1) return false;
     }
   }
   return true;
@@ -59,10 +89,11 @@ namespace {
 
 /// Unit-capacity max-flow (Edmonds-Karp) on the vertex-split graph:
 /// every node x becomes x_in -> x_out with capacity 1 (infinite for the
-/// terminals), every edge u -> v becomes u_out -> v_in.
+/// terminals), every edge u -> v becomes u_out -> v_in. With `within`,
+/// only edges between nodes where it is set take part.
 class SplitFlow {
  public:
-  SplitFlow(const Mdag& g, int s, int t) {
+  SplitFlow(const Mdag& g, int s, int t, const std::vector<bool>* within) {
     const int n = g.node_count();
     node_count_ = 2 * n;
     for (int x = 0; x < n; ++x) {
@@ -71,7 +102,14 @@ class SplitFlow {
     }
     // Each physical channel can carry one path (paths sharing an edge
     // would share its endpoints anyway).
-    for (const Edge& e : g.edges()) add_edge(out(e.from), in(e.to), 1);
+    for (const Edge& e : g.edges()) {
+      if (within != nullptr &&
+          !((*within)[static_cast<std::size_t>(e.from)] &&
+            (*within)[static_cast<std::size_t>(e.to)])) {
+        continue;
+      }
+      add_edge(out(e.from), in(e.to), 1);
+    }
     s_ = out(s);
     t_ = in(t);
   }
@@ -141,15 +179,31 @@ class SplitFlow {
 
 int vertex_disjoint_paths(const Mdag& g, int from, int to) {
   FBLAS_REQUIRE(from != to, "disjoint paths need distinct endpoints");
-  SplitFlow flow(g, from, to);
+  SplitFlow flow(g, from, to, nullptr);
+  return flow.max_flow();
+}
+
+int vertex_disjoint_paths(const Mdag& g, int from, int to,
+                          const std::vector<bool>& within) {
+  FBLAS_REQUIRE(from != to, "disjoint paths need distinct endpoints");
+  SplitFlow flow(g, from, to, &within);
   return flow.max_flow();
 }
 
 std::vector<DisjointPairIssue> disjoint_path_issues(const Mdag& g) {
+  // Every flow edge leaving u's split node and entering v's has capacity
+  // 1, so at most min(out-degree(u), in-degree(v)) disjoint paths exist:
+  // the flow runs only where both are >= 2.
+  const PathIndex index(g);
   std::vector<DisjointPairIssue> issues;
   for (int u = 0; u < g.node_count(); ++u) {
+    if (index.out_degree(u) < 2) continue;
+    const auto paths = index.paths_from(u);
     for (int v = 0; v < g.node_count(); ++v) {
-      if (u == v || count_paths(g, u, v) < 2) continue;
+      if (u == v || paths[static_cast<std::size_t>(v)] < 2 ||
+          index.in_degree(v) < 2) {
+        continue;
+      }
       const int k = vertex_disjoint_paths(g, u, v);
       if (k >= 2) issues.push_back({u, v, k});
     }
