@@ -143,30 +143,75 @@ void emit_reduce_module(std::ostringstream& os, const RoutineSpec& s) {
 }
 
 void emit_gemv_module(std::ostringstream& os, const RoutineSpec& s) {
+  // As in core::gemv: when y runs along the outer tile dimension its
+  // block is reused over the inner tiles and x's blocks stream; otherwise
+  // x's block is reused and y's partial blocks round-trip through y and
+  // out once per outer step (beta * y on the first).
   const char* t = ctype(s.precision);
+  const bool none = s.trans == Transpose::None;
   const bool by_rows = s.tiling == core::MatrixTiling::TilesByRows;
-  os << "// GEMV variant: A " << (s.trans == Transpose::Trans ? "^T " : "")
-     << "in tiles by " << (by_rows ? "rows" : "columns") << ", TN="
-     << s.tile_rows << ", TM=" << s.tile_cols << "\n"
+  const bool x_outer = none != by_rows;
+  const std::int64_t xlen = none ? s.tile_cols : s.tile_rows;
+  const std::int64_t ylen = none ? s.tile_rows : s.tile_cols;
+  const char* outer_tiles = by_rows ? "N / " : "M / ";
+  const char* inner_tiles = by_rows ? "M / " : "N / ";
+  const std::int64_t outer_tile = by_rows ? s.tile_rows : s.tile_cols;
+  const std::int64_t inner_tile = by_rows ? s.tile_cols : s.tile_rows;
+  const auto load_x = [&](const char* indent) {
+    os << indent << "for (int k = 0; k < " << xlen << "; k++)\n"
+       << indent << "  local_x[k] = read_channel_intel(" << chan(s, "x")
+       << ");\n";
+  };
+  const auto store_y = [&](const char* indent) {
+    os << indent << "for (int k = 0; k < " << ylen << "; k++)\n"
+       << indent << "  write_channel_intel(" << chan(s, "out")
+       << ", local_y[k]);\n";
+  };
+  // Element loops in the tile's element order; i runs along A's rows.
+  const bool row_elems = s.elem_order == Order::RowMajor;
+  const char* first = row_elems ? "i" : "j";
+  const char* second = row_elems ? "j" : "i";
+  const std::int64_t first_len = row_elems ? s.tile_rows : s.tile_cols;
+  const std::int64_t second_len = row_elems ? s.tile_cols : s.tile_rows;
+  os << "// GEMV variant: A " << (none ? "" : "^T ") << "in tiles by "
+     << (by_rows ? "rows" : "columns") << ", TN=" << s.tile_rows
+     << ", TM=" << s.tile_cols << "\n"
      << "__kernel void " << s.user_name << "(" << t << " alpha, " << t
      << " beta, int N, int M) {\n"
-     << "  " << t << " local_x[" << (by_rows ? s.tile_cols : s.tile_cols)
-     << "];\n"
-     << "  " << t << " local_y[" << s.tile_rows << "];\n"
-     << "  for (int ti = 0; ti < N / " << s.tile_rows << "; ti++) {\n"
-     << "    for (int tj = 0; tj < M / " << s.tile_cols << "; tj++) {\n"
-     << "      for (int i = 0; i < " << s.tile_rows << "; i++) {\n"
-     << "        " << t << " acc = 0;\n"
+     << "  " << t << " local_x[" << xlen << "];\n"
+     << "  " << t << " local_y[" << ylen << "];\n"
+     << "  for (int to = 0; to < " << outer_tiles << outer_tile
+     << "; to++) {\n";
+  if (x_outer) {
+    load_x("    ");
+  } else {
+    os << "    for (int k = 0; k < " << ylen << "; k++)\n"
+       << "      local_y[k] = beta * read_channel_intel(" << chan(s, "y")
+       << ");\n";
+  }
+  os << "    for (int ti = 0; ti < " << inner_tiles << inner_tile
+     << "; ti++) {\n";
+  if (x_outer) {
+    os << "      for (int k = 0; k < " << ylen << "; k++) {\n"
+       << "        " << t << " v = read_channel_intel(" << chan(s, "y")
+       << ");\n"
+       << "        local_y[k] = to == 0 ? beta * v : v;\n"
+       << "      }\n";
+  } else {
+    load_x("      ");
+  }
+  os << "      for (int " << first << " = 0; " << first << " < " << first_len
+     << "; " << first << "++)\n"
      << "        #pragma unroll " << s.width << "\n"
-     << "        for (int j = 0; j < " << s.tile_cols << "; j++)\n"
-     << "          acc += read_channel_intel(" << chan(s, "A")
-     << ") * local_x[j];\n"
-     << "        local_y[i] += alpha * acc;\n"
-     << "      }\n    }\n"
-     << "    // push the finished y block\n"
-     << "    for (int i = 0; i < " << s.tile_rows << "; i++)\n"
-     << "      write_channel_intel(" << chan(s, "out") << ", local_y[i]);\n"
-     << "  }\n}\n\n";
+     << "        for (int " << second << " = 0; " << second << " < "
+     << second_len << "; " << second << "++)\n"
+     << "          local_y[" << (none ? "i" : "j") << "] += alpha * "
+     << "read_channel_intel(" << chan(s, "A") << ") * local_x["
+     << (none ? "j" : "i") << "];\n";
+  if (x_outer) store_y("      ");
+  os << "    }\n";
+  if (!x_outer) store_y("    ");
+  os << "  }\n}\n\n";
 }
 
 void emit_ger_module(std::ostringstream& os, const RoutineSpec& s,
@@ -200,26 +245,64 @@ void emit_ger_module(std::ostringstream& os, const RoutineSpec& s,
      << "    }\n}\n\n";
 }
 
-void emit_systolic_module(std::ostringstream& os, const RoutineSpec& s) {
+void emit_systolic_module(std::ostringstream& os, const RoutineSpec& s,
+                          const Streams& io) {
+  // Per compute tile: acc starts as beta * Cin, every k step feeds a_reg
+  // from the column panels (scaled by alpha) and b_reg from the row
+  // panels, and the drain writes acc to out. SYR2K pairs column panel p
+  // with row panel 1 - p (A B^T + B A^T), as core::gemm_pairs does.
   const char* t = ctype(s.precision);
-  os << "// Systolic GEMM: " << s.pe_rows << "x" << s.pe_cols
-     << " PE grid, compute tile " << s.tile_rows << "x" << s.tile_cols
-     << " (single-kernel formulation with shift registers)\n"
+  const std::size_t pairs = (io.in.size() - 1) / 2;
+  os << "// Systolic " << s.blas_name() << ": " << s.pe_rows << "x"
+     << s.pe_cols << " PE grid, compute tile " << s.tile_rows << "x"
+     << s.tile_cols << " (single-kernel formulation with shift registers)\n"
      << t << " pe(" << t << " a, " << t << " b, " << t << " *acc) {\n"
      << "  *acc += a * b;\n  return *acc;\n}\n\n"
-     << "__kernel void " << s.user_name << "(int N, int M, int K) {\n"
+     << "__kernel void " << s.user_name << "(" << t << " alpha, " << t
+     << " beta, int N, int M, int K) {\n"
      << "  " << t << " acc[" << s.tile_rows << "][" << s.tile_cols << "];\n"
-     << "  for (int k = 0; k < K; k++) {\n"
-     << "    " << t << " a_reg[" << s.pe_rows << "], b_reg[" << s.pe_cols
-     << "];\n"
-     << "    #pragma unroll\n"
-     << "    for (int r = 0; r < " << s.pe_rows << "; r++)\n"
+     << "  for (int ti = 0; ti < N / " << s.tile_rows << "; ti++)\n"
+     << "  for (int tj = 0; tj < M / " << s.tile_cols << "; tj++) {\n"
+     << "    for (int r = 0; r < " << s.tile_rows << "; r++)\n"
+     << "      for (int c = 0; c < " << s.tile_cols << "; c++)\n"
+     << "        acc[r][c] = beta * read_channel_intel("
+     << chan(s, io.in.back()) << ");\n"
+     << "    for (int k = 0; k < K; k++) {\n"
+     << "      " << t << " a_reg[" << pairs << "][" << s.tile_rows
+     << "], b_reg[" << pairs << "][" << s.tile_cols << "];\n";
+  for (std::size_t p = 0; p < pairs; ++p) {
+    os << "      for (int r = 0; r < " << s.tile_rows << "; r++)\n"
+       << "        a_reg[" << p << "][r] = alpha * read_channel_intel("
+       << chan(s, io.in[p]) << ");\n";
+  }
+  for (std::size_t p = 0; p < pairs; ++p) {
+    os << "      for (int c = 0; c < " << s.tile_cols << "; c++)\n"
+       << "        b_reg[" << p << "][c] = read_channel_intel("
+       << chan(s, io.in[pairs + p]) << ");\n";
+  }
+  os << "      // PE (pr, pc) owns rows pr + " << s.pe_rows
+     << "u and columns pc + " << s.pe_cols << "v of the tile\n"
      << "      #pragma unroll\n"
-     << "      for (int c = 0; c < " << s.pe_cols << "; c++)\n"
-     << "        pe(a_reg[r], b_reg[c], &acc[r][c]);\n"
-     << "  }\n"
-     << "  // drain chain: " << s.pe_cols << " results per cycle\n"
-     << "}\n\n";
+     << "      for (int pr = 0; pr < " << s.pe_rows << "; pr++)\n"
+     << "        #pragma unroll\n"
+     << "        for (int pc = 0; pc < " << s.pe_cols << "; pc++)\n"
+     << "          for (int r = pr; r < " << s.tile_rows << "; r += "
+     << s.pe_rows << ")\n"
+     << "            for (int c = pc; c < " << s.tile_cols << "; c += "
+     << s.pe_cols << ") {\n";
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::size_t q = pairs == 1 ? 0 : 1 - p;
+    os << "              pe(a_reg[" << p << "][r], b_reg[" << q
+       << "][c], &acc[r][c]);\n";
+  }
+  os << "            }\n"
+     << "    }\n"
+     << "    // drain chain: " << s.pe_cols << " results per cycle\n"
+     << "    for (int r = 0; r < " << s.tile_rows << "; r++)\n"
+     << "      for (int c = 0; c < " << s.tile_cols << "; c++)\n"
+     << "        write_channel_intel(" << chan(s, io.out[0])
+     << ", acc[r][c]);\n"
+     << "  }\n}\n\n";
 }
 
 void emit_unrolled_module(std::ostringstream& os, const RoutineSpec& s) {
@@ -352,7 +435,7 @@ GeneratedDesign emit(const RoutineSpec& in, const sim::DeviceSpec& dev,
   } else if (info.level == 2) {  // GER, SYR, SYR2
     emit_ger_module(os, spec, io);
   } else if (info.level == 3) {  // GEMM, SYRK, SYR2K
-    emit_systolic_module(os, spec);
+    emit_systolic_module(os, spec, io);
   } else if (k == RoutineKind::Iamax) {
     emit_iamax_module(os, spec);
   } else if (info.circuit == CircuitClass::MapReduce) {

@@ -217,6 +217,50 @@ TEST(Emitter, SystolicGemmStructure) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(Emitter, GemvAndSystolicBodiesUseEveryStream) {
+  // Inside the module kernel, every input stream is read and every output
+  // stream written: the four GEMV variants and the three systolic kinds.
+  std::vector<RoutineSpec> specs;
+  for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+    for (const core::MatrixTiling tiling :
+         {core::MatrixTiling::TilesByRows, core::MatrixTiling::TilesByCols}) {
+      RoutineSpec s;
+      s.kind = RoutineKind::Gemv;
+      s.trans = trans;
+      s.tiling = tiling;
+      specs.push_back(s);
+    }
+  }
+  for (const RoutineKind kind :
+       {RoutineKind::Gemm, RoutineKind::Syrk, RoutineKind::Syr2k}) {
+    RoutineSpec s;
+    s.kind = kind;
+    s.pe_rows = s.pe_cols = 4;
+    s.tile_rows = s.tile_cols = 16;
+    specs.push_back(s);
+  }
+  for (RoutineSpec& s : specs) {
+    s.user_name = "k";
+    s.width = 4;
+    const GeneratedDesign d = emit(s, sim::stratix10(), false);
+    const std::size_t at = d.source.find("__kernel void k(");
+    ASSERT_NE(at, std::string::npos) << d.source;
+    const std::string body =
+        d.source.substr(at, d.source.find("__kernel", at + 1) - at);
+    const Streams io = streams(s);
+    for (const std::string& in : io.in) {
+      EXPECT_NE(body.find("read_channel_intel(k_ch_" + in + ")"),
+                std::string::npos)
+          << s.blas_name() << " never reads " << in << "\n" << body;
+    }
+    for (const std::string& out : io.out) {
+      EXPECT_NE(body.find("write_channel_intel(k_ch_" + out + ","),
+                std::string::npos)
+          << s.blas_name() << " never writes " << out << "\n" << body;
+    }
+  }
+}
+
 TEST(Emitter, InfeasibleDesignsRejected) {
   // DDOT at W=256 fails routing (Sec. VI-B).
   RoutineSpec s;
