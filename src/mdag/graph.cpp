@@ -71,14 +71,6 @@ int Mdag::connect(int from, int to, StreamSig sig,
   return connect(from, to, sig, sig, channel_depth);
 }
 
-std::vector<int> Mdag::successors(int id) const {
-  std::vector<int> out;
-  for (const Edge& e : edges_) {
-    if (e.from == id) out.push_back(e.to);
-  }
-  return out;
-}
-
 std::vector<int> Mdag::topo_order() const {
   return PathIndex(*this).order();
 }

@@ -86,9 +86,6 @@ class Mdag {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
-  /// Successor node ids (with multiplicity) of `id`.
-  std::vector<int> successors(int id) const;
-
   /// Topological order; throws ConfigError if the graph has a cycle.
   std::vector<int> topo_order() const;
 
