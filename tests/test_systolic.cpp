@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -381,6 +382,245 @@ TYPED_TEST(Systolic, RejectsBadShapes) {
                             MatrixView<const T>(b.data(), 3, 2),
                             MatrixView<T>(c.data(), 2, 2)),
                ConfigError);
+}
+
+// --- Engine pin -------------------------------------------------------------
+// One FNV-1a hash over everything multiply() makes observable, across a
+// seeded table of shapes, grids, precisions, ABFT modes and armed plans
+// (some on PEs outside a ragged tile, some past the last MAC). Operands
+// are ~30% exact zeros, so planned products are often zero and flips get
+// postponed or never fire.
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  template <typename V>
+  void add(V v) {
+    bytes(&v, sizeof(v));
+  }
+  void add(const std::string& s) {
+    add<std::uint64_t>(s.size());
+    bytes(s.data(), s.size());
+  }
+};
+
+template <typename T>
+std::vector<T> sparse_matrix(Workload& wl, std::int64_t rows,
+                             std::int64_t cols) {
+  std::vector<T> v(static_cast<std::size_t>(rows * cols));
+  for (T& x : v) {
+    x = wl.next_u64() % 10 < 3 ? T(0) : static_cast<T>(wl.uniform());
+  }
+  return v;
+}
+
+// What the table exercised. `postponed` counts planned MACs whose product
+// is zero while a later one of the same PE is not.
+struct PinCoverage {
+  int postponed = 0;
+  std::uint64_t fired = 0, corrected = 0, uncorrectable = 0;
+};
+
+// Runs two multiplies on one grid (so per-PE counters and scratch carry
+// over) and folds every observable into `h`.
+template <typename T>
+void pin_case(Workload& wl, Fnv1a& h, PinCoverage* cov) {
+  const int pr = 1 + static_cast<int>(wl.next_u64() % 8);
+  const int pc = 1 + static_cast<int>(wl.next_u64() % 8);
+  SystolicArray<T> arr(pr, pc);
+  for (int call = 0; call < 2; ++call) {
+    const auto dim = [&] {
+      return static_cast<std::int64_t>(wl.next_u64() % 21);
+    };
+    const std::int64_t m = dim(), n = dim();
+    const std::uint64_t kind = wl.next_u64() % 8;
+    const std::int64_t k = kind == 0 ? 0 : kind == 1 ? 1 : dim();
+    const auto a = sparse_matrix<T>(wl, m, k);
+    const auto b = sparse_matrix<T>(wl, k, n);
+    const std::uint64_t mode = wl.next_u64() % 3;
+    arr.set_abft(AbftConfig{mode != 0, mode == 2, 32.0});
+    const std::int64_t tiles = ((m + pr - 1) / pr) * ((n + pc - 1) / pc);
+    const int plans = static_cast<int>(wl.next_u64() % 3);
+    for (int p = 0; p < plans && tiles > 0; ++p) {
+      PeFaultPlan plan;
+      plan.tile = static_cast<std::int64_t>(wl.next_u64() %
+                                            static_cast<std::uint64_t>(tiles));
+      plan.r = static_cast<int>(wl.next_u64() % static_cast<std::uint64_t>(pr));
+      plan.c = static_cast<int>(wl.next_u64() % static_cast<std::uint64_t>(pc));
+      plan.mac = static_cast<std::int64_t>(
+          wl.next_u64() % static_cast<std::uint64_t>(k + 2));
+      arr.arm_fault(plan);
+      const std::int64_t tiles_n = (n + pc - 1) / pc;
+      const std::int64_t row = (plan.tile / tiles_n) * pr + plan.r;
+      const std::int64_t col = (plan.tile % tiles_n) * pc + plan.c;
+      if (row < m && col < n && plan.mac < k &&
+          a[static_cast<std::size_t>(row * k + plan.mac)] *
+                  b[static_cast<std::size_t>(plan.mac * n + col)] ==
+              T(0)) {
+        for (std::int64_t j = plan.mac + 1; j < k; ++j) {
+          if (a[static_cast<std::size_t>(row * k + j)] *
+                  b[static_cast<std::size_t>(j * n + col)] !=
+              T(0)) {
+            ++cov->postponed;
+            break;
+          }
+        }
+      }
+    }
+    std::vector<T> c(static_cast<std::size_t>(m * n), T(-7));
+    const std::uint64_t cycles =
+        arr.multiply(MatrixView<const T>(a.data(), m, k),
+                     MatrixView<const T>(b.data(), k, n),
+                     MatrixView<T>(c.data(), m, n));
+    for (const T v : c) h.add(v);
+    h.add(cycles);
+    for (int r = 0; r < pr; ++r) {
+      for (int cc = 0; cc < pc; ++cc) {
+        h.add(arr.pe_macs(r, cc));
+        h.add(arr.pe_faults(r, cc));
+      }
+    }
+    h.add(arr.faults_fired());
+    const AbftReport& rep = arr.report();
+    h.add(rep.tiles_checked);
+    h.add(rep.faults_detected);
+    h.add(rep.faults_localized);
+    h.add(rep.faults_corrected);
+    h.add(rep.uncorrectable_tiles);
+    h.add<std::uint64_t>(rep.faults.size());
+    for (const LocalizedFault& f : rep.faults) {
+      h.add(f.tile_row);
+      h.add(f.tile_col);
+      h.add(f.r);
+      h.add(f.c);
+      h.add(f.residual);
+      h.add<std::uint8_t>(f.corrected ? 1 : 0);
+    }
+    h.add(rep.first_uncorrectable);
+    cov->fired += arr.faults_fired();
+    cov->corrected += rep.faults_corrected;
+    cov->uncorrectable += rep.uncorrectable_tiles;
+  }
+}
+
+TEST(Systolic, EnginePinned) {
+  Workload wl(412);
+  Fnv1a h;
+  PinCoverage cov;
+  for (int i = 0; i < 200; ++i) {
+    if (i % 2 == 0) {
+      pin_case<float>(wl, h, &cov);
+    } else {
+      pin_case<double>(wl, h, &cov);
+    }
+  }
+  EXPECT_GT(cov.postponed, 0);
+  EXPECT_GT(cov.fired, 0u);
+  EXPECT_GT(cov.corrected, 0u);
+  EXPECT_GT(cov.uncorrectable, 0u);
+  EXPECT_EQ(h.h, 0x31e1863c99569cdbULL) << std::hex << "0x" << h.h;
+}
+
+// --- The firing rule of an armed plan ---------------------------------------
+
+template <typename T>
+T flipped(T v) {
+  // The injector's corruption: XOR the second-highest bit (an exponent bit).
+  if constexpr (sizeof(T) == 4) {
+    std::uint32_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    u ^= 0x40000000u;
+    std::memcpy(&v, &u, sizeof(u));
+  } else {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    u ^= 0x4000000000000000ull;
+    std::memcpy(&v, &u, sizeof(u));
+  }
+  return v;
+}
+
+template <typename T>
+void check_firing_rule() {
+  // One 4x4 tile, k = 6. PE (1, 2): A(1, 2) = 0 makes its planned MAC 2
+  // a zero product; MAC 3 is not. PE (2, 1): A(2, j) = 0 for j >= 3, so
+  // a plan at MAC 3 never reaches a nonzero product.
+  const std::int64_t m = 4, n = 4, k = 6;
+  Workload wl(413);
+  auto a = wl.matrix<T>(m, k, 0.25, 1.0);
+  const auto b = wl.matrix<T>(k, n, 0.25, 1.0);
+  a[static_cast<std::size_t>(1 * k + 2)] = T(0);
+  for (std::int64_t j = 3; j < k; ++j) {
+    a[static_cast<std::size_t>(2 * k + j)] = T(0);
+  }
+  // Each PE's dot product in the grid's order, with an optional flip.
+  const auto dot = [&](std::int64_t r, std::int64_t c, std::int64_t flip_at) {
+    T acc = T(0);
+    for (std::int64_t j = 0; j < k; ++j) {
+      T prod = a[static_cast<std::size_t>(r * k + j)] *
+               b[static_cast<std::size_t>(j * n + c)];
+      if (j == flip_at) prod = flipped(prod);
+      acc += prod;
+    }
+    return acc;
+  };
+  std::vector<T> expect(static_cast<std::size_t>(m * n));
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t c = 0; c < n; ++c) {
+      expect[static_cast<std::size_t>(r * n + c)] = dot(r, c, -1);
+    }
+  }
+  const auto run = [&](bool correct, const PeFaultPlan& plan,
+                       SystolicArray<T>& arr) {
+    std::vector<T> c(static_cast<std::size_t>(m * n), T(0));
+    arr.set_abft(AbftConfig{true, correct, 32.0});
+    arr.arm_fault(plan);
+    arr.multiply(MatrixView<const T>(a.data(), m, k),
+                 MatrixView<const T>(b.data(), k, n),
+                 MatrixView<T>(c.data(), m, n));
+    return c;
+  };
+
+  // Postponed: detect-only leaves the flip of MAC 3 (not 2, not 4) in C.
+  SystolicArray<T> detect(4, 4);
+  std::vector<T> c = run(false, PeFaultPlan{0, 1, 2, 2}, detect);
+  EXPECT_EQ(detect.faults_fired(), 1u);
+  std::vector<T> faulty = expect;
+  faulty[1 * n + 2] = dot(1, 2, 3);
+  ASSERT_NE(faulty[1 * n + 2], expect[1 * n + 2]);
+  EXPECT_EQ(c, faulty);
+  // Correcting: localized to PE (1, 2) and replayed bit-identically.
+  SystolicArray<T> fix(4, 4);
+  c = run(true, PeFaultPlan{0, 1, 2, 2}, fix);
+  EXPECT_EQ(fix.faults_fired(), 1u);
+  const AbftReport& rep = fix.report();
+  ASSERT_EQ(rep.faults.size(), 1u);
+  EXPECT_EQ(rep.faults[0].r, 1);
+  EXPECT_EQ(rep.faults[0].c, 2);
+  EXPECT_TRUE(rep.faults[0].corrected);
+  EXPECT_EQ(rep.faults_corrected, 1u);
+  EXPECT_EQ(fix.pe_faults(1, 2), 1u);
+  EXPECT_EQ(c, expect);
+
+  // Unreached: every product from MAC 3 on is zero, so the plan never fires.
+  SystolicArray<T> idle(4, 4);
+  c = run(true, PeFaultPlan{0, 2, 1, 3}, idle);
+  EXPECT_EQ(idle.faults_fired(), 0u);
+  EXPECT_EQ(idle.report().faults_detected, 0u);
+  EXPECT_TRUE(idle.report().faults.empty());
+  EXPECT_TRUE(idle.report().first_uncorrectable.empty());
+  EXPECT_EQ(c, expect);
+}
+
+TEST(Systolic, ZeroProductPostponesFlipAndUnreachedPlanNeverFires) {
+  check_firing_rule<float>();
+  check_firing_rule<double>();
 }
 
 }  // namespace
