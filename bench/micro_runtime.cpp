@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the simulation substrate itself:
 // channel throughput, scheduler overhead in both modes, tile walking,
-// reference-BLAS rates and the systolic-array stepper. These bound how
+// reference-BLAS rates and the systolic-array engine. These bound how
 // large a design the cycle simulator can drive in reasonable time.
 #include <benchmark/benchmark.h>
 

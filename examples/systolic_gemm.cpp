@@ -1,8 +1,9 @@
-// Systolic GEMM walkthrough (Sec. III-C, Fig. 3): steps the explicit
-// PR x PC PE-grid simulator with skewed wavefront feeding and a drain
-// chain, verifies it against the reference BLAS and the time-multiplexed
-// single-kernel module, and shows the cycle/load-balance properties that
-// make the architecture scale.
+// Systolic GEMM walkthrough (Sec. III-C, Fig. 3): runs the PR x PC
+// PE-grid engine, whose skewed wavefronts and drain chain are computed in
+// closed form (PE(r, c) MACs operand j = t - r - c at cycle t), verifies
+// it against the reference BLAS and the time-multiplexed single-kernel
+// module, and shows the cycle/load-balance properties that make the
+// architecture scale.
 //
 // Build & run:  ./build/examples/systolic_gemm
 #include <cstdio>

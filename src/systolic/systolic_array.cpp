@@ -35,6 +35,58 @@ bool flagged(double residual, double tol) {
   return !std::isfinite(residual) || std::abs(residual) > tol;
 }
 
+// What a feeder emits beside operand index j of a tile: the sum and the
+// magnitude sum of its `lanes` values value(j, 0..lanes-1), in lane order.
+template <typename F>
+void feed_sums(std::int64_t k, std::int64_t lanes, F value, double* sum,
+               double* mag) {
+  for (std::int64_t j = 0; j < k; ++j) {
+    double s = 0.0, m = 0.0;
+    for (std::int64_t l = 0; l < lanes; ++l) {
+      const double v = static_cast<double>(value(j, l));
+      s += v;
+      m += std::abs(v);
+    }
+    sum[j] = s;
+    mag[j] = m;
+  }
+}
+
+// The MACs of PE rows row0.. row0+R-1 x columns col0.. col0+W-1 as one
+// register block: each accumulator is its PE's dot product over
+// ascending j with the product rounded to T before the add, as in the
+// PE; the R x W chains overlap.
+template <int R, int W, typename T>
+void mac_block(MatrixView<const T> A, MatrixView<const T> B,
+               std::int64_t row0, std::int64_t col0, std::int64_t k, T* acc,
+               std::int64_t ld) {
+  T s[R][W] = {};
+  for (std::int64_t j = 0; j < k; ++j) {
+    for (int r = 0; r < R; ++r) {
+      for (int c = 0; c < W; ++c) {
+        const T prod = A(row0 + r, j) * B(j, col0 + c);
+        s[r][c] += prod;
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < W; ++c) acc[r * ld + c] = s[r][c];
+  }
+}
+
+// R PE rows across a tile of width tw: four PE columns at a time, then
+// the rest one by one.
+template <int R, typename T>
+void mac_rows(MatrixView<const T> A, MatrixView<const T> B, std::int64_t row0,
+              std::int64_t col0, std::int64_t tw, std::int64_t k, T* acc,
+              std::int64_t ld) {
+  std::int64_t c = 0;
+  for (; c + 4 <= tw; c += 4) {
+    mac_block<R, 4>(A, B, row0, col0 + c, k, acc + c, ld);
+  }
+  for (; c < tw; ++c) mac_block<R, 1>(A, B, row0, col0 + c, k, acc + c, ld);
+}
+
 }  // namespace
 
 template <typename T>
@@ -43,6 +95,7 @@ SystolicArray<T>::SystolicArray(int pe_rows, int pe_cols)
   FBLAS_REQUIRE(pe_rows >= 1 && pe_cols >= 1,
                 "systolic grid dimensions must be positive");
   grid_.resize(static_cast<std::size_t>(pr_ * pc_));
+  acc_.resize(grid_.size());
 }
 
 template <typename T>
@@ -59,141 +112,107 @@ std::uint64_t SystolicArray<T>::total_macs() const {
 // so a corrected tile is bit-identical to a fault-free run. Any other
 // flagged pattern (>=2 rows or columns, or inconsistent residuals) is a
 // multi-fault tile: recorded uncorrectable, for the host to reject.
+// The feeders' running sums (asum_/aabs_ for this tile row, bsum_/babs_
+// for this tile column) were summed by multiply(); checksum arithmetic is
+// double regardless of the stream precision.
 template <typename T>
 void SystolicArray<T>::check_tile(MatrixView<const T> A, MatrixView<const T> B,
                                   std::int64_t row0, std::int64_t col0,
                                   std::int64_t th, std::int64_t tw,
                                   std::int64_t k, std::uint64_t* corrected) {
-  auto pe = [&](int r, int c) -> Pe<T>& {
-    return grid_[static_cast<std::size_t>(r * pc_ + c)];
-  };
   ++report_.tiles_checked;
-
-  // What the feeders emitted alongside the data: Feed-B's running column
-  // sums (driving the checksum COLUMN, which accumulates per-row sums
-  // C·e) and Feed-A's running row sums (driving the checksum ROW, eᵀ·C).
-  // Checksum arithmetic is double regardless of the stream precision.
-  std::vector<double> bsum(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> babs(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> asum(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> aabs(static_cast<std::size_t>(k), 0.0);
-  for (std::int64_t j = 0; j < k; ++j) {
-    for (std::int64_t c = 0; c < tw; ++c) {
-      const double b = static_cast<double>(B(j, col0 + c));
-      bsum[static_cast<std::size_t>(j)] += b;
-      babs[static_cast<std::size_t>(j)] += std::abs(b);
+  const std::int64_t ti = row0 / pr_, tj = col0 / pc_;
+  // One checksum direction: lane i's accumulators (over `others` PEs)
+  // against the prediction from the other feeder's sums. Only the last
+  // flagged lane is needed to resolve the pattern.
+  struct Flags {
+    int count = 0, at = -1;
+    double res = 0.0, tol = 0.0;
+  };
+  const auto scan = [&](std::int64_t lanes, std::int64_t others, auto x,
+                        auto lane_acc, const double* sum, const double* mag) {
+    Flags f;
+    for (std::int64_t i = 0; i < lanes; ++i) {
+      double pred = 0.0, bound = 0.0, meas = 0.0;
+      for (std::int64_t j = 0; j < k; ++j) {
+        const double v = static_cast<double>(x(i, j));
+        pred += v * sum[j];
+        bound += std::abs(v) * mag[j];
+      }
+      for (std::int64_t o = 0; o < others; ++o) {
+        meas += static_cast<double>(lane_acc(i, o));
+      }
+      const double tol =
+          verify::rel_bound<T>(k * others, abft_.tolerance_scale) * bound;
+      if (flagged(meas - pred, tol)) {
+        f = {f.count + 1, static_cast<int>(i), meas - pred, tol};
+      }
     }
-    for (std::int64_t r = 0; r < th; ++r) {
-      const double a = static_cast<double>(A(row0 + r, j));
-      asum[static_cast<std::size_t>(j)] += a;
-      aabs[static_cast<std::size_t>(j)] += std::abs(a);
-    }
-  }
-  std::vector<double> res_row(static_cast<std::size_t>(th), 0.0);
-  std::vector<double> tol_row(static_cast<std::size_t>(th), 0.0);
-  std::vector<double> res_col(static_cast<std::size_t>(tw), 0.0);
-  std::vector<double> tol_col(static_cast<std::size_t>(tw), 0.0);
-  const double scale = abft_.tolerance_scale;
-  for (std::int64_t r = 0; r < th; ++r) {
-    double pred = 0.0, mag = 0.0, meas = 0.0;
-    for (std::int64_t j = 0; j < k; ++j) {
-      const double a = static_cast<double>(A(row0 + r, j));
-      pred += a * bsum[static_cast<std::size_t>(j)];
-      mag += std::abs(a) * babs[static_cast<std::size_t>(j)];
-    }
-    for (int c = 0; c < static_cast<int>(tw); ++c) {
-      meas += static_cast<double>(pe(static_cast<int>(r), c).acc);
-    }
-    res_row[static_cast<std::size_t>(r)] = meas - pred;
-    tol_row[static_cast<std::size_t>(r)] =
-        verify::rel_bound<T>(k * tw, scale) * mag;
-  }
-  for (std::int64_t c = 0; c < tw; ++c) {
-    double pred = 0.0, mag = 0.0, meas = 0.0;
-    for (std::int64_t j = 0; j < k; ++j) {
-      const double b = static_cast<double>(B(j, col0 + c));
-      pred += asum[static_cast<std::size_t>(j)] * b;
-      mag += aabs[static_cast<std::size_t>(j)] * std::abs(b);
-    }
-    for (int r = 0; r < static_cast<int>(th); ++r) {
-      meas += static_cast<double>(pe(r, static_cast<int>(c)).acc);
-    }
-    res_col[static_cast<std::size_t>(c)] = meas - pred;
-    tol_col[static_cast<std::size_t>(c)] =
-        verify::rel_bound<T>(k * th, scale) * mag;
-  }
-
-  int flagged_rows = 0, flagged_cols = 0, fr = -1, fc = -1;
-  for (std::int64_t r = 0; r < th; ++r) {
-    if (flagged(res_row[static_cast<std::size_t>(r)],
-                tol_row[static_cast<std::size_t>(r)])) {
-      ++flagged_rows;
-      fr = static_cast<int>(r);
-    }
-  }
-  for (std::int64_t c = 0; c < tw; ++c) {
-    if (flagged(res_col[static_cast<std::size_t>(c)],
-                tol_col[static_cast<std::size_t>(c)])) {
-      ++flagged_cols;
-      fc = static_cast<int>(c);
-    }
-  }
-  if (flagged_rows == 0 && flagged_cols == 0) return;  // clean tile
+    return f;
+  };
+  // Feed-B's column sums drive the checksum COLUMN (per-row sums C·e),
+  // Feed-A's row sums the checksum ROW (eᵀ·C).
+  const Flags row = scan(
+      th, tw, [&](std::int64_t r, std::int64_t j) { return A(row0 + r, j); },
+      [&](std::int64_t r, std::int64_t c) { return acc(r, c); },
+      bsum_.data() + tj * k, babs_.data() + tj * k);
+  const Flags col = scan(
+      tw, th, [&](std::int64_t c, std::int64_t j) { return B(j, col0 + c); },
+      [&](std::int64_t c, std::int64_t r) { return acc(r, c); },
+      asum_.data(), aabs_.data());
+  if (row.count == 0 && col.count == 0) return;  // clean tile
 
   ++report_.faults_detected;
-  const std::int64_t ti = row0 / pr_, tj = col0 / pc_;
   auto uncorrectable = [&](const std::string& why) {
     ++report_.uncorrectable_tiles;
     if (report_.first_uncorrectable.empty()) {
       std::ostringstream os;
       os << "tile (" << ti << ", " << tj << "): " << why << " ("
-         << flagged_rows << " row residual(s), " << flagged_cols
+         << row.count << " row residual(s), " << col.count
          << " column residual(s))";
       report_.first_uncorrectable = os.str();
     }
   };
-  if (flagged_rows != 1 || flagged_cols != 1) {
+  if (row.count != 1 || col.count != 1) {
     uncorrectable("residuals do not intersect in one PE — multiple faults");
     return;
   }
-  const double rr = res_row[static_cast<std::size_t>(fr)];
-  const double rc = res_col[static_cast<std::size_t>(fc)];
   // A single fault produces the SAME delta in its row and column sums;
   // disagreeing residuals mean two faults conspired into one row and one
   // column, which a single replay could not explain.
   const bool consistent =
-      std::isfinite(rr) && std::isfinite(rc) &&
-      std::abs(rr - rc) <= tol_row[static_cast<std::size_t>(fr)] +
-                               tol_col[static_cast<std::size_t>(fc)] +
-                               1e-6 * std::max(std::abs(rr), std::abs(rc));
+      std::isfinite(row.res) && std::isfinite(col.res) &&
+      std::abs(row.res - col.res) <=
+          row.tol + col.tol +
+              1e-6 * std::max(std::abs(row.res), std::abs(col.res));
   if (!consistent) {
     uncorrectable("row/column residuals disagree — masked multiple faults");
     return;
   }
   ++report_.faults_localized;
-  Pe<T>& victim = pe(fr, fc);
+  Pe& victim = grid_[static_cast<std::size_t>(row.at * pc_ + col.at)];
   ++victim.faults;
   LocalizedFault lf;
   lf.tile_row = ti;
   lf.tile_col = tj;
-  lf.r = fr;
-  lf.c = fc;
-  lf.residual = rr;
+  lf.r = row.at;
+  lf.c = col.at;
+  lf.residual = row.res;
   if (abft_.correct_single_faults) {
     // Replay the victim's dot product in the PE's own accumulation order
     // (ascending j, precision T): the corrected accumulator is bit-equal
     // to what a fault-free pass would have produced.
-    T acc = T(0);
+    T replay = T(0);
     for (std::int64_t j = 0; j < k; ++j) {
-      acc += A(row0 + fr, j) * B(j, col0 + fc);
+      replay += A(row0 + row.at, j) * B(j, col0 + col.at);
     }
-    const double delta =
-        static_cast<double>(victim.acc) - static_cast<double>(acc);
-    victim.acc = acc;
+    const double delta = static_cast<double>(acc(row.at, col.at)) -
+                         static_cast<double>(replay);
+    acc(row.at, col.at) = replay;
     // The replay must explain the residuals it was blamed for; if not,
     // the localization was a coincidence of several faults.
-    if (flagged(rr - delta, tol_row[static_cast<std::size_t>(fr)]) ||
-        flagged(rc - delta, tol_col[static_cast<std::size_t>(fc)])) {
+    if (flagged(row.res - delta, row.tol) ||
+        flagged(col.res - delta, col.tol)) {
       --report_.faults_localized;
       --victim.faults;
       uncorrectable("replayed correction does not explain the residuals");
@@ -213,108 +232,57 @@ std::uint64_t SystolicArray<T>::run_tile(MatrixView<const T> A,
                                          std::int64_t col0, std::int64_t th,
                                          std::int64_t tw, std::int64_t k,
                                          std::int64_t tile) {
-  auto pe = [&](int r, int c) -> Pe<T>& {
-    return grid_[static_cast<std::size_t>(r * pc_ + c)];
-  };
-  for (auto& p : grid_) {
-    p.acc = T(0);
-    p.a_valid = p.b_valid = p.drain_valid = false;
+  // ---- Compute phase: the skewed wavefronts in closed form -----------
+  // PE(r, c) MACs operand index j = t - r - c at cycle t, so each active
+  // PE (r < th, c < tw) accumulates its dot product in ascending j; PEs
+  // outside a ragged tile get no operands.
+  std::int64_t r0 = 0;
+  for (; r0 + 2 <= th; r0 += 2) {
+    mac_rows<2>(A, B, row0 + r0, col0, tw, k, &acc(r0, 0), pc_);
   }
-  // Armed faults targeting this tile, with the victim PE's MAC count at
-  // tile entry so the plan's per-tile MAC index can be matched.
-  struct Live {
-    ArmedFault* af;
-    std::uint64_t base;
+  if (r0 < th) mac_rows<1>(A, B, row0 + r0, col0, tw, k, &acc(r0, 0), pc_);
+  // A PE with an armed plan for this tile redoes its dot product MAC by
+  // MAC, checking its plans in armed order: a plan fires at the first
+  // MAC at or after plan.mac whose product is nonzero (a flipped zero
+  // would leave no trace), and never if no such product is left.
+  const auto targets = [&](const PeFaultPlan& p) {
+    return p.tile == tile && p.r >= 0 && p.r < th && p.c >= 0 && p.c < tw;
   };
-  std::vector<Live> live;
-  for (ArmedFault& af : pending_) {
-    if (!af.fired && af.plan.tile == tile && af.plan.r < th &&
-        af.plan.c < tw) {
-      live.push_back({&af, pe(af.plan.r, af.plan.c).macs});
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    const PeFaultPlan& plan = it->plan;
+    const auto same_pe = [&](const ArmedFault& o) {
+      return targets(o.plan) && o.plan.r == plan.r && o.plan.c == plan.c;
+    };
+    if (!targets(plan) || std::any_of(pending_.begin(), it, same_pe)) {
+      continue;  // not this tile's, or its PE already redone
     }
-  }
-  // ---- Compute phase: skewed wavefronts ------------------------------
-  // Feed-A(r) injects A(row0+r, t-r) at cycle t; Feed-B(c) injects
-  // B(t-c, col0+c). Operands meet at PE(r, c) after r+c forwarding hops.
-  const std::int64_t last_cycle = (k - 1) + (pr_ - 1) + (pc_ - 1);
-  for (std::int64_t t = 0; t <= last_cycle; ++t) {
-    // Register transfer: latch new operands from the left/top neighbour
-    // (edge PEs latch from the feeders), sweeping from the far corner so
-    // each PE reads its neighbour's *previous* value.
-    for (int r = pr_ - 1; r >= 0; --r) {
-      for (int c = pc_ - 1; c >= 0; --c) {
-        Pe<T>& p = pe(r, c);
-        if (c > 0) {
-          p.a_reg = pe(r, c - 1).a_reg;
-          p.a_valid = pe(r, c - 1).a_valid;
-        } else {
-          const std::int64_t j = t - r;
-          p.a_valid = r < th && j >= 0 && j < k;
-          if (p.a_valid) p.a_reg = A(row0 + r, j);
-        }
-        if (r > 0) {
-          p.b_reg = pe(r - 1, c).b_reg;
-          p.b_valid = pe(r - 1, c).b_valid;
-        } else {
-          const std::int64_t j = t - c;
-          p.b_valid = c < tw && j >= 0 && j < k;
-          if (p.b_valid) p.b_reg = B(j, col0 + c);
+    T sum = T(0);
+    for (std::int64_t j = 0; j < k; ++j) {
+      T prod = A(row0 + plan.r, j) * B(j, col0 + plan.c);
+      for (auto f = it; f != pending_.end(); ++f) {
+        if (!f->fired && same_pe(*f) &&
+            static_cast<std::uint64_t>(j) >=
+                static_cast<std::uint64_t>(f->plan.mac) &&
+            prod != T(0)) {
+          prod = flip_product(prod);
+          f->fired = true;
+          ++faults_fired_;
         }
       }
+      sum += prod;
     }
-    // MAC on the freshly latched pair.
-    for (int r = 0; r < pr_; ++r) {
-      for (int c = 0; c < pc_; ++c) {
-        Pe<T>& p = pe(r, c);
-        if (!(p.a_valid && p.b_valid)) continue;
-        T prod = p.a_reg * p.b_reg;
-        for (Live& lv : live) {
-          if (lv.af->fired || lv.af->plan.r != r || lv.af->plan.c != c) {
-            continue;
-          }
-          // Fire at the planned per-tile MAC index, postponing past
-          // exactly-zero products (a flipped zero is still zero-delta in
-          // the accumulator for the worst corruption patterns; requiring
-          // a nonzero product guarantees the fault is live).
-          if (p.macs - lv.base >=
-                  static_cast<std::uint64_t>(lv.af->plan.mac) &&
-              prod != T(0)) {
-            prod = flip_product(prod);
-            lv.af->fired = true;
-            ++faults_fired_;
-          }
-        }
-        p.acc += prod;
-        ++p.macs;
-      }
-    }
+    acc(plan.r, plan.c) = sum;
   }
   // ---- Checksum rank: detect / localize / correct before the drain ----
   // Architecturally the comparison happens in the extra accumulator rank
   // as the tile drains; checking the (still output-stationary) ACCs here
-  // and then draining normally is the same dataflow without duplicating
-  // the drain logic.
+  // is the same dataflow.
   std::uint64_t corrected = 0;
   if (abft_.enabled) check_tile(A, B, row0, col0, th, tw, k, &corrected);
-  // ---- Drain phase: accumulators shift down the column chains --------
-  for (auto& p : grid_) {
-    p.drain_reg = p.acc;
-    p.drain_valid = true;
-  }
-  for (int step = 0; step < pr_; ++step) {
-    // Bottom row currently holds the values of original row pr-1-step.
-    const std::int64_t r_orig = pr_ - 1 - step;
-    if (r_orig < th) {
-      for (int c = 0; c < std::min<std::int64_t>(pc_, tw); ++c) {
-        C(row0 + r_orig, col0 + c) = pe(pr_ - 1, c).drain_reg;
-      }
-    }
-    // Shift every column chain down by one.
-    for (int r = pr_ - 1; r > 0; --r) {
-      for (int c = 0; c < pc_; ++c) {
-        pe(r, c).drain_reg = pe(r - 1, c).drain_reg;
-      }
-    }
+  // ---- Drain phase: the column chains deliver every accumulator -------
+  for (std::int64_t r = 0; r < th; ++r) {
+    std::copy_n(&acc(r, 0), tw, &C(row0 + r, col0));
+    for (std::int64_t c = 0; c < tw; ++c) grid_[r * pc_ + c].macs += k;
   }
   return corrected;
 }
@@ -328,10 +296,28 @@ std::uint64_t SystolicArray<T>::multiply(MatrixView<const T> A,
                 "systolic multiply: shape mismatch");
   report_ = AbftReport{};
   faults_fired_ = 0;
+  // Feed-B's running column sums depend only on the tile column, Feed-A's
+  // row sums only on the tile row: each is summed once per multiply.
+  if (abft_.enabled) {
+    bsum_.resize(static_cast<std::size_t>((n + pc_ - 1) / pc_ * k));
+    babs_.resize(bsum_.size());
+    asum_.resize(static_cast<std::size_t>(k));
+    aabs_.resize(asum_.size());
+    for (std::int64_t col0 = 0; col0 < n; col0 += pc_) {
+      feed_sums(k, std::min<std::int64_t>(pc_, n - col0),
+                [&](std::int64_t j, std::int64_t c) { return B(j, col0 + c); },
+                bsum_.data() + col0 / pc_ * k, babs_.data() + col0 / pc_ * k);
+    }
+  }
   std::uint64_t cycles = 0;
   std::int64_t tile = 0;
   for (std::int64_t row0 = 0; row0 < m; row0 += pr_) {
     const std::int64_t th = std::min<std::int64_t>(pr_, m - row0);
+    if (abft_.enabled) {
+      feed_sums(k, th,
+                [&](std::int64_t j, std::int64_t r) { return A(row0 + r, j); },
+                asum_.data(), aabs_.data());
+    }
     for (std::int64_t col0 = 0; col0 < n; col0 += pc_) {
       const std::int64_t tw = std::min<std::int64_t>(pc_, n - col0);
       const std::uint64_t corrected =

@@ -1,15 +1,23 @@
-// Explicit cycle-stepped simulation of the paper's 2-D systolic GEMM
-// array (Sec. III-C, Fig. 3): a PR x PC grid of processing elements fed by
-// Feed-A modules on the left edge and Feed-B modules on the top edge,
-// drained by Drain-C modules at the bottom. Every PE has a constant number
-// of data connections (6: a/b/acc in, a/b/acc out) independent of the grid
-// size — the property that makes the architecture scale where a naive
-// unrolled loop nest would hit fan-out limits.
+// The paper's 2-D systolic GEMM array (Sec. III-C, Fig. 3): a PR x PC
+// grid of processing elements fed by Feed-A modules on the left edge and
+// Feed-B modules on the top edge, drained by Drain-C modules at the
+// bottom. Every PE has a constant number of data connections (6: a/b/acc
+// in, a/b/acc out) independent of the grid size — the property that makes
+// the architecture scale where a naive unrolled loop nest would hit
+// fan-out limits.
 //
 // This component is the output-stationary, ratio-1 realization (each PE
 // owns one element of the C tile). The core library's `fblas::core::gemm`
 // coroutine is the time-multiplexed single-kernel equivalent used at
 // scale; tests assert that both agree with the reference BLAS.
+//
+// The grid is computed by its wavefront in closed form rather than by
+// stepping registers: Feed-A(r) injects A(row0+r, t-r) and Feed-B(c)
+// injects B(t-c, col0+c) at cycle t, so after r+c forwarding hops PE(r, c)
+// MACs operand index j = t - r - c — its accumulator is one dot product
+// over ascending j, and the drain chain delivers it to C unchanged. The
+// cycle count depends only on the shape (cycles_per_tile), so nothing
+// observable needs the cycle-by-cycle registers.
 //
 // In-grid ABFT (AbftConfig): the grid optionally carries a Huang–Abraham
 // checksum row and checksum column — the feeders emit running operand
@@ -31,17 +39,10 @@
 
 namespace fblas::systolic {
 
-/// One processing element: registers for the pass-through operands, the
-/// stationary accumulator, and a drain register.
-template <typename T>
+/// What a processing element keeps across tiles. Its operand registers,
+/// valid bits and drain register follow from the wavefront in closed
+/// form, and its stationary accumulator lives in the grid's scratch.
 struct Pe {
-  T a_reg{};
-  T b_reg{};
-  bool a_valid = false;
-  bool b_valid = false;
-  T acc{};
-  T drain_reg{};
-  bool drain_valid = false;
   std::uint64_t macs = 0;    ///< statistics: MACs performed by this PE
   std::uint64_t faults = 0;  ///< ABFT: faults localized to this PE
 };
@@ -166,8 +167,17 @@ class SystolicArray {
                   std::int64_t row0, std::int64_t col0, std::int64_t th,
                   std::int64_t tw, std::int64_t k, std::uint64_t* corrected);
 
+  T& acc(std::int64_t r, std::int64_t c) {
+    return acc_[static_cast<std::size_t>(r * pc_ + c)];
+  }
+
   int pr_, pc_;
-  std::vector<Pe<T>> grid_;
+  std::vector<Pe> grid_;
+  std::vector<T> acc_;  ///< PE(r, c)'s accumulator at r * PC + c
+  // What the ABFT feeders emit beside the data, per multiply(): Feed-A's
+  // running row sums (and magnitudes) for the current tile row, k values,
+  // and Feed-B's running column sums for every tile column, k per column.
+  std::vector<double> asum_, aabs_, bsum_, babs_;
   AbftConfig abft_;
   AbftReport report_;
   std::vector<ArmedFault> pending_;
