@@ -1,6 +1,7 @@
 #include "codegen/emitter.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace fblas::codegen {
 namespace {
@@ -306,31 +307,49 @@ void emit_systolic_module(std::ostringstream& os, const RoutineSpec& s,
 }
 
 void emit_unrolled_module(std::ostringstream& os, const RoutineSpec& s) {
+  // As in core::gemm_batched_unrolled / trsm_batched_unrolled: per
+  // problem A (TRSM: its lower triangle) then B arrive row-major, and the
+  // s x s result leaves row-major.
   const char* t = ctype(s.precision);
-  const std::int64_t sz = s.fixed_size;
-  os << "// Fully-unrolled batched " << (s.kind == RoutineKind::Gemm
-                                             ? "GEMM"
-                                             : "TRSM (left, lower)")
-     << " of fixed size " << sz
+  const bool gemm = s.kind == RoutineKind::Gemm;
+  const std::string sz = std::to_string(s.fixed_size);
+  // Row-major loops over a whole problem, or over its lower triangle.
+  const auto loops = [&](bool lower) {
+    os << "    for (int i = 0; i < " << sz << "; i++)\n"
+       << "      for (int j = 0; j " << (lower ? "<= i" : "< " + sz)
+       << "; j++)\n";
+  };
+  os << "// Fully-unrolled batched "
+     << (gemm ? "GEMM" : "TRSM (left, lower)") << " of fixed size " << sz
      << ": a new problem enters every clock cycle (Table V design)\n"
      << "__kernel void " << s.user_name << "(" << t
      << " alpha, int batch) {\n"
      << "  for (int inv = 0; inv < batch; inv++) {\n"
      << "    " << t << " a[" << sz << "][" << sz << "], b[" << sz << "]["
-     << sz << "];\n"
-     << "    #pragma unroll\n"
+     << sz << "];\n";
+  loops(!gemm);
+  os << "        a[i][j] = read_channel_intel(" << chan(s, "A") << ");\n";
+  loops(false);
+  os << "        b[i][j] = " << (gemm ? "" : "alpha * ")
+     << "read_channel_intel(" << chan(s, "B") << ");\n";
+  // The unrolled s x s compute; TRSM substitutes forward in place (row i
+  // of X needs rows 0..i-1) and then writes X.
+  os << "    #pragma unroll\n"
      << "    for (int i = 0; i < " << sz << "; i++)\n"
      << "      #pragma unroll\n"
-     << "      for (int j = 0; j < " << sz << "; j++)\n";
-  if (s.kind == RoutineKind::Gemm) {
-    os << "        { " << t << " acc = 0;\n"
-       << "          #pragma unroll\n"
-       << "          for (int k = 0; k < " << sz << "; k++)\n"
-       << "            acc += a[i][k] * b[k][j];\n"
-       << "          write_channel_intel(" << chan(s, "C")
-       << ", alpha * acc); }\n";
+     << "      for (int j = 0; j < " << sz << "; j++) {\n"
+     << "        " << t << " acc = " << (gemm ? "0" : "b[i][j]") << ";\n"
+     << "        #pragma unroll\n"
+     << "        for (int k = 0; k < " << (gemm ? sz : "i") << "; k++)\n";
+  if (gemm) {
+    os << "          acc += a[i][k] * b[k][j];\n"
+       << "        write_channel_intel(" << chan(s, "C")
+       << ", alpha * acc);\n      }\n";
   } else {
-    os << "        { /* fully-unrolled forward substitution row i */ }\n";
+    os << "          acc -= a[i][k] * b[k][j];\n"
+       << "        b[i][j] = acc / a[i][i];\n      }\n";
+    loops(false);
+    os << "        write_channel_intel(" << chan(s, "X") << ", b[i][j]);\n";
   }
   os << "  }\n}\n\n";
 }

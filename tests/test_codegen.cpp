@@ -261,6 +261,33 @@ TEST(Emitter, GemvAndSystolicBodiesUseEveryStream) {
   }
 }
 
+TEST(Emitter, UnrolledBodiesUseEveryStream) {
+  // The fully-unrolled GEMM and TRSM kernels load every input stream and
+  // write every output stream.
+  for (const RoutineKind kind : {RoutineKind::Gemm, RoutineKind::Trsm}) {
+    RoutineSpec s;
+    s.kind = kind;
+    s.fully_unrolled = true;
+    s.fixed_size = 4;
+    s.user_name = "k";
+    const GeneratedDesign d = emit(s, sim::stratix10(), false);
+    const std::size_t at = d.source.find("__kernel void k(");
+    ASSERT_NE(at, std::string::npos) << d.source;
+    const std::string body = d.source.substr(at);
+    const Streams io = streams(s);
+    for (const std::string& in : io.in) {
+      EXPECT_NE(body.find("read_channel_intel(k_ch_" + in + ")"),
+                std::string::npos)
+          << s.blas_name() << " never reads " << in << "\n" << body;
+    }
+    for (const std::string& out : io.out) {
+      EXPECT_NE(body.find("write_channel_intel(k_ch_" + out + ","),
+                std::string::npos)
+          << s.blas_name() << " never writes " << out << "\n" << body;
+    }
+  }
+}
+
 TEST(Emitter, InfeasibleDesignsRejected) {
   // DDOT at W=256 fails routing (Sec. VI-B).
   RoutineSpec s;
