@@ -990,6 +990,197 @@ TEST(BatchTransfer, TaintOrderPinned) {
       << "record:\n" << os.str();
 }
 
+// A tapped channel fed batch by batch through put_some, against the
+// per-value rule: taint screens each value in push order (a trap stops
+// before the bad one), then the tap adds it to its sum and magnitude.
+// `trap` < 0 runs without taint. The batches hold each special value at
+// each position, between clean batches; re-arming the tap per case lets
+// both a clean and an already non-finite tap meet every special. A
+// double batch of ±max overflows the magnitude with finite values only,
+// so a trapping tap is non-finite before its special arrives. Sums compare
+// bit for bit, except that once a NaN meets a NaN sum only NaN-ness is
+// compared: which operand's payload survives is the compiler's choice.
+template <typename T>
+void tap_screen_matches_per_value(int trap) {
+  using Lim = std::numeric_limits<T>;
+  const T nan = Lim::quiet_NaN();
+  const std::vector<T> specials = {
+      nan,        -nan,         Lim::infinity(),    -Lim::infinity(),
+      T(-0.0),    T(0.0),       Lim::denorm_min(),  -Lim::min() / T(3),
+      Lim::max(), -Lim::max()};
+  Workload w(0x7a9 + sizeof(T) + static_cast<std::uint64_t>(trap + 1));
+  Graph g;
+  auto& ch = g.channel<T>("c", 16);
+  if (trap >= 0) g.scheduler().enable_taint(trap != 0);
+  double sum = 0.0, mag = 0.0;
+  bool sum_nan_met_nan = false, mag_nan_met_nan = false;
+  std::uint64_t count = 0, pushed = 0;
+  Taint want;
+  const auto arm = [&] {
+    ch.arm_tap();
+    sum = mag = 0.0;
+    sum_nan_met_nan = mag_nan_met_nan = false;
+    count = 0;
+  };
+  const auto same = [](double got, double want, bool nan_met_nan) {
+    return nan_met_nan ? std::isnan(got) && std::isnan(want)
+                       : hex_bits(got) == hex_bits(want);
+  };
+  const auto feed = [&](const std::vector<T>& batch, const std::string& what) {
+    std::size_t moved = 0;
+    bool trapped = false;
+    for (const T value : batch) {
+      const auto v = static_cast<double>(value);
+      if (trap >= 0 && !std::isfinite(v)) {
+        if (!want.tainted) {
+          want = {true, "host", "c", v, 0};
+        }
+        if (trap != 0) {
+          trapped = true;
+          break;
+        }
+      }
+      sum_nan_met_nan |= std::isnan(sum) && std::isnan(v);
+      mag_nan_met_nan |= std::isnan(mag) && std::isnan(v);
+      sum += v;
+      mag += v < 0 ? -v : v;
+      ++count;
+      ++moved;
+    }
+    pushed += moved;
+    bool threw = false;
+    try {
+      EXPECT_EQ(ch.put_some(batch.data(), batch.size()), batch.size()) << what;
+    } catch (const TaintError&) {
+      threw = true;
+    }
+    EXPECT_EQ(threw, trapped) << what;
+    std::vector<T> out(16);
+    ASSERT_EQ(ch.take_some(out.data(), out.size()), moved) << what;
+    for (std::size_t i = 0; i < moved; ++i) {
+      EXPECT_EQ(std::bit_cast<BitsOf<T>>(out[i]),
+                std::bit_cast<BitsOf<T>>(batch[i]))
+          << what << " value " << i;
+    }
+    EXPECT_TRUE(same(ch.tap_sum(), sum, sum_nan_met_nan))
+        << what << ": sum " << hex_bits(ch.tap_sum()) << ", want "
+        << hex_bits(sum);
+    EXPECT_TRUE(same(ch.tap_mag(), mag, mag_nan_met_nan))
+        << what << ": mag " << hex_bits(ch.tap_mag()) << ", want "
+        << hex_bits(mag);
+    EXPECT_EQ(ch.tap_count(), count) << what;
+    EXPECT_EQ(ch.total_pushed(), pushed) << what;
+    const Taint& got = g.scheduler().taint();
+    EXPECT_EQ(got.tainted, want.tainted) << what;
+    EXPECT_EQ(got.module, want.module) << what;
+    EXPECT_EQ(got.channel, want.channel) << what;
+    EXPECT_EQ(hex_bits(got.value), hex_bits(want.value)) << what;
+    EXPECT_EQ(got.cycle, want.cycle) << what;
+  };
+  const auto clean = [&](std::size_t k) {
+    std::vector<T> b(k);
+    for (T& v : b) {
+      const int e = static_cast<int>(w.next_u64() % 41) - 20;
+      v = static_cast<T>(std::ldexp(w.uniform(-1.0, 1.0), e));
+    }
+    return b;
+  };
+  const auto with = [&](std::size_t k, std::size_t pos, T special) {
+    std::vector<T> b = clean(k);
+    b[pos] = special;
+    return b;
+  };
+  for (std::size_t k = 1; k <= 16; ++k) {
+    const std::string at_k = "k " + std::to_string(k);
+    for (std::size_t pos = 0; pos < k; ++pos) {
+      for (std::size_t s = 0; s < specials.size(); ++s) {
+        for (std::size_t s2 = 0; s2 < specials.size(); ++s2) {
+          const std::string what = at_k + " pos " + std::to_string(pos) +
+                                   " specials " + std::to_string(s) + "," +
+                                   std::to_string(s2);
+          arm();
+          feed(clean(k), what + " (clean before)");
+          feed(with(k, pos, specials[s]), what);
+          feed(clean(k), what + " (clean after)");
+          feed(with(k, k - 1 - pos, specials[s2]), what + " (second)");
+        }
+      }
+    }
+    std::vector<T> big(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      big[i] = i % 3 == 2 ? -Lim::max() : Lim::max();
+    }
+    for (std::size_t s = 0; s < specials.size(); ++s) {
+      const std::string what = at_k + " ±max, special " + std::to_string(s);
+      arm();
+      feed(big, what);
+      feed(clean(k), what + " (clean after)");
+      feed(with(k, k / 2, specials[s]), what + " (special after)");
+    }
+  }
+}
+
+TEST(BatchTransfer, TapScreenMatchesPerValue) {
+  for (const int trap : {-1, 0, 1}) {
+    tap_screen_matches_per_value<float>(trap);
+    tap_screen_matches_per_value<double>(trap);
+  }
+}
+
+// all_finite over every value class at every position of batches of 0 to
+// 40 values (the vectorized body and its remainder), in float and double.
+template <typename T>
+void all_finite_table() {
+  using Bits = BitsOf<T>;
+  using Lim = std::numeric_limits<T>;
+  constexpr int kMant = Lim::digits - 1;
+  const Bits exp_all = std::bit_cast<Bits>(Lim::infinity());
+  const Bits sign = Bits{1} << (8 * sizeof(T) - 1);
+  const std::vector<std::pair<T, bool>> classes = {
+      {T(0.0), true},
+      {T(-0.0), true},
+      {Lim::denorm_min(), true},
+      {-Lim::denorm_min(), true},
+      {std::bit_cast<T>((Bits{1} << kMant) - 1), true},  // largest denormal
+      {Lim::min(), true},
+      {-Lim::min(), true},
+      {T(1.0), true},
+      {T(-1.5), true},
+      {Lim::max(), true},
+      {-Lim::max(), true},
+      // The top finite exponent with an empty mantissa.
+      {std::bit_cast<T>(exp_all - std::bit_cast<Bits>(Lim::min())), true},
+      {Lim::infinity(), false},
+      {-Lim::infinity(), false},
+      {Lim::quiet_NaN(), false},
+      {-Lim::quiet_NaN(), false},
+      {Lim::signaling_NaN(), false},
+      {std::bit_cast<T>(exp_all | 1), false},  // smallest payload
+      {std::bit_cast<T>(~Bits{0} & ~sign), false},  // largest payload
+      {std::bit_cast<T>(~Bits{0}), false},
+  };
+  Workload w(0xf1 + sizeof(T));
+  for (std::size_t k = 0; k <= 40; ++k) {
+    std::vector<T> b(k);
+    for (T& v : b) v = static_cast<T>(w.uniform(-4.0, 4.0));
+    EXPECT_TRUE(all_finite(b.data(), k)) << "clean, k " << k;
+    for (std::size_t pos = 0; pos < k; ++pos) {
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        const T keep = b[pos];
+        b[pos] = classes[c].first;
+        EXPECT_EQ(all_finite(b.data(), k), classes[c].second)
+            << "class " << c << " at " << pos << " of " << k;
+        b[pos] = keep;
+      }
+    }
+  }
+}
+
+TEST(BatchTransfer, AllFiniteEveryClassAndPosition) {
+  all_finite_table<float>();
+  all_finite_table<double>();
+}
+
 // ---- TileWalker -----------------------------------------------------------
 
 std::vector<std::pair<std::int64_t, std::int64_t>> walk_all(
