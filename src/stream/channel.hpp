@@ -137,17 +137,21 @@ using BitsOf =
     std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
 
 /// True when none of src[0..k) is NaN or ±Inf (always for non-floating
-/// T). Tests every value, without a branch per value.
+/// T). Tests every value with integer ANDs, adds and ORs, no branch or
+/// compare per value, so the loop vectorizes: adding the exponent's
+/// lowest bit to |v|'s bits carries into the sign bit exactly when the
+/// exponent is all ones.
 template <typename T>
 bool all_finite(const T* src, std::size_t k) {
   if constexpr (std::is_floating_point_v<T>) {
-    constexpr auto exp =
-        std::bit_cast<BitsOf<T>>(std::numeric_limits<T>::infinity());
-    bool finite = true;
+    using U = BitsOf<T>;
+    constexpr U sign = U{1} << (8 * sizeof(T) - 1);
+    constexpr U exp_lsb = std::bit_cast<U>(std::numeric_limits<T>::min());
+    U carried = 0;
     for (std::size_t i = 0; i < k; ++i) {
-      finite &= (std::bit_cast<BitsOf<T>>(src[i]) & exp) != exp;
+      carried |= (std::bit_cast<U>(src[i]) & ~sign) + exp_lsb;
     }
-    return finite;
+    return (carried & sign) == 0;
   } else {
     return true;
   }
@@ -188,17 +192,18 @@ class Channel : public ChannelBase {
   /// tapped in push order, unless a value must be handled on its own: an
   /// armed corruption counts every push, and under taint or a tap a batch
   /// holding NaN/Inf takes the per-value path, which reports the first
-  /// one at its element.
+  /// one at its element. A tapped batch is scanned once: the tap's sums
+  /// are its NaN/Inf screen (see tap_batch).
   std::size_t put_some(const T* src, std::size_t k) {
     k = std::min(k, space());
     if (k == 0) return 0;
     const std::size_t tail = head_ + count_;
     if constexpr (std::is_floating_point_v<T>) {
       if (sched_->corrupt_armed() ||
-          ((tap_armed_ || sched_->taint_enabled()) && !all_finite(src, k))) {
+          (tap_armed_ ? !tap_batch(src, k)
+                      : sched_->taint_enabled() && !all_finite(src, k))) {
         return put_instrumented(src, k, tail);
       }
-      if (tap_armed_) tap_batch(src, k);
     }
     const std::size_t at = tail & mask_;
     const std::size_t first = std::min(k, buf_.size() - at);
@@ -224,18 +229,30 @@ class Channel : public ChannelBase {
   }
 
  private:
-  /// The checksum tap over a batch of finite values: the same sums, bit
-  /// for bit, as put_instrumented's, with a branch-free magnitude.
-  void tap_batch(const T* src, std::size_t k) {
+  /// Taps a batch in push order when every value is finite, and returns
+  /// whether it did; otherwise the tap is left untouched for
+  /// put_instrumented. The magnitude is the screen: a NaN or ±Inf value
+  /// makes it non-finite, and a finite one means every value was finite
+  /// (a float batch cannot overflow a double; a double batch that does
+  /// takes put_instrumented, which sums the same). Over finite values the
+  /// sums equal put_instrumented's bit for bit, the magnitude branch-free
+  /// (it is never −0.0). A tap already made non-finite by an earlier
+  /// value screens its later batches with all_finite.
+  bool tap_batch(const T* src, std::size_t k) {
     double sum = tap_sum_, mag = tap_mag_;
     for (std::size_t i = 0; i < k; ++i) {
       const auto v = static_cast<double>(src[i]);
       sum += v;
       mag += std::fabs(v);
     }
+    if (!std::isfinite(mag) &&
+        (std::isfinite(tap_mag_) || !all_finite(src, k))) {
+      return false;
+    }
     tap_sum_ = sum;
     tap_mag_ = mag;
     tap_count_ += k;
+    return true;
   }
 
   /// put_some with the per-value instrumentation, in push order: injected
