@@ -10,7 +10,25 @@ void gemv(Transpose trans, T alpha, MatrixView<const T> A,
   const std::int64_t n = A.rows(), m = A.cols();
   if (trans == Transpose::None) {
     FBLAS_REQUIRE(x.size() == m && y.size() == n, "gemv: shape mismatch");
-    for (std::int64_t i = 0; i < n; ++i) {
+    // Four rows per sweep over x, each accumulated over ascending j on
+    // its own chain, so the chains overlap and every row's sum is the
+    // one-row loop's.
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      T acc0 = T(0), acc1 = T(0), acc2 = T(0), acc3 = T(0);
+      for (std::int64_t j = 0; j < m; ++j) {
+        const T xj = x[j];
+        acc0 += A(i, j) * xj;
+        acc1 += A(i + 1, j) * xj;
+        acc2 += A(i + 2, j) * xj;
+        acc3 += A(i + 3, j) * xj;
+      }
+      y[i] = alpha * acc0 + beta * y[i];
+      y[i + 1] = alpha * acc1 + beta * y[i + 1];
+      y[i + 2] = alpha * acc2 + beta * y[i + 2];
+      y[i + 3] = alpha * acc3 + beta * y[i + 3];
+    }
+    for (; i < n; ++i) {
       T acc = T(0);
       for (std::int64_t j = 0; j < m; ++j) acc += A(i, j) * x[j];
       y[i] = alpha * acc + beta * y[i];

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -913,6 +915,45 @@ void solve_residuals_every_triangle() {
 TEST(VerifyCheckers, SolveResidualsEveryTriangleAndDiagonal) {
   solve_residuals_every_triangle<float>();
   solve_residuals_every_triangle<double>();
+}
+
+// The host replay's non-transposed GEMV sweeps x for four rows at once;
+// every row must still be the one-row loop's sum over ascending j, bit
+// for bit, for every row count around the block of four, on strided x
+// and y and a padded leading dimension.
+template <typename T>
+void four_row_gemv_matches_one_row_loop() {
+  using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  Workload w(0x9e3779b97f4a7c15ULL + sizeof(T));
+  for (std::int64_t n = 1; n <= 9; ++n) {
+    for (const std::int64_t m : {0, 1, 3, 8, 13, 64}) {
+      const std::int64_t ld = m + 2, incx = 2, incy = 3;
+      const std::vector<T> a = w.vector<T>(n * ld + 1, -2.0, 2.0);
+      const std::vector<T> x = w.vector<T>(m * incx + 1, -2.0, 2.0);
+      std::vector<T> y = w.vector<T>(n * incy + 1, -2.0, 2.0);
+      std::vector<T> want = y;
+      const T alpha = static_cast<T>(w.uniform(-1.5, 1.5));
+      const T beta = static_cast<T>(w.uniform(-1.5, 1.5));
+      const MatrixView<const T> A(a.data(), n, m, ld);
+      for (std::int64_t i = 0; i < n; ++i) {
+        T acc = T(0);
+        for (std::int64_t j = 0; j < m; ++j) acc += A(i, j) * x[j * incx];
+        want[i * incy] = alpha * acc + beta * want[i * incy];
+      }
+      ref::gemv<T>(Transpose::None, alpha, A,
+                   VectorView<const T>(x.data(), m, incx), beta,
+                   VectorView<T>(y.data(), n, incy));
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<Bits>(y[i]), std::bit_cast<Bits>(want[i]))
+            << "n " << n << " m " << m << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(VerifyReplay, FourRowGemvMatchesOneRowLoop) {
+  four_row_gemv_matches_one_row_loop<float>();
+  four_row_gemv_matches_one_row_loop<double>();
 }
 
 TEST(VerifySampling, DeterministicAndProportional) {
