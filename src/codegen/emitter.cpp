@@ -355,15 +355,71 @@ void emit_unrolled_module(std::ostringstream& os, const RoutineSpec& s) {
 }
 
 void emit_triangular_module(std::ostringstream& os, const RoutineSpec& s) {
+  // As in core::trsv / core::trsm: the rows of op(A)'s triangle arrive in
+  // solve order (read_triangular), forward for a lower triangle and
+  // backward for an upper one, each row's dependencies and its diagonal
+  // in column order. Per row i the module reads b[i] (TRSM: B's row i,
+  // times alpha), subtracts every solved x[j], divides by the diagonal
+  // (read but unused when it is unit) and writes x[i]. The solution stays
+  // on chip: up to TN rows (TRSM: TN x TM).
   const char* t = ctype(s.precision);
-  os << "// " << (s.kind == RoutineKind::Trsv ? "TRSV" : "TRSM") << ", "
-     << (s.uplo == Uplo::Lower ? "lower" : "upper") << " triangle, "
-     << (s.diag == Diag::Unit ? "unit" : "non-unit") << " diagonal\n"
-     << "__kernel void " << s.user_name << "(int N) {\n"
-     << "  " << t << " x[/* progressive solution buffer */ 1];\n"
-     << "  // rows arrive in solve order through "
-     << chan(s, "A") << "\n"
-     << "}\n\n";
+  const bool trsv = s.kind == RoutineKind::Trsv;
+  const bool lower = (s.uplo == Uplo::Lower) == (s.trans == Transpose::None);
+  const bool unit = s.diag == Diag::Unit;
+  const char* n = trsv ? "N" : "M";
+  const std::string row_i = lower ? "s" : std::string(n) + " - 1 - s";
+  const std::string deps = lower ? "int j = 0; j <= i; j++"
+                                 : "int j = i; j < " + std::string(n) + "; j++";
+  os << "// " << (trsv ? "TRSV" : "TRSM (left)") << ", "
+     << (lower ? "lower" : "upper") << " triangle"
+     << (s.trans == Transpose::None ? "" : " of A^T") << ", "
+     << (unit ? "unit" : "non-unit") << " diagonal: rows arrive in solve "
+     << "order\n"
+     << "__kernel void " << s.user_name << "(";
+  if (trsv) {
+    os << "int N) {\n"
+       << "  " << t << " x[" << s.tile_rows << "];\n";
+  } else {
+    os << t << " alpha, int M, int N) {\n"
+       << "  " << t << " x[" << s.tile_rows << "][" << s.tile_cols << "];\n"
+       << "  " << t << " row[" << s.tile_cols << "];\n";
+  }
+  os << "  for (int s = 0; s < " << n << "; s++) {\n"
+     << "    const int i = " << row_i << ";\n";
+  if (trsv) {
+    os << "    " << t << " acc = read_channel_intel(" << chan(s, "b")
+       << ");\n";
+  } else {
+    os << "    for (int c = 0; c < N; c++)\n"
+       << "      row[c] = alpha * read_channel_intel(" << chan(s, "B")
+       << ");\n";
+  }
+  os << "    " << t << " diag = 1;\n"
+     << "    for (" << deps << ") {\n"
+     << "      const " << t << " a = read_channel_intel(" << chan(s, "A")
+     << ");\n"
+     << "      if (j == i) {\n"
+     << "        diag = a;\n"
+     << "        continue;\n"
+     << "      }\n";
+  if (trsv) {
+    os << "      acc -= a * x[j];\n";
+  } else {
+    os << "      #pragma unroll " << s.width << "\n"
+       << "      for (int c = 0; c < N; c++) row[c] -= a * x[j][c];\n";
+  }
+  os << "    }\n";
+  const char* scale = unit ? "" : " / diag";
+  if (trsv) {
+    os << "    x[i] = acc" << scale << ";\n"
+       << "    write_channel_intel(" << chan(s, "x") << ", x[i]);\n";
+  } else {
+    os << "    for (int c = 0; c < N; c++) {\n"
+       << "      x[i][c] = row[c]" << scale << ";\n"
+       << "      write_channel_intel(" << chan(s, "X") << ", x[i][c]);\n"
+       << "    }\n";
+  }
+  os << "  }\n}\n\n";
 }
 
 }  // namespace

@@ -217,6 +217,30 @@ TEST(Emitter, SystolicGemmStructure) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+/// The source of `d`'s module kernel, named "k", up to the next kernel.
+std::string module_body(const GeneratedDesign& d) {
+  const std::size_t at = d.source.find("__kernel void k(");
+  EXPECT_NE(at, std::string::npos) << d.source;
+  if (at == std::string::npos) return "";
+  return d.source.substr(at, d.source.find("__kernel", at + 1) - at);
+}
+
+/// Expects the module kernel `body` to read every input stream of `s`
+/// and write every output stream.
+void expect_every_stream_used(const RoutineSpec& s, const std::string& body) {
+  const Streams io = streams(s);
+  for (const std::string& in : io.in) {
+    EXPECT_NE(body.find("read_channel_intel(k_ch_" + in + ")"),
+              std::string::npos)
+        << s.blas_name() << " never reads " << in << "\n" << body;
+  }
+  for (const std::string& out : io.out) {
+    EXPECT_NE(body.find("write_channel_intel(k_ch_" + out + ","),
+              std::string::npos)
+        << s.blas_name() << " never writes " << out << "\n" << body;
+  }
+}
+
 TEST(Emitter, GemvAndSystolicBodiesUseEveryStream) {
   // Inside the module kernel, every input stream is read and every output
   // stream written: the four GEMV variants and the three systolic kinds.
@@ -242,22 +266,7 @@ TEST(Emitter, GemvAndSystolicBodiesUseEveryStream) {
   for (RoutineSpec& s : specs) {
     s.user_name = "k";
     s.width = 4;
-    const GeneratedDesign d = emit(s, sim::stratix10(), false);
-    const std::size_t at = d.source.find("__kernel void k(");
-    ASSERT_NE(at, std::string::npos) << d.source;
-    const std::string body =
-        d.source.substr(at, d.source.find("__kernel", at + 1) - at);
-    const Streams io = streams(s);
-    for (const std::string& in : io.in) {
-      EXPECT_NE(body.find("read_channel_intel(k_ch_" + in + ")"),
-                std::string::npos)
-          << s.blas_name() << " never reads " << in << "\n" << body;
-    }
-    for (const std::string& out : io.out) {
-      EXPECT_NE(body.find("write_channel_intel(k_ch_" + out + ","),
-                std::string::npos)
-          << s.blas_name() << " never writes " << out << "\n" << body;
-    }
+    expect_every_stream_used(s, module_body(emit(s, sim::stratix10(), false)));
   }
 }
 
@@ -270,20 +279,41 @@ TEST(Emitter, UnrolledBodiesUseEveryStream) {
     s.fully_unrolled = true;
     s.fixed_size = 4;
     s.user_name = "k";
-    const GeneratedDesign d = emit(s, sim::stratix10(), false);
-    const std::size_t at = d.source.find("__kernel void k(");
-    ASSERT_NE(at, std::string::npos) << d.source;
-    const std::string body = d.source.substr(at);
-    const Streams io = streams(s);
-    for (const std::string& in : io.in) {
-      EXPECT_NE(body.find("read_channel_intel(k_ch_" + in + ")"),
-                std::string::npos)
-          << s.blas_name() << " never reads " << in << "\n" << body;
-    }
-    for (const std::string& out : io.out) {
-      EXPECT_NE(body.find("write_channel_intel(k_ch_" + out + ","),
-                std::string::npos)
-          << s.blas_name() << " never writes " << out << "\n" << body;
+    expect_every_stream_used(s, module_body(emit(s, sim::stratix10(), false)));
+  }
+}
+
+TEST(Emitter, TriangularBodiesUseEveryStream) {
+  // The streaming TRSV and TRSM kernels read A's rows and b/B, and write
+  // x/X, for every triangle, diagonal and (TRSV) transposition. Rows are
+  // solved in the reader's order: forward for op(A) lower, backward for
+  // op(A) upper. Only a non-unit diagonal divides.
+  for (const RoutineKind kind : {RoutineKind::Trsv, RoutineKind::Trsm}) {
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      for (const Diag diag : {Diag::Unit, Diag::NonUnit}) {
+        for (const Transpose trans : {Transpose::None, Transpose::Trans}) {
+          if (kind == RoutineKind::Trsm && trans == Transpose::Trans) continue;
+          RoutineSpec s;
+          s.kind = kind;
+          s.uplo = uplo;
+          s.diag = diag;
+          s.trans = trans;
+          s.user_name = "k";
+          s.tile_rows = s.tile_cols = 64;
+          const std::string body = module_body(emit(s, sim::stratix10()));
+          expect_every_stream_used(s, body);
+          const bool lower =
+              (uplo == Uplo::Lower) == (trans == Transpose::None);
+          const std::string n = kind == RoutineKind::Trsv ? "N" : "M";
+          EXPECT_NE(body.find(lower ? "const int i = s;"
+                                    : "const int i = " + n + " - 1 - s;"),
+                    std::string::npos)
+              << body;
+          EXPECT_EQ(body.find("/ diag") != std::string::npos,
+                    diag == Diag::NonUnit)
+              << body;
+        }
+      }
     }
   }
 }
