@@ -1,5 +1,7 @@
 #include "codegen/routine_spec.hpp"
 
+#include "common/json.hpp"
+
 namespace fblas::codegen {
 namespace {
 

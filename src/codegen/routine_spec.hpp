@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/json.hpp"
 #include "common/routines.hpp"
 #include "common/types.hpp"
 #include "fblas/level2.hpp"

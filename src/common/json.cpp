@@ -1,11 +1,11 @@
-#include "codegen/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <sstream>
 
-namespace fblas::codegen {
+namespace fblas {
 namespace {
 
 class Parser {
@@ -211,18 +211,34 @@ class Parser {
 const Json kNull{};
 
 void dump_string(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
   for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c);
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out.push_back(kHex[u >> 4]);
+      out.push_back(kHex[u & 0xf]);
+    } else {
+      out.push_back(c);
     }
   }
   out.push_back('"');
+}
+
+void dump_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+  } else if (d == std::floor(d) && std::abs(d) < 1e15) {
+    out += std::to_string(static_cast<std::int64_t>(d));
+  } else {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), d);
+    out.append(buf, res.ptr);
+  }
 }
 
 }  // namespace
@@ -338,16 +354,9 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
     case Type::Bool:
       out += bool_ ? "true" : "false";
       break;
-    case Type::Number: {
-      if (num_ == std::floor(num_) && std::abs(num_) < 1e15) {
-        out += std::to_string(static_cast<std::int64_t>(num_));
-      } else {
-        std::ostringstream os;
-        os << num_;
-        out += os.str();
-      }
+    case Type::Number:
+      dump_number(out, num_);
       break;
-    }
     case Type::String:
       dump_string(out, str_);
       break;
@@ -396,4 +405,4 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-}  // namespace fblas::codegen
+}  // namespace fblas

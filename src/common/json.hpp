@@ -1,6 +1,13 @@
-// Minimal JSON parser for the code generator's routines-specification
-// files (Sec. II-C). Supports the full JSON grammar except \u escapes
-// beyond the Basic Latin range; numbers are doubles.
+// The repo's one JSON value type: the code generator reads its routines
+// specification through it (Sec. II-C) and the Chrome trace export writes
+// every trace entry through it. Supports the full JSON grammar except \u
+// escapes beyond the Basic Latin range; numbers are doubles.
+//
+// dump() round-trips exactly: Json::parse(j.dump()) == j for every value
+// with finite numbers. Strings escape '"', '\\' and every byte below 0x20
+// (as \u00XX); integral numbers below 1e15 in magnitude print as
+// integers, all others in the shortest form that parses back to the same
+// double. A non-finite number has no JSON spelling and dumps as null.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +19,7 @@
 
 #include "common/error.hpp"
 
-namespace fblas::codegen {
+namespace fblas {
 
 class Json {
  public:
@@ -59,6 +66,8 @@ class Json {
   /// Serializes back to JSON text (stable member order).
   std::string dump(int indent = 0) const;
 
+  bool operator==(const Json& other) const = default;
+
  private:
   void dump_impl(std::string& out, int indent, int depth) const;
 
@@ -70,4 +79,4 @@ class Json {
   std::map<std::string, Json> obj_;
 };
 
-}  // namespace fblas::codegen
+}  // namespace fblas

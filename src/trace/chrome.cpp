@@ -1,119 +1,75 @@
 #include "trace/chrome.hpp"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace fblas::trace {
 namespace {
 
-void escape_into(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
+constexpr int kHostPid = 1;
+constexpr int kDeviceWallPid = 2;
+constexpr int kDeviceCyclePid = 3;
+
+Json num(std::uint64_t v) { return Json::number(static_cast<double>(v)); }
+
+/// Recorder nanoseconds on the format's microsecond axis.
+Json us(std::uint64_t ns) {
+  return Json::number(static_cast<double>(ns) / 1000.0);
 }
 
-/// One trace-event JSON object, appended comma-separated. Keeps the
-/// builder honest about commas and escaping without a DOM round-trip.
-class EntryWriter {
- public:
-  explicit EntryWriter(std::ostream& os) : os_(os) {}
+Json str(std::string s) { return Json::string(std::move(s)); }
 
-  EntryWriter& begin() {
-    if (!first_) os_ << ",\n";
-    first_ = false;
-    os_ << "{";
-    field_first_ = true;
-    return *this;
-  }
-  EntryWriter& str(const char* key, std::string_view v) {
-    sep();
-    os_ << '"' << key << "\":\"";
-    escape_into(os_, v);
-    os_ << '"';
-    return *this;
-  }
-  EntryWriter& num(const char* key, std::uint64_t v) {
-    sep();
-    os_ << '"' << key << "\":" << v;
-    return *this;
-  }
-  EntryWriter& inum(const char* key, std::int64_t v) {
-    sep();
-    os_ << '"' << key << "\":" << v;
-    return *this;
-  }
-  EntryWriter& us(const char* key, std::uint64_t ns) {
-    sep();
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
-                  static_cast<unsigned>(ns % 1000));
-    os_ << '"' << key << "\":" << buf;
-    return *this;
-  }
-  EntryWriter& real(const char* key, double v) {
-    sep();
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    os_ << '"' << key << "\":" << buf;
-    return *this;
-  }
-  EntryWriter& raw(const char* key, const std::string& json) {
-    sep();
-    os_ << '"' << key << "\":" << json;
-    return *this;
-  }
-  void end() { os_ << "}"; }
-
- private:
-  void sep() {
-    if (!field_first_) os_ << ",";
-    field_first_ = false;
-  }
-  std::ostream& os_;
-  bool first_ = true;
-  bool field_first_ = true;
-};
-
-std::string args_json(
-    std::initializer_list<std::pair<const char*, std::string>> kv) {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : kv) {
-    if (!first) os << ",";
-    first = false;
-    os << '"' << k << "\":" << v;
-  }
-  os << "}";
-  return os.str();
+Json args(std::initializer_list<std::pair<const char*, Json>> kv) {
+  Json a = Json::object();
+  for (const auto& [k, v] : kv) a[k] = v;
+  return a;
 }
 
-std::string qstr(std::string_view s) {
-  std::ostringstream os;
-  os << '"';
-  escape_into(os, s);
-  os << '"';
-  return os.str();
+/// One trace entry of phase `ph` on row (pid, tid); metadata rows pass a
+/// null `ts`.
+Json entry(const char* ph, std::string name, int pid, std::uint64_t tid,
+           Json ts, Json entry_args) {
+  Json e = Json::object();
+  e["ph"] = str(ph);
+  e["name"] = str(std::move(name));
+  e["pid"] = num(static_cast<std::uint64_t>(pid));
+  e["tid"] = num(tid);
+  if (!ts.is_null()) e["ts"] = std::move(ts);
+  e["args"] = std::move(entry_args);
+  return e;
+}
+
+/// A thread-scoped instant.
+Json instant(std::string name, int pid, std::uint64_t tid,
+             std::uint64_t wall_ns, Json entry_args) {
+  Json e = entry("i", std::move(name), pid, tid, us(wall_ns),
+                 std::move(entry_args));
+  e["s"] = str("t");
+  return e;
+}
+
+/// A complete span of `dur` starting at `ts`.
+Json span(std::string name, int pid, std::uint64_t tid, Json ts, Json dur,
+          Json entry_args) {
+  Json e = entry("X", std::move(name), pid, tid, std::move(ts),
+                 std::move(entry_args));
+  e["dur"] = std::move(dur);
+  return e;
+}
+
+/// One end of a command's async span (`ph` "b" or "e").
+Json command_end(const char* ph, std::string name, const Event& ev,
+                 Json entry_args) {
+  Json e = entry(ph, std::move(name), kHostPid, ev.worker, us(ev.wall_ns),
+                 std::move(entry_args));
+  e["cat"] = str("command");
+  e["id"] = num(ev.seq);
+  return e;
 }
 
 const char* state_name(std::uint16_t command_state) {
@@ -125,9 +81,13 @@ const char* state_name(std::uint16_t command_state) {
   }
 }
 
-constexpr int kHostPid = 1;
-constexpr int kDeviceWallPid = 2;
-constexpr int kDeviceCyclePid = 3;
+const char* outcome_name(std::uint16_t attempt_outcome) {
+  switch (attempt_outcome) {
+    case kAttemptOk: return "ok";
+    case kAttemptVerifyReject: return "verify-reject";
+    default: return "error";
+  }
+}
 
 }  // namespace
 
@@ -154,9 +114,15 @@ std::string chrome_json(const Recorder& rec) {
     return "cmd " + std::to_string(seq);
   };
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  EntryWriter w(os);
+  // Each entry is serialized as soon as it is built, so memory stays one
+  // entry deep however large the ring.
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  bool first = true;
+  auto write = [&out, &first](const Json& e) {
+    if (!first) out += ",\n";
+    first = false;
+    out += e.dump();
+  };
 
   // Metadata rows: name the processes (the three tracks of the two-clock
   // model) and every worker/device thread that appears.
@@ -167,292 +133,141 @@ std::string chrome_json(const Recorder& rec) {
   for (const Meta m : {Meta{kHostPid, "host runtime"},
                        Meta{kDeviceWallPid, "devices (wall clock)"},
                        Meta{kDeviceCyclePid, "devices (simulated cycles)"}}) {
-    w.begin()
-        .str("ph", "M")
-        .str("name", "process_name")
-        .num("pid", static_cast<std::uint64_t>(m.pid))
-        .num("tid", 0)
-        .raw("args", args_json({{"name", qstr(m.name)}}));
-    w.end();
-    w.begin()
-        .str("ph", "M")
-        .str("name", "process_sort_index")
-        .num("pid", static_cast<std::uint64_t>(m.pid))
-        .num("tid", 0)
-        .raw("args", args_json({{"sort_index", std::to_string(m.pid)}}));
-    w.end();
+    write(entry("M", "process_name", m.pid, 0, Json(),
+                args({{"name", str(m.name)}})));
+    write(entry("M", "process_sort_index", m.pid, 0, Json(),
+                args({{"sort_index", num(static_cast<std::uint64_t>(m.pid))}})));
   }
   for (const std::uint16_t worker : workers) {
-    const std::string name =
-        worker == 0 ? std::string("caller") : "worker " + std::to_string(worker);
-    w.begin()
-        .str("ph", "M")
-        .str("name", "thread_name")
-        .num("pid", kHostPid)
-        .num("tid", worker)
-        .raw("args", args_json({{"name", qstr(name)}}));
-    w.end();
+    write(entry("M", "thread_name", kHostPid, worker, Json(),
+                args({{"name", str(worker == 0 ? std::string("caller")
+                                               : "worker " +
+                                                     std::to_string(worker))}})));
   }
   for (const int dev : devices) {
-    const std::string name = "device " + std::to_string(dev);
     for (const int pid : {kDeviceWallPid, kDeviceCyclePid}) {
-      w.begin()
-          .str("ph", "M")
-          .str("name", "thread_name")
-          .num("pid", static_cast<std::uint64_t>(pid))
-          .num("tid", static_cast<std::uint64_t>(dev))
-          .raw("args", args_json({{"name", qstr(name)}}));
-      w.end();
+      write(entry("M", "thread_name", pid, static_cast<std::uint64_t>(dev),
+                  Json(), args({{"name", str("device " + std::to_string(dev))}})));
     }
   }
 
   for (const Event& e : events) {
+    const auto dev = static_cast<std::uint64_t>(e.device);
     switch (e.kind) {
       case EventKind::Enqueue:
-        w.begin()
-            .str("ph", "b")
-            .str("cat", "command")
-            .num("id", e.seq)
-            .str("name", label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args", args_json({{"seq", std::to_string(e.seq)},
-                                    {"barrier", e.flags ? "true" : "false"}}));
-        w.end();
+        write(command_end("b", label_of(e.seq), e,
+                          args({{"seq", num(e.seq)},
+                                {"barrier", Json::boolean(e.flags != 0)}})));
         break;
       case EventKind::DepsReady:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "deps-ready")
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args", args_json({{"seq", std::to_string(e.seq)}}));
-        w.end();
+        write(instant("deps-ready", kHostPid, e.worker, e.wall_ns,
+                      args({{"seq", num(e.seq)}})));
         break;
       case EventKind::Placed:
         if (e.device >= 0) {
-          w.begin()
-              .str("ph", "i")
-              .str("s", "t")
-              .str("name", "place " + label_of(e.seq))
-              .num("pid", kDeviceWallPid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .us("ts", e.wall_ns)
-              .raw("args",
-                   args_json({{"seq", std::to_string(e.seq)},
-                              {"attempt", std::to_string(e.attempt)}}));
-          w.end();
+          write(instant("place " + label_of(e.seq), kDeviceWallPid, dev,
+                        e.wall_ns,
+                        args({{"seq", num(e.seq)},
+                              {"attempt", num(e.attempt)}})));
         }
         break;
       case EventKind::Attempt: {
-        const std::string args = args_json(
-            {{"seq", std::to_string(e.seq)},
-             {"attempt", std::to_string(e.attempt)},
-             {"device", std::to_string(e.device)},
-             {"cycles", std::to_string(e.b)},
-             {"outcome", qstr(e.flags == kAttemptOk ? "ok"
-                              : e.flags == kAttemptVerifyReject
-                                  ? "verify-reject"
-                                  : "error")}});
-        w.begin()
-            .str("ph", "X")
-            .str("name", label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .us("dur", e.a)
-            .raw("args", args);
-        w.end();
+        const Json a = args({{"seq", num(e.seq)},
+                             {"attempt", num(e.attempt)},
+                             {"device", Json::number(e.device)},
+                             {"cycles", num(e.b)},
+                             {"outcome", str(outcome_name(e.flags))}});
+        write(span(label_of(e.seq), kHostPid, e.worker, us(e.wall_ns),
+                   us(e.a), a));
         if (e.device >= 0) {
-          w.begin()
-              .str("ph", "X")
-              .str("name", label_of(e.seq))
-              .num("pid", kDeviceWallPid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .us("ts", e.wall_ns)
-              .us("dur", e.a)
-              .raw("args", args);
-          w.end();
+          write(span(label_of(e.seq), kDeviceWallPid, dev, us(e.wall_ns),
+                     us(e.a), a));
         }
         break;
       }
       case EventKind::Retry:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "retry " + label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args",
-                 args_json({{"seq", std::to_string(e.seq)},
-                            {"attempt", std::to_string(e.attempt)},
-                            {"backoff_us", std::to_string(e.a)}}));
-        w.end();
+        write(instant("retry " + label_of(e.seq), kHostPid, e.worker,
+                      e.wall_ns,
+                      args({{"seq", num(e.seq)},
+                            {"attempt", num(e.attempt)},
+                            {"backoff_us", num(e.a)}})));
         break;
       case EventKind::Verify:
-        w.begin()
-            .str("ph", "X")
-            .str("name", "verify " + label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .us("dur", e.a)
-            .raw("args",
-                 args_json({{"seq", std::to_string(e.seq)},
-                            {"device", std::to_string(e.device)},
-                            {"rejected", e.flags ? "true" : "false"}}));
-        w.end();
+        write(span("verify " + label_of(e.seq), kHostPid, e.worker,
+                   us(e.wall_ns), us(e.a),
+                   args({{"seq", num(e.seq)},
+                         {"device", Json::number(e.device)},
+                         {"rejected", Json::boolean(e.flags != 0)}})));
         break;
       case EventKind::Fallback:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "cpu-fallback " + label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args", args_json({{"seq", std::to_string(e.seq)}}));
-        w.end();
+        write(instant("cpu-fallback " + label_of(e.seq), kHostPid, e.worker,
+                      e.wall_ns, args({{"seq", num(e.seq)}})));
         break;
-      case EventKind::Complete: {
-        w.begin()
-            .str("ph", "e")
-            .str("cat", "command")
-            .num("id", e.seq)
-            .str("name", label_of(e.seq))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args",
-                 args_json({{"state", qstr(state_name(e.flags))},
-                            {"start_cycles", std::to_string(e.a)},
-                            {"finish_cycles", std::to_string(e.b)}}));
-        w.end();
+      case EventKind::Complete:
+        write(command_end("e", label_of(e.seq), e,
+                          args({{"state", str(state_name(e.flags))},
+                                {"start_cycles", num(e.a)},
+                                {"finish_cycles", num(e.b)}})));
         // The simulated-cycle row: the same command plotted on the
         // makespan axis (1 µs per cycle), on the device that ran it.
         if (e.device >= 0 && e.b > e.a) {
-          w.begin()
-              .str("ph", "X")
-              .str("name", label_of(e.seq))
-              .num("pid", kDeviceCyclePid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .num("ts", e.a)
-              .num("dur", e.b - e.a)
-              .raw("args",
-                   args_json({{"seq", std::to_string(e.seq)},
-                              {"state", qstr(state_name(e.flags))}}));
-          w.end();
+          write(span(label_of(e.seq), kDeviceCyclePid, dev, num(e.a),
+                     num(e.b - e.a),
+                     args({{"seq", num(e.seq)},
+                           {"state", str(state_name(e.flags))}})));
         }
         break;
-      }
       case EventKind::Migrate:
         if (e.device >= 0) {
-          w.begin()
-              .str("ph", "i")
-              .str("s", "t")
-              .str("name", "migrate")
-              .num("pid", kDeviceWallPid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .us("ts", e.wall_ns)
-              .raw("args", args_json({{"from", std::to_string(e.flags)},
-                                      {"bytes", std::to_string(e.a)}}));
-          w.end();
+          write(instant("migrate", kDeviceWallPid, dev, e.wall_ns,
+                        args({{"from", num(e.flags)}, {"bytes", num(e.a)}})));
         }
         break;
       case EventKind::BreakerTransition:
         if (e.device >= 0) {
-          w.begin()
-              .str("ph", "C")
-              .str("name", "breaker[" + std::to_string(e.device) + "]")
-              .num("pid", kDeviceWallPid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .us("ts", e.wall_ns)
-              .raw("args",
-                   args_json({{"state", std::to_string(e.flags)}}));
-          w.end();
+          write(entry("C", "breaker[" + std::to_string(e.device) + "]",
+                      kDeviceWallPid, dev, us(e.wall_ns),
+                      args({{"state", num(e.flags)}})));
         }
         break;
       case EventKind::Probe:
         if (e.device >= 0) {
-          w.begin()
-              .str("ph", "i")
-              .str("s", "t")
-              .str("name", e.flags ? "probe (failed)" : "probe (ok)")
-              .num("pid", kDeviceWallPid)
-              .num("tid", static_cast<std::uint64_t>(e.device))
-              .us("ts", e.wall_ns)
-              .raw("args", args_json({{"seq", std::to_string(e.seq)}}));
-          w.end();
+          write(instant(e.flags ? "probe (failed)" : "probe (ok)",
+                        kDeviceWallPid, dev, e.wall_ns,
+                        args({{"seq", num(e.seq)}})));
         }
         break;
       case EventKind::RateSample:
-        w.begin()
-            .str("ph", "C")
-            .str("name", "adaptive_sample_rate")
-            .num("pid", kHostPid)
-            .num("tid", 0)
-            .us("ts", e.wall_ns)
-            .raw("args", [&] {
-              std::ostringstream a;
-              char buf[48];
-              std::snprintf(buf, sizeof(buf), "%.9g",
-                            std::bit_cast<double>(e.a));
-              a << "{\"rate\":" << buf << "}";
-              return a.str();
-            }());
-        w.end();
+        write(entry("C", "adaptive_sample_rate", kHostPid, 0, us(e.wall_ns),
+                    args({{"rate", Json::number(std::bit_cast<double>(e.a))}})));
         break;
       case EventKind::ChannelStats:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "chan " + std::string(e.name_view()))
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args",
-                 args_json({{"peak", std::to_string(e.a)},
-                            {"stalls", std::to_string(e.b)},
-                            {"capacity", std::to_string(e.flags)}}));
-        w.end();
+        write(instant("chan " + std::string(e.name_view()), kHostPid,
+                      e.worker, e.wall_ns,
+                      args({{"peak", num(e.a)},
+                            {"stalls", num(e.b)},
+                            {"capacity", num(e.flags)}})));
         break;
       case EventKind::GraphStats:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "graph-run")
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args",
-                 args_json({{"cycles", std::to_string(e.a)},
-                            {"stall_module_cycles", std::to_string(e.b)}}));
-        w.end();
+        write(instant("graph-run", kHostPid, e.worker, e.wall_ns,
+                      args({{"cycles", num(e.a)},
+                            {"stall_module_cycles", num(e.b)}})));
         break;
       case EventKind::PeStats:
-        w.begin()
-            .str("ph", "i")
-            .str("s", "t")
-            .str("name", "pe(" + std::to_string(e.attempt) + "," +
-                             std::to_string(e.flags) + ")")
-            .num("pid", kHostPid)
-            .num("tid", e.worker)
-            .us("ts", e.wall_ns)
-            .raw("args", args_json({{"macs", std::to_string(e.a)},
-                                    {"faults", std::to_string(e.b)}}));
-        w.end();
+        write(instant("pe(" + std::to_string(e.attempt) + "," +
+                          std::to_string(e.flags) + ")",
+                      kHostPid, e.worker, e.wall_ns,
+                      args({{"macs", num(e.a)}, {"faults", num(e.b)}})));
         break;
     }
   }
 
   const MetricsSnapshot m = rec.metrics();
-  os << "\n],\"otherData\":{\"recorded\":" << m.recorded
-     << ",\"dropped\":" << m.dropped << "}}\n";
-  return os.str();
+  out += "\n],\"otherData\":" +
+         args({{"recorded", num(m.recorded)}, {"dropped", num(m.dropped)}})
+             .dump() +
+         "}\n";
+  return out;
 }
 
 void export_chrome(const Recorder& rec, const std::string& path) {

@@ -1,5 +1,6 @@
 // Chrome trace-event export: renders a Recorder's event ring as the JSON
 // object format chrome://tracing (and Perfetto's legacy loader) accepts.
+// Every entry is one fblas::Json value, dumped as soon as it is built.
 //
 // Track layout — the two-clock span model:
 //   pid 1 "host runtime"              one row per worker thread; complete

@@ -11,8 +11,8 @@
 #include <tuple>
 
 #include "codegen/emitter.hpp"
-#include "codegen/json.hpp"
 #include "codegen/routine_spec.hpp"
+#include "common/json.hpp"
 #include "common/workload.hpp"
 #include "host/context.hpp"
 #include "refblas/level2.hpp"

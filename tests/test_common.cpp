@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/routines.hpp"
 #include "common/table_printer.hpp"
 #include "common/types.hpp"
@@ -165,6 +166,38 @@ TEST(TablePrinter, Formatters) {
   EXPECT_EQ(TablePrinter::fmt_time(1.5e-6), "1.5 usec");
   EXPECT_EQ(TablePrinter::fmt_time(0.25), "250.00 msec");
   EXPECT_EQ(TablePrinter::fmt_time(2.0), "2.00 sec");
+}
+
+TEST(Json, DumpRoundTripsExactly) {
+  std::string controls;
+  for (int c = 0x01; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  const std::vector<double> values = {1234567.891, 0.1,   1e-300,
+                                      -2.5e17,     0x1p53, -0.5};
+  Json numbers = Json::array();
+  for (const double v : values) numbers.push_back(Json::number(v));
+  Json inner = Json::object();
+  inner["empty"] = Json::array();
+  inner["flag"] = Json::boolean(false);
+  inner["none"] = Json();
+  Json nested = Json::array();
+  nested.push_back(inner);
+  nested.push_back(Json::array());
+  Json doc = Json::object();
+  doc["controls"] = Json::string(controls);
+  doc["quotes"] = Json::string("say \"hi\" \\ and \\\"");
+  doc[controls] = Json::number(1);
+  doc["numbers"] = numbers;
+  doc["nested"] = nested;
+
+  for (const int indent : {0, 2}) {
+    const std::string text = doc.dump(indent);
+    const Json back = Json::parse(text);
+    EXPECT_TRUE(back == doc) << text;
+    EXPECT_EQ(back.at("controls").as_string(), controls);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(back.at("numbers").at(i).as_number(), values[i]) << text;
+    }
+  }
 }
 
 TEST(Require, ThrowsWithContext) {

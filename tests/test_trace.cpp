@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "apps/atax.hpp"
-#include "codegen/json.hpp"
+#include "common/json.hpp"
 #include "common/workload.hpp"
 #include "host/buffer.hpp"
 #include "host/context.hpp"
@@ -442,19 +442,19 @@ TEST(Trace, AdaptiveRateCounterSamples) {
 // chrome://tracing / Perfetto actually require: a JSON object with a
 // traceEvents array whose entries carry ph/pid(/ts, /dur for X, cat+id
 // for async b/e), with async begin/end strictly paired per id.
-void expect_chrome_schema(const codegen::Json& doc) {
+void expect_chrome_schema(const Json& doc) {
   ASSERT_TRUE(doc.is_object());
   ASSERT_TRUE(doc.contains("traceEvents"));
   ASSERT_TRUE(doc.at("traceEvents").is_array());
   ASSERT_TRUE(doc.contains("otherData"));
   EXPECT_GE(doc.at("otherData").at("recorded").as_number(), 1.0);
 
-  const codegen::Json& events = doc.at("traceEvents");
+  const Json& events = doc.at("traceEvents");
   ASSERT_GT(events.size(), 0u);
   std::map<std::int64_t, std::int64_t> async_depth;  // id -> b minus e
   std::set<std::string> phases;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const codegen::Json& e = events.at(i);
+    const Json& e = events.at(i);
     ASSERT_TRUE(e.is_object()) << "entry " << i;
     ASSERT_TRUE(e.contains("ph")) << "entry " << i;
     ASSERT_TRUE(e.contains("pid")) << "entry " << i;
@@ -494,19 +494,62 @@ void expect_chrome_schema(const codegen::Json& doc) {
 TEST(Trace, ChromeJsonSchemaValidates) {
   const TracedRun run = run_traced_chaos(0, true);
   const std::string json = trace::chrome_json(*run.rec);
-  const codegen::Json doc = codegen::Json::parse(json);
+  const Json doc = Json::parse(json);
   expect_chrome_schema(doc);
   // The chaos run drove breakers and counters: counter tracks appear.
   bool saw_breaker_counter = false;
-  const codegen::Json& events = doc.at("traceEvents");
+  const Json& events = doc.at("traceEvents");
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const codegen::Json& e = events.at(i);
+    const Json& e = events.at(i);
     if (e.at("ph").as_string() == "C" &&
         e.at("name").as_string().rfind("breaker[", 0) == 0) {
       saw_breaker_counter = true;
     }
   }
   EXPECT_TRUE(saw_breaker_counter);
+}
+
+TEST(Trace, ChromeJsonKeepsControlBytesAndRoundTrips) {
+  // A label holding a tab and byte 0x01 survives the export, and the
+  // parsed document dumps and parses back unchanged.
+  trace::Recorder rec;
+  const std::string label = "ax\tpy\x01";
+  trace::Event enq;
+  enq.kind = trace::EventKind::Enqueue;
+  enq.seq = 1;
+  enq.wall_ns = 1234567891;
+  enq.set_name(label);
+  rec.emit(enq);
+  trace::Event att;
+  att.kind = trace::EventKind::Attempt;
+  att.seq = 1;
+  att.device = 0;
+  att.wall_ns = 1234567891;
+  att.a = 2500;
+  att.b = 77;
+  rec.emit(att);
+  trace::Event done;
+  done.kind = trace::EventKind::Complete;
+  done.seq = 1;
+  done.device = 0;
+  done.flags = static_cast<std::uint16_t>(host::CommandState::Ok);
+  done.wall_ns = 1234570391;
+  done.b = 77;
+  rec.emit(done);
+
+  const Json doc = Json::parse(trace::chrome_json(rec));
+  expect_chrome_schema(doc);
+  const Json& events = doc.at("traceEvents");
+  int begins = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    if (e.at("ph").as_string() != "b") continue;
+    ++begins;
+    EXPECT_EQ(e.at("name").as_string(), label);
+    EXPECT_EQ(e.at("ts").as_number(), 1234567.891);
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_TRUE(Json::parse(doc.dump()) == doc) << doc.dump();
 }
 
 TEST(Trace, ExportChromeWritesLoadableFile) {
@@ -517,7 +560,7 @@ TEST(Trace, ExportChromeWritesLoadableFile) {
   ASSERT_TRUE(in.good());
   std::ostringstream ss;
   ss << in.rdbuf();
-  const codegen::Json doc = codegen::Json::parse(ss.str());
+  const Json doc = Json::parse(ss.str());
   expect_chrome_schema(doc);
   std::remove(path.c_str());
   // Unwritable path: a named error, not silent truncation.

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "apps/atax.hpp"
-#include "codegen/json.hpp"
+#include "common/json.hpp"
 #include "common/workload.hpp"
 #include "host/buffer.hpp"
 #include "host/context.hpp"
@@ -133,16 +133,16 @@ RunOutput run_workload(int workers) {
 
 /// Schema audit of the exported document: the invariants chrome://tracing
 /// needs to load it. Returns an error string, empty on success.
-std::string check_schema(const codegen::Json& doc) {
+std::string check_schema(const Json& doc) {
   if (!doc.is_object() || !doc.contains("traceEvents") ||
       !doc.at("traceEvents").is_array()) {
     return "document is not an object with a traceEvents array";
   }
-  const codegen::Json& events = doc.at("traceEvents");
+  const Json& events = doc.at("traceEvents");
   if (events.size() == 0) return "traceEvents is empty";
   std::map<std::int64_t, std::int64_t> async_depth;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const codegen::Json& e = events.at(i);
+    const Json& e = events.at(i);
     if (!e.is_object() || !e.contains("ph") || !e.contains("pid")) {
       return "entry " + std::to_string(i) + " lacks ph/pid";
     }
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
     if (!in) return fail("cannot re-open '" + cli.out + "'");
     std::ostringstream ss;
     ss << in.rdbuf();
-    const codegen::Json doc = codegen::Json::parse(ss.str());
+    const Json doc = Json::parse(ss.str());
     std::string err = check_schema(doc);
     if (!err.empty()) return fail("schema: " + err);
     const trace::MetricsSnapshot m = run.rec->metrics();
