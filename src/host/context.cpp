@@ -173,7 +173,7 @@ std::function<void()> Context::wrap_work(
 
 CommandHooks Context::make_hooks(const Command& cmd) {
   CommandHooks hooks;
-  hooks.retryable = true;
+  hooks.policy = retry_;
   // Snapshot state shared between the snapshot and rollback closures.
   // Only write-set keys that resolve to registered device buffers are
   // captured; host scalar result keys are recomputed by the re-run.
@@ -298,7 +298,6 @@ Event Context::enqueue(Command cmd) {
   std::function<void()> work = std::move(cmd.work);
   CommandHooks hooks;
   if (!cmd.barrier) {
-    const RetryPolicy policy = exec_->retry_policy();
     // Verification arms per command, per the captured config: Always
     // verifies every checkable routine; Sampled draws a pure hash of
     // (seed, seq) so the choice is deterministic and identical across
@@ -318,7 +317,7 @@ Event Context::enqueue(Command cmd) {
     work = wrap_work(seq, std::move(work), cmd.reads, cmd.writes,
                      verify_armed, verify_armed || vo.trap_nonfinite(),
                      vo.trap_nonfinite(), std::move(cmd.corrupt_steer));
-    if (policy.max_retries > 0 || policy.cpu_fallback || verify_armed) {
+    if (retry_.max_retries > 0 || retry_.cpu_fallback || verify_armed) {
       hooks = make_hooks(cmd);
     }
     if (verify_armed) {

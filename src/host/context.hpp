@@ -212,11 +212,12 @@ class Context {
   /// Retry policy for transient device failures (DeviceError /
   /// TimeoutError): write-set snapshot before the attempt, rollback +
   /// bounded-backoff re-run on failure, optional CPU fallback after
-  /// retries are exhausted. Applies to routine commands (not barriers).
-  void set_retry_policy(const RetryPolicy& policy) {
-    exec_->set_retry_policy(policy);
-  }
-  RetryPolicy retry_policy() const { return exec_->retry_policy(); }
+  /// retries are exhausted. Applies to routine commands (not barriers)
+  /// enqueued after the call: each command captures the policy at
+  /// enqueue, like the RoutineConfig and the watchdog, so commands
+  /// already queued keep the policy they were enqueued under.
+  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
+  RetryPolicy retry_policy() const { return retry_; }
 
   /// Watchdog applied to every graph launch of subsequently enqueued
   /// commands (captured at enqueue, like the RoutineConfig): a graph
@@ -666,6 +667,7 @@ class Context {
   stream::Mode mode_;
   RoutineConfig cfg_;
   stream::Watchdog watchdog_;
+  RetryPolicy retry_;
   DepGraph deps_;
   std::unique_ptr<Executor> exec_;
   std::shared_ptr<trace::Recorder> trace_;  // null = tracing off

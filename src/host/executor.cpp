@@ -86,16 +86,6 @@ Executor::~Executor() {
   for (std::thread& t : threads_) t.join();
 }
 
-void Executor::set_retry_policy(const RetryPolicy& policy) {
-  std::lock_guard<std::mutex> lk(mu_);
-  policy_ = policy;
-}
-
-RetryPolicy Executor::retry_policy() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return policy_;
-}
-
 void Executor::set_trace(std::shared_ptr<trace::Recorder> rec) {
   std::lock_guard<std::mutex> lk(mu_);
   trace_ = std::move(rec);
@@ -159,7 +149,7 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
   stats_.max_concurrent = std::max(stats_.max_concurrent, active_);
   std::function<void()> work = std::move(node.work);
   CommandHooks hooks = std::move(node.hooks);
-  const RetryPolicy policy = policy_;
+  const RetryPolicy& policy = hooks.policy;
   const std::uint64_t poisoned_by = node.poisoned_by;
   std::string poison_cause;
   if (poisoned_by != 0) {
@@ -224,8 +214,7 @@ void Executor::run_command(std::unique_lock<std::mutex>& lk,
     error = std::make_exception_ptr(Error(message));
     final_state = CommandState::Failed;
   } else {
-    const bool may_recover =
-        (policy.max_retries > 0 || policy.cpu_fallback) && hooks.retryable;
+    const bool may_recover = policy.max_retries > 0 || policy.cpu_fallback;
     // Snapshot whenever a rollback might be needed: for the retry loop,
     // but also so a verify rejection without any retry budget still
     // leaves the write-set transactionally untouched.

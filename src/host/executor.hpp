@@ -12,11 +12,12 @@
 //                               conflicting ones retain program order.
 //
 // Fault tolerance: a command may carry hooks — snapshot/rollback of its
-// declared write-set and an optional CPU fallback. Under a RetryPolicy,
-// a transient failure (DeviceError / TimeoutError) rolls the write-set
-// back and re-runs the command with bounded exponential backoff; when
-// retries are exhausted the CPU fallback (if any) produces the result
-// and the command is marked Degraded. A command that ultimately fails
+// declared write-set, an optional CPU fallback and the RetryPolicy
+// captured when it was enqueued. Under that policy, a transient failure
+// (DeviceError / TimeoutError) rolls the write-set back and re-runs the
+// command with bounded exponential backoff; when retries are exhausted
+// the CPU fallback (if any) produces the result and the command is
+// marked Degraded. A command that ultimately fails
 // poisons its dependents: they complete immediately with a deterministic
 // "dependency failed" error instead of running on stale inputs — and
 // waiters never hang.
@@ -179,7 +180,10 @@ struct CommandHooks {
   /// fault: rollback, retry under the RetryPolicy, CPU fallback once
   /// retries are exhausted.
   std::function<std::function<void()>()> checker;
-  bool retryable = false;          ///< participate in the RetryPolicy
+  /// The retry policy captured at enqueue. The default (no retries, no
+  /// fallback) never recovers, which is what a command without hooks
+  /// gets.
+  RetryPolicy policy;
 };
 
 class Executor {
@@ -190,10 +194,6 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   int workers() const { return workers_; }
-
-  /// Retry policy applied to subsequent command executions.
-  void set_retry_policy(const RetryPolicy& policy);
-  RetryPolicy retry_policy() const;
 
   /// Arms (or with nullptr disarms) lifecycle tracing: every subsequent
   /// command emits DepsReady / Attempt / Retry / Verify / Fallback /
@@ -280,7 +280,6 @@ class Executor {
   std::map<std::uint64_t, std::exception_ptr> errors_;  // not yet rethrown
   std::deque<std::uint64_t> ready_;
   std::vector<std::thread> threads_;
-  RetryPolicy policy_;
   std::shared_ptr<trace::Recorder> trace_;  // null = tracing off
   std::uint64_t submitted_ = 0;  // highest submitted seq
   std::uint64_t drained_ = 0;  // serial: every seq <= drained_ has run

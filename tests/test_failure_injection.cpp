@@ -591,6 +591,45 @@ TEST(FaultTolerance, ExhaustedRetriesWithoutFallbackFailTransactionally) {
   EXPECT_EQ(ctx.exec_stats().retries, 2u);
 }
 
+TEST(FaultTolerance, RetryPolicyCapturedAtEnqueue) {
+  // A command keeps the retry policy it was enqueued under, like its
+  // RoutineConfig and watchdog. On a serial context the command runs at
+  // the wait, after the policy has changed; one injected launch failure
+  // shows which policy it ran under.
+  const std::int64_t n = 64;
+  const auto run = [&](int enqueue_retries, int wait_retries) {
+    host::Device dev;
+    host::Context ctx(dev);
+    host::FaultConfig faults;
+    faults.seed = 4;
+    faults.launch_fail_rate = 1.0;
+    faults.max_faults = 1;
+    dev.inject_faults(faults);
+    auto hx = Workload(49).vector<float>(n);
+    host::Buffer<float> x(dev, n, 0);
+    x.write(hx);
+    ctx.set_retry_policy(fast_retry(enqueue_retries));
+    host::Event e = ctx.scal_async<float>(n, 2.0f, x, 1);
+    ctx.set_retry_policy(fast_retry(wait_retries));
+    bool threw = false;
+    try {
+      e.wait();
+    } catch (const DeviceError&) {
+      threw = true;
+    }
+    if (!threw) {
+      for (float& v : hx) v *= 2.0f;
+    }
+    EXPECT_EQ(x.to_host(), hx);
+    return std::pair{threw, ctx.exec_stats().retries};
+  };
+  // Enqueued under three retries, waited on after the policy was cleared:
+  // the failure is retried once and the command completes.
+  EXPECT_EQ(run(3, 0), (std::pair{false, std::uint64_t{1}}));
+  // Enqueued under no policy: a policy set before the wait does not apply.
+  EXPECT_EQ(run(0, 3), (std::pair{true, std::uint64_t{0}}));
+}
+
 TEST(FaultTolerance, EightGemvOverlapSurvivesFivePercentLaunchFaults) {
   // Acceptance workload: 8 independent GEMVs on the 4-worker executor
   // with a 5% launch-failure rate complete bit-identically to a clean
