@@ -14,6 +14,12 @@
 // The workload is 4 chains of 3 dependent GEMVs (the output vector of
 // each level feeds the next), spread across the fleet, so a wrong or
 // lost intermediate anywhere would surface in the final bytes.
+//
+// Criteria 1 and 2 come from serial runs, whose attempts are placed in
+// command order: with 4 workers, dev0's failed-attempt count and the
+// placements depend on which attempts are in flight when the breaker
+// opens. The 4-worker runs check that failover under concurrency still
+// gives bit-identical results.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -59,7 +65,7 @@ host::FaultConfig sick_config() {
   return faults;
 }
 
-RunResult run_chains(Setup setup) {
+RunResult run_chains(Setup setup, int workers) {
   host::HealthConfig health;
   health.open_consecutive_failures = kOpenAfter;
   health.cooldown_ticks = 64;  // no re-admission within this short run
@@ -70,9 +76,9 @@ RunResult run_chains(Setup setup) {
                   : std::make_unique<host::DevicePool>(
                         3, sim::DeviceId::Stratix10, health);
   auto ctx = pool ? std::make_unique<host::Context>(*pool, stream::Mode::Cycle,
-                                                    kWorkers)
+                                                    workers)
                   : std::make_unique<host::Context>(solo, stream::Mode::Cycle,
-                                                    kWorkers);
+                                                    workers);
   host::RetryPolicy policy;
   policy.max_retries = 12;
   policy.backoff = std::chrono::microseconds(0);
@@ -119,13 +125,14 @@ RunResult run_chains(Setup setup) {
 
 int main() {
   std::printf("Device-fleet failover: %d chains of %d dependent %lldx%lld "
-              "GEMVs, %d workers\n\n",
+              "GEMVs, serial and %d workers\n\n",
               kChains, kLevels, static_cast<long long>(kN),
               static_cast<long long>(kN), kWorkers);
 
-  const RunResult healthy = run_chains(Setup::HealthyPool);
-  const RunResult sick = run_chains(Setup::SickPool);
-  const RunResult solo = run_chains(Setup::SickSolo);
+  const RunResult healthy = run_chains(Setup::HealthyPool, 0);
+  const RunResult sick = run_chains(Setup::SickPool, 0);
+  const RunResult sick_workers = run_chains(Setup::SickPool, kWorkers);
+  const RunResult solo = run_chains(Setup::SickSolo, kWorkers);
 
   const auto ratio = [](const RunResult& a, const RunResult& b) {
     return static_cast<double>(a.makespan_cycles) /
@@ -151,6 +158,10 @@ int main() {
               "re-staged\n",
               static_cast<unsigned long long>(sick.stats.migrations),
               static_cast<unsigned long long>(sick.stats.migrated_bytes));
+  std::printf("sick pool, %d workers     : %8.1f ms wall, %10llu makespan "
+              "cycles (varies with worker timing)\n",
+              kWorkers, sick_workers.wall_ms,
+              static_cast<unsigned long long>(sick_workers.makespan_cycles));
   std::printf("sick solo (no pool)      : %8.1f ms wall, %10llu makespan "
               "cycles (%.2fx sick pool), %llu faults, %llu retries\n",
               solo.wall_ms,
@@ -159,19 +170,20 @@ int main() {
               static_cast<unsigned long long>(solo.stats.faults_injected),
               static_cast<unsigned long long>(solo.stats.retries));
 
-  const bool sick_identical = sick.outs == healthy.outs;
+  const bool sick_identical =
+      sick.outs == healthy.outs && sick_workers.outs == healthy.outs;
   const bool solo_identical = solo.outs == healthy.outs;
   const bool quarantined =
       sick.stats.breaker_opens >= 1 && sick.stats.migrations >= 1;
-  // Concurrent workers may have attempts in flight on dev0 at the moment
-  // the breaker opens; those land as failures too, so the bound is the
-  // threshold plus a small in-flight allowance — not one per command.
+  // The serial run has one attempt in flight at a time, so no attempt is
+  // placed on dev0 between its last failure and the breaker opening.
   const bool latency_bounded =
-      sick0.failed_attempts <= static_cast<std::uint64_t>(kOpenAfter) + 2;
+      sick0.failed_attempts == static_cast<std::uint64_t>(kOpenAfter);
   const bool failover_cheap = ratio(sick, healthy) <= 2.0;
   const bool failover_pays = solo.makespan_cycles > sick.makespan_cycles;
-  const bool nothing_degraded =
-      sick.stats.degraded == 0 && solo.stats.degraded == 0;
+  const bool nothing_degraded = sick.stats.degraded == 0 &&
+                                sick_workers.stats.degraded == 0 &&
+                                solo.stats.degraded == 0;
 
   std::printf("\nsick-pool outputs bit-identical      : %s\n",
               sick_identical ? "yes" : "NO");
