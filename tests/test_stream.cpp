@@ -509,7 +509,10 @@ TEST(CycleMode, OccupancyTraceRecordsBackpressure) {
 // (triangular and solve-order row readers and writer), batched TRSM (its
 // triangle reader) and fanout2, with x and y sharing one narrow bank (5
 // floats per cycle for two W=4 readers) and every channel at capacity 3,
-// 64 or 767. For each graph and capacity the record holds: cycles and
+// 64 or 767. The bulk movers get graphs of their own: a strided x read
+// replayed 3 times, zero-length vectors replayed twice, generate into
+// sink, a store by ragged column-major tiles, and batched GEMM, whose
+// 9-element problems meet banks of 5 and 6 floats per cycle. For each graph and capacity the record holds: cycles and
 // stall module-cycles; every channel's peak, stall events and tap
 // sum/magnitude bits; every module's resumes; every bank's bytes; for
 // corrupt_push(k), k = 1..40, the victim channel and the first output
@@ -673,7 +676,7 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     g.spawn("write", write_matrix_uplo<float>(
                          MatrixView<float>(out.data(), n, n), sched,
                          Uplo::Upper, kPinW, cout, &mem));
-  } else if (kind.starts_with("gemm")) {
+  } else if (kind == "gemm" || kind == "gemm_b0") {
     // C (5 x 7) = 1.5 op(A) B + beta C, op(A) from x, B from A's data, C
     // from y; beta == 0 streams A transposed and never reads C.
     const std::int64_t m = 5, n = 7, k = 6;
@@ -772,6 +775,55 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     g.spawn("trsm_batched", core::trsm_batched_unrolled<float>(
                                 {s}, batch, 1.0f, ca, cx, cout));
     g.spawn("store_X", core::write_batched<float>(out.data(), s * s, batch,
+                                                  cout, &mem));
+  } else if (kind == "read_strided") {
+    // Every third x (11 of them, not a multiple of W) replayed 3 times;
+    // the writer's 3 passes overwrite, so the last persists.
+    const std::int64_t n = 11;
+    out.assign(static_cast<std::size_t>(n), 0.0f);
+    g.spawn("read_x", read_vector<float>(
+                          VectorView<const float>(d.x.data(), n, 3), 3,
+                          kPinW, cx, &xy));
+    g.spawn("copy", core::copy<float>(l1, 3 * n, cx, cout));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), n), 3,
+                                         kPinW, cout, &mem));
+  } else if (kind == "empty_vectors") {
+    // Zero-length readers and writers replayed twice beside one copy.
+    auto& cy = g.channel<float>("y", cap);
+    out.assign(static_cast<std::size_t>(kPinN), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, 0), 2, kPinW, cy, &xy));
+    g.spawn("write_y", write_vector<float>(VectorView<float>(out.data(), 0),
+                                           2, kPinW, cy, &mem));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), kPinN),
+                                         1, kPinW, cx, &mem));
+  } else if (kind == "generate_sink") {
+    // x[6]'s value, W per cycle, drained 3 per cycle: the poisoned runs
+    // generate NaN.
+    g.spawn("gen", generate<float>(kPinN, d.x[6], kPinW, cx));
+    g.spawn("sink", sink<float>(kPinN, 3, cx));
+  } else if (kind == "write_matrix_cm") {
+    // 35 x values stored into 7 x 5 by column-major 4 x 4 tiles, column-
+    // major within each: ragged in both directions.
+    const std::int64_t m = 7, n = 5;
+    const TileSchedule sched{Order::ColMajor, Order::ColMajor, 4, 4};
+    out.assign(static_cast<std::size_t>(m * n), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, m * n), 1, kPinW, cx, &xy));
+    g.spawn("write", write_matrix<float>(MatrixView<float>(out.data(), m, n),
+                                         sched, kPinW, cx, &mem));
+  } else if (kind == "gemm_batched") {
+    // Four 3 x 3 problems, A from x and B from A's data; 9 elements per
+    // problem against banks of 5 and 6 floats per cycle.
+    const std::int64_t s = 3, batch = 4;
+    auto& cb = g.channel<float>("B", cap);
+    out.assign(static_cast<std::size_t>(batch * s * s), 0.0f);
+    g.spawn("read_A", core::read_batched<float>(d.x.data(), s * s, batch, cx,
+                                                &xy));
+    g.spawn("read_B", core::read_batched<float>(d.a.data(), s * s, batch, cb,
+                                                &mem));
+    g.spawn("gemm_batched", core::gemm_batched_unrolled<float>(
+                                {s}, batch, 0.5f, cx, cb, cout));
+    g.spawn("store_C", core::write_batched<float>(out.data(), s * s, batch,
                                                   cout, &mem));
   } else {  // fanout2
     auto& cb = g.channel<float>("b", cap);
@@ -904,6 +956,11 @@ TEST(BatchTransfer, SchedulesPinned) {
       {"trsv", 2054899175701680032ULL},
       {"trsm", 5235597401413074039ULL},
       {"trsm_batched", 6307145519531422874ULL},
+      {"read_strided", 654386030581180958ULL},
+      {"empty_vectors", 1372783144155407901ULL},
+      {"generate_sink", 13975276301391623699ULL},
+      {"write_matrix_cm", 4397481694182410251ULL},
+      {"gemm_batched", 7577257555990280391ULL},
   };
   for (const auto& [kind, hash] : pins) {
     std::string record;
@@ -921,7 +978,9 @@ TEST(BatchTransfer, ScreenedRunsMatchUnscreened) {
   for (const char* kind :
        {"axpy", "dot", "scal", "gemv_rows", "gemv_cols", "gemv_t_rows",
         "gemv_t_cols", "ger", "fanout2", "copy", "swap", "rot", "syr2",
-        "gemm", "gemm_b0", "syr2k", "trsv", "trsm", "trsm_batched"}) {
+        "gemm", "gemm_b0", "syr2k", "trsv", "trsm", "trsm_batched",
+        "read_strided", "empty_vectors", "generate_sink", "write_matrix_cm",
+        "gemm_batched"}) {
     for (const std::size_t cap : {3u, 64u, 767u}) {
       std::vector<float> plain, screened;
       EXPECT_EQ(clean_record(kind, cap, true, screened),
