@@ -1,5 +1,6 @@
 #include "apps/atax.hpp"
 
+#include "apps/upload.hpp"
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level2.hpp"
@@ -77,18 +78,8 @@ AtaxResult<T> atax_host_layer(host::Context& ctx, MatrixView<const T> A,
   host::Buffer<T> bx(dev, m, 1 % dev.bank_count());
   host::Buffer<T> bq(dev, n, 2 % dev.bank_count());
   host::Buffer<T> by(dev, m, 3 % dev.bank_count());
-  {
-    std::vector<T> host(static_cast<std::size_t>(n * m));
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < m; ++j) {
-        host[static_cast<std::size_t>(i * m + j)] = A(i, j);
-      }
-    }
-    ba.write(host);
-    std::vector<T> hx(static_cast<std::size_t>(m));
-    for (std::int64_t j = 0; j < m; ++j) hx[static_cast<std::size_t>(j)] = x[j];
-    bx.write(hx);
-  }
+  upload(ba, A);
+  upload(bx, x);
   std::uint64_t cycles = 0;
   ctx.gemv<T>(Transpose::None, n, m, T(1), ba, bx, 1, T(0), bq, 1);
   cycles += ctx.last_cycles();

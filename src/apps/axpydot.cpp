@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "apps/upload.hpp"
 #include "host/composition.hpp"
 #include "refblas/level1.hpp"
 
@@ -20,15 +21,9 @@ AxpydotResult<T> axpydot_host_layer(host::Context& ctx,
   host::Buffer<T> bv(dev, n, 1 % dev.bank_count());
   host::Buffer<T> bu(dev, n, 2 % dev.bank_count());
   host::Buffer<T> bz(dev, n, 0);
-  {
-    std::vector<T> host(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) host[static_cast<std::size_t>(i)] = w[i];
-    bw.write(host);
-    for (std::int64_t i = 0; i < n; ++i) host[static_cast<std::size_t>(i)] = v[i];
-    bv.write(host);
-    for (std::int64_t i = 0; i < n; ++i) host[static_cast<std::size_t>(i)] = u[i];
-    bu.write(host);
-  }
+  upload(bw, w);
+  upload(bv, v);
+  upload(bu, u);
   std::uint64_t cycles = 0;
   ctx.copy<T>(n, bw, 1, bz, 1);
   cycles += ctx.last_cycles();

@@ -1,5 +1,6 @@
 #include "apps/bicg.hpp"
 
+#include "apps/upload.hpp"
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level2.hpp"
@@ -16,21 +17,9 @@ BicgResult<T> bicg_host_layer(host::Context& ctx, MatrixView<const T> A,
   host::Buffer<T> br(dev, n, 1 % dev.bank_count());
   host::Buffer<T> bq(dev, n, 2 % dev.bank_count());
   host::Buffer<T> bs(dev, m, 3 % dev.bank_count());
-  {
-    std::vector<T> host(static_cast<std::size_t>(n * m));
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < m; ++j) {
-        host[static_cast<std::size_t>(i * m + j)] = A(i, j);
-      }
-    }
-    ba.write(host);
-    std::vector<T> hp(static_cast<std::size_t>(m));
-    for (std::int64_t j = 0; j < m; ++j) hp[static_cast<std::size_t>(j)] = p[j];
-    bp.write(hp);
-    std::vector<T> hr(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) hr[static_cast<std::size_t>(i)] = r[i];
-    br.write(hr);
-  }
+  upload(ba, A);
+  upload(bp, p);
+  upload(br, r);
   std::uint64_t cycles = 0;
   ctx.gemv<T>(Transpose::None, n, m, T(1), ba, bp, 1, T(0), bq, 1);
   cycles += ctx.last_cycles();

@@ -1,5 +1,6 @@
 #include "apps/gemver.hpp"
 
+#include "apps/upload.hpp"
 #include "fblas/level2.hpp"
 #include "host/composition.hpp"
 #include "refblas/level2.hpp"
@@ -26,26 +27,13 @@ GemverResult<T> gemver_host_layer(host::Context& ctx, T alpha, T beta,
   host::Buffer<T> by(dev, n, 3 % dev.bank_count());
   host::Buffer<T> bx(dev, n, 3 % dev.bank_count());
   host::Buffer<T> bw(dev, n, 3 % dev.bank_count());
-  {
-    std::vector<T> host(static_cast<std::size_t>(n * n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        host[static_cast<std::size_t>(i * n + j)] = A(i, j);
-      }
-    }
-    ba.write(host);
-    auto load = [n](VectorView<const T> v) {
-      std::vector<T> h(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) h[static_cast<std::size_t>(i)] = v[i];
-      return h;
-    };
-    bu1.write(load(u1));
-    bv1.write(load(v1));
-    bu2.write(load(u2));
-    bv2.write(load(v2));
-    by.write(load(y));
-    bx.write(load(z));  // x starts as z: gemv accumulates beta*B^T y onto it
-  }
+  upload(ba, A);
+  upload(bu1, u1);
+  upload(bv1, v1);
+  upload(bu2, u2);
+  upload(bv2, v2);
+  upload(by, y);
+  upload(bx, z);  // x starts as z: gemv accumulates beta*B^T y onto it
   std::uint64_t cycles = 0;
   ctx.copy<T>(n * n, ba, 1, bb, 1);
   cycles += ctx.last_cycles();

@@ -114,27 +114,19 @@ Task trsm_batched_unrolled(BatchedConfig cfg, std::int64_t batch, T alpha,
 }
 
 /// Streams `batch` contiguous size x size problems from memory (the
-/// Read-A/Read-B helper for the batched modules). In cycle mode a whole
-/// problem is issued per cycle, metered against the bank.
+/// Read-A/Read-B helper for the batched modules): the bulk reader at one
+/// problem per pass and per cycle, metered against the bank. Every caller
+/// moves size^2 >= 1 elements per problem, so no pass is empty.
 template <typename T>
 Task read_batched(const T* data, std::int64_t elems_per_problem,
                   std::int64_t batch, Channel<T>& out,
                   stream::DramBank* bank = nullptr) {
-  for (std::int64_t inv = 0; inv < batch; ++inv) {
-    const T* p = data + inv * elems_per_problem;
-    std::int64_t sent = 0;
-    while (sent < elems_per_problem) {
-      const std::int64_t got =
-          bank ? bank->grant_elems(elems_per_problem - sent, sizeof(T))
-               : elems_per_problem - sent;
-      for (std::int64_t k = 0; k < got;) {
-        k += co_await out.push_some(p + sent + k, got - k);
-      }
-      sent += got;
-      if (sent < elems_per_problem) co_await next_cycle();
-    }
-    co_await next_cycle();
-  }
+  return stream::read_bulk<T>(
+      batch, elems_per_problem, elems_per_problem,
+      [=](std::int64_t r, std::int64_t k, T* dst, std::int64_t m) {
+        std::copy_n(data + r * elems_per_problem + k, m, dst);
+      },
+      out, bank);
 }
 
 /// Stores `batch` contiguous problems (the Store-C helper).
@@ -142,21 +134,12 @@ template <typename T>
 Task write_batched(T* data, std::int64_t elems_per_problem,
                    std::int64_t batch, Channel<T>& in,
                    stream::DramBank* bank = nullptr) {
-  for (std::int64_t inv = 0; inv < batch; ++inv) {
-    T* p = data + inv * elems_per_problem;
-    std::int64_t recv = 0;
-    while (recv < elems_per_problem) {
-      const std::int64_t got =
-          bank ? bank->grant_elems(elems_per_problem - recv, sizeof(T))
-               : elems_per_problem - recv;
-      for (std::int64_t k = 0; k < got;) {
-        k += co_await in.pop_some(p + recv + k, got - k);
-      }
-      recv += got;
-      if (recv < elems_per_problem) co_await next_cycle();
-    }
-    co_await next_cycle();
-  }
+  return stream::write_bulk<T>(
+      batch, elems_per_problem, elems_per_problem,
+      [=](std::int64_t r, std::int64_t k, const T* src, std::int64_t m) {
+        std::copy_n(src, m, data + r * elems_per_problem + k);
+      },
+      in, bank);
 }
 
 /// Streams the lower triangles of `batch` dense size x size matrices, a

@@ -155,7 +155,10 @@ void Scheduler::run(const Watchdog& watchdog) {
       advance_cycle();
       continue;
     }
-    throw DeadlockError(diagnose_deadlock());
+    throw DeadlockError(
+        diagnose("streaming graph stalled forever (invalid composition or "
+                 "undersized channel). ",
+                 true));
   }
 }
 
@@ -175,39 +178,22 @@ const char* state_name(ModuleState s) {
 
 }  // namespace
 
-std::string Scheduler::diagnose(const std::string& header) const {
+std::string Scheduler::diagnose(const std::string& header,
+                                bool blocked_only) const {
   std::ostringstream os;
-  os << header;
-  os << "Module states:\n";
+  os << header << (blocked_only ? "Blocked modules:\n" : "Module states:\n");
   for (const ModuleEntry& m : modules_) {
-    os << "  module '" << m.name << "': " << state_name(m.state);
+    const bool blocked = m.state == ModuleState::BlockedPop ||
+                         m.state == ModuleState::BlockedPush;
+    if (blocked_only && !blocked) continue;
+    os << "  module '" << m.name << (blocked_only ? "' " : "': ")
+       << state_name(m.state);
     if (m.blocked_on != nullptr) {
       os << " channel '" << m.blocked_on->name() << "' (occupancy "
          << m.blocked_on->size() << "/" << m.blocked_on->capacity() << ")";
     }
-    os << ", " << m.resumes << " resumes\n";
-  }
-  os << "Channel states:\n";
-  for (const ChannelBase* ch : channels_) {
-    os << "  '" << ch->name() << "': " << ch->size() << "/" << ch->capacity()
-       << " buffered, " << ch->total_pushed() << " pushed, "
-       << ch->total_popped() << " popped\n";
-  }
-  return os.str();
-}
-
-std::string Scheduler::diagnose_deadlock() const {
-  std::ostringstream os;
-  os << "streaming graph stalled forever (invalid composition or "
-        "undersized channel). Blocked modules:\n";
-  for (const ModuleEntry& m : modules_) {
-    if (m.state == ModuleState::BlockedPop ||
-        m.state == ModuleState::BlockedPush) {
-      os << "  module '" << m.name << "' blocked "
-         << (m.state == ModuleState::BlockedPop ? "popping" : "pushing")
-         << " channel '" << m.blocked_on->name() << "' (occupancy "
-         << m.blocked_on->size() << "/" << m.blocked_on->capacity() << ")\n";
-    }
+    if (!blocked_only) os << ", " << m.resumes << " resumes";
+    os << "\n";
   }
   os << "Channel states:\n";
   for (const ChannelBase* ch : channels_) {
@@ -249,7 +235,7 @@ void Scheduler::throw_timeout(const char* limit, std::uint64_t steps) {
      << (wedged_ ? "is wedged (injected hang)"
                  : "is live-locked or pathologically slow")
      << ".\n";
-  throw TimeoutError(diagnose(os.str()));
+  throw TimeoutError(diagnose(os.str(), false));
 }
 
 }  // namespace fblas::stream

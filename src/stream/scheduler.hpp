@@ -178,8 +178,9 @@ class Scheduler {
     std::uint64_t resumes = 0;
   };
 
-  std::string diagnose(const std::string& header) const;
-  std::string diagnose_deadlock() const;
+  /// `header`, then every module's state (only the blocked ones with
+  /// `blocked_only`) and every channel's.
+  std::string diagnose(const std::string& header, bool blocked_only) const;
   [[noreturn]] void throw_timeout(const char* limit, std::uint64_t steps);
   void advance_cycle();
 

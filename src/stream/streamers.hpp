@@ -2,9 +2,10 @@
 // off-chip DRAM and the streaming modules, plus on-chip sources/sinks and
 // stream plumbing. These correspond to the "Read A / Read B / Store C"
 // helper kernels the paper's code generator emits around each module.
-// Movers whose bank grants one element at a time share read_granted and
-// write_granted, driven by run sources; element-wise modules share
-// elementwise.
+// Movers whose bank grants a batch per cycle share read_bulk and
+// write_bulk, driven by gather/scatter functors; movers whose bank grants
+// one element at a time share read_granted and write_granted, driven by
+// run sources; element-wise modules share elementwise.
 //
 // Matrices are streamed according to a TileSchedule: tiles visited by rows
 // or by columns, and elements within each tile by rows or by columns —
@@ -283,27 +284,67 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
   }
 }
 
+/// The one bulk reader: streams `passes` passes of `n` elements each into
+/// `out`. Every cycle it takes as many of the pass's next min(width, left)
+/// elements as `bank` grants (all of them when `bank` is null), copies
+/// them into its lanes with `gather(pass, k, dst, m)` (the pass's elements
+/// k..k+m-1), pushes them and ends the cycle. An empty pass takes no
+/// cycle.
+template <typename T, typename Gather>
+Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
+               Gather gather, Channel<T>& out, DramBank* bank) {
+  std::vector<T> buf = lanes<T>(width);
+  for (std::int64_t r = 0; r < passes; ++r) {
+    for (std::int64_t k = 0; k < n;) {
+      const std::int64_t want = std::min(width, n - k);
+      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      gather(r, k, buf.data(), got);
+      for (std::int64_t t = 0; t < got;) {
+        t += co_await out.push_some(buf.data() + t, got - t);
+      }
+      k += got;
+      co_await next_cycle();
+    }
+  }
+}
+
+/// The one bulk writer: drains `passes` passes of `n` elements each from
+/// `in`. Every cycle it pops as many of the pass's next min(width, left)
+/// elements as `bank` grants (all of them when `bank` is null), hands each
+/// popped run to `scatter(pass, k, src, m)` (the pass's elements
+/// k..k+m-1) and ends the cycle. An empty pass takes no cycle.
+template <typename T, typename Scatter>
+Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
+                Scatter scatter, Channel<T>& in, DramBank* bank) {
+  std::vector<T> buf = lanes<T>(width);
+  for (std::int64_t r = 0; r < passes; ++r) {
+    for (std::int64_t k = 0; k < n;) {
+      const std::int64_t want = std::min(width, n - k);
+      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      for (std::int64_t t = 0; t < got;) {
+        const auto moved = static_cast<std::int64_t>(
+            co_await in.pop_some(buf.data(), got - t));
+        scatter(r, k + t, buf.data(), moved);
+        t += moved;
+      }
+      k += got;
+      co_await next_cycle();
+    }
+  }
+}
+
 /// Streams `v` into `out`, `repeat` times over, up to `width` elements per
 /// cycle, metered by `bank` when present. Replaying a vector (repeat > 1)
 /// is exactly the paper's "x must be replayed" behaviour.
 template <typename T>
 Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
                  Channel<T>& out, DramBank* bank = nullptr) {
-  const std::int64_t n = v.size();
-  std::vector<T> buf = lanes<T>(width);
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    std::int64_t idx = 0;
-    while (idx < n) {
-      const std::int64_t want = std::min<std::int64_t>(width, n - idx);
-      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      for (std::int64_t k = 0; k < got; ++k) buf[k] = v[idx + k];
-      for (std::int64_t k = 0; k < got;) {
-        k += co_await out.push_some(buf.data() + k, got - k);
-      }
-      idx += got;
-      co_await next_cycle();
-    }
-  }
+  return read_bulk<T>(
+      repeat, v.size(), width,
+      [v](std::int64_t, std::int64_t k, T* dst, std::int64_t m) {
+        for (std::int64_t t = 0; t < m; ++t) dst[t] = v[k + t];
+      },
+      out, bank);
 }
 
 /// Drains `in` into `v`, `repeat` times over (each pass overwrites, so the
@@ -311,65 +352,39 @@ Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
 template <typename T>
 Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
-  const std::int64_t n = v.size();
-  std::vector<T> buf = lanes<T>(width);
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    std::int64_t idx = 0;
-    while (idx < n) {
-      const std::int64_t want = std::min<std::int64_t>(width, n - idx);
-      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      for (std::int64_t k = 0; k < got;) {
-        const auto moved = static_cast<std::int64_t>(
-            co_await in.pop_some(buf.data(), got - k));
-        for (std::int64_t t = 0; t < moved; ++t) v[idx + k + t] = buf[t];
-        k += moved;
-      }
-      idx += got;
-      co_await next_cycle();
-    }
-  }
+  return write_bulk<T>(
+      repeat, v.size(), width,
+      [v](std::int64_t, std::int64_t k, const T* src, std::int64_t m) {
+        for (std::int64_t t = 0; t < m; ++t) v[k + t] = src[t];
+      },
+      in, bank);
 }
 
 /// Streams matrix `A` into `out` following `sched`, `repeat` times.
 template <typename T>
 Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
                  int width, Channel<T>& out, DramBank* bank = nullptr) {
-  std::vector<T> buf = lanes<T>(width);
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    TileWalker walk(A.rows(), A.cols(), sched);
-    std::int64_t remaining = walk.total();
-    while (remaining > 0) {
-      const std::int64_t want = std::min<std::int64_t>(width, remaining);
-      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      gather_runs(walk, sched, A, buf.data(), got);
-      for (std::int64_t k = 0; k < got;) {
-        k += co_await out.push_some(buf.data() + k, got - k);
-      }
-      remaining -= got;
-      co_await next_cycle();
-    }
-  }
+  return read_bulk<T>(
+      repeat, A.rows() * A.cols(), width,
+      [=, walk = TileWalker(A.rows(), A.cols(), sched)](
+          std::int64_t, std::int64_t k, T* dst, std::int64_t m) mutable {
+        if (k == 0) walk.reset();  // a new pass
+        gather_runs(walk, sched, A, dst, m);
+      },
+      out, bank);
 }
 
 /// Stores a stream into matrix `A` following `sched`.
 template <typename T>
 Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
-  TileWalker walk(A.rows(), A.cols(), sched);
-  std::vector<T> buf = lanes<T>(width);
-  std::int64_t remaining = walk.total();
-  while (remaining > 0) {
-    const std::int64_t want = std::min<std::int64_t>(width, remaining);
-    const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-    for (std::int64_t k = 0; k < got;) {
-      const auto moved = static_cast<std::int64_t>(
-          co_await in.pop_some(buf.data(), got - k));
-      scatter_runs(walk, sched, A, buf.data(), moved);
-      k += moved;
-    }
-    remaining -= got;
-    co_await next_cycle();
-  }
+  return write_bulk<T>(
+      1, A.rows() * A.cols(), width,
+      [=, walk = TileWalker(A.rows(), A.cols(), sched)](
+          std::int64_t, std::int64_t, const T* src, std::int64_t m) mutable {
+        scatter_runs(walk, sched, A, src, m);
+      },
+      in, bank);
 }
 
 /// Stores an n x n matrix stream arriving in `sched` order but keeps only
@@ -403,32 +418,20 @@ Task write_matrix_uplo(MatrixView<T> A, TileSchedule sched, Uplo uplo,
 /// to decouple them from the testbed's memory interface.
 template <typename T>
 Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
-  std::vector<T> buf = lanes<T>(width);
-  std::fill(buf.begin(), buf.end(), value);
-  std::int64_t idx = 0;
-  while (idx < n) {
-    const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch;) {
-      k += co_await out.push_some(buf.data(), batch - k);
-    }
-    idx += batch;
-    co_await next_cycle();
-  }
+  return read_bulk<T>(
+      1, n, width,
+      [value](std::int64_t, std::int64_t, T* dst, std::int64_t m) {
+        std::fill_n(dst, m, value);
+      },
+      out, nullptr);
 }
 
 /// On-chip sink: consumes and discards n elements, `width` per cycle.
 template <typename T>
 Task sink(std::int64_t n, int width, Channel<T>& in) {
-  std::vector<T> buf = lanes<T>(width);
-  std::int64_t idx = 0;
-  while (idx < n) {
-    const std::int64_t batch = std::min<std::int64_t>(width, n - idx);
-    for (std::int64_t k = 0; k < batch;) {
-      k += co_await in.pop_some(buf.data(), batch - k);
-    }
-    idx += batch;
-    co_await next_cycle();
-  }
+  return write_bulk<T>(
+      1, n, width, [](std::int64_t, std::int64_t, const T*, std::int64_t) {},
+      in, nullptr);
 }
 
 /// Duplicates a stream of n elements into two downstream channels (the

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -89,9 +90,9 @@ const char* outcome_name(std::uint16_t attempt_outcome) {
   }
 }
 
-}  // namespace
-
-std::string chrome_json(const Recorder& rec) {
+/// Writes the export of `rec` to `os`, each entry as soon as it is built,
+/// so a file export holds one entry at a time however large the ring.
+void write_chrome(const Recorder& rec, std::ostream& os) {
   const std::vector<Event> events = rec.events();
 
   // seq -> routine label (from the Enqueue event, which may have been
@@ -114,14 +115,12 @@ std::string chrome_json(const Recorder& rec) {
     return "cmd " + std::to_string(seq);
   };
 
-  // Each entry is serialized as soon as it is built, so memory stays one
-  // entry deep however large the ring.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
-  auto write = [&out, &first](const Json& e) {
-    if (!first) out += ",\n";
+  auto write = [&os, &first](const Json& e) {
+    if (!first) os << ",\n";
     first = false;
-    out += e.dump();
+    os << e.dump();
   };
 
   // Metadata rows: name the processes (the three tracks of the two-clock
@@ -263,17 +262,24 @@ std::string chrome_json(const Recorder& rec) {
   }
 
   const MetricsSnapshot m = rec.metrics();
-  out += "\n],\"otherData\":" +
-         args({{"recorded", num(m.recorded)}, {"dropped", num(m.dropped)}})
-             .dump() +
-         "}\n";
-  return out;
+  os << "\n],\"otherData\":"
+     << args({{"recorded", num(m.recorded)}, {"dropped", num(m.dropped)}})
+            .dump()
+     << "}\n";
+}
+
+}  // namespace
+
+std::string chrome_json(const Recorder& rec) {
+  std::ostringstream os;
+  write_chrome(rec, os);
+  return std::move(os).str();
 }
 
 void export_chrome(const Recorder& rec, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw Error("trace::export_chrome: cannot open '" + path + "'");
-  out << chrome_json(rec);
+  write_chrome(rec, out);
   out.flush();
   if (!out) throw Error("trace::export_chrome: write to '" + path +
                         "' failed");

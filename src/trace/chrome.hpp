@@ -37,7 +37,8 @@ namespace fblas::trace {
 /// The full trace as a Chrome trace-event JSON object string.
 std::string chrome_json(const Recorder& rec);
 
-/// Writes chrome_json(rec) to `path`. Throws Error on I/O failure.
+/// Writes chrome_json(rec) to `path`, one entry at a time. Throws Error on
+/// I/O failure.
 void export_chrome(const Recorder& rec, const std::string& path);
 
 }  // namespace fblas::trace

@@ -119,7 +119,9 @@ TEST(RoutineMetadata, AllTwentyTwoRoutinesRegistered) {
     EXPECT_EQ(routine_from_name(r.name), r.kind) << r.name;
     // Metadata self-consistency.
     EXPECT_GE(r.operands_per_width, 1) << r.name;
-    if (r.level >= 2) EXPECT_TRUE(r.streams_matrix) << r.name;
+    if (r.level >= 2) {
+      EXPECT_TRUE(r.streams_matrix) << r.name;
+    }
   }
   EXPECT_EQ(by_level[1], 13);
   EXPECT_EQ(by_level[2], 5);
