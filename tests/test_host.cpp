@@ -519,7 +519,8 @@ TYPED_TEST(HostApi, TrmvInTermsOfGemv) {
 // simulated cycles of its graph launch and a bitwise hash of what it
 // wrote. Refactors of the lowerings must leave both unchanged; a
 // deliberate model change updates the tables (a mismatch prints the
-// observed table in source form).
+// observed table in source form). The same shapes in functional mode
+// must write the same bits.
 
 /// FNV-1a over the object representation of `v`.
 template <typename T>
@@ -541,9 +542,10 @@ struct Pin {
 };
 
 template <typename T>
-std::map<std::string, Pin> run_pinned_routines() {
+std::map<std::string, Pin> run_pinned_routines(
+    stream::Mode mode = stream::Mode::Cycle) {
   Device dev;
-  Context ctx(dev, stream::Mode::Cycle);
+  Context ctx(dev, mode);
   ctx.config().width = 8;
   ctx.config().tile_rows = 8;
   ctx.config().tile_cols = 8;
@@ -720,88 +722,121 @@ void expect_pins(const std::map<std::string, Pin>& want) {
   }
 }
 
+/// The pinned cycles and output hashes of run_pinned_routines<T>.
+template <typename T>
+std::map<std::string, Pin> routine_pins() {
+  if constexpr (std::is_same_v<T, float>) {
+    return {
+        {"asum", {14u, 0xb9fef200f36108f9ULL}},
+        {"axpy", {17u, 0xf8ce0dbf6ebda205ULL}},
+        {"axpy_inc", {4u, 0x43ccfaefce2fab31ULL}},
+        {"copy", {7u, 0xba147d028460f030ULL}},
+        {"dot", {14u, 0xcfc8ccc8ec25ef67ULL}},
+        {"dot_inc", {4u, 0x844b29af1babc898ULL}},
+        {"gemm", {100u, 0x92573434109686c1ULL}},
+        {"gemm_batched", {9u, 0x8f2fd25f3b8e2fe5ULL}},
+        {"gemm_systolic", {171u, 0x93616db5fe3593dbULL}},
+        {"gemv", {64u, 0xfc8ce3efb8174534ULL}},
+        {"gemv_cols", {64u, 0x6e4f3a93b69a3688ULL}},
+        {"gemv_inc2", {64u, 0xb2bfa3c5372b5c16ULL}},
+        {"gemv_t", {65u, 0x1710d18858d1f8a3ULL}},
+        {"gemv_t_cols", {63u, 0xbc98fada9213a481ULL}},
+        {"ger", {76u, 0x49bcff4c9a0d6749ULL}},
+        {"ger_cols", {76u, 0x1000eb6c0700f3f1ULL}},
+        {"ger_incx2", {76u, 0x23de46c4f9b970bdULL}},
+        {"iamax", {14u, 0xeee74dfbe67e7cffULL}},
+        {"nrm2", {14u, 0x73082a4d899c6210ULL}},
+        {"rot", {17u, 0xbdb5cfb5bb284ac9ULL}},
+        {"rotg", {1u, 0x81fdccc452e3b15aULL}},
+        {"rotm", {17u, 0x4a7454bc25e4dc7fULL}},
+        {"rotmg", {1u, 0xff0c35ae3eb81eb7ULL}},
+        {"scal", {17u, 0xbb1ca2ae342c3d39ULL}},
+        {"sdsdot", {14u, 0x4c3c1aae6adae7ecULL}},
+        {"swap", {9u, 0x561d4378be915a23ULL}},
+        {"symv", {53u, 0x335d62f5556f7969ULL}},
+        {"syr", {58u, 0x7ce21e139d0a810aULL}},
+        {"syr2", {61u, 0xde9b7befcbcba7f9ULL}},
+        {"syr2k", {84u, 0xa6deb980a2f5b8e9ULL}},
+        {"syr_upper", {61u, 0x34850076d002e589ULL}},
+        {"syrk", {84u, 0xe94355c3767810d8ULL}},
+        {"trmv", {57u, 0x6dceedd39200c34bULL}},
+        {"trsm_batched", {13u, 0x69735991fc91bea8ULL}},
+        {"trsm_left", {34u, 0x2bf556e862a37b9ULL}},
+        {"trsm_right", {28u, 0xbb46e2bd7a806c7aULL}},
+        {"trsv", {27u, 0xad7210fb621c2309ULL}},
+        {"trsv_t", {27u, 0x15ba235a2860fd60ULL}},
+        {"trsv_upper", {27u, 0xc3fdbe2fcd8883e8ULL}},
+    };
+  } else {
+    return {
+        {"asum", {17u, 0x2cda436485c18fd7ULL}},
+        {"axpy", {31u, 0x7d22bd18b27b5c12ULL}},
+        {"axpy_inc", {7u, 0x8b5ef01e4ef7f8eeULL}},
+        {"copy", {9u, 0x2325f097ae80e43fULL}},
+        {"dot", {17u, 0xa3416a107b287956ULL}},
+        {"dot_inc", {5u, 0xb0046ea4b86abfa6ULL}},
+        {"gemm", {100u, 0x54e9a93c29fb0445ULL}},
+        {"gemm_batched", {17u, 0x444cea333697c1eaULL}},
+        {"gemm_systolic", {171u, 0x21cd471435c4025cULL}},
+        {"gemv", {72u, 0x1405a31e8168ae20ULL}},
+        {"gemv_cols", {72u, 0x2df26eafb4beaddbULL}},
+        {"gemv_inc2", {72u, 0xab86bbf77ec1d9c9ULL}},
+        {"gemv_t", {73u, 0x1df44f66a7342a3eULL}},
+        {"gemv_t_cols", {71u, 0x9709c3cbe112d15aULL}},
+        {"ger", {139u, 0xbe59d5ff3bc1af01ULL}},
+        {"ger_cols", {139u, 0xa51621dc37da47f1ULL}},
+        {"ger_incx2", {139u, 0xc550739c37f59eacULL}},
+        {"iamax", {17u, 0xeee74dfbe67e7cffULL}},
+        {"nrm2", {17u, 0x1c0ec02e2079db77ULL}},
+        {"rot", {31u, 0x63c9ac99aa62c6f9ULL}},
+        {"rotg", {1u, 0xaf760054c9261ae0ULL}},
+        {"rotm", {31u, 0xc02ae2f4acc8895cULL}},
+        {"rotmg", {1u, 0xe06dc0a7f0fcee72ULL}},
+        {"scal", {31u, 0xaf08a54e1f88641aULL}},
+        {"swap", {16u, 0xd96a0fee7b9d1420ULL}},
+        {"symv", {59u, 0xdf0330ae548b92cULL}},
+        {"syr", {91u, 0x522ee2587ed42a7fULL}},
+        {"syr2", {89u, 0x244a85b92de9afa4ULL}},
+        {"syr2k", {103u, 0x79cc2e2619250697ULL}},
+        {"syr_upper", {89u, 0xa174b4d25c03664cULL}},
+        {"syrk", {84u, 0x8cfd684ca67f4886ULL}},
+        {"trmv", {62u, 0x367b60bb968eb984ULL}},
+        {"trsm_batched", {25u, 0x4bd5d1be77fb4f4aULL}},
+        {"trsm_left", {35u, 0x8cd3a27e2012e3ecULL}},
+        {"trsm_right", {29u, 0x8dbdbb113f1317f3ULL}},
+        {"trsv", {40u, 0xcb4c2ece48238a82ULL}},
+        {"trsv_t", {40u, 0x878cd57e1fbd6f74ULL}},
+        {"trsv_upper", {40u, 0x4a92320f49591833ULL}},
+    };
+  }
+}
+
 TEST(HostApi, RoutineCyclesPinned) {
-  expect_pins<float>({
-      {"asum", {14u, 0xb9fef200f36108f9ULL}},
-      {"axpy", {17u, 0xf8ce0dbf6ebda205ULL}},
-      {"axpy_inc", {4u, 0x43ccfaefce2fab31ULL}},
-      {"copy", {7u, 0xba147d028460f030ULL}},
-      {"dot", {14u, 0xcfc8ccc8ec25ef67ULL}},
-      {"dot_inc", {4u, 0x844b29af1babc898ULL}},
-      {"gemm", {100u, 0x92573434109686c1ULL}},
-      {"gemm_batched", {9u, 0x8f2fd25f3b8e2fe5ULL}},
-      {"gemm_systolic", {171u, 0x93616db5fe3593dbULL}},
-      {"gemv", {64u, 0xfc8ce3efb8174534ULL}},
-      {"gemv_cols", {64u, 0x6e4f3a93b69a3688ULL}},
-      {"gemv_inc2", {64u, 0xb2bfa3c5372b5c16ULL}},
-      {"gemv_t", {65u, 0x1710d18858d1f8a3ULL}},
-      {"gemv_t_cols", {63u, 0xbc98fada9213a481ULL}},
-      {"ger", {76u, 0x49bcff4c9a0d6749ULL}},
-      {"ger_cols", {76u, 0x1000eb6c0700f3f1ULL}},
-      {"ger_incx2", {76u, 0x23de46c4f9b970bdULL}},
-      {"iamax", {14u, 0xeee74dfbe67e7cffULL}},
-      {"nrm2", {14u, 0x73082a4d899c6210ULL}},
-      {"rot", {17u, 0xbdb5cfb5bb284ac9ULL}},
-      {"rotg", {1u, 0x81fdccc452e3b15aULL}},
-      {"rotm", {17u, 0x4a7454bc25e4dc7fULL}},
-      {"rotmg", {1u, 0xff0c35ae3eb81eb7ULL}},
-      {"scal", {17u, 0xbb1ca2ae342c3d39ULL}},
-      {"sdsdot", {14u, 0x4c3c1aae6adae7ecULL}},
-      {"swap", {9u, 0x561d4378be915a23ULL}},
-      {"symv", {53u, 0x335d62f5556f7969ULL}},
-      {"syr", {58u, 0x7ce21e139d0a810aULL}},
-      {"syr2", {61u, 0xde9b7befcbcba7f9ULL}},
-      {"syr2k", {84u, 0xa6deb980a2f5b8e9ULL}},
-      {"syr_upper", {61u, 0x34850076d002e589ULL}},
-      {"syrk", {84u, 0xe94355c3767810d8ULL}},
-      {"trmv", {57u, 0x6dceedd39200c34bULL}},
-      {"trsm_batched", {13u, 0x69735991fc91bea8ULL}},
-      {"trsm_left", {34u, 0x2bf556e862a37b9ULL}},
-      {"trsm_right", {28u, 0xbb46e2bd7a806c7aULL}},
-      {"trsv", {27u, 0xad7210fb621c2309ULL}},
-      {"trsv_t", {27u, 0x15ba235a2860fd60ULL}},
-      {"trsv_upper", {27u, 0xc3fdbe2fcd8883e8ULL}},
-  });
-  expect_pins<double>({
-      {"asum", {17u, 0x2cda436485c18fd7ULL}},
-      {"axpy", {31u, 0x7d22bd18b27b5c12ULL}},
-      {"axpy_inc", {7u, 0x8b5ef01e4ef7f8eeULL}},
-      {"copy", {9u, 0x2325f097ae80e43fULL}},
-      {"dot", {17u, 0xa3416a107b287956ULL}},
-      {"dot_inc", {5u, 0xb0046ea4b86abfa6ULL}},
-      {"gemm", {100u, 0x54e9a93c29fb0445ULL}},
-      {"gemm_batched", {17u, 0x444cea333697c1eaULL}},
-      {"gemm_systolic", {171u, 0x21cd471435c4025cULL}},
-      {"gemv", {72u, 0x1405a31e8168ae20ULL}},
-      {"gemv_cols", {72u, 0x2df26eafb4beaddbULL}},
-      {"gemv_inc2", {72u, 0xab86bbf77ec1d9c9ULL}},
-      {"gemv_t", {73u, 0x1df44f66a7342a3eULL}},
-      {"gemv_t_cols", {71u, 0x9709c3cbe112d15aULL}},
-      {"ger", {139u, 0xbe59d5ff3bc1af01ULL}},
-      {"ger_cols", {139u, 0xa51621dc37da47f1ULL}},
-      {"ger_incx2", {139u, 0xc550739c37f59eacULL}},
-      {"iamax", {17u, 0xeee74dfbe67e7cffULL}},
-      {"nrm2", {17u, 0x1c0ec02e2079db77ULL}},
-      {"rot", {31u, 0x63c9ac99aa62c6f9ULL}},
-      {"rotg", {1u, 0xaf760054c9261ae0ULL}},
-      {"rotm", {31u, 0xc02ae2f4acc8895cULL}},
-      {"rotmg", {1u, 0xe06dc0a7f0fcee72ULL}},
-      {"scal", {31u, 0xaf08a54e1f88641aULL}},
-      {"swap", {16u, 0xd96a0fee7b9d1420ULL}},
-      {"symv", {59u, 0xdf0330ae548b92cULL}},
-      {"syr", {91u, 0x522ee2587ed42a7fULL}},
-      {"syr2", {89u, 0x244a85b92de9afa4ULL}},
-      {"syr2k", {103u, 0x79cc2e2619250697ULL}},
-      {"syr_upper", {89u, 0xa174b4d25c03664cULL}},
-      {"syrk", {84u, 0x8cfd684ca67f4886ULL}},
-      {"trmv", {62u, 0x367b60bb968eb984ULL}},
-      {"trsm_batched", {25u, 0x4bd5d1be77fb4f4aULL}},
-      {"trsm_left", {35u, 0x8cd3a27e2012e3ecULL}},
-      {"trsm_right", {29u, 0x8dbdbb113f1317f3ULL}},
-      {"trsv", {40u, 0xcb4c2ece48238a82ULL}},
-      {"trsv_t", {40u, 0x878cd57e1fbd6f74ULL}},
-      {"trsv_upper", {40u, 0x4a92320f49591833ULL}},
-  });
+  expect_pins<float>(routine_pins<float>());
+  expect_pins<double>(routine_pins<double>());
+}
+
+/// Functional mode keeps no cycles; every output must match the pinned
+/// cycle-mode bits. The 64-slot channels are crossed with ragged tails
+/// (n = 100 at W = 8, 24 x 20 tiles), so a functional step that moves a
+/// channel's worth still ends on the same values.
+template <typename T>
+void expect_functional_outputs_match_pins() {
+  const auto got = run_pinned_routines<T>(stream::Mode::Functional);
+  const auto want = routine_pins<T>();
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [name, pin] : got) {
+    const auto it = want.find(name);
+    ASSERT_NE(it, want.end()) << name;
+    EXPECT_EQ(pin.hash, it->second.hash)
+        << name << ": functional hash 0x" << std::hex << pin.hash
+        << ", pinned 0x" << it->second.hash;
+  }
+}
+
+TEST(HostApi, FunctionalOutputsMatchPins) {
+  expect_functional_outputs_match_pins<float>();
+  expect_functional_outputs_match_pins<double>();
 }
 
 TEST(HostApiCycles, CycleModeRecordsTime) {

@@ -1,9 +1,17 @@
 // Randomized stress tests: seeded random pipelines of Level-1 modules
 // with random widths and channel capacities must always complete (no
 // false deadlocks), conserve every element, and compute exactly what the
-// composed oracle computes — in both scheduler modes.
+// composed oracle computes — in both scheduler modes, bit for bit alike.
+// The reduction sweep runs DOT, SDSDOT, NRM2, ASUM and IAMAX over widths,
+// channel capacities and lengths that leave ragged batches, in both modes,
+// against oracles that fold W-aligned chunks the way the modules do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -61,7 +69,9 @@ std::vector<double> oracle(const std::vector<double>& input,
   return v;
 }
 
-void run_pipeline(std::uint64_t seed, Mode mode) {
+/// Runs the seeded pipeline in `mode`, checks it against the oracle and
+/// returns its output.
+std::vector<double> run_pipeline(std::uint64_t seed, Mode mode) {
   Workload wl(seed);
   const int n_stages = 2 + static_cast<int>(wl.next_u64() % 6);
   const std::int64_t n = 1 + static_cast<std::int64_t>(wl.next_u64() % 700);
@@ -102,12 +112,13 @@ void run_pipeline(std::uint64_t seed, Mode mode) {
   g.spawn("collect", stream::collect<double>(n, *chans.back(), got));
   g.run();
   for (const auto& ch : g.channels()) {
-    ASSERT_EQ(ch->total_pushed(), ch->total_popped())
+    EXPECT_EQ(ch->total_pushed(), ch->total_popped())
         << "seed=" << seed << " channel=" << ch->name();
   }
   const auto expect = oracle(input, stages);
-  ASSERT_LT(rel_error(got, expect), 1e-9)
+  EXPECT_LT(rel_error(got, expect), 1e-9)
       << "seed=" << seed << " stages=" << n_stages << " n=" << n;
+  return got;
 }
 
 TEST(Stress, RandomPipelinesFunctional) {
@@ -126,9 +137,151 @@ TEST(Stress, CycleAndFunctionalAgreeBitExactly) {
   // Same seed, both modes: execution order must not change the values
   // (module-local accumulation orders are fixed by the design).
   for (std::uint64_t seed = 500; seed <= 510; ++seed) {
-    run_pipeline(seed, Mode::Functional);
-    run_pipeline(seed, Mode::Cycle);
+    const auto functional = run_pipeline(seed, Mode::Functional);
+    const auto cycle = run_pipeline(seed, Mode::Cycle);
+    ASSERT_EQ(functional.size(), cycle.size()) << "seed=" << seed;
+    for (std::size_t i = 0; i < cycle.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(functional[i]),
+                std::bit_cast<std::uint64_t>(cycle[i]))
+          << "seed=" << seed << " element " << i;
+    }
   }
+}
+
+enum class Reduction { Dot, Sdsdot, Nrm2, Asum, Iamax };
+
+const char* reduction_name(Reduction r) {
+  switch (r) {
+    case Reduction::Dot: return "dot";
+    case Reduction::Sdsdot: return "sdsdot";
+    case Reduction::Nrm2: return "nrm2";
+    case Reduction::Asum: return "asum";
+    case Reduction::Iamax: return "iamax";
+  }
+  return "?";
+}
+
+/// The bits of a reduction's result (IAMAX: its index).
+template <typename R>
+std::uint64_t result_bits(R v) {
+  if constexpr (std::is_same_v<R, float>) {
+    return std::bit_cast<std::uint32_t>(v);
+  } else if constexpr (std::is_same_v<R, double>) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+constexpr float kSb = 0.25f;  // SDSDOT's offset
+
+/// Runs reduction `r` at width `w` on x (and y) fed through channels of
+/// `cap` slots in `mode`; returns the result's bits.
+template <typename T>
+std::uint64_t run_reduction(Reduction r, Mode mode, int w, std::size_t cap,
+                            const std::vector<T>& x,
+                            const std::vector<T>& y) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  Graph g(mode);
+  auto& cx = g.channel<T>("x", cap);
+  auto& cy = g.channel<T>("y", cap);
+  g.spawn("feed_x", stream::feed(x, cx));
+  const Level1Config cfg{w};
+  std::vector<T> res;
+  std::vector<std::int64_t> idx;
+  if (r == Reduction::Iamax) {
+    auto& out = g.channel<std::int64_t>("res", 1);
+    g.spawn("iamax", iamax<T>(cfg, n, cx, out));
+    g.spawn("collect", stream::collect<std::int64_t>(1, out, idx));
+  } else {
+    auto& out = g.channel<T>("res", 1);
+    if (r == Reduction::Dot || r == Reduction::Sdsdot) {
+      g.spawn("feed_y", stream::feed(y, cy));
+    }
+    switch (r) {
+      case Reduction::Dot:
+        g.spawn("dot", dot<T>(cfg, n, cx, cy, out));
+        break;
+      case Reduction::Sdsdot:
+        if constexpr (std::is_same_v<T, float>) {
+          g.spawn("sdsdot", sdsdot(cfg, n, kSb, cx, cy, out));
+        }
+        break;
+      case Reduction::Nrm2:
+        g.spawn("nrm2", nrm2<T>(cfg, n, cx, out));
+        break;
+      default:
+        g.spawn("asum", asum<T>(cfg, n, cx, out));
+        break;
+    }
+    g.spawn("collect", stream::collect<T>(1, out, res));
+  }
+  g.run();
+  return r == Reduction::Iamax ? result_bits(idx.at(0))
+                               : result_bits(res.at(0));
+}
+
+/// What reduction `r` at width `w` computes: each W-aligned chunk folded
+/// on its own (DOT, SDSDOT, ASUM), then added to the running result.
+template <typename T>
+std::uint64_t reduction_oracle(Reduction r, int w, const std::vector<T>& x,
+                               const std::vector<T>& y) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  const VectorView<const T> xv(x.data(), n);
+  if (r == Reduction::Nrm2) return result_bits(ref::nrm2<T>(xv));
+  if (r == Reduction::Iamax) return result_bits(ref::iamax<T>(xv));
+  using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
+  T res = T(0);
+  Acc wide = r == Reduction::Sdsdot ? static_cast<Acc>(kSb) : Acc(0);
+  for (std::int64_t c = 0; c < n; c += w) {
+    T acc = T(0);
+    Acc wide_acc = Acc(0);
+    for (std::int64_t i = c; i < std::min<std::int64_t>(c + w, n); ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      if (r == Reduction::Dot) acc += x[k] * y[k];
+      if (r == Reduction::Asum) acc += std::abs(x[k]);
+      if (r == Reduction::Sdsdot) {
+        wide_acc += static_cast<Acc>(x[k]) * static_cast<Acc>(y[k]);
+      }
+    }
+    res += acc;
+    wide += wide_acc;
+  }
+  return r == Reduction::Sdsdot ? result_bits(static_cast<T>(wide))
+                                : result_bits(res);
+}
+
+/// Every reduction over widths {1, 3, 8, 16, 33} and capacities
+/// {1, 7, 16, 64, 300}, at seeded lengths in 1..700: both modes agree bit
+/// for bit with each other and with the W-chunk oracle.
+template <typename T>
+void sweep_reductions(std::uint64_t seed) {
+  Workload wl(seed);
+  std::vector<Reduction> kinds{Reduction::Dot, Reduction::Nrm2,
+                               Reduction::Asum, Reduction::Iamax};
+  if constexpr (std::is_same_v<T, float>) kinds.push_back(Reduction::Sdsdot);
+  for (const int w : {1, 3, 8, 16, 33}) {
+    for (const std::size_t cap : {1, 7, 16, 64, 300}) {
+      for (int rep = 0; rep < 8; ++rep) {
+        const auto n = 1 + static_cast<std::int64_t>(wl.next_u64() % 700);
+        const auto x = wl.vector<T>(n), y = wl.vector<T>(n);
+        for (const Reduction r : kinds) {
+          const std::uint64_t want = reduction_oracle<T>(r, w, x, y);
+          for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+            EXPECT_EQ(run_reduction<T>(r, mode, w, cap, x, y), want)
+                << reduction_name(r) << " W=" << w << " cap=" << cap
+                << " n=" << n << " mode="
+                << (mode == Mode::Cycle ? "cycle" : "functional");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Stress, ReductionsFoldWAlignedChunksInBothModes) {
+  sweep_reductions<float>(700);
+  sweep_reductions<double>(701);
 }
 
 TEST(Stress, ManyModulesOneGraph) {
