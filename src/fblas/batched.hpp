@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,8 +30,10 @@ struct BatchedConfig {
 
   void validate() const {
     FBLAS_REQUIRE(size >= 1 && size <= 32,
-                  "fully-unrolled batched modules are for small sizes "
-                  "(1..32); larger problems belong to the tiled routines");
+                  "batched size " + std::to_string(size) +
+                      " is out of range: fully-unrolled batched modules are "
+                      "for small sizes (1..32); larger problems belong to "
+                      "the tiled routines");
   }
 };
 

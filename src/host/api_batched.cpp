@@ -4,7 +4,8 @@
 // a buffer reads as one (batch·size) x size matrix whose row block i is
 // problem i. Both routines attach their refblas batched routine as the
 // CPU fallback and check every problem with the Level-3 checker of its
-// routine: GEMM's row and column checksums, TRSM's residual.
+// routine: GEMM's row and column checksums, TRSM's residual. The size is
+// validated at enqueue, before any channel is sized from it.
 #include <vector>
 
 #include "fblas/batched.hpp"
@@ -31,11 +32,13 @@ template <typename T>
 Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
                                   T alpha, const Buffer<T>& a,
                                   const Buffer<T>& b, Buffer<T>& c) {
+  const core::BatchedConfig cfg{size};
+  cfg.validate();
   Command command;
   command.label = "gemm_batched";
   command.reads = {&a, &b, &c};
   command.writes = {&c};
-  command.work = [this, size, batch, alpha, &a, &b, &c] {
+  command.work = [this, cfg, size, batch, alpha, &a, &b, &c] {
     FBLAS_REQUIRE(a.size() >= batch * size * size &&
                       b.size() >= batch * size * size &&
                       c.size() >= batch * size * size,
@@ -43,7 +46,6 @@ Event Context::gemm_batched_async(std::int64_t size, std::int64_t batch,
     const double mhz =
         sim::unrolled_frequency(PrecisionTraits<T>::value, dev_->spec()).mhz;
     detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
-      const core::BatchedConfig cfg{size};
       const std::int64_t elems = size * size;
       const std::size_t cap = static_cast<std::size_t>(4 * elems);
       auto& ca = g.channel<T>("A", cap);
@@ -87,18 +89,19 @@ template <typename T>
 Event Context::trsm_batched_async(std::int64_t size, std::int64_t batch,
                                   T alpha, const Buffer<T>& a,
                                   Buffer<T>& x) {
+  const core::BatchedConfig cfg{size};
+  cfg.validate();
   Command command;
   command.label = "trsm_batched";
   command.reads = {&a, &x};
   command.writes = {&x};
-  command.work = [this, size, batch, alpha, &a, &x] {
+  command.work = [this, cfg, size, batch, alpha, &a, &x] {
     FBLAS_REQUIRE(a.size() >= batch * size * size &&
                       x.size() >= batch * size * size,
                   "trsm_batched: buffers too small for the batch");
     const double mhz =
         sim::unrolled_frequency(PrecisionTraits<T>::value, dev_->spec()).mhz;
     detail::launch(*this, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
-      const core::BatchedConfig cfg{size};
       const std::int64_t elems = size * size;
       const std::size_t cap = static_cast<std::size_t>(4 * elems);
       auto& ca = g.channel<T>("A", cap);

@@ -1,8 +1,10 @@
 // Tests for the fully-unrolled batched modules and their host API (the
 // Table V circuits): numerical agreement with the batched reference
 // routines, the one-problem-per-cycle throughput property, and config
-// validation.
+// validation (the host API rejects a bad size at enqueue).
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/workload.hpp"
 #include "fblas/batched.hpp"
@@ -160,6 +162,33 @@ TYPED_TEST(Batched, ConfigValidation) {
   BatchedConfig too_big{64};
   EXPECT_THROW(too_big.validate(), ConfigError);
   EXPECT_NO_THROW(BatchedConfig{4}.validate());
+}
+
+TYPED_TEST(Batched, HostApiRejectsBadSizeAtEnqueue) {
+  using T = TypeParam;
+  host::Device dev;
+  host::Context ctx(dev);
+  host::Buffer<T> a(dev, 64, 0);
+  host::Buffer<T> b(dev, 64, 1);
+  host::Buffer<T> c(dev, 64, 2 % dev.bank_count());
+  for (const std::int64_t size : {0, 33}) {
+    const std::string named = "batched size " + std::to_string(size);
+    for (const bool gemm : {true, false}) {
+      try {
+        if (gemm) {
+          ctx.gemm_batched_async<T>(size, 1, T(1), a, b, c);
+        } else {
+          ctx.trsm_batched_async<T>(size, 1, T(1), a, b);
+        }
+        ADD_FAILURE() << "size " << size << " was enqueued";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  ctx.finish();
+  EXPECT_EQ(ctx.exec_stats().executed, 0u);
 }
 
 TYPED_TEST(Batched, ZeroBatchIsANoop) {
