@@ -5,23 +5,25 @@ namespace fblas::core {
 Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
             Channel<float>& ch_y, Channel<float>& ch_res) {
   cfg.validate();
-  std::vector<float> x = stream::lanes<float>(cfg.width), y = x;
   const std::array<const stream::ChannelBase*, 2> in{&ch_x, &ch_y};
-  double res = static_cast<double>(sb);
+  const std::int64_t w = stream::step_width(cfg.width, in);
+  std::vector<float> x = stream::lanes<float>(std::min(w, n)), y = x;
+  double res = static_cast<double>(sb), acc = 0.0;
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    double acc = 0.0;
+    const std::int64_t batch = std::min(w, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m = stream::lockstep(
           static_cast<std::size_t>(batch - i), in, {});
       co_await ch_x.pop_some(x.data(), m);
       co_await ch_y.pop_some(y.data(), m);
-      for (std::size_t k = 0; k < m; ++k) {
-        acc += static_cast<double>(x[k]) * static_cast<double>(y[k]);
-      }
+      detail::fold_chunks(static_cast<std::int64_t>(m), it + i, cfg.width, n,
+                          acc, res, [&x, &y](std::int64_t k) {
+                            const auto u = static_cast<std::size_t>(k);
+                            return static_cast<double>(x[u]) *
+                                   static_cast<double>(y[u]);
+                          });
       i += static_cast<std::int64_t>(m);
     }
-    res += acc;
     it += batch;
     co_await next_cycle();
   }

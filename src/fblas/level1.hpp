@@ -5,7 +5,10 @@
 // N/W iterations, an inner "unrolled" loop of width W processing one
 // batch per clock cycle, channels for every vector operand. In cycle mode
 // a module therefore consumes `operands_per_width * W` values per cycle,
-// which is exactly the arrival-rate model of Sec. IV-B.
+// which is exactly the arrival-rate model of Sec. IV-B. In functional mode
+// a step moves up to a channel's worth (stream::step_width); the
+// reductions still fold W-aligned chunks, so both modes push the same
+// bits.
 #pragma once
 
 #include <algorithm>
@@ -143,24 +146,52 @@ Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
   co_await next_cycle();
 }
 
-/// DOT: pushes the single value x . y (Fig. 5 of the paper). The W-wide
-/// batch is reduced first (the unrolled tree), then added to the running
-/// accumulator, mirroring the two-stage accumulation of the hardware.
+namespace detail {
+
+/// Adds term(0), ..., term(m - 1), the terms of elements e..e+m-1 of an
+/// n-element reduction, into `acc` in order, and folds `acc` into `res`
+/// at the end of every W-aligned chunk and at element n. The chunks are
+/// chosen by element index, so the result is the same bits however the
+/// elements arrive in steps.
+template <typename A, typename Term>
+void fold_chunks(std::int64_t m, std::int64_t e, std::int64_t W,
+                 std::int64_t n, A& acc, A& res, Term term) {
+  for (std::int64_t k = 0; k < m;) {
+    const std::int64_t end = std::min(m, k + W - (e + k) % W);
+    for (; k < end; ++k) acc += term(k);
+    if ((e + k) % W == 0 || e + k == n) {
+      res += acc;
+      acc = A(0);
+    }
+  }
+}
+
+}  // namespace detail
+
+/// DOT: pushes the single value x . y (Fig. 5 of the paper). Each
+/// W-aligned chunk of elements is reduced first (the unrolled tree), then
+/// added to the running accumulator, mirroring the two-stage accumulation
+/// of the hardware. A step moves up to step_width elements (W in cycle
+/// mode, a channel's worth in functional mode); the chunks are chosen by
+/// element index (see detail::fold_chunks), so both modes push the same
+/// bits.
 template <typename T>
 Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
          Channel<T>& ch_res) {
   cfg.validate();
-  std::vector<T> x = stream::lanes<T>(cfg.width), y = x;
   const std::array<const stream::ChannelBase*, 2> in{&ch_x, &ch_y};
-  T res = T(0);
+  const std::int64_t w = stream::step_width(cfg.width, in);
+  std::vector<T> x = stream::lanes<T>(std::min(w, n)), y = x;
+  T res = T(0), acc = T(0);
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
-    T acc = T(0);
+    const std::int64_t batch = std::min(w, n - it);
     for (std::int64_t i = 0; i < batch;) {
       if (ch_x.empty() || ch_y.empty()) {
         // One element step in the element-wise form, which waits for both
         // inputs before popping either.
-        acc += co_await ch_x.pop() * co_await ch_y.pop();
+        const T term = co_await ch_x.pop() * co_await ch_y.pop();
+        detail::fold_chunks(1, it + i, cfg.width, n, acc, res,
+                            [term](std::int64_t) { return term; });
         ++i;
         continue;
       }
@@ -168,10 +199,13 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
           static_cast<std::size_t>(batch - i), in, {});
       ch_x.take_some(x.data(), m);
       ch_y.take_some(y.data(), m);
-      for (std::size_t k = 0; k < m; ++k) acc += x[k] * y[k];
+      detail::fold_chunks(static_cast<std::int64_t>(m), it + i, cfg.width, n,
+                          acc, res, [&x, &y](std::int64_t k) {
+                            return x[static_cast<std::size_t>(k)] *
+                                   y[static_cast<std::size_t>(k)];
+                          });
       i += static_cast<std::int64_t>(m);
     }
-    res += acc;
     it += batch;
     co_await next_cycle();
   }
@@ -187,19 +221,27 @@ Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
 /// elements of ch_x, a W-wide batch per cycle, folds each batch into
 /// `fold(batch, len, index of its first element)` and pushes what `fold`
 /// returned last, the result so far (fold(batch, 0, 0) for no elements).
+/// In functional mode a step pops as many whole W-aligned batches as
+/// ch_x holds (step_width rounded down to a multiple of W) and folds them
+/// one by one, so `fold` sees the same batches in both modes.
 template <typename T, typename R, typename Fold>
 Task reduce(Level1Config cfg, std::int64_t n, Fold fold, Channel<T>& ch_x,
             Channel<R>& ch_res) {
   cfg.validate();
-  std::vector<T> v = stream::lanes<T>(cfg.width);
+  const std::int64_t W = cfg.width;
+  const std::array<const stream::ChannelBase*, 1> in{&ch_x};
+  const std::int64_t step = stream::step_width(W, in) / W * W;
+  std::vector<T> v = stream::lanes<T>(std::min(step, n));
   R res = fold(v.data(), 0, 0);
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(cfg.width, n - it);
+    const std::int64_t batch = std::min(step, n - it);
     for (std::int64_t i = 0; i < batch;) {
       i += static_cast<std::int64_t>(co_await ch_x.pop_some(
           v.data() + i, static_cast<std::size_t>(batch - i)));
     }
-    res = fold(v.data(), batch, it);
+    for (std::int64_t c = 0; c < batch; c += W) {
+      res = fold(v.data() + c, std::min(W, batch - c), it + c);
+    }
     it += batch;
     co_await next_cycle();
   }

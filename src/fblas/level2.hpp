@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -136,13 +137,14 @@ void tile_runs(std::int64_t e, std::int64_t len, std::int64_t ni,
 /// step, and y's partials stay on chip in full (standing in for the DRAM
 /// round trip): each block is read at the first outer step and written at
 /// the last, or, for A^T x and when no tile runs, read before the loop
-/// and written after it.
+/// and written after it. A arrives up to step_width values per step.
 template <typename T>
 Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
           T beta, Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
           Channel<T>& ch_out) {
   cfg.validate();
-  const std::int64_t W = cfg.width;
+  const std::array<const stream::ChannelBase*, 1> a_port{&ch_a};
+  const std::int64_t W = stream::step_width(cfg.width, a_port);
   const bool none = cfg.trans == Transpose::None;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
@@ -261,7 +263,8 @@ std::int64_t ger_io_ops(const GerConfig& cfg, std::int64_t rows,
 /// y) and ch_cols[p] its column-dimension one. The blocks along the outer
 /// tile dimension load once per outer step, first; those along the inner
 /// dimension load for every tile: that operand is the replayed one. The
-/// channels of one dimension load in lockstep.
+/// channels of one dimension load in lockstep, and A moves through the
+/// update up to step_width values per step.
 template <typename T, std::size_t R>
 Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                Channel<T>& ch_a, std::array<Channel<T>*, R> ch_rows,
@@ -269,7 +272,6 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   cfg.validate();
   const std::int64_t TN = cfg.tile_rows, TM = cfg.tile_cols;
   const std::int64_t nti = ceil_div(rows, TN), ntj = ceil_div(cols, TM);
-  const std::int64_t W = cfg.width;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
   // Per dimension (0: rows, 1: columns): its channels, ports and blocks.
@@ -282,8 +284,10 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
       blk[d][p].resize(static_cast<std::size_t>(d == 0 ? TN : TM));
     }
   }
-  const std::array<const stream::ChannelBase*, 1> a_port{&ch_a};
-  const std::array<const stream::ChannelBase*, 1> out_port{&ch_out};
+  const std::array<const stream::ChannelBase*, 2> a_ports{&ch_a, &ch_out};
+  const auto a_port = std::span(a_ports).template first<1>();
+  const auto out_port = std::span(a_ports).template last<1>();
+  const std::int64_t W = stream::step_width(cfg.width, a_ports);
   std::vector<T> v = stream::lanes<T>(W);
   const std::size_t outer_dim = by_rows ? 0 : 1;
   const std::int64_t outer = by_rows ? nti : ntj;
@@ -406,12 +410,14 @@ Task read_triangular(MatrixView<const T> A, Uplo uplo, int width,
 /// (see read_triangular). b arrives on ch_b one element per row in solve
 /// order; solutions leave on ch_out in the same order. The progressive
 /// solution buffer is on-chip state (the loop-carried dependency that
-/// keeps TRSV's initiation interval above 1 in hardware).
+/// keeps TRSV's initiation interval above 1 in hardware). A arrives up to
+/// step_width values per step.
 template <typename T>
 Task trsv(TrsvConfig cfg, std::int64_t n, Channel<T>& ch_a, Channel<T>& ch_b,
           Channel<T>& ch_out) {
   cfg.validate();
-  const std::int64_t W = cfg.width;
+  const std::array<const stream::ChannelBase*, 1> a_port{&ch_a};
+  const std::int64_t W = stream::step_width(cfg.width, a_port);
   std::vector<T> x(static_cast<std::size_t>(n), T(0));
   std::vector<T> a = stream::lanes<T>(W);
   std::int64_t in_cycle = 0;

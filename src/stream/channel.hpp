@@ -380,4 +380,18 @@ inline std::size_t lockstep(std::size_t want,
   return std::max<std::size_t>(want, 1);
 }
 
+/// The step width of a module that moves `width` values per cycle through
+/// `ports`: how many values one step of its body moves at most. In cycle
+/// mode that is `width`, the W lanes per cycle that set the timing. In
+/// functional mode, which keeps no time, it is as many as the smallest of
+/// `ports` holds, and never less than `width`: a step moves a channel's
+/// worth. Each channel still sees its values in the same order.
+inline std::int64_t step_width(std::int64_t width,
+                               std::span<const ChannelBase* const> ports) {
+  if (ports.empty() || ports.front()->scheduler().cycle_mode()) return width;
+  std::size_t cap = ports.front()->capacity();
+  for (const ChannelBase* c : ports) cap = std::min(cap, c->capacity());
+  return std::max(width, static_cast<std::int64_t>(cap));
+}
+
 }  // namespace fblas::stream

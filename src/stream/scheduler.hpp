@@ -8,6 +8,15 @@
 //    banks meter bytes per cycle, and the scheduler counts cycles. Used
 //    for throughput/backpressure/composition experiments.
 //
+// The step rule (stream::step_width): a body that batches by W moves up
+// to W values per step in cycle mode, where W per cycle is the timing,
+// and up to max(W, the smallest capacity of its ports) in functional
+// mode, a channel's worth per step. Each channel carries its values in
+// the same order in both modes and reductions fold the same W-aligned
+// chunks, so the outputs are the same bits. The order of pushes across
+// channels differs in functional mode (it is still deterministic), so
+// the value an armed corrupt_push(k) hits can differ between the modes.
+//
 // In either mode, if every live module is blocked on a channel the graph
 // has stalled forever; the scheduler throws DeadlockError with a full
 // diagnostic, making the paper's invalid-composition analysis (Sec. V-B)
@@ -211,7 +220,8 @@ class Scheduler {
 
 /// Awaitable that parks the current module until the next simulated clock
 /// cycle (no-op in functional mode). Modules call this once per batch of
-/// up to W elements, which is what defines "W elements per cycle".
+/// up to W elements, which is what defines "W elements per cycle" (a
+/// functional step may move more; see stream::step_width).
 struct NextCycle {
   bool await_ready() const noexcept { return false; }
   bool await_suspend(TaskHandle h) const {

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -132,9 +133,10 @@ bool finite_lanes(const std::array<T*, N>& p, std::size_t m) {
 }
 
 /// The one element-wise module body: moves `n` elements through `f`, up
-/// to `width` per cycle, from the channels of `in` to those of `out` in
-/// lockstep (see lockstep). Each step pops every input, then pushes every
-/// output; `f` maps one element's I input values to its O output values.
+/// to `width` per cycle (a step_width per step), from the channels of `in`
+/// to those of `out` in lockstep (see lockstep). Each step pops every
+/// input, then pushes every output; `f` maps one element's I input values
+/// to its O output values.
 /// Under taint, a step whose outputs hold NaN/Inf pushes them element by
 /// element across the outputs, so the first one is reported where an
 /// element-by-element module would report it.
@@ -144,19 +146,21 @@ Task elementwise(std::int64_t n, int width, F f,
                  std::array<Channel<T>*, O> out) {
   FBLAS_REQUIRE(width >= 1, "vectorization width must be >= 1");
   const bool taint = O > 1 && out[0]->scheduler().taint_enabled();
-  std::array<const ChannelBase*, I> in_ports;
-  std::array<const ChannelBase*, O> out_ports;
-  std::copy(in.begin(), in.end(), in_ports.begin());
-  std::copy(out.begin(), out.end(), out_ports.begin());
+  std::array<const ChannelBase*, I + O> ports;
+  std::copy(in.begin(), in.end(), ports.begin());
+  std::copy(out.begin(), out.end(), ports.begin() + I);
+  const auto in_ports = std::span(ports).template first<I>();
+  const auto out_ports = std::span(ports).template last<O>();
+  const std::int64_t w = step_width(width, ports);
   constexpr std::size_t N = std::max(I, O);
   std::array<std::vector<T>, N> buf;
   std::array<T*, N> p;
   for (std::size_t c = 0; c < N; ++c) {
-    buf[c] = lanes<T>(width);
+    buf[c] = lanes<T>(std::min(w, n));
     p[c] = buf[c].data();
   }
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min<std::int64_t>(width, n - it);
+    const std::int64_t batch = std::min(w, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m = lockstep(static_cast<std::size_t>(batch - i),
                                      in_ports, out_ports);
@@ -203,18 +207,21 @@ auto runs(std::int64_t count, At at) {
 
 /// The one reader whose bank grants one element at a time (every one when
 /// `bank` is null): streams the runs `next` yields into `out`, up to
-/// `width` elements per cycle. Of the elements a cycle still has room for,
+/// `width` elements per cycle (a step_width per step). Of the elements a
+/// cycle still has room for,
 /// it takes as many as `out` can hold (at least one), granting them in
 /// order; a refused grant ends its cycle early, and so does a closing run.
 template <typename T, typename Runs>
 Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
                   DramBank* bank) {
-  std::vector<T> buf = lanes<T>(width);
+  const std::array<const ChannelBase*, 1> port{&out};
+  const std::int64_t w = step_width(width, port);
+  std::vector<T> buf = lanes<T>(w);
   std::int64_t in_cycle = 0;
   for (Run<const T> run; next(run);) {
     for (std::int64_t j = 0; j < run.len;) {
       const std::int64_t want = std::min(
-          {width - in_cycle, run.len - j,
+          {w - in_cycle, run.len - j,
            static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1))});
       std::int64_t g = 0;
       for (; g < want; ++g) {
@@ -228,7 +235,7 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
       in_cycle += g;
       if (g < want) {
         co_await next_cycle();
-      } else if (in_cycle == width) {
+      } else if (in_cycle == w) {
         in_cycle = 0;
         co_await next_cycle();
       }
@@ -239,19 +246,21 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
 
 /// The one writer whose bank grants each kept element right after it is
 /// popped: stores the stream from `in` into the runs `next` yields, up to
-/// `width` elements per cycle. A kept element waits for its grant before
-/// the next pop.
+/// `width` elements per cycle (a step_width per step). A kept element
+/// waits for its grant before the next pop.
 template <typename T, typename Runs>
 Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
                    DramBank* bank) {
-  std::vector<T> buf = lanes<T>(width);
+  const std::array<const ChannelBase*, 1> port{&in};
+  const std::int64_t w = step_width(width, port);
+  std::vector<T> buf = lanes<T>(w);
   std::int64_t in_cycle = 0;
   for (Run<T> run; next(run);) {
     auto keep = [&run](std::int64_t u) {
       return u >= run.keep_from && u < run.keep_to;
     };
     for (std::int64_t j = 0; j < run.len;) {
-      const auto avail = std::min({width - in_cycle, run.len - j,
+      const auto avail = std::min({w - in_cycle, run.len - j,
                                    static_cast<std::int64_t>(in.size())});
       // Nothing buffered: one element step, whose pop may suspend.
       if (avail == 0) co_await in.pop_some(buf.data(), 1);
@@ -276,7 +285,7 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
         p[(len - 1) * run.stride] = buf[len - 1];
       }
       j += len;
-      if ((in_cycle += len) == width) {
+      if ((in_cycle += len) == w) {
         in_cycle = 0;
         co_await next_cycle();
       }
@@ -285,18 +294,21 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 }
 
 /// The one bulk reader: streams `passes` passes of `n` elements each into
-/// `out`. Every cycle it takes as many of the pass's next min(width, left)
-/// elements as `bank` grants (all of them when `bank` is null), copies
+/// `out`. Every cycle (step) it takes as many of the pass's next min(w,
+/// left) elements as `bank` grants (all of them when `bank` is null), w
+/// being the step_width of `width` on `out`; it copies
 /// them into its lanes with `gather(pass, k, dst, m)` (the pass's elements
 /// k..k+m-1), pushes them and ends the cycle. An empty pass takes no
 /// cycle.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                Gather gather, Channel<T>& out, DramBank* bank) {
-  std::vector<T> buf = lanes<T>(width);
+  const std::array<const ChannelBase*, 1> port{&out};
+  const std::int64_t w = step_width(width, port);
+  std::vector<T> buf = lanes<T>(std::min(w, n));
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
-      const std::int64_t want = std::min(width, n - k);
+      const std::int64_t want = std::min(w, n - k);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
       gather(r, k, buf.data(), got);
       for (std::int64_t t = 0; t < got;) {
@@ -309,17 +321,20 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 }
 
 /// The one bulk writer: drains `passes` passes of `n` elements each from
-/// `in`. Every cycle it pops as many of the pass's next min(width, left)
-/// elements as `bank` grants (all of them when `bank` is null), hands each
+/// `in`. Every cycle (step) it pops as many of the pass's next min(w, left)
+/// elements as `bank` grants (all of them when `bank` is null), w being
+/// the step_width of `width` on `in`; it hands each
 /// popped run to `scatter(pass, k, src, m)` (the pass's elements
 /// k..k+m-1) and ends the cycle. An empty pass takes no cycle.
 template <typename T, typename Scatter>
 Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                 Scatter scatter, Channel<T>& in, DramBank* bank) {
-  std::vector<T> buf = lanes<T>(width);
+  const std::array<const ChannelBase*, 1> port{&in};
+  const std::int64_t w = step_width(width, port);
+  std::vector<T> buf = lanes<T>(std::min(w, n));
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
-      const std::int64_t want = std::min(width, n - k);
+      const std::int64_t want = std::min(w, n - k);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
       for (std::int64_t t = 0; t < got;) {
         const auto moved = static_cast<std::int64_t>(

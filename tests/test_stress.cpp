@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -251,6 +252,22 @@ std::uint64_t reduction_oracle(Reduction r, int w, const std::vector<T>& x,
                                 : result_bits(res);
 }
 
+/// Random x and y in which every seventh element starts a pair of large
+/// cancelling products (x, -x at equal y): the running sum drops low bits
+/// of what it held, so folding other chunks changes the result's bits,
+/// even for SDSDOT's double sum rounded to float.
+template <typename T>
+std::pair<std::vector<T>, std::vector<T>> cancelling_pairs(Workload& wl,
+                                                           std::int64_t n) {
+  auto x = wl.vector<T>(n), y = wl.vector<T>(n);
+  for (std::size_t k = 0; k + 1 < x.size(); k += 7) {
+    x[k] *= T(0x1p40);
+    x[k + 1] = -x[k];
+    y[k + 1] = y[k];
+  }
+  return {x, y};
+}
+
 /// Every reduction over widths {1, 3, 8, 16, 33} and capacities
 /// {1, 7, 16, 64, 300}, at seeded lengths in 1..700: both modes agree bit
 /// for bit with each other and with the W-chunk oracle.
@@ -264,7 +281,7 @@ void sweep_reductions(std::uint64_t seed) {
     for (const std::size_t cap : {1, 7, 16, 64, 300}) {
       for (int rep = 0; rep < 8; ++rep) {
         const auto n = 1 + static_cast<std::int64_t>(wl.next_u64() % 700);
-        const auto x = wl.vector<T>(n), y = wl.vector<T>(n);
+        const auto [x, y] = cancelling_pairs<T>(wl, n);
         for (const Reduction r : kinds) {
           const std::uint64_t want = reduction_oracle<T>(r, w, x, y);
           for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
