@@ -136,10 +136,9 @@ bool finite_lanes(const std::array<T*, N>& p, std::size_t m) {
 /// to `width` per cycle (a step_width per step), from the channels of `in`
 /// to those of `out` in lockstep (see lockstep). Each step pops every
 /// input, then pushes every output; `f` maps one element's I input values
-/// to its O output values.
-/// Under taint, a step whose outputs hold NaN/Inf pushes them element by
-/// element across the outputs, so the first one is reported where an
-/// element-by-element module would report it.
+/// to its O output values. Under taint, a step whose outputs hold NaN/Inf
+/// pushes them element by element across the outputs, so the first one
+/// is reported where an element-by-element module would report it.
 template <typename T, std::size_t I, std::size_t O, typename F>
 Task elementwise(std::int64_t n, int width, F f,
                  std::array<Channel<T>*, I> in,
@@ -208,9 +207,9 @@ auto runs(std::int64_t count, At at) {
 /// The one reader whose bank grants one element at a time (every one when
 /// `bank` is null): streams the runs `next` yields into `out`, up to
 /// `width` elements per cycle (a step_width per step). Of the elements a
-/// cycle still has room for,
-/// it takes as many as `out` can hold (at least one), granting them in
-/// order; a refused grant ends its cycle early, and so does a closing run.
+/// cycle still has room for, it takes as many as `out` can hold (at least
+/// one), granting them in order; a refused grant ends its cycle early, and
+/// so does a closing run.
 template <typename T, typename Runs>
 Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
                   DramBank* bank) {
@@ -294,12 +293,11 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 }
 
 /// The one bulk reader: streams `passes` passes of `n` elements each into
-/// `out`. Every cycle (step) it takes as many of the pass's next min(w,
-/// left) elements as `bank` grants (all of them when `bank` is null), w
-/// being the step_width of `width` on `out`; it copies
-/// them into its lanes with `gather(pass, k, dst, m)` (the pass's elements
-/// k..k+m-1), pushes them and ends the cycle. An empty pass takes no
-/// cycle.
+/// `out`. Every cycle it takes as many of the pass's next min(w, left)
+/// elements as `bank` grants (all of them when `bank` is null), w being
+/// the step_width of `width` on `out`; it copies them into its lanes with
+/// `gather(pass, k, dst, m)` (the pass's elements k..k+m-1), pushes them
+/// and ends the cycle. An empty pass takes no cycle.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                Gather gather, Channel<T>& out, DramBank* bank) {
@@ -321,11 +319,11 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 }
 
 /// The one bulk writer: drains `passes` passes of `n` elements each from
-/// `in`. Every cycle (step) it pops as many of the pass's next min(w, left)
+/// `in`. Every cycle it pops as many of the pass's next min(w, left)
 /// elements as `bank` grants (all of them when `bank` is null), w being
-/// the step_width of `width` on `in`; it hands each
-/// popped run to `scatter(pass, k, src, m)` (the pass's elements
-/// k..k+m-1) and ends the cycle. An empty pass takes no cycle.
+/// the step_width of `width` on `in`; it hands each popped run to
+/// `scatter(pass, k, src, m)` (the pass's elements k..k+m-1) and ends the
+/// cycle. An empty pass takes no cycle.
 template <typename T, typename Scatter>
 Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                 Scatter scatter, Channel<T>& in, DramBank* bank) {
