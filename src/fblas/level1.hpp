@@ -213,7 +213,8 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
 }
 
 /// SDSDOT: single-precision inputs, double-precision accumulation plus an
-/// offset sb (the one mixed-precision routine in the BLAS).
+/// offset sb (the one mixed-precision routine in the BLAS). It steps and
+/// folds its W-aligned chunks as DOT does.
 Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
             Channel<float>& ch_y, Channel<float>& ch_res);
 
