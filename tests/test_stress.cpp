@@ -211,8 +211,10 @@ std::uint64_t run_reduction(Reduction r, Mode mode, int w, std::size_t cap,
       case Reduction::Nrm2:
         g.spawn("nrm2", nrm2<T>(cfg, n, cx, out));
         break;
-      default:
+      case Reduction::Asum:
         g.spawn("asum", asum<T>(cfg, n, cx, out));
+        break;
+      case Reduction::Iamax:  // wired above, on an index channel
         break;
     }
     g.spawn("collect", stream::collect<T>(1, out, res));
