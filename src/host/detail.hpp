@@ -104,10 +104,18 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
       stream::runs<T>(X.rows(), solve_order_rows(X, uplo)), width, in, bank);
 }
 
-/// Channel capacity used by the lowerings: deep enough for two width-
-/// batches so producer and consumer never false-stall within a cycle.
-inline std::size_t chan_cap(int width) {
-  return static_cast<std::size_t>(std::max(64, 2 * width));
+/// Routine FIFO depth in functional mode, where a step moves a channel's
+/// worth (stream::step_width): a step's working set stays in L2.
+inline constexpr int kFunctionalDepth = 4096;
+
+/// Channel capacity used by the routine lowerings in a graph of `mode`.
+/// Cycle mode: two width-batches, at least 64, so producer and consumer
+/// never false-stall within a cycle. Functional mode keeps no time, so a
+/// FIFO is one step deep: kFunctionalDepth, or two width-batches when
+/// that is more.
+inline std::size_t chan_cap(stream::Mode mode, int width) {
+  const int floor = mode == stream::Mode::Cycle ? 64 : kFunctionalDepth;
+  return static_cast<std::size_t>(std::max(floor, 2 * width));
 }
 
 /// Collects `n` values from `in`; the first lands in the host scalar
@@ -239,10 +247,10 @@ struct Ports {
 };
 
 /// Launches a streaming routine's graph from its operand list: a graph
-/// at `kind`'s module clock with one channel per operand (chan_cap of
-/// `width`; 2 for a collected scalar), then the readers in list order,
-/// the module `module(ports)` named `label`, and the writers in list
-/// order.
+/// at `kind`'s module clock with one channel per operand (chan_cap of the
+/// graph's mode and `width`; 2 for a collected scalar), then the readers
+/// in list order, the module `module(ports)` named `label`, and the
+/// writers in list order.
 template <typename T, std::size_t N, typename Module>
 void stream_launch(Context& ctx, RoutineKind kind, const char* label,
                    int width, const std::array<Operand<T>, N>& ops,
@@ -251,7 +259,7 @@ void stream_launch(Context& ctx, RoutineKind kind, const char* label,
     Ports<T, N> p{{}, width};
     for (std::size_t i = 0; i < N; ++i) {
       const Operand<T>& op = ops[i];
-      const std::size_t cap = op.scalar() ? 2 : chan_cap(width);
+      const std::size_t cap = op.scalar() ? 2 : chan_cap(g.mode(), width);
       if (op.index != nullptr) {
         p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
       } else {

@@ -5,19 +5,23 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "apps/atax.hpp"
 #include "common/workload.hpp"
 #include "host/buffer.hpp"
 #include "host/context.hpp"
+#include "host/detail.hpp"
 #include "refblas/batched.hpp"
 #include "refblas/level1.hpp"
 #include "refblas/level2.hpp"
 #include "refblas/level3.hpp"
+#include "trace/trace.hpp"
 
 namespace fblas::host {
 namespace {
@@ -837,6 +841,263 @@ void expect_functional_outputs_match_pins() {
 TEST(HostApi, FunctionalOutputsMatchPins) {
   expect_functional_outputs_match_pins<float>();
   expect_functional_outputs_match_pins<double>();
+}
+
+// ---- Functional FIFO depth ----------------------------------------------
+// A functional routine graph sizes its FIFOs detail::kFunctionalDepth (D)
+// deep, so one step moves up to D values, and a bulk mover pushes from
+// and pops into contiguous memory directly. Lengths around W and D leave
+// ragged steps. The in-place outputs (AXPY's y, SCAL's x, SWAP's and
+// ROT's x and y, GEMV's y, GER's A, TRSV's x) are read and written by
+// the same graph: at inc 1 the bulk movers take their zero-copy paths,
+// at inc 3 their lanes (TRSV's x moves through the granted movers).
+// Streamers.ReaderPushesValuesHeldAtGrant covers a writer that overtakes
+// its reader, which no routine graph does.
+
+constexpr int kSweepWidth = 16;
+constexpr std::int64_t kDepth = detail::kFunctionalDepth;
+constexpr std::int64_t kSweepRows = 5;  // GEMV's and GER's short side
+
+/// The sweep's inputs: vectors of `n` elements at stride `inc`, GEMV's
+/// and GER's matrices with one side `n` long, and TRSV's n x n triangle.
+template <typename T>
+struct SweepInputs {
+  std::int64_t n, inc;
+  std::vector<T> x, y, short_vec, a_tall, a_wide, tri;
+};
+
+template <typename T>
+SweepInputs<T> sweep_inputs(std::int64_t n, std::int64_t inc) {
+  Workload wl(static_cast<std::uint64_t>(600 + 4 * n + inc));
+  const std::int64_t len = 1 + (n - 1) * inc;
+  SweepInputs<T> in;
+  in.n = n;
+  in.inc = inc;
+  in.x = wl.vector<T>(len);
+  in.y = wl.vector<T>(len);
+  in.short_vec = wl.vector<T>(kSweepRows);
+  in.a_tall = wl.matrix<T>(n, kSweepRows);
+  in.a_wide = wl.matrix<T>(kSweepRows, n);
+  // TRSV's triangle is n x n, so past W it runs once, in float at D+1
+  // with inc 3: the other long lengths would make up most of the sweep's
+  // time.
+  if (n < kSweepWidth ||
+      (std::is_same_v<T, float> && n == kDepth + 1 && inc == 3)) {
+    in.tri = wl.triangular<T>(n, Uplo::Lower, Diag::NonUnit);
+  }
+  return in;
+}
+
+/// Every sweep routine's output on a context of `mode`.
+template <typename T>
+std::map<std::string, std::vector<T>> run_depth_sweep(
+    stream::Mode mode, const SweepInputs<T>& in) {
+  Device dev;
+  Context ctx(dev, mode);
+  ctx.config().width = kSweepWidth;
+  const std::int64_t n = in.n, inc = in.inc, k = kSweepRows;
+  std::map<std::string, std::vector<T>> out;
+  auto x = make_buffer(dev, in.x, 0), y = make_buffer(dev, in.y, 1);
+  ctx.axpy<T>(n, T(-0.75), x, inc, y, inc);
+  out["axpy"] = y.to_host();
+  ctx.scal<T>(n, T(1.5), x, inc);
+  out["scal"] = x.to_host();
+  auto z = make_buffer(dev, in.y, 2);
+  ctx.copy<T>(n, x, inc, z, inc);
+  out["copy"] = z.to_host();
+  ctx.swap<T>(n, x, inc, y, inc);
+  out["swap_x"] = x.to_host();
+  out["swap_y"] = y.to_host();
+  ctx.rot<T>(n, x, inc, y, inc, T(0.6), T(0.8));
+  out["rot_x"] = x.to_host();
+  out["rot_y"] = y.to_host();
+  out["dot"] = {ctx.dot<T>(n, x, inc, y, inc)};
+  if constexpr (std::is_same_v<T, float>) {
+    out["sdsdot"] = {ctx.sdsdot(n, 0.25f, x, inc, y, inc)};
+  }
+  out["nrm2"] = {ctx.nrm2<T>(n, x, inc)};
+  out["asum"] = {ctx.asum<T>(n, x, inc)};
+  out["iamax"] = {static_cast<T>(ctx.iamax<T>(n, x, inc))};
+  // GEMV's y and GER's A rows are n long.
+  const auto s = make_buffer(dev, in.short_vec, 1);
+  for (const bool none : {true, false}) {
+    for (const bool by_rows : {true, false}) {
+      ctx.config().tiling = by_rows ? core::MatrixTiling::TilesByRows
+                                    : core::MatrixTiling::TilesByCols;
+      const auto a = make_buffer(dev, none ? in.a_tall : in.a_wide, 0);
+      auto yg = make_buffer(dev, in.y, 2);
+      ctx.gemv<T>(none ? Transpose::None : Transpose::Trans, none ? n : k,
+                  none ? k : n, T(1.25), a, s, 1, T(0.5), yg, inc);
+      out[std::string(none ? "gemv" : "gemv_t") + (by_rows ? "" : "_cols")] =
+          yg.to_host();
+    }
+  }
+  ctx.config().tiling = core::MatrixTiling::TilesByRows;
+  auto a = make_buffer(dev, in.a_wide, 0);
+  const auto yr = make_buffer(dev, in.y, 2);
+  ctx.ger<T>(k, n, T(0.5), s, 1, yr, inc, a);
+  out["ger"] = a.to_host();
+  if (!in.tri.empty()) {
+    const auto tri = make_buffer(dev, in.tri, 0);
+    auto b = make_buffer(dev, in.x, 1);
+    ctx.trsv<T>(Uplo::Lower, Transpose::None, Diag::NonUnit, n, tri, b, inc);
+    out["trsv"] = b.to_host();
+  }
+  return out;
+}
+
+/// refblas on the sweep's inputs, for the routines that compute each
+/// output element on its own, so no summation order can differ.
+template <typename T>
+std::map<std::string, std::vector<T>> ref_depth_sweep(
+    const SweepInputs<T>& in) {
+  const std::int64_t n = in.n, inc = in.inc;
+  std::vector<T> x = in.x, y = in.y, z = in.y;
+  const auto v = [n, inc](std::vector<T>& h) {
+    return VectorView<T>(h.data(), n, inc);
+  };
+  const auto cv = [n, inc](const std::vector<T>& h) {
+    return VectorView<const T>(h.data(), n, inc);
+  };
+  std::map<std::string, std::vector<T>> out;
+  ref::axpy<T>(T(-0.75), cv(x), v(y));
+  out["axpy"] = y;
+  ref::scal<T>(T(1.5), v(x));
+  out["scal"] = x;
+  ref::copy<T>(cv(x), v(z));
+  out["copy"] = z;
+  ref::swap<T>(v(x), v(y));
+  out["swap_x"] = x;
+  out["swap_y"] = y;
+  ref::rot<T>(v(x), v(y), T(0.6), T(0.8));
+  out["rot_x"] = x;
+  out["rot_y"] = y;
+  out["iamax"] = {static_cast<T>(ref::iamax<T>(cv(x)))};
+  std::vector<T> a = in.a_wide;
+  ref::ger<T>(T(0.5), VectorView<const T>(in.short_vec.data(), kSweepRows),
+              cv(in.y), MatrixView<T>(a.data(), kSweepRows, n));
+  out["ger"] = a;
+  return out;
+}
+
+template <typename T>
+void expect_depth_sweep_agrees() {
+  for (const std::int64_t n : {std::int64_t{1}, std::int64_t{kSweepWidth - 1},
+                               kDepth - 1, kDepth, kDepth + 1,
+                               3 * kDepth + 5}) {
+    for (const std::int64_t inc : {1, 3}) {
+      const SweepInputs<T> in = sweep_inputs<T>(n, inc);
+      const auto fun = run_depth_sweep<T>(stream::Mode::Functional, in);
+      const auto cyc = run_depth_sweep<T>(stream::Mode::Cycle, in);
+      EXPECT_EQ(fun.size(), cyc.size());
+      for (const auto& [name, got] : cyc) {
+        EXPECT_EQ(bit_hash(fun.at(name)), bit_hash(got))
+            << name << ": functional and cycle differ at n=" << n
+            << " inc=" << inc;
+      }
+      for (const auto& [name, want] : ref_depth_sweep<T>(in)) {
+        EXPECT_EQ(bit_hash(fun.at(name)), bit_hash(want))
+            << name << ": functional differs from refblas at n=" << n
+            << " inc=" << inc;
+      }
+    }
+  }
+}
+
+TEST(HostApi, FunctionalDepthSweepMatchesCycleAndRefblas) {
+  expect_depth_sweep_agrees<float>();
+  expect_depth_sweep_agrees<double>();
+}
+
+/// The capacity of every channel a traced command on a `mode` context
+/// ran, by channel name, leaving out the 2-deep scalar collectors.
+template <typename Run>
+std::map<std::string, std::uint64_t> channel_capacities(stream::Mode mode,
+                                                        Run run) {
+  Device dev;
+  Context ctx(dev, mode);
+  const auto rec = ctx.tracing();
+  run(dev, ctx);
+  std::map<std::string, std::uint64_t> caps;
+  for (const trace::Event& e : rec->events()) {
+    if (e.kind == trace::EventKind::ChannelStats && e.flags != 2) {
+      caps[std::string(e.name_view())] = e.flags;
+    }
+  }
+  return caps;
+}
+
+TEST(HostApi, RoutineFifoDepthFollowsMode) {
+  // Routine channels are chan_cap deep: kFunctionalDepth on a functional
+  // context, max(64, 2W) on a cycle one. A composed ATAX keeps the depths
+  // its compiler sized, in both modes.
+  Workload wl(530);
+  const std::int64_t n = 96;
+  const auto hv = wl.vector<float>(n), hm = wl.matrix<float>(n, n);
+  const auto hl = wl.triangular<float>(n, Uplo::Lower, Diag::NonUnit);
+  struct Case {
+    const char* name;
+    int width;  // the W chan_cap is given
+    std::function<void(Device&, Context&)> run;
+  };
+  const int W = 48, pe = 4;
+  const std::vector<Case> cases = {
+      {"axpy", W,
+       [&](Device& dev, Context& ctx) {
+         ctx.config().width = W;
+         const auto x = make_buffer(dev, hv, 0);
+         auto y = make_buffer(dev, hv, 1);
+         ctx.axpy<float>(n, 2.0f, x, y);
+         ctx.dot<float>(n, x, y);
+       }},
+      {"gemv", W,
+       [&](Device& dev, Context& ctx) {
+         ctx.config().width = W;
+         const auto a = make_buffer(dev, hm, 0), x = make_buffer(dev, hv, 1);
+         auto y = make_buffer(dev, hv, 2);
+         ctx.gemv<float>(Transpose::None, n, n, 1.0f, a, x, 0.5f, y);
+       }},
+      {"gemm", pe * 4,
+       [&](Device& dev, Context& ctx) {
+         ctx.config().pe_rows = ctx.config().pe_cols = pe;
+         const auto a = make_buffer(dev, hm, 0), b = make_buffer(dev, hm, 1);
+         auto c = make_buffer(dev, hm, 2);
+         ctx.gemm<float>(Transpose::None, Transpose::None, n, n, n, 1.0f, a,
+                         b, 0.5f, c);
+       }},
+      {"trsm", W,
+       [&](Device& dev, Context& ctx) {
+         ctx.config().width = W;
+         const auto a = make_buffer(dev, hl, 0);
+         auto b = make_buffer(dev, hm, 1);
+         ctx.trsm<float>(Side::Left, Uplo::Lower, Transpose::None,
+                         Diag::NonUnit, n, n, 1.0f, a, b);
+       }},
+  };
+  for (const Case& c : cases) {
+    for (const stream::Mode mode :
+         {stream::Mode::Functional, stream::Mode::Cycle}) {
+      const auto caps = channel_capacities(mode, c.run);
+      EXPECT_FALSE(caps.empty()) << c.name;
+      for (const auto& [chan, cap] : caps) {
+        EXPECT_EQ(cap, detail::chan_cap(mode, c.width))
+            << c.name << " channel '" << chan << "' in "
+            << (mode == stream::Mode::Cycle ? "cycle" : "functional")
+            << " mode";
+      }
+    }
+  }
+  EXPECT_EQ(detail::chan_cap(stream::Mode::Functional, W), 4096u);
+  EXPECT_EQ(detail::chan_cap(stream::Mode::Cycle, W), 96u);
+
+  const auto atax = [&](Device& dev, Context& ctx) {
+    const auto a = make_buffer(dev, hm, 0), x = make_buffer(dev, hv, 1);
+    auto y = make_buffer(dev, hv, 2);
+    apps::atax_composed<float>(ctx, n, n, a, x, y);
+  };
+  const auto fun = channel_capacities(stream::Mode::Functional, atax);
+  EXPECT_FALSE(fun.empty());
+  EXPECT_EQ(fun, channel_capacities(stream::Mode::Cycle, atax));
 }
 
 TEST(HostApiCycles, CycleModeRecordsTime) {
