@@ -91,16 +91,16 @@ const char* outcome_name(std::uint16_t attempt_outcome) {
 }
 
 /// Writes the export of `rec` to `os`, each entry as soon as it is built,
-/// so a file export holds one entry at a time however large the ring.
+/// so a file export holds one entry at a time however large the ring. It
+/// visits the ring twice in time order, for the labels and for the
+/// entries, and never copies it.
 void write_chrome(const Recorder& rec, std::ostream& os) {
-  const std::vector<Event> events = rec.events();
-
   // seq -> routine label (from the Enqueue event, which may have been
   // overwritten in a wrapped ring — fall back to "cmd <seq>").
   std::map<std::uint64_t, std::string> labels;
   std::set<std::uint16_t> workers;
   std::set<int> devices;
-  for (const Event& e : events) {
+  rec.visit([&](const Event& e) {
     if (e.kind == EventKind::Enqueue) {
       std::string label(e.name_view());
       if (label.empty()) label = "cmd";
@@ -108,7 +108,7 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
     }
     workers.insert(e.worker);
     if (e.device >= 0) devices.insert(e.device);
-  }
+  });
   auto label_of = [&labels](std::uint64_t seq) -> std::string {
     auto it = labels.find(seq);
     if (it != labels.end()) return it->second;
@@ -150,7 +150,7 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
     }
   }
 
-  for (const Event& e : events) {
+  rec.visit([&](const Event& e) {
     const auto dev = static_cast<std::uint64_t>(e.device);
     switch (e.kind) {
       case EventKind::Enqueue:
@@ -259,7 +259,7 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
                       args({{"macs", num(e.a)}, {"faults", num(e.b)}})));
         break;
     }
-  }
+  });
 
   const MetricsSnapshot m = rec.metrics();
   os << "\n],\"otherData\":"

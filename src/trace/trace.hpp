@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -187,6 +188,11 @@ class Recorder {
   /// Copy of the ring, ordered by wall_ns. Oldest events may be missing
   /// once the ring wrapped — check metrics().dropped.
   std::vector<Event> events() const;
+
+  /// Calls `f` on every event of the ring in events() order without
+  /// copying it: a stable sort of one 4-byte slot index per event. Holds
+  /// the recorder's lock throughout, so `f` must not emit.
+  void visit(const std::function<void(const Event&)>& f) const;
 
  private:
   Options opts_;

@@ -552,6 +552,35 @@ TEST(Trace, ChromeJsonKeepsControlBytesAndRoundTrips) {
   EXPECT_TRUE(Json::parse(doc.dump()) == doc) << doc.dump();
 }
 
+TEST(Trace, ChromeExportKeepsEventOrderOnAWrappedRing) {
+  // Pre-stamped span starts that tie and run backwards, on a ring that
+  // wrapped: the export lists the events in the order events() gives.
+  trace::Options opts;
+  opts.ring_capacity = 64;
+  trace::Recorder rec(opts);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    trace::Event e;
+    e.kind = trace::EventKind::DepsReady;
+    e.seq = i;
+    e.wall_ns = i % 3 == 0 ? 5000 : 9000 - 7 * i;
+    rec.emit(e);
+  }
+  std::vector<std::uint64_t> want;
+  for (const trace::Event& e : rec.events()) want.push_back(e.seq);
+  ASSERT_EQ(want.size(), 64u);
+  EXPECT_FALSE(std::is_sorted(want.begin(), want.end()));
+  const Json doc = Json::parse(trace::chrome_json(rec));
+  const Json& events = doc.at("traceEvents");
+  std::vector<std::uint64_t> got;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    if (e.at("ph").as_string() != "i") continue;
+    got.push_back(static_cast<std::uint64_t>(
+        e.at("args").at("seq").as_number()));
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST(Trace, ExportChromeWritesLoadableFile) {
   const TracedRun run = run_traced_chaos(0, false);
   const std::string path = testing::TempDir() + "fblas_trace_test.json";
