@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -558,17 +559,26 @@ TEST(Trace, ChromeExportKeepsEventOrderOnAWrappedRing) {
   trace::Options opts;
   opts.ring_capacity = 64;
   trace::Recorder rec(opts);
+  const auto stamp = [](std::uint64_t i) -> std::uint64_t {
+    return i % 3 == 0 ? 5000 : 9000 - 7 * i;
+  };
   for (std::uint64_t i = 0; i < 100; ++i) {
     trace::Event e;
     e.kind = trace::EventKind::DepsReady;
     e.seq = i;
-    e.wall_ns = i % 3 == 0 ? 5000 : 9000 - 7 * i;
+    e.wall_ns = stamp(i);
     rec.emit(e);
   }
-  std::vector<std::uint64_t> want;
-  for (const trace::Event& e : rec.events()) want.push_back(e.seq);
-  ASSERT_EQ(want.size(), 64u);
-  EXPECT_FALSE(std::is_sorted(want.begin(), want.end()));
+  // The newest 64 survive; they sort by start, ties in emission order.
+  std::vector<std::uint64_t> want(64);
+  std::iota(want.begin(), want.end(), std::uint64_t{36});
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::uint64_t x, std::uint64_t y) {
+                     return stamp(x) < stamp(y);
+                   });
+  std::vector<std::uint64_t> listed;
+  for (const trace::Event& e : rec.events()) listed.push_back(e.seq);
+  EXPECT_EQ(listed, want);
   const Json doc = Json::parse(trace::chrome_json(rec));
   const Json& events = doc.at("traceEvents");
   std::vector<std::uint64_t> got;
