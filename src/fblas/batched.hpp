@@ -126,8 +126,8 @@ Task read_batched(const T* data, std::int64_t elems_per_problem,
                   stream::DramBank* bank = nullptr) {
   return stream::read_bulk<T>(
       batch, elems_per_problem, elems_per_problem,
-      [=](std::int64_t r, std::int64_t k, T*, std::int64_t) {
-        return data + r * elems_per_problem + k;
+      [=](std::int64_t r, std::int64_t k, T* dst, std::int64_t m) {
+        std::copy_n(data + r * elems_per_problem + k, m, dst);
       },
       out, bank);
 }
@@ -140,9 +140,7 @@ Task write_batched(T* data, std::int64_t elems_per_problem,
   return stream::write_bulk<T>(
       batch, elems_per_problem, elems_per_problem,
       [=](std::int64_t r, std::int64_t k, const T* src, std::int64_t m) {
-        T* const dst = data + r * elems_per_problem + k;
-        if (src != nullptr) std::copy_n(src, m, dst);
-        return dst;
+        std::copy_n(src, m, data + r * elems_per_problem + k);
       },
       in, bank);
 }

@@ -77,8 +77,11 @@ void run_gemm_graph(Context& ctx, const RoutineConfig& rc, const char* label,
   detail::launch(ctx, mhz, [&](stream::Graph& g, detail::BankSet& banks) {
     const core::GemmConfig cfg{rc.pe_rows, rc.pe_cols, rc.gemm_tile_rows,
                                rc.gemm_tile_cols};
-    const std::size_t cap_cols = detail::chan_cap(g.mode(), cfg.pe_rows * 4);
-    const std::size_t cap_rows = detail::chan_cap(g.mode(), cfg.pe_cols * 4);
+    const std::int64_t longest = std::max({m * k, k * n, m * n});
+    const std::size_t cap_cols =
+        detail::chan_cap(g.mode(), cfg.pe_rows * 4, longest);
+    const std::size_t cap_rows =
+        detail::chan_cap(g.mode(), cfg.pe_cols * 4, longest);
     std::array<stream::Channel<T>*, R> cc, cr;
     for (std::size_t q = 0; q < R; ++q) {
       cc[q] = &g.channel<T>(cols[q].chan, cap_cols);
@@ -254,9 +257,11 @@ Event Context::trsm_async(Side side, Uplo uplo, Transpose trans, Diag diag,
     detail::launch<T>(*this, RoutineKind::Trsm, [&](stream::Graph& g,
                                                     detail::BankSet& banks) {
       const int W = rc.width;
-      auto& ca = g.channel<T>("A", detail::chan_cap(g.mode(), W));
-      auto& cb = g.channel<T>("B", detail::chan_cap(g.mode(), W));
-      auto& out = g.channel<T>("X", detail::chan_cap(g.mode(), W));
+      const std::size_t cap =
+          detail::chan_cap(g.mode(), W, rows * std::max(rows, cols));
+      auto& ca = g.channel<T>("A", cap);
+      auto& cb = g.channel<T>("B", cap);
+      auto& out = g.channel<T>("X", cap);
       g.spawn("read_A", core::read_triangular<T>(a.cmat(rows, rows), eff, W,
                                                  ca, banks.at(a.bank()), t));
       g.spawn("read_B", detail::read_rows_solve_order<T>(

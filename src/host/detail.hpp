@@ -108,14 +108,19 @@ stream::Task write_rows_solve_order(MatrixView<T> X, Uplo uplo, int width,
 /// worth (stream::step_width): a step's working set stays in L2.
 inline constexpr int kFunctionalDepth = 4096;
 
-/// Channel capacity used by the routine lowerings in a graph of `mode`.
-/// Cycle mode: two width-batches, at least 64, so producer and consumer
-/// never false-stall within a cycle. Functional mode keeps no time, so a
-/// FIFO is one step deep: kFunctionalDepth, or two width-batches when
-/// that is more.
-inline std::size_t chan_cap(stream::Mode mode, int width) {
-  const int floor = mode == stream::Mode::Cycle ? 64 : kFunctionalDepth;
-  return static_cast<std::size_t>(std::max(floor, 2 * width));
+/// Channel capacity used by the routine lowerings in a graph of `mode`
+/// whose longest stream carries `values` values. Cycle mode: two width-
+/// batches, at least 64, so producer and consumer never false-stall
+/// within a cycle. Functional mode keeps no time, so a FIFO is one step
+/// deep: kFunctionalDepth, but no deeper than `values` (a small command
+/// allocates no ring it cannot fill) and never shallower than in cycle
+/// mode, so a graph that completes there completes here.
+inline std::size_t chan_cap(stream::Mode mode, int width,
+                            std::int64_t values) {
+  const std::int64_t cycle = std::max(64, 2 * width);
+  if (mode == stream::Mode::Cycle) return static_cast<std::size_t>(cycle);
+  return static_cast<std::size_t>(std::max(
+      cycle, std::min<std::int64_t>(kFunctionalDepth, values)));
 }
 
 /// Collects `n` values from `in`; the first lands in the host scalar
@@ -165,6 +170,17 @@ struct Operand {
 
   bool written() const { return src == nullptr; }
   bool scalar() const { return value != nullptr || index != nullptr; }
+  /// How many values the operand moves through its channel.
+  std::int64_t values() const {
+    switch (how) {
+      case Movement::Vector:
+      case Movement::SolveRows: return n * repeat;
+      case Movement::Matrix: return n * cols * repeat;
+      case Movement::Triangular:
+      case Movement::UploMatrix: return n * n;
+    }
+    return n;
+  }
   /// The hazard key: the Buffer, or the host scalar's address.
   const void* key() const {
     if (src != nullptr) return src;
@@ -248,18 +264,23 @@ struct Ports {
 
 /// Launches a streaming routine's graph from its operand list: a graph
 /// at `kind`'s module clock with one channel per operand (chan_cap of the
-/// graph's mode and `width`; 2 for a collected scalar), then the readers
-/// in list order, the module `module(ports)` named `label`, and the
-/// writers in list order.
+/// graph's mode, `width` and the longest operand stream; 2 for a collected
+/// scalar), then the readers in list order, the module `module(ports)`
+/// named `label`, and the writers in list order.
 template <typename T, std::size_t N, typename Module>
 void stream_launch(Context& ctx, RoutineKind kind, const char* label,
                    int width, const std::array<Operand<T>, N>& ops,
                    const Module& module) {
   launch<T>(ctx, kind, [&](stream::Graph& g, BankSet& banks) {
     Ports<T, N> p{{}, width};
+    std::int64_t longest = 0;
+    for (const Operand<T>& op : ops) {
+      if (!op.scalar()) longest = std::max(longest, op.values());
+    }
+    const std::size_t depth = chan_cap(g.mode(), width, longest);
     for (std::size_t i = 0; i < N; ++i) {
       const Operand<T>& op = ops[i];
-      const std::size_t cap = op.scalar() ? 2 : chan_cap(g.mode(), width);
+      const std::size_t cap = op.scalar() ? 2 : depth;
       if (op.index != nullptr) {
         p.ch[i] = &g.channel<std::int64_t>(op.chan, cap);
       } else {

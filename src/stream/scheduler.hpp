@@ -13,8 +13,9 @@
 // and up to max(W, the smallest capacity of its ports) in functional
 // mode, a channel's worth per step. The host's routine lowerings size
 // their FIFOs by mode (host::detail::chan_cap): max(64, 2W) in cycle
-// mode and max(4096, 2W) in functional mode, so a functional routine
-// step moves thousands of values. Each channel carries its values in
+// mode; in functional mode 4096, or the graph's longest stream when that
+// is shorter, but never less than in cycle mode, so a functional routine
+// step moves up to 4096 values. Each channel carries its values in
 // the same order in both modes and reductions fold the same W-aligned
 // chunks, so the outputs are the same bits. The order of pushes across
 // channels differs in functional mode (it is still deterministic), so

@@ -72,36 +72,32 @@ inline std::int64_t run_stride(const TileSchedule& s, std::int64_t ld) {
   return s.elem_order == Order::RowMajor ? 1 : ld;
 }
 
-/// Where the next `n` >= 1 elements of `walk`'s traversal of `A` lie when
-/// one stride-1 run covers them, with `walk` advanced past them; null,
-/// with `walk` unmoved, otherwise.
-template <typename P>
-P* contiguous_run(TileWalker& walk, const TileSchedule& s, MatrixView<P> A,
+/// Copies `n` values from `src`, `from` apart, to `dst`, `to` apart. Both
+/// strides 1 is one std::copy_n, which vectorizes where the strided loop
+/// does not.
+template <typename T>
+void copy_strided(const T* src, std::int64_t from, T* dst, std::int64_t to,
                   std::int64_t n) {
-  if (n == 0 || run_stride(s, A.ld()) != 1) return nullptr;
-  TileWalker ahead = walk;
-  std::int64_t i = 0, j = 0;
-  if (ahead.run(n, i, j) != n) return nullptr;
-  walk = ahead;
-  return &A(i, j);
+  if (from == 1 && to == 1) {
+    std::copy_n(src, n, dst);
+    return;
+  }
+  for (std::int64_t t = 0; t < n; ++t) dst[t * to] = src[t * from];
 }
 
-/// The next `n` elements of `walk`'s traversal of `A`: where they lie in
-/// `A` when one stride-1 run covers them, else `dst` after copying them
-/// there a run at a time.
+/// Copies the next `n` elements of `walk`'s traversal of `A` into `dst`,
+/// a run at a time.
 template <typename T>
-const T* gather_runs(TileWalker& walk, const TileSchedule& s,
-                     MatrixView<const T> A, T* dst, std::int64_t n) {
-  if (const T* p = contiguous_run(walk, s, A, n)) return p;
+void gather_runs(TileWalker& walk, const TileSchedule& s, MatrixView<const T> A,
+                 T* dst, std::int64_t n) {
   const std::int64_t stride = run_stride(s, A.ld());
   for (std::int64_t k = 0; k < n;) {
     std::int64_t i = 0, j = 0;
     const std::int64_t len = walk.run(n - k, i, j);
     const T* p = &A(i, j);
-    for (std::int64_t t = 0; t < len; ++t) dst[k + t] = p[t * stride];
+    copy_strided(p, stride, dst + k, 1, len);
     k += len;
   }
-  return dst;
 }
 
 /// Stores `n` values into the next `n` elements of `walk`'s traversal of
@@ -114,7 +110,7 @@ void scatter_runs(TileWalker& walk, const TileSchedule& s, MatrixView<T> A,
     std::int64_t i = 0, j = 0;
     const std::int64_t len = walk.run(n - k, i, j);
     T* p = &A(i, j);
-    for (std::int64_t t = 0; t < len; ++t) p[t * stride] = src[k + t];
+    copy_strided(src + k, 1, p, stride, len);
     k += len;
   }
 }
@@ -312,12 +308,9 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 /// The one bulk reader: streams `passes` passes of `n` elements each into
 /// `out`. Every cycle it takes as many of the pass's next min(w, left)
 /// elements as `bank` grants (all of them when `bank` is null), w being
-/// the step_width of `width` on `out`, pushes them and ends the cycle. An
-/// empty pass takes no cycle. `gather(pass, k, lanes, m)` returns the
-/// pass's elements k..k+m-1: where they lie in memory when they are
-/// contiguous there, else `lanes` after copying them in. From memory the
-/// reader pushes what fits now and copies the rest into its lanes before
-/// it can suspend, so it pushes the values memory held at the grant.
+/// the step_width of `width` on `out`; it copies them into its lanes with
+/// `gather(pass, k, dst, m)` (the pass's elements k..k+m-1), pushes them
+/// and ends the cycle. An empty pass takes no cycle.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                Gather gather, Channel<T>& out, DramBank* bank) {
@@ -328,14 +321,8 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
     for (std::int64_t k = 0; k < n;) {
       const std::int64_t want = std::min(w, n - k);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      const T* src = gather(r, k, buf.data(), got);
-      std::int64_t t = 0;
-      if (src != buf.data()) {
-        t = static_cast<std::int64_t>(
-            out.put_some(src, static_cast<std::size_t>(got)));
-        std::copy(src + t, src + got, buf.data() + t);
-      }
-      while (t < got) {
+      gather(r, k, buf.data(), got);
+      for (std::int64_t t = 0; t < got;) {
         t += co_await out.push_some(buf.data() + t, got - t);
       }
       k += got;
@@ -347,12 +334,9 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 /// The one bulk writer: drains `passes` passes of `n` elements each from
 /// `in`. Every cycle it pops as many of the pass's next min(w, left)
 /// elements as `bank` grants (all of them when `bank` is null), w being
-/// the step_width of `width` on `in`, stores them and ends the cycle. An
-/// empty pass takes no cycle. `scatter(pass, k, src, m)` stores the
-/// popped values src[0..m) as the pass's elements k..k+m-1. Asked first
-/// with a null `src` for a step's granted elements, it stores nothing and
-/// returns where they lie when they are contiguous in memory (null
-/// otherwise), and the writer pops straight there.
+/// the step_width of `width` on `in`; it hands each popped run to
+/// `scatter(pass, k, src, m)` (the pass's elements k..k+m-1) and ends the
+/// cycle. An empty pass takes no cycle.
 template <typename T, typename Scatter>
 Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                 Scatter scatter, Channel<T>& in, DramBank* bank) {
@@ -363,12 +347,10 @@ Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
     for (std::int64_t k = 0; k < n;) {
       const std::int64_t want = std::min(w, n - k);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      T* const dst = scatter(r, k, nullptr, got);
       for (std::int64_t t = 0; t < got;) {
-        T* const to = dst != nullptr ? dst + t : buf.data();
-        const auto moved =
-            static_cast<std::int64_t>(co_await in.pop_some(to, got - t));
-        if (dst == nullptr) scatter(r, k + t, buf.data(), moved);
+        const auto moved = static_cast<std::int64_t>(
+            co_await in.pop_some(buf.data(), got - t));
+        scatter(r, k + t, buf.data(), moved);
         t += moved;
       }
       k += got;
@@ -385,10 +367,8 @@ Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
                  Channel<T>& out, DramBank* bank = nullptr) {
   return read_bulk<T>(
       repeat, v.size(), width,
-      [v](std::int64_t, std::int64_t k, T* dst, std::int64_t m) -> const T* {
-        if (v.inc() == 1) return &v[k];
-        for (std::int64_t t = 0; t < m; ++t) dst[t] = v[k + t];
-        return dst;
+      [v](std::int64_t, std::int64_t k, T* dst, std::int64_t m) {
+        copy_strided(&v[k], v.inc(), dst, 1, m);
       },
       out, bank);
 }
@@ -400,10 +380,8 @@ Task write_vector(VectorView<T> v, std::int64_t repeat, int width,
                   Channel<T>& in, DramBank* bank = nullptr) {
   return write_bulk<T>(
       repeat, v.size(), width,
-      [v](std::int64_t, std::int64_t k, const T* src, std::int64_t m) -> T* {
-        if (src == nullptr) return v.inc() == 1 ? &v[k] : nullptr;
-        for (std::int64_t t = 0; t < m; ++t) v[k + t] = src[t];
-        return nullptr;
+      [v](std::int64_t, std::int64_t k, const T* src, std::int64_t m) {
+        copy_strided(src, 1, &v[k], v.inc(), m);
       },
       in, bank);
 }
@@ -417,7 +395,7 @@ Task read_matrix(MatrixView<const T> A, TileSchedule sched, std::int64_t repeat,
       [=, walk = TileWalker(A.rows(), A.cols(), sched)](
           std::int64_t, std::int64_t k, T* dst, std::int64_t m) mutable {
         if (k == 0) walk.reset();  // a new pass
-        return gather_runs(walk, sched, A, dst, m);
+        gather_runs(walk, sched, A, dst, m);
       },
       out, bank);
 }
@@ -429,11 +407,8 @@ Task write_matrix(MatrixView<T> A, TileSchedule sched, int width,
   return write_bulk<T>(
       1, A.rows() * A.cols(), width,
       [=, walk = TileWalker(A.rows(), A.cols(), sched)](
-          std::int64_t, std::int64_t, const T* src,
-          std::int64_t m) mutable -> T* {
-        if (src == nullptr) return contiguous_run(walk, sched, A, m);
+          std::int64_t, std::int64_t, const T* src, std::int64_t m) mutable {
         scatter_runs(walk, sched, A, src, m);
-        return nullptr;
       },
       in, bank);
 }
@@ -473,7 +448,6 @@ Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
       1, n, width,
       [value](std::int64_t, std::int64_t, T* dst, std::int64_t m) {
         std::fill_n(dst, m, value);
-        return static_cast<const T*>(dst);
       },
       out, nullptr);
 }
@@ -482,10 +456,7 @@ Task generate(std::int64_t n, T value, int width, Channel<T>& out) {
 template <typename T>
 Task sink(std::int64_t n, int width, Channel<T>& in) {
   return write_bulk<T>(
-      1, n, width,
-      [](std::int64_t, std::int64_t, const T*, std::int64_t) -> T* {
-        return nullptr;
-      },
+      1, n, width, [](std::int64_t, std::int64_t, const T*, std::int64_t) {},
       in, nullptr);
 }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -90,17 +91,18 @@ const char* outcome_name(std::uint16_t attempt_outcome) {
   }
 }
 
-/// Writes the export of `rec` to `os`, each entry as soon as it is built,
-/// so a file export holds one entry at a time however large the ring. It
-/// visits the ring twice in time order, for the labels and for the
-/// entries, and never copies it.
-void write_chrome(const Recorder& rec, std::ostream& os) {
+/// Writes the traceEvents entries of the time-ordered `ring` to `os`, each
+/// as soon as it is built, so a file export holds one entry at a time however
+/// large the ring. It passes over the ring twice, for the labels and for
+/// the entries.
+void write_entries(std::span<const Event* const> ring, std::ostream& os) {
   // seq -> routine label (from the Enqueue event, which may have been
   // overwritten in a wrapped ring — fall back to "cmd <seq>").
   std::map<std::uint64_t, std::string> labels;
   std::set<std::uint16_t> workers;
   std::set<int> devices;
-  rec.visit([&](const Event& e) {
+  for (const Event* ep : ring) {
+    const Event& e = *ep;
     if (e.kind == EventKind::Enqueue) {
       std::string label(e.name_view());
       if (label.empty()) label = "cmd";
@@ -108,14 +110,13 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
     }
     workers.insert(e.worker);
     if (e.device >= 0) devices.insert(e.device);
-  });
+  }
   auto label_of = [&labels](std::uint64_t seq) -> std::string {
     auto it = labels.find(seq);
     if (it != labels.end()) return it->second;
     return "cmd " + std::to_string(seq);
   };
 
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   auto write = [&os, &first](const Json& e) {
     if (!first) os << ",\n";
@@ -150,7 +151,8 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
     }
   }
 
-  rec.visit([&](const Event& e) {
+  for (const Event* ep : ring) {
+    const Event& e = *ep;
     const auto dev = static_cast<std::uint64_t>(e.device);
     switch (e.kind) {
       case EventKind::Enqueue:
@@ -259,8 +261,16 @@ void write_chrome(const Recorder& rec, std::ostream& os) {
                       args({{"macs", num(e.a)}, {"faults", num(e.b)}})));
         break;
     }
-  });
+  }
+}
 
+/// Writes the export of `rec` to `os` from one snapshot of its ring, which
+/// it reads in place: emitters into `rec` wait until the entries are out.
+void write_chrome(const Recorder& rec, std::ostream& os) {
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  rec.visit([&os](std::span<const Event* const> ring) {
+    write_entries(ring, os);
+  });
   const MetricsSnapshot m = rec.metrics();
   os << "\n],\"otherData\":"
      << args({{"recorded", num(m.recorded)}, {"dropped", num(m.dropped)}})

@@ -34,11 +34,14 @@
 
 namespace fblas::trace {
 
-/// The full trace as a Chrome trace-event JSON object string.
+/// The full trace as a Chrome trace-event JSON object string. Its entries
+/// come from one snapshot of `rec`'s ring, read in place under the
+/// recorder's lock: threads still emitting into `rec` wait until they are
+/// written.
 std::string chrome_json(const Recorder& rec);
 
-/// Writes chrome_json(rec) to `path`, one entry at a time. Throws Error on
-/// I/O failure.
+/// Writes chrome_json(rec) to `path`, one entry at a time (emitters into
+/// `rec` wait the same way). Throws Error on I/O failure.
 void export_chrome(const Recorder& rec, const std::string& path);
 
 }  // namespace fblas::trace

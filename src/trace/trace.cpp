@@ -158,28 +158,31 @@ MetricsSnapshot Recorder::metrics() const {
 
 std::vector<Event> Recorder::events() const {
   std::vector<Event> out;
-  visit([&out](const Event& e) { out.push_back(e); });
+  visit([&out](std::span<const Event* const> ring) {
+    out.reserve(ring.size());
+    for (const Event* e : ring) out.push_back(*e);
+  });
   return out;
 }
 
-void Recorder::visit(const std::function<void(const Event&)>& f) const {
+void Recorder::visit(
+    const std::function<void(std::span<const Event* const>)>& f) const {
   std::lock_guard<std::mutex> lk(mu_);
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(metrics_.recorded, ring_.size()));
   // Oldest-first: once the ring wrapped, the write cursor points at the
   // oldest surviving slot.
   const std::size_t start = metrics_.recorded > ring_.size() ? next_ : 0;
-  // A slot index fits 4 bytes: 2^32 events would be a 256 GiB ring.
-  std::vector<std::uint32_t> order(n);
+  std::vector<const Event*> order(n);
   for (std::size_t i = 0; i < n; ++i) {
-    order[i] = static_cast<std::uint32_t>((start + i) % ring_.size());
+    order[i] = &ring_[(start + i) % ring_.size()];
   }
   // Span starts are pre-stamped, so emission order is not wall order.
   std::stable_sort(order.begin(), order.end(),
-                   [this](std::uint32_t x, std::uint32_t y) {
-                     return ring_[x].wall_ns < ring_[y].wall_ns;
+                   [](const Event* x, const Event* y) {
+                     return x->wall_ns < y->wall_ns;
                    });
-  for (const std::uint32_t slot : order) f(ring_[slot]);
+  f(order);
 }
 
 Recorder* sink() { return tl_sink; }

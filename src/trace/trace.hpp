@@ -31,6 +31,7 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -189,10 +190,12 @@ class Recorder {
   /// once the ring wrapped — check metrics().dropped.
   std::vector<Event> events() const;
 
-  /// Calls `f` on every event of the ring in events() order without
-  /// copying it: a stable sort of one 4-byte slot index per event. Holds
-  /// the recorder's lock throughout, so `f` must not emit.
-  void visit(const std::function<void(const Event&)>& f) const;
+  /// Calls `f` once with the whole ring in events() order, as pointers
+  /// into the ring rather than a copy of it, so every pass `f` makes sees
+  /// the same events. Holds the recorder's lock while `f` runs: an emit()
+  /// from any thread waits until `f` returns, and `f` must not emit.
+  void visit(
+      const std::function<void(std::span<const Event* const>)>& f) const;
 
  private:
   Options opts_;

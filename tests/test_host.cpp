@@ -845,14 +845,11 @@ TEST(HostApi, FunctionalOutputsMatchPins) {
 
 // ---- Functional FIFO depth ----------------------------------------------
 // A functional routine graph sizes its FIFOs detail::kFunctionalDepth (D)
-// deep, so one step moves up to D values, and a bulk mover pushes from
-// and pops into contiguous memory directly. Lengths around W and D leave
-// ragged steps. The in-place outputs (AXPY's y, SCAL's x, SWAP's and
-// ROT's x and y, GEMV's y, GER's A, TRSV's x) are read and written by
-// the same graph: at inc 1 the bulk movers take their zero-copy paths,
-// at inc 3 their lanes (TRSV's x moves through the granted movers).
-// Streamers.ReaderPushesValuesHeldAtGrant covers a writer that overtakes
-// its reader, which no routine graph does.
+// deep, or as deep as its longest operand stream when that is shorter, so
+// one step moves up to D values. Lengths around W and D leave ragged
+// steps. The in-place outputs (AXPY's y, SCAL's x, SWAP's and ROT's x and
+// y, GEMV's y, GER's A, TRSV's x) are read and written by the same graph,
+// at inc 1 and 3.
 
 constexpr int kSweepWidth = 16;
 constexpr std::int64_t kDepth = detail::kFunctionalDepth;
@@ -1028,36 +1025,43 @@ std::map<std::string, std::uint64_t> channel_capacities(stream::Mode mode,
 }
 
 TEST(HostApi, RoutineFifoDepthFollowsMode) {
-  // Routine channels are chan_cap deep: kFunctionalDepth on a functional
-  // context, max(64, 2W) on a cycle one. A composed ATAX keeps the depths
-  // its compiler sized, in both modes.
+  // Routine channels are chan_cap deep: max(64, 2W) on a cycle context;
+  // kFunctionalDepth on a functional one, or the longest operand stream
+  // when that is shorter (but never less than in cycle mode). A composed
+  // ATAX keeps the depths its compiler sized, in both modes.
   Workload wl(530);
-  const std::int64_t n = 96;
+  const std::int64_t n = 96, n_long = 5000, n_short = 200;
   const auto hv = wl.vector<float>(n), hm = wl.matrix<float>(n, n);
   const auto hl = wl.triangular<float>(n, Uplo::Lower, Diag::NonUnit);
+  const auto hlong = wl.vector<float>(n_long);
   struct Case {
     const char* name;
-    int width;  // the W chan_cap is given
+    int width;            // the W chan_cap is given
+    std::int64_t values;  // the graph's longest stream
     std::function<void(Device&, Context&)> run;
   };
   const int W = 48, pe = 4;
+  const auto axpy_dot = [&](std::int64_t len) {
+    return [&, len](Device& dev, Context& ctx) {
+      ctx.config().width = W;
+      const std::vector<float> h(hlong.begin(), hlong.begin() + len);
+      const auto x = make_buffer(dev, h, 0);
+      auto y = make_buffer(dev, h, 1);
+      ctx.axpy<float>(len, 2.0f, x, y);
+      ctx.dot<float>(len, x, y);
+    };
+  };
   const std::vector<Case> cases = {
-      {"axpy", W,
-       [&](Device& dev, Context& ctx) {
-         ctx.config().width = W;
-         const auto x = make_buffer(dev, hv, 0);
-         auto y = make_buffer(dev, hv, 1);
-         ctx.axpy<float>(n, 2.0f, x, y);
-         ctx.dot<float>(n, x, y);
-       }},
-      {"gemv", W,
+      {"axpy", W, n_long, axpy_dot(n_long)},
+      {"axpy short", W, n_short, axpy_dot(n_short)},
+      {"gemv", W, n * n,
        [&](Device& dev, Context& ctx) {
          ctx.config().width = W;
          const auto a = make_buffer(dev, hm, 0), x = make_buffer(dev, hv, 1);
          auto y = make_buffer(dev, hv, 2);
          ctx.gemv<float>(Transpose::None, n, n, 1.0f, a, x, 0.5f, y);
        }},
-      {"gemm", pe * 4,
+      {"gemm", pe * 4, n * n,
        [&](Device& dev, Context& ctx) {
          ctx.config().pe_rows = ctx.config().pe_cols = pe;
          const auto a = make_buffer(dev, hm, 0), b = make_buffer(dev, hm, 1);
@@ -1065,7 +1069,7 @@ TEST(HostApi, RoutineFifoDepthFollowsMode) {
          ctx.gemm<float>(Transpose::None, Transpose::None, n, n, n, 1.0f, a,
                          b, 0.5f, c);
        }},
-      {"trsm", W,
+      {"trsm", W, n * n,
        [&](Device& dev, Context& ctx) {
          ctx.config().width = W;
          const auto a = make_buffer(dev, hl, 0);
@@ -1080,15 +1084,19 @@ TEST(HostApi, RoutineFifoDepthFollowsMode) {
       const auto caps = channel_capacities(mode, c.run);
       EXPECT_FALSE(caps.empty()) << c.name;
       for (const auto& [chan, cap] : caps) {
-        EXPECT_EQ(cap, detail::chan_cap(mode, c.width))
+        EXPECT_EQ(cap, detail::chan_cap(mode, c.width, c.values))
             << c.name << " channel '" << chan << "' in "
             << (mode == stream::Mode::Cycle ? "cycle" : "functional")
             << " mode";
       }
     }
   }
-  EXPECT_EQ(detail::chan_cap(stream::Mode::Functional, W), 4096u);
-  EXPECT_EQ(detail::chan_cap(stream::Mode::Cycle, W), 96u);
+  const auto F = stream::Mode::Functional, C = stream::Mode::Cycle;
+  EXPECT_EQ(detail::chan_cap(F, W, n_long), 4096u);
+  EXPECT_EQ(detail::chan_cap(F, W, n * n), 4096u);
+  EXPECT_EQ(detail::chan_cap(F, W, n_short), 200u);
+  EXPECT_EQ(detail::chan_cap(F, W, 1), 96u);
+  EXPECT_EQ(detail::chan_cap(C, W, n_long), 96u);
 
   const auto atax = [&](Device& dev, Context& ctx) {
     const auto a = make_buffer(dev, hm, 0), x = make_buffer(dev, hv, 1);

@@ -1330,42 +1330,6 @@ TEST(Streamers, MatrixRoundTripAllSchedules) {
   }
 }
 
-TEST(Streamers, ReaderPushesValuesHeldAtGrant) {
-  // A reader whose granted elements lie contiguous in memory pushes what
-  // fits straight from there and keeps the rest in its lanes. Here its
-  // second grant finds the channel full; a writer then overwrites the
-  // whole buffer before the reader pushes again. The two grants made
-  // before that push the old values, and every later grant the new ones.
-  const std::int64_t n = 32, W = 8;
-  for (const bool matrix : {false, true}) {
-    std::vector<float> mem(n), fresh(n);
-    std::iota(mem.begin(), mem.end(), 0.0f);
-    std::iota(fresh.begin(), fresh.end(), 100.0f);
-    Graph g;
-    auto& cr = g.channel<float>("r", W);
-    auto& cw = g.channel<float>("w", 2 * n);
-    std::vector<float> out;
-    g.spawn("read", matrix ? read_matrix<float>(
-                                 MatrixView<const float>(mem.data(), 4, 8),
-                                 {Order::RowMajor, Order::RowMajor, 4, 8}, 1,
-                                 W, cr)
-                           : read_vector<float>(
-                                 VectorView<const float>(mem.data(), n), 1,
-                                 W, cr));
-    g.spawn("feed", feed(fresh, cw));
-    g.spawn("write",
-            write_vector<float>(VectorView<float>(mem.data(), n), 1, W, cw));
-    g.spawn("collect", collect<float>(n, cr, out));
-    g.run();
-    std::vector<float> want(n);
-    for (std::int64_t k = 0; k < n; ++k) {
-      want[k] = k < 2 * W ? static_cast<float>(k) : fresh[k];
-    }
-    EXPECT_EQ(out, want) << (matrix ? "read_matrix" : "read_vector");
-    EXPECT_EQ(mem, fresh);
-  }
-}
-
 TEST(Streamers, VectorReplayStreamsRepeatTimes) {
   std::vector<float> v{1, 2, 3};
   Graph g;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -589,6 +591,51 @@ TEST(Trace, ChromeExportKeepsEventOrderOnAWrappedRing) {
         e.at("args").at("seq").as_number()));
   }
   EXPECT_EQ(got, want);
+}
+
+TEST(Trace, ChromeExportWhileAnotherThreadEmits) {
+  // A second thread keeps emitting into the recorder, each event from a
+  // new worker, while it is exported: each export is one snapshot, so
+  // every worker row it fills is named by a thread_name entry of that
+  // export.
+  trace::Options opts;
+  opts.ring_capacity = 256;
+  trace::Recorder rec(opts);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> emitted{0};
+  std::thread emitter([&] {
+    for (std::uint64_t i = 0; !stop.load(); ++i) {
+      trace::Event e;
+      e.kind = trace::EventKind::DepsReady;
+      e.seq = i;
+      e.worker = static_cast<std::uint16_t>(1 + i % 60000);
+      rec.emit(e);
+      emitted.store(i + 1);
+    }
+  });
+  while (emitted.load() == 0) std::this_thread::yield();
+  for (int round = 0; round < 20; ++round) {
+    const Json doc = Json::parse(trace::chrome_json(rec));
+    std::set<std::uint64_t> named, filled;
+    const Json& events = doc.at("traceEvents");
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const Json& e = events.at(i);
+      if (e.at("pid").as_number() != 1) continue;
+      const auto tid = static_cast<std::uint64_t>(e.at("tid").as_number());
+      if (e.at("ph").as_string() == "M") {
+        if (e.at("name").as_string() == "thread_name") named.insert(tid);
+      } else {
+        filled.insert(tid);
+      }
+    }
+    EXPECT_FALSE(filled.empty());
+    for (const std::uint64_t tid : filled) {
+      EXPECT_TRUE(named.count(tid)) << "round " << round << " tid " << tid;
+    }
+  }
+  stop.store(true);
+  emitter.join();
+  EXPECT_EQ(rec.metrics().recorded, emitted.load());
 }
 
 TEST(Trace, ExportChromeWritesLoadableFile) {
