@@ -15,6 +15,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -113,140 +114,116 @@ Task rotm(Level1Config cfg, std::int64_t n, ref::RotmParam<T> p,
       {&ch_x, &ch_y}, {&ch_out_x, &ch_out_y});
 }
 
+/// The one scalar-setup body (ROTG, ROTMG): pops its I inputs, maps them
+/// through the refblas setup `f` and pushes its O outputs.
+template <typename T, std::size_t I, typename F>
+Task setup(F f, Channel<T>& ch_in, Channel<T>& ch_out) {
+  std::array<T, I> in;
+  for (T& v : in) v = co_await ch_in.pop();
+  const auto out = f(in);
+  for (const T& v : out) co_await ch_out.push(v);
+  co_await next_cycle();
+}
+
 /// ROTG: scalar Givens setup. Pops (a, b), pushes (r, z, c, s).
 template <typename T>
 Task rotg(Channel<T>& ch_in, Channel<T>& ch_out) {
-  T a = co_await ch_in.pop();
-  T b = co_await ch_in.pop();
-  const auto g = ref::rotg(a, b);  // a := r, b := z
-  co_await ch_out.push(a);
-  co_await ch_out.push(b);
-  co_await ch_out.push(g.c);
-  co_await ch_out.push(g.s);
-  co_await next_cycle();
+  return setup<T, 2>(
+      [](std::array<T, 2> v) {
+        const auto g = ref::rotg(v[0], v[1]);  // a := r, b := z
+        return std::array<T, 4>{v[0], v[1], g.c, g.s};
+      },
+      ch_in, ch_out);
 }
 
 /// ROTMG: scalar modified-Givens setup. Pops (d1, d2, x1, y1), pushes
 /// (flag, h11, h21, h12, h22, d1', d2', x1').
 template <typename T>
 Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
-  T d1 = co_await ch_in.pop();
-  T d2 = co_await ch_in.pop();
-  T x1 = co_await ch_in.pop();
-  const T y1 = co_await ch_in.pop();
-  const auto p = ref::rotmg(d1, d2, x1, y1);
-  co_await ch_out.push(p.flag);
-  co_await ch_out.push(p.h11);
-  co_await ch_out.push(p.h21);
-  co_await ch_out.push(p.h12);
-  co_await ch_out.push(p.h22);
-  co_await ch_out.push(d1);
-  co_await ch_out.push(d2);
-  co_await ch_out.push(x1);
-  co_await next_cycle();
+  return setup<T, 4>(
+      [](std::array<T, 4> v) {
+        const auto p = ref::rotmg(v[0], v[1], v[2], v[3]);
+        return std::array<T, 8>{p.flag, p.h11, p.h21, p.h12,
+                                p.h22,  v[0],  v[1],  v[2]};
+      },
+      ch_in, ch_out);
 }
 
-namespace detail {
-
-/// Adds term(0), ..., term(m - 1), the terms of elements e..e+m-1 of an
-/// n-element reduction, into `acc` in order, and folds `acc` into `res`
-/// at the end of every W-aligned chunk and at element n. The chunks are
-/// chosen by element index, so the result is the same bits however the
-/// elements arrive in steps.
-template <typename A, typename Term>
-void fold_chunks(std::int64_t m, std::int64_t e, std::int64_t W,
-                 std::int64_t n, A& acc, A& res, Term term) {
-  for (std::int64_t k = 0; k < m;) {
-    const std::int64_t end = std::min(m, k + W - (e + k) % W);
-    for (; k < end; ++k) acc += term(k);
-    if ((e + k) % W == 0 || e + k == n) {
-      res += acc;
-      acc = A(0);
-    }
-  }
-}
-
-}  // namespace detail
-
-/// DOT: pushes the single value x . y (Fig. 5 of the paper). Each
-/// W-aligned chunk of elements is reduced first (the unrolled tree), then
-/// added to the running accumulator, mirroring the two-stage accumulation
-/// of the hardware. A step moves up to step_width elements (W in cycle
-/// mode, a channel's worth in functional mode); the chunks are chosen by
-/// element index (see detail::fold_chunks), so both modes push the same
-/// bits.
-template <typename T>
-Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
-         Channel<T>& ch_res) {
-  cfg.validate();
-  const std::array<const stream::ChannelBase*, 2> in{&ch_x, &ch_y};
-  const std::int64_t w = stream::step_width(cfg.width, in);
-  std::vector<T> x = stream::lanes<T>(std::min(w, n)), y = x;
-  T res = T(0), acc = T(0);
-  for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min(w, n - it);
-    for (std::int64_t i = 0; i < batch;) {
-      if (ch_x.empty() || ch_y.empty()) {
-        // One element step in the element-wise form, which waits for both
-        // inputs before popping either.
-        const T term = co_await ch_x.pop() * co_await ch_y.pop();
-        detail::fold_chunks(1, it + i, cfg.width, n, acc, res,
-                            [term](std::int64_t) { return term; });
-        ++i;
-        continue;
-      }
-      const std::size_t m = stream::lockstep(
-          static_cast<std::size_t>(batch - i), in, {});
-      ch_x.take_some(x.data(), m);
-      ch_y.take_some(y.data(), m);
-      detail::fold_chunks(static_cast<std::int64_t>(m), it + i, cfg.width, n,
-                          acc, res, [&x, &y](std::int64_t k) {
-                            return x[static_cast<std::size_t>(k)] *
-                                   y[static_cast<std::size_t>(k)];
-                          });
-      i += static_cast<std::int64_t>(m);
-    }
-    it += batch;
-    co_await next_cycle();
-  }
-  co_await ch_res.push(res);
-}
-
-/// SDSDOT: single-precision inputs, double-precision accumulation plus an
-/// offset sb (the one mixed-precision routine in the BLAS). It steps and
-/// folds its W-aligned chunks as DOT does.
-Task sdsdot(Level1Config cfg, std::int64_t n, float sb, Channel<float>& ch_x,
-            Channel<float>& ch_y, Channel<float>& ch_res);
-
-/// The one single-input reduction body (NRM2, ASUM, IAMAX): pops `n`
-/// elements of ch_x, a W-wide batch per cycle, folds each batch into
-/// `fold(batch, len, index of its first element)` and pushes what `fold`
-/// returned last, the result so far (fold(batch, 0, 0) for no elements).
-/// In functional mode a step pops as many whole W-aligned batches as
-/// ch_x holds (step_width rounded down to a multiple of W) and folds them
-/// one by one, so `fold` sees the same batches in both modes.
-template <typename T, typename R, typename Fold>
-Task reduce(Level1Config cfg, std::int64_t n, Fold fold, Channel<T>& ch_x,
-            Channel<R>& ch_res) {
+/// The one reduction body (DOT, SDSDOT, NRM2, ASUM, IAMAX), the map-reduce
+/// of Fig. 5: pops `n` elements from each channel of `in`, a W-wide batch
+/// per cycle, and pushes what `fold` returned last, the result so far.
+/// `fold(p..., len, first)` folds the W-aligned chunk of elements
+/// first..first+len-1, one pointer per input, into the result (the
+/// unrolled tree, then the accumulator); fold(p..., 0, 0) is the result
+/// of no elements. Each pop waits in port order until every input holds
+/// a value, then pops as many elements as every input holds (lockstep).
+/// In functional mode a step pops as many whole W-aligned chunks as the
+/// inputs hold (step_width rounded down to a multiple of W), so `fold`
+/// sees the same chunks, by element index, in both modes.
+template <typename T, typename R, std::size_t I, typename Fold>
+Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
+            std::array<Channel<T>*, I> in, Channel<R>& ch_res) {
   cfg.validate();
   const std::int64_t W = cfg.width;
-  const std::array<const stream::ChannelBase*, 1> in{&ch_x};
-  const std::int64_t step = stream::step_width(W, in) / W * W;
-  std::vector<T> v = stream::lanes<T>(std::min(step, n));
-  R res = fold(v.data(), 0, 0);
+  std::array<const stream::ChannelBase*, I> ports;
+  std::copy(in.begin(), in.end(), ports.begin());
+  const std::int64_t step = stream::step_width(W, ports) / W * W;
+  std::array<std::vector<T>, I> v;
+  for (auto& b : v) b = stream::lanes<T>(std::min(step, n));
+  auto chunk = [&fold, &v](std::int64_t at, std::int64_t len,
+                           std::int64_t first) {
+    return std::apply(
+        [&](auto&... b) { return fold(b.data() + at..., len, first); }, v);
+  };
+  R res = chunk(0, 0, 0);
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min(step, n - it);
     for (std::int64_t i = 0; i < batch;) {
-      i += static_cast<std::int64_t>(co_await ch_x.pop_some(
-          v.data() + i, static_cast<std::size_t>(batch - i)));
+      for (Channel<T>* ch : in) co_await ch->wait_data();
+      const std::size_t m =
+          stream::lockstep(static_cast<std::size_t>(batch - i), ports, {});
+      for (std::size_t c = 0; c < I; ++c) in[c]->take_some(v[c].data() + i, m);
+      i += static_cast<std::int64_t>(m);
     }
     for (std::int64_t c = 0; c < batch; c += W) {
-      res = fold(v.data() + c, std::min(W, batch - c), it + c);
+      res = chunk(c, std::min(W, batch - c), it + c);
     }
     it += batch;
     co_await next_cycle();
   }
   co_await ch_res.push(res);
+}
+
+/// The fold of DOT and SDSDOT: sums a chunk's products in `res`'s type A
+/// (the unrolled tree), adds the sum to `res` (the accumulator) and
+/// returns it as T. An empty chunk adds nothing, so sb = -0.0f stays so.
+template <typename T, typename A>
+auto dot_fold(A res) {
+  return [res](const T* x, const T* y, std::int64_t len,
+               std::int64_t) mutable {
+    A acc = A(0);
+    for (std::int64_t i = 0; i < len; ++i) {
+      acc += static_cast<A>(x[i]) * static_cast<A>(y[i]);
+    }
+    if (len > 0) res += acc;
+    return static_cast<T>(res);
+  };
+}
+
+/// DOT: pushes the single value x . y (Fig. 5 of the paper).
+template <typename T>
+Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
+         Channel<T>& ch_res) {
+  return reduce<T, T, 2>(cfg, n, dot_fold<T>(T(0)), {&ch_x, &ch_y}, ch_res);
+}
+
+/// SDSDOT: single-precision inputs, double-precision accumulation plus an
+/// offset sb (the one mixed-precision routine in the BLAS).
+inline Task sdsdot(Level1Config cfg, std::int64_t n, float sb,
+                   Channel<float>& ch_x, Channel<float>& ch_y,
+                   Channel<float>& ch_res) {
+  return reduce<float, float, 2>(cfg, n, dot_fold<float>(double{sb}),
+                                 {&ch_x, &ch_y}, ch_res);
 }
 
 /// NRM2: pushes ||x||_2 via the scaled sum-of-squares recurrence (LAPACK
@@ -276,7 +253,7 @@ Task nrm2(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
     }
     return scale * std::sqrt(ssq);
   };
-  return reduce<T, T>(cfg, n, fold, ch_x, ch_res);
+  return reduce<T, T, 1>(cfg, n, fold, {&ch_x}, ch_res);
 }
 
 /// ASUM: pushes sum |x_i|.
@@ -289,7 +266,7 @@ Task asum(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
     for (std::int64_t i = 0; i < len; ++i) acc += std::abs(v[i]);
     return res += acc;
   };
-  return reduce<T, T>(cfg, n, fold, ch_x, ch_res);
+  return reduce<T, T, 1>(cfg, n, fold, {&ch_x}, ch_res);
 }
 
 /// IAMAX: pushes the (0-based) index of the first maximal |x_i|; -1 when
@@ -310,7 +287,7 @@ Task iamax(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
     }
     return best;
   };
-  return reduce<T, std::int64_t>(cfg, n, fold, ch_x, ch_res);
+  return reduce<T, std::int64_t, 1>(cfg, n, fold, {&ch_x}, ch_res);
 }
 
 }  // namespace fblas::core

@@ -14,6 +14,7 @@
 // by sb.
 #include <array>
 #include <string>
+#include <vector>
 
 #include "fblas/level1.hpp"
 #include "host/context.hpp"
@@ -22,39 +23,25 @@
 
 namespace fblas::host {
 
-template <typename T>
-ref::Givens<T> Context::rotg(T& a, T& b) {
-  // Scalar setup routines run through the streaming module for fidelity.
-  stream::Graph g(mode_);
-  auto& in = g.channel<T>("ab", 4);
-  auto& out = g.channel<T>("rzcs", 8);
-  std::vector<T> result;
-  g.spawn("feed", stream::feed(std::vector<T>{a, b}, in));
-  g.spawn("rotg", core::rotg<T>(in, out));
-  g.spawn("collect", stream::collect<T>(4, out, result));
-  run_graph(g);
-  a = result[0];
-  b = result[1];
-  return {result[2], result[3]};
-}
-
-template <typename T>
-ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
-  stream::Graph g(mode_);
-  auto& in = g.channel<T>("in", 4);
-  auto& out = g.channel<T>("out", 8);
-  std::vector<T> result;
-  g.spawn("feed", stream::feed(std::vector<T>{d1, d2, x1, y1}, in));
-  g.spawn("rotmg", core::rotmg<T>(in, out));
-  g.spawn("collect", stream::collect<T>(8, out, result));
-  run_graph(g);
-  d1 = result[5];
-  d2 = result[6];
-  x1 = result[7];
-  return {result[0], result[1], result[2], result[3], result[4]};
-}
-
 namespace {
+
+/// Runs a scalar setup routine through its streaming module for
+/// fidelity: feeds `in` through channel `in_name` into `module`, run as
+/// `name`, and returns the `outs` values it pushes into `out_name`.
+template <typename T, typename Module>
+std::vector<T> run_setup(Context& ctx, const char* name, const char* in_name,
+                         const char* out_name, std::vector<T> in,
+                         std::int64_t outs, Module module) {
+  stream::Graph g(ctx.mode());
+  auto& ch_in = g.channel<T>(in_name, 4);
+  auto& ch_out = g.channel<T>(out_name, 8);
+  std::vector<T> result;
+  g.spawn("feed", stream::feed(std::move(in), ch_in));
+  g.spawn(name, module(ch_in, ch_out));
+  g.spawn("collect", stream::collect<T>(outs, ch_out, result));
+  ctx.run_graph(g);
+  return result;
+}
 
 /// The checker of a routine mapping (x, y) in place through the fixed
 /// 2x2 map `h`: predicts both new sums, then checks each against them.
@@ -75,6 +62,25 @@ auto pair_checker(std::array<T, 4> h, std::string name, std::int64_t n,
 }
 
 }  // namespace
+
+template <typename T>
+ref::Givens<T> Context::rotg(T& a, T& b) {
+  const std::vector<T> r =
+      run_setup<T>(*this, "rotg", "ab", "rzcs", {a, b}, 4, core::rotg<T>);
+  a = r[0];
+  b = r[1];
+  return {r[2], r[3]};
+}
+
+template <typename T>
+ref::RotmParam<T> Context::rotmg(T& d1, T& d2, T& x1, T y1) {
+  const std::vector<T> r = run_setup<T>(*this, "rotmg", "in", "out",
+                                        {d1, d2, x1, y1}, 8, core::rotmg<T>);
+  d1 = r[5];
+  d2 = r[6];
+  x1 = r[7];
+  return {r[0], r[1], r[2], r[3], r[4]};
+}
 
 template <typename T>
 Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,

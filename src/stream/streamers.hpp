@@ -2,10 +2,11 @@
 // off-chip DRAM and the streaming modules, plus on-chip sources/sinks and
 // stream plumbing. These correspond to the "Read A / Read B / Store C"
 // helper kernels the paper's code generator emits around each module.
-// Movers whose bank grants a batch per cycle share read_bulk and
-// write_bulk, driven by gather/scatter functors; movers whose bank grants
-// one element at a time share read_granted and write_granted, driven by
-// run sources; element-wise modules share elementwise.
+// Movers that move a fixed batch per cycle share read_bulk and
+// write_bulk, driven by gather/scatter functors; movers that walk strided
+// runs and move only what their channel can take at once share
+// read_granted and write_granted, driven by run sources. Each makes one
+// bank grant per step. Element-wise modules share elementwise.
 //
 // Matrices are streamed according to a TileSchedule: tiles visited by rows
 // or by columns, and elements within each tile by rows or by columns —
@@ -217,12 +218,12 @@ auto runs(std::int64_t count, At at) {
   };
 }
 
-/// The one reader whose bank grants one element at a time (every one when
-/// `bank` is null): streams the runs `next` yields into `out`, up to
+/// The one run reader: streams the runs `next` yields into `out`, up to
 /// `width` elements per cycle (a step_width per step). Of the elements a
-/// cycle still has room for, it takes as many as `out` can hold (at least
-/// one), granting them in order; a refused grant ends its cycle early, and
-/// so does a closing run.
+/// cycle still has room for, a step takes as many as `out` can hold (at
+/// least one) and grants them with one call to `bank` (all of them when
+/// `bank` is null); a short grant ends its cycle early, and so does a
+/// closing run.
 template <typename T, typename Runs>
 Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
                   DramBank* bank) {
@@ -235,11 +236,8 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
       const std::int64_t want = std::min(
           {w - in_cycle, run.len - j,
            static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1))});
-      std::int64_t g = 0;
-      for (; g < want; ++g) {
-        if (bank != nullptr && bank->grant_elems(1, sizeof(T)) == 0) break;
-        buf[g] = run.p[(j + g) * run.stride];
-      }
+      const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      copy_strided(run.p + j * run.stride, run.stride, buf.data(), 1, g);
       for (std::int64_t t = 0; t < g;) {
         t += co_await out.push_some(buf.data() + t, g - t);
       }
@@ -256,10 +254,11 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
   }
 }
 
-/// The one writer whose bank grants each kept element right after it is
-/// popped: stores the stream from `in` into the runs `next` yields, up to
-/// `width` elements per cycle (a step_width per step). A kept element
-/// waits for its grant before the next pop.
+/// The one run writer: stores the stream from `in` into the runs `next`
+/// yields, up to `width` elements per cycle (a step_width per step). A
+/// step pops what `in` holds (at least one element) and grants its kept
+/// elements, one range, with one call to `bank`; a kept element the bank
+/// refuses ends the step and waits for its grant before the next pop.
 template <typename T, typename Runs>
 Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
                    DramBank* bank) {
@@ -268,33 +267,31 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
   std::vector<T> buf = lanes<T>(w);
   std::int64_t in_cycle = 0;
   for (Run<T> run; next(run);) {
-    auto keep = [&run](std::int64_t u) {
-      return u >= run.keep_from && u < run.keep_to;
-    };
     for (std::int64_t j = 0; j < run.len;) {
       const auto avail = std::min({w - in_cycle, run.len - j,
                                    static_cast<std::int64_t>(in.size())});
       // Nothing buffered: one element step, whose pop may suspend.
       if (avail == 0) co_await in.pop_some(buf.data(), 1);
-      // The step ends at the first kept element the bank refuses.
       std::int64_t len = std::max<std::int64_t>(avail, 1);
-      bool waiting = false;
-      for (std::int64_t t = 0; bank != nullptr && t < len; ++t) {
-        if (keep(j + t) && bank->grant_elems(1, sizeof(T)) == 0) {
-          waiting = true;
-          len = t + 1;
-        }
-      }
+      // The step's kept elements, [lo, hi); the first refused one, at
+      // lo + granted, ends the step.
+      const std::int64_t lo =
+          std::clamp(run.keep_from - j, std::int64_t{0}, len);
+      const std::int64_t hi = std::clamp(run.keep_to - j, lo, len);
+      const std::int64_t granted =
+          bank ? bank->grant_elems(hi - lo, sizeof(T)) : hi - lo;
+      const bool waiting = granted < hi - lo;
+      if (waiting) len = lo + granted + 1;
       if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
-      T* p = run.p + j * run.stride;
-      for (std::int64_t t = 0; t < len - (waiting ? 1 : 0); ++t) {
-        if (keep(j + t)) p[t * run.stride] = buf[t];
+      if (granted > 0) {
+        copy_strided(buf.data() + lo, 1, run.p + (j + lo) * run.stride,
+                     run.stride, granted);
       }
       if (waiting) {
         do {
           co_await next_cycle();
         } while (bank->grant_elems(1, sizeof(T)) == 0);
-        p[(len - 1) * run.stride] = buf[len - 1];
+        run.p[(j + len - 1) * run.stride] = buf[len - 1];
       }
       j += len;
       if ((in_cycle += len) == w) {

@@ -2,7 +2,10 @@
 // across widths, sizes, and both execution modes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -349,6 +352,23 @@ TYPED_TEST(StreamLevel1, ZeroLengthStreams) {
   g.spawn("collect", stream::collect<T>(1, res, out));
   g.run();
   EXPECT_EQ(out[0], T(0));
+  if constexpr (std::is_same_v<T, float>) {
+    // SDSDOT of no elements is sb bit for bit: nothing, not even 0.0,
+    // is added to it, so -0.0f stays negative.
+    for (const float sb : {-0.0f, 2.5f}) {
+      Graph gs;
+      auto& sx = gs.channel<float>("x", 4);
+      auto& sy = gs.channel<float>("y", 4);
+      auto& sres = gs.channel<float>("r", 2);
+      std::vector<float> got;
+      gs.spawn("sdsdot", sdsdot({8}, 0, sb, sx, sy, sres));
+      gs.spawn("collect", stream::collect<float>(1, sres, got));
+      gs.run();
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[0]),
+                std::bit_cast<std::uint32_t>(sb))
+          << "sb " << sb;
+    }
+  }
 }
 
 TYPED_TEST(StreamLevel1, RejectsInvalidWidth) {

@@ -556,7 +556,7 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
   auto& cx = g.channel<float>("x", cap);
   auto& cout = g.channel<float>("out", cap);
   const core::Level1Config l1{kPinW};
-  if (kind == "axpy" || kind == "dot") {
+  if (kind == "axpy" || kind == "dot" || kind == "sdsdot") {
     auto& cy = g.channel<float>("y", cap);
     g.spawn("read_x", read_vector<float>(vec(d.x, kPinN), 1, kPinW, cx, &xy));
     g.spawn("read_y", read_vector<float>(vec(d.y, kPinN), 1, kPinW, cy, &xy));
@@ -564,8 +564,10 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
     out.assign(static_cast<std::size_t>(len), 0.0f);
     if (kind == "axpy") {
       g.spawn("axpy", core::axpy<float>(l1, kPinN, 1.5f, cx, cy, cout));
-    } else {
+    } else if (kind == "dot") {
       g.spawn("dot", core::dot<float>(l1, kPinN, cx, cy, cout));
+    } else {
+      g.spawn("sdsdot", core::sdsdot(l1, kPinN, 0.5f, cx, cy, cout));
     }
     g.spawn("write", write_vector<float>(VectorView<float>(out.data(), len), 1,
                                          kPinW, cout, &mem));
@@ -969,6 +971,39 @@ TEST(BatchTransfer, SchedulesPinned) {
     }
     EXPECT_EQ(fnv1a(record), hash)
         << kind << " record:\n" << record;
+  }
+}
+
+// The reductions step by one rule (core::reduce): each pop waits in port
+// order until every input holds a value, then pops as many elements as
+// every input holds. So DOT and SDSDOT on the same inputs and banks run
+// the same schedule: cycles, stalls, peaks, resumes and bank bytes all
+// agree, and only the result (and so the taps) differs.
+TEST(BatchTransfer, ReductionsShareOneElementStep) {
+  auto schedule = [](const std::string& kind, std::size_t cap) {
+    const PinData d = pin_data(false);
+    Graph g(Mode::Cycle);
+    std::vector<float> out;
+    const auto [xy, mem] = build_pinned(kind, g, cap, d, out);
+    g.run();
+    const Scheduler& s = g.scheduler();
+    std::ostringstream os;
+    os << "cycles " << g.cycles() << " stall " << s.stall_module_cycles()
+       << "\n";
+    for (const auto& ch : g.channels()) {
+      os << "  ch " << ch->name() << " peak " << ch->peak_occupancy()
+         << " stalls " << ch->stall_events() << "\n";
+    }
+    os << "  resumes";
+    for (std::size_t m = 0; m < s.module_count(); ++m) {
+      os << " " << s.module_resumes(static_cast<int>(m));
+    }
+    os << "\n  bytes " << xy->total_bytes() << " " << mem->total_bytes();
+    return os.str();
+  };
+  for (const std::size_t cap : {3u, 64u, 767u}) {
+    EXPECT_EQ(schedule("sdsdot", cap), schedule("dot", cap))
+        << "capacity " << cap;
   }
 }
 
