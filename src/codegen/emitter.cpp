@@ -424,10 +424,6 @@ void emit_triangular_module(std::ostringstream& os, const RoutineSpec& s) {
 
 }  // namespace
 
-core::Level1Config GeneratedDesign::level1_config() const {
-  return core::Level1Config{spec.width};
-}
-
 core::GemvConfig GeneratedDesign::gemv_config() const {
   return core::GemvConfig{spec.trans,     spec.tiling,    spec.width,
                           spec.tile_rows, spec.tile_cols, spec.elem_order};

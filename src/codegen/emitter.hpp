@@ -9,7 +9,6 @@
 
 #include "codegen/routine_spec.hpp"
 #include "fblas/batched.hpp"
-#include "fblas/level1.hpp"
 #include "fblas/level2.hpp"
 #include "fblas/level3.hpp"
 #include "sim/resource_model.hpp"
@@ -24,7 +23,6 @@ struct GeneratedDesign {
   sim::ModuleShape shape;                 ///< for the resource model
 
   // Simulator configurations equivalent to the generated design.
-  core::Level1Config level1_config() const;
   core::GemvConfig gemv_config() const;
   core::GerConfig ger_config() const;
   core::GemmConfig gemm_config() const;

@@ -155,8 +155,8 @@ Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
 /// `fold(p..., len, first)` folds the W-aligned chunk of elements
 /// first..first+len-1, one pointer per input, into the result (the
 /// unrolled tree, then the accumulator); fold(p..., 0, 0) is the result
-/// of no elements. Each pop waits in port order until every input holds
-/// a value, then pops as many elements as every input holds (lockstep).
+/// of no elements. Each step pops as many elements as every input holds
+/// (lockstep), from each input in port order, as stream::elementwise does.
 /// In functional mode a step pops as many whole W-aligned chunks as the
 /// inputs hold (step_width rounded down to a multiple of W), so `fold`
 /// sees the same chunks, by element index, in both modes.
@@ -179,10 +179,11 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min(step, n - it);
     for (std::int64_t i = 0; i < batch;) {
-      for (Channel<T>* ch : in) co_await ch->wait_data();
       const std::size_t m =
           stream::lockstep(static_cast<std::size_t>(batch - i), ports, {});
-      for (std::size_t c = 0; c < I; ++c) in[c]->take_some(v[c].data() + i, m);
+      for (std::size_t c = 0; c < I; ++c) {
+        co_await in[c]->pop_some(v[c].data() + i, m);
+      }
       i += static_cast<std::int64_t>(m);
     }
     for (std::int64_t c = 0; c < batch; c += W) {

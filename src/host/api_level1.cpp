@@ -27,11 +27,14 @@ namespace {
 
 /// Runs a scalar setup routine through its streaming module for
 /// fidelity: feeds `in` through channel `in_name` into `module`, run as
-/// `name`, and returns the `outs` values it pushes into `out_name`.
+/// `name`, and returns the `outs` values it pushes into `out_name`. It
+/// runs synchronously, not as a command, so it refuses a call from inside
+/// a command body itself, as enqueue does.
 template <typename T, typename Module>
 std::vector<T> run_setup(Context& ctx, const char* name, const char* in_name,
                          const char* out_name, std::vector<T> in,
                          std::int64_t outs, Module module) {
+  refuse_inside_command_body();
   stream::Graph g(ctx.mode());
   auto& ch_in = g.channel<T>(in_name, 4);
   auto& ch_out = g.channel<T>(out_name, 8);

@@ -101,8 +101,7 @@ Event Context::gemm_systolic_async(std::int64_t m, std::int64_t n,
         arr.multiply(a.cmat(m, k), b.cmat(k, n), c.mat(m, n));
     // Per-PE utilization for the tracing layer: one event per grid cell
     // with its MAC count and fault tally for this attempt's multiply.
-    if (trace::Recorder* tr = trace::sink();
-        tr != nullptr && tr->options().engine_events) {
+    if (trace::sink() != nullptr) {
       for (int r = 0; r < rc.pe_rows; ++r) {
         for (int col = 0; col < rc.pe_cols; ++col) {
           trace::Event te;

@@ -263,13 +263,7 @@ std::function<std::function<void()>()> Context::wrap_verify(
 }
 
 Event Context::enqueue(Command cmd) {
-  // Each library call is one command; a command body runs no other
-  // command, whose hazards, verification and fallback it would bypass.
-  if (Attempt::current() != nullptr) {
-    throw Error(
-        "host API call made from inside a command body: a command cannot "
-        "enqueue or run another command");
-  }
+  refuse_inside_command_body();
   // Routine commands validate the captured configuration up front, so a
   // bad knob fails at the call site naming the knob instead of as
   // undefined behavior inside a lowering.
@@ -402,8 +396,7 @@ void Context::run_graph(stream::Graph& g) {
     }
   }
   const std::uint64_t cycles = g.cycles();
-  if (trace::Recorder* tr = trace::sink();
-      tr != nullptr && tr->options().engine_events) {
+  if (trace::Recorder* tr = trace::sink()) {
     // Engine summaries, emitted host-side after the run so the stream
     // layer never links the trace library: per-channel high-water and
     // stall counts, plus the graph's cycle/stall totals.

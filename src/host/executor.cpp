@@ -67,6 +67,14 @@ std::chrono::microseconds jittered_backoff(std::uint64_t seed,
 
 Attempt* Attempt::current() { return tl_current; }
 
+void refuse_inside_command_body() {
+  if (tl_current != nullptr) {
+    throw Error(
+        "host API call made from inside a command body: a command cannot "
+        "enqueue or run another command");
+  }
+}
+
 Executor::Executor(int workers) : workers_(workers < 0 ? 0 : workers) {
   threads_.reserve(static_cast<std::size_t>(workers_));
   for (int i = 0; i < workers_; ++i) {

@@ -167,6 +167,12 @@ struct Attempt {
   static Attempt* current();
 };
 
+/// Throws Error when called from inside a command body (an attempt is
+/// current): each library call is one command, and a command body runs no
+/// other command, whose hazards, verification and fallback it would
+/// bypass. Context::enqueue and the synchronous ROTG/ROTMG call it first.
+void refuse_inside_command_body();
+
 /// Fault-tolerance hooks attached to a command by the Context.
 struct CommandHooks {
   std::function<void()> snapshot;  ///< capture declared write-set bytes

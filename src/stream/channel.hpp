@@ -121,7 +121,6 @@ class ChannelBase {
   double tap_mag_ = 0.0;
   std::uint64_t tap_count_ = 0;
 
-  friend struct WaitData;
   template <typename T>
   friend struct PopSome;
   template <typename T>
@@ -158,16 +157,6 @@ bool all_finite(const T* src, std::size_t k) {
   }
 }
 
-/// Awaitable wait: `co_await ch.wait_data();` suspends until `ch` holds
-/// a value, and pops nothing.
-struct WaitData {
-  ChannelBase& ch;
-
-  bool await_ready() const noexcept { return !ch.empty(); }
-  void await_suspend(TaskHandle h) const { ch.wait_for_data(h); }
-  void await_resume() const noexcept {}
-};
-
 template <typename T>
 struct PopAwaiter;
 template <typename T>
@@ -187,8 +176,6 @@ class Channel : public ChannelBase {
         buf_(std::bit_ceil(capacity)),
         mask_(buf_.size() - 1) {}
 
-  /// Awaitable wait for a value, popping nothing (see WaitData).
-  WaitData wait_data() { return {*this}; }
   /// Awaitable pop: `T v = co_await ch.pop();`
   PopAwaiter<T> pop() { return PopAwaiter<T>{*this}; }
   /// Awaitable push: `co_await ch.push(v);`

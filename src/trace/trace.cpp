@@ -130,8 +130,7 @@ void apply(MetricsSnapshot& m, const Event& e) {
 }  // namespace
 
 Recorder::Recorder(const Options& opts)
-    : opts_(opts),
-      epoch_(std::chrono::steady_clock::now()),
+    : epoch_(std::chrono::steady_clock::now()),
       ring_(std::max<std::size_t>(64, opts.ring_capacity)) {}
 
 std::uint64_t Recorder::now_ns() const {

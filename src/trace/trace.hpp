@@ -104,10 +104,6 @@ struct Options {
   /// oldest events are overwritten (counters stay exact);
   /// MetricsSnapshot::dropped reports the overwrites.
   std::size_t ring_capacity = 1u << 16;
-  /// Emit engine-side summaries (ChannelStats / GraphStats / PeStats)
-  /// after each graph run. These are the bulkiest event class on
-  /// composition-heavy workloads; turn off to keep only lifecycle spans.
-  bool engine_events = true;
 };
 
 /// Log2-bucketed histogram: bucket i counts values v with
@@ -174,8 +170,6 @@ class Recorder {
  public:
   explicit Recorder(const Options& opts = {});
 
-  const Options& options() const { return opts_; }
-
   /// Nanoseconds since this recorder's epoch (construction time).
   std::uint64_t now_ns() const;
 
@@ -198,7 +192,6 @@ class Recorder {
       const std::function<void(std::span<const Event* const>)>& f) const;
 
  private:
-  Options opts_;
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<Event> ring_;

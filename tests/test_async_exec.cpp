@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -588,24 +589,43 @@ TEST(SpecializedUnderWorkers, SymvUsesEnqueueTimeConfig) {
 
 // A library call issued from inside a running command body is refused
 // with an error that names the problem; the enclosing command fails.
+// ROTG and ROTMG, which run their setup graph synchronously without
+// enqueueing a command, are refused the same way.
 TEST(SpecializedUnderWorkers, LibraryCallInsideCommandBodyIsRefused) {
+  float a = 3.0f, b = 4.0f, d1 = 1.0f, d2 = 1.0f, x1 = 2.0f;
+  const std::pair<const char*,
+                  std::function<void(Context&, Buffer<float>&)>>
+      calls[] = {
+          {"scal",
+           [](Context& ctx, Buffer<float>& x) { ctx.scal<float>(16, 2.0f, x); }},
+          {"rotg", [&](Context& ctx, Buffer<float>&) { ctx.rotg(a, b); }},
+          {"rotmg", [&](Context& ctx, Buffer<float>&) {
+             ctx.rotmg(d1, d2, x1, 3.0f);
+           }}};
   for (int workers : {0, 2}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    Device dev;
-    Context ctx(dev, stream::Mode::Functional, workers);
-    Workload wl(63);
-    auto x = make_buffer(dev, wl.vector<float>(16), 0);
-    Event e = ctx.enqueue([&] { ctx.scal<float>(16, 2.0f, x); });
-    try {
-      e.wait();
-      ADD_FAILURE() << "nested library call was not refused";
-    } catch (const Error& err) {
-      EXPECT_NE(std::string(err.what()).find("inside a command body"),
-                std::string::npos)
-          << err.what();
+    for (const auto& [name, call] : calls) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) + " " + name);
+      // One context per call: a barrier after a failed one would fail as
+      // its dependent whatever its own body did.
+      Device dev;
+      Context ctx(dev, stream::Mode::Functional, workers);
+      Workload wl(63);
+      auto x = make_buffer(dev, wl.vector<float>(16), 0);
+      Event e = ctx.enqueue([&] { call(ctx, x); });
+      try {
+        e.wait();
+        ADD_FAILURE() << "nested library call was not refused";
+      } catch (const Error& err) {
+        EXPECT_NE(std::string(err.what()).find("inside a command body"),
+                  std::string::npos)
+            << err.what();
+      }
+      EXPECT_TRUE(e.status().failed());
     }
-    EXPECT_TRUE(e.status().failed());
   }
+  // The refused setups changed none of their scalars.
+  EXPECT_EQ(a, 3.0f);
+  EXPECT_EQ(d1, 1.0f);
 }
 
 // --- Worker-pool exception robustness -----------------------------------

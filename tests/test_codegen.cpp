@@ -172,7 +172,6 @@ TEST(Emitter, DotKernelStructure) {
   EXPECT_NE(design.source.find("my_sdot_read_y"), std::string::npos);
   EXPECT_NE(design.source.find("my_sdot_write_res"), std::string::npos);
   EXPECT_EQ(design.kernel_names.back(), "my_sdot");
-  EXPECT_EQ(design.level1_config().width, 32);
 }
 
 TEST(Emitter, DoublePrecisionUsesDoubleType) {

@@ -940,7 +940,7 @@ std::uint64_t fnv1a(const std::string& s) {
 TEST(BatchTransfer, SchedulesPinned) {
   const std::vector<std::pair<std::string, std::uint64_t>> pins = {
       {"axpy", 7548757519685597270ULL},
-      {"dot", 12343868482660562460ULL},
+      {"dot", 16924138386007026711ULL},
       {"scal", 17539529693807194399ULL},
       {"gemv_rows", 5326376617395091344ULL},
       {"gemv_cols", 979974414704482164ULL},
@@ -974,11 +974,12 @@ TEST(BatchTransfer, SchedulesPinned) {
   }
 }
 
-// The reductions step by one rule (core::reduce): each pop waits in port
-// order until every input holds a value, then pops as many elements as
-// every input holds. So DOT and SDSDOT on the same inputs and banks run
-// the same schedule: cycles, stalls, peaks, resumes and bank bytes all
-// agree, and only the result (and so the taps) differs.
+// The reductions step by one rule (core::reduce), the one
+// stream::elementwise steps by: each step pops as many elements as every
+// input holds, from each input in port order. So DOT and SDSDOT on the
+// same inputs and banks run the same schedule: cycles, stalls, peaks,
+// resumes and bank bytes all agree, and only the result (and so the
+// taps) differs.
 TEST(BatchTransfer, ReductionsShareOneElementStep) {
   auto schedule = [](const std::string& kind, std::size_t cap) {
     const PinData d = pin_data(false);

@@ -58,8 +58,7 @@ struct TracedRun {
   std::shared_ptr<trace::Recorder> rec;
 };
 
-TracedRun run_traced_chaos(int workers, bool with_faults,
-                           trace::Options topts = {}) {
+TracedRun run_traced_chaos(int workers, bool with_faults) {
   const std::int64_t vn = 96;
   const std::int64_t gr = 40, gc = vn;
   const std::int64_t m3 = 32, n3 = 28, k3 = 24;
@@ -74,7 +73,7 @@ TracedRun run_traced_chaos(int workers, bool with_faults,
   ctx.set_watchdog(wd);
   ctx.set_retry_policy(relaxed_retry());
   TracedRun out;
-  out.rec = ctx.tracing(topts);
+  out.rec = ctx.tracing();
   if (with_faults) {
     host::FaultConfig faults;
     faults.seed = 23;
@@ -407,18 +406,6 @@ TEST(Trace, EngineEventsRecordChannelGraphAndPeStats) {
   EXPECT_TRUE(saw_pe_macs);
   EXPECT_TRUE(saw_channel_peak);
   EXPECT_TRUE(saw_graph_cycles);
-}
-
-TEST(Trace, EngineEventsToggleOff) {
-  trace::Options topts;
-  topts.engine_events = false;
-  const TracedRun run = run_traced_chaos(0, false, topts);
-  const trace::MetricsSnapshot m = run.rec->metrics();
-  EXPECT_EQ(m.kind(trace::EventKind::ChannelStats), 0u);
-  EXPECT_EQ(m.kind(trace::EventKind::GraphStats), 0u);
-  EXPECT_EQ(m.kind(trace::EventKind::PeStats), 0u);
-  // Lifecycle spans still reconcile without the engine noise.
-  expect_trace_reconciles(m, run.stats);
 }
 
 TEST(Trace, AdaptiveRateCounterSamples) {
