@@ -15,6 +15,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -149,6 +150,73 @@ Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
       ch_in, ch_out);
 }
 
+namespace detail {
+
+/// Folds the `s` elements at `p` (one pointer per input), elements
+/// e..e+s-1 of `n`, into `res` by W-aligned chunks, the chunk of elements
+/// first..first+len-1 with `fold(p..., len, first)`. A chunk that lies
+/// whole in `p` is folded in place; one that does not is finished in
+/// `carry` (W values per input), which holds `have` elements of the chunk
+/// before e. A plain function, so its locals stay out of the coroutine
+/// frame.
+template <typename T, typename R, std::size_t I, typename Fold>
+void fold_chunks(Fold& fold, R& res, std::array<const T*, I> p,
+                 std::int64_t s, std::int64_t e, std::int64_t n,
+                 std::int64_t W, const std::array<T*, I>& carry,
+                 std::int64_t& have) {
+  auto fold_at = [&](const auto& q, std::int64_t len, std::int64_t first) {
+    res = std::apply([&](auto... b) { return fold(b..., len, first); }, q);
+  };
+  for (std::int64_t k = 0; k < s;) {
+    const std::int64_t first = e + k - have;
+    const std::int64_t len = std::min(W, n - first);
+    if (have == 0 && s - k >= len) {
+      fold_at(p, len, first);
+      for (const T*& q : p) q += len;
+      k += len;
+      continue;
+    }
+    const std::int64_t t = std::min(len - have, s - k);
+    for (std::size_t c = 0; c < I; ++c) {
+      std::copy_n(p[c], t, carry[c] + have);
+      p[c] += t;
+    }
+    have += t;
+    k += t;
+    if (have == len) {
+      fold_at(carry, len, first);
+      have = 0;
+    }
+  }
+}
+
+/// The step of reduce that suspends nowhere: folds `m` elements, from
+/// element e, out of the front windows of `in` (fold_chunks), a piece at
+/// a time, split only where a ring wraps. Each piece drops the inputs in
+/// port order.
+template <typename T, typename R, std::size_t I, typename Fold>
+void fold_windows(Fold& fold, R& res, const std::array<Channel<T>*, I>& in,
+                  std::int64_t m, std::int64_t e, std::int64_t n,
+                  std::int64_t W, const std::array<T*, I>& carry,
+                  std::int64_t& have) {
+  std::array<const T*, I> p;
+  while (m > 0) {
+    auto s = static_cast<std::size_t>(m);
+    for (std::size_t c = 0; c < I; ++c) {
+      const std::span<const T> w = in[c]->front(s);
+      p[c] = w.data();
+      s = w.size();
+    }
+    const auto len = static_cast<std::int64_t>(s);
+    fold_chunks(fold, res, p, len, e, n, W, carry, have);
+    for (Channel<T>* c : in) c->drop(s);
+    e += len;
+    m -= len;
+  }
+}
+
+}  // namespace detail
+
 /// The one reduction body (DOT, SDSDOT, NRM2, ASUM, IAMAX), the map-reduce
 /// of Fig. 5: pops `n` elements from each channel of `in`, a W-wide batch
 /// per cycle, and pushes what `fold` returned last, the result so far.
@@ -156,10 +224,13 @@ Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
 /// first..first+len-1, one pointer per input, into the result (the
 /// unrolled tree, then the accumulator); fold(p..., 0, 0) is the result
 /// of no elements. Each step pops as many elements as every input holds
-/// (lockstep), from each input in port order, as stream::elementwise does.
-/// In functional mode a step pops as many whole W-aligned chunks as the
-/// inputs hold (step_width rounded down to a multiple of W), so `fold`
-/// sees the same chunks, by element index, in both modes.
+/// (lockstep), from each input in port order, as stream::elementwise does,
+/// and folds each chunk at the step that completes it: in the inputs'
+/// front windows, or, for a chunk split by a ring wrap or by a forced
+/// one-element step, in a carry of W values per input. In functional mode
+/// a step pops as many whole W-aligned chunks as the inputs hold
+/// (step_width rounded down to a multiple of W). Either way `fold` sees
+/// the same chunks, by element index, in both modes.
 template <typename T, typename R, std::size_t I, typename Fold>
 Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
             std::array<Channel<T>*, I> in, Channel<R>& ch_res) {
@@ -169,25 +240,31 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
   std::copy(in.begin(), in.end(), ports.begin());
   const std::int64_t step = stream::step_width(W, ports) / W * W;
   std::array<std::vector<T>, I> v;
-  for (auto& b : v) b = stream::lanes<T>(std::min(step, n));
-  auto chunk = [&fold, &v](std::int64_t at, std::int64_t len,
-                           std::int64_t first) {
-    return std::apply(
-        [&](auto&... b) { return fold(b.data() + at..., len, first); }, v);
-  };
-  R res = chunk(0, 0, 0);
+  std::array<T*, I> carry;
+  std::array<T, I> one{};
+  std::array<const T*, I> one_p;
+  for (std::size_t c = 0; c < I; ++c) {
+    v[c] = stream::lanes<T>(W);
+    carry[c] = v[c].data();
+    one_p[c] = &one[c];
+  }
+  R res = std::apply([&](auto... b) { return fold(b..., 0, 0); }, one_p);
+  std::int64_t have = 0;
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min(step, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m =
           stream::lockstep(static_cast<std::size_t>(batch - i), ports, {});
-      for (std::size_t c = 0; c < I; ++c) {
-        co_await in[c]->pop_some(v[c].data() + i, m);
+      if (stream::moves_now(m, ports, {})) {
+        detail::fold_windows(fold, res, in, static_cast<std::int64_t>(m),
+                             it + i, n, W, carry, have);
+      } else {
+        for (std::size_t c = 0; c < I; ++c) {
+          co_await in[c]->pop_some(&one[c], 1);
+        }
+        detail::fold_chunks(fold, res, one_p, 1, it + i, n, W, carry, have);
       }
       i += static_cast<std::int64_t>(m);
-    }
-    for (std::int64_t c = 0; c < batch; c += W) {
-      res = chunk(c, std::min(W, batch - c), it + c);
     }
     it += batch;
     co_await next_cycle();

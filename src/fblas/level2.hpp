@@ -137,7 +137,8 @@ void tile_runs(std::int64_t e, std::int64_t len, std::int64_t ni,
 /// step, and y's partials stay on chip in full (standing in for the DRAM
 /// round trip): each block is read at the first outer step and written at
 /// the last, or, for A^T x and when no tile runs, read before the loop
-/// and written after it. A arrives up to step_width values per step.
+/// and written after it. A arrives up to step_width values per step,
+/// each run of it read in ch_a's front window, then dropped.
 template <typename T>
 Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
           T beta, Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
@@ -159,7 +160,6 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   const std::int64_t i_tiles = ceil_div(i_ext, i_tile);
   const std::int64_t ylen = none ? rows : cols;
   const bool whole = x_outer && (!none || o_tiles == 0);
-  std::vector<T> abuf = stream::lanes<T>(W);
   std::vector<T> xbuf(static_cast<std::size_t>(x_outer ? o_tile : i_tile));
   std::vector<T> ybuf(static_cast<std::size_t>(x_outer ? ylen : o_tile));
   std::vector<T> acc(x_outer ? 0 : ybuf.size());
@@ -198,15 +198,17 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
       const std::int64_t tile_ni = row_elems ? tw : th;
       const std::int64_t total = th * tw;
       for (std::int64_t e = 0; e < total;) {
-        const std::int64_t got = co_await ch_a.pop_some(
-            abuf.data(), std::min(W - in_cycle, total - e));
+        const std::span<const T> a = co_await ch_a.front_some(
+            static_cast<std::size_t>(std::min(W - in_cycle, total - e)));
+        const auto got = static_cast<std::int64_t>(a.size());
         if (x_outer) {
-          detail::gemv_runs<true>(abuf.data(), got, e, tile_ni,
+          detail::gemv_runs<true>(a.data(), got, e, tile_ni,
                                   none == row_elems, alpha, inner, xbuf.data());
         } else {
-          detail::gemv_runs<false>(abuf.data(), got, e, tile_ni,
+          detail::gemv_runs<false>(a.data(), got, e, tile_ni,
                                    none == row_elems, alpha, acc.data(), inner);
         }
+        ch_a.drop(a.size());
         e += got;
         if ((in_cycle += got) == W) {
           in_cycle = 0;

@@ -1,10 +1,18 @@
 // Bounded single-producer/single-consumer typed FIFO channels — the
 // software equivalent of the HLS `channel`/`pipe` abstraction the paper's
 // modules communicate through. The unit of transfer is a batch of up to
-// W values, the W lanes a module moves per clock cycle (Sec. III-A):
-// `push_some`/`pop_some` move as many values as fit and suspend the module
-// only when none can move; `push`/`pop` are the one-value case of the
-// same transfer.
+// W values, the W lanes a module moves per clock cycle (Sec. III-A).
+// A module reads and writes the ring in place through windows: `front`
+// shows buffered values from the head and `drop` pops them; `back` shows
+// free slots from the tail and `commit` pushes what was written there.
+// `commit` is the one path a pushed value takes, so it applies the
+// armed instrumentation (corruption, taint, the checksum tap). The
+// copying transfers are built on the windows: `push_some`/`pop_some`
+// move as many values as fit and suspend the module only when none can
+// move; `push`/`pop` are the one-value case of the same transfer.
+// `front_some`/`back_some` wait for data or room and return the window:
+// a functional bulk reader waits for room before its bank grant and
+// gathers straight into the back window (stream::read_bulk).
 #pragma once
 
 #include <algorithm>
@@ -122,6 +130,10 @@ class ChannelBase {
   std::uint64_t tap_count_ = 0;
 
   template <typename T>
+  friend struct FrontSome;
+  template <typename T>
+  friend struct BackSome;
+  template <typename T>
   friend struct PopSome;
   template <typename T>
   friend struct PushSome;
@@ -162,6 +174,10 @@ struct PopAwaiter;
 template <typename T>
 struct PushAwaiter;
 template <typename T>
+struct FrontSome;
+template <typename T>
+struct BackSome;
+template <typename T>
 struct PopSome;
 template <typename T>
 struct PushSome;
@@ -186,58 +202,92 @@ class Channel : public ChannelBase {
   /// Awaitable batch push: `n = co_await ch.push_some(src, k);` moves up
   /// to `k` values, suspending only while the channel is full.
   PushSome<T> push_some(const T* src, std::size_t k) { return {*this, src, k}; }
+  /// Awaitable front window: `w = co_await ch.front_some(k);` is front(k),
+  /// suspending only while the channel is empty.
+  FrontSome<T> front_some(std::size_t k) { return {*this, k}; }
+  /// Awaitable back window: `w = co_await ch.back_some(k);` is back(k),
+  /// suspending only while the channel is full.
+  BackSome<T> back_some(std::size_t k) { return {*this, k}; }
 
-  /// Moves min(k, space()) values from `src` into the channel and returns
-  /// how many moved. Never suspends. Floating-point batches move whole,
-  /// tapped in push order, unless a value must be handled on its own: an
-  /// armed corruption counts every push, and under taint or a tap a batch
-  /// holding NaN/Inf takes the per-value path, which reports the first
-  /// one at its element. A tapped batch is scanned once: the tap's sums
-  /// are its NaN/Inf screen (see tap_batch).
-  std::size_t put_some(const T* src, std::size_t k) {
-    k = std::min(k, space());
-    if (k == 0) return 0;
-    const std::size_t tail = head_ + count_;
+  /// Up to `k` buffered values, contiguous from the head: min(k, size())
+  /// of them, cut short where the ring ends. drop() pops them.
+  std::span<const T> front(std::size_t k) const {
+    return {buf_.data() + head_, std::min({k, count_, buf_.size() - head_})};
+  }
+  /// Pops the first `k` values of the front window.
+  void drop(std::size_t k) {
+    if (k == 0) return;
+    head_ = (head_ + k) & mask_;
+    popped(k);
+  }
+  /// Up to `k` free slots, contiguous from the tail: min(k, space()) of
+  /// them, cut short where the ring ends. commit() pushes what was
+  /// written there.
+  std::span<T> back(std::size_t k) {
+    const std::size_t at = (head_ + count_) & mask_;
+    return {buf_.data() + at, std::min({k, space(), buf_.size() - at})};
+  }
+  /// Pushes the first `k` slots of the back window, each as its value
+  /// enters. Floating-point values commit whole, tapped in push order,
+  /// unless one must be handled on its own: an armed corruption counts
+  /// every push, and under taint or a tap a batch holding NaN/Inf takes
+  /// the per-value path, which reports the first one at its element. A
+  /// tapped batch is scanned once: the tap's sums are its NaN/Inf screen
+  /// (see tap_batch).
+  void commit(std::size_t k) {
+    if (k == 0) return;
+    const std::size_t at = (head_ + count_) & mask_;
+    FBLAS_REQUIRE(k <= space() && k <= buf_.size() - at,
+                  "commit past the back window of channel '" + name_ + "'");
     if constexpr (std::is_floating_point_v<T>) {
+      T* slot = buf_.data() + at;
       if (sched_->corrupt_armed() ||
-          (tap_armed_ ? !tap_batch(src, k)
-                      : sched_->taint_enabled() && !all_finite(src, k))) {
-        return put_instrumented(src, k, tail);
+          (tap_armed_ ? !tap_batch(slot, k)
+                      : sched_->taint_enabled() && !all_finite(slot, k))) {
+        commit_instrumented(slot, k);
+        return;
       }
     }
-    const std::size_t at = tail & mask_;
-    const std::size_t first = std::min(k, buf_.size() - at);
-    std::copy(src, src + first, buf_.begin() + static_cast<std::ptrdiff_t>(at));
-    std::copy(src + first, src + k, buf_.begin());
     pushed(k);
+  }
+
+  /// Moves min(k, space()) values from `src` into the channel, through
+  /// its back windows, and returns how many moved. Never suspends.
+  std::size_t put_some(const T* src, std::size_t k) {
+    k = std::min(k, space());
+    for (std::size_t t = 0; t < k;) {
+      const std::span<T> w = back(k - t);
+      std::copy_n(src + t, w.size(), w.data());
+      commit(w.size());
+      t += w.size();
+    }
     return k;
   }
 
-  /// Moves min(k, size()) values out of the channel into `dst` and returns
-  /// how many moved. Never suspends.
+  /// Moves min(k, size()) values out of the channel into `dst`, through
+  /// its front windows, and returns how many moved. Never suspends.
   std::size_t take_some(T* dst, std::size_t k) {
     k = std::min(k, count_);
-    if (k == 0) return 0;
-    const std::size_t first = std::min(k, buf_.size() - head_);
-    const auto from = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-    std::copy(from, from + static_cast<std::ptrdiff_t>(first), dst);
-    std::copy(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(k - first),
-              dst + first);
-    head_ = (head_ + k) & mask_;
-    popped(k);
+    for (std::size_t t = 0; t < k;) {
+      const std::span<const T> w = front(k - t);
+      std::copy_n(w.data(), w.size(), dst + t);
+      drop(w.size());
+      t += w.size();
+    }
     return k;
   }
 
  private:
   /// Taps a batch in push order when every value is finite, and returns
   /// whether it did; otherwise the tap is left untouched for
-  /// put_instrumented. The magnitude is the screen: a NaN or ±Inf value
-  /// makes it non-finite, and a finite one means every value was finite
-  /// (a float batch cannot overflow a double; a double batch that does
-  /// takes put_instrumented, which sums the same). Over finite values the
-  /// sums equal put_instrumented's bit for bit, the magnitude branch-free
-  /// (it is never −0.0). A tap already made non-finite by an earlier
-  /// value screens its later batches with all_finite.
+  /// commit_instrumented. The magnitude is the screen: a NaN or ±Inf
+  /// value makes it non-finite, and a finite one means every value was
+  /// finite (a float batch cannot overflow a double; a double batch that
+  /// does takes commit_instrumented, which sums the same). Over finite
+  /// values the sums equal commit_instrumented's bit for bit, the
+  /// magnitude branch-free (it is never −0.0). A tap already made
+  /// non-finite by an earlier value screens its later batches with
+  /// all_finite.
   bool tap_batch(const T* src, std::size_t k) {
     double sum = tap_sum_, mag = tap_mag_;
     for (std::size_t i = 0; i < k; ++i) {
@@ -255,9 +305,10 @@ class Channel : public ChannelBase {
     return true;
   }
 
-  /// put_some with the per-value instrumentation, in push order: injected
-  /// corruption, then taint screening, then the checksum tap.
-  std::size_t put_instrumented(const T* src, std::size_t k, std::size_t tail) {
+  /// commit with the per-value instrumentation of the `k` values at
+  /// `slot`, in push order and in place: injected corruption, then taint
+  /// screening, then the checksum tap.
+  void commit_instrumented(T* slot, std::size_t k) {
     bool corrupt = sched_->corrupt_armed();
     const bool taint = sched_->taint_enabled();
     const bool tap = tap_armed_;
@@ -270,7 +321,7 @@ class Channel : public ChannelBase {
     };
     std::size_t committed = 0;
     for (std::size_t i = 0; i < k; ++i) {
-      T value = src[i];
+      T& value = slot[i];
       // Injected in-flight corruption: when the scheduler's counter says
       // this is the targeted push, flip the value's top byte (sign /
       // exponent bits) as it enters the channel — silent damage to an
@@ -300,16 +351,34 @@ class Channel : public ChannelBase {
         mag += v < 0 ? -v : v;
         ++tapped;
       }
-      buf_[(tail + i) & mask_] = value;
     }
     if (k > committed) pushed(k - committed);
     settle_tap();
-    return k;
   }
 
   std::vector<T> buf_;
   std::size_t mask_;
   std::size_t head_ = 0;
+};
+
+template <typename T>
+struct FrontSome {
+  Channel<T>& ch;
+  std::size_t k;
+
+  bool await_ready() const noexcept { return k == 0 || !ch.empty(); }
+  void await_suspend(TaskHandle h) const { ch.wait_for_data(h); }
+  std::span<const T> await_resume() const { return ch.front(k); }
+};
+
+template <typename T>
+struct BackSome {
+  Channel<T>& ch;
+  std::size_t k;
+
+  bool await_ready() const noexcept { return k == 0 || !ch.full(); }
+  void await_suspend(TaskHandle h) const { ch.wait_for_space(h); }
+  std::span<T> await_resume() const { return ch.back(k); }
 };
 
 template <typename T>

@@ -15,7 +15,11 @@
 // their FIFOs by mode (host::detail::chan_cap): max(64, 2W) in cycle
 // mode; in functional mode 4096, or the graph's longest stream when that
 // is shorter, but never less than in cycle mode, so a functional routine
-// step moves up to 4096 values. Each channel carries its values in
+// step moves up to 4096 values. A functional bulk reader
+// (stream::read_bulk) waits for room before its bank grant and grants
+// only what fits, so it gathers straight into the channel; banks are
+// unmetered there and no cycle is observed, and its grants add up to
+// the same bytes. Each channel carries its values in
 // the same order in both modes and reductions fold the same W-aligned
 // chunks, so the outputs are the same bits. The order of pushes across
 // channels differs in functional mode (it is still deterministic), so
@@ -137,7 +141,7 @@ class Scheduler {
   bool taint_enabled() const { return taint_enabled_; }
   const Taint& taint() const { return taint_; }
   /// Records (and in trap mode, throws on) a non-finite value entering
-  /// `ch`. Called by Channel<T>::put_some for floating-point payloads.
+  /// `ch`. Called by Channel<T>::commit for floating-point payloads.
   void note_nonfinite(const ChannelBase& ch, double value);
 
   /// Fault injection: arms silent corruption of the `target`-th (1-based)
@@ -156,7 +160,7 @@ class Scheduler {
   }
   /// Counts one floating-point push; true exactly when it is the targeted
   /// one. Records the victim channel for the localization diagnostics.
-  /// Called by Channel<T>::put_some, once per value.
+  /// Called by Channel<T>::commit, once per value.
   bool corrupt_hits(const ChannelBase& ch);
   /// True once the armed corruption actually fired (the graph pushed at
   /// least `target` floating-point values).

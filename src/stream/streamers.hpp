@@ -8,6 +8,14 @@
 // read_granted and write_granted, driven by run sources. Each makes one
 // bank grant per step. Element-wise modules share elementwise.
 //
+// Modules and bulk movers read and write the channels' rings in place
+// (Channel::front/back windows): elementwise maps from the inputs' front
+// windows into the outputs' back windows, write_bulk scatters from front
+// windows and read_bulk gathers into back windows. A functional
+// read_bulk waits for room before its grant, so it never stages; in
+// cycle mode a grant that does not fit is staged through its lanes so
+// memory is still read at grant time.
+//
 // Matrices are streamed according to a TileSchedule: tiles visited by rows
 // or by columns, and elements within each tile by rows or by columns —
 // the 4 streaming modes of Sec. III-B.
@@ -123,36 +131,83 @@ std::vector<T> lanes(std::int64_t width) {
       static_cast<std::size_t>(std::max<std::int64_t>(width, 1)));
 }
 
-/// Applies `f` to lanes 0..m-1 of the buffers `p` in place: lane k's I
-/// input values are p[0][k], p[1][k], ..., and its O output values
-/// overwrite p[0][k], p[1][k], .... A plain function, so its locals stay
-/// in registers instead of the calling coroutine's frame.
-template <std::size_t I, std::size_t O, typename T, std::size_t N, typename F>
-void map_lanes(F& f, std::array<T*, N> p, std::size_t m) {
+/// Applies `f` to lanes 0..m-1: lane k's I input values are in[0][k],
+/// in[1][k], ..., and its O output values go to out[0][k], out[1][k], ....
+/// A lane's inputs are read before its outputs are written, so an output
+/// may be the buffer of an input. A plain function, so its locals stay in
+/// registers instead of the calling coroutine's frame.
+template <std::size_t I, std::size_t O, typename T, typename F>
+void map_lanes(F& f, const std::array<const T*, I>& in,
+               const std::array<T*, O>& out, std::size_t m) {
   for (std::size_t k = 0; k < m; ++k) {
     std::array<T, I> v;
-    for (std::size_t c = 0; c < I; ++c) v[c] = p[c][k];
+    for (std::size_t c = 0; c < I; ++c) v[c] = in[c][k];
     const std::array<T, O> r = f(v);
-    for (std::size_t c = 0; c < O; ++c) p[c][k] = r[c];
+    for (std::size_t c = 0; c < O; ++c) out[c][k] = r[c];
   }
 }
 
-/// True when lanes 0..m-1 of all O buffers `p` are finite.
-template <std::size_t O, typename T, std::size_t N>
-bool finite_lanes(const std::array<T*, N>& p, std::size_t m) {
-  for (std::size_t c = 0; c < O; ++c) {
-    if (!all_finite(p[c], m)) return false;
+/// True when a step of `m` elements moves through every port without
+/// suspending: each channel of `in` holds m values and each of `out` has
+/// room for m.
+inline bool moves_now(std::size_t m, std::span<const ChannelBase* const> in,
+                      std::span<const ChannelBase* const> out) {
+  for (const ChannelBase* c : in) {
+    if (c->size() < m) return false;
+  }
+  for (const ChannelBase* c : out) {
+    if (c->space() < m) return false;
   }
   return true;
 }
 
+/// The step of elementwise that suspends nowhere (see moves_now): maps `m`
+/// elements through `f` from the front windows of `in` straight into the
+/// back windows of `out`, a piece at a time, split only where a ring
+/// wraps. Each piece drops the inputs in port order, then commits the
+/// outputs in port order; under `taint`, a piece whose outputs hold NaN/Inf
+/// commits element by element across the outputs, so the first one is
+/// reported where an element-by-element module would report it.
+template <typename T, std::size_t I, std::size_t O, typename F>
+void map_windows(F& f, const std::array<Channel<T>*, I>& in,
+                 const std::array<Channel<T>*, O>& out, std::size_t m,
+                 bool taint) {
+  std::array<const T*, I> src;
+  std::array<T*, O> dst;
+  while (m > 0) {
+    std::size_t s = m;
+    for (std::size_t c = 0; c < I; ++c) {
+      const std::span<const T> w = in[c]->front(s);
+      src[c] = w.data();
+      s = w.size();
+    }
+    for (std::size_t c = 0; c < O; ++c) {
+      const std::span<T> w = out[c]->back(s);
+      dst[c] = w.data();
+      s = w.size();
+    }
+    map_lanes<I, O>(f, src, dst, s);
+    for (Channel<T>* c : in) c->drop(s);
+    bool finite = true;
+    for (std::size_t c = 0; taint && finite && c < O; ++c) {
+      finite = all_finite(dst[c], s);
+    }
+    const std::size_t step = finite ? s : 1;
+    for (std::size_t k = 0; k < s; k += step) {
+      for (Channel<T>* c : out) c->commit(step);
+    }
+    m -= s;
+  }
+}
+
 /// The one element-wise module body: moves `n` elements through `f`, up
 /// to `width` per cycle (a step_width per step), from the channels of `in`
-/// to those of `out` in lockstep (see lockstep). Each step pops every
-/// input, then pushes every output; `f` maps one element's I input values
-/// to its O output values. Under taint, a step whose outputs hold NaN/Inf
-/// pushes them element by element across the outputs, so the first one
-/// is reported where an element-by-element module would report it.
+/// to those of `out` in lockstep (see lockstep); `f` maps one element's I
+/// input values to its O output values. A step that suspends nowhere
+/// computes in the channels' windows (map_windows). Only lockstep's forced
+/// one-element step, whose awaits suspend where a per-element loop would,
+/// pops every input into a one-element buffer per port, maps it there and
+/// pushes every output from it.
 template <typename T, std::size_t I, std::size_t O, typename F>
 Task elementwise(std::int64_t n, int width, F f,
                  std::array<Channel<T>*, I> in,
@@ -166,25 +221,25 @@ Task elementwise(std::int64_t n, int width, F f,
   const auto out_ports = std::span(ports).template last<O>();
   const std::int64_t w = step_width(width, ports);
   constexpr std::size_t N = std::max(I, O);
-  std::array<std::vector<T>, N> buf;
-  std::array<T*, N> p;
-  for (std::size_t c = 0; c < N; ++c) {
-    buf[c] = lanes<T>(std::min(w, n));
-    p[c] = buf[c].data();
-  }
+  std::array<T, N> one{};
+  std::array<const T*, I> one_in;
+  std::array<T*, O> one_out;
+  for (std::size_t c = 0; c < I; ++c) one_in[c] = &one[c];
+  for (std::size_t c = 0; c < O; ++c) one_out[c] = &one[c];
   for (std::int64_t it = 0; it < n;) {
     const std::int64_t batch = std::min(w, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m = lockstep(static_cast<std::size_t>(batch - i),
                                      in_ports, out_ports);
-      for (std::size_t c = 0; c < I; ++c) co_await in[c]->pop_some(p[c], m);
-      map_lanes<I, O>(f, p, m);
-      // Lockstep reserved space for the batch, so stepping one element
-      // at a time suspends nowhere.
-      const std::size_t step = taint && !finite_lanes<O>(p, m) ? 1 : m;
-      for (std::size_t k = 0; k < m; k += step) {
+      if (moves_now(m, in_ports, out_ports)) {
+        map_windows(f, in, out, m, taint);
+      } else {
+        for (std::size_t c = 0; c < I; ++c) {
+          co_await in[c]->pop_some(&one[c], 1);
+        }
+        map_lanes<I, O>(f, one_in, one_out, 1);
         for (std::size_t c = 0; c < O; ++c) {
-          co_await out[c]->push_some(p[c] + k, step);
+          co_await out[c]->push_some(&one[c], 1);
         }
       }
       i += static_cast<std::int64_t>(m);
@@ -305,22 +360,42 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 /// The one bulk reader: streams `passes` passes of `n` elements each into
 /// `out`. Every cycle it takes as many of the pass's next min(w, left)
 /// elements as `bank` grants (all of them when `bank` is null), w being
-/// the step_width of `width` on `out`; it copies them into its lanes with
-/// `gather(pass, k, dst, m)` (the pass's elements k..k+m-1), pushes them
-/// and ends the cycle. An empty pass takes no cycle.
+/// the step_width of `width` on `out`; `gather(pass, k, dst, m)` copies
+/// the pass's elements k..k+m-1 to `dst`. A grant that fits in `out`
+/// is gathered straight into its back windows; one that does not is
+/// gathered into the reader's lanes at grant time and pushed from there,
+/// suspending while `out` is full. Then the cycle ends. In functional
+/// mode, where banks are unmetered and no cycle is observed, a step first
+/// waits for room in `out` and takes only what fits, so every grant is
+/// gathered in place. An empty pass takes no cycle.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                Gather gather, Channel<T>& out, DramBank* bank) {
   const std::array<const ChannelBase*, 1> port{&out};
   const std::int64_t w = step_width(width, port);
-  std::vector<T> buf = lanes<T>(std::min(w, n));
+  const bool cycle = out.scheduler().cycle_mode();
+  std::vector<T> buf;
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
-      const std::int64_t want = std::min(w, n - k);
+      std::int64_t want = std::min(w, n - k);
+      if (!cycle) {
+        co_await out.back_some(static_cast<std::size_t>(want));
+        want = std::min(want, static_cast<std::int64_t>(out.space()));
+      }
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      gather(r, k, buf.data(), got);
-      for (std::int64_t t = 0; t < got;) {
-        t += co_await out.push_some(buf.data() + t, got - t);
+      if (got <= static_cast<std::int64_t>(out.space())) {
+        for (std::int64_t t = 0; t < got;) {
+          const std::span<T> win = out.back(static_cast<std::size_t>(got - t));
+          gather(r, k + t, win.data(), static_cast<std::int64_t>(win.size()));
+          out.commit(win.size());
+          t += static_cast<std::int64_t>(win.size());
+        }
+      } else {
+        if (buf.empty()) buf = lanes<T>(std::min(w, n));
+        gather(r, k, buf.data(), got);
+        for (std::int64_t t = 0; t < got;) {
+          t += co_await out.push_some(buf.data() + t, got - t);
+        }
       }
       k += got;
       co_await next_cycle();
@@ -331,24 +406,24 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 /// The one bulk writer: drains `passes` passes of `n` elements each from
 /// `in`. Every cycle it pops as many of the pass's next min(w, left)
 /// elements as `bank` grants (all of them when `bank` is null), w being
-/// the step_width of `width` on `in`; it hands each popped run to
-/// `scatter(pass, k, src, m)` (the pass's elements k..k+m-1) and ends the
-/// cycle. An empty pass takes no cycle.
+/// the step_width of `width` on `in`; it hands each front window of `in`
+/// to `scatter(pass, k, src, m)` (the pass's elements k..k+m-1), drops it
+/// and ends the cycle. An empty pass takes no cycle.
 template <typename T, typename Scatter>
 Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                 Scatter scatter, Channel<T>& in, DramBank* bank) {
   const std::array<const ChannelBase*, 1> port{&in};
   const std::int64_t w = step_width(width, port);
-  std::vector<T> buf = lanes<T>(std::min(w, n));
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
       const std::int64_t want = std::min(w, n - k);
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
       for (std::int64_t t = 0; t < got;) {
-        const auto moved = static_cast<std::int64_t>(
-            co_await in.pop_some(buf.data(), got - t));
-        scatter(r, k + t, buf.data(), moved);
-        t += moved;
+        const std::span<const T> win =
+            co_await in.front_some(static_cast<std::size_t>(got - t));
+        scatter(r, k + t, win.data(), static_cast<std::int64_t>(win.size()));
+        in.drop(win.size());
+        t += static_cast<std::int64_t>(win.size());
       }
       k += got;
       co_await next_cycle();

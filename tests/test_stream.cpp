@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -1274,6 +1275,172 @@ void all_finite_table() {
 TEST(BatchTransfer, AllFiniteEveryClassAndPosition) {
   all_finite_table<float>();
   all_finite_table<double>();
+}
+
+// The windows against the copying transfers: two graphs, each with
+// channels "a" and "b" of one capacity, run one seeded sequence of pushes
+// and pops of 1..cap+2 values, some of them NaN or ±Inf. One graph moves
+// them with put_some/take_some; the other writes back() windows and
+// commits them, and reads front() windows and drops them, both in random
+// pieces. Plain, with taps armed, with taint recording or trapping (taps
+// armed too) and with corrupt_push(k), k = 1..40, every step must move
+// the same values and leave the same totals, peaks, tap bits and counts,
+// Taint record and corrupted channel.
+template <typename T>
+void windows_match_batch_transfers(std::size_t cap, int mode) {
+  const std::string what =
+      "cap " + std::to_string(cap) + " mode " + std::to_string(mode);
+  // mode: 0 plain, 1 tap, 2 taint recording, 3 taint trapping, 3 + k
+  // corrupt_push(k).
+  Graph batch_g, window_g;
+  for (Graph* g : {&batch_g, &window_g}) {
+    auto& a = g->channel<T>("a", cap);
+    auto& b = g->channel<T>("b", cap);
+    if (mode >= 1 && mode <= 3) {
+      a.arm_tap();
+      b.arm_tap();
+    }
+    if (mode == 2 || mode == 3) g->scheduler().enable_taint(mode == 3);
+    if (mode > 3) {
+      g->scheduler().corrupt_push(static_cast<std::uint64_t>(mode - 3));
+    }
+  }
+  const auto chan = [](Graph& g, std::size_t c) {
+    return static_cast<Channel<T>*>(g.channels()[c].get());
+  };
+  Workload w(0x3b1 + cap * 7 + static_cast<std::uint64_t>(mode));
+  Workload pieces(0x77 + cap);
+  const auto piece = [&](std::size_t left) {
+    return 1 + static_cast<std::size_t>(pieces.next_u64() % left);
+  };
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
+                        std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity()};
+  for (int op = 0; op < 400; ++op) {
+    const std::size_t c = w.next_u64() % 2;
+    const bool push = w.next_u64() % 2 == 0;
+    const std::size_t k = 1 + w.next_u64() % (cap + 2);
+    Channel<T>& bc = *chan(batch_g, c);
+    Channel<T>& wc = *chan(window_g, c);
+    const std::string at = what + " op " + std::to_string(op);
+    if (push) {
+      std::vector<T> src(k);
+      for (T& v : src) {
+        v = w.next_u64() % 40 == 0 ? specials[w.next_u64() % 3]
+                                   : static_cast<T>(w.uniform(-2.0, 2.0));
+      }
+      bool batch_threw = false, window_threw = false;
+      try {
+        bc.put_some(src.data(), k);
+      } catch (const TaintError&) {
+        batch_threw = true;
+      }
+      try {
+        const std::size_t want = std::min(k, wc.space());
+        for (std::size_t t = 0; t < want;) {
+          const std::span<T> win = wc.back(want - t);
+          std::copy_n(src.data() + t, win.size(), win.data());
+          for (std::size_t u = 0; u < win.size();) {
+            const std::size_t p = piece(win.size() - u);
+            wc.commit(p);
+            u += p;
+          }
+          t += win.size();
+        }
+      } catch (const TaintError&) {
+        window_threw = true;
+      }
+      EXPECT_EQ(window_threw, batch_threw) << at;
+    } else {
+      std::vector<T> got_b(k), got_w(k);
+      const std::size_t moved = bc.take_some(got_b.data(), k);
+      const std::size_t want = std::min(k, wc.size());
+      for (std::size_t t = 0; t < want;) {
+        const std::span<const T> win = wc.front(want - t);
+        std::copy_n(win.data(), win.size(), got_w.data() + t);
+        for (std::size_t u = 0; u < win.size();) {
+          const std::size_t p = piece(win.size() - u);
+          wc.drop(p);
+          u += p;
+        }
+        t += win.size();
+      }
+      ASSERT_EQ(want, moved) << at;
+      for (std::size_t i = 0; i < moved; ++i) {
+        ASSERT_EQ(std::bit_cast<BitsOf<T>>(got_w[i]),
+                  std::bit_cast<BitsOf<T>>(got_b[i]))
+            << at << " value " << i;
+      }
+    }
+    for (std::size_t ch = 0; ch < 2; ++ch) {
+      const Channel<T>& x = *chan(batch_g, ch);
+      const Channel<T>& y = *chan(window_g, ch);
+      ASSERT_EQ(y.size(), x.size()) << at;
+      ASSERT_EQ(y.total_pushed(), x.total_pushed()) << at;
+      ASSERT_EQ(y.total_popped(), x.total_popped()) << at;
+      ASSERT_EQ(y.peak_occupancy(), x.peak_occupancy()) << at;
+      ASSERT_EQ(hex_bits(y.tap_sum()), hex_bits(x.tap_sum())) << at;
+      ASSERT_EQ(hex_bits(y.tap_mag()), hex_bits(x.tap_mag())) << at;
+      ASSERT_EQ(y.tap_count(), x.tap_count()) << at;
+    }
+  }
+  const Scheduler& x = batch_g.scheduler();
+  const Scheduler& y = window_g.scheduler();
+  EXPECT_EQ(y.taint().tainted, x.taint().tainted) << what;
+  EXPECT_EQ(y.taint().channel, x.taint().channel) << what;
+  EXPECT_EQ(hex_bits(y.taint().value), hex_bits(x.taint().value)) << what;
+  EXPECT_EQ(y.corruption_fired(), x.corruption_fired()) << what;
+  EXPECT_EQ(y.corrupted_channel(), x.corrupted_channel()) << what;
+  EXPECT_EQ(x.corruption_fired(), mode > 3) << what;
+  EXPECT_EQ(x.taint().tainted, mode == 2 || mode == 3) << what;
+}
+
+TEST(BatchTransfer, WindowsMatchBatchTransfers) {
+  for (const std::size_t cap : {1u, 3u, 7u, 64u, 767u}) {
+    for (int mode = 0; mode <= 3 + 40; ++mode) {
+      windows_match_batch_transfers<float>(cap, mode);
+      windows_match_batch_transfers<double>(cap, mode);
+    }
+  }
+}
+
+// Functional runs move what cycle runs move: every pinned graph at
+// capacities 3, 64 and 767, taps armed, has the same output bits,
+// per-channel tap bits and bank bytes in both modes. A functional reader
+// waits for room and grants only what fits, so its grants differ from
+// the cycle run's but must add up to the same bytes.
+std::string moved_record(const std::string& kind, std::size_t cap, Mode mode) {
+  const PinData d = pin_data(false);
+  Graph g(mode);
+  std::vector<float> out;
+  const auto [xy, mem] = build_pinned(kind, g, cap, d, out);
+  for (const auto& ch : g.channels()) ch->arm_tap();
+  g.run();
+  std::ostringstream os;
+  os << "out";
+  for (const float v : out) os << " " << std::bit_cast<std::uint32_t>(v);
+  for (const auto& ch : g.channels()) {
+    os << "\n  ch " << ch->name() << " pushed " << ch->total_pushed() << " tap "
+       << hex_bits(ch->tap_sum()) << "/" << hex_bits(ch->tap_mag()) << " "
+       << ch->tap_count();
+  }
+  os << "\n  bytes " << xy->total_bytes() << " " << mem->total_bytes();
+  return os.str();
+}
+
+TEST(BatchTransfer, FunctionalRunsMatchCycleRecords) {
+  for (const char* kind :
+       {"axpy", "dot", "sdsdot", "scal", "gemv_rows", "gemv_cols",
+        "gemv_t_rows", "gemv_t_cols", "ger", "fanout2", "copy", "swap", "rot",
+        "syr2", "gemm", "gemm_b0", "syr2k", "trsv", "trsm", "trsm_batched",
+        "read_strided", "empty_vectors", "generate_sink", "write_matrix_cm",
+        "gemm_batched"}) {
+    for (const std::size_t cap : {3u, 64u, 767u}) {
+      EXPECT_EQ(moved_record(kind, cap, Mode::Functional),
+                moved_record(kind, cap, Mode::Cycle))
+          << kind << " at capacity " << cap;
+    }
+  }
 }
 
 // ---- TileWalker -----------------------------------------------------------
