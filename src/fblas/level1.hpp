@@ -153,12 +153,12 @@ Task rotmg(Channel<T>& ch_in, Channel<T>& ch_out) {
 namespace detail {
 
 /// Folds the `s` elements at `p` (one pointer per input), elements
-/// e..e+s-1 of `n`, into `res` by W-aligned chunks, the chunk of elements
-/// first..first+len-1 with `fold(p..., len, first)`. A chunk that lies
-/// whole in `p` is folded in place; one that does not is finished in
-/// `carry` (W values per input), which holds `have` elements of the chunk
-/// before e. A plain function, so its locals stay out of the coroutine
-/// frame.
+/// e..e+s-1 of `n`, into `res` by W-aligned chunks: every run of whole
+/// chunks that lies in `p`, elements first..first+len-1, with one call
+/// `fold(p..., len, first)`. A chunk that does not lie whole in `p` is
+/// finished in `carry` (W values per input), which holds `have` elements
+/// of the chunk before e, and folded alone. A plain function, so its
+/// locals stay out of the coroutine frame.
 template <typename T, typename R, std::size_t I, typename Fold>
 void fold_chunks(Fold& fold, R& res, std::array<const T*, I> p,
                  std::int64_t s, std::int64_t e, std::int64_t n,
@@ -169,13 +169,18 @@ void fold_chunks(Fold& fold, R& res, std::array<const T*, I> p,
   };
   for (std::int64_t k = 0; k < s;) {
     const std::int64_t first = e + k - have;
-    const std::int64_t len = std::min(W, n - first);
-    if (have == 0 && s - k >= len) {
-      fold_at(p, len, first);
-      for (const T*& q : p) q += len;
-      k += len;
-      continue;
+    if (have == 0) {
+      // The whole chunks from here: to n when it lies in `p`.
+      const std::int64_t run =
+          s - k >= n - first ? n - first : (s - k) / W * W;
+      if (run > 0) {
+        fold_at(p, run, first);
+        for (const T*& q : p) q += run;
+        k += run;
+        continue;
+      }
     }
+    const std::int64_t len = std::min(W, n - first);
     const std::int64_t t = std::min(len - have, s - k);
     for (std::size_t c = 0; c < I; ++c) {
       std::copy_n(p[c], t, carry[c] + have);
@@ -220,14 +225,15 @@ void fold_windows(Fold& fold, R& res, const std::array<Channel<T>*, I>& in,
 /// The one reduction body (DOT, SDSDOT, NRM2, ASUM, IAMAX), the map-reduce
 /// of Fig. 5: pops `n` elements from each channel of `in`, a W-wide batch
 /// per cycle, and pushes what `fold` returned last, the result so far.
-/// `fold(p..., len, first)` folds the W-aligned chunk of elements
-/// first..first+len-1, one pointer per input, into the result (the
-/// unrolled tree, then the accumulator); fold(p..., 0, 0) is the result
-/// of no elements. Each step pops as many elements as every input holds
-/// (lockstep), from each input in port order, as stream::elementwise does,
-/// and folds each chunk at the step that completes it: in the inputs'
-/// front windows, or, for a chunk split by a ring wrap or by a forced
-/// one-element step, in a carry of W values per input. In functional mode
+/// `fold(p..., len, first)` folds elements first..first+len-1, one
+/// pointer per input, into the result: a run of whole W-aligned chunks
+/// (the last one ends at n), each chunk the unrolled tree, then the
+/// accumulator; fold(p..., 0, 0) is the result of no elements. Each step
+/// pops as many elements as every input holds (lockstep), from each input
+/// in port order, as stream::elementwise does, and folds each chunk at the
+/// step that completes it: the whole chunks of a step in the inputs' front
+/// windows, in one call, and a chunk split by a ring wrap or by a forced
+/// one-element step in a carry of W values per input. In functional mode
 /// a step pops as many whole W-aligned chunks as the inputs hold
 /// (step_width rounded down to a multiple of W). Either way `fold` sees
 /// the same chunks, by element index, in both modes.
@@ -272,18 +278,48 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
   co_await ch_res.push(res);
 }
 
-/// The fold of DOT and SDSDOT: sums a chunk's products in `res`'s type A
-/// (the unrolled tree), adds the sum to `res` (the accumulator) and
-/// returns it as T. An empty chunk adds nothing, so sb = -0.0f stays so.
-template <typename T, typename A>
-auto dot_fold(A res) {
-  return [res](const T* x, const T* y, std::int64_t len,
-               std::int64_t) mutable {
-    A acc = A(0);
-    for (std::int64_t i = 0; i < len; ++i) {
-      acc += static_cast<A>(x[i]) * static_cast<A>(y[i]);
+namespace detail {
+
+/// Adds the sums of the W-chunks of elements 0..len-1 to `res` in chunk
+/// order; each chunk's sum starts from zero and adds term(i) in ascending
+/// i (the unrolled tree of Fig. 5). Four chunks are summed side by side,
+/// each its own chain, so no bit moves. A plain function.
+template <typename A, typename Term>
+void add_chunk_sums(A& res, std::int64_t len, std::int64_t W, Term term) {
+  std::int64_t c = 0;
+  for (; len - c >= 4 * W; c += 4 * W) {
+    A s0 = A(0), s1 = A(0), s2 = A(0), s3 = A(0);
+    for (std::int64_t i = c; i < c + W; ++i) {
+      s0 += term(i);
+      s1 += term(i + W);
+      s2 += term(i + 2 * W);
+      s3 += term(i + 3 * W);
     }
-    if (len > 0) res += acc;
+    res += s0;
+    res += s1;
+    res += s2;
+    res += s3;
+  }
+  for (; c < len; c += W) {
+    A acc = A(0);
+    for (std::int64_t i = c; i < std::min(c + W, len); ++i) acc += term(i);
+    res += acc;
+  }
+}
+
+}  // namespace detail
+
+/// The fold of DOT and SDSDOT over W-wide chunks: sums each chunk's
+/// products in `res`'s type A (the unrolled tree), adds the sum to `res`
+/// (the accumulator) and returns it as T. No elements add nothing, so
+/// sb = -0.0f stays so.
+template <typename T, typename A>
+auto dot_fold(A res, std::int64_t W) {
+  return [res, W](const T* x, const T* y, std::int64_t len,
+                  std::int64_t) mutable {
+    detail::add_chunk_sums(res, len, W, [x, y](std::int64_t i) {
+      return static_cast<A>(x[i]) * static_cast<A>(y[i]);
+    });
     return static_cast<T>(res);
   };
 }
@@ -292,7 +328,8 @@ auto dot_fold(A res) {
 template <typename T>
 Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
          Channel<T>& ch_res) {
-  return reduce<T, T, 2>(cfg, n, dot_fold<T>(T(0)), {&ch_x, &ch_y}, ch_res);
+  return reduce<T, T, 2>(cfg, n, dot_fold<T>(T(0), cfg.width), {&ch_x, &ch_y},
+                         ch_res);
 }
 
 /// SDSDOT: single-precision inputs, double-precision accumulation plus an
@@ -300,7 +337,7 @@ Task dot(Level1Config cfg, std::int64_t n, Channel<T>& ch_x, Channel<T>& ch_y,
 inline Task sdsdot(Level1Config cfg, std::int64_t n, float sb,
                    Channel<float>& ch_x, Channel<float>& ch_y,
                    Channel<float>& ch_res) {
-  return reduce<float, float, 2>(cfg, n, dot_fold<float>(double{sb}),
+  return reduce<float, float, 2>(cfg, n, dot_fold<float>(double{sb}, cfg.width),
                                  {&ch_x, &ch_y}, ch_res);
 }
 
@@ -338,11 +375,11 @@ Task nrm2(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
 template <typename T>
 Task asum(Level1Config cfg, std::int64_t n, Channel<T>& ch_x,
           Channel<T>& ch_res) {
-  auto fold = [res = T(0)](const T* v, std::int64_t len,
-                           std::int64_t) mutable {
-    T acc = T(0);
-    for (std::int64_t i = 0; i < len; ++i) acc += std::abs(v[i]);
-    return res += acc;
+  auto fold = [res = T(0), W = std::int64_t{cfg.width}](
+                  const T* v, std::int64_t len, std::int64_t) mutable {
+    detail::add_chunk_sums(res, len, W,
+                           [v](std::int64_t i) { return std::abs(v[i]); });
+    return res;
   };
   return reduce<T, T, 1>(cfg, n, fold, {&ch_x}, ch_res);
 }

@@ -99,6 +99,41 @@ void gemv_runs(const T* a, std::int64_t len, std::int64_t e, std::int64_t ni,
   }
 }
 
+/// gemv_runs for accumulators indexed by the outer coordinate, four whole
+/// rows (runs of `ni` inner elements) per pass. Each of the four rows adds
+/// its terms into its own accumulator in ascending inner index, the chain
+/// gemv_runs adds, so no bit moves. The partial rows at either end of the
+/// batch, and the last rows short of four, go through gemv_runs.
+template <bool Scaled, typename T>
+void gemv_rows(const T* a, std::int64_t len, std::int64_t e, std::int64_t ni,
+               T alpha, T* dst, const T* src) {
+  auto term = [alpha](T v) {
+    if constexpr (Scaled) {
+      return alpha * v;
+    } else {
+      return v;
+    }
+  };
+  std::int64_t k = std::min(len, (ni - e % ni) % ni);
+  gemv_runs<Scaled>(a, k, e, ni, true, alpha, dst, src);
+  for (std::int64_t o = (e + k) / ni; len - k >= 4 * ni; k += 4 * ni, o += 4) {
+    const T* const a0 = a + k;
+    T d0 = dst[o], d1 = dst[o + 1], d2 = dst[o + 2], d3 = dst[o + 3];
+    for (std::int64_t t = 0; t < ni; ++t) {
+      const T s = src[t];
+      d0 += term(a0[t]) * s;
+      d1 += term(a0[ni + t]) * s;
+      d2 += term(a0[2 * ni + t]) * s;
+      d3 += term(a0[3 * ni + t]) * s;
+    }
+    dst[o] = d0;
+    dst[o + 1] = d1;
+    dst[o + 2] = d2;
+    dst[o + 3] = d3;
+  }
+  gemv_runs<Scaled>(a + k, len - k, e + k, ni, true, alpha, dst, src);
+}
+
 /// Calls f(k, row, col) for the tile coordinates of `len` elements from
 /// flat position `e` of a tile traversed (outer, inner) with `ni` inner
 /// elements; outer is the row for row-major elements.
@@ -150,6 +185,8 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
   const bool x_outer = none != by_rows;
+  // The A term's accumulator is indexed by the element's outer coordinate.
+  const bool dst_outer = none == row_elems;
   // Tile size, matrix extent and tile count along the outer and inner
   // tile dimensions.
   const std::int64_t o_tile = by_rows ? cfg.tile_rows : cfg.tile_cols;
@@ -201,12 +238,21 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         const std::span<const T> a = co_await ch_a.front_some(
             static_cast<std::size_t>(std::min(W - in_cycle, total - e)));
         const auto got = static_cast<std::int64_t>(a.size());
-        if (x_outer) {
-          detail::gemv_runs<true>(a.data(), got, e, tile_ni,
-                                  none == row_elems, alpha, inner, xbuf.data());
+        // Four rows per pass where the window holds them (functional
+        // steps); a cycle-mode step holds W values.
+        const bool rows = dst_outer && got >= 4 * tile_ni;
+        if (x_outer && rows) {
+          detail::gemv_rows<true>(a.data(), got, e, tile_ni, alpha, inner,
+                                  xbuf.data());
+        } else if (x_outer) {
+          detail::gemv_runs<true>(a.data(), got, e, tile_ni, dst_outer, alpha,
+                                  inner, xbuf.data());
+        } else if (rows) {
+          detail::gemv_rows<false>(a.data(), got, e, tile_ni, alpha,
+                                   acc.data(), inner);
         } else {
-          detail::gemv_runs<false>(a.data(), got, e, tile_ni,
-                                   none == row_elems, alpha, acc.data(), inner);
+          detail::gemv_runs<false>(a.data(), got, e, tile_ni, dst_outer, alpha,
+                                   acc.data(), inner);
         }
         ch_a.drop(a.size());
         e += got;

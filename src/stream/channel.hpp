@@ -5,14 +5,20 @@
 // A module reads and writes the ring in place through windows: `front`
 // shows buffered values from the head and `drop` pops them; `back` shows
 // free slots from the tail and `commit` pushes what was written there.
-// `commit` is the one path a pushed value takes, so it applies the
-// armed instrumentation (corruption, taint, the checksum tap). The
-// copying transfers are built on the windows: `push_some`/`pop_some`
-// move as many values as fit and suspend the module only when none can
-// move; `push`/`pop` are the one-value case of the same transfer.
-// `front_some`/`back_some` wait for data or room and return the window:
-// a functional bulk reader waits for room before its bank grant and
-// gathers straight into the back window (stream::read_bulk).
+// `commit` is the one path a value written into the ring takes, so it
+// applies the armed instrumentation (corruption, taint, the checksum
+// tap). An empty channel can also be lent a run of memory (`lend`): its
+// values are pushed without being copied, the front windows show them
+// where they lie, and they are read when the consumer reads them. So a
+// value is copied at most once per stream, and not at all when it is
+// lent. The copying transfers are built on the windows:
+// `push_some`/`pop_some` move as many values as fit and suspend the
+// module only when none can move; `push`/`pop` are the one-value case of
+// the same transfer. `front_some`/`back_some` wait for data or room and
+// return the window, and `drained` waits until the channel is empty: a
+// functional bulk reader waits for room before its bank grant and gathers
+// straight into the back window, or, over one contiguous run, waits for
+// the channel to drain and lends the run (stream::read_bulk).
 #pragma once
 
 #include <algorithm>
@@ -31,6 +37,8 @@
 #include "stream/task.hpp"
 
 namespace fblas::stream {
+
+struct Drained;
 
 /// Type-erased channel state: identity, occupancy and waiter bookkeeping
 /// shared by the scheduler's diagnostics, plus the checksum tap the
@@ -51,6 +59,9 @@ class ChannelBase {
   std::size_t space() const { return capacity_ - count_; }
   bool empty() const { return count_ == 0; }
   bool full() const { return count_ >= capacity_; }
+  /// Awaitable: `co_await ch.drained();` suspends until the channel is
+  /// empty.
+  Drained drained();
 
   std::uint64_t total_pushed() const { return total_pushed_; }
   std::uint64_t total_popped() const { return total_popped_; }
@@ -98,11 +109,13 @@ class ChannelBase {
       sched_->wake(std::exchange(waiting_consumer_, -1));
     }
   }
-  /// `k` >= 1 values left: totals and the waiting producer.
+  /// `k` >= 1 values left: totals and the waiting producer (one waiting
+  /// for the channel to drain only once it has).
   void popped(std::size_t k) {
     count_ -= k;
     total_popped_ += k;
-    if (waiting_producer_ >= 0) {
+    if (waiting_producer_ >= 0 && (count_ == 0 || !drain_wait_)) {
+      drain_wait_ = false;
       sched_->wake(std::exchange(waiting_producer_, -1));
     }
   }
@@ -114,12 +127,17 @@ class ChannelBase {
     waiting_producer_ = h.promise().module_id;
     h.promise().sched->block_on_push(waiting_producer_, *this);
   }
+  void wait_for_drain(TaskHandle h) {
+    drain_wait_ = true;
+    wait_for_space(h);
+  }
   Scheduler* sched_;
   std::string name_;
   std::size_t capacity_;
   std::size_t count_ = 0;
   int waiting_consumer_ = -1;
   int waiting_producer_ = -1;
+  bool drain_wait_ = false;
   std::uint64_t total_pushed_ = 0;
   std::uint64_t total_popped_ = 0;
   std::size_t peak_ = 0;
@@ -141,7 +159,19 @@ class ChannelBase {
   friend struct PopAwaiter;
   template <typename T>
   friend struct PushAwaiter;
+  friend struct Drained;
 };
+
+/// Awaitable that suspends the producer until `ch` is empty.
+struct Drained {
+  ChannelBase& ch;
+
+  bool await_ready() const noexcept { return ch.empty(); }
+  void await_suspend(TaskHandle h) const { ch.wait_for_drain(h); }
+  void await_resume() const noexcept {}
+};
+
+inline Drained ChannelBase::drained() { return Drained{*this}; }
 
 /// Unsigned integer of T's width, for bit-level tests and corruption.
 template <typename T>
@@ -184,6 +214,8 @@ struct PushSome;
 
 /// Typed bounded FIFO. Storage is a ring of bit_ceil(capacity) slots
 /// indexed through a mask; at most `capacity` of them are ever occupied.
+/// The buffered values are the rest of a lent run, if any, then the
+/// values in the ring.
 template <typename T>
 class Channel : public ChannelBase {
  public:
@@ -210,22 +242,45 @@ class Channel : public ChannelBase {
   BackSome<T> back_some(std::size_t k) { return {*this, k}; }
 
   /// Up to `k` buffered values, contiguous from the head: min(k, size())
-  /// of them, cut short where the ring ends. drop() pops them.
+  /// of them, cut short where a lent run or the ring ends. drop() pops
+  /// them.
   std::span<const T> front(std::size_t k) const {
+    if (lent_n_ > 0) return {lent_, std::min(k, lent_n_)};
     return {buf_.data() + head_, std::min({k, count_, buf_.size() - head_})};
   }
-  /// Pops the first `k` values of the front window.
+  /// Pops the first `k` values of the channel.
   void drop(std::size_t k) {
     if (k == 0) return;
-    head_ = (head_ + k) & mask_;
+    const std::size_t l = std::min(k, lent_n_);
+    lent_ += l;
+    lent_n_ -= l;
+    head_ = (head_ + k - l) & mask_;
     popped(k);
   }
   /// Up to `k` free slots, contiguous from the tail: min(k, space()) of
   /// them, cut short where the ring ends. commit() pushes what was
   /// written there.
   std::span<T> back(std::size_t k) {
-    const std::size_t at = (head_ + count_) & mask_;
+    const std::size_t at = tail();
     return {buf_.data() + at, std::min({k, space(), buf_.size() - at})};
+  }
+
+  /// Lends the empty channel the `k` values at `src`, at most its
+  /// capacity: pushes them without copying them, and the front windows
+  /// show them at `src` until they are dropped. `src` must hold them
+  /// unchanged until then. The values enter by commit's rules; when one
+  /// of them would have to be handled on its own (an armed corruption,
+  /// or NaN/Inf under taint or a tap) nothing is lent and the answer is
+  /// false, so the caller writes them into the ring instead.
+  bool lend(const T* src, std::size_t k) {
+    FBLAS_REQUIRE(count_ == 0 && k <= capacity_,
+                  "lend to a non-empty channel '" + name_ + "'");
+    if (k == 0) return true;
+    if (!enters_whole(src, k)) return false;
+    lent_ = src;
+    lent_n_ = k;
+    pushed(k);
+    return true;
   }
   /// Pushes the first `k` slots of the back window, each as its value
   /// enters. Floating-point values commit whole, tapped in push order,
@@ -236,17 +291,13 @@ class Channel : public ChannelBase {
   /// (see tap_batch).
   void commit(std::size_t k) {
     if (k == 0) return;
-    const std::size_t at = (head_ + count_) & mask_;
+    const std::size_t at = tail();
     FBLAS_REQUIRE(k <= space() && k <= buf_.size() - at,
                   "commit past the back window of channel '" + name_ + "'");
-    if constexpr (std::is_floating_point_v<T>) {
-      T* slot = buf_.data() + at;
-      if (sched_->corrupt_armed() ||
-          (tap_armed_ ? !tap_batch(slot, k)
-                      : sched_->taint_enabled() && !all_finite(slot, k))) {
-        commit_instrumented(slot, k);
-        return;
-      }
+    T* slot = buf_.data() + at;
+    if (!enters_whole(slot, k)) {
+      commit_instrumented(slot, k);
+      return;
     }
     pushed(k);
   }
@@ -278,6 +329,22 @@ class Channel : public ChannelBase {
   }
 
  private:
+  /// The ring slot after the last buffered value.
+  std::size_t tail() const { return (head_ + count_ - lent_n_) & mask_; }
+
+  /// Whether the `k` values at `src` can enter whole (always for
+  /// non-floating T): no corruption is armed, and under a tap or taint
+  /// none is NaN/Inf. A tapped batch that can is tapped here.
+  bool enters_whole(const T* src, std::size_t k) {
+    if constexpr (std::is_floating_point_v<T>) {
+      return !sched_->corrupt_armed() &&
+             (tap_armed_ ? tap_batch(src, k)
+                         : !sched_->taint_enabled() || all_finite(src, k));
+    } else {
+      return true;
+    }
+  }
+
   /// Taps a batch in push order when every value is finite, and returns
   /// whether it did; otherwise the tap is left untouched for
   /// commit_instrumented. The magnitude is the screen: a NaN or ±Inf
@@ -359,6 +426,8 @@ class Channel : public ChannelBase {
   std::vector<T> buf_;
   std::size_t mask_;
   std::size_t head_ = 0;
+  const T* lent_ = nullptr;  ///< the rest of a lent run
+  std::size_t lent_n_ = 0;
 };
 
 template <typename T>

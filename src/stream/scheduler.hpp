@@ -17,9 +17,10 @@
 // is shorter, but never less than in cycle mode, so a functional routine
 // step moves up to 4096 values. A functional bulk reader
 // (stream::read_bulk) waits for room before its bank grant and grants
-// only what fits, so it gathers straight into the channel; banks are
-// unmetered there and no cycle is observed, and its grants add up to
-// the same bytes. Each channel carries its values in
+// only what fits, so it gathers straight into the channel, or, over one
+// contiguous run, waits for the channel to drain and lends it the run;
+// banks are unmetered there and no cycle is observed, and its grants add
+// up to the same bytes. Each channel carries its values in
 // the same order in both modes and reductions fold the same W-aligned
 // chunks, so the outputs are the same bits. The order of pushes across
 // channels differs in functional mode (it is still deterministic), so

@@ -8,13 +8,16 @@
 // read_granted and write_granted, driven by run sources. Each makes one
 // bank grant per step. Element-wise modules share elementwise.
 //
-// Modules and bulk movers read and write the channels' rings in place
+// Modules and movers read and write the channels' rings in place
 // (Channel::front/back windows): elementwise maps from the inputs' front
-// windows into the outputs' back windows, write_bulk scatters from front
-// windows and read_bulk gathers into back windows. A functional
-// read_bulk waits for room before its grant, so it never stages; in
-// cycle mode a grant that does not fit is staged through its lanes so
-// memory is still read at grant time.
+// windows into the outputs' back windows, the writers scatter from front
+// windows and the readers gather into back windows, so a value is copied
+// at most once per stream. A functional reader waits for room before its
+// grant, so it never stages; in cycle mode a grant that does not fit is
+// staged so memory is still read at grant time. Over one contiguous run
+// (read_vector at unit stride) a functional read_bulk step waits for its
+// channel to drain and lends it the run (Channel::lend) instead: the
+// consumer reads memory in place, when it reads the value.
 //
 // Matrices are streamed according to a TileSchedule: tiles visited by rows
 // or by columns, and elements within each tile by rows or by columns —
@@ -278,23 +281,35 @@ auto runs(std::int64_t count, At at) {
 /// cycle still has room for, a step takes as many as `out` can hold (at
 /// least one) and grants them with one call to `bank` (all of them when
 /// `bank` is null); a short grant ends its cycle early, and so does a
-/// closing run.
+/// closing run. A grant that fits in `out` is gathered straight into its
+/// back windows; in cycle mode one that does not (one element into a full
+/// channel) is read at grant time and pushed when room frees. In
+/// functional mode a step first waits for room, so every grant fits.
 template <typename T, typename Runs>
 Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
                   DramBank* bank) {
   const std::array<const ChannelBase*, 1> port{&out};
   const std::int64_t w = step_width(width, port);
-  std::vector<T> buf = lanes<T>(w);
+  const bool cycle = out.scheduler().cycle_mode();
   std::int64_t in_cycle = 0;
   for (Run<const T> run; next(run);) {
     for (std::int64_t j = 0; j < run.len;) {
+      if (!cycle) co_await out.back_some(1);
       const std::int64_t want = std::min(
           {w - in_cycle, run.len - j,
            static_cast<std::int64_t>(std::max<std::size_t>(out.space(), 1))});
       const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      copy_strided(run.p + j * run.stride, run.stride, buf.data(), 1, g);
-      for (std::int64_t t = 0; t < g;) {
-        t += co_await out.push_some(buf.data() + t, g - t);
+      const T* const p = run.p + j * run.stride;
+      if (g <= static_cast<std::int64_t>(out.space())) {
+        for (std::int64_t t = 0; t < g;) {
+          const std::span<T> win = out.back(static_cast<std::size_t>(g - t));
+          const auto m = static_cast<std::int64_t>(win.size());
+          copy_strided(p + t * run.stride, run.stride, win.data(), 1, m);
+          out.commit(win.size());
+          t += m;
+        }
+      } else {
+        co_await out.push(*p);
       }
       j += g;
       in_cycle += g;
@@ -309,25 +324,51 @@ Task read_granted(Runs next, std::int64_t width, Channel<T>& out,
   }
 }
 
+/// Pops `len` values from `in` through its front windows, stores those at
+/// [lo, lo + m) to p[0], p[stride], and so on, and returns the last one
+/// popped. A plain function, so its locals stay out of the coroutine
+/// frame.
+template <typename T>
+T scatter_front(Channel<T>& in, std::int64_t len, std::int64_t lo,
+                std::int64_t m, T* p, std::int64_t stride) {
+  T last{};
+  for (std::int64_t t = 0; t < len;) {
+    const std::span<const T> win = in.front(static_cast<std::size_t>(len - t));
+    const auto size = static_cast<std::int64_t>(win.size());
+    const std::int64_t from = std::clamp(lo - t, std::int64_t{0}, size);
+    const std::int64_t to = std::clamp(lo + m - t, from, size);
+    if (to > from) {
+      copy_strided(win.data() + from, 1, p + (t + from - lo) * stride, stride,
+                   to - from);
+    }
+    last = win[static_cast<std::size_t>(size - 1)];
+    in.drop(win.size());
+    t += size;
+  }
+  return last;
+}
+
 /// The one run writer: stores the stream from `in` into the runs `next`
 /// yields, up to `width` elements per cycle (a step_width per step). A
 /// step pops what `in` holds (at least one element) and grants its kept
-/// elements, one range, with one call to `bank`; a kept element the bank
-/// refuses ends the step and waits for its grant before the next pop.
+/// elements, one range, with one call to `bank`, storing the granted ones
+/// straight from `in`'s front windows; a kept element the bank refuses
+/// ends the step and waits for its grant before the next pop.
 template <typename T, typename Runs>
 Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
                    DramBank* bank) {
   const std::array<const ChannelBase*, 1> port{&in};
   const std::int64_t w = step_width(width, port);
-  std::vector<T> buf = lanes<T>(w);
   std::int64_t in_cycle = 0;
   for (Run<T> run; next(run);) {
     for (std::int64_t j = 0; j < run.len;) {
-      const auto avail = std::min({w - in_cycle, run.len - j,
+      std::int64_t len = std::min({w - in_cycle, run.len - j,
                                    static_cast<std::int64_t>(in.size())});
-      // Nothing buffered: one element step, whose pop may suspend.
-      if (avail == 0) co_await in.pop_some(buf.data(), 1);
-      std::int64_t len = std::max<std::int64_t>(avail, 1);
+      // Nothing buffered: one element step, whose wait may suspend.
+      if (len == 0) {
+        co_await in.front_some(1);
+        len = 1;
+      }
       // The step's kept elements, [lo, hi); the first refused one, at
       // lo + granted, ends the step.
       const std::int64_t lo =
@@ -337,16 +378,13 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
           bank ? bank->grant_elems(hi - lo, sizeof(T)) : hi - lo;
       const bool waiting = granted < hi - lo;
       if (waiting) len = lo + granted + 1;
-      if (avail > 0) in.take_some(buf.data(), static_cast<std::size_t>(len));
-      if (granted > 0) {
-        copy_strided(buf.data() + lo, 1, run.p + (j + lo) * run.stride,
-                     run.stride, granted);
-      }
+      const T refused = scatter_front(in, len, lo, granted,
+                                      run.p + (j + lo) * run.stride, run.stride);
       if (waiting) {
         do {
           co_await next_cycle();
         } while (bank->grant_elems(1, sizeof(T)) == 0);
-        run.p[(j + len - 1) * run.stride] = buf[len - 1];
+        run.p[(j + len - 1) * run.stride] = refused;
       }
       j += len;
       if ((in_cycle += len) == w) {
@@ -367,23 +405,36 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 /// suspending while `out` is full. Then the cycle ends. In functional
 /// mode, where banks are unmetered and no cycle is observed, a step first
 /// waits for room in `out` and takes only what fits, so every grant is
-/// gathered in place. An empty pass takes no cycle.
+/// gathered in place. When every pass's elements lie at `contiguous`
+/// (not null), a functional step instead waits for `out` to drain and
+/// lends it the granted run (Channel::lend), so the consumer reads the
+/// run in memory; a step that cannot lend (an armed corruption, or NaN/Inf
+/// under taint or a tap) gathers. Cycle mode never lends: its memory is
+/// read at grant time. An empty pass takes no cycle.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
-               Gather gather, Channel<T>& out, DramBank* bank) {
+               Gather gather, Channel<T>& out, DramBank* bank,
+               const T* contiguous = nullptr) {
   const std::array<const ChannelBase*, 1> port{&out};
   const std::int64_t w = step_width(width, port);
   const bool cycle = out.scheduler().cycle_mode();
+  const T* const run = cycle ? nullptr : contiguous;
   std::vector<T> buf;
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
       std::int64_t want = std::min(w, n - k);
-      if (!cycle) {
+      if (run != nullptr) {
+        co_await out.drained();
+      } else if (!cycle) {
         co_await out.back_some(static_cast<std::size_t>(want));
+      }
+      if (!cycle) {
         want = std::min(want, static_cast<std::int64_t>(out.space()));
       }
       const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
-      if (got <= static_cast<std::int64_t>(out.space())) {
+      if (run != nullptr && out.lend(run + k, static_cast<std::size_t>(got))) {
+        // Lent in place.
+      } else if (got <= static_cast<std::int64_t>(out.space())) {
         for (std::int64_t t = 0; t < got;) {
           const std::span<T> win = out.back(static_cast<std::size_t>(got - t));
           gather(r, k + t, win.data(), static_cast<std::int64_t>(win.size()));
@@ -433,7 +484,8 @@ Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 
 /// Streams `v` into `out`, `repeat` times over, up to `width` elements per
 /// cycle, metered by `bank` when present. Replaying a vector (repeat > 1)
-/// is exactly the paper's "x must be replayed" behaviour.
+/// is exactly the paper's "x must be replayed" behaviour. At unit stride
+/// `v` is one contiguous run, which a functional step lends to `out`.
 template <typename T>
 Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
                  Channel<T>& out, DramBank* bank = nullptr) {
@@ -442,7 +494,7 @@ Task read_vector(VectorView<const T> v, std::int64_t repeat, int width,
       [v](std::int64_t, std::int64_t k, T* dst, std::int64_t m) {
         copy_strided(&v[k], v.inc(), dst, 1, m);
       },
-      out, bank);
+      out, bank, v.inc() == 1 ? v.data() : nullptr);
 }
 
 /// Drains `in` into `v`, `repeat` times over (each pass overwrites, so the

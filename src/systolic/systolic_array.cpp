@@ -35,6 +35,26 @@ bool flagged(double residual, double tol) {
   return !std::isfinite(residual) || std::abs(residual) > tol;
 }
 
+// Lanes i0..i0+L-1's checksum predictions against the other feeder's
+// sums: pred[l] = sum over j of x(i0 + l, j) * sum[j] and bound[l] of
+// |x(i0 + l, j)| * mag[j], each lane one chain over ascending j from zero,
+// L lanes side by side.
+template <int L, typename X>
+void lane_chains(const X& x, std::int64_t i0, std::int64_t k,
+                 const double* sum, const double* mag, double* pred,
+                 double* bound) {
+  double p[L] = {}, b[L] = {};
+  for (std::int64_t j = 0; j < k; ++j) {
+    for (int l = 0; l < L; ++l) {
+      const double v = static_cast<double>(x(i0 + l, j));
+      p[l] += v * sum[j];
+      b[l] += std::abs(v) * mag[j];
+    }
+  }
+  std::copy_n(p, L, pred);
+  std::copy_n(b, L, bound);
+}
+
 // What a feeder emits beside operand index j of a tile: the sum and the
 // magnitude sum of its `lanes` values value(j, 0..lanes-1), in lane order.
 template <typename F>
@@ -123,8 +143,9 @@ void SystolicArray<T>::check_tile(MatrixView<const T> A, MatrixView<const T> B,
   ++report_.tiles_checked;
   const std::int64_t ti = row0 / pr_, tj = col0 / pc_;
   // One checksum direction: lane i's accumulators (over `others` PEs)
-  // against the prediction from the other feeder's sums. Only the last
-  // flagged lane is needed to resolve the pattern.
+  // against the prediction from the other feeder's sums, four lanes' chains
+  // per pass (lane_chains), flagged in lane order. Only the last flagged
+  // lane is needed to resolve the pattern.
   struct Flags {
     int count = 0, at = -1;
     double res = 0.0, tol = 0.0;
@@ -132,20 +153,27 @@ void SystolicArray<T>::check_tile(MatrixView<const T> A, MatrixView<const T> B,
   const auto scan = [&](std::int64_t lanes, std::int64_t others, auto x,
                         auto lane_acc, const double* sum, const double* mag) {
     Flags f;
-    for (std::int64_t i = 0; i < lanes; ++i) {
-      double pred = 0.0, bound = 0.0, meas = 0.0;
-      for (std::int64_t j = 0; j < k; ++j) {
-        const double v = static_cast<double>(x(i, j));
-        pred += v * sum[j];
-        bound += std::abs(v) * mag[j];
+    for (std::int64_t i0 = 0; i0 < lanes; i0 += 4) {
+      const std::int64_t nl = std::min<std::int64_t>(4, lanes - i0);
+      double pred[4], bound[4];
+      if (nl == 4) {
+        lane_chains<4>(x, i0, k, sum, mag, pred, bound);
+      } else {
+        for (std::int64_t l = 0; l < nl; ++l) {
+          lane_chains<1>(x, i0 + l, k, sum, mag, pred + l, bound + l);
+        }
       }
-      for (std::int64_t o = 0; o < others; ++o) {
-        meas += static_cast<double>(lane_acc(i, o));
-      }
-      const double tol =
-          verify::rel_bound<T>(k * others, abft_.tolerance_scale) * bound;
-      if (flagged(meas - pred, tol)) {
-        f = {f.count + 1, static_cast<int>(i), meas - pred, tol};
+      for (std::int64_t l = 0; l < nl; ++l) {
+        const std::int64_t i = i0 + l;
+        double meas = 0.0;
+        for (std::int64_t o = 0; o < others; ++o) {
+          meas += static_cast<double>(lane_acc(i, o));
+        }
+        const double tol =
+            verify::rel_bound<T>(k * others, abft_.tolerance_scale) * bound[l];
+        if (flagged(meas - pred[l], tol)) {
+          f = {f.count + 1, static_cast<int>(i), meas - pred[l], tol};
+        }
       }
     }
     return f;

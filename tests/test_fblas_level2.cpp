@@ -2,6 +2,7 @@
 // all four GEMV variants, GER/SYR/SYR2 tilings, TRSV orientations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -96,6 +97,52 @@ TYPED_TEST(StreamGemv, AllVariantsMatchOracle) {
               << "trans=" << int(tr) << " tiling=" << int(tiling)
               << " elems=" << int(elems) << " tile=" << tile;
         }
+      }
+    }
+  }
+}
+
+// The four-row kernel (detail::gemv_rows) against a one-row loop, bit for
+// bit: seeded tiles of 1..13 rows (ragged edge tiles, row counts that are
+// not multiples of 4) of 1..23 inner elements, the tile's elements cut
+// into random windows (most of them cut mid-row), both scalings. Each
+// term, alpha * a * src (a * src unscaled), adds to its row's accumulator
+// in arrival order.
+TYPED_TEST(StreamGemv, FourRowKernelMatchesOneRowLoop) {
+  using T = TypeParam;
+  Workload w(0x4a0);
+  for (int rep = 0; rep < 400; ++rep) {
+    const auto rows = static_cast<std::int64_t>(1 + w.next_u64() % 13);
+    const auto ni = static_cast<std::int64_t>(1 + w.next_u64() % 23);
+    const std::int64_t total = rows * ni;
+    const std::vector<T> a = w.vector<T>(total);
+    const std::vector<T> src = w.vector<T>(ni);
+    const std::vector<T> init = w.vector<T>(rows);
+    const auto alpha = static_cast<T>(w.uniform(-2.0, 2.0));
+    for (const bool scaled : {false, true}) {
+      std::vector<T> want = init;
+      for (std::int64_t e = 0; e < total; ++e) {
+        const T term = scaled ? alpha * a[e] : a[e];
+        want[e / ni] += term * src[e % ni];
+      }
+      std::vector<T> got = init;
+      for (std::int64_t e = 0; e < total;) {
+        const auto len =
+            static_cast<std::int64_t>(1 + w.next_u64() % (total - e));
+        if (scaled) {
+          detail::gemv_rows<true>(a.data() + e, len, e, ni, alpha,
+                                  got.data(), src.data());
+        } else {
+          detail::gemv_rows<false>(a.data() + e, len, e, ni, alpha,
+                                   got.data(), src.data());
+        }
+        e += len;
+      }
+      for (std::int64_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(std::bit_cast<stream::BitsOf<T>>(got[r]),
+                  std::bit_cast<stream::BitsOf<T>>(want[r]))
+            << "rep " << rep << " rows " << rows << " ni " << ni << " row "
+            << r << (scaled ? " scaled" : "");
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -1439,6 +1440,170 @@ TEST(BatchTransfer, FunctionalRunsMatchCycleRecords) {
       EXPECT_EQ(moved_record(kind, cap, Mode::Functional),
                 moved_record(kind, cap, Mode::Cycle))
           << kind << " at capacity " << cap;
+    }
+  }
+}
+
+// Lent reads: read_vector -> a consumer that pops through front windows
+// in seeded pieces, recording every value and whether each window lay in
+// the source vector or in the channel's ring. mode: 0 plain, 1 tap,
+// 2 taint recording (tap armed too), 3 taint trapping (tap armed too),
+// 4 + i corrupt_push of the i-th of {1, 2, cap, cap + 1, n}.
+struct LentRun {
+  std::vector<std::uint64_t> bits;  // popped values
+  std::vector<bool> in_source;      // per popped value: window in `src`
+  bool threw = false;
+  std::uint64_t pushed = 0, popped = 0;
+  std::string tap;
+  Taint taint;
+  bool fired = false;
+  std::string corrupted;
+};
+
+template <typename T>
+Task window_consumer(std::int64_t n, Channel<T>& in, const T* lo,
+                     const T* hi, LentRun& out) {
+  Workload pieces(0x51 + in.capacity());
+  for (std::int64_t k = 0; k < n;) {
+    const auto want = 1 + pieces.next_u64() % (2 * in.capacity() + 1);
+    const std::span<const T> w = co_await in.front_some(
+        std::min<std::size_t>(want, static_cast<std::size_t>(n - k)));
+    const std::less<const T*> before;  // a total order on any pointers
+    const bool src = !before(w.data(), lo) && before(w.data(), hi);
+    for (const T v : w) {
+      out.bits.push_back(std::bit_cast<BitsOf<T>>(v));
+      out.in_source.push_back(src);
+    }
+    in.drop(w.size());
+    k += static_cast<std::int64_t>(w.size());
+    co_await next_cycle();
+  }
+}
+
+template <typename T>
+LentRun lent_run(const std::vector<T>& src, std::int64_t inc, std::size_t cap,
+                 int mode, Mode m) {
+  const auto n = static_cast<std::int64_t>(src.size()) / inc;
+  const std::uint64_t targets[] = {1, 2, cap, cap + 1,
+                                   static_cast<std::uint64_t>(n)};
+  LentRun r;
+  Graph g(m);
+  auto& ch = g.channel<T>("x", cap);
+  if (mode >= 1 && mode <= 3) ch.arm_tap();
+  if (mode == 2 || mode == 3) g.scheduler().enable_taint(mode == 3);
+  if (mode >= 4) g.scheduler().corrupt_push(targets[mode - 4]);
+  g.spawn("read_x", read_vector<T>(VectorView<const T>(src.data(), n, inc), 1,
+                                   16, ch));
+  g.spawn("consume", window_consumer<T>(n, ch, src.data(),
+                                        src.data() + src.size(), r));
+  try {
+    g.run();
+  } catch (const TaintError&) {
+    r.threw = true;
+  }
+  r.pushed = ch.total_pushed();
+  r.popped = ch.total_popped();
+  r.tap = hex_bits(ch.tap_sum()) + "/" + hex_bits(ch.tap_mag()) + " " +
+          std::to_string(ch.tap_count());
+  r.taint = g.scheduler().taint();
+  r.fired = g.scheduler().corruption_fired();
+  r.corrupted = g.scheduler().corrupted_channel();
+  return r;
+}
+
+template <typename T>
+void lent_reads_match_cycle_reads(std::size_t cap, std::int64_t inc,
+                                  int mode) {
+  const std::string what = "cap " + std::to_string(cap) + " inc " +
+                           std::to_string(inc) + " mode " +
+                           std::to_string(mode);
+  const std::int64_t n = std::max<std::int64_t>(40, 2 * cap + 7);
+  Workload w(0x1e4d + cap * 5 + static_cast<std::uint64_t>(inc * 3 + mode));
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
+                        std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity()};
+  std::vector<T> src(static_cast<std::size_t>(n * inc));
+  std::vector<bool> special(static_cast<std::size_t>(n), false);
+  for (std::int64_t k = 0; k < n; ++k) {
+    T& v = src[static_cast<std::size_t>(k * inc)];
+    v = static_cast<T>(w.uniform(-2.0, 2.0));
+    if (mode != 0 && mode <= 3 && w.next_u64() % 60 == 0) {
+      v = specials[w.next_u64() % 3];
+      special[static_cast<std::size_t>(k)] = true;
+    }
+  }
+  const std::vector<T> before = src;
+  const LentRun f = lent_run(src, inc, cap, mode, Mode::Functional);
+  const LentRun c = lent_run(src, inc, cap, mode, Mode::Cycle);
+  // A trapping run stops at the first non-finite value; the modes
+  // interleave differently, so each pops a prefix of the stream.
+  EXPECT_EQ(f.threw, c.threw) << what;
+  if (f.threw) {
+    for (const LentRun* r : {&f, &c}) {
+      ASSERT_LE(r->bits.size(), c.pushed) << what;
+      for (std::size_t k = 0; k < r->bits.size(); ++k) {
+        ASSERT_EQ(r->bits[k], std::bit_cast<BitsOf<T>>(
+                                  before[k * static_cast<std::size_t>(inc)]))
+            << what << " value " << k;
+      }
+    }
+  } else {
+    ASSERT_EQ(f.bits, c.bits) << what;
+    EXPECT_EQ(f.popped, c.popped) << what;
+  }
+  EXPECT_EQ(f.pushed, c.pushed) << what;
+  EXPECT_EQ(f.tap, c.tap) << what;
+  EXPECT_EQ(f.taint.tainted, c.taint.tainted) << what;
+  EXPECT_EQ(f.taint.module, c.taint.module) << what;
+  EXPECT_EQ(f.taint.channel, c.taint.channel) << what;
+  EXPECT_EQ(hex_bits(f.taint.value), hex_bits(c.taint.value)) << what;
+  EXPECT_EQ(f.fired, c.fired) << what;
+  EXPECT_EQ(f.corrupted, c.corrupted) << what;
+  EXPECT_EQ(f.fired, mode >= 4) << what;
+  // Corruption damages the value in the channel, never the source.
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<BitsOf<T>>(src[i]),
+              std::bit_cast<BitsOf<T>>(before[i]))
+        << what << " source " << i;
+  }
+  // Where each value was read: never in memory in cycle mode or at a
+  // stride. In functional mode at unit stride from memory, but in the ring
+  // while a corruption is armed (every value before the target) and for a
+  // non-finite value under taint or a tap. A step moves at most `cap`
+  // values, so a value `cap` or more after the target and every
+  // non-finite value is lent.
+  const std::uint64_t target =
+      mode >= 4 ? std::array<std::uint64_t, 5>{1, 2, cap, cap + 1,
+                                               static_cast<std::uint64_t>(n)}
+                      [static_cast<std::size_t>(mode - 4)]
+                : 0;
+  const auto near_special = [&](std::size_t k) {
+    if (mode == 0 || mode >= 4) return false;
+    for (std::size_t s = k >= cap ? k - cap + 1 : 0;
+         s < std::min(special.size(), k + cap); ++s) {
+      if (special[s]) return true;
+    }
+    return false;
+  };
+  for (std::size_t k = 0; k < c.in_source.size(); ++k) {
+    ASSERT_FALSE(c.in_source[k]) << what << " cycle value " << k;
+  }
+  for (std::size_t k = 0; k < f.in_source.size(); ++k) {
+    if (inc != 1 || k < target || (mode >= 1 && mode <= 3 && special[k])) {
+      ASSERT_FALSE(f.in_source[k]) << what << " value " << k;
+    } else if ((target == 0 || k + 1 >= target + cap) && !near_special(k)) {
+      ASSERT_TRUE(f.in_source[k]) << what << " value " << k;
+    }
+  }
+}
+
+TEST(BatchTransfer, LentReadsMatchCycleReads) {
+  for (const std::size_t cap : {1u, 3u, 7u, 64u, 767u, 4096u}) {
+    for (const std::int64_t inc : {1, 3}) {
+      for (int mode = 0; mode <= 8; ++mode) {
+        lent_reads_match_cycle_reads<float>(cap, inc, mode);
+        lent_reads_match_cycle_reads<double>(cap, inc, mode);
+      }
     }
   }
 }

@@ -180,8 +180,8 @@ constexpr float kSb = 0.25f;  // SDSDOT's offset
 /// `cap` slots in `mode`; returns the result's bits.
 template <typename T>
 std::uint64_t run_reduction(Reduction r, Mode mode, int w, std::size_t cap,
-                            const std::vector<T>& x,
-                            const std::vector<T>& y) {
+                            const std::vector<T>& x, const std::vector<T>& y,
+                            float sb = kSb) {
   const auto n = static_cast<std::int64_t>(x.size());
   Graph g(mode);
   auto& cx = g.channel<T>("x", cap);
@@ -205,7 +205,7 @@ std::uint64_t run_reduction(Reduction r, Mode mode, int w, std::size_t cap,
         break;
       case Reduction::Sdsdot:
         if constexpr (std::is_same_v<T, float>) {
-          g.spawn("sdsdot", sdsdot(cfg, n, kSb, cx, cy, out));
+          g.spawn("sdsdot", sdsdot(cfg, n, sb, cx, cy, out));
         }
         break;
       case Reduction::Nrm2:
@@ -228,14 +228,14 @@ std::uint64_t run_reduction(Reduction r, Mode mode, int w, std::size_t cap,
 /// on its own (DOT, SDSDOT, ASUM), then added to the running result.
 template <typename T>
 std::uint64_t reduction_oracle(Reduction r, int w, const std::vector<T>& x,
-                               const std::vector<T>& y) {
+                               const std::vector<T>& y, float sb = kSb) {
   const auto n = static_cast<std::int64_t>(x.size());
   const VectorView<const T> xv(x.data(), n);
   if (r == Reduction::Nrm2) return result_bits(ref::nrm2<T>(xv));
   if (r == Reduction::Iamax) return result_bits(ref::iamax<T>(xv));
   using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
   T res = T(0);
-  Acc wide = r == Reduction::Sdsdot ? static_cast<Acc>(kSb) : Acc(0);
+  Acc wide = r == Reduction::Sdsdot ? static_cast<Acc>(sb) : Acc(0);
   for (std::int64_t c = 0; c < n; c += w) {
     T acc = T(0);
     Acc wide_acc = Acc(0);
@@ -272,7 +272,10 @@ std::pair<std::vector<T>, std::vector<T>> cancelling_pairs(Workload& wl,
 
 /// Every reduction over widths {1, 3, 8, 16, 33} and capacities
 /// {1, 7, 16, 64, 300}, at seeded lengths in 1..700: both modes agree bit
-/// for bit with each other and with the W-chunk oracle.
+/// for bit with each other and with the W-chunk oracle. Then, at widths
+/// {1, 3, 16} and capacities {1, 7, 64, 4096}, the lengths around four
+/// chunks and a few 4096-value steps, where a functional step hands a
+/// fold many whole chunks at once, and SDSDOT's sb = -0.0f over none.
 template <typename T>
 void sweep_reductions(std::uint64_t seed) {
   Workload wl(seed);
@@ -291,6 +294,28 @@ void sweep_reductions(std::uint64_t seed) {
                 << reduction_name(r) << " W=" << w << " cap=" << cap
                 << " n=" << n << " mode="
                 << (mode == Mode::Cycle ? "cycle" : "functional");
+          }
+        }
+      }
+    }
+  }
+  for (const int w : {1, 3, 16}) {
+    for (const std::int64_t n :
+         {0, 1, w - 1, 4 * w - 1, 4 * w + 1, 3 * 4096 + 5}) {
+      const auto [x, y] = cancelling_pairs<T>(wl, n);
+      for (const std::size_t cap : {1, 7, 64, 4096}) {
+        for (const Reduction r : kinds) {
+          const std::uint64_t want = reduction_oracle<T>(r, w, x, y);
+          for (const Mode mode : {Mode::Cycle, Mode::Functional}) {
+            EXPECT_EQ(run_reduction<T>(r, mode, w, cap, x, y), want)
+                << reduction_name(r) << " W=" << w << " cap=" << cap
+                << " n=" << n << " mode="
+                << (mode == Mode::Cycle ? "cycle" : "functional");
+            if (r == Reduction::Sdsdot && n == 0) {
+              EXPECT_EQ(run_reduction<T>(r, mode, w, cap, x, y, -0.0f),
+                        result_bits(-0.0f))
+                  << "sdsdot sb = -0.0f W=" << w << " cap=" << cap;
+            }
           }
         }
       }
