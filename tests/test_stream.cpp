@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/workload.hpp"
@@ -844,6 +846,122 @@ std::pair<DramBank*, DramBank*> build_pinned(const std::string& kind, Graph& g, 
   return {&xy, &mem};
 }
 
+// Long steady states: the same routines at n = 4,096 (GEMV and GER at
+// 64 x 64 in 32 x 32 tiles), W = 16, on banks wide enough never to
+// throttle (256 bytes per cycle each), so most of each run repeats one
+// step per cycle. `long_axpy_bank` reads x from a 50-byte bank: its
+// grants alternate 12 and 13 floats, a pattern of period 2. The poisoned
+// data puts a NaN late in x and in A (GEMV and GER read only 64 x
+// values), at kLongNan.
+constexpr int kLongW = 16;
+constexpr std::int64_t kLongN = 4096;
+constexpr std::int64_t kLongDim = 64, kLongTile = 32;
+constexpr std::size_t kLongNan = 3001;
+
+PinData long_data(bool nan_in_x) {
+  Workload wl(43);
+  PinData d{wl.vector<float>(kLongN), wl.vector<float>(kLongN),
+            wl.matrix<float>(kLongDim, kLongDim), {}};
+  if (nan_in_x) {
+    d.x[kLongNan] = std::numeric_limits<float>::quiet_NaN();
+    d.a[kLongNan] = std::numeric_limits<float>::quiet_NaN();
+  }
+  return d;
+}
+
+std::pair<DramBank*, DramBank*> build_long(const std::string& kind, Graph& g,
+                                           std::size_t cap, const PinData& d,
+                                           std::vector<float>& out) {
+  DramBank& xy = g.bank("xy", kind == "long_axpy_bank" ? 50.0 : 256.0);
+  DramBank& mem = g.bank("mem", 256.0);
+  auto vec = [](const std::vector<float>& v, std::int64_t n) {
+    return VectorView<const float>(v.data(), n);
+  };
+  auto& cx = g.channel<float>("x", cap);
+  auto& cout = g.channel<float>("out", cap);
+  const core::Level1Config l1{kLongW};
+  const std::int64_t n = kLongN, dim = kLongDim;
+  if (kind == "long_axpy" || kind == "long_axpy_bank" || kind == "long_dot") {
+    auto& cy = g.channel<float>("y", cap);
+    g.spawn("read_x", read_vector<float>(vec(d.x, n), 1, kLongW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, n), 1, kLongW, cy,
+                                         kind == "long_axpy_bank" ? &mem : &xy));
+    const std::int64_t len = kind == "long_dot" ? 1 : n;
+    out.assign(static_cast<std::size_t>(len), 0.0f);
+    if (kind == "long_dot") {
+      g.spawn("dot", core::dot<float>(l1, n, cx, cy, cout));
+    } else {
+      g.spawn("axpy", core::axpy<float>(l1, n, 1.5f, cx, cy, cout));
+    }
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), len), 1,
+                                         kLongW, cout, &mem));
+  } else if (kind == "long_fanout2") {
+    auto& cb = g.channel<float>("b", cap);
+    out.assign(static_cast<std::size_t>(2 * n), 0.0f);
+    g.spawn("read_x", read_vector<float>(vec(d.x, n), 1, kLongW, cx, &xy));
+    g.spawn("fanout", fanout2<float>(n, kLongW, cx, cout, cb));
+    g.spawn("write_a", write_vector<float>(VectorView<float>(out.data(), n), 1,
+                                           kLongW, cout, &mem));
+    g.spawn("write_b", write_vector<float>(
+                           VectorView<float>(out.data() + n, n), 1, kLongW,
+                           cb, &xy));
+  } else if (kind == "long_gemv_rows" || kind == "long_gemv_t_cols") {
+    const bool trans = kind == "long_gemv_t_cols";
+    const core::GemvConfig cfg{
+        trans ? Transpose::Trans : Transpose::None,
+        trans ? core::MatrixTiling::TilesByCols
+              : core::MatrixTiling::TilesByRows,
+        kLongW, kLongTile, kLongTile, Order::RowMajor};
+    auto& ca = g.channel<float>("A", cap);
+    auto& cy = g.channel<float>("y", cap);
+    out.assign(static_cast<std::size_t>(dim), 0.0f);
+    g.spawn("read_A", read_matrix<float>(
+                          MatrixView<const float>(d.a.data(), dim, dim),
+                          core::gemv_a_schedule(cfg), 1, kLongW, ca, &mem));
+    g.spawn("read_x", read_vector<float>(vec(d.x, dim),
+                                         core::gemv_x_repeat(cfg, dim, dim),
+                                         kLongW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, dim), 1, kLongW, cy, &xy));
+    g.spawn("gemv", core::gemv<float>(cfg, dim, dim, 1.25f, 0.5f, ca, cx, cy,
+                                      cout));
+    g.spawn("write", write_vector<float>(VectorView<float>(out.data(), dim), 1,
+                                         kLongW, cout, &mem));
+  } else {  // long_ger
+    const core::GerConfig cfg{core::MatrixTiling::TilesByRows, kLongW,
+                              kLongTile, kLongTile, Order::RowMajor};
+    const TileSchedule sched = core::ger_a_schedule(cfg);
+    auto& ca = g.channel<float>("A", cap);
+    auto& cy = g.channel<float>("y", cap);
+    out.assign(static_cast<std::size_t>(dim * dim), 0.0f);
+    g.spawn("read_A", read_matrix<float>(
+                          MatrixView<const float>(d.a.data(), dim, dim), sched,
+                          1, kLongW, ca, &mem));
+    g.spawn("read_x", read_vector<float>(vec(d.x, dim),
+                                         core::ger_x_repeat(cfg, dim, dim),
+                                         kLongW, cx, &xy));
+    g.spawn("read_y", read_vector<float>(vec(d.y, dim),
+                                         core::ger_y_repeat(cfg, dim, dim),
+                                         kLongW, cy, &xy));
+    g.spawn("ger", core::ger<float>(cfg, dim, dim, 0.5f, ca, cx, cy, cout));
+    g.spawn("write", write_matrix<float>(MatrixView<float>(out.data(), dim, dim),
+                                         sched, kLongW, cout, &mem));
+  }
+  return {&xy, &mem};
+}
+
+/// The pin data of graph `kind`, with a NaN in x when `poisoned`.
+PinData data_for(const std::string& kind, bool poisoned) {
+  return kind.starts_with("long_") ? long_data(poisoned) : pin_data(poisoned);
+}
+
+/// Builds any pinned graph: the long kinds or the short ones.
+std::pair<DramBank*, DramBank*> build_any(const std::string& kind, Graph& g,
+                                          std::size_t cap, const PinData& d,
+                                          std::vector<float>& out) {
+  return kind.starts_with("long_") ? build_long(kind, g, cap, d, out)
+                                   : build_pinned(kind, g, cap, d, out);
+}
+
 std::string hex_bits(double v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -857,9 +975,9 @@ std::string hex_bits(double v) {
 std::string clean_record(const std::string& kind, std::size_t cap,
                          bool screened, std::vector<float>& want) {
   std::ostringstream os;
-  const PinData clean = pin_data(false);
+  const PinData clean = data_for(kind, false);
   Graph g(Mode::Cycle);
-  const auto [xy, mem] = build_pinned(kind, g, cap, clean, want);
+  const auto [xy, mem] = build_any(kind, g, cap, clean, want);
   for (const auto& ch : g.channels()) ch->arm_tap();
   if (screened) g.scheduler().enable_taint(false);
   g.run();
@@ -884,14 +1002,14 @@ std::string clean_record(const std::string& kind, std::size_t cap,
 /// The pinned record of graph `kind` at channel capacity `cap`.
 std::string pinned_record(const std::string& kind, std::size_t cap) {
   std::ostringstream os;
-  const PinData clean = pin_data(false);
+  const PinData clean = data_for(kind, false);
   std::vector<float> want;
   os << clean_record(kind, cap, false, want);
   os << "  corrupt";
   for (std::uint64_t k = 1; k <= 40; ++k) {
     Graph g(Mode::Cycle);
     std::vector<float> out;
-    build_pinned(kind, g, cap, clean, out);
+    build_any(kind, g, cap, clean, out);
     g.scheduler().corrupt_push(k);
     g.run();
     std::ptrdiff_t changed = -1;
@@ -908,11 +1026,11 @@ std::string pinned_record(const std::string& kind, std::size_t cap) {
        << ":" << changed;
   }
   os << "\n";
-  const PinData poisoned = pin_data(true);
+  const PinData poisoned = data_for(kind, true);
   {
     Graph g(Mode::Cycle);
     std::vector<float> out;
-    build_pinned(kind, g, cap, poisoned, out);
+    build_any(kind, g, cap, poisoned, out);
     g.scheduler().enable_taint(false);
     g.run();
     const Taint& t = g.scheduler().taint();
@@ -922,7 +1040,7 @@ std::string pinned_record(const std::string& kind, std::size_t cap) {
   {
     Graph g(Mode::Cycle);
     std::vector<float> out;
-    build_pinned(kind, g, cap, poisoned, out);
+    build_any(kind, g, cap, poisoned, out);
     g.scheduler().enable_taint(true);
     EXPECT_THROW(g.run(), TaintError);
     os << "  trap x pushed " << g.channels()[0]->total_pushed() << "\n";
@@ -965,6 +1083,13 @@ TEST(BatchTransfer, SchedulesPinned) {
       {"generate_sink", 13975276301391623699ULL},
       {"write_matrix_cm", 4397481694182410251ULL},
       {"gemm_batched", 7577257555990280391ULL},
+      {"long_axpy", 759856197896815034ULL},
+      {"long_dot", 16479902223821955689ULL},
+      {"long_fanout2", 15892105801802157012ULL},
+      {"long_gemv_rows", 9355316682354602ULL},
+      {"long_gemv_t_cols", 2039787764802817598ULL},
+      {"long_ger", 46834535890385055ULL},
+      {"long_axpy_bank", 11452701970746605915ULL},
   };
   for (const auto& [kind, hash] : pins) {
     std::string record;
@@ -974,6 +1099,80 @@ TEST(BatchTransfer, SchedulesPinned) {
     EXPECT_EQ(fnv1a(record), hash)
         << kind << " record:\n" << record;
   }
+}
+
+// Watchdog limits that fall in the middle of the long AXPY's steady span
+// (cycles 3..256 of 260, at capacity 64): each throws TimeoutError at the
+// cycle and step counts of a run that steps every cycle, with the same
+// module and channel states in its diagnostic. The wedged case wedges
+// at step 601 and then ticks cycles until its cycle budget runs out.
+TEST(Watchdog, LimitsInsideSteadySpanPinned) {
+  struct Case {
+    Watchdog wd;
+    std::uint64_t wedge;
+    const char* first_line;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {Watchdog{.max_cycles = 150}, 0,
+       "watchdog expired (cycle budget) after 151 simulated cycles and 604 "
+       "scheduler steps; the graph is live-locked or pathologically slow.",
+       7280647936958510758ULL},
+      {Watchdog{.max_steps = 500}, 0,
+       "watchdog expired (step budget) after 124 simulated cycles and 500 "
+       "scheduler steps; the graph is live-locked or pathologically slow.",
+       3154051252180443923ULL},
+      {Watchdog{.max_cycles = 400}, 601,
+       "watchdog expired (cycle budget) after 401 simulated cycles and 852 "
+       "scheduler steps; the graph is wedged (injected hang).",
+       13435721929144896404ULL},
+  };
+  for (const Case& c : cases) {
+    Graph g(Mode::Cycle);
+    std::vector<float> out;
+    build_long("long_axpy", g, 64, long_data(false), out);
+    if (c.wedge != 0) g.scheduler().wedge_after(c.wedge);
+    std::string msg;
+    try {
+      g.run(c.wd);
+    } catch (const TimeoutError& e) {
+      msg = e.what();
+    }
+    EXPECT_EQ(msg.substr(0, msg.find('\n')), c.first_line);
+    EXPECT_EQ(fnv1a(msg), c.hash) << msg;
+  }
+}
+
+// The wall-clock deadline is polled every 2,048 booked steps however the
+// steps are booked: a source that sleeps past the deadline in its first
+// step is stopped at step 2,048, inside a steady span.
+TEST(Watchdog, DeadlinePolledEvery2048Steps) {
+  Graph g(Mode::Cycle);
+  auto& ch = g.channel<float>("c", 64);
+  const std::int64_t n = std::int64_t{1} << 20;
+  bool slept = false;
+  g.spawn("gen", read_bulk<float>(
+                     1, n, 16,
+                     [&slept](std::int64_t, std::int64_t, float* dst,
+                              std::int64_t m) {
+                       if (!slept) {
+                         slept = true;
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(20));
+                       }
+                       std::fill_n(dst, m, 1.0f);
+                     },
+                     ch, nullptr));
+  g.spawn("sink", sink<float>(n, 16, ch));
+  std::string msg;
+  try {
+    g.run(Watchdog{.wall_deadline = std::chrono::milliseconds(5)});
+  } catch (const TimeoutError& e) {
+    msg = e.what();
+  }
+  EXPECT_NE(msg.find("(wall-clock deadline) after"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find(" and 2048 scheduler steps"), std::string::npos) << msg;
 }
 
 // The reductions step by one rule (core::reduce), the one
@@ -1018,7 +1217,8 @@ TEST(BatchTransfer, ScreenedRunsMatchUnscreened) {
         "gemv_t_cols", "ger", "fanout2", "copy", "swap", "rot", "syr2",
         "gemm", "gemm_b0", "syr2k", "trsv", "trsm", "trsm_batched",
         "read_strided", "empty_vectors", "generate_sink", "write_matrix_cm",
-        "gemm_batched"}) {
+        "gemm_batched", "long_axpy", "long_dot", "long_fanout2",
+        "long_gemv_rows", "long_gemv_t_cols", "long_ger", "long_axpy_bank"}) {
     for (const std::size_t cap : {3u, 64u, 767u}) {
       std::vector<float> plain, screened;
       EXPECT_EQ(clean_record(kind, cap, true, screened),

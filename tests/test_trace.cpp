@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "apps/atax.hpp"
+#include "apps/gemver.hpp"
 #include "common/json.hpp"
 #include "common/workload.hpp"
 #include "host/buffer.hpp"
@@ -327,6 +328,47 @@ TEST(Trace, ChaosReconciliationSerial) {
   EXPECT_GT(run.stats.retries, 0u);       // the soak exercised the ladder
   EXPECT_GE(run.stats.breaker_opens, 1u); // and the breakers
   expect_trace_reconciles(run.rec->metrics(), run.stats);
+}
+
+// The engine summaries of a verified cycle-mode composed ATAX (256 x 256)
+// and GEMVER (128 x 128) on one serial context: every ChannelStats event
+// (channel, peak occupancy, stall events, capacity) and GraphStats event
+// (cycles, blocked module-cycles), in emission order.
+TEST(Trace, ComposedEngineSummariesPinned) {
+  const std::int64_t an = 256, gn = 128;
+  host::Device dev;
+  host::Context ctx(dev, stream::Mode::Cycle);
+  ctx.config().verification = verify::Options::always();
+  const auto rec = ctx.tracing();
+  Workload wl(71);
+  host::Buffer<float> aa(dev, an * an, 0), ax(dev, an, 1), ay(dev, an, 2);
+  aa.write(wl.matrix<float>(an, an));
+  ax.write(wl.vector<float>(an));
+  apps::atax_composed<float>(ctx, an, an, aa, ax, ay);
+  host::Buffer<float> ga(dev, gn * gn, 0), gb(dev, gn * gn, 2);
+  host::Buffer<float> gx(dev, gn, 3), gw(dev, gn, 3);
+  std::vector<host::Buffer<float>> vecs;
+  vecs.reserve(6);
+  for (int i = 0; i < 6; ++i) {
+    vecs.emplace_back(dev, gn, 1);
+    vecs.back().write(wl.vector<float>(gn));
+  }
+  ga.write(wl.matrix<float>(gn, gn));
+  apps::gemver_composed<float>(ctx, gn, 1.25f, 0.75f, ga, vecs[0], vecs[1],
+                               vecs[2], vecs[3], vecs[4], vecs[5], gb, gx, gw);
+  ctx.finish();
+  std::ostringstream os;
+  for (const trace::Event& e : rec->events()) {
+    if (e.kind == trace::EventKind::ChannelStats) {
+      os << "ch " << e.name_view() << " " << e.a << " " << e.b << " "
+         << e.flags << "\n";
+    } else if (e.kind == trace::EventKind::GraphStats) {
+      os << "graph " << e.a << " " << e.b << "\n";
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : os.str()) h = (h ^ c) * 0x100000001b3ULL;
+  EXPECT_EQ(h, 13747312751443309785ULL) << os.str();
 }
 
 // Pins the shape of the serial chaos trace — which attempt and device
