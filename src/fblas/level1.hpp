@@ -236,7 +236,9 @@ void fold_windows(Fold& fold, R& res, const std::array<Channel<T>*, I>& in,
 /// one-element step in a carry of W values per input. In functional mode
 /// a step pops as many whole W-aligned chunks as the inputs hold
 /// (step_width rounded down to a multiple of W). Either way `fold` sees
-/// the same chunks, by element index, in both modes.
+/// the same chunks, by element index, in both modes. Every whole step left
+/// is one the body repeats, so that is its horizon; a fast-forward grant
+/// of d steps folds d steps' elements at once, the same chunks.
 template <typename T, typename R, std::size_t I, typename Fold>
 Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
             std::array<Channel<T>*, I> in, Channel<R>& ch_res) {
@@ -244,6 +246,8 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
   const std::int64_t W = cfg.width;
   std::array<const stream::ChannelBase*, I> ports;
   std::copy(in.begin(), in.end(), ports.begin());
+  const std::array<const stream::ChannelBase*, 1> res_port{&ch_res};
+  co_await stream::declare_ports(ports, res_port);
   const std::int64_t step = stream::step_width(W, ports) / W * W;
   std::array<std::vector<T>, I> v;
   std::array<T*, I> carry;
@@ -256,8 +260,9 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
   }
   R res = std::apply([&](auto... b) { return fold(b..., 0, 0); }, one_p);
   std::int64_t have = 0;
+  std::int64_t d = 1;  // steps this resume moves
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min(step, n - it);
+    const std::int64_t batch = std::min(step * d, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m =
           stream::lockstep(static_cast<std::size_t>(batch - i), ports, {});
@@ -273,7 +278,7 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
       i += static_cast<std::int64_t>(m);
     }
     it += batch;
-    co_await next_cycle();
+    d = co_await next_cycle(static_cast<std::uint64_t>((n - it) / step));
   }
   co_await ch_res.push(res);
 }

@@ -173,14 +173,20 @@ void tile_runs(std::int64_t e, std::int64_t len, std::int64_t ni,
 /// round trip): each block is read at the first outer step and written at
 /// the last, or, for A^T x and when no tile runs, read before the loop
 /// and written after it. A arrives up to step_width values per step,
-/// each run of it read in ch_a's front window, then dropped.
+/// each run of it read in ch_a's front window, then dropped. A step that
+/// moves only A (not a tile's first, which loads blocks) repeats for the
+/// tile's whole steps left, its horizon; a fast-forward grant of d steps
+/// reads d steps' worth of A.
 template <typename T>
 Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
           T beta, Channel<T>& ch_a, Channel<T>& ch_x, Channel<T>& ch_y,
           Channel<T>& ch_out) {
   cfg.validate();
-  const std::array<const stream::ChannelBase*, 1> a_port{&ch_a};
-  const std::int64_t W = stream::step_width(cfg.width, a_port);
+  const std::array<const stream::ChannelBase*, 4> ports{&ch_a, &ch_x, &ch_y,
+                                                       &ch_out};
+  co_await stream::declare_ports(std::span(ports).first(3),
+                                 std::span(ports).last(1));
+  const std::int64_t W = stream::step_width(cfg.width, std::span(ports).first(1));
   const bool none = cfg.trans == Transpose::None;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;
@@ -232,11 +238,13 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         for (std::int64_t r = 0; r < li; ++r) inner[r] = beta * inner[r];
       }
       std::int64_t in_cycle = 0;
+      std::int64_t d = 1;  // steps this resume moves
+      bool only_a = false;  // whether this cycle's step moves only A
       const std::int64_t tile_ni = row_elems ? tw : th;
       const std::int64_t total = th * tw;
       for (std::int64_t e = 0; e < total;) {
         const std::span<const T> a = co_await ch_a.front_some(
-            static_cast<std::size_t>(std::min(W - in_cycle, total - e)));
+            static_cast<std::size_t>(std::min(W * d - in_cycle, total - e)));
         const auto got = static_cast<std::int64_t>(a.size());
         // Four rows per pass where the window holds them (functional
         // steps); a cycle-mode step holds W values.
@@ -256,9 +264,11 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         }
         ch_a.drop(a.size());
         e += got;
-        if ((in_cycle += got) == W) {
+        if ((in_cycle += got) == W * d) {
           in_cycle = 0;
-          co_await next_cycle();
+          d = co_await next_cycle(
+              only_a ? static_cast<std::uint64_t>((total - e) / W) : 0);
+          only_a = true;
         }
       }
       if (x_outer && !whole && to == o_tiles - 1) {
@@ -312,7 +322,10 @@ std::int64_t ger_io_ops(const GerConfig& cfg, std::int64_t rows,
 /// tile dimension load once per outer step, first; those along the inner
 /// dimension load for every tile: that operand is the replayed one. The
 /// channels of one dimension load in lockstep, and A moves through the
-/// update up to step_width values per step.
+/// update up to step_width values per step. A step that moves only A and
+/// the output (not a tile's first) repeats for the tile's whole steps
+/// left, its horizon; a fast-forward grant of d steps moves d steps'
+/// worth.
 template <typename T, std::size_t R>
 Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                Channel<T>& ch_a, std::array<Channel<T>*, R> ch_rows,
@@ -335,6 +348,10 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   const std::array<const stream::ChannelBase*, 2> a_ports{&ch_a, &ch_out};
   const auto a_port = std::span(a_ports).template first<1>();
   const auto out_port = std::span(a_ports).template last<1>();
+  std::vector<const stream::ChannelBase*> in_ports{&ch_a};
+  in_ports.insert(in_ports.end(), ch_rows.begin(), ch_rows.end());
+  in_ports.insert(in_ports.end(), ch_cols.begin(), ch_cols.end());
+  co_await stream::declare_ports(in_ports, out_port);
   const std::int64_t W = stream::step_width(cfg.width, a_ports);
   std::vector<T> v = stream::lanes<T>(W);
   const std::size_t outer_dim = by_rows ? 0 : 1;
@@ -363,12 +380,15 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
       const auto& rb = blk[0];
       const auto& cb = blk[1];
       std::int64_t in_cycle = 0;
+      std::int64_t grant = 1;  // steps this resume moves
+      bool only_a = false;  // whether this cycle's step moves only A
       const std::int64_t ni = row_elems ? tw : th;
       const std::int64_t total = th * tw;
       for (std::int64_t e = 0; e < total;) {
         const std::size_t m = stream::lockstep(
-            static_cast<std::size_t>(std::min(W - in_cycle, total - e)),
+            static_cast<std::size_t>(std::min(W * grant - in_cycle, total - e)),
             a_port, out_port);
+        if (v.size() < m) v.resize(m);
         co_await ch_a.pop_some(v.data(), m);
         detail::tile_runs(e, static_cast<std::int64_t>(m), ni, row_elems,
                           [&](std::int64_t k, std::int64_t r, std::int64_t c) {
@@ -381,9 +401,11 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
                           });
         co_await ch_out.push_some(v.data(), m);
         e += static_cast<std::int64_t>(m);
-        if ((in_cycle += static_cast<std::int64_t>(m)) == W) {
+        if ((in_cycle += static_cast<std::int64_t>(m)) == W * grant) {
           in_cycle = 0;
-          co_await next_cycle();
+          grant = co_await next_cycle(
+              only_a ? static_cast<std::uint64_t>((total - e) / W) : 0);
+          only_a = true;
         }
       }
     }

@@ -90,8 +90,10 @@ Event Context::rot_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                          Buffer<T>& y, std::int64_t incy, T c, T s) {
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Rot, "rot",
-      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
-       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx,
+        .in_place = true},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy,
+        .in_place = true},
        {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
        {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
@@ -108,8 +110,10 @@ Event Context::rotm_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           ref::RotmParam<T> p) {
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Rotm, "rotm",
-      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
-       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx,
+        .in_place = true},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy,
+        .in_place = true},
        {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
        {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& c) {
@@ -125,8 +129,10 @@ Event Context::swap_async(std::int64_t n, Buffer<T>& x, std::int64_t incx,
                           Buffer<T>& y, std::int64_t incy) {
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Swap, "swap",
-      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
-       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx,
+        .in_place = true},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy,
+        .in_place = true},
        {.chan = "ox", .mover = "write_x", .dst = &x, .n = n, .inc = incx},
        {.chan = "oy", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
@@ -142,7 +148,8 @@ Event Context::scal_async(std::int64_t n, T alpha, Buffer<T>& x,
                           std::int64_t incx) {
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Scal, "scal",
-      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
+      {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx,
+        .in_place = true},
        {.chan = "out", .mover = "write_x", .dst = &x, .n = n, .inc = incx}},
       [=](const auto& p) {
         return core::scal<T>({p.width}, n, alpha, p[0], p[1]);
@@ -181,7 +188,8 @@ Event Context::axpy_async(std::int64_t n, T alpha, const Buffer<T>& x,
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Axpy, "axpy",
       {{.chan = "x", .mover = "read_x", .src = &x, .n = n, .inc = incx},
-       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy},
+       {.chan = "y", .mover = "read_y", .src = &y, .n = n, .inc = incy,
+        .in_place = true},
        {.chan = "out", .mover = "write_y", .dst = &y, .n = n, .inc = incy}},
       [=](const auto& p) {
         return core::axpy<T>({p.width}, n, alpha, p[0], p[1], p[2]);

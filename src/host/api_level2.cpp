@@ -67,7 +67,7 @@ Event Context::trsv_async(Uplo uplo, Transpose trans, Diag diag,
       {{.chan = "A", .mover = "read_A", .how = Movement::Triangular,
         .src = &a, .n = n, .uplo = eff, .trans = trans},
        {.chan = "b", .mover = "read_b", .how = Movement::SolveRows, .src = &x,
-        .n = n, .inc = incx, .uplo = eff},
+        .n = n, .inc = incx, .uplo = eff, .in_place = true},
        {.chan = "x", .mover = "write_x", .how = Movement::SolveRows, .dst = &x,
         .n = n, .inc = incx, .uplo = eff}},
       [=](const auto& p) {
@@ -97,7 +97,7 @@ Event Context::ger_async(std::int64_t rows, std::int64_t cols, T alpha,
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Ger, "ger",
       {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
-        .n = rows, .cols = cols, .sched = sched},
+        .n = rows, .cols = cols, .sched = sched, .in_place = true},
        {.chan = "x", .mover = "read_x", .src = &x, .n = rows, .inc = incx,
         .repeat = core::ger_x_repeat(cfg, rows, cols)},
        {.chan = "y", .mover = "read_y", .src = &y, .n = cols, .inc = incy,
@@ -134,7 +134,7 @@ Event Context::syr_async(Uplo uplo, std::int64_t n, T alpha,
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Syr, "syr",
       {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
-        .n = n, .cols = n, .sched = sched},
+        .n = n, .cols = n, .sched = sched, .in_place = true},
        {.chan = "x_row", .mover = "read_x_row", .src = &x, .n = n, .inc = incx,
         .repeat = core::ger_x_repeat(cfg, n, n)},
        {.chan = "x_col", .mover = "read_x_col", .src = &x, .n = n, .inc = incx,
@@ -166,7 +166,7 @@ Event Context::syr2_async(Uplo uplo, std::int64_t n, T alpha,
   Command cmd = detail::stream_command<T>(
       *this, RoutineKind::Syr2, "syr2",
       {{.chan = "A", .mover = "read_A", .how = Movement::Matrix, .src = &a,
-        .n = n, .cols = n, .sched = sched},
+        .n = n, .cols = n, .sched = sched, .in_place = true},
        {.chan = "x_row", .mover = "read_x_row", .src = &x, .n = n, .inc = incx,
         .repeat = row_rep},
        {.chan = "x_col", .mover = "read_x_col", .src = &x, .n = n, .inc = incx,

@@ -167,6 +167,9 @@ struct Operand {
   stream::TileSchedule sched{};
   Uplo uplo = Uplo::Lower;
   Transpose trans = Transpose::None;
+  /// A read of the old values of an operand the routine writes back in
+  /// place (AXPY's y): the one other slot a written Buffer may fill.
+  bool in_place = false;
 
   bool written() const { return src == nullptr; }
   bool scalar() const { return value != nullptr || index != nullptr; }
@@ -297,6 +300,34 @@ void stream_launch(Context& ctx, RoutineKind kind, const char* label,
   });
 }
 
+/// The operand name of a mover: "x" for read_x or write_x.
+inline std::string operand_name(const char* mover) {
+  const std::string m(mover);
+  return m.substr(m.find('_') + 1);
+}
+
+/// Refuses, at enqueue, an operand list that binds a written Buffer to a
+/// second slot other than its own in-place read: the routine's readers
+/// would stream values its writer has already replaced (a GEMV with
+/// y = x reads x again after writing y), so the result depends on the
+/// schedule. Read-only pairs (DOT with x = y) are fine.
+template <typename T, std::size_t N>
+void refuse_aliases(const char* label, const std::array<Operand<T>, N>& ops) {
+  for (const Operand<T>& w : ops) {
+    if (w.dst == nullptr) continue;
+    for (const Operand<T>& o : ops) {
+      if (&o == &w || o.key() != w.key() || (o.in_place && !o.written())) {
+        continue;
+      }
+      throw ConfigError(std::string(label) + ": operand '" +
+                        operand_name(o.mover) + "' and written operand '" +
+                        operand_name(w.mover) +
+                        "' are bound to the same Buffer; pass distinct "
+                        "Buffers (only an in-place update may share one)");
+    }
+  }
+}
+
 /// The Command of a streaming routine, derived from its operand list:
 /// `reads`/`writes` are the operands' hazard keys, each listed once, and
 /// the work is stream_launch at the width configured now. `fallback` is
@@ -305,6 +336,7 @@ template <typename T, std::size_t N, typename Module, typename Fallback>
 Command stream_command(Context& ctx, RoutineKind kind, const char* label,
                        std::array<Operand<T>, N> ops, Module module,
                        Fallback fallback) {
+  refuse_aliases<T>(label, ops);
   Command cmd;
   cmd.label = label;
   cmd.reads.reserve(N);
@@ -356,7 +388,7 @@ std::array<Operand<T>, 4> gemv_operands(const core::GemvConfig& cfg,
            {.chan = "x", .mover = "read_x", .src = &x, .n = xlen,
             .inc = incx, .repeat = core::gemv_x_repeat(cfg, rows, cols)},
            {.chan = "y", .mover = "read_y", .src = &y, .n = ylen,
-            .inc = incy},
+            .inc = incy, .in_place = true},
            {.chan = "out", .mover = "write_y", .dst = &y, .n = ylen,
             .inc = incy}}};
 }

@@ -99,6 +99,17 @@ class ChannelBase {
   double tap_mag() const { return tap_mag_; }
   std::uint64_t tap_count() const { return tap_count_; }
 
+  // --- fast-forward windows (the scheduler) -----------------------------
+  /// Lets the channel buffer `cap` values for a window, growing its ring
+  /// if it must: a window's producers run before its consumers.
+  virtual void widen(std::size_t cap) = 0;
+  /// Ends a window: the capacity is `cap` again and the peak `peak`, the
+  /// one the stepped cycles would have reached.
+  void narrow(std::size_t cap, std::size_t peak) {
+    capacity_ = cap;
+    peak_ = peak;
+  }
+
  protected:
   /// `k` >= 1 values entered: totals, peak, and the waiting consumer.
   void pushed(std::size_t k) {
@@ -263,6 +274,20 @@ class Channel : public ChannelBase {
   std::span<T> back(std::size_t k) {
     const std::size_t at = tail();
     return {buf_.data() + at, std::min({k, space(), buf_.size() - at})};
+  }
+
+  void widen(std::size_t cap) override {
+    if (cap > buf_.size()) {
+      // Cycle mode never lends, so the values are the ring's.
+      std::vector<T> grown(std::bit_ceil(cap));
+      for (std::size_t i = 0; i < count_; ++i) {
+        grown[i] = buf_[(head_ + i) & mask_];
+      }
+      buf_ = std::move(grown);
+      mask_ = buf_.size() - 1;
+      head_ = 0;
+    }
+    capacity_ = cap;
   }
 
   /// Lends the empty channel the `k` values at `src`, at most its

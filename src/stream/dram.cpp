@@ -16,7 +16,8 @@ DramBank::DramBank(Scheduler* sched, std::string name, double bytes_per_cycle)
   sched_->register_bank(this);
 }
 
-std::int64_t DramBank::grant_elems(std::int64_t want, std::size_t elem_bytes) {
+std::int64_t DramBank::grant_elems(std::int64_t want, std::size_t elem_bytes,
+                                   std::int64_t steps) {
   if (want <= 0) return 0;
   if (!sched_->cycle_mode()) {
     total_bytes_ += static_cast<std::uint64_t>(want) * elem_bytes;
@@ -27,8 +28,9 @@ std::int64_t DramBank::grant_elems(std::int64_t want, std::size_t elem_bytes) {
   const std::int64_t granted = std::min(want, affordable);
   if (granted > 0) {
     available_ -= static_cast<double>(granted * elem_bytes);
-    total_bytes_ += static_cast<std::uint64_t>(granted) * elem_bytes;
+    total_bytes_ += static_cast<std::uint64_t>(granted * steps) * elem_bytes;
   }
+  if (granted < want) sched_->note_short_grant();
   return granted;
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace fblas::stream {
 
@@ -25,16 +26,23 @@ class DramBank {
 
   /// Grants up to `want` elements of `elem_bytes` each against this
   /// cycle's remaining budget; returns the granted element count (possibly
-  /// zero). Unmetered (functional mode) grants return `want`.
-  std::int64_t grant_elems(std::int64_t want, std::size_t elem_bytes);
+  /// zero). Unmetered (functional mode) grants return `want`. A mover
+  /// granted `steps` cycles at once by a fast-forward window asks once
+  /// for one cycle's `want`: the budget repeats every cycle there, so
+  /// each cycle grants the same, and the bytes of all `steps` are booked.
+  /// A grant short of `want` tells the scheduler the cycle is not steady.
+  std::int64_t grant_elems(std::int64_t want, std::size_t elem_bytes,
+                           std::int64_t steps = 1);
 
   /// Called by the scheduler when the clock advances. Unused budget
   /// accumulates up to one burst so that banks narrower than a single
   /// element still make progress (a fractional budget must be able to
-  /// add up to one grant) without allowing unbounded bursts.
-  void reset_cycle() {
+  /// add up to one grant) without allowing unbounded bursts. Returns
+  /// whether the new cycle starts with the budget the last one did.
+  bool reset_cycle() {
     const double burst = std::max(bytes_per_cycle_, 64.0);
     available_ = std::min(available_ + bytes_per_cycle_, burst);
+    return std::exchange(last_start_, available_) == available_;
   }
 
   std::uint64_t total_bytes() const { return total_bytes_; }
@@ -44,6 +52,7 @@ class DramBank {
   std::string name_;
   double bytes_per_cycle_;
   double available_;
+  double last_start_ = -1.0;  // the budget the current cycle started with
   std::uint64_t total_bytes_ = 0;
 };
 

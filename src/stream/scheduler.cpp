@@ -1,5 +1,7 @@
 #include "stream/scheduler.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "stream/channel.hpp"
@@ -7,34 +9,58 @@
 
 namespace fblas::stream {
 
+namespace {
+
+/// Values a fast-forward window moves through one port at most: the
+/// functional FIFO depth, so a ring grows no further than a functional
+/// routine's.
+constexpr std::uint64_t kWindowValues = 4096;
+
+constexpr std::uint64_t kNoHorizon = std::numeric_limits<std::uint64_t>::max();
+
+}  // namespace
+
 int Scheduler::add_module(TaskHandle handle, std::string name) {
   FBLAS_REQUIRE(!ran_, "cannot add modules after run()");
   const int id = static_cast<int>(modules_.size());
   handle.promise().sched = this;
   handle.promise().module_id = id;
-  modules_.push_back(ModuleEntry{handle, std::move(name)});
+  modules_.emplace_back();
+  modules_.back().handle = handle;
+  modules_.back().name = std::move(name);
   ready_.push_back(id);
   ++live_;
   return id;
 }
 
 void Scheduler::block_on_pop(int id, ChannelBase& ch) {
+  if (window_ > 1) {
+    throw Error("module '" + modules_[id].name +
+                "' blocked popping inside a fast-forward window");
+  }
   modules_[id].state = ModuleState::BlockedPop;
   modules_[id].blocked_on = &ch;
   ++blocked_modules_;
+  steady_ = false;
   ch.note_stall();
 }
 
 void Scheduler::block_on_push(int id, ChannelBase& ch) {
+  if (window_ > 1) {
+    throw Error("module '" + modules_[id].name +
+                "' blocked pushing inside a fast-forward window");
+  }
   modules_[id].state = ModuleState::BlockedPush;
   modules_[id].blocked_on = &ch;
   ++blocked_modules_;
+  steady_ = false;
   ch.note_stall();
 }
 
-void Scheduler::wait_cycle(int id) {
+void Scheduler::wait_cycle(int id, std::uint64_t horizon) {
   modules_[id].state = ModuleState::WaitCycle;
   cycle_waiters_.push_back(id);
+  span_h_ = std::min(span_h_, horizon);
 }
 
 void Scheduler::wake(int id) {
@@ -43,11 +69,45 @@ void Scheduler::wake(int id) {
     m.state = ModuleState::Ready;
     m.blocked_on = nullptr;
     --blocked_modules_;
+    steady_ = false;
     ready_.push_back(id);
   }
 }
 
+void Scheduler::declare_ports(int id, std::span<const ChannelBase* const> in,
+                              std::span<const ChannelBase* const> out) {
+  modules_[id].ins.assign(in.begin(), in.end());
+  modules_[id].outs.assign(out.begin(), out.end());
+}
+
+void Scheduler::note_short_grant() {
+  if (window_ > 1) {
+    throw Error("a bank grant fell short inside a fast-forward window");
+  }
+  steady_ = false;
+}
+
 void Scheduler::note_nonfinite(const ChannelBase& ch, double value) {
+  if (window_ > 1) {
+    // Stepping would have pushed this value in the cycle its place among
+    // the window's pushes into `ch` falls in. Of the values found in a
+    // window, the earliest by (cycle, stepped module order) is the one
+    // stepping records; within a module the first found is the earliest.
+    // (An armed trap keeps windows closed.)
+    if (taint_.tainted) return;
+    const auto at = std::find(channels_.begin(), channels_.end(), &ch);
+    const ChannelTrack& t =
+        tracks_[static_cast<std::size_t>(at - channels_.begin())];
+    const std::uint64_t cycle =
+        cycle_ + (ch.total_pushed() - t.pushed) / std::max<std::uint64_t>(t.in, 1);
+    const int slot = modules_[current_].slot;
+    WindowTaint& w = window_taint_;
+    if (!w.found || cycle < w.cycle || (cycle == w.cycle && slot < w.slot)) {
+      w = {true, cycle, slot,
+           Taint{true, modules_[current_].name, ch.name(), value, cycle}};
+    }
+    return;
+  }
   if (!taint_.tainted) {
     taint_.tainted = true;
     taint_.module = current_ >= 0 ? modules_[current_].name : "host";
@@ -72,7 +132,7 @@ bool Scheduler::corrupt_hits(const ChannelBase& ch) {
   return true;
 }
 
-void Scheduler::advance_cycle() {
+bool Scheduler::advance_cycle() {
   if (trace_occupancy_) {
     occupancy_samples_.resize(channels_.size());
     for (std::size_t c = 0; c < channels_.size(); ++c) {
@@ -85,12 +145,163 @@ void Scheduler::advance_cycle() {
   // total the tracing layer exports next to the cycle count.
   stall_module_cycles_ += static_cast<std::uint64_t>(blocked_modules_);
   ++cycle_;
-  for (DramBank* bank : banks_) bank->reset_cycle();
+  bool budgets_repeat = true;
+  for (DramBank* bank : banks_) budgets_repeat &= bank->reset_cycle();
+  const bool steady = track_cycle() && budgets_repeat && steady_ &&
+                      span_h_ != 0 && span_h_ != kNoHorizon;
+  horizon_ = span_h_;
+  steady_ = true;
+  span_h_ = kNoHorizon;
+  int slot = 0;
   for (const int id : cycle_waiters_) {
     modules_[id].state = ModuleState::Ready;
+    modules_[id].slot = slot++;
     ready_.push_back(id);
   }
   cycle_waiters_.clear();
+  return steady && !corrupt_armed() && !(taint_enabled_ && taint_trap_);
+}
+
+bool Scheduler::track_cycle() {
+  const std::uint64_t span = std::exchange(last_span_, 1);
+  bool same = tracked_ > 0;
+  ++tracked_;
+  tracks_.resize(channels_.size());
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const ChannelBase& ch = *channels_[c];
+    ChannelTrack& t = tracks_[c];
+    const std::uint64_t pushed = ch.total_pushed();
+    const std::uint64_t popped = ch.total_popped();
+    const std::uint64_t in = (pushed - t.pushed) / span;
+    const std::uint64_t out = (popped - t.popped) / span;
+    const auto delta =
+        static_cast<std::int64_t>(in) - static_cast<std::int64_t>(out);
+    const std::size_t peak = ch.peak_occupancy();
+    // A growing channel's peak is the last cycle's own only if it rose.
+    same = same && delta == t.delta && (delta <= 0 || peak > t.peak);
+    t = {pushed, popped, ch.size(), peak, delta, in, out};
+  }
+  return same;
+}
+
+std::uint64_t Scheduler::window_length(const Watchdog& watchdog,
+                                       std::uint64_t steps,
+                                       std::uint64_t next_poll) const {
+  std::uint64_t d = horizon_;
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const ChannelTrack& t = tracks_[c];
+    const std::uint64_t cap = channels_[c]->capacity();
+    if (t.delta > 0) {
+      // The last cycle peaked at t.peak; each repeat peaks delta higher.
+      d = std::min(d, (cap - t.peak) / static_cast<std::uint64_t>(t.delta));
+    } else if (t.delta < 0) {
+      // The last cycle never fell below its start less its pops; each
+      // repeat starts delta lower.
+      const std::int64_t low = static_cast<std::int64_t>(t.size) - t.delta -
+                               static_cast<std::int64_t>(t.out);
+      d = low <= 0 ? 0
+                   : std::min(d, static_cast<std::uint64_t>(low / -t.delta));
+    }
+    const std::uint64_t most = std::max(t.in, t.out);
+    if (most > 0) d = std::min(d, kWindowValues / most);
+    if (t.in > 0) {
+      d = std::min(d, (std::max(cap, kWindowValues) - t.size) / t.in);
+    }
+  }
+  // Limits strike at the step or cycle they would when stepping: the
+  // window ends before any check inside it would fire.
+  const auto k = static_cast<std::uint64_t>(ready_.size());
+  const auto below = [&](std::uint64_t limit) {
+    return limit > steps ? (limit - steps) / k : 0;
+  };
+  if (watchdog.max_cycles != 0) {
+    d = std::min(d, watchdog.max_cycles + 1 > cycle_
+                        ? watchdog.max_cycles + 1 - cycle_
+                        : 0);
+  }
+  if (watchdog.max_steps != 0) d = std::min(d, below(watchdog.max_steps - 1));
+  if (wedge_after_steps_ != 0) d = std::min(d, below(wedge_after_steps_ - 1));
+  if (watchdog.wall_deadline.count() > 0) d = std::min(d, below(next_poll));
+  return d;
+}
+
+bool Scheduler::rank_modules() {
+  for (std::size_t round = 0; round <= modules_.size(); ++round) {
+    bool changed = false;
+    for (ModuleEntry& m : modules_) {
+      for (const ChannelBase* c : m.ins) {
+        for (const ModuleEntry& p : modules_) {
+          if (p.rank + 1 > m.rank &&
+              std::find(p.outs.begin(), p.outs.end(), c) != p.outs.end()) {
+            m.rank = p.rank + 1;
+            changed = true;
+          }
+        }
+      }
+    }
+    if (!changed) return true;
+  }
+  return false;
+}
+
+void Scheduler::open_window(std::uint64_t d) {
+  window_ = static_cast<std::int64_t>(d);
+  window_modules_.assign(ready_.begin(), ready_.end());
+  std::stable_sort(window_modules_.begin(), window_modules_.end(),
+                   [this](int a, int b) {
+                     return modules_[a].rank < modules_[b].rank;
+                   });
+  ready_.assign(window_modules_.begin(), window_modules_.end());
+  for (const int id : window_modules_) {
+    modules_[id].handle.promise().grant = window_;
+  }
+  window_capacity_.resize(channels_.size());
+  window_peak_.resize(channels_.size());
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    ChannelBase& ch = *channels_[c];
+    window_capacity_[c] = ch.capacity();
+    window_peak_[c] = ch.peak_occupancy();
+    const std::size_t need = tracks_[c].size + d * tracks_[c].in;
+    if (need > ch.capacity()) ch.widen(need);
+  }
+  window_taint_ = {};
+}
+
+void Scheduler::close_window() {
+  const auto d = static_cast<std::uint64_t>(window_);
+  window_ = 1;
+  for (const int id : window_modules_) {
+    ModuleEntry& m = modules_[id];
+    m.handle.promise().grant = 1;
+    if (m.state != ModuleState::WaitCycle) {
+      throw Error("module '" + m.name +
+                  "' did not end its steps in a fast-forward window");
+    }
+  }
+  // The next cycle resumes them in the stepped order, as stepping would.
+  std::sort(cycle_waiters_.begin(), cycle_waiters_.end(),
+            [this](int a, int b) { return modules_[a].slot < modules_[b].slot; });
+  // The d - 1 cycle boundaries inside the window, as stepping books them;
+  // advance_cycle books the last one.
+  if (trace_occupancy_) occupancy_samples_.resize(channels_.size());
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const ChannelTrack& t = tracks_[c];
+    for (std::uint64_t j = 1; trace_occupancy_ && j < d; ++j) {
+      occupancy_samples_[c].push_back(static_cast<std::uint32_t>(
+          static_cast<std::int64_t>(t.size) +
+          static_cast<std::int64_t>(j) * t.delta));
+    }
+    const std::size_t peak =
+        t.delta > 0 ? window_peak_[c] + d * static_cast<std::uint64_t>(t.delta)
+                    : window_peak_[c];
+    channels_[c]->narrow(window_capacity_[c], peak);
+  }
+  stall_module_cycles_ +=
+      (d - 1) * static_cast<std::uint64_t>(blocked_modules_);
+  cycle_ += d - 1;
+  ff_cycles_ += d;
+  last_span_ = d;
+  if (window_taint_.found && !taint_.tainted) taint_ = window_taint_.taint;
 }
 
 void Scheduler::run(const Watchdog& watchdog) {
@@ -100,6 +311,13 @@ void Scheduler::run(const Watchdog& watchdog) {
   const auto deadline = std::chrono::steady_clock::now() +
                         watchdog.wall_deadline;
   std::uint64_t steps = 0;
+  // The wall clock is polled at steps 0, 2048, 4096, ...: sparsely on
+  // the happy path (a syscall per step would dominate small graphs), at
+  // each of those marks however the steps are booked, and every
+  // iteration once wedged, so a hung run ends promptly at the deadline.
+  std::uint64_t next_poll = 0;
+  steady_ = true;
+  span_h_ = kNoHorizon;
   while (live_ > 0) {
     // A live module needs at least one more resume, so a run that has
     // spent its step budget cannot finish within it.
@@ -109,12 +327,11 @@ void Scheduler::run(const Watchdog& watchdog) {
     if (watchdog.max_cycles != 0 && cycle_ > watchdog.max_cycles) {
       throw_timeout("cycle budget", steps);
     }
-    // The wall clock is polled sparsely on the happy path (a syscall per
-    // step would dominate small graphs) but every iteration once wedged,
-    // so a hung run ends promptly at the deadline.
-    if (has_deadline && (wedged_ || (steps & 2047u) == 0) &&
-        std::chrono::steady_clock::now() >= deadline) {
-      throw_timeout("wall-clock deadline", steps);
+    if (has_deadline && (wedged_ || steps >= next_poll)) {
+      next_poll = (steps / 2048 + 1) * 2048;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        throw_timeout("wall-clock deadline", steps);
+      }
     }
     if (wedged_) {
       // Injected hang: cycles tick but no module is ever resumed again,
@@ -130,8 +347,10 @@ void Scheduler::run(const Watchdog& watchdog) {
       ModuleEntry& m = modules_[id];
       if (m.state != ModuleState::Ready) continue;  // stale queue entry
       m.state = ModuleState::Running;
-      ++m.resumes;
-      ++steps;
+      // A resume in a window runs `grant` steps; each is booked.
+      const auto booked = static_cast<std::uint64_t>(m.handle.promise().grant);
+      m.resumes += booked;
+      steps += booked;
       if (wedge_after_steps_ != 0 && steps >= wedge_after_steps_) {
         wedged_ = true;
       }
@@ -141,6 +360,7 @@ void Scheduler::run(const Watchdog& watchdog) {
       if (m.handle.done()) {
         m.state = ModuleState::Done;
         --live_;
+        steady_ = false;
         if (m.handle.promise().exception) {
           std::rethrow_exception(m.handle.promise().exception);
         }
@@ -152,7 +372,13 @@ void Scheduler::run(const Watchdog& watchdog) {
       continue;
     }
     if (!cycle_waiters_.empty()) {
-      advance_cycle();
+      if (window_ > 1) close_window();
+      if (advance_cycle() && !wedged_) {
+        if (ranked_ == 0) ranked_ = rank_modules() ? 1 : -1;
+        const std::uint64_t d =
+            ranked_ > 0 ? window_length(watchdog, steps, next_poll) : 0;
+        if (d >= 2) open_window(d);
+      }
       continue;
     }
     throw DeadlockError(

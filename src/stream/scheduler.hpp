@@ -3,10 +3,34 @@
 // Two execution modes mirror the two things the paper measures:
 //  * Functional — modules run eagerly; channel backpressure still applies
 //    (bounded FIFOs) but no notion of time. Used for numerical validation.
-//  * Cycle — a module performs at most one batch of work per simulated
-//    clock cycle (it ends each batch with `co_await next_cycle()`), DRAM
-//    banks meter bytes per cycle, and the scheduler counts cycles. Used
-//    for throughput/backpressure/composition experiments.
+//  * Cycle — a module performs one step of work per simulated clock
+//    cycle (it ends each step with `co_await next_cycle(h)`), DRAM banks
+//    meter bytes per cycle, and the scheduler counts cycles. Used for
+//    throughput/backpressure/composition experiments.
+//
+// Fast-forward (cycle mode). A module that ends a full step states its
+// horizon h: how many following cycles its body would repeat exactly
+// that step (the same count on every port, no loop, tile or pass
+// boundary). When every module resumed in the cycle just finished made
+// such a step with h >= 1, none blocked or was woken, no bank grant was
+// short, every channel's occupancy changed by the same amount as in the
+// cycle before (and a growing channel set its peak in it) and every
+// bank's budget at the boundary repeats, the next cycles are copies of
+// it. The scheduler then grants D of them at once: each of those modules
+// is resumed once, producers before consumers (by the ports it declared,
+// stream::declare_ports), and its next_cycle returns D, so the step
+// moves D steps' worth of values through the same code. D is the
+// smallest of the horizons, the cycles before a channel would fill or
+// run dry, the watchdog, wedge and deadline-poll limits, and 4,096
+// values through any port (the functional FIFO depth: a ring grows to
+// hold the window, never past that). Cycles, resumes, watchdog steps,
+// stall module-cycles, bank bytes, channel peaks and occupancy samples
+// are booked as D stepped cycles would book them, and a non-finite
+// value pushed in a window is attributed to the cycle, module and
+// element stepping would give it (the earliest wins). Fast-forward is
+// off while a corrupt_push or a taint trap is armed and once wedged; a
+// watchdog limit or wedge point inside a span cuts the window short, so
+// it strikes at the step and cycle it would when stepping.
 //
 // The step rule (stream::step_width): a body that batches by W moves up
 // to W values per step in cycle mode, where W per cycle is the timing,
@@ -35,6 +59,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,15 +144,30 @@ class Scheduler {
   // --- awaiter interface -------------------------------------------------
   void block_on_pop(int id, ChannelBase& ch);
   void block_on_push(int id, ChannelBase& ch);
-  void wait_cycle(int id);
+  /// Parks module `id` until the next cycle after a step whose following
+  /// `horizon` cycles would repeat it (0: no promise).
+  void wait_cycle(int id, std::uint64_t horizon);
   /// Moves a blocked module back to the ready queue (channel wakeups).
   void wake(int id);
+  /// Records the channels module `id` reads and writes; fast-forward
+  /// windows resume producers before consumers by them.
+  void declare_ports(int id, std::span<const ChannelBase* const> in,
+                     std::span<const ChannelBase* const> out);
+  /// Called by a bank that granted less than was asked this cycle.
+  void note_short_grant();
+  /// Steps the module being resumed moves now (1 outside a window).
+  std::int64_t window() const { return window_; }
 
   const std::string& module_name(int id) const { return modules_[id].name; }
   std::size_t module_count() const { return modules_.size(); }
-  /// Times the module was scheduled (in cycle mode, roughly the number of
-  /// cycles it was active — a utilization diagnostic).
+  /// Cycles the module was scheduled for: one per stepped resume and D
+  /// per resume in a fast-forward window of D cycles, so in cycle mode it
+  /// is the number of cycles in which the module ran a step (a
+  /// utilization diagnostic).
   std::uint64_t module_resumes(int id) const { return modules_[id].resumes; }
+  /// Simulated cycles advanced by fast-forward windows (cycle mode): a
+  /// read-only diagnostic of how much of the run repeated one step.
+  std::uint64_t fast_forwarded_cycles() const { return ff_cycles_; }
 
   /// Enables non-finite taint tracking: every floating-point push is
   /// screened and the first NaN/Inf is recorded with its producing
@@ -194,13 +234,45 @@ class Scheduler {
     ModuleState state = ModuleState::Ready;
     const ChannelBase* blocked_on = nullptr;
     std::uint64_t resumes = 0;
+    std::vector<const ChannelBase*> ins, outs;  // declared ports
+    int rank = 0;  // longest producer chain by declared ports
+    int slot = 0;  // position in the last stepped cycle's order
+  };
+  /// One channel's traffic in the last cycle, per cycle of it.
+  struct ChannelTrack {
+    std::uint64_t pushed = 0, popped = 0;  // totals at the boundary
+    std::size_t size = 0;                  // occupancy at the boundary
+    std::size_t peak = 0;                  // peak at the boundary
+    std::int64_t delta = 0;                // occupancy change per cycle
+    std::uint64_t in = 0, out = 0;         // pushes and pops per cycle
+  };
+  /// The earliest non-finite value pushed in a window, by the cycle and
+  /// stepped module order stepping would have pushed it at.
+  struct WindowTaint {
+    bool found = false;
+    std::uint64_t cycle = 0;
+    int slot = 0;
+    Taint taint;
   };
 
   /// `header`, then every module's state (only the blocked ones with
   /// `blocked_only`) and every channel's.
   std::string diagnose(const std::string& header, bool blocked_only) const;
   [[noreturn]] void throw_timeout(const char* limit, std::uint64_t steps);
-  void advance_cycle();
+  /// Ends the cycle: samples, stall accounting, bank budgets, the waiters
+  /// back to the ready queue in their order. True when the cycle just
+  /// finished can be fast-forwarded.
+  bool advance_cycle();
+  /// Books the last cycle's channel traffic into the tracks; true when
+  /// every channel changed as in the cycle before.
+  bool track_cycle();
+  /// The length of the window to open now (below 2: none).
+  std::uint64_t window_length(const Watchdog& watchdog, std::uint64_t steps,
+                              std::uint64_t next_poll) const;
+  void open_window(std::uint64_t d);
+  void close_window();
+  /// Orders modules by declared ports; false if they form a loop.
+  bool rank_modules();
 
   Mode mode_;
   std::uint64_t cycle_ = 0;
@@ -225,24 +297,69 @@ class Scheduler {
   bool corrupt_fired_ = false;
   std::string corrupt_channel_;
   std::vector<std::vector<std::uint32_t>> occupancy_samples_;
+  // Fast-forward state: whether the current cycle is still a candidate
+  // (every resumed module stepped with a horizon, nothing blocked, woke
+  // or was short-granted), the smallest horizon stated in it, the
+  // channel tracks, the open window's length (1: none) and what it
+  // changes until it closes.
+  bool steady_ = false;
+  std::uint64_t span_h_ = 0;     // smallest horizon stated this cycle
+  std::uint64_t horizon_ = 0;    // ... and in the cycle just finished
+  std::uint64_t last_span_ = 1;  // cycles the last boundary closed
+  std::uint64_t tracked_ = 0;    // boundaries booked into tracks_
+  std::vector<ChannelTrack> tracks_;
+  int ranked_ = 0;  // 0 not yet, 1 ranked, -1 ports form a loop
+  std::int64_t window_ = 1;
+  std::vector<int> window_modules_;
+  std::vector<std::size_t> window_capacity_, window_peak_;
+  WindowTaint window_taint_;
+  std::uint64_t ff_cycles_ = 0;
 };
 
 /// Awaitable that parks the current module until the next simulated clock
-/// cycle (no-op in functional mode). Modules call this once per batch of
-/// up to W elements, which is what defines "W elements per cycle" (a
-/// functional step may move more; see stream::step_width).
+/// cycle (no-op in functional mode) and returns how many steps its next
+/// step moves: 1, or the length of a fast-forward window the scheduler
+/// granted (never more than the horizon). Modules call this once per
+/// step of up to W elements, which is what defines "W elements per cycle"
+/// (a functional step may move more; see stream::step_width).
 struct NextCycle {
+  std::uint64_t horizon = 0;
+  TaskPromise* promise = nullptr;
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(TaskHandle h) {
+    promise = &h.promise();
+    if (!promise->sched->cycle_mode()) return false;  // resume immediately
+    promise->sched->wait_cycle(promise->module_id, horizon);
+    return true;
+  }
+  std::int64_t await_resume() const noexcept { return promise->grant; }
+};
+
+/// `d = co_await next_cycle(h);` — end of this module's step for the
+/// cycle. `h` is how many following cycles its body would repeat exactly
+/// that step (0, the default, promises nothing); the step after it moves
+/// `d` steps' worth of values, d <= h, as the d cycles would.
+inline NextCycle next_cycle(std::uint64_t horizon = 0) { return {horizon}; }
+
+/// Awaitable that declares the channels a module reads (`in`) and writes
+/// (`out`), and never suspends. A body that states horizons declares its
+/// ports first, so a fast-forward window can resume its producers before
+/// it.
+struct DeclarePorts {
+  std::span<const ChannelBase* const> in, out;
+
   bool await_ready() const noexcept { return false; }
   bool await_suspend(TaskHandle h) const {
-    TaskPromise& p = h.promise();
-    if (!p.sched->cycle_mode()) return false;  // resume immediately
-    p.sched->wait_cycle(p.module_id);
-    return true;
+    h.promise().sched->declare_ports(h.promise().module_id, in, out);
+    return false;
   }
   void await_resume() const noexcept {}
 };
 
-/// `co_await next_cycle();` — end of this module's work for the cycle.
-inline NextCycle next_cycle() { return {}; }
+inline DeclarePorts declare_ports(std::span<const ChannelBase* const> in,
+                                  std::span<const ChannelBase* const> out) {
+  return {in, out};
+}
 
 }  // namespace fblas::stream

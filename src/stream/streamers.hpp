@@ -210,7 +210,9 @@ void map_windows(F& f, const std::array<Channel<T>*, I>& in,
 /// computes in the channels' windows (map_windows). Only lockstep's forced
 /// one-element step, whose awaits suspend where a per-element loop would,
 /// pops every input into a one-element buffer per port, maps it there and
-/// pushes every output from it.
+/// pushes every output from it. Every whole step left is one the body
+/// repeats, so that is its horizon; a fast-forward grant of d steps is
+/// one batch of d times the width.
 template <typename T, std::size_t I, std::size_t O, typename F>
 Task elementwise(std::int64_t n, int width, F f,
                  std::array<Channel<T>*, I> in,
@@ -222,6 +224,7 @@ Task elementwise(std::int64_t n, int width, F f,
   std::copy(out.begin(), out.end(), ports.begin() + I);
   const auto in_ports = std::span(ports).template first<I>();
   const auto out_ports = std::span(ports).template last<O>();
+  co_await declare_ports(in_ports, out_ports);
   const std::int64_t w = step_width(width, ports);
   constexpr std::size_t N = std::max(I, O);
   std::array<T, N> one{};
@@ -229,8 +232,9 @@ Task elementwise(std::int64_t n, int width, F f,
   std::array<T*, O> one_out;
   for (std::size_t c = 0; c < I; ++c) one_in[c] = &one[c];
   for (std::size_t c = 0; c < O; ++c) one_out[c] = &one[c];
+  std::int64_t d = 1;  // steps this resume moves
   for (std::int64_t it = 0; it < n;) {
-    const std::int64_t batch = std::min(w, n - it);
+    const std::int64_t batch = std::min(w * d, n - it);
     for (std::int64_t i = 0; i < batch;) {
       const std::size_t m = lockstep(static_cast<std::size_t>(batch - i),
                                      in_ports, out_ports);
@@ -248,7 +252,7 @@ Task elementwise(std::int64_t n, int width, F f,
       i += static_cast<std::int64_t>(m);
     }
     it += batch;
-    co_await next_cycle();
+    d = co_await next_cycle(static_cast<std::uint64_t>((n - it) / w));
   }
 }
 
@@ -410,7 +414,10 @@ Task write_granted(Runs next, std::int64_t width, Channel<T>& in,
 /// lends it the granted run (Channel::lend), so the consumer reads the
 /// run in memory; a step that cannot lend (an armed corruption, or NaN/Inf
 /// under taint or a tap) gathers. Cycle mode never lends: its memory is
-/// read at grant time. An empty pass takes no cycle.
+/// read at grant time. An empty pass takes no cycle. After a whole grant
+/// the horizon is the whole steps left in the pass; a fast-forward grant
+/// of d steps asks the bank for one step's elements d times over and
+/// gathers d steps' worth.
 template <typename T, typename Gather>
 Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                Gather gather, Channel<T>& out, DramBank* bank,
@@ -419,7 +426,9 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
   const std::int64_t w = step_width(width, port);
   const bool cycle = out.scheduler().cycle_mode();
   const T* const run = cycle ? nullptr : contiguous;
+  co_await declare_ports({}, port);
   std::vector<T> buf;
+  std::int64_t d = 1;  // steps this resume moves
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
       std::int64_t want = std::min(w, n - k);
@@ -431,7 +440,8 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
       if (!cycle) {
         want = std::min(want, static_cast<std::int64_t>(out.space()));
       }
-      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T), d) : want;
+      const std::int64_t got = g * d;
       if (run != nullptr && out.lend(run + k, static_cast<std::size_t>(got))) {
         // Lent in place.
       } else if (got <= static_cast<std::int64_t>(out.space())) {
@@ -449,7 +459,8 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
         }
       }
       k += got;
-      co_await next_cycle();
+      d = co_await next_cycle(g == w ? static_cast<std::uint64_t>((n - k) / w)
+                                     : 0);
     }
   }
 }
@@ -459,16 +470,20 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
 /// elements as `bank` grants (all of them when `bank` is null), w being
 /// the step_width of `width` on `in`; it hands each front window of `in`
 /// to `scatter(pass, k, src, m)` (the pass's elements k..k+m-1), drops it
-/// and ends the cycle. An empty pass takes no cycle.
+/// and ends the cycle. An empty pass takes no cycle. Horizons and
+/// fast-forward grants are read_bulk's.
 template <typename T, typename Scatter>
 Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
                 Scatter scatter, Channel<T>& in, DramBank* bank) {
   const std::array<const ChannelBase*, 1> port{&in};
   const std::int64_t w = step_width(width, port);
+  co_await declare_ports(port, {});
+  std::int64_t d = 1;  // steps this resume moves
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
       const std::int64_t want = std::min(w, n - k);
-      const std::int64_t got = bank ? bank->grant_elems(want, sizeof(T)) : want;
+      const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T), d) : want;
+      const std::int64_t got = g * d;
       for (std::int64_t t = 0; t < got;) {
         const std::span<const T> win =
             co_await in.front_some(static_cast<std::size_t>(got - t));
@@ -477,7 +492,8 @@ Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
         t += static_cast<std::int64_t>(win.size());
       }
       k += got;
-      co_await next_cycle();
+      d = co_await next_cycle(g == w ? static_cast<std::uint64_t>((n - k) / w)
+                                     : 0);
     }
   }
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <string>
 #include <utility>
@@ -23,6 +24,11 @@ class Task;
 struct TaskPromise {
   Scheduler* sched = nullptr;
   int module_id = -1;
+  /// Cycles after the step just ended that would repeat it (stated by
+  /// `co_await next_cycle(h)`), and how many steps the module's next
+  /// resume moves: 1, or a fast-forward window's length.
+  std::uint64_t horizon = 0;
+  std::int64_t grant = 1;
   std::exception_ptr exception;
 
   Task get_return_object();

@@ -1024,6 +1024,42 @@ std::map<std::string, std::uint64_t> channel_capacities(stream::Mode mode,
   return caps;
 }
 
+// A Buffer bound to a written operand and to a second slot is refused at
+// enqueue, naming the routine and both operands, and nothing runs: a GEMV
+// with y = x would read x again after writing y. The written operand's
+// own in-place read (AXPY's y, GEMV's y) and read-only pairs (DOT with
+// x = y) stay legal.
+TEST(HostApi, AliasedOperandsRefusedAtEnqueue) {
+  for (const stream::Mode mode : {stream::Mode::Functional,
+                                  stream::Mode::Cycle}) {
+    for (const auto& [n, tile] :
+         {std::pair<std::int64_t, std::int64_t>{64, 16}, {512, 64}}) {
+      Workload wl(536);
+      Device dev;
+      Context ctx(dev, mode);
+      ctx.config().tile_rows = tile;
+      ctx.config().tile_cols = tile;
+      const auto a = make_buffer(dev, wl.matrix<float>(n, n), 0);
+      auto x = make_buffer(dev, wl.vector<float>(n), 1);
+      auto y = make_buffer(dev, wl.vector<float>(n), 2);
+      std::string msg;
+      try {
+        ctx.gemv<float>(Transpose::None, n, n, 1.0f, a, x, 1, 0.0f, x, 1);
+      } catch (const ConfigError& e) {
+        msg = e.what();
+      }
+      EXPECT_NE(msg.find("gemv: operand 'x' and written operand 'y'"),
+                std::string::npos)
+          << msg;
+      EXPECT_EQ(ctx.exec_stats().executed, 0u);
+      ctx.dot<float>(n, x, x);
+      ctx.axpy<float>(n, 2.0f, x, y);
+      ctx.gemv<float>(Transpose::None, n, n, 1.0f, a, x, 0.5f, y);
+      EXPECT_EQ(ctx.exec_stats().executed, 3u);
+    }
+  }
+}
+
 TEST(HostApi, RoutineFifoDepthFollowsMode) {
   // Routine channels are chan_cap deep: max(64, 2W) on a cycle context;
   // kFunctionalDepth on a functional one, or the longest operand stream

@@ -1101,6 +1101,26 @@ TEST(BatchTransfer, SchedulesPinned) {
   }
 }
 
+// Fast-forward engages where a run repeats one step and nowhere else: at
+// capacity 64 at least 90% of the cycles of the long AXPY and GEMV runs
+// are fast-forwarded, and none of the bank-bound AXPY's, whose grants
+// alternate. Functional mode keeps no cycles and never fast-forwards.
+TEST(FastForward, EngagesOnSteadySpansOnly) {
+  const auto share = [](const std::string& kind, Mode mode) {
+    Graph g(mode);
+    std::vector<float> out;
+    build_long(kind, g, 64, long_data(false), out);
+    g.run();
+    const auto ff = static_cast<double>(g.scheduler().fast_forwarded_cycles());
+    return mode == Mode::Cycle ? ff / static_cast<double>(g.cycles()) : ff;
+  };
+  for (const char* kind : {"long_axpy", "long_gemv_rows", "long_gemv_t_cols"}) {
+    EXPECT_GE(share(kind, Mode::Cycle), 0.9) << kind;
+    EXPECT_EQ(share(kind, Mode::Functional), 0.0) << kind;
+  }
+  EXPECT_EQ(share("long_axpy_bank", Mode::Cycle), 0.0);
+}
+
 // Watchdog limits that fall in the middle of the long AXPY's steady span
 // (cycles 3..256 of 260, at capacity 64): each throws TimeoutError at the
 // cycle and step counts of a run that steps every cycle, with the same
