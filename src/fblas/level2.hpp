@@ -184,9 +184,9 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
   cfg.validate();
   const std::array<const stream::ChannelBase*, 4> ports{&ch_a, &ch_x, &ch_y,
                                                        &ch_out};
-  co_await stream::declare_ports(std::span(ports).first(3),
-                                 std::span(ports).last(1));
-  const std::int64_t W = stream::step_width(cfg.width, std::span(ports).first(1));
+  const std::span<const stream::ChannelBase* const> all(ports);
+  co_await stream::declare_ports(all.first(3), all.last(1));
+  const std::int64_t W = stream::step_width(cfg.width, all.first(1));
   const bool none = cfg.trans == Transpose::None;
   const bool by_rows = cfg.tiling == MatrixTiling::TilesByRows;
   const bool row_elems = cfg.elem_order == Order::RowMajor;

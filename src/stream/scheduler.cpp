@@ -66,6 +66,10 @@ void Scheduler::wait_cycle(int id, std::uint64_t horizon) {
 void Scheduler::wake(int id) {
   ModuleEntry& m = modules_[id];
   if (m.state == ModuleState::BlockedPop || m.state == ModuleState::BlockedPush) {
+    if (window_ > 1) {
+      throw Error("module '" + m.name +
+                  "' was woken inside a fast-forward window");
+    }
     m.state = ModuleState::Ready;
     m.blocked_on = nullptr;
     --blocked_modules_;
@@ -76,8 +80,8 @@ void Scheduler::wake(int id) {
 
 void Scheduler::declare_ports(int id, std::span<const ChannelBase* const> in,
                               std::span<const ChannelBase* const> out) {
-  modules_[id].ins.assign(in.begin(), in.end());
-  modules_[id].outs.assign(out.begin(), out.end());
+  modules_[id].ins = in;
+  modules_[id].outs = out;
 }
 
 void Scheduler::note_short_grant() {
@@ -359,6 +363,7 @@ void Scheduler::run(const Watchdog& watchdog) {
       current_ = -1;
       if (m.handle.done()) {
         m.state = ModuleState::Done;
+        m.ins = m.outs = {};
         --live_;
         steady_ = false;
         if (m.handle.promise().exception) {

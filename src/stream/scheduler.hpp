@@ -149,14 +149,13 @@ class Scheduler {
   void wait_cycle(int id, std::uint64_t horizon);
   /// Moves a blocked module back to the ready queue (channel wakeups).
   void wake(int id);
-  /// Records the channels module `id` reads and writes; fast-forward
-  /// windows resume producers before consumers by them.
+  /// Records the channels module `id` reads and writes (the spans must
+  /// live as long as the module runs); fast-forward windows resume
+  /// producers before consumers by them.
   void declare_ports(int id, std::span<const ChannelBase* const> in,
                      std::span<const ChannelBase* const> out);
   /// Called by a bank that granted less than was asked this cycle.
   void note_short_grant();
-  /// Steps the module being resumed moves now (1 outside a window).
-  std::int64_t window() const { return window_; }
 
   const std::string& module_name(int id) const { return modules_[id].name; }
   std::size_t module_count() const { return modules_.size(); }
@@ -234,7 +233,9 @@ class Scheduler {
     ModuleState state = ModuleState::Ready;
     const ChannelBase* blocked_on = nullptr;
     std::uint64_t resumes = 0;
-    std::vector<const ChannelBase*> ins, outs;  // declared ports
+    // Declared ports: views of the module's own port lists, cleared
+    // when it finishes (its frame's locals are gone then).
+    std::span<const ChannelBase* const> ins, outs;
     int rank = 0;  // longest producer chain by declared ports
     int slot = 0;  // position in the last stepped cycle's order
   };
@@ -345,7 +346,7 @@ inline NextCycle next_cycle(std::uint64_t horizon = 0) { return {horizon}; }
 /// Awaitable that declares the channels a module reads (`in`) and writes
 /// (`out`), and never suspends. A body that states horizons declares its
 /// ports first, so a fast-forward window can resume its producers before
-/// it.
+/// it; the lists stay the body's own and must outlive its last step.
 struct DeclarePorts {
   std::span<const ChannelBase* const> in, out;
 

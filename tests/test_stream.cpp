@@ -1106,10 +1106,11 @@ TEST(BatchTransfer, SchedulesPinned) {
 // are fast-forwarded, and none of the bank-bound AXPY's, whose grants
 // alternate. Functional mode keeps no cycles and never fast-forwards.
 TEST(FastForward, EngagesOnSteadySpansOnly) {
-  const auto share = [](const std::string& kind, Mode mode) {
+  const PinData d = long_data(false);
+  const auto share = [&d](const std::string& kind, Mode mode) {
     Graph g(mode);
     std::vector<float> out;
-    build_long(kind, g, 64, long_data(false), out);
+    build_long(kind, g, 64, d, out);
     g.run();
     const auto ff = static_cast<double>(g.scheduler().fast_forwarded_cycles());
     return mode == Mode::Cycle ? ff / static_cast<double>(g.cycles()) : ff;
@@ -1147,10 +1148,11 @@ TEST(Watchdog, LimitsInsideSteadySpanPinned) {
        "scheduler steps; the graph is wedged (injected hang).",
        13435721929144896404ULL},
   };
+  const PinData d = long_data(false);
   for (const Case& c : cases) {
     Graph g(Mode::Cycle);
     std::vector<float> out;
-    build_long("long_axpy", g, 64, long_data(false), out);
+    build_long("long_axpy", g, 64, d, out);
     if (c.wedge != 0) g.scheduler().wedge_after(c.wedge);
     std::string msg;
     try {
