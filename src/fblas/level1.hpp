@@ -278,7 +278,7 @@ Task reduce(Level1Config cfg, std::int64_t n, Fold fold,
       i += static_cast<std::int64_t>(m);
     }
     it += batch;
-    d = co_await next_cycle(static_cast<std::uint64_t>((n - it) / step));
+    d = co_await next_cycle(n - it, step);
   }
   co_await ch_res.push(res);
 }

@@ -266,8 +266,7 @@ Task gemv(GemvConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         e += got;
         if ((in_cycle += got) == W * d) {
           in_cycle = 0;
-          d = co_await next_cycle(
-              only_a ? static_cast<std::uint64_t>((total - e) / W) : 0);
+          d = co_await next_cycle(only_a ? total - e : 0, W);
           only_a = true;
         }
       }
@@ -403,8 +402,7 @@ Task ger_pairs(GerConfig cfg, std::int64_t rows, std::int64_t cols, T alpha,
         e += static_cast<std::int64_t>(m);
         if ((in_cycle += static_cast<std::int64_t>(m)) == W * grant) {
           in_cycle = 0;
-          grant = co_await next_cycle(
-              only_a ? static_cast<std::uint64_t>((total - e) / W) : 0);
+          grant = co_await next_cycle(only_a ? total - e : 0, W);
           only_a = true;
         }
       }

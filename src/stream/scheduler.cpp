@@ -1,7 +1,6 @@
 #include "stream/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "stream/channel.hpp"
@@ -15,8 +14,6 @@ namespace {
 /// functional FIFO depth, so a ring grows no further than a functional
 /// routine's.
 constexpr std::uint64_t kWindowValues = 4096;
-
-constexpr std::uint64_t kNoHorizon = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -57,10 +54,10 @@ void Scheduler::block_on_push(int id, ChannelBase& ch) {
   ch.note_stall();
 }
 
-void Scheduler::wait_cycle(int id, std::uint64_t horizon) {
+void Scheduler::wait_cycle(int id, bool repeats) {
   modules_[id].state = ModuleState::WaitCycle;
   cycle_waiters_.push_back(id);
-  span_h_ = std::min(span_h_, horizon);
+  steady_ = steady_ && repeats;
 }
 
 void Scheduler::wake(int id) {
@@ -151,11 +148,8 @@ bool Scheduler::advance_cycle() {
   ++cycle_;
   bool budgets_repeat = true;
   for (DramBank* bank : banks_) budgets_repeat &= bank->reset_cycle();
-  const bool steady = track_cycle() && budgets_repeat && steady_ &&
-                      span_h_ != 0 && span_h_ != kNoHorizon;
-  horizon_ = span_h_;
+  const bool steady = track_cycle() && budgets_repeat && steady_;
   steady_ = true;
-  span_h_ = kNoHorizon;
   int slot = 0;
   for (const int id : cycle_waiters_) {
     modules_[id].state = ModuleState::Ready;
@@ -191,7 +185,12 @@ bool Scheduler::track_cycle() {
 std::uint64_t Scheduler::window_length(const Watchdog& watchdog,
                                        std::uint64_t steps,
                                        std::uint64_t next_poll) const {
-  std::uint64_t d = horizon_;
+  // The horizons, divided only here, where a span may be granted.
+  std::uint64_t d = kWindowValues;
+  for (const int id : ready_) {
+    const TaskPromise& p = modules_[id].handle.promise();
+    d = std::min(d, p.left / p.step);
+  }
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const ChannelTrack& t = tracks_[c];
     const std::uint64_t cap = channels_[c]->capacity();
@@ -321,7 +320,6 @@ void Scheduler::run(const Watchdog& watchdog) {
   // iteration once wedged, so a hung run ends promptly at the deadline.
   std::uint64_t next_poll = 0;
   steady_ = true;
-  span_h_ = kNoHorizon;
   while (live_ > 0) {
     // A live module needs at least one more resume, so a run that has
     // spent its step budget cannot finish within it.

@@ -11,7 +11,8 @@
 // Fast-forward (cycle mode). A module that ends a full step states its
 // horizon h: how many following cycles its body would repeat exactly
 // that step (the same count on every port, no loop, tile or pass
-// boundary). When every module resumed in the cycle just finished made
+// boundary), as the values it has left to move in such steps and the
+// step's size, h = left / step, divided only when a span is granted. When every module resumed in the cycle just finished made
 // such a step with h >= 1, none blocked or was woken, no bank grant was
 // short, every channel's occupancy changed by the same amount as in the
 // cycle before (and a growing channel set its peak in it) and every
@@ -144,9 +145,9 @@ class Scheduler {
   // --- awaiter interface -------------------------------------------------
   void block_on_pop(int id, ChannelBase& ch);
   void block_on_push(int id, ChannelBase& ch);
-  /// Parks module `id` until the next cycle after a step whose following
-  /// `horizon` cycles would repeat it (0: no promise).
-  void wait_cycle(int id, std::uint64_t horizon);
+  /// Parks module `id` until the next cycle; `repeats` when at least the
+  /// next cycle would repeat the step it just ended.
+  void wait_cycle(int id, bool repeats);
   /// Moves a blocked module back to the ready queue (channel wakeups).
   void wake(int id);
   /// Records the channels module `id` reads and writes (the spans must
@@ -300,12 +301,9 @@ class Scheduler {
   std::vector<std::vector<std::uint32_t>> occupancy_samples_;
   // Fast-forward state: whether the current cycle is still a candidate
   // (every resumed module stepped with a horizon, nothing blocked, woke
-  // or was short-granted), the smallest horizon stated in it, the
-  // channel tracks, the open window's length (1: none) and what it
-  // changes until it closes.
+  // or was short-granted), the channel tracks, the open window's length
+  // (1: none) and what it changes until it closes.
   bool steady_ = false;
-  std::uint64_t span_h_ = 0;     // smallest horizon stated this cycle
-  std::uint64_t horizon_ = 0;    // ... and in the cycle just finished
   std::uint64_t last_span_ = 1;  // cycles the last boundary closed
   std::uint64_t tracked_ = 0;    // boundaries booked into tracks_
   std::vector<ChannelTrack> tracks_;
@@ -324,24 +322,29 @@ class Scheduler {
 /// step of up to W elements, which is what defines "W elements per cycle"
 /// (a functional step may move more; see stream::step_width).
 struct NextCycle {
-  std::uint64_t horizon = 0;
+  std::uint64_t left = 0, step = 1;
   TaskPromise* promise = nullptr;
 
   bool await_ready() const noexcept { return false; }
   bool await_suspend(TaskHandle h) {
     promise = &h.promise();
     if (!promise->sched->cycle_mode()) return false;  // resume immediately
-    promise->sched->wait_cycle(promise->module_id, horizon);
+    promise->left = left;
+    promise->step = step;
+    promise->sched->wait_cycle(promise->module_id, left >= step);
     return true;
   }
   std::int64_t await_resume() const noexcept { return promise->grant; }
 };
 
-/// `d = co_await next_cycle(h);` — end of this module's step for the
-/// cycle. `h` is how many following cycles its body would repeat exactly
-/// that step (0, the default, promises nothing); the step after it moves
-/// `d` steps' worth of values, d <= h, as the d cycles would.
-inline NextCycle next_cycle(std::uint64_t horizon = 0) { return {horizon}; }
+/// `d = co_await next_cycle(left, step);` — end of this module's step for
+/// the cycle. Its horizon h = left / step is how many following cycles
+/// its body would repeat exactly that step: `left` values remain to move
+/// in steps of `step` (no arguments promise nothing). The step after it
+/// moves `d` steps' worth of values, d <= h, as the d cycles would.
+inline NextCycle next_cycle(std::int64_t left = 0, std::int64_t step = 1) {
+  return {static_cast<std::uint64_t>(left), static_cast<std::uint64_t>(step)};
+}
 
 /// Awaitable that declares the channels a module reads (`in`) and writes
 /// (`out`), and never suspends. A body that states horizons declares its

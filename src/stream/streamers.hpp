@@ -252,7 +252,7 @@ Task elementwise(std::int64_t n, int width, F f,
       i += static_cast<std::int64_t>(m);
     }
     it += batch;
-    d = co_await next_cycle(static_cast<std::uint64_t>((n - it) / w));
+    d = co_await next_cycle(n - it, w);
   }
 }
 
@@ -459,8 +459,7 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
         }
       }
       k += got;
-      d = co_await next_cycle(g == w ? static_cast<std::uint64_t>((n - k) / w)
-                                     : 0);
+      d = co_await next_cycle(g == w ? n - k : 0, w);
     }
   }
 }
@@ -492,8 +491,7 @@ Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
         t += static_cast<std::int64_t>(win.size());
       }
       k += got;
-      d = co_await next_cycle(g == w ? static_cast<std::uint64_t>((n - k) / w)
-                                     : 0);
+      d = co_await next_cycle(g == w ? n - k : 0, w);
     }
   }
 }

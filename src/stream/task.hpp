@@ -24,10 +24,11 @@ class Task;
 struct TaskPromise {
   Scheduler* sched = nullptr;
   int module_id = -1;
-  /// Cycles after the step just ended that would repeat it (stated by
-  /// `co_await next_cycle(h)`), and how many steps the module's next
-  /// resume moves: 1, or a fast-forward window's length.
-  std::uint64_t horizon = 0;
+  /// The horizon stated by `co_await next_cycle(left, step)`: the values
+  /// left to move and the size of the step just ended, so left / step
+  /// following cycles would repeat it. And how many steps the module's
+  /// next resume moves: 1, or a fast-forward window's length.
+  std::uint64_t left = 0, step = 1;
   std::int64_t grant = 1;
   std::exception_ptr exception;
 
