@@ -30,7 +30,7 @@ std::int64_t DramBank::grant_elems(std::int64_t want, std::size_t elem_bytes,
     available_ -= static_cast<double>(granted * elem_bytes);
     total_bytes_ += static_cast<std::uint64_t>(granted * steps) * elem_bytes;
   }
-  if (granted < want) sched_->note_short_grant();
+  short_ = short_ || granted < want;
   return granted;
 }
 

@@ -30,7 +30,7 @@ class DramBank {
   /// granted `steps` cycles at once by a fast-forward window asks once
   /// for one cycle's `want`: the budget repeats every cycle there, so
   /// each cycle grants the same, and the bytes of all `steps` are booked.
-  /// A grant short of `want` tells the scheduler the cycle is not steady.
+  /// A grant short of `want` marks the cycle as not steady.
   std::int64_t grant_elems(std::int64_t want, std::size_t elem_bytes,
                            std::int64_t steps = 1);
 
@@ -38,11 +38,13 @@ class DramBank {
   /// accumulates up to one burst so that banks narrower than a single
   /// element still make progress (a fractional budget must be able to
   /// add up to one grant) without allowing unbounded bursts. Returns
-  /// whether the new cycle starts with the budget the last one did.
+  /// whether the cycle that ended granted in full and the new one starts
+  /// with the budget it did: whether the bank repeats its cycle.
   bool reset_cycle() {
     const double burst = std::max(bytes_per_cycle_, 64.0);
     available_ = std::min(available_ + bytes_per_cycle_, burst);
-    return std::exchange(last_start_, available_) == available_;
+    return !std::exchange(short_, false) &&
+           std::exchange(last_start_, available_) == available_;
   }
 
   std::uint64_t total_bytes() const { return total_bytes_; }
@@ -53,6 +55,7 @@ class DramBank {
   double bytes_per_cycle_;
   double available_;
   double last_start_ = -1.0;  // the budget the current cycle started with
+  bool short_ = false;        // a grant this cycle fell short
   std::uint64_t total_bytes_ = 0;
 };
 

@@ -81,13 +81,6 @@ void Scheduler::declare_ports(int id, std::span<const ChannelBase* const> in,
   modules_[id].outs = out;
 }
 
-void Scheduler::note_short_grant() {
-  if (window_ > 1) {
-    throw Error("a bank grant fell short inside a fast-forward window");
-  }
-  steady_ = false;
-}
-
 void Scheduler::note_nonfinite(const ChannelBase& ch, double value) {
   if (window_ > 1) {
     // Stepping would have pushed this value in the cycle its place among
@@ -146,9 +139,20 @@ bool Scheduler::advance_cycle() {
   // total the tracing layer exports next to the cycle count.
   stall_module_cycles_ += static_cast<std::uint64_t>(blocked_modules_);
   ++cycle_;
-  bool budgets_repeat = true;
-  for (DramBank* bank : banks_) budgets_repeat &= bank->reset_cycle();
-  const bool steady = track_cycle() && budgets_repeat && steady_;
+  bool banks_repeat = true;
+  for (DramBank* bank : banks_) banks_repeat &= bank->reset_cycle();
+  if (last_span_ > 1 && !banks_repeat) {
+    throw Error("a bank did not repeat its cycle in a fast-forward window");
+  }
+  // While a bank falls short or its budget moves, no cycle is steady;
+  // the channels are not booked then, and their tracks go stale.
+  bool steady = false;
+  if (banks_repeat) {
+    steady = track_cycle() && steady_;
+  } else {
+    tracked_ = 0;
+    last_span_ = 1;
+  }
   steady_ = true;
   int slot = 0;
   for (const int id : cycle_waiters_) {
@@ -162,7 +166,9 @@ bool Scheduler::advance_cycle() {
 
 bool Scheduler::track_cycle() {
   const std::uint64_t span = std::exchange(last_span_, 1);
-  bool same = tracked_ > 0;
+  // The deltas compare once the two boundaries before this one were
+  // booked too (the run's start counts as one).
+  bool same = tracked_ >= 2;
   ++tracked_;
   tracks_.resize(channels_.size());
   for (std::size_t c = 0; c < channels_.size(); ++c) {
@@ -320,6 +326,7 @@ void Scheduler::run(const Watchdog& watchdog) {
   // iteration once wedged, so a hung run ends promptly at the deadline.
   std::uint64_t next_poll = 0;
   steady_ = true;
+  tracked_ = 1;
   while (live_ > 0) {
     // A live module needs at least one more resume, so a run that has
     // spent its step budget cannot finish within it.

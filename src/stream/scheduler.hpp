@@ -155,8 +155,6 @@ class Scheduler {
   /// producers before consumers by them.
   void declare_ports(int id, std::span<const ChannelBase* const> in,
                      std::span<const ChannelBase* const> out);
-  /// Called by a bank that granted less than was asked this cycle.
-  void note_short_grant();
 
   const std::string& module_name(int id) const { return modules_[id].name; }
   std::size_t module_count() const { return modules_.size(); }
@@ -305,7 +303,7 @@ class Scheduler {
   // (1: none) and what it changes until it closes.
   bool steady_ = false;
   std::uint64_t last_span_ = 1;  // cycles the last boundary closed
-  std::uint64_t tracked_ = 0;    // boundaries booked into tracks_
+  std::uint64_t tracked_ = 0;    // boundaries booked in a row
   std::vector<ChannelTrack> tracks_;
   int ranked_ = 0;  // 0 not yet, 1 ranked, -1 ports form a loop
   std::int64_t window_ = 1;
