@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 namespace fblas::stream {
 
@@ -43,8 +42,10 @@ class DramBank {
   bool reset_cycle() {
     const double burst = std::max(bytes_per_cycle_, 64.0);
     available_ = std::min(available_ + bytes_per_cycle_, burst);
-    return !std::exchange(short_, false) &&
-           std::exchange(last_start_, available_) == available_;
+    const bool repeats = !short_ && available_ == last_start_;
+    short_ = false;
+    last_start_ = available_;
+    return repeats;
   }
 
   std::uint64_t total_bytes() const { return total_bytes_; }

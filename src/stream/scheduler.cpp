@@ -54,10 +54,13 @@ void Scheduler::block_on_push(int id, ChannelBase& ch) {
   ch.note_stall();
 }
 
-void Scheduler::wait_cycle(int id, bool repeats) {
-  modules_[id].state = ModuleState::WaitCycle;
+void Scheduler::wait_cycle(int id, std::uint64_t left, std::uint64_t step) {
+  ModuleEntry& m = modules_[id];
+  m.state = ModuleState::WaitCycle;
+  m.left = left;
+  m.step = step;
   cycle_waiters_.push_back(id);
-  steady_ = steady_ && repeats;
+  steady_ = steady_ && left >= step;
 }
 
 void Scheduler::wake(int id) {
@@ -154,10 +157,8 @@ bool Scheduler::advance_cycle() {
     last_span_ = 1;
   }
   steady_ = true;
-  int slot = 0;
   for (const int id : cycle_waiters_) {
     modules_[id].state = ModuleState::Ready;
-    modules_[id].slot = slot++;
     ready_.push_back(id);
   }
   cycle_waiters_.clear();
@@ -194,8 +195,7 @@ std::uint64_t Scheduler::window_length(const Watchdog& watchdog,
   // The horizons, divided only here, where a span may be granted.
   std::uint64_t d = kWindowValues;
   for (const int id : ready_) {
-    const TaskPromise& p = modules_[id].handle.promise();
-    d = std::min(d, p.left / p.step);
+    d = std::min(d, modules_[id].left / modules_[id].step);
   }
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const ChannelTrack& t = tracks_[c];
@@ -255,6 +255,9 @@ bool Scheduler::rank_modules() {
 
 void Scheduler::open_window(std::uint64_t d) {
   window_ = static_cast<std::int64_t>(d);
+  // The ready queue holds the waiters in the stepped order.
+  int slot = 0;
+  for (const int id : ready_) modules_[id].slot = slot++;
   window_modules_.assign(ready_.begin(), ready_.end());
   std::stable_sort(window_modules_.begin(), window_modules_.end(),
                    [this](int a, int b) {

@@ -145,9 +145,9 @@ class Scheduler {
   // --- awaiter interface -------------------------------------------------
   void block_on_pop(int id, ChannelBase& ch);
   void block_on_push(int id, ChannelBase& ch);
-  /// Parks module `id` until the next cycle; `repeats` when at least the
-  /// next cycle would repeat the step it just ended.
-  void wait_cycle(int id, bool repeats);
+  /// Parks module `id` until the next cycle, after a step whose next
+  /// `left / step` cycles would repeat it (its horizon).
+  void wait_cycle(int id, std::uint64_t left, std::uint64_t step);
   /// Moves a blocked module back to the ready queue (channel wakeups).
   void wake(int id);
   /// Records the channels module `id` reads and writes (the spans must
@@ -237,6 +237,7 @@ class Scheduler {
     std::span<const ChannelBase* const> ins, outs;
     int rank = 0;  // longest producer chain by declared ports
     int slot = 0;  // position in the last stepped cycle's order
+    std::uint64_t left = 0, step = 1;  // the horizon, left / step
   };
   /// One channel's traffic in the last cycle, per cycle of it.
   struct ChannelTrack {
@@ -327,9 +328,7 @@ struct NextCycle {
   bool await_suspend(TaskHandle h) {
     promise = &h.promise();
     if (!promise->sched->cycle_mode()) return false;  // resume immediately
-    promise->left = left;
-    promise->step = step;
-    promise->sched->wait_cycle(promise->module_id, left >= step);
+    promise->sched->wait_cycle(promise->module_id, left, step);
     return true;
   }
   std::int64_t await_resume() const noexcept { return promise->grant; }

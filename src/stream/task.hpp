@@ -24,11 +24,8 @@ class Task;
 struct TaskPromise {
   Scheduler* sched = nullptr;
   int module_id = -1;
-  /// The horizon stated by `co_await next_cycle(left, step)`: the values
-  /// left to move and the size of the step just ended, so left / step
-  /// following cycles would repeat it. And how many steps the module's
-  /// next resume moves: 1, or a fast-forward window's length.
-  std::uint64_t left = 0, step = 1;
+  /// How many steps the module's next resume moves: 1, or the length of
+  /// a fast-forward window (stream::next_cycle returns it).
   std::int64_t grant = 1;
   std::exception_ptr exception;
 
