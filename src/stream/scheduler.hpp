@@ -4,7 +4,7 @@
 //  * Functional — modules run eagerly; channel backpressure still applies
 //    (bounded FIFOs) but no notion of time. Used for numerical validation.
 //  * Cycle — a module performs one step of work per simulated clock
-//    cycle (it ends each step with `co_await next_cycle(h)`), DRAM banks
+//    cycle (it ends each step with `co_await next_cycle(...)`), DRAM banks
 //    meter bytes per cycle, and the scheduler counts cycles. Used for
 //    throughput/backpressure/composition experiments.
 //

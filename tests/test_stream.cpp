@@ -1122,6 +1122,137 @@ TEST(FastForward, EngagesOnSteadySpansOnly) {
   EXPECT_EQ(share("long_axpy_bank", Mode::Cycle), 0.0);
 }
 
+// Fast-forward books exactly what stepping books, on seeded random
+// graphs of the opted-in bodies: AXPY, SCAL, DOT, the four GEMV variants
+// and GER at random lengths, shapes, tiles, widths, capacities and bank
+// rates, each run twice. An armed corrupt_push that never fires turns
+// fast-forward off and changes nothing else for single-output modules,
+// so the second run steps every cycle. Cycles, stalls, every channel's
+// peak, stall events, totals and tap bits, every module's resumes, bank
+// bytes, the occupancy trace and the output bits must agree.
+TEST(FastForward, MatchesSteppedRunsOnRandomGraphs) {
+  Workload rng(4242);
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(rng.next_u64() %
+                                          static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  std::uint64_t fast_forwarded = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const int kind = static_cast<int>(pick(0, 4));
+    const int w = std::array<int, 3>{1, 4, 16}[pick(0, 2)];
+    const std::size_t cap = static_cast<std::size_t>(
+        pick(0, 1) ? pick(w, 3 * w) : std::array<std::int64_t, 2>{64, 767}[pick(0, 1)]);
+    const double xy_rate = static_cast<double>(pick(4, 160)) * 4;
+    const double mem_rate = static_cast<double>(pick(4, 160)) * 4;
+    const std::int64_t n = pick(1, 3000);
+    const std::int64_t rows = pick(1, 70), cols = pick(1, 70);
+    const std::int64_t tr = pick(1, 40), tc = pick(1, 40);
+    const auto trans = pick(0, 1) ? Transpose::Trans : Transpose::None;
+    const auto tiling = pick(0, 1) ? core::MatrixTiling::TilesByRows
+                                   : core::MatrixTiling::TilesByCols;
+    const auto elems = pick(0, 1) ? Order::RowMajor : Order::ColMajor;
+    const std::vector<float> x = rng.vector<float>(std::max(n, rows + cols));
+    const std::vector<float> y = rng.vector<float>(std::max(n, rows + cols));
+    const std::vector<float> a = rng.matrix<float>(rows, cols);
+    auto run = [&](bool stepped) {
+      Graph g(Mode::Cycle);
+      DramBank& xy = g.bank("xy", xy_rate);
+      DramBank& mem = g.bank("mem", mem_rate);
+      auto& cx = g.channel<float>("x", cap);
+      auto& cy = g.channel<float>("y", cap);
+      auto& cout = g.channel<float>("out", cap);
+      std::vector<float> out;
+      const core::Level1Config l1{w};
+      const auto vec = [](const std::vector<float>& v, std::int64_t len) {
+        return VectorView<const float>(v.data(), len);
+      };
+      if (kind <= 2) {
+        out.assign(static_cast<std::size_t>(kind == 2 ? 1 : n), 0.0f);
+        g.spawn("read_x", read_vector<float>(vec(x, n), 1, w, cx, &xy));
+        if (kind != 1) {
+          g.spawn("read_y", read_vector<float>(vec(y, n), 1, w, cy, &xy));
+        }
+        if (kind == 0) {
+          g.spawn("axpy", core::axpy<float>(l1, n, 1.5f, cx, cy, cout));
+        } else if (kind == 1) {
+          g.spawn("scal", core::scal<float>(l1, n, -0.5f, cx, cout));
+        } else {
+          g.spawn("dot", core::dot<float>(l1, n, cx, cy, cout));
+        }
+        g.spawn("write", write_vector<float>(
+                             VectorView<float>(out.data(),
+                                               static_cast<std::int64_t>(out.size())),
+                             1, w, cout, &mem));
+      } else if (kind == 3) {
+        const core::GemvConfig cfg{trans, tiling, w, tr, tc, elems};
+        const bool none = trans == Transpose::None;
+        const std::int64_t xlen = none ? cols : rows, ylen = none ? rows : cols;
+        auto& ca = g.channel<float>("A", cap);
+        out.assign(static_cast<std::size_t>(ylen), 0.0f);
+        g.spawn("read_A", read_matrix<float>(
+                              MatrixView<const float>(a.data(), rows, cols),
+                              core::gemv_a_schedule(cfg), 1, w, ca, &mem));
+        g.spawn("read_x", read_vector<float>(
+                              vec(x, xlen), core::gemv_x_repeat(cfg, rows, cols),
+                              w, cx, &xy));
+        g.spawn("read_y", read_vector<float>(vec(y, ylen), 1, w, cy, &xy));
+        g.spawn("gemv", core::gemv<float>(cfg, rows, cols, 1.25f, 0.5f, ca, cx,
+                                          cy, cout));
+        g.spawn("write", write_vector<float>(VectorView<float>(out.data(), ylen),
+                                             1, w, cout, &mem));
+      } else {
+        const core::GerConfig cfg{tiling, w, tr, tc, elems};
+        const TileSchedule sched = core::ger_a_schedule(cfg);
+        auto& ca = g.channel<float>("A", cap);
+        out.assign(static_cast<std::size_t>(rows * cols), 0.0f);
+        g.spawn("read_A", read_matrix<float>(
+                              MatrixView<const float>(a.data(), rows, cols),
+                              sched, 1, w, ca, &mem));
+        g.spawn("read_x", read_vector<float>(
+                              vec(x, rows), core::ger_x_repeat(cfg, rows, cols),
+                              w, cx, &xy));
+        g.spawn("read_y", read_vector<float>(
+                              vec(y, cols), core::ger_y_repeat(cfg, rows, cols),
+                              w, cy, &xy));
+        g.spawn("ger", core::ger<float>(cfg, rows, cols, 0.5f, ca, cx, cy, cout));
+        g.spawn("write", write_matrix<float>(
+                             MatrixView<float>(out.data(), rows, cols), sched, w,
+                             cout, &mem));
+      }
+      for (const auto& ch : g.channels()) ch->arm_tap();
+      Scheduler& s = g.scheduler();
+      s.enable_occupancy_trace();
+      if (stepped) s.corrupt_push(std::numeric_limits<std::uint64_t>::max());
+      g.run();
+      std::ostringstream os;
+      os << "cycles " << g.cycles() << " stall " << s.stall_module_cycles()
+         << " bytes " << xy.total_bytes() << " " << mem.total_bytes() << "\n";
+      for (std::size_t c = 0; c < s.channel_count(); ++c) {
+        const auto& ch = *g.channels()[c];
+        os << ch.name() << " peak " << ch.peak_occupancy() << " stalls "
+           << ch.stall_events() << " moved " << ch.total_pushed() << "/"
+           << ch.total_popped() << " tap " << hex_bits(ch.tap_sum()) << "/"
+           << hex_bits(ch.tap_mag()) << " trace";
+        for (const std::uint32_t v : s.occupancy_trace(c)) os << " " << v;
+        os << "\n";
+      }
+      for (std::size_t m = 0; m < s.module_count(); ++m) {
+        os << s.module_name(static_cast<int>(m)) << "="
+           << s.module_resumes(static_cast<int>(m)) << " ";
+      }
+      for (const float v : out) os << " " << std::bit_cast<std::uint32_t>(v);
+      if (!stepped) fast_forwarded += s.fast_forwarded_cycles();
+      return os.str();
+    };
+    const std::string stepped = run(true);
+    EXPECT_EQ(run(false), stepped)
+        << "trial " << trial << " kind " << kind << " W " << w << " cap " << cap
+        << " n " << n << " " << rows << "x" << cols << " tiles " << tr << "x"
+        << tc;
+  }
+  EXPECT_GT(fast_forwarded, 0u);
+}
+
 // Watchdog limits that fall in the middle of the long AXPY's steady span
 // (cycles 3..256 of 260, at capacity 64): each throws TimeoutError at the
 // cycle and step counts of a run that steps every cycle, with the same
