@@ -96,7 +96,8 @@ void Scheduler::note_nonfinite(const ChannelBase& ch, double value) {
     const ChannelTrack& t =
         tracks_[static_cast<std::size_t>(at - channels_.begin())];
     const std::uint64_t cycle =
-        cycle_ + (ch.total_pushed() - t.pushed) / std::max<std::uint64_t>(t.in, 1);
+        cycle_ + (ch.total_pushed() - t.pushed) / std::max<std::uint64_t>(
+                                                      t.in, 1);
     const int slot = modules_[current_].slot;
     WindowTaint& w = window_taint_;
     if (!w.found || cycle < w.cycle || (cycle == w.cycle && slot < w.slot)) {
@@ -291,8 +292,9 @@ void Scheduler::close_window() {
     }
   }
   // The next cycle resumes them in the stepped order, as stepping would.
-  std::sort(cycle_waiters_.begin(), cycle_waiters_.end(),
-            [this](int a, int b) { return modules_[a].slot < modules_[b].slot; });
+  std::sort(cycle_waiters_.begin(), cycle_waiters_.end(), [this](int a, int b) {
+    return modules_[a].slot < modules_[b].slot;
+  });
   // The d - 1 cycle boundaries inside the window, as stepping books them;
   // advance_cycle books the last one.
   if (trace_occupancy_) occupancy_samples_.resize(channels_.size());

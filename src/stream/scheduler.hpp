@@ -12,13 +12,14 @@
 // horizon h: how many following cycles its body would repeat exactly
 // that step (the same count on every port, no loop, tile or pass
 // boundary), as the values it has left to move in such steps and the
-// step's size, h = left / step, divided only when a span is granted. When every module resumed in the cycle just finished made
-// such a step with h >= 1, none blocked or was woken, no bank grant was
-// short, every channel's occupancy changed by the same amount as in the
-// cycle before (and a growing channel set its peak in it) and every
-// bank's budget at the boundary repeats, the next cycles are copies of
-// it. The scheduler then grants D of them at once: each of those modules
-// is resumed once, producers before consumers (by the ports it declared,
+// step's size, h = left / step, divided only when a span is granted.
+// When every module resumed in the cycle just finished made such a step
+// with h >= 1, none blocked or was woken, no bank grant was short, every
+// channel's occupancy changed by the same amount as in the cycle before
+// (and a growing channel set its peak in it) and every bank's budget at
+// the boundary repeats, the next cycles are copies of it. The scheduler
+// then grants D of them at once: each of those modules is resumed once,
+// producers before consumers (by the ports it declared,
 // stream::declare_ports), and its next_cycle returns D, so the step
 // moves D steps' worth of values through the same code. D is the
 // smallest of the horizons, the cycles before a channel would fill or
@@ -299,9 +300,10 @@ class Scheduler {
   std::string corrupt_channel_;
   std::vector<std::vector<std::uint32_t>> occupancy_samples_;
   // Fast-forward state: whether the current cycle is still a candidate
-  // (every resumed module stepped with a horizon, nothing blocked, woke
-  // or was short-granted), the channel tracks, the open window's length
-  // (1: none) and what it changes until it closes.
+  // (every resumed module stepped with a horizon, nothing blocked or
+  // woke; the banks report short grants at the boundary), the channel
+  // tracks, the open window's length (1: none) and what it changes until
+  // it closes.
   bool steady_ = false;
   std::uint64_t last_span_ = 1;  // cycles the last boundary closed
   std::uint64_t tracked_ = 0;    // boundaries booked in a row

@@ -440,7 +440,8 @@ Task read_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
       if (!cycle) {
         want = std::min(want, static_cast<std::int64_t>(out.space()));
       }
-      const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T), d) : want;
+      const std::int64_t g =
+          bank ? bank->grant_elems(want, sizeof(T), d) : want;
       const std::int64_t got = g * d;
       if (run != nullptr && out.lend(run + k, static_cast<std::size_t>(got))) {
         // Lent in place.
@@ -481,7 +482,8 @@ Task write_bulk(std::int64_t passes, std::int64_t n, std::int64_t width,
   for (std::int64_t r = 0; r < passes; ++r) {
     for (std::int64_t k = 0; k < n;) {
       const std::int64_t want = std::min(w, n - k);
-      const std::int64_t g = bank ? bank->grant_elems(want, sizeof(T), d) : want;
+      const std::int64_t g =
+          bank ? bank->grant_elems(want, sizeof(T), d) : want;
       const std::int64_t got = g * d;
       for (std::int64_t t = 0; t < got;) {
         const std::span<const T> win =

@@ -884,8 +884,9 @@ std::pair<DramBank*, DramBank*> build_long(const std::string& kind, Graph& g,
   if (kind == "long_axpy" || kind == "long_axpy_bank" || kind == "long_dot") {
     auto& cy = g.channel<float>("y", cap);
     g.spawn("read_x", read_vector<float>(vec(d.x, n), 1, kLongW, cx, &xy));
-    g.spawn("read_y", read_vector<float>(vec(d.y, n), 1, kLongW, cy,
-                                         kind == "long_axpy_bank" ? &mem : &xy));
+    DramBank* const y_bank = kind == "long_axpy_bank" ? &mem : &xy;
+    g.spawn("read_y",
+            read_vector<float>(vec(d.y, n), 1, kLongW, cy, y_bank));
     const std::int64_t len = kind == "long_dot" ? 1 : n;
     out.assign(static_cast<std::size_t>(len), 0.0f);
     if (kind == "long_dot") {
@@ -943,8 +944,9 @@ std::pair<DramBank*, DramBank*> build_long(const std::string& kind, Graph& g,
                                          core::ger_y_repeat(cfg, dim, dim),
                                          kLongW, cy, &xy));
     g.spawn("ger", core::ger<float>(cfg, dim, dim, 0.5f, ca, cx, cy, cout));
-    g.spawn("write", write_matrix<float>(MatrixView<float>(out.data(), dim, dim),
-                                         sched, kLongW, cout, &mem));
+    g.spawn("write",
+            write_matrix<float>(MatrixView<float>(out.data(), dim, dim), sched,
+                                kLongW, cout, &mem));
   }
   return {&xy, &mem};
 }
@@ -1133,15 +1135,16 @@ TEST(FastForward, EngagesOnSteadySpansOnly) {
 TEST(FastForward, MatchesSteppedRunsOnRandomGraphs) {
   Workload rng(4242);
   const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(rng.next_u64() %
-                                          static_cast<std::uint64_t>(hi - lo + 1));
+    const auto span = static_cast<std::uint64_t>(hi - lo + 1);
+    return lo + static_cast<std::int64_t>(rng.next_u64() % span);
   };
   std::uint64_t fast_forwarded = 0;
   for (int trial = 0; trial < 100; ++trial) {
     const int kind = static_cast<int>(pick(0, 4));
     const int w = std::array<int, 3>{1, 4, 16}[pick(0, 2)];
     const std::size_t cap = static_cast<std::size_t>(
-        pick(0, 1) ? pick(w, 3 * w) : std::array<std::int64_t, 2>{64, 767}[pick(0, 1)]);
+        pick(0, 1) ? pick(w, 3 * w)
+                   : std::array<std::int64_t, 2>{64, 767}[pick(0, 1)]);
     const double xy_rate = static_cast<double>(pick(4, 160)) * 4;
     const double mem_rate = static_cast<double>(pick(4, 160)) * 4;
     const std::int64_t n = pick(1, 3000);
@@ -1179,10 +1182,10 @@ TEST(FastForward, MatchesSteppedRunsOnRandomGraphs) {
         } else {
           g.spawn("dot", core::dot<float>(l1, n, cx, cy, cout));
         }
-        g.spawn("write", write_vector<float>(
-                             VectorView<float>(out.data(),
-                                               static_cast<std::int64_t>(out.size())),
-                             1, w, cout, &mem));
+        const auto len = static_cast<std::int64_t>(out.size());
+        g.spawn("write",
+                write_vector<float>(VectorView<float>(out.data(), len), 1, w,
+                                    cout, &mem));
       } else if (kind == 3) {
         const core::GemvConfig cfg{trans, tiling, w, tr, tc, elems};
         const bool none = trans == Transpose::None;
